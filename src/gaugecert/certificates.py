@@ -26,7 +26,7 @@ import numpy as np
 
 from . import config
 from .cones import (CallableFn, ConeSpec, cone_trivial, kernel_basis, lp_solve,
-                    min_conic_singular, sphere_min)
+                    matrix_rank, min_conic_singular, sphere_min)
 from .gauges import (AnalysisL1Gauge, L1Gauge, NonnegL1Gauge, NuclearGauge,
                      SdpTraceGauge, SortedWeightedL1Gauge)
 from .gauges.matrix import sym_basis
@@ -130,16 +130,6 @@ class CertificateReport:
 # small shared helpers
 # ---------------------------------------------------------------------------
 
-def _rank(M):
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    if M.size == 0:
-        return 0
-    s = np.linalg.svd(M, compute_uv=False)
-    if s.size == 0:
-        return 0
-    return int(np.sum(s > config.RANK_TOL * max(1.0, s[0])))
-
-
 def _complement(T, n):
     """Orthonormal basis of the orthogonal complement of col span(T) in R^n."""
     T = np.asarray(T, dtype=float)
@@ -148,48 +138,27 @@ def _complement(T, n):
     return kernel_basis(T.T)
 
 
-def _subgradient_min(f, subgrad, y0, N, iters=300, restarts=5, seed=0):
-    """Minimize a convex nonsmooth f(y) over y = y0 + N t by plain
-    subgradient descent with diminishing steps.  Heuristic; returns the best
-    iterate seen."""
-    if N.shape[1] == 0:
-        return y0, f(y0)
-    rng = np.random.default_rng(seed)
-    best_y, best_v = y0.copy(), f(y0)
-    scale = max(1.0, float(np.linalg.norm(y0)))
-    for r in range(restarts):
-        t = np.zeros(N.shape[1]) if r == 0 else rng.standard_normal(N.shape[1])
-        for it in range(1, iters + 1):
-            y = y0 + N @ t
-            g = N.T @ subgrad(y)
-            gn = np.linalg.norm(g)
-            if gn < 1e-14:
-                break
-            t = t - (0.7 * scale / math.sqrt(it)) * g / gn
-            v = f(y0 + N @ t)
-            if v < best_v:
-                best_v = v
-                best_y = y0 + N @ t
-    return best_y, best_v
+def _through(batch, S, step=1 << 15):
+    """``batch`` of the rows of T mapped through S, a slice at a time: the
+    grid probes pass over a million rows, and the ambient images are wider."""
+    def run(T):
+        T = np.atleast_2d(T)
+        return np.concatenate([batch(T[i:i + step] @ S.T)
+                               for i in range(0, max(T.shape[0], 1), step)])
+    return run
 
 
-def _affine_solve(C, d):
-    """Least-squares solution of C y = d plus a basis of Ker C.
-
-    Returns (y_p, N, resid); a resid above tolerance means infeasible.
-    """
-    C = np.atleast_2d(np.asarray(C, dtype=float))
-    d = np.asarray(d, dtype=float)
-    if C.shape[0] == 0:
-        return np.zeros(C.shape[1]), np.eye(C.shape[1]), 0.0
-    y_p, *_ = np.linalg.lstsq(C, d, rcond=None)
-    resid = float(np.linalg.norm(C @ y_p - d))
-    return y_p, kernel_basis(C), resid
-
-
-def _sym_mat(v, n):
-    M = np.asarray(v, dtype=float).reshape(n, n)
-    return 0.5 * (M + M.T)
+def _restrict(cone, S):
+    """The cone {s : S s in cone} in the coordinates of the basis S."""
+    if cone is None:
+        return None
+    sub = cone.violation_subgrad
+    return ConeSpec.from_violation(
+        S.shape[1], lambda s: cone.violation(S @ s),
+        _through(cone.violation_batch, S),
+        None if sub is None else (lambda s: S.T @ sub(S @ s)),
+        anchor=None if cone.anchor is None else S.T @ cone.anchor,
+        note=cone.note + " (subspace coordinates)")
 
 
 # ---------------------------------------------------------------------------
@@ -199,12 +168,13 @@ def _sym_mat(v, n):
 def find_dual_certificate(gauge, A, x0):
     """Search for y0 with A^T y0 in the relative interior of dJ(x0).
 
-    For the polyhedral kinds this is an exact LP that maximizes the interior
-    margin over the face model of dJ(x0).  For the spectral kinds (nuclear,
-    sdp_trace) and group l1/l2, the affine part of the face is matched by
-    least squares and the residual freedom is used to push the boundary block
-    inward by subgradient descent -- the *search* is heuristic but the margin
-    of the returned certificate is verified exactly against the face model.
+    The search is the face model's ``certificate``.  For the polyhedral
+    kinds it is an exact LP that maximizes the interior margin over the face
+    of dJ(x0).  For the spectral kinds (nuclear, sdp_trace) and group l1/l2,
+    the affine part of the face is matched by least squares and the residual
+    freedom is used to push the boundary block inward by subgradient descent
+    -- the *search* is heuristic but the margin of the returned certificate
+    is verified exactly against the face model.
 
     Parameters
     ----------
@@ -221,236 +191,7 @@ def find_dual_certificate(gauge, A, x0):
     infeasibility; x0 then is not a minimizer, or only a degenerate one).
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    x0 = gauge.flat(x0)
-    m = A.shape[0]
-    kind = gauge.kind
-    face = gauge.face(x0)
-
-    if kind in ("l1", "nonneg_l1"):
-        sup = face.support
-        off = face.off
-        target = face.base[sup]
-        if off.size == 0:
-            y, _, resid = _affine_solve(A[:, sup].T, target)
-            if resid > 1e-9 * max(1.0, np.abs(target).max(initial=0.0)):
-                return None
-            return {"y0": y, "ri_margin": math.inf, "margin_is_max": True,
-                    "note": "face is a singleton"}
-        # vars (y, t): minimize t, A_I^T y = target, +/- A_off^T y <= t
-        Aoff = A[:, off].T
-        if kind == "l1":
-            A_ub = np.vstack([np.hstack([Aoff, -np.ones((off.size, 1))]),
-                              np.hstack([-Aoff, -np.ones((off.size, 1))])])
-        else:
-            A_ub = np.hstack([Aoff, -np.ones((off.size, 1))])
-        b_ub = np.zeros(A_ub.shape[0])
-        A_eq = np.hstack([A[:, sup].T, np.zeros((sup.size, 1))]) \
-            if sup.size else None
-        b_eq = target if sup.size else None
-        c = np.zeros(m + 1)
-        c[m] = 1.0
-        bounds = [(None, None)] * (m + 1)
-        res = lp_solve(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                       bounds=bounds)
-        if res.status == "unbounded":
-            # one-sided off-support constraints (the conic kind) can be
-            # pushed arbitrarily low: the margin has no finite maximum.
-            # Re-solve with a floor to extract a concrete certificate.
-            res = lp_solve(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                           bounds=[(None, None)] * m + [(-1.0, None)])
-            if res.status != "optimal":
-                return None
-            return {"y0": res.x[:m], "ri_margin": math.inf,
-                    "margin_is_max": True,
-                    "note": "max-margin LP (margin unbounded)"}
-        if res.status != "optimal":
-            return None
-        y = res.x[:m]
-        return {"y0": y, "ri_margin": float(face.margin(A.T @ y)),
-                "margin_is_max": True, "note": "max-margin LP"}
-
-    if kind == "analysis_l1":
-        D = gauge.D
-        act, inact = face.active, face.inactive
-        rhs = D[:, act] @ face.signs if act.size else np.zeros(D.shape[0])
-        if inact.size == 0:
-            y, _, resid = _affine_solve(A.T, rhs)
-            if resid > 1e-9 * max(1.0, np.abs(rhs).max(initial=0.0)):
-                return None
-            return {"y0": y, "ri_margin": math.inf, "margin_is_max": True,
-                    "note": "face is a singleton"}
-        # vars (y, u_off, t): A^T y - D_off u_off = D_act s_act, |u_off| <= t
-        p_off = inact.size
-        n = D.shape[0]
-        A_eq = np.hstack([A.T, -D[:, inact], np.zeros((n, 1))])
-        b_eq = rhs
-        E = np.eye(p_off)
-        A_ub = np.vstack([
-            np.hstack([np.zeros((p_off, m)), E, -np.ones((p_off, 1))]),
-            np.hstack([np.zeros((p_off, m)), -E, -np.ones((p_off, 1))]),
-        ])
-        b_ub = np.zeros(2 * p_off)
-        c = np.zeros(m + p_off + 1)
-        c[-1] = 1.0
-        res = lp_solve(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                       bounds=[(None, None)] * (m + p_off + 1))
-        if res.status != "optimal":
-            return None
-        y = res.x[:m]
-        return {"y0": y, "ri_margin": float(face.margin(A.T @ y)),
-                "margin_is_max": True, "note": "max-margin LP (coefficient space)"}
-
-    if kind == "wsl1":
-        V = face.vertices
-        N = V.shape[0]
-        n = V.shape[1]
-        if N == 1:
-            y, _, resid = _affine_solve(A.T, V[0])
-            if resid > 1e-9 * max(1.0, np.abs(V).max()):
-                return None
-            return {"y0": y, "ri_margin": math.inf, "margin_is_max": True,
-                    "note": "face is a singleton"}
-        # vars (y, lam, t): maximize t, A^T y = V^T lam, 1^T lam = 1,
-        # lam_i >= t
-        A_eq = np.zeros((n + 1, m + N + 1))
-        A_eq[:n, :m] = A.T
-        A_eq[:n, m:m + N] = -V.T
-        A_eq[n, m:m + N] = 1.0
-        b_eq = np.zeros(n + 1)
-        b_eq[n] = 1.0
-        A_ub = np.zeros((N, m + N + 1))
-        A_ub[:, m:m + N] = -np.eye(N)
-        A_ub[:, m + N] = 1.0
-        b_ub = np.zeros(N)
-        c = np.zeros(m + N + 1)
-        c[m + N] = -1.0
-        bounds = [(None, None)] * m + [(0.0, None)] * N + [(None, None)]
-        res = lp_solve(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                       bounds=bounds)
-        if res.status != "optimal":
-            return None
-        y = res.x[:m]
-        return {"y0": y, "ri_margin": float(face.margin(A.T @ y)),
-                "margin_is_max": True, "note": "max-min-weight LP over the vertex set"}
-
-    if kind == "group_l12":
-        sup_coords = np.concatenate([gauge.groups[gi] for gi in face.sup]) \
-            if face.sup else np.array([], dtype=int)
-        C = A[:, sup_coords].T if sup_coords.size else np.zeros((0, m))
-        target = face.base[sup_coords]
-        y_p, N, resid = _affine_solve(C, target)
-        if resid > 1e-8 * max(1.0, np.abs(target).max(initial=0.0)):
-            return None
-        if not face.zero:
-            return {"y0": y_p, "ri_margin": math.inf, "margin_is_max": True,
-                    "note": "face is a singleton"}
-        zero_groups = [gauge.groups[gi] for gi in face.zero]
-
-        def worst_norm(y):
-            z = A.T @ y
-            return max(float(np.linalg.norm(z[idx])) for idx in zero_groups)
-
-        def sg(y):
-            z = A.T @ y
-            idx = max(zero_groups, key=lambda g: np.linalg.norm(z[g]))
-            zi = z[idx]
-            nz = np.linalg.norm(zi)
-            g = np.zeros(z.size)
-            if nz > 1e-15:
-                g[idx] = zi / nz
-            return A @ g
-
-        y, val = _subgradient_min(worst_norm, sg, y_p, N)
-        return {"y0": y, "ri_margin": float(face.margin(A.T @ y)),
-                "margin_is_max": False,
-                "note": "off-block norm minimized by subgradient descent (heuristic search)"}
-
-    if kind == "nuclear":
-        p, q = gauge.shape
-        U1, V1, U2, V2 = face.U1, face.V1, face.U2, face.V2
-        r = U1.shape[1]
-        rows, rhs = [], []
-        for i in range(r):
-            for j in range(r):
-                rows.append(A @ np.outer(U1[:, i], V1[:, j]).ravel())
-                rhs.append(1.0 if i == j else 0.0)
-        for i in range(r):
-            for j in range(V2.shape[1]):
-                rows.append(A @ np.outer(U1[:, i], V2[:, j]).ravel())
-                rhs.append(0.0)
-        for i in range(U2.shape[1]):
-            for j in range(r):
-                rows.append(A @ np.outer(U2[:, i], V1[:, j]).ravel())
-                rhs.append(0.0)
-        y_p, N, resid = _affine_solve(np.array(rows).reshape(len(rows), m),
-                                      np.array(rhs))
-        if resid > 1e-8:
-            return None
-        if U2.shape[1] == 0 or V2.shape[1] == 0:
-            return {"y0": y_p, "ri_margin": math.inf, "margin_is_max": True,
-                    "note": "face is a singleton"}
-
-        def top_sv(y):
-            Z = (A.T @ y).reshape(p, q)
-            return float(np.linalg.norm(U2.T @ Z @ V2, 2))
-
-        def sg(y):
-            Z = (A.T @ y).reshape(p, q)
-            W = U2.T @ Z @ V2
-            Uw, _, Vwt = np.linalg.svd(W)
-            M = np.outer(U2 @ Uw[:, 0], V2 @ Vwt[0])
-            return A @ M.ravel()
-
-        y, val = _subgradient_min(top_sv, sg, y_p, N)
-        return {"y0": y, "ri_margin": float(face.margin(A.T @ y)),
-                "margin_is_max": False,
-                "note": "spectral norm of the free block minimized by "
-                        "subgradient descent (heuristic search)"}
-
-    if kind == "sdp_trace":
-        nm = gauge.nmat
-        E = face.E
-        X0 = _sym_mat(x0, nm)
-        w, V = np.linalg.eigh(X0)
-        U = V[:, w > config.RANK_TOL * max(1.0, w.max(initial=0.0))]
-        rows, rhs = [], []
-        C = gauge.C
-        for i in range(U.shape[1]):
-            for j in range(i, U.shape[1]):
-                M = 0.5 * (np.outer(U[:, i], U[:, j]) + np.outer(U[:, j], U[:, i]))
-                rows.append(A @ M.ravel())
-                rhs.append(float(np.tensordot(M, C)))
-        for i in range(U.shape[1]):
-            for j in range(E.shape[1]):
-                M = 0.5 * (np.outer(U[:, i], E[:, j]) + np.outer(E[:, j], U[:, i]))
-                rows.append(A @ M.ravel())
-                rhs.append(float(np.tensordot(M, C)))
-        y_p, N, resid = _affine_solve(np.array(rows).reshape(len(rows), m),
-                                      np.array(rhs))
-        if resid > 1e-8 * max(1.0, float(np.abs(C).max())):
-            return None
-        if E.shape[1] == 0:
-            return {"y0": y_p, "ri_margin": math.inf, "margin_is_max": True,
-                    "note": "face is a singleton"}
-
-        def lam_max(y):
-            Z = _sym_mat(A.T @ y, nm)
-            return float(np.linalg.eigvalsh(E.T @ (Z - C) @ E)[-1])
-
-        def sg(y):
-            Z = _sym_mat(A.T @ y, nm)
-            wv, Vv = np.linalg.eigh(E.T @ (Z - C) @ E)
-            v = E @ Vv[:, -1]
-            return A @ np.outer(v, v).ravel()
-
-        y, val = _subgradient_min(lam_max, sg, y_p, N)
-        Zs = _sym_mat(A.T @ y, nm).ravel()
-        return {"y0": y, "ri_margin": float(face.margin(Zs)),
-                "margin_is_max": False,
-                "note": "kernel-block eigenvalue minimized by subgradient "
-                        "descent (heuristic search)"}
-
-    raise ValueError(f"unsupported gauge kind {kind!r}")
+    return gauge.face(gauge.flat(x0)).certificate(A)
 
 
 # ---------------------------------------------------------------------------
@@ -460,122 +201,36 @@ def find_dual_certificate(gauge, A, x0):
 class _Geometry:
     """Effective-coordinate view of (gauge, A, x0).
 
-    Semidefinite problems live on the symmetric matrices; everything the
-    kernel route touches is therefore expressed in an orthonormal basis of
-    that subspace (``to_ambient`` maps probe directions back).  All other
-    kinds use the ambient coordinates unchanged.
+    A gauge whose domain lies in a subspace (the semidefinite kind lives on
+    the symmetric matrices) reports an orthonormal basis S of it; everything
+    the kernel route touches is then expressed in S coordinates
+    (``to_ambient`` maps probe directions back).  All other kinds use the
+    ambient coordinates unchanged.
     """
 
     def __init__(self, gauge, A, x0):
         self.gauge = gauge
         self.face = gauge.face(x0)
-        if gauge.kind != "sdp_trace":
-            self.A_eff = A
-            self.n_eff = A.shape[1]
-            self.probe = gauge.dir_probe(x0)
-            self.dom_cone = gauge.domain_tangent_cone(x0)
-            self.crit_cone = gauge.critical_cone(x0)
-            self.T_eff = self.face.tangent
-            self.S = None
-            return
-        nm = gauge.nmat
-        S = sym_basis(nm)
-        self.S = S
-        self.A_eff = A @ S
-        self.n_eff = S.shape[1]
-        E = self.face.E
-        c_s = S.T @ gauge.C.ravel()
-        self.probe = CallableFn(lambda s: float(c_s @ s),
-                                lambda T: np.atleast_2d(T) @ c_s,
-                                lambda s: c_s.copy())
-
-        def _blocks(T):
-            T = np.atleast_2d(np.asarray(T, dtype=float))
-            H = (T @ S.T).reshape(T.shape[0], nm, nm)
-            return np.einsum("ae,kab,bf->kef", E, H, E)
-
-        def dom_viol(s):
-            if not E.shape[1]:
-                return 0.0
-            B = _blocks(s[None, :])[0]
-            return float(max(0.0, -np.linalg.eigvalsh(B)[0]))
-
-        def dom_viol_batch(T):
-            if not E.shape[1]:
-                return np.zeros(np.atleast_2d(T).shape[0])
-            w = np.linalg.eigvalsh(_blocks(T))
-            return np.maximum(-w[:, 0], 0.0)
-
-        def dom_viol_sg(s):
-            if not E.shape[1]:
-                return np.zeros(self.n_eff)
-            B = _blocks(s[None, :])[0]
-            w, V = np.linalg.eigh(B)
-            if w[0] >= 0.0:
-                return np.zeros(self.n_eff)
-            v = E @ V[:, 0]
-            return -(S.T @ np.outer(v, v).ravel())
-
-        anchor_s = S.T @ np.eye(nm).ravel()
-        self.dom_cone = ConeSpec.from_violation(
-            self.n_eff, dom_viol, dom_viol_batch, dom_viol_sg,
-            anchor=anchor_s, note="PSD tangent cone (symmetric coordinates)")
-
-        def crit_viol(s):
-            return max(dom_viol(s), float(c_s @ s))
-
-        def crit_viol_batch(T):
-            return np.maximum(dom_viol_batch(T), np.atleast_2d(T) @ c_s)
-
-        def crit_viol_sg(s):
-            lin = float(c_s @ s)
-            dv = dom_viol(s)
-            if dv <= 0.0 and lin <= 0.0:
-                return np.zeros(self.n_eff)
-            return c_s.copy() if lin >= dv else dom_viol_sg(s)
-
-        self.crit_cone = ConeSpec.from_violation(
-            self.n_eff, crit_viol, crit_viol_batch, crit_viol_sg,
-            note="trace-descent directions inside the PSD tangent cone")
-        self.T_eff = S.T @ self.face.tangent
+        self.S = S = gauge.coordinate_basis()
+        probe = gauge.dir_probe(x0)
+        dom_cone = gauge.domain_tangent_cone(x0)
+        crit_cone = gauge.critical_cone(x0)
+        if S is None:
+            self.A_eff, self.T_eff = A, self.face.tangent
+            self.probe, self.dom_cone, self.crit_cone = probe, dom_cone, crit_cone
+        else:
+            self.A_eff, self.T_eff = A @ S, S.T @ self.face.tangent
+            self.probe = CallableFn(lambda s: probe.value(S @ s),
+                                    _through(probe.value_batch, S),
+                                    lambda s: S.T @ probe.subgrad(S @ s))
+            self.dom_cone = _restrict(dom_cone, S)
+            self.crit_cone = _restrict(crit_cone, S)
+        self.n_eff = self.A_eff.shape[1]
 
     def to_ambient(self, h):
         if h is None or self.S is None:
             return h
         return self.S @ h
-
-
-def _sdp_interior_feasible(gauge, A_eff, b0, S):
-    """Probe for a strictly positive definite feasible point (projected
-    supergradient ascent on the smallest eigenvalue).  Heuristic: success is
-    a certificate, failure is not."""
-    nm = gauge.nmat
-    s_p, N, resid = _affine_solve(A_eff, b0)
-    if resid > 1e-8 * max(1.0, float(np.linalg.norm(b0))):
-        return False, "no symmetric feasible point found"
-
-    def lam_min(s):
-        return float(np.linalg.eigvalsh((S @ s).reshape(nm, nm))[0])
-
-    best = lam_min(s_p)
-    t = np.zeros(N.shape[1])
-    scale = max(1.0, float(np.linalg.norm(s_p)))
-    if N.shape[1] and best <= 1e-9 * scale:
-        for it in range(1, 301):
-            s = s_p + N @ t
-            w, V = np.linalg.eigh((S @ s).reshape(nm, nm))
-            v = V[:, 0]
-            g = N.T @ (S.T @ np.outer(v, v).ravel())
-            gn = np.linalg.norm(g)
-            if gn < 1e-14:
-                break
-            t = t + (0.5 * scale / math.sqrt(it)) * g / gn
-            best = max(best, lam_min(s_p + N @ t))
-            if best > 1e-6 * scale:
-                break
-    if best > 1e-9 * scale:
-        return True, f"interior feasible point found (lambda_min {best:.2e})"
-    return False, "no strictly feasible point found by the ascent probe"
 
 
 # ---------------------------------------------------------------------------
@@ -613,8 +268,9 @@ def check_sharp(gauge, A, x0, with_alpha=True):
     geom = _Geometry(gauge, A, x0)
 
     assumption_ok = True
-    if gauge.kind == "sdp_trace":
-        ok, note = _sdp_interior_feasible(gauge, geom.A_eff, A @ x0, geom.S)
+    feasibility = gauge.interior_feasibility(A, A @ x0)
+    if feasibility is not None:
+        ok, note = feasibility
         rep.conditions_checked.append(("interior-feasibility", YES if ok else UNKNOWN, ok))
         rep.notes.append("interior feasibility: " + note)
         assumption_ok = ok
@@ -630,7 +286,7 @@ def check_sharp(gauge, A, x0, with_alpha=True):
                          "(affine part infeasible)")
 
     Q = _complement(geom.T_eff, geom.n_eff)
-    rank_ok = _rank(geom.A_eff @ Q) == Q.shape[1] if Q.shape[1] else True
+    rank_ok = matrix_rank(geom.A_eff @ Q) == Q.shape[1] if Q.shape[1] else True
     if not rank_ok:
         verdict_v, certified_v = NO, True
     elif cert is None:
@@ -736,8 +392,9 @@ def check_unique(gauge, A, x0, with_alpha=True):
     Polyhedral kinds inherit the verdict from ``check_sharp`` (uniqueness and
     sharpness coincide there).  For the spectral kinds two more tests run
     when sharpness did not already settle it: the tangent-space test at the
-    dual certificate (exact rank test when the certificate's reduced block is
-    positive definite; certifies uniqueness-with-calmness), and a descent
+    dual certificate (the gauge's ``tangent_space_test``: an exact rank test
+    when the certificate's reduced block is positive definite; certifies
+    uniqueness-with-calmness), and a descent
     sampling probe over kernel directions (a hit certifies non-uniqueness).
     ``with_alpha`` is forwarded to ``check_sharp``.
 
@@ -766,9 +423,12 @@ def check_unique(gauge, A, x0, with_alpha=True):
     x0 = gauge.flat(x0)
     A = np.atleast_2d(np.asarray(A, dtype=float))
     verdict_t, certified_t = UNKNOWN, False
-    if gauge.kind in ("nuclear", "sdp_trace") and rep.dual_certificate is not None:
-        verdict_t, certified_t, note = _tangent_space_test(
-            gauge, A, x0, rep.dual_certificate)
+    test = None if rep.dual_certificate is None else \
+        gauge.tangent_space_test(A, x0, rep.dual_certificate)
+    if test is not None:
+        unique, note = test
+        verdict_t = {True: YES, False: NO, None: UNKNOWN}[unique]
+        certified_t = unique is not None
         rep.conditions_checked.append(("tangent-space", verdict_t, certified_t))
         rep.notes.append("tangent-space test: " + note)
 
@@ -796,75 +456,6 @@ def check_unique(gauge, A, x0, with_alpha=True):
     return rep
 
 
-def _tangent_space_test(gauge, A, x0, y0):
-    """Rank test of A on the tangent space of the polar-face normal cone.
-
-    At z0 = A^T y0 the solution set lies inside {x : <z0, x> = J(x)}.  For
-    the nuclear norm that set is {U1 S V1^T : S sym PSD} built from the
-    singular blocks of z0 at level one; for the trace gauge it is
-    {G S G^T : S sym PSD} on the kernel G of C - Z0.  When x0's reduced
-    block is positive definite the tangent cone at x0 is the whole
-    subspace, so uniqueness(+calmness) is equivalent to A being injective
-    on it -- an exact rank test.
-    """
-    if gauge.kind == "nuclear":
-        p, q = gauge.shape
-        Z = (A.T @ y0).reshape(p, q)
-        U, s, Vt = np.linalg.svd(Z)
-        if s.size and s[0] > 1.0 + 1e-7:
-            return UNKNOWN, False, "certificate is not dual feasible"
-        lev = s >= 1.0 - 1e-7
-        r = int(np.sum(lev))
-        if r == 0:
-            # z0 strictly inside the polar ball: J(x)=0 on the solution set
-            return (YES, True, "certificate strictly inside the polar ball") \
-                if _rank(A) == p * q else (UNKNOWN, False, "flat-gauge case")
-        U1, V1 = U[:, :r], Vt[:r].T
-        X0 = x0.reshape(p, q)
-        M0 = U1.T @ X0 @ V1
-        resid = float(np.linalg.norm(X0 - U1 @ M0 @ V1.T))
-        scale = max(1.0, float(np.linalg.norm(X0)))
-        if resid > 1e-7 * scale or np.linalg.norm(M0 - M0.T) > 1e-7 * scale:
-            return UNKNOWN, False, "x0 is not aligned with the certificate's blocks"
-        w = np.linalg.eigvalsh(0.5 * (M0 + M0.T))
-        if w[0] <= 1e-7 * scale:
-            return UNKNOWN, False, "reduced block is singular; tangent cone is not a subspace"
-        B = np.kron(U1, V1) @ sym_basis(r)
-        d = B.shape[1]
-        ok = _rank(A @ B) == d
-        return (YES if ok else NO), True, \
-            f"rank test on the {d}-dimensional tangent space"
-    # sdp_trace
-    nm = gauge.nmat
-    Z = _sym_mat(A.T @ y0, nm)
-    C = gauge.C
-    w, V = np.linalg.eigh(C - Z)
-    scale = max(1.0, float(np.abs(w).max(initial=0.0)))
-    if w[0] < -1e-7 * scale:
-        return UNKNOWN, False, "certificate is not dual feasible"
-    ker = np.abs(w) <= 1e-7 * scale
-    d0 = int(np.sum(ker))
-    if d0 == 0:
-        return (YES, True, "certificate strictly inside the polar set") \
-            if _rank(A @ sym_basis(nm)) == nm * (nm + 1) // 2 \
-            else (UNKNOWN, False, "flat-gauge case")
-    G = V[:, ker]
-    X0 = _sym_mat(x0, nm)
-    M0 = G.T @ X0 @ G
-    resid = float(np.linalg.norm(X0 - G @ M0 @ G.T))
-    xscale = max(1.0, float(np.linalg.norm(X0)))
-    if resid > 1e-7 * xscale:
-        return UNKNOWN, False, "x0 is not supported on the certificate's kernel block"
-    wm = np.linalg.eigvalsh(0.5 * (M0 + M0.T))
-    if wm[0] <= 1e-7 * xscale:
-        return UNKNOWN, False, "reduced block is singular; tangent cone is not a subspace"
-    B = np.kron(G, G) @ sym_basis(d0)
-    d = B.shape[1]
-    ok = _rank(A @ B) == d
-    return (YES if ok else NO), True, \
-        f"rank test on the {d}-dimensional tangent space"
-
-
 def _descent_sample(gauge, A, x0, hint, count=400, seed=7):
     """Search kernel directions for a genuinely flat step J(x0+th) <= J(x0).
 
@@ -877,12 +468,12 @@ def _descent_sample(gauge, A, x0, hint, count=400, seed=7):
     O(1e-9) boundary violations, and a direction curving out of a conic
     domain quadratically would otherwise masquerade as flat.
     """
-    if gauge.kind == "sdp_trace":
-        S = sym_basis(gauge.nmat)
+    S = gauge.coordinate_basis()
+    if S is None:
+        K = kernel_basis(A)
+    else:
         K = kernel_basis(np.atleast_2d(A) @ S)
         K = S @ K if K.shape[1] else np.zeros((gauge.n, 0))
-    else:
-        K = kernel_basis(A)
     k = K.shape[1]
     if k == 0:
         return None
@@ -938,10 +529,7 @@ def check_sharp_qp(gauge, A, b, mu, xhat):
         raise ValueError(f"xhat not stationary (fixed-point residual {resid:.2e})")
     yhat = (b - A @ xhat) / mu
     rep = check_unique(gauge, A, xhat)
-    zhat = A.T @ yhat
-    if gauge.kind == "sdp_trace":
-        zhat = _sym_mat(zhat, gauge.nmat).ravel()
-    margin_hat = gauge.face(xhat).margin(zhat)
+    margin_hat = gauge.face(xhat).margin(A.T @ yhat)
     rep.notes.append(f"stationarity verified (fixed-point residual {resid:.2e}); "
                      f"residual certificate margin {margin_hat:.6g}")
     if rep.dual_certificate is None and margin_hat > -1e-9:
@@ -970,7 +558,7 @@ def fuchs_check(A, x0):
     gauge = L1Gauge(x0.size)
     face = gauge.face(x0)
     I = face.support
-    inj = _rank(A[:, I]) == I.size if I.size else True
+    inj = matrix_rank(A[:, I]) == I.size if I.size else True
     rep.conditions_checked.append(("support-injectivity", YES if inj else NO, True))
     cert = find_dual_certificate(gauge, A, x0)
     if cert is None:
@@ -1010,7 +598,7 @@ def analysis_check(A, D, x0):
     elif face.inactive.size == 0:
         kernels_ok = False  # Ker D_{I^c}^T is everything, Ker A is not {0}
     else:
-        kernels_ok = _rank(Doff.T @ K) == K.shape[1]
+        kernels_ok = matrix_rank(Doff.T @ K) == K.shape[1]
     rep.conditions_checked.append(("kernel-intersection", YES if kernels_ok else NO, True))
     cert = find_dual_certificate(gauge, A, x0)
     if cert is None:
@@ -1044,7 +632,7 @@ def wsl1_check(A, w, x0):
     face = gauge.face(x0)
     n = x0.size
     stacked = np.hstack([A.T, face.tangent]) if face.tangent.size else A.T
-    aff_ok = _rank(stacked) == n
+    aff_ok = matrix_rank(stacked) == n
     rep.conditions_checked.append(("affine-hull", YES if aff_ok else NO, True))
     cert = find_dual_certificate(gauge, A, x0)
     if cert is None:
@@ -1088,7 +676,7 @@ def nuclear_check(Phi, X0):
         Tbasis = _complement(np.kron(U2, V2), p * q)
     else:
         Tbasis = np.eye(p * q)
-    inj = _rank(Phi @ Tbasis) == Tbasis.shape[1]
+    inj = matrix_rank(Phi @ Tbasis) == Tbasis.shape[1]
     rep.conditions_checked.append(("restricted-injectivity", YES if inj else NO, True))
 
     cert = find_dual_certificate(gauge, Phi, x0)
@@ -1274,16 +862,14 @@ def upper_lipschitz_probe(gauge, A, x0, y0, grid):
 
     For each (v, w) on the grid, finds a point of S(v, w) = {x in the
     exposed face of A^T y0 + v : Ax = b0 + w} by a feasibility LP and
-    records ||x - x0|| / (||v|| + ||w||).  Only the l1 and nonneg_l1 face
-    structures are implemented; a sharp base instance is required.
+    records ||x - x0|| / (||v|| + ||w||).  The face comes from the gauge's
+    ``exposed_face``, which only l1 and nonneg_l1 provide; a sharp base
+    instance is required.
 
     Returns
     -------
     dict with ``rows`` (one record per grid point) and ``max_ratio``.
     """
-    if gauge.kind not in ("l1", "nonneg_l1"):
-        raise NotImplementedError(
-            "displacement probe implemented for l1 and nonneg_l1 only")
     A = np.atleast_2d(np.asarray(A, dtype=float))
     x0 = gauge.flat(x0)
     rep = check_sharp(gauge, A, x0)
@@ -1299,20 +885,12 @@ def upper_lipschitz_probe(gauge, A, x0, y0, grid):
         z = A.T @ y0 + v
         row = {"v_norm": float(np.linalg.norm(v)),
                "w_norm": float(np.linalg.norm(w))}
-        if gauge.kind == "l1":
-            if np.max(np.abs(z)) > 1.0 + 1e-9:
-                row.update(status="outside polar ball", ratio=math.nan)
-                rows.append(row)
-                continue
-            act = np.where(np.abs(z) >= 1.0 - 1e-9)[0]
-            signs = np.sign(z[act])
-        else:
-            if np.max(z, initial=0.0) > 1.0 + 1e-9:
-                row.update(status="outside polar set", ratio=math.nan)
-                rows.append(row)
-                continue
-            act = np.where(z >= 1.0 - 1e-9)[0]
-            signs = np.ones(act.size)
+        exposed = gauge.exposed_face(z)
+        if exposed is None:
+            row.update(status="outside polar set", ratio=math.nan)
+            rows.append(row)
+            continue
+        act, signs = exposed
         if act.size == 0:
             x = np.zeros(gauge.n)
             feasible = float(np.linalg.norm(b0 + w)) <= 1e-9

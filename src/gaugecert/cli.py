@@ -53,17 +53,8 @@ from .certificates import (
     wsl1_check,
 )
 from .cones import EnumerationCapExceeded, LpFailure, nsp_constant
-from .gauges import (
-    KINDS,
-    AnalysisL1Gauge,
-    GroupL12Gauge,
-    L1Gauge,
-    NonnegL1Gauge,
-    NuclearGauge,
-    SdpTraceGauge,
-    SortedWeightedL1Gauge,
-    VertexCapExceeded,
-)
+from .gauges import KINDS, VertexCapExceeded, from_spec
+from .gauges.base import spec_array
 from .recovery import ProblemInstance, RecoveryReport, rows_to_csv, run_recovery
 from .solvers import (
     ResidualMonotonicityError,
@@ -95,38 +86,18 @@ def _fail(msg):
 # problem-file parsing
 
 
+#: the top-level gauge parameter fields, mapped to the kind that reads each
+_PARAM_OWNER = {cls.param_field: kind for kind, cls in KINDS.items()
+                if cls.param_field}
 _TOP_FIELDS = {"version", "gauge", "A", "x0", "b", "b0", "delta", "mu",
-               "c1", "D", "w", "partition", "C"}
-#: which gauge kinds consume which top-level parameter field
-_PARAM_FIELD = {"analysis_l1": "D", "wsl1": "w", "group_l12": "partition",
-                "sdp_trace": "C"}
+               "c1"} | set(_PARAM_OWNER)
 
 
-def _as_matrix(obj, name):
-    if (not isinstance(obj, list) or not obj
-            or not all(isinstance(row, list) for row in obj)):
-        _fail(f"{name}: expected a nonempty list of rows")
-    width = len(obj[0])
-    if width == 0 or any(len(row) != width for row in obj):
-        _fail(f"{name}: rows must be nonempty and of equal length")
+def _as_array(raw, name, ndim, size=None):
     try:
-        return np.array(obj, dtype=float)
-    except (TypeError, ValueError):
-        _fail(f"{name}: entries must be numbers")
-
-
-def _as_vector(obj, name, size=None):
-    if not isinstance(obj, list) or not obj:
-        _fail(f"{name}: expected a nonempty list of numbers")
-    try:
-        v = np.array(obj, dtype=float)
-    except (TypeError, ValueError):
-        _fail(f"{name}: entries must be numbers")
-    if v.ndim != 1:
-        _fail(f"{name}: expected a flat list")
-    if size is not None and v.size != size:
-        _fail(f"{name}: expected {size} entries, got {v.size}")
-    return v
+        return spec_array(raw, name, ndim, size)
+    except ValueError as exc:
+        _fail(str(exc))
 
 
 def _as_number(obj, name, positive=False, nonneg=False):
@@ -138,40 +109,6 @@ def _as_number(obj, name, positive=False, nonneg=False):
     if nonneg and not val >= 0:
         _fail(f"{name}: must be nonnegative")
     return val
-
-
-def _build_gauge(kind, n, shape, raw):
-    """Construct the gauge named by the record, consuming its parameter."""
-    try:
-        if kind == "l1":
-            return L1Gauge(n)
-        if kind == "nonneg_l1":
-            return NonnegL1Gauge(n)
-        if kind == "analysis_l1":
-            D = _as_matrix(raw["D"], "D")
-            if D.shape[0] != n:
-                _fail(f"D: expected {n} rows to match gauge.n, got {D.shape[0]}")
-            return AnalysisL1Gauge(D)
-        if kind == "wsl1":
-            w = _as_vector(raw["w"], "w", size=n)
-            return SortedWeightedL1Gauge(w)
-        if kind == "group_l12":
-            part = raw["partition"]
-            if (not isinstance(part, list)
-                    or not all(isinstance(g, list) for g in part)):
-                _fail("partition: expected a list of index lists")
-            return GroupL12Gauge(n, part)
-        if kind == "nuclear":
-            return NuclearGauge(shape)
-        # sdp_trace
-        C = _as_matrix(raw["C"], "C")
-        if C.shape != (n, n):
-            _fail(f"C: expected shape {n} x {n}, got {C.shape[0]} x {C.shape[1]}")
-        return SdpTraceGauge(C)
-    except ProblemValidationError:
-        raise
-    except (TypeError, ValueError) as exc:
-        _fail(f"gauge parameters: {exc}")
 
 
 def load_problem(path):
@@ -204,36 +141,27 @@ def load_problem(path):
     kind = rec.get("kind")
     if kind not in KINDS:
         _fail(f"gauge.kind: expected one of {sorted(KINDS)}, got {kind!r}")
-    allowed = {"kind", "shape"} if kind == "nuclear" else {"kind", "n"}
-    extra = sorted(set(rec) - allowed)
+    cls = KINDS[kind]
+    extra = sorted(set(rec) - {"kind", cls.size_field})
     if extra:
         _fail(f"gauge: unknown field(s): {', '.join(extra)}")
-    n = shape = None
-    if kind == "nuclear":
-        shape = rec.get("shape")
-        if (not isinstance(shape, list) or len(shape) != 2
-                or not all(isinstance(s, int) and s > 0 for s in shape)):
-            _fail("gauge.shape: expected [p, q] with positive integers")
-        shape = tuple(shape)
-    else:
-        n = rec.get("n")
-        if not isinstance(n, int) or isinstance(n, bool) or n <= 0:
-            _fail("gauge.n: expected a positive integer")
-
-    needed = _PARAM_FIELD.get(kind)
-    for fld in ("D", "w", "partition", "C"):
-        if fld in raw and fld != needed:
-            _fail(f"field {fld!r} requires gauge kind "
-                  f"{[k for k, v in _PARAM_FIELD.items() if v == fld][0]!r}")
-    if needed is not None and needed not in raw:
-        _fail(f"gauge kind {kind!r} requires field {needed!r}")
-
-    gauge = _build_gauge(kind, n, shape, raw)
+    for fld, owner in _PARAM_OWNER.items():
+        if fld in raw and fld != cls.param_field:
+            _fail(f"field {fld!r} requires gauge kind {owner!r}")
+    spec = dict(rec)
+    if cls.param_field is not None:
+        if cls.param_field not in raw:
+            _fail(f"gauge kind {kind!r} requires field {cls.param_field!r}")
+        spec[cls.param_field] = raw[cls.param_field]
+    try:
+        gauge = from_spec(spec)
+    except ValueError as exc:
+        _fail(str(exc))
     ambient = gauge.n
 
     if "A" not in raw:
         _fail("missing required field 'A'")
-    A = _as_matrix(raw["A"], "A")
+    A = _as_array(raw, "A", 2)
     if A.shape[1] != ambient:
         _fail(f"A: expected {ambient} columns for this gauge, got {A.shape[1]}")
     m = A.shape[0]
@@ -241,10 +169,10 @@ def load_problem(path):
     prob = {"gauge": gauge, "A": A, "x0": None, "b": None, "b0": None,
             "delta": None, "mu": None, "c1": None}
     if "x0" in raw:
-        prob["x0"] = _as_vector(raw["x0"], "x0", size=ambient)
+        prob["x0"] = _as_array(raw, "x0", 1, size=ambient)
     for fld in ("b", "b0"):
         if fld in raw:
-            prob[fld] = _as_vector(raw[fld], fld, size=m)
+            prob[fld] = _as_array(raw, fld, 1, size=m)
     if "delta" in raw:
         prob["delta"] = _as_number(raw["delta"], "delta", nonneg=True)
     if "mu" in raw:
@@ -284,13 +212,29 @@ def _json_safe(obj):
     return obj
 
 
+def _print(text):
+    """Print a report line; a reader that closed the pipe early only loses
+    the rest of the output, not the exit code."""
+    try:
+        print(text)
+    except BrokenPipeError:
+        _drop_stdout()
+
+
+def _drop_stdout():
+    """Point stdout at the null device once its reader has gone away."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
 def _emit_json(payload):
-    print(json.dumps(_json_safe(payload), indent=2, sort_keys=True,
-                     allow_nan=False))
+    _print(json.dumps(_json_safe(payload), indent=2, sort_keys=True,
+                      allow_nan=False))
 
 
 def _kv(label, value):
-    print(f"{label:<{_LABEL}} {value}")
+    _print(f"{label:<{_LABEL}} {value}")
 
 
 def _fmt_float(val):
@@ -304,9 +248,17 @@ def _fmt_float(val):
 # certify
 
 
-_CONDITION_KINDS = {"fuchs": "l1", "analysis": "analysis_l1", "wsl1": "wsl1",
-                    "nuclear": "nuclear", "nonneg": "nonneg_l1",
-                    "sdp": "sdp_trace"}
+#: the kind-specific checkers: condition -> (gauge kind, call)
+_CHECKERS = {
+    "fuchs": ("l1", lambda g, A, x0: fuchs_check(A, x0)),
+    "analysis": ("analysis_l1", lambda g, A, x0: analysis_check(A, g.D, x0)),
+    "wsl1": ("wsl1", lambda g, A, x0: wsl1_check(A, g.w, x0)),
+    "nuclear": ("nuclear",
+                lambda g, A, x0: nuclear_check(A, x0.reshape(g.shape))),
+    "nonneg": ("nonneg_l1", lambda g, A, x0: nonneg_l1_check(A, x0)),
+    "sdp": ("sdp_trace",
+            lambda g, A, x0: sdp_trace_check(A, g.C, x0.reshape(g.nmat, g.nmat))),
+}
 #: condition ids of the two generic routes, selectable by name
 _ROUTE_IDS = {"v": "range-space", "vii": "kernel"}
 
@@ -336,21 +288,11 @@ def cmd_certify(args):
     elif cond in _ROUTE_IDS:
         report = check_sharp(gauge, A, x0)
     else:
-        want = _CONDITION_KINDS[cond]
+        want, check = _CHECKERS[cond]
         if gauge.kind != want:
             _fail(f"--condition {cond} applies to gauge kind {want!r}, "
                   f"the file declares {gauge.kind!r}")
-        if cond == "fuchs":
-            report = fuchs_check(A, x0)
-        elif cond == "analysis":
-            report = analysis_check(A, gauge.D, x0)
-        elif cond == "wsl1":
-            report = wsl1_check(A, gauge.w, x0)
-        elif cond == "nuclear":
-            report = nuclear_check(A, x0.reshape(gauge.shape))
-        else:
-            nm = gauge.nmat
-            report = sdp_trace_check(A, gauge.C, x0.reshape(nm, nm))
+        report = check(gauge, A, x0)
 
     verdict = _headline(report, cond)
     if args.json:
@@ -368,12 +310,12 @@ def cmd_certify(args):
         _kv("alpha", _fmt_float(report.alpha)
             + ("  (certified)" if report.alpha_certified else ""))
         _kv("ri_margin", _fmt_float(report.ri_margin))
-        print("conditions")
+        _print("conditions")
         for cid, v, certified in report.conditions_checked:
             tag = "certified" if certified else "heuristic"
-            print(f"  {cid:<{_LABEL - 2}} {v:<8} {tag}")
+            _print(f"  {cid:<{_LABEL - 2}} {v:<8} {tag}")
         for note in report.notes:
-            print(f"note: {note}")
+            _print(f"note: {note}")
     return {YES: EXIT_YES, NO: EXIT_NO}.get(verdict, EXIT_UNKNOWN)
 
 
@@ -566,10 +508,10 @@ def cmd_recover(args):
     else:
         widths = {c: max(len(c), *(len(_csv_cell(r[c])) for r in agg.rows))
                   for c in _RECOVER_COLS}
-        print("  ".join(c.ljust(widths[c]) for c in _RECOVER_COLS))
+        _print("  ".join(c.ljust(widths[c]) for c in _RECOVER_COLS))
         for r in agg.rows:
-            print("  ".join(_csv_cell(r[c]).ljust(widths[c])
-                            for c in _RECOVER_COLS))
+            _print("  ".join(_csv_cell(r[c]).ljust(widths[c])
+                             for c in _RECOVER_COLS))
         s = agg.summary()
         _kv("rows", s["rows"])
         _kv("applicable", s["applicable"])
@@ -718,7 +660,12 @@ def main(argv=None):
             saved[env] = os.environ.get(env)
             os.environ[env] = str(val)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        try:
+            sys.stdout.flush()
+        except BrokenPipeError:
+            _drop_stdout()
+        return code
     except ProblemValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -3,7 +3,9 @@
 Everything the certification layer needs about cones lives here:
 
 * ``lp_solve`` -- thin, verified wrapper around a dense LP backend;
-* ``kernel_basis`` -- orthonormal null-space basis via SVD;
+* ``kernel_basis`` / ``range_basis`` / ``matrix_rank`` -- SVD-based subspace
+  and rank tests, plus ``affine_solve`` and the heuristic ``subgradient_min``
+  used by the certificate searches;
 * ``ConeSpec`` -- a cone carried both as lifted inequalities (for exact LP
   work) and as a violation functional (for grid/subgradient probes);
 * ``cone_trivial`` -- exact triviality test of ``cone ∩ span(K)``;
@@ -15,7 +17,7 @@ Everything the certification layer needs about cones lives here:
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
@@ -28,6 +30,10 @@ __all__ = [
     "LpResult",
     "lp_solve",
     "kernel_basis",
+    "range_basis",
+    "matrix_rank",
+    "affine_solve",
+    "subgradient_min",
     "ConeSpec",
     "cone_trivial",
     "min_norm_point",
@@ -56,6 +62,8 @@ class LpResult:
     x: np.ndarray = None
     value: float = math.nan
     kkt_residual: float = math.nan
+    #: multipliers of the equality rows: d(value) / d(b_eq)
+    eq_marginals: np.ndarray = None
 
 
 def lp_solve(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None,
@@ -127,7 +135,9 @@ def lp_solve(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None,
     kkt = max(feas, gap) / scale
     if kkt > 1e-8:
         raise LpFailure(f"LP KKT verification failed: residual {kkt:.3e}")
-    return LpResult(status="optimal", x=x, value=float(res.fun), kkt_residual=kkt)
+    eq = res.eqlin.marginals if A_eq is not None and A_eq.size else ()
+    return LpResult(status="optimal", x=x, value=float(res.fun), kkt_residual=kkt,
+                    eq_marginals=np.asarray(eq, dtype=float))
 
 
 def kernel_basis(A, rtol=None):
@@ -159,9 +169,59 @@ def range_basis(A, rtol=None):
     A = np.atleast_2d(np.asarray(A, dtype=float))
     if not np.any(A):
         return np.zeros((A.shape[0], 0))
-    u, s, _ = np.linalg.svd(A)
+    u, s, _ = np.linalg.svd(A, full_matrices=False)
     rank = int(np.sum(s > rtol * s[0]))
     return u[:, :rank]
+
+
+def matrix_rank(M):
+    """Numerical rank: singular values above RANK_TOL * max(1, sigma_max)."""
+    M = np.atleast_2d(np.asarray(M, dtype=float))
+    if M.size == 0:
+        return 0
+    s = np.linalg.svd(M, compute_uv=False)
+    if s.size == 0:
+        return 0
+    return int(np.sum(s > config.RANK_TOL * max(1.0, s[0])))
+
+
+def affine_solve(C, d):
+    """Least-squares solution of C y = d plus a basis of Ker C.
+
+    Returns (y_p, N, resid); a resid above tolerance means infeasible.
+    """
+    C = np.atleast_2d(np.asarray(C, dtype=float))
+    d = np.asarray(d, dtype=float)
+    if C.shape[0] == 0:
+        return np.zeros(C.shape[1]), np.eye(C.shape[1]), 0.0
+    y_p, *_ = np.linalg.lstsq(C, d, rcond=None)
+    resid = float(np.linalg.norm(C @ y_p - d))
+    return y_p, kernel_basis(C), resid
+
+
+def subgradient_min(f, subgrad, y0, N, iters=300, restarts=5, seed=0):
+    """Minimize a convex nonsmooth f(y) over y = y0 + N t by plain
+    subgradient descent with diminishing steps.  Heuristic; returns the best
+    iterate seen."""
+    if N.shape[1] == 0:
+        return y0, f(y0)
+    rng = np.random.default_rng(seed)
+    best_y, best_v = y0.copy(), f(y0)
+    scale = max(1.0, float(np.linalg.norm(y0)))
+    for r in range(restarts):
+        t = np.zeros(N.shape[1]) if r == 0 else rng.standard_normal(N.shape[1])
+        for it in range(1, iters + 1):
+            y = y0 + N @ t
+            g = N.T @ subgrad(y)
+            gn = np.linalg.norm(g)
+            if gn < 1e-14:
+                break
+            t = t - (0.7 * scale / math.sqrt(it)) * g / gn
+            v = f(y0 + N @ t)
+            if v < best_v:
+                best_v = v
+                best_y = y0 + N @ t
+    return best_y, best_v
 
 
 # ---------------------------------------------------------------------------

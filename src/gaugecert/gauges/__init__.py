@@ -1,4 +1,9 @@
-"""Gauge zoo: polyhedral and spectral regularizers with face models."""
+"""Gauge zoo: polyhedral and spectral regularizers with face models.
+
+Everything specific to a kind lives on its class here (see ``base`` for the
+hooks); ``KINDS`` registers the classes and ``from_spec`` is the one way to
+build a gauge from a problem-file style record.
+"""
 
 from .base import Gauge, SubdiffFace, VertexCapExceeded
 from .matrix import NuclearGauge, SdpTraceGauge, sym_basis
@@ -20,6 +25,16 @@ KINDS = {
     "sdp_trace": SdpTraceGauge,
 }
 
+
+def from_spec(spec):
+    """Build the gauge that ``spec["kind"]`` names from the remaining fields
+    (``n`` or ``shape``, and the kind's ``param_field``).  ValueError messages
+    name the offending field."""
+    kind = spec.get("kind")
+    if kind not in KINDS:
+        raise ValueError(f"unknown gauge kind {kind!r}")
+    return KINDS[kind].from_spec(spec)
+
 __all__ = [
     "Gauge",
     "SubdiffFace",
@@ -33,4 +48,5 @@ __all__ = [
     "SdpTraceGauge",
     "sym_basis",
     "KINDS",
+    "from_spec",
 ]

@@ -2,25 +2,71 @@
 
 A gauge here is a convex, nonnegative, positively homogeneous penalty J with
 J(0) = 0, possibly taking the value +inf (conic kinds carry a domain
-restriction).  Every concrete gauge exposes, besides evaluation and prox, the
-geometric data the certification machinery feeds on:
+restriction).  Each gauge class, with its face class, is the one place that
+holds what is specific to its kind; the certification, solver, recovery and
+CLI layers call the hooks below instead of switching on ``kind``.
 
-* ``polar`` -- the polar gauge J°(z) = inf {mu >= 0 : <z, x> <= mu J(x) for all x};
-* ``dir_deriv`` -- the one-sided directional derivative J'(x0; h);
-* ``face`` -- an explicit model of the subdifferential at x0 (base point,
-  tangent basis of its affine hull, relative-interior margin, sampler);
-* ``critical_cone`` -- the cone {h : J'(x0; h) <= 0} in a form the cone engine
-  understands (lifted inequalities when polyhedral, a violation functional
-  always).
+A new kind subclasses ``Gauge`` (and ``SubdiffFace``), registers itself in
+``gauges.KINDS``, and implements:
+
+* construction -- ``from_spec`` reading the problem-file vocabulary
+  (``size_field``, plus the one parameter named by ``param_field``), and
+  ``draw_x0`` for seeded recovery trials;
+* evaluation -- ``value``, ``prox``, ``polar``, ``lipschitz``;
+* first-order geometry -- ``dir_deriv``, ``face``, ``critical_cone``, and for
+  conic kinds ``domain_tangent_cone`` / ``domain_residual``;
+* the face's ``margin``, ``contains``, ``sample`` and ``certificate`` (the
+  search for y with A^T y in the relative interior of the face);
+* solvers -- polyhedral kinds give ``primal_lp`` (min J(x) s.t. Ax = b0 as
+  one LP, whose equality multipliers are also the dual point); the others
+  give ``polar_ball_project`` for the splitting path;
+* optional extras, with defaults here that mean "not applicable":
+  ``coordinate_basis`` (effective coordinates when the domain lies in a
+  subspace), ``interior_feasibility``, ``tangent_space_test`` and
+  ``exposed_face``.
 """
+
+import numbers
 
 import numpy as np
 
-__all__ = ["Gauge", "SubdiffFace", "VertexCapExceeded"]
+__all__ = ["Gauge", "SubdiffFace", "VertexCapExceeded", "spec_int",
+           "spec_array", "construct", "sparse_draw"]
 
 
 class VertexCapExceeded(RuntimeError):
     """Raised when a face/piece enumeration would exceed the configured cap."""
+
+
+def spec_int(spec, name):
+    """The positive integer field ``name`` of a spec (ValueError otherwise)."""
+    val = spec.get(name)
+    if not isinstance(val, numbers.Integral) or isinstance(val, bool) or val <= 0:
+        raise ValueError(f"{name}: expected a positive integer")
+    return int(val)
+
+
+def spec_array(spec, name, ndim, size=None):
+    """The nonempty numeric array field ``name`` with ``ndim`` dimensions
+    (and ``size`` entries when given); ValueError otherwise."""
+    what = "list of numbers" if ndim == 1 else "list of equal-length rows of numbers"
+    try:
+        arr = np.asarray(spec.get(name), dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name}: expected a nonempty {what}") from None
+    if arr.ndim != ndim or arr.size == 0:
+        raise ValueError(f"{name}: expected a nonempty {what}")
+    if size is not None and arr.size != size:
+        raise ValueError(f"{name}: expected {size} entries, got {arr.size}")
+    return arr
+
+
+def construct(cls, field, *args):
+    """``cls(*args)``, with constructor errors reported against ``field``."""
+    try:
+        return cls(*args)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{field}: {exc}") from None
 
 
 class SubdiffFace:
@@ -57,6 +103,15 @@ class SubdiffFace:
         """Draw ``count`` points of the face (rows)."""
         raise NotImplementedError
 
+    def certificate(self, A):
+        """Search for y with A^T y in the relative interior of the face.
+
+        Returns a dict with ``y0``, ``ri_margin``, ``margin_is_max`` and
+        ``note``, or None when the affine part of the search is infeasible
+        (see ``certificates.find_dual_certificate``).
+        """
+        raise NotImplementedError
+
     @property
     def dim(self):
         return 0 if self.tangent is None else self.tangent.shape[1]
@@ -73,9 +128,25 @@ class Gauge:
     is_polyhedral = False
     #: True for kinds whose J includes a cone indicator (domain restriction)
     is_conic = False
+    #: the gauge-record field that sizes the kind in a problem file
+    size_field = "n"
+    #: the kind's one parameter field in a problem file, if any
+    param_field = None
 
     def __init__(self, n):
         self.n = int(n)
+
+    # -- construction ----------------------------------------------------------
+
+    @classmethod
+    def from_spec(cls, spec):
+        """Build from a problem-file style dict; ValueError names the field."""
+        return cls(spec_int(spec, "n"))
+
+    def draw_x0(self, rng, sparsity=1, rank=1):
+        """Random recovery target: ``sparsity`` nonzeros, magnitudes in
+        [0.5, 1.5], random signs (``rank`` is for the matrix kinds)."""
+        return sparse_draw(rng, self.n, sparsity, signed=True)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -124,6 +195,11 @@ class Gauge:
         """ConeSpec for {h : J'(x0; h) <= 0}."""
         raise NotImplementedError
 
+    def _descent_violation(self, x0):
+        """``violation`` and ``violation_batch`` of {h : J'(x0; h) <= 0}."""
+        return (lambda h: max(0.0, self.dir_deriv(x0, h)),
+                lambda H: np.maximum(self.dir_deriv_batch(x0, H), 0.0))
+
     def domain_tangent_cone(self, x0):
         """ConeSpec of the domain's tangent cone at x0, or None.
 
@@ -169,6 +245,41 @@ class Gauge:
         Euclidean norm."""
         raise NotImplementedError
 
+    # -- solvers -------------------------------------------------------------
+
+    def primal_lp(self, A, b0):
+        """Polyhedral kinds: ``(lp, to_x)`` where ``lp`` holds the
+        ``lp_solve`` arguments of min J(x) s.t. Ax = b0, with A x = b0 as its
+        last m equality rows, and ``to_x`` maps an LP solution to x."""
+        raise NotImplementedError(f"{self.kind} has no LP formulation")
+
+    def polar_ball_project(self, z):
+        """Euclidean projection onto {z : J°(z) <= 1} (splitting kinds)."""
+        raise NotImplementedError(f"no polar-ball projection for kind {self.kind!r}")
+
+    # -- optional certification hooks ------------------------------------------
+
+    def coordinate_basis(self):
+        """Orthonormal basis of the subspace holding dom J, or None when the
+        ambient coordinates are the effective ones."""
+        return None
+
+    def interior_feasibility(self, A, b0):
+        """``(ok, note)`` of a Slater-point probe for {x in dom J : Ax = b0},
+        or None for kinds whose verdicts do not depend on one."""
+        return None
+
+    def tangent_space_test(self, A, x0, y0):
+        """``(verdict, certified, note)`` of a uniqueness rank test at the
+        certificate y0, or None for kinds without one."""
+        return None
+
+    def exposed_face(self, z):
+        """``(active, signs)`` describing the face of the unit ball exposed
+        by z, or None when z lies outside the polar set."""
+        raise NotImplementedError(
+            "displacement probe implemented for l1 and nonneg_l1 only")
+
     # -- plumbing ------------------------------------------------------------
 
     def flat(self, x):
@@ -181,3 +292,13 @@ class Gauge:
 
     def __repr__(self):
         return f"{type(self).__name__}(n={self.n})"
+
+
+def sparse_draw(rng, n, sparsity, signed):
+    """x0 with ``sparsity`` random nonzeros of magnitude in [0.5, 1.5]."""
+    x0 = np.zeros(n)
+    if sparsity:
+        sup = rng.choice(n, size=sparsity, replace=False)
+        mags = rng.uniform(0.5, 1.5, size=sparsity)
+        x0[sup] = rng.choice([-1.0, 1.0], size=sparsity) * mags if signed else mags
+    return x0

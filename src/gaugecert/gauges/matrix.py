@@ -10,8 +10,9 @@ import numpy as np
 import scipy.linalg
 
 from .. import config
-from ..cones import CallableFn, ConeSpec
-from .base import Gauge, SubdiffFace
+from ..cones import (CallableFn, ConeSpec, affine_solve, matrix_rank,
+                     subgradient_min)
+from .base import Gauge, SubdiffFace, construct, spec_array, spec_int
 
 __all__ = ["NuclearGauge", "SdpTraceGauge", "sym_basis"]
 
@@ -35,6 +36,35 @@ def sym_basis(n):
             E[j, i] = s
             cols.append(E.ravel())
     return np.array(cols).T
+
+
+def _sym_mat(v, n):
+    M = np.asarray(v, dtype=float).reshape(n, n)
+    return 0.5 * (M + M.T)
+
+
+def _low_rank_draw(rng, p, q, r, symmetric):
+    """Random rank-r matrix (flattened) with singular values in [0.5, 1.5];
+    PSD with shared factors when ``symmetric``."""
+    U = np.linalg.qr(rng.standard_normal((p, max(r, 1))))[0][:, :r]
+    if symmetric:
+        V = U
+    else:
+        V = np.linalg.qr(rng.standard_normal((q, max(r, 1))))[0][:, :r]
+    s = rng.uniform(0.5, 1.5, size=r)
+    x0 = (U * s) @ V.T if r else np.zeros((p, q))
+    return x0.ravel()
+
+
+def _reduced_block_test(A, M0, G, H, scale):
+    """Tail of ``tangent_space_test`` for both matrix kinds: with x0 = G M0
+    H^T and M0 positive definite the tangent cone at x0 is the subspace
+    {G S H^T : S symmetric}, and uniqueness is injectivity of A on it."""
+    if np.linalg.eigvalsh(0.5 * (M0 + M0.T))[0] <= 1e-7 * scale:
+        return None, "reduced block is singular; tangent cone is not a subspace"
+    B = np.kron(G, H) @ sym_basis(G.shape[1])
+    d = B.shape[1]
+    return matrix_rank(A @ B) == d, f"rank test on the {d}-dimensional tangent space"
 
 
 class NuclearFace(SubdiffFace):
@@ -80,15 +110,71 @@ class NuclearFace(SubdiffFace):
                 out[i] = self.base
         return out
 
+    def certificate(self, A):
+        m = A.shape[0]
+        p, q = self.p, self.q
+        U1, V1, U2, V2 = self.U1, self.V1, self.U2, self.V2
+        r = U1.shape[1]
+        rows, rhs = [], []
+        for i in range(r):
+            for j in range(r):
+                rows.append(A @ np.outer(U1[:, i], V1[:, j]).ravel())
+                rhs.append(1.0 if i == j else 0.0)
+        for i in range(r):
+            for j in range(V2.shape[1]):
+                rows.append(A @ np.outer(U1[:, i], V2[:, j]).ravel())
+                rhs.append(0.0)
+        for i in range(U2.shape[1]):
+            for j in range(r):
+                rows.append(A @ np.outer(U2[:, i], V1[:, j]).ravel())
+                rhs.append(0.0)
+        y_p, N, resid = affine_solve(np.array(rows).reshape(len(rows), m),
+                                     np.array(rhs))
+        if resid > 1e-8:
+            return None
+        if U2.shape[1] == 0 or V2.shape[1] == 0:
+            return {"y0": y_p, "ri_margin": math.inf, "margin_is_max": True,
+                    "note": "face is a singleton"}
+
+        def top_sv(y):
+            Z = (A.T @ y).reshape(p, q)
+            return float(np.linalg.norm(U2.T @ Z @ V2, 2))
+
+        def sg(y):
+            Z = (A.T @ y).reshape(p, q)
+            W = U2.T @ Z @ V2
+            Uw, _, Vwt = np.linalg.svd(W)
+            M = np.outer(U2 @ Uw[:, 0], V2 @ Vwt[0])
+            return A @ M.ravel()
+
+        y, val = subgradient_min(top_sv, sg, y_p, N)
+        return {"y0": y, "ri_margin": float(self.margin(A.T @ y)),
+                "margin_is_max": False,
+                "note": "spectral norm of the free block minimized by "
+                        "subgradient descent (heuristic search)"}
+
 
 class NuclearGauge(Gauge):
     kind = "nuclear"
     is_polyhedral = False
+    size_field = "shape"
 
     def __init__(self, shape):
         p, q = int(shape[0]), int(shape[1])
         super().__init__(p * q)
         self.shape = (p, q)
+
+    @classmethod
+    def from_spec(cls, spec):
+        shape = spec.get("shape")
+        if (not isinstance(shape, (list, tuple)) or len(shape) != 2
+                or not all(isinstance(s, int) and not isinstance(s, bool)
+                           and s > 0 for s in shape)):
+            raise ValueError("shape: expected [p, q] with positive integers")
+        return cls(tuple(shape))
+
+    def draw_x0(self, rng, sparsity=1, rank=1):
+        return _low_rank_draw(rng, *self.shape, rank, symmetric=False)
 
     def _mat(self, x):
         return self.flat(x).reshape(self.shape)
@@ -140,29 +226,26 @@ class NuclearGauge(Gauge):
     def face(self, x0):
         return NuclearFace(*self._blocks(x0))
 
+    def _dir_subgrad(self, blocks, h):
+        """A subgradient of h -> J'(x0; h) at h, from x0's SVD blocks."""
+        U1, V1, U2, V2 = blocks
+        B = (U1 @ V1.T).ravel()
+        if U2.shape[1] and V2.shape[1]:
+            Uw, _, Vwt = np.linalg.svd(U2.T @ self._mat(h) @ V2)
+            # full polar factor: steepest pieces of the nuclear tail
+            k = min(Uw.shape[1], Vwt.shape[0])
+            return B + (U2 @ (Uw[:, :k] @ Vwt[:k]) @ V2.T).ravel()
+        return B
+
     def critical_cone(self, x0):
         x0 = self.flat(x0)
-        U1, V1, U2, V2 = self._blocks(x0)
-        B = (U1 @ V1.T).ravel()
-
-        def violation(h):
-            return max(0.0, self.dir_deriv(x0, h))
-
-        def violation_batch(H):
-            return np.maximum(self.dir_deriv_batch(x0, H), 0.0)
+        blocks = self._blocks(x0)
+        violation, violation_batch = self._descent_violation(x0)
 
         def violation_subgrad(h):
             if self.dir_deriv(x0, h) <= 0.0:
                 return np.zeros(self.n)
-            H = self._mat(h)
-            if U2.shape[1] and V2.shape[1]:
-                Uw, _, Vwt = np.linalg.svd(U2.T @ H @ V2)
-                # full polar factor: steepest pieces of the nuclear tail
-                k = min(Uw.shape[1], Vwt.shape[0])
-                G = U2 @ (Uw[:, :k] @ Vwt[:k]) @ V2.T
-            else:
-                G = 0.0
-            return B + (G.ravel() if np.ndim(G) else 0.0)
+            return self._dir_subgrad(blocks, h)
 
         anchor = -x0 if self.value(x0) > 0 else None
         return ConeSpec.from_violation(self.n, violation, violation_batch,
@@ -171,37 +254,53 @@ class NuclearGauge(Gauge):
 
     def dir_probe(self, x0):
         x0 = np.array(self.flat(x0))
-        cone = self.critical_cone(x0)
-
-        def subgrad(h):
-            g = cone.violation_subgrad(h)
-            if np.any(g):
-                return g
-            # inside the descent cone the derivative itself still needs a
-            # supporting subgradient: recompute without the clamp
-            U1, V1, U2, V2 = self._blocks(x0)
-            H = self._mat(h)
-            B = (U1 @ V1.T).ravel()
-            if U2.shape[1] and V2.shape[1]:
-                Uw, _, Vwt = np.linalg.svd(U2.T @ H @ V2)
-                k = min(Uw.shape[1], Vwt.shape[0])
-                return B + (U2 @ (Uw[:, :k] @ Vwt[:k]) @ V2.T).ravel()
-            return B
-
+        blocks = self._blocks(x0)
         return CallableFn(lambda h: self.dir_deriv(x0, h),
                           lambda H: self.dir_deriv_batch(x0, H),
-                          subgrad)
+                          lambda h: self._dir_subgrad(blocks, h))
 
     def lipschitz(self):
         return math.sqrt(min(self.shape))
 
+    def polar_ball_project(self, z):
+        U, s, Vt = np.linalg.svd(z.reshape(self.shape), full_matrices=False)
+        return (U @ np.diag(np.minimum(s, 1.0)) @ Vt).ravel()
+
+    def tangent_space_test(self, A, x0, y0):
+        """At z0 = A^T y0 the solution set lies in {U1 S V1^T : S sym PSD},
+        built from the singular blocks of z0 at level one."""
+        p, q = self.shape
+        Z = (A.T @ y0).reshape(p, q)
+        U, s, Vt = np.linalg.svd(Z)
+        if s.size and s[0] > 1.0 + 1e-7:
+            return None, "certificate is not dual feasible"
+        lev = s >= 1.0 - 1e-7
+        r = int(np.sum(lev))
+        if r == 0:
+            # z0 strictly inside the polar ball: J(x)=0 on the solution set
+            return (True, "certificate strictly inside the polar ball") \
+                if matrix_rank(A) == p * q else (None, "flat-gauge case")
+        U1, V1 = U[:, :r], Vt[:r].T
+        X0 = x0.reshape(p, q)
+        M0 = U1.T @ X0 @ V1
+        resid = float(np.linalg.norm(X0 - U1 @ M0 @ V1.T))
+        scale = max(1.0, float(np.linalg.norm(X0)))
+        if resid > 1e-7 * scale or np.linalg.norm(M0 - M0.T) > 1e-7 * scale:
+            return None, "x0 is not aligned with the certificate's blocks"
+        return _reduced_block_test(A, M0, U1, V1, scale)
+
 
 class SdpFace(SubdiffFace):
-    """{C + E M E^T : M <= 0} with E spanning Ker X0."""
+    """{C + E M E^T : M <= 0} with E spanning Ker X0 and U its range.
 
-    def __init__(self, C, E):
+    Points are read through their symmetric part: dom J lies in the
+    symmetric matrices, so antisymmetric parts are normal to it.
+    """
+
+    def __init__(self, C, E, U):
         self.C = C
         self.E = E
+        self.U = U
         n = C.shape[0]
         self.nmat = n
         d = E.shape[1]
@@ -219,8 +318,7 @@ class SdpFace(SubdiffFace):
         self.param_desc = "negative-semidefinite block on Ker X0"
 
     def _block(self, z):
-        n = self.nmat
-        Z = np.asarray(z, dtype=float).reshape(n, n)
+        Z = _sym_mat(z, self.nmat)
         M = self.E.T @ (Z - self.C) @ self.E
         model = self.C + self.E @ M @ self.E.T
         resid = float(np.linalg.norm(Z - model))
@@ -250,6 +348,44 @@ class SdpFace(SubdiffFace):
                 out[i] = self.C.ravel()
         return out
 
+    def certificate(self, A):
+        m = A.shape[0]
+        nm, E, U, C = self.nmat, self.E, self.U, self.C
+        rows, rhs = [], []
+        for i in range(U.shape[1]):
+            for j in range(i, U.shape[1]):
+                M = 0.5 * (np.outer(U[:, i], U[:, j]) + np.outer(U[:, j], U[:, i]))
+                rows.append(A @ M.ravel())
+                rhs.append(float(np.tensordot(M, C)))
+        for i in range(U.shape[1]):
+            for j in range(E.shape[1]):
+                M = 0.5 * (np.outer(U[:, i], E[:, j]) + np.outer(E[:, j], U[:, i]))
+                rows.append(A @ M.ravel())
+                rhs.append(float(np.tensordot(M, C)))
+        y_p, N, resid = affine_solve(np.array(rows).reshape(len(rows), m),
+                                     np.array(rhs))
+        if resid > 1e-8 * max(1.0, float(np.abs(C).max())):
+            return None
+        if E.shape[1] == 0:
+            return {"y0": y_p, "ri_margin": math.inf, "margin_is_max": True,
+                    "note": "face is a singleton"}
+
+        def lam_max(y):
+            Z = _sym_mat(A.T @ y, nm)
+            return float(np.linalg.eigvalsh(E.T @ (Z - C) @ E)[-1])
+
+        def sg(y):
+            Z = _sym_mat(A.T @ y, nm)
+            wv, Vv = np.linalg.eigh(E.T @ (Z - C) @ E)
+            v = E @ Vv[:, -1]
+            return A @ np.outer(v, v).ravel()
+
+        y, val = subgradient_min(lam_max, sg, y_p, N)
+        return {"y0": y, "ri_margin": float(self.margin(A.T @ y)),
+                "margin_is_max": False,
+                "note": "kernel-block eigenvalue minimized by subgradient "
+                        "descent (heuristic search)"}
+
 
 class SdpTraceGauge(Gauge):
     """J(X) = <C, X> + indicator of the PSD cone (conic kind)."""
@@ -257,6 +393,7 @@ class SdpTraceGauge(Gauge):
     kind = "sdp_trace"
     is_polyhedral = False
     is_conic = True
+    param_field = "C"
 
     def __init__(self, C):
         C = np.atleast_2d(np.asarray(C, dtype=float))
@@ -270,6 +407,20 @@ class SdpTraceGauge(Gauge):
         super().__init__(C.shape[0] ** 2)
         self.C = 0.5 * (C + C.T)
         self.nmat = C.shape[0]
+
+    @classmethod
+    def from_spec(cls, spec):
+        """``n`` is the side of C in a problem file; recovery configs, where
+        ``n`` counts the columns of A, may give the flattened size side**2."""
+        n = spec_int(spec, "n")
+        C = spec_array(spec, "C", 2)
+        if C.shape[0] != C.shape[1] or n not in (C.shape[0], C.size):
+            raise ValueError(f"C: expected shape {n} x {n}, "
+                             f"got {C.shape[0]} x {C.shape[1]}")
+        return construct(cls, "C", C)
+
+    def draw_x0(self, rng, sparsity=1, rank=1):
+        return _low_rank_draw(rng, self.nmat, self.nmat, rank, symmetric=True)
 
     def _mat(self, x):
         X = self.flat(x).reshape(self.nmat, self.nmat)
@@ -377,7 +528,9 @@ class SdpTraceGauge(Gauge):
         return vals
 
     def face(self, x0):
-        return SdpFace(self.C, self._kernel(x0))
+        w, V = np.linalg.eigh(self._mat(x0))
+        U = V[:, w > config.RANK_TOL * max(1.0, w.max(initial=0.0))]
+        return SdpFace(self.C, self._kernel(x0), U)
 
     def domain_tangent_cone(self, x0):
         E = self._kernel(x0)
@@ -459,3 +612,68 @@ class SdpTraceGauge(Gauge):
 
     def lipschitz(self):
         return float(np.linalg.norm(self.C))
+
+    def polar_ball_project(self, z):
+        R = self.C - _sym_mat(z, self.nmat)
+        w, V = np.linalg.eigh(R)
+        Rp = V @ np.diag(np.maximum(w, 0.0)) @ V.T
+        return (self.C - Rp).ravel()
+
+    def coordinate_basis(self):
+        return sym_basis(self.nmat)
+
+    def interior_feasibility(self, A, b0):
+        """Probe for a strictly positive definite feasible point (projected
+        supergradient ascent on the smallest eigenvalue).  Heuristic: success
+        is a certificate, failure is not."""
+        nm = self.nmat
+        S = sym_basis(nm)
+        s_p, N, resid = affine_solve(A @ S, b0)
+        if resid > 1e-8 * max(1.0, float(np.linalg.norm(b0))):
+            return False, "no symmetric feasible point found"
+
+        def lam_min(s):
+            return float(np.linalg.eigvalsh((S @ s).reshape(nm, nm))[0])
+
+        best = lam_min(s_p)
+        t = np.zeros(N.shape[1])
+        scale = max(1.0, float(np.linalg.norm(s_p)))
+        if N.shape[1] and best <= 1e-9 * scale:
+            for it in range(1, 301):
+                s = s_p + N @ t
+                w, V = np.linalg.eigh((S @ s).reshape(nm, nm))
+                v = V[:, 0]
+                g = N.T @ (S.T @ np.outer(v, v).ravel())
+                gn = np.linalg.norm(g)
+                if gn < 1e-14:
+                    break
+                t = t + (0.5 * scale / math.sqrt(it)) * g / gn
+                best = max(best, lam_min(s_p + N @ t))
+                if best > 1e-6 * scale:
+                    break
+        if best > 1e-9 * scale:
+            return True, f"interior feasible point found (lambda_min {best:.2e})"
+        return False, "no strictly feasible point found by the ascent probe"
+
+    def tangent_space_test(self, A, x0, y0):
+        """At z0 = A^T y0 the solution set lies in {G S G^T : S sym PSD} on
+        the kernel G of C - Z0."""
+        nm = self.nmat
+        w, V = np.linalg.eigh(self.C - _sym_mat(A.T @ y0, nm))
+        scale = max(1.0, float(np.abs(w).max(initial=0.0)))
+        if w[0] < -1e-7 * scale:
+            return None, "certificate is not dual feasible"
+        ker = np.abs(w) <= 1e-7 * scale
+        d0 = int(np.sum(ker))
+        if d0 == 0:
+            return (True, "certificate strictly inside the polar set") \
+                if matrix_rank(A @ sym_basis(nm)) == nm * (nm + 1) // 2 \
+                else (None, "flat-gauge case")
+        G = V[:, ker]
+        X0 = _sym_mat(x0, nm)
+        M0 = G.T @ X0 @ G
+        resid = float(np.linalg.norm(X0 - G @ M0 @ G.T))
+        xscale = max(1.0, float(np.linalg.norm(X0)))
+        if resid > 1e-7 * xscale:
+            return None, "x0 is not supported on the certificate's kernel block"
+        return _reduced_block_test(A, M0, G, G, xscale)

@@ -21,8 +21,10 @@ import math
 import numpy as np
 
 from .. import config
-from ..cones import ConeSpec, lp_solve, range_basis
-from .base import Gauge, SubdiffFace, VertexCapExceeded
+from ..cones import (ConeSpec, affine_solve, lp_solve, range_basis,
+                     subgradient_min)
+from .base import (Gauge, SubdiffFace, VertexCapExceeded, construct,
+                   sparse_draw, spec_array, spec_int)
 
 __all__ = [
     "L1Gauge",
@@ -37,6 +39,53 @@ _SUPP_TOL = 1e-12
 
 def _support(x):
     return np.abs(x) > _SUPP_TOL * max(1.0, float(np.max(np.abs(x), initial=0.0)))
+
+
+def _orthant_certificate(face, A, two_sided):
+    """Max-margin LP for the l1 face (``two_sided``) and the nonnegative-l1
+    face: z_I fixed by the base point, +-z_off <= 1 - t, minimize t."""
+    m = A.shape[0]
+    sup = face.support
+    off = face.off
+    target = face.base[sup]
+    if off.size == 0:
+        y, _, resid = affine_solve(A[:, sup].T, target)
+        if resid > 1e-9 * max(1.0, np.abs(target).max(initial=0.0)):
+            return None
+        return {"y0": y, "ri_margin": math.inf, "margin_is_max": True,
+                "note": "face is a singleton"}
+    # vars (y, t): minimize t, A_I^T y = target, +/- A_off^T y <= t
+    Aoff = A[:, off].T
+    if two_sided:
+        A_ub = np.vstack([np.hstack([Aoff, -np.ones((off.size, 1))]),
+                          np.hstack([-Aoff, -np.ones((off.size, 1))])])
+    else:
+        A_ub = np.hstack([Aoff, -np.ones((off.size, 1))])
+    b_ub = np.zeros(A_ub.shape[0])
+    A_eq = np.hstack([A[:, sup].T, np.zeros((sup.size, 1))]) \
+        if sup.size else None
+    b_eq = target if sup.size else None
+    c = np.zeros(m + 1)
+    c[m] = 1.0
+    bounds = [(None, None)] * (m + 1)
+    res = lp_solve(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                   bounds=bounds)
+    if res.status == "unbounded":
+        # one-sided off-support constraints (the conic kind) can be
+        # pushed arbitrarily low: the margin has no finite maximum.
+        # Re-solve with a floor to extract a concrete certificate.
+        res = lp_solve(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                       bounds=[(None, None)] * m + [(-1.0, None)])
+        if res.status != "optimal":
+            return None
+        return {"y0": res.x[:m], "ri_margin": math.inf,
+                "margin_is_max": True,
+                "note": "max-margin LP (margin unbounded)"}
+    if res.status != "optimal":
+        return None
+    y = res.x[:m]
+    return {"y0": y, "ri_margin": float(face.margin(A.T @ y)),
+            "margin_is_max": True, "note": "max-margin LP"}
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +122,9 @@ class L1Face(SubdiffFace):
         Z = np.tile(self.base, (count, 1))
         Z[:, self.off] = rng.uniform(-1.0, 1.0, size=(count, self.off.size))
         return Z
+
+    def certificate(self, A):
+        return _orthant_certificate(self, A, two_sided=True)
 
 
 class L1Gauge(Gauge):
@@ -135,11 +187,7 @@ class L1Gauge(Gauge):
             G_h[2 + 2 * j, i] = -1.0
             G_u[2 + 2 * j, j] = -1.0
 
-        def violation(h):
-            return max(0.0, self.dir_deriv(x0, h))
-
-        def violation_batch(H):
-            return np.maximum(self.dir_deriv_batch(x0, H), 0.0)
+        violation, violation_batch = self._descent_violation(x0)
 
         def violation_subgrad(h):
             if self.dir_deriv(x0, h) <= 0.0:
@@ -156,6 +204,19 @@ class L1Gauge(Gauge):
 
     def lipschitz(self):
         return math.sqrt(self.n)
+
+    def primal_lp(self, A, b0):
+        # variables (x+, x-) >= 0
+        n = self.n
+        lp = {"c": np.ones(2 * n), "A_eq": np.hstack([A, -A]), "b_eq": b0,
+              "bounds": [(0.0, None)] * (2 * n)}
+        return lp, lambda v: v[:n] - v[n:]
+
+    def exposed_face(self, z):
+        if np.max(np.abs(z)) > 1.0 + 1e-9:
+            return None
+        act = np.where(np.abs(z) >= 1.0 - 1e-9)[0]
+        return act, np.sign(z[act])
 
 
 # ---------------------------------------------------------------------------
@@ -227,16 +288,57 @@ class AnalysisL1Face(SubdiffFace):
             Z += U @ self.D[:, self.inactive].T
         return Z
 
+    def certificate(self, A):
+        m = A.shape[0]
+        D = self.D
+        act, inact = self.active, self.inactive
+        rhs = D[:, act] @ self.signs if act.size else np.zeros(D.shape[0])
+        if inact.size == 0:
+            y, _, resid = affine_solve(A.T, rhs)
+            if resid > 1e-9 * max(1.0, np.abs(rhs).max(initial=0.0)):
+                return None
+            return {"y0": y, "ri_margin": math.inf, "margin_is_max": True,
+                    "note": "face is a singleton"}
+        # vars (y, u_off, t): A^T y - D_off u_off = D_act s_act, |u_off| <= t
+        p_off = inact.size
+        n = D.shape[0]
+        A_eq = np.hstack([A.T, -D[:, inact], np.zeros((n, 1))])
+        b_eq = rhs
+        E = np.eye(p_off)
+        A_ub = np.vstack([
+            np.hstack([np.zeros((p_off, m)), E, -np.ones((p_off, 1))]),
+            np.hstack([np.zeros((p_off, m)), -E, -np.ones((p_off, 1))]),
+        ])
+        b_ub = np.zeros(2 * p_off)
+        c = np.zeros(m + p_off + 1)
+        c[-1] = 1.0
+        res = lp_solve(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                       bounds=[(None, None)] * (m + p_off + 1))
+        if res.status != "optimal":
+            return None
+        y = res.x[:m]
+        return {"y0": y, "ri_margin": float(self.margin(A.T @ y)),
+                "margin_is_max": True, "note": "max-margin LP (coefficient space)"}
+
 
 class AnalysisL1Gauge(Gauge):
     kind = "analysis_l1"
     is_polyhedral = True
+    param_field = "D"
 
     def __init__(self, D):
         D = np.atleast_2d(np.asarray(D, dtype=float))
         super().__init__(D.shape[0])
         self.D = D
         self._prox_lip = float(np.linalg.norm(D, 2) ** 2) if D.size else 1.0
+
+    @classmethod
+    def from_spec(cls, spec):
+        n = spec_int(spec, "n")
+        D = spec_array(spec, "D", 2)
+        if D.shape[0] != n:
+            raise ValueError(f"D: expected {n} rows to match n, got {D.shape[0]}")
+        return construct(cls, "D", D)
 
     def value(self, x):
         return float(np.abs(self.D.T @ self.flat(x)).sum())
@@ -337,11 +439,7 @@ class AnalysisL1Gauge(Gauge):
             G_h[2 + 2 * j] = -D[:, i]
             G_u[2 + 2 * j, j] = -1.0
 
-        def violation(h):
-            return max(0.0, self.dir_deriv(x0, h))
-
-        def violation_batch(H):
-            return np.maximum(self.dir_deriv_batch(x0, H), 0.0)
+        violation, violation_batch = self._descent_violation(x0)
 
         def violation_subgrad(h):
             if self.dir_deriv(x0, h) <= 0.0:
@@ -359,6 +457,22 @@ class AnalysisL1Gauge(Gauge):
 
     def lipschitz(self):
         return math.sqrt(self.D.shape[1]) * float(np.linalg.norm(self.D, 2))
+
+    def primal_lp(self, A, b0):
+        m, n = A.shape
+        p = self.D.shape[1]
+        # variables (x, u+, u-): D^T x = u+ - u-, then A x = b0
+        nv = n + 2 * p
+        c = np.zeros(nv)
+        c[n:] = 1.0
+        A_eq = np.zeros((p + m, nv))
+        A_eq[:p, :n] = self.D.T
+        A_eq[:p, n:n + p] = -np.eye(p)
+        A_eq[:p, n + p:] = np.eye(p)
+        A_eq[p:, :n] = A
+        lp = {"c": c, "A_eq": A_eq, "b_eq": np.concatenate([np.zeros(p), b0]),
+              "bounds": [(None, None)] * n + [(0.0, None)] * (2 * p)}
+        return lp, lambda v: v[:n].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +521,40 @@ class SortedFace(SubdiffFace):
         lam = rng.dirichlet(np.ones(self.vertices.shape[0]), size=count)
         return lam @ self.vertices
 
+    def certificate(self, A):
+        m = A.shape[0]
+        V = self.vertices
+        N = V.shape[0]
+        n = V.shape[1]
+        if N == 1:
+            y, _, resid = affine_solve(A.T, V[0])
+            if resid > 1e-9 * max(1.0, np.abs(V).max()):
+                return None
+            return {"y0": y, "ri_margin": math.inf, "margin_is_max": True,
+                    "note": "face is a singleton"}
+        # vars (y, lam, t): maximize t, A^T y = V^T lam, 1^T lam = 1,
+        # lam_i >= t
+        A_eq = np.zeros((n + 1, m + N + 1))
+        A_eq[:n, :m] = A.T
+        A_eq[:n, m:m + N] = -V.T
+        A_eq[n, m:m + N] = 1.0
+        b_eq = np.zeros(n + 1)
+        b_eq[n] = 1.0
+        A_ub = np.zeros((N, m + N + 1))
+        A_ub[:, m:m + N] = -np.eye(N)
+        A_ub[:, m + N] = 1.0
+        b_ub = np.zeros(N)
+        c = np.zeros(m + N + 1)
+        c[m + N] = -1.0
+        bounds = [(None, None)] * m + [(0.0, None)] * N + [(None, None)]
+        res = lp_solve(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                       bounds=bounds)
+        if res.status != "optimal":
+            return None
+        y = res.x[:m]
+        return {"y0": y, "ri_margin": float(self.margin(A.T @ y)),
+                "margin_is_max": True, "note": "max-min-weight LP over the vertex set"}
+
 
 def _distinct_perms(vals):
     """Distinct permutations of a value multiset (lexicographic)."""
@@ -446,6 +594,7 @@ def _tie_groups(x, tol=1e-12):
 class SortedWeightedL1Gauge(Gauge):
     kind = "wsl1"
     is_polyhedral = True
+    param_field = "w"
 
     def __init__(self, weights):
         w = np.asarray(weights, dtype=float).ravel()
@@ -458,6 +607,11 @@ class SortedWeightedL1Gauge(Gauge):
         super().__init__(w.size)
         self.w = w
         self._cumw = np.cumsum(w)
+
+    @classmethod
+    def from_spec(cls, spec):
+        w = spec_array(spec, "w", 1, size=spec_int(spec, "n"))
+        return construct(cls, "w", w)
 
     def value(self, x):
         ax = np.sort(np.abs(self.flat(x)))[::-1]
@@ -598,12 +752,7 @@ class SortedWeightedL1Gauge(Gauge):
     def critical_cone(self, x0):
         x0 = self.flat(x0)
         V = self._vertices(x0)
-
-        def violation(h):
-            return max(0.0, self.dir_deriv(x0, h))
-
-        def violation_batch(H):
-            return np.maximum(self.dir_deriv_batch(x0, H), 0.0)
+        violation, violation_batch = self._descent_violation(x0)
 
         def violation_subgrad(h):
             if self.dir_deriv(x0, h) <= 0.0:
@@ -618,6 +767,48 @@ class SortedWeightedL1Gauge(Gauge):
 
     def lipschitz(self):
         return float(np.linalg.norm(self.w))
+
+    def primal_lp(self, A, b0):
+        m, n = A.shape
+        d = self.w - np.concatenate([self.w[1:], [0.0]])
+        ks = [k for k in range(n) if d[k] > 1e-15]  # k is 0-based: top (k+1) sum
+        K = len(ks)
+        # variables: x (n), v (n), t (K), xi (K*n)
+        nv = 2 * n + K + K * n
+        c = np.zeros(nv)
+        for j, k in enumerate(ks):
+            c[2 * n + j] = d[k] * (k + 1)
+            c[2 * n + K + j * n:2 * n + K + (j + 1) * n] = d[k]
+        rows = []
+        rhs = []
+        # |x| <= v
+        for i in range(n):
+            r = np.zeros(nv)
+            r[i] = 1.0
+            r[n + i] = -1.0
+            rows.append(r)
+            rhs.append(0.0)
+            r = np.zeros(nv)
+            r[i] = -1.0
+            r[n + i] = -1.0
+            rows.append(r)
+            rhs.append(0.0)
+        # v_i - t_j <= xi_{j,i}
+        for j in range(K):
+            for i in range(n):
+                r = np.zeros(nv)
+                r[n + i] = 1.0
+                r[2 * n + j] = -1.0
+                r[2 * n + K + j * n + i] = -1.0
+                rows.append(r)
+                rhs.append(0.0)
+        A_eq = np.zeros((m, nv))
+        A_eq[:, :n] = A
+        bounds = ([(None, None)] * n + [(0.0, None)] * n + [(None, None)] * K
+                  + [(0.0, None)] * (K * n))
+        lp = {"c": c, "A_ub": np.array(rows), "b_ub": np.array(rhs),
+              "A_eq": A_eq, "b_eq": b0, "bounds": bounds}
+        return lp, lambda v: v[:n].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -670,10 +861,44 @@ class GroupFace(SubdiffFace):
             Z[:, idx] = dirs * radii
         return Z
 
+    def certificate(self, A):
+        m = A.shape[0]
+        sup_coords = np.concatenate([self.groups[gi] for gi in self.sup]) \
+            if self.sup else np.array([], dtype=int)
+        C = A[:, sup_coords].T if sup_coords.size else np.zeros((0, m))
+        target = self.base[sup_coords]
+        y_p, N, resid = affine_solve(C, target)
+        if resid > 1e-8 * max(1.0, np.abs(target).max(initial=0.0)):
+            return None
+        if not self.zero:
+            return {"y0": y_p, "ri_margin": math.inf, "margin_is_max": True,
+                    "note": "face is a singleton"}
+        zero_groups = [self.groups[gi] for gi in self.zero]
+
+        def worst_norm(y):
+            z = A.T @ y
+            return max(float(np.linalg.norm(z[idx])) for idx in zero_groups)
+
+        def sg(y):
+            z = A.T @ y
+            idx = max(zero_groups, key=lambda g: np.linalg.norm(z[g]))
+            zi = z[idx]
+            nz = np.linalg.norm(zi)
+            g = np.zeros(z.size)
+            if nz > 1e-15:
+                g[idx] = zi / nz
+            return A @ g
+
+        y, val = subgradient_min(worst_norm, sg, y_p, N)
+        return {"y0": y, "ri_margin": float(self.margin(A.T @ y)),
+                "margin_is_max": False,
+                "note": "off-block norm minimized by subgradient descent (heuristic search)"}
+
 
 class GroupL12Gauge(Gauge):
     kind = "group_l12"
     is_polyhedral = False
+    param_field = "partition"
 
     def __init__(self, n, groups):
         super().__init__(n)
@@ -689,6 +914,15 @@ class GroupL12Gauge(Gauge):
             self.groups.append(idx)
         if not np.all(seen):
             raise ValueError("groups must cover every coordinate")
+
+    @classmethod
+    def from_spec(cls, spec):
+        n = spec_int(spec, "n")
+        part = spec.get("partition")
+        if (not isinstance(part, (list, tuple))
+                or not all(isinstance(g, (list, tuple)) for g in part)):
+            raise ValueError("partition: expected a list of index lists")
+        return construct(cls, "partition", n, part)
 
     def _norms(self, x):
         return np.array([np.linalg.norm(x[idx]) for idx in self.groups])
@@ -738,29 +972,28 @@ class GroupL12Gauge(Gauge):
     def face(self, x0):
         return GroupFace(self.groups, self.flat(x0))
 
+    def _dir_subgrad(self, x0, h):
+        """A subgradient of h -> J'(x0; h) at h."""
+        g = np.zeros(self.n)
+        scale = max(1.0, np.max(np.abs(x0), initial=0.0))
+        for idx in self.groups:
+            nb = np.linalg.norm(x0[idx])
+            if nb > _SUPP_TOL * scale:
+                g[idx] = x0[idx] / nb
+            else:
+                nh = np.linalg.norm(h[idx])
+                if nh > 1e-15:
+                    g[idx] = h[idx] / nh
+        return g
+
     def critical_cone(self, x0):
         x0 = self.flat(x0)
-
-        def violation(h):
-            return max(0.0, self.dir_deriv(x0, h))
-
-        def violation_batch(H):
-            return np.maximum(self.dir_deriv_batch(x0, H), 0.0)
+        violation, violation_batch = self._descent_violation(x0)
 
         def violation_subgrad(h):
             if self.dir_deriv(x0, h) <= 0.0:
                 return np.zeros(self.n)
-            g = np.zeros(self.n)
-            scale = max(1.0, np.max(np.abs(x0), initial=0.0))
-            for idx in self.groups:
-                nb = np.linalg.norm(x0[idx])
-                if nb > _SUPP_TOL * scale:
-                    g[idx] = x0[idx] / nb
-                else:
-                    nh = np.linalg.norm(h[idx])
-                    if nh > 1e-15:
-                        g[idx] = h[idx] / nh
-            return g
+            return self._dir_subgrad(x0, h)
 
         anchor = -x0 if self.value(x0) > 0 else None
         return ConeSpec.from_violation(self.n, violation, violation_batch,
@@ -770,26 +1003,20 @@ class GroupL12Gauge(Gauge):
     def dir_probe(self, x0):
         from ..cones import CallableFn
         x0 = self.flat(x0)
-        scale = max(1.0, np.max(np.abs(x0), initial=0.0))
-
-        def subgrad(h):
-            g = np.zeros(self.n)
-            for idx in self.groups:
-                nb = np.linalg.norm(x0[idx])
-                if nb > _SUPP_TOL * scale:
-                    g[idx] = x0[idx] / nb
-                else:
-                    nh = np.linalg.norm(h[idx])
-                    if nh > 1e-15:
-                        g[idx] = h[idx] / nh
-            return g
-
         return CallableFn(lambda h: self.dir_deriv(x0, h),
                           lambda H: self.dir_deriv_batch(x0, H),
-                          subgrad)
+                          lambda h: self._dir_subgrad(x0, h))
 
     def lipschitz(self):
         return math.sqrt(len(self.groups))
+
+    def polar_ball_project(self, z):
+        z = z.copy()
+        for idx in self.groups:
+            nb = np.linalg.norm(z[idx])
+            if nb > 1.0:
+                z[idx] /= nb
+        return z
 
 
 # ---------------------------------------------------------------------------
@@ -824,6 +1051,9 @@ class NonnegFace(SubdiffFace):
         Z = np.tile(self.base, (count, 1))
         Z[:, self.off] = 1.0 - rng.exponential(1.0, size=(count, self.off.size))
         return Z
+
+    def certificate(self, A):
+        return _orthant_certificate(self, A, two_sided=False)
 
 
 class NonnegL1Gauge(Gauge):
@@ -903,3 +1133,17 @@ class NonnegL1Gauge(Gauge):
 
     def lipschitz(self):
         return math.sqrt(self.n)
+
+    def draw_x0(self, rng, sparsity=1, rank=1):
+        return sparse_draw(rng, self.n, sparsity, signed=False)
+
+    def primal_lp(self, A, b0):
+        lp = {"c": np.ones(self.n), "A_eq": A, "b_eq": b0,
+              "bounds": [(0.0, None)] * self.n}
+        return lp, lambda v: v.copy()
+
+    def exposed_face(self, z):
+        if np.max(z, initial=0.0) > 1.0 + 1e-9:
+            return None
+        act = np.where(z >= 1.0 - 1e-9)[0]
+        return act, np.ones(act.size)

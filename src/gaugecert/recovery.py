@@ -25,8 +25,7 @@ import numpy as np
 
 from . import config as _config
 from .certificates import YES, check_sharp
-from .gauges import (AnalysisL1Gauge, GroupL12Gauge, L1Gauge, NonnegL1Gauge,
-                     NuclearGauge, SdpTraceGauge, SortedWeightedL1Gauge)
+from .gauges import from_spec
 from .solvers import solve_mozorov, solve_primal_eq, solve_tikhonov
 
 __all__ = ["ProblemInstance", "RecoveryReport", "gen_instance",
@@ -91,37 +90,19 @@ class RecoveryReport:
         }
 
 
-def _make_gauge(cfg):
-    kind = cfg.get("kind", "l1")
-    n = int(cfg["n"])
-    if kind == "l1":
-        return L1Gauge(n)
-    if kind == "nonneg_l1":
-        return NonnegL1Gauge(n)
-    if kind == "analysis_l1":
-        return AnalysisL1Gauge(np.asarray(cfg["D"], dtype=float))
-    if kind == "wsl1":
-        return SortedWeightedL1Gauge(np.asarray(cfg["w"], dtype=float))
-    if kind == "group_l12":
-        return GroupL12Gauge(n, cfg["groups"])
-    if kind == "nuclear":
-        return NuclearGauge(tuple(cfg["shape"]))
-    if kind == "sdp_trace":
-        return SdpTraceGauge(np.asarray(cfg["C"], dtype=float))
-    raise ValueError(f"unknown gauge kind {kind!r}")
-
-
 def gen_instance(cfg, seed):
     """Draw one problem instance deterministically from (cfg, seed).
 
     Parameters
     ----------
     cfg : dict
-        Keys ``m``, ``n``, ``delta``, ``kind`` (default "l1"), and the
-        pattern size: ``sparsity`` for vector kinds or ``rank`` for matrix
-        kinds.  Gauge parameters (D, w, groups, shape, C) ride along for the
-        kinds that need them.  Optional ``noise``: "sphere" (default) draws
-        omega uniform on the delta-sphere; "adversarial" aims it along Ax0.
+        Keys ``m``, ``n`` (the column count of A), ``delta``, ``kind``
+        (default "l1"), and the pattern size: ``sparsity`` for vector kinds
+        or ``rank`` for matrix kinds.  The gauge is built by
+        ``gauges.from_spec``, so its parameter rides along under the
+        problem-file name (``D``, ``w``, ``partition``, ``shape`` or ``C``).
+        Optional ``noise``: "sphere" (default) draws omega uniform on the
+        delta-sphere; "adversarial" aims it along Ax0.
     seed : int
 
     Returns
@@ -133,33 +114,9 @@ def gen_instance(cfg, seed):
     kind = cfg.get("kind", "l1")
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((m, n))
-    gauge = _make_gauge(cfg)
-
-    if kind in ("nuclear", "sdp_trace"):
-        if kind == "nuclear":
-            p, q = gauge.shape
-        else:
-            p = q = gauge.nmat
-        r = int(cfg.get("rank", 1))
-        U = np.linalg.qr(rng.standard_normal((p, max(r, 1))))[0][:, :r]
-        if kind == "sdp_trace":
-            V = U
-        else:
-            V = np.linalg.qr(rng.standard_normal((q, max(r, 1))))[0][:, :r]
-        s = rng.uniform(0.5, 1.5, size=r)
-        x0 = (U * s) @ V.T if r else np.zeros((p, q))
-        x0 = x0.ravel()
-    else:
-        s = int(cfg.get("sparsity", 1))
-        x0 = np.zeros(n)
-        if s:
-            sup = rng.choice(n, size=s, replace=False)
-            mags = rng.uniform(0.5, 1.5, size=s)
-            if kind == "nonneg_l1":
-                x0[sup] = mags
-            else:
-                x0[sup] = rng.choice([-1.0, 1.0], size=s) * mags
-
+    gauge = from_spec(dict(cfg, kind=kind))
+    x0 = gauge.draw_x0(rng, sparsity=int(cfg.get("sparsity", 1)),
+                       rank=int(cfg.get("rank", 1)))
     b0 = A @ x0
     if delta > 0 and m > 0:
         if cfg.get("noise", "sphere") == "adversarial":

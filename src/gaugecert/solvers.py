@@ -7,10 +7,13 @@ Four problems:
 * Tikhonov                         min 0.5 ||A x - b||^2 + mu J(x)
 * Mozorov (noise-aware)            min J(x)  s.t.  ||A x - b|| <= delta
 
-Polyhedral gauges route through verified LPs; the rest use Douglas-Rachford
-splitting (primal), projected-subgradient ascent (dual), and proximal
-gradient (Tikhonov).  Mozorov runs a bisection on mu through the Tikhonov
-path, asserting the residual's monotonicity at runtime.
+Polyhedral gauges route through one verified LP each (``Gauge.primal_lp``):
+its solution is the primal point and the multipliers of its rows A x = b0
+are the dual point, so primal and dual come from the same model.  The rest
+use Douglas-Rachford splitting (primal), projected-subgradient ascent with
+``Gauge.polar_ball_project`` (dual), and proximal gradient (Tikhonov).
+Mozorov runs a bisection on mu through the Tikhonov path, asserting the
+residual's monotonicity at runtime.
 """
 
 import logging
@@ -19,8 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import config
-from .cones import LpFailure, lp_solve
+from .cones import lp_solve
 
 logger = logging.getLogger(__name__)
 
@@ -71,11 +73,6 @@ def _shape(A, rhs):
     return A, rhs
 
 
-def _wsl1_deltas(w):
-    w = np.asarray(w, dtype=float)
-    return w - np.concatenate([w[1:], [0.0]])
-
-
 # ---------------------------------------------------------------------------
 # primal
 # ---------------------------------------------------------------------------
@@ -85,109 +82,22 @@ def solve_primal_eq(gauge, A, b0):
     A, b0 = _shape(A, b0)
     if A.shape[1] != gauge.n:
         raise ValueError("A column count does not match the gauge dimension")
-    kind = gauge.kind
-    if kind == "l1":
-        return _primal_l1(A, b0)
-    if kind == "analysis_l1":
-        return _primal_analysis(gauge.D, A, b0)
-    if kind == "wsl1":
-        return _primal_wsl1(gauge.w, A, b0)
-    if kind == "nonneg_l1":
-        return _primal_nonneg(A, b0)
-    return _primal_splitting(gauge, A, b0)
-
-
-def _from_lp(res, x, value):
+    if not gauge.is_polyhedral:
+        return _primal_splitting(gauge, A, b0)
+    res, x = _primal_lp(gauge, A, b0)
     if res.status != "optimal":
         return SolveResult(point=None, value=math.nan, status=res.status,
                            residuals={})
-    return SolveResult(point=x, value=value, status="optimal",
+    return SolveResult(point=x, value=float(res.value), status="optimal",
                        residuals={"feasibility": 0.0,
                                   "optimality": res.kkt_residual})
 
 
-def _primal_l1(A, b0):
-    m, n = A.shape
-    c = np.ones(2 * n)
-    A_eq = np.hstack([A, -A])
-    res = lp_solve(c, A_eq=A_eq, b_eq=b0, bounds=[(0.0, None)] * (2 * n))
-    if res.status != "optimal":
-        return _from_lp(res, None, math.nan)
-    x = res.x[:n] - res.x[n:]
-    return _from_lp(res, x, float(res.value))
-
-
-def _primal_analysis(D, A, b0):
-    m, n = A.shape
-    p = D.shape[1]
-    # variables (x, u+, u-)
-    nv = n + 2 * p
-    c = np.zeros(nv)
-    c[n:] = 1.0
-    A_eq = np.zeros((p + m, nv))
-    A_eq[:p, :n] = D.T
-    A_eq[:p, n:n + p] = -np.eye(p)
-    A_eq[:p, n + p:] = np.eye(p)
-    A_eq[p:, :n] = A
-    b_eq = np.concatenate([np.zeros(p), b0])
-    bounds = [(None, None)] * n + [(0.0, None)] * (2 * p)
-    res = lp_solve(c, A_eq=A_eq, b_eq=b_eq, bounds=bounds)
-    if res.status != "optimal":
-        return _from_lp(res, None, math.nan)
-    return _from_lp(res, res.x[:n].copy(), float(res.value))
-
-
-def _primal_wsl1(w, A, b0):
-    m, n = A.shape
-    d = _wsl1_deltas(w)
-    ks = [k for k in range(n) if d[k] > 1e-15]  # k is 0-based: top (k+1) sum
-    K = len(ks)
-    # variables: x (n), v (n), t (K), xi (K*n)
-    nv = 2 * n + K + K * n
-    c = np.zeros(nv)
-    for j, k in enumerate(ks):
-        c[2 * n + j] = d[k] * (k + 1)
-        c[2 * n + K + j * n:2 * n + K + (j + 1) * n] = d[k]
-    rows = []
-    rhs = []
-    # |x| <= v
-    for i in range(n):
-        r = np.zeros(nv)
-        r[i] = 1.0
-        r[n + i] = -1.0
-        rows.append(r)
-        rhs.append(0.0)
-        r = np.zeros(nv)
-        r[i] = -1.0
-        r[n + i] = -1.0
-        rows.append(r)
-        rhs.append(0.0)
-    # v_i - t_j <= xi_{j,i}
-    for j in range(K):
-        for i in range(n):
-            r = np.zeros(nv)
-            r[n + i] = 1.0
-            r[2 * n + j] = -1.0
-            r[2 * n + K + j * n + i] = -1.0
-            rows.append(r)
-            rhs.append(0.0)
-    A_eq = np.zeros((m, nv))
-    A_eq[:, :n] = A
-    bounds = ([(None, None)] * n + [(0.0, None)] * n + [(None, None)] * K
-              + [(0.0, None)] * (K * n))
-    res = lp_solve(c, A_ub=np.array(rows), b_ub=np.array(rhs), A_eq=A_eq,
-                   b_eq=b0, bounds=bounds)
-    if res.status != "optimal":
-        return _from_lp(res, None, math.nan)
-    return _from_lp(res, res.x[:n].copy(), float(res.value))
-
-
-def _primal_nonneg(A, b0):
-    m, n = A.shape
-    res = lp_solve(np.ones(n), A_eq=A, b_eq=b0, bounds=[(0.0, None)] * n)
-    if res.status != "optimal":
-        return _from_lp(res, None, math.nan)
-    return _from_lp(res, res.x.copy(), float(res.value))
+def _primal_lp(gauge, A, b0):
+    """The gauge's LP for min J(x) s.t. Ax = b0: (LpResult, x or None)."""
+    lp, to_x = gauge.primal_lp(A, b0)
+    res = lp_solve(**lp)
+    return res, (to_x(res.x) if res.status == "optimal" else None)
 
 
 def _primal_splitting(gauge, A, b0, maxiter=SPLIT_MAXITER):
@@ -231,121 +141,26 @@ def _primal_splitting(gauge, A, b0, maxiter=SPLIT_MAXITER):
 # ---------------------------------------------------------------------------
 
 def solve_dual(gauge, A, b0):
-    """Maximize <b0, y> subject to J°(A^T y) <= 1."""
+    """Maximize <b0, y> subject to J°(A^T y) <= 1.
+
+    For the polyhedral kinds y is read off the primal LP: the multipliers of
+    its rows A x = b0 are a dual optimum, and the value is <b0, y>.
+    """
     A, b0 = _shape(A, b0)
-    kind = gauge.kind
-    if kind == "l1":
-        m, n = A.shape
-        A_ub = np.vstack([A.T, -A.T])
-        res = lp_solve(-b0, A_ub=A_ub, b_ub=np.ones(2 * n))
-        return _dual_from_lp(res)
-    if kind == "nonneg_l1":
-        res = lp_solve(-b0, A_ub=A.T, b_ub=np.ones(A.shape[1]))
-        return _dual_from_lp(res)
-    if kind == "analysis_l1":
-        return _dual_analysis(gauge.D, A, b0)
-    if kind == "wsl1":
-        return _dual_wsl1(gauge.w, A, b0)
-    return _dual_ascent(gauge, A, b0)
-
-
-def _dual_from_lp(res, y=None):
-    if res.status == "unbounded":
+    if not gauge.is_polyhedral:
+        return _dual_ascent(gauge, A, b0)
+    res, _ = _primal_lp(gauge, A, b0)
+    if res.status == "infeasible":
         return SolveResult(point=None, value=math.inf, status="unbounded",
                            residuals={}, note="primal infeasible")
     if res.status != "optimal":
         return SolveResult(point=None, value=math.nan, status=res.status,
                            residuals={})
-    point = res.x if y is None else y
-    return SolveResult(point=np.asarray(point, dtype=float),
-                       value=float(-res.value), status="optimal",
+    eq = res.eq_marginals
+    y = eq[eq.size - A.shape[0]:].copy()
+    return SolveResult(point=y, value=float(b0 @ y), status="optimal",
                        residuals={"feasibility": 0.0,
                                   "optimality": res.kkt_residual})
-
-
-def _dual_analysis(D, A, b0):
-    m, n = A.shape
-    p = D.shape[1]
-    # variables (y, u): A^T y = D u, |u| <= 1
-    nv = m + p
-    c = np.zeros(nv)
-    c[:m] = -b0
-    A_eq = np.hstack([A.T, -D])
-    bounds = [(None, None)] * m + [(-1.0, 1.0)] * p
-    res = lp_solve(c, A_eq=A_eq, b_eq=np.zeros(n), bounds=bounds)
-    if res.status != "optimal":
-        return _dual_from_lp(res)
-    return _dual_from_lp(res, y=res.x[:m].copy())
-
-
-def _dual_wsl1(w, A, b0):
-    m, n = A.shape
-    W = np.cumsum(w)
-    ks = [k for k in range(n) if W[k] > 0]
-    K = len(ks)
-    # variables: y (m), v (n), t (K), xi (K*n)
-    nv = m + n + K + K * n
-    c = np.zeros(nv)
-    c[:m] = -b0
-    rows = []
-    rhs = []
-    # +-(A^T y)_i <= v_i
-    for i in range(n):
-        r = np.zeros(nv)
-        r[:m] = A[:, i]
-        r[m + i] = -1.0
-        rows.append(r)
-        rhs.append(0.0)
-        r = np.zeros(nv)
-        r[:m] = -A[:, i]
-        r[m + i] = -1.0
-        rows.append(r)
-        rhs.append(0.0)
-    # v_i - t_j <= xi_{j,i};  (k+1) t_j + sum_i xi_{j,i} <= W_k
-    for j, k in enumerate(ks):
-        for i in range(n):
-            r = np.zeros(nv)
-            r[m + i] = 1.0
-            r[m + n + j] = -1.0
-            r[m + n + K + j * n + i] = -1.0
-            rows.append(r)
-            rhs.append(0.0)
-        r = np.zeros(nv)
-        r[m + n + j] = k + 1.0
-        r[m + n + K + j * n:m + n + K + (j + 1) * n] = 1.0
-        rows.append(r)
-        rhs.append(W[k])
-    bounds = ([(None, None)] * m + [(0.0, None)] * n + [(None, None)] * K
-              + [(0.0, None)] * (K * n))
-    res = lp_solve(c, A_ub=np.array(rows), b_ub=np.array(rhs), bounds=bounds)
-    if res.status != "optimal":
-        return _dual_from_lp(res)
-    return _dual_from_lp(res, y=res.x[:m].copy())
-
-
-def _polar_ball_project(gauge, z):
-    """Euclidean projection onto {z : J°(z) <= 1} for the splitting kinds."""
-    kind = gauge.kind
-    if kind == "group_l12":
-        z = z.copy()
-        for idx in gauge.groups:
-            nb = np.linalg.norm(z[idx])
-            if nb > 1.0:
-                z[idx] /= nb
-        return z
-    if kind == "nuclear":
-        M = z.reshape(gauge.shape)
-        U, s, Vt = np.linalg.svd(M, full_matrices=False)
-        return (U @ np.diag(np.minimum(s, 1.0)) @ Vt).ravel()
-    if kind == "sdp_trace":
-        n = gauge.nmat
-        Z = z.reshape(n, n)
-        Z = 0.5 * (Z + Z.T)
-        R = gauge.C - Z
-        w, V = np.linalg.eigh(R)
-        Rp = V @ np.diag(np.maximum(w, 0.0)) @ V.T
-        return (gauge.C - Rp).ravel()
-    raise ValueError(f"no polar-ball projection for kind {kind!r}")
 
 
 def _dual_ascent(gauge, A, b0, iters=500):
@@ -379,7 +194,7 @@ def _dual_ascent(gauge, A, b0, iters=500):
     bnorm = max(1.0, float(np.linalg.norm(b0)))
     for it in range(1, iters + 1):
         y = y + (0.5 / (bnorm * math.sqrt(it))) * b0
-        z = _polar_ball_project(gauge, A.T @ y)
+        z = gauge.polar_ball_project(A.T @ y)
         y, *_ = np.linalg.lstsq(A.T, z, rcond=None)
         yf = feasify(y)
         if yf is None:

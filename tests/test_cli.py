@@ -14,9 +14,20 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from gaugecert.cli import main
+from gaugecert.cli import load_problem, main
+from gaugecert.gauges import (
+    KINDS,
+    AnalysisL1Gauge,
+    GroupL12Gauge,
+    L1Gauge,
+    NonnegL1Gauge,
+    NuclearGauge,
+    SdpTraceGauge,
+    SortedWeightedL1Gauge,
+)
 
 E1 = {
     "version": 1,
@@ -118,6 +129,14 @@ def test_certify_condition_routes(tmp_path, capsys):
         code = main(["certify", path, "--condition", cond])
         capsys.readouterr()
         assert code == 0, cond
+
+
+def test_certify_nonneg_condition_route(tmp_path, capsys):
+    problem = {"version": 1, "gauge": {"kind": "nonneg_l1", "n": 2},
+               "A": [[1.0, 1.0]], "x0": [1.0, 0.0]}
+    code = main(["certify", write(tmp_path, problem), "--condition", "nonneg"])
+    assert "descent-cone" in capsys.readouterr().out
+    assert code == 1  # x0 + t(-1, 1) stays feasible at equal value
 
 
 def test_certify_matrix_kinds(tmp_path, capsys):
@@ -302,6 +321,54 @@ def test_gauge_param_cross_validation(tmp_path, capsys):
     # ... and is required for that kind
     missing = {k: v for k, v in wsl1.items() if k != "w"}
     assert main(["certify", write(tmp_path, missing)]) == 3
+    capsys.readouterr()
+
+    # every kind: a valid record builds the gauge its constructor builds; a
+    # missing parameter, another kind's parameter or a mis-sized one exits 3
+    # with a message naming the field
+    rng = np.random.default_rng(8)
+    D = rng.standard_normal((3, 4)).round(3)
+    C = [[2.0, 0.3], [0.3, 1.0]]
+    # bad inputs: (field the message names, top-level changes; None drops)
+    cases = {
+        "l1": ({"n": 3}, {}, L1Gauge(3), [("D", {"D": D.tolist()})]),
+        "nonneg_l1": ({"n": 3}, {}, NonnegL1Gauge(3), [("C", {"C": C})]),
+        "analysis_l1": ({"n": 3}, {"D": D.tolist()}, AnalysisL1Gauge(D),
+                        [("D", {"D": None}), ("w", {"w": [1.0, 1.0, 1.0]}),
+                         ("D", {"D": D[:2].tolist()})]),
+        "wsl1": ({"n": 3}, {"w": [2.0, 1.0, 0.5]},
+                 SortedWeightedL1Gauge([2.0, 1.0, 0.5]),
+                 [("w", {"w": None}), ("partition", {"partition": [[0, 1, 2]]}),
+                  ("w", {"w": [2.0, 1.0]})]),
+        "group_l12": ({"n": 4}, {"partition": [[0, 1], [2, 3]]},
+                      GroupL12Gauge(4, [[0, 1], [2, 3]]),
+                      [("partition", {"partition": None}), ("D", {"D": D.tolist()}),
+                       ("partition", {"partition": [[0, 1], [2, 3, 4]]})]),
+        "nuclear": ({"shape": [2, 3]}, {}, NuclearGauge((2, 3)),
+                    [("w", {"w": [1.0]}),
+                     ("shape", {"gauge": {"kind": "nuclear", "shape": [2]}})]),
+        "sdp_trace": ({"n": 2}, {"C": C}, SdpTraceGauge(np.array(C)),
+                      [("C", {"C": None}), ("w", {"w": [1.0, 1.0]}),
+                       ("C", {"C": np.eye(3).tolist()})]),
+    }
+    assert sorted(cases) == sorted(KINDS)
+    for kind, (size, params, direct, bad) in cases.items():
+        good = dict({"version": 1, "gauge": dict(size, kind=kind),
+                     "A": rng.standard_normal((2, direct.n)).tolist()}, **params)
+        built = load_problem(write(tmp_path, good))["gauge"]
+        assert type(built) is type(direct) and built.n == direct.n
+        X = rng.standard_normal((20, direct.n))
+        if kind == "nonneg_l1":
+            X = np.abs(X)
+        elif kind == "sdp_trace":
+            X = np.array([(G @ G.T).ravel() for G in X.reshape(20, 2, 2)])
+        assert np.array_equal(built.value_batch(X), direct.value_batch(X)), kind
+        for field, change in bad:
+            broken = {k: v for k, v in dict(good, **change).items()
+                      if v is not None}
+            assert main(["certify", write(tmp_path, broken)]) == 3, (kind, change)
+            err = capsys.readouterr().err
+            assert f"{field}:" in err or repr(field) in err, (kind, err)
 
 
 def test_usage_errors_exit_3(tmp_path, capsys):
@@ -358,6 +425,20 @@ def test_console_script(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert "Yes" in proc.stdout
+
+
+def test_closed_stdout_keeps_the_verdict_exit_code():
+    # a reader that goes away early (e.g. `gaugecert certify ... | head`)
+    # must not turn the verdict into a BrokenPipeError traceback
+    path = REPO_ROOT / "demos" / "problems" / "sharp_line.json"
+    proc = subprocess.Popen([sys.executable, "-m", "gaugecert.cli", "certify",
+                             str(path)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()  # before the child has imported anything
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 0, err
+    assert "Traceback" not in err and "BrokenPipe" not in err, err
 
 
 @pytest.mark.skipif(shutil.which("gaugecert") is None,

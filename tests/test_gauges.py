@@ -1,10 +1,15 @@
 """Gauge invariants (homogeneity, convexity, polar duality, prox optimality)
 plus frozen oracles for the closed-form special cases."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import gaugecert
 from gaugecert.gauges import (
+    KINDS,
     AnalysisL1Gauge,
     GroupL12Gauge,
     L1Gauge,
@@ -272,3 +277,32 @@ def test_wsl1_vertex_cap():
     g = SortedWeightedL1Gauge(np.arange(13, 0, -1, dtype=float))
     with pytest.raises(VertexCapExceeded):
         g.face(np.ones(13))
+
+
+#: the only kind comparisons allowed outside gauges/: the CLI's registry
+#: check and its --condition-versus-file-kind check
+ALLOWED_KIND_COMPARISONS = {("cli.py", "kind not in KINDS"),
+                            ("cli.py", "gauge.kind != want")}
+
+
+def _names_a_kind(node):
+    return any((isinstance(sub, ast.Name) and sub.id == "kind")
+               or (isinstance(sub, ast.Attribute) and sub.attr == "kind")
+               or (isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+                   and sub.value in KINDS)
+               for sub in ast.walk(node))
+
+
+def test_kind_switches_live_in_gauges():
+    # kind-specific code belongs on the gauge classes; the modules around
+    # them call gauge methods instead of comparing kind strings
+    found = []
+    for path in sorted(Path(gaugecert.__file__).parent.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Compare) and any(
+                    _names_a_kind(op) for op in [node.left, *node.comparators]):
+                src = ast.get_source_segment(text, node)
+                if (path.name, src) not in ALLOWED_KIND_COMPARISONS:
+                    found.append(f"{path.name}:{node.lineno}: {src}")
+    assert not found, "kind comparisons outside gauges/:\n" + "\n".join(found)

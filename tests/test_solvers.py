@@ -178,11 +178,21 @@ def test_dual_frozen_line():
 
 def test_dual_feasibility_and_strong_duality():
     rng = np.random.default_rng(54)
+    cases = []
     for _ in range(10):
         m, n = 2, 5
         A = rng.standard_normal((m, n))
         b0 = A @ rng.standard_normal(n)
-        g = L1Gauge(n)
+        cases.append((L1Gauge(n), A, b0))
+    # the other polyhedral kinds, one of them with A scaled by 1e2
+    for g, scale in ((NonnegL1Gauge(5), 1.0), (NonnegL1Gauge(5), 1e2),
+                     (SortedWeightedL1Gauge([2.0, 1.5, 1.0, 0.5, 0.5]), 1.0),
+                     (SortedWeightedL1Gauge([2.0, 1.5, 1.0, 0.5, 0.5]), 1e2),
+                     (AnalysisL1Gauge(rng.standard_normal((5, 6))), 1.0),
+                     (AnalysisL1Gauge(rng.standard_normal((5, 6))), 1e2)):
+        A = scale * rng.standard_normal((2, 5))
+        cases.append((g, A, A @ np.abs(rng.standard_normal(5))))
+    for g, A, b0 in cases:
         d = solve_dual(g, A, b0)
         p = solve_primal_eq(g, A, b0)
         assert d.status == "optimal"
