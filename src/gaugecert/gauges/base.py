@@ -10,7 +10,8 @@ A new kind subclasses ``Gauge`` (and ``SubdiffFace``), registers itself in
 ``gauges.KINDS``, and implements:
 
 * construction -- ``from_spec`` reading the problem-file vocabulary
-  (``size_field``, plus the one parameter named by ``param_field``), and
+  (``size_field``, plus the one parameter named by ``param_field``),
+  ``spec_n`` translating an ambient dimension into that ``n``, and
   ``draw_x0`` for seeded recovery trials;
 * evaluation -- ``value``, ``prox``, ``polar``, ``lipschitz``;
 * first-order geometry -- ``dir_deriv``, ``face``, ``critical_cone``, and for
@@ -142,6 +143,11 @@ class Gauge:
     def from_spec(cls, spec):
         """Build from a problem-file style dict; ValueError names the field."""
         return cls(spec_int(spec, "n"))
+
+    @classmethod
+    def spec_n(cls, dim):
+        """The problem-file ``n`` of this kind acting on R^dim."""
+        return dim
 
     def draw_x0(self, rng, sparsity=1, rank=1):
         """Random recovery target: ``sparsity`` nonzeros, magnitudes in

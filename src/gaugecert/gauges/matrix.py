@@ -410,14 +410,17 @@ class SdpTraceGauge(Gauge):
 
     @classmethod
     def from_spec(cls, spec):
-        """``n`` is the side of C in a problem file; recovery configs, where
-        ``n`` counts the columns of A, may give the flattened size side**2."""
+        """``n`` is the side of C."""
         n = spec_int(spec, "n")
         C = spec_array(spec, "C", 2)
-        if C.shape[0] != C.shape[1] or n not in (C.shape[0], C.size):
+        if C.shape != (n, n):
             raise ValueError(f"C: expected shape {n} x {n}, "
                              f"got {C.shape[0]} x {C.shape[1]}")
         return construct(cls, "C", C)
+
+    @classmethod
+    def spec_n(cls, dim):
+        return math.isqrt(dim)
 
     def draw_x0(self, rng, sparsity=1, rank=1):
         return _low_rank_draw(rng, self.nmat, self.nmat, rank, symmetric=True)

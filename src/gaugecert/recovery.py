@@ -25,7 +25,7 @@ import numpy as np
 
 from . import config as _config
 from .certificates import YES, check_sharp
-from .gauges import from_spec
+from .gauges import KINDS, Gauge, from_spec
 from .solvers import solve_mozorov, solve_primal_eq, solve_tikhonov
 
 __all__ = ["ProblemInstance", "RecoveryReport", "gen_instance",
@@ -100,7 +100,9 @@ def gen_instance(cfg, seed):
         (default "l1"), and the pattern size: ``sparsity`` for vector kinds
         or ``rank`` for matrix kinds.  The gauge is built by
         ``gauges.from_spec``, so its parameter rides along under the
-        problem-file name (``D``, ``w``, ``partition``, ``shape`` or ``C``).
+        problem-file name (``D``, ``w``, ``partition``, ``shape`` or ``C``);
+        ``n`` is translated into the problem-file ``n`` first (the side of C
+        for sdp_trace), and the gauge must act on R^n.
         Optional ``noise``: "sphere" (default) draws omega uniform on the
         delta-sphere; "adversarial" aims it along Ax0.
     seed : int
@@ -114,7 +116,12 @@ def gen_instance(cfg, seed):
     kind = cfg.get("kind", "l1")
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((m, n))
-    gauge = from_spec(dict(cfg, kind=kind))
+    # an unknown kind keeps n; from_spec then rejects the kind
+    spec_n = KINDS.get(kind, Gauge).spec_n(n)
+    gauge = from_spec(dict(cfg, kind=kind, n=spec_n))
+    if gauge.n != n:
+        raise ValueError(f"n: the {kind} gauge acts on R^{gauge.n}, "
+                         f"A has {n} columns")
     x0 = gauge.draw_x0(rng, sparsity=int(cfg.get("sparsity", 1)),
                        rank=int(cfg.get("rank", 1)))
     b0 = A @ x0

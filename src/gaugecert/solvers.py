@@ -12,8 +12,9 @@ its solution is the primal point and the multipliers of its rows A x = b0
 are the dual point, so primal and dual come from the same model.  The rest
 use Douglas-Rachford splitting (primal), projected-subgradient ascent with
 ``Gauge.polar_ball_project`` (dual), and proximal gradient (Tikhonov).
-Mozorov runs a bisection on mu through the Tikhonov path, asserting the
-residual's monotonicity at runtime.
+Mozorov runs a bracketed secant search on mu through the Tikhonov path
+(secant steps on log mu versus log residual), asserting the residual's
+monotonicity in mu at runtime.
 """
 
 import logging
@@ -39,10 +40,15 @@ __all__ = [
 SPLIT_MAXITER = 100_000
 SPLIT_MOVE_TOL = 1e-9
 SPLIT_FEAS_TOL = 1e-8
+#: Mozorov stops once | ||Ax - b|| - delta | <= MOZOROV_BAND
+MOZOROV_BAND = 1e-6
+#: the first Mozorov solve: its residual decides feasibility of the ball
+MOZOROV_PROBE_MU = 1e-12
 
 
 class ResidualMonotonicityError(RuntimeError):
-    """The Tikhonov residual failed to be monotone in mu during bisection."""
+    """The Tikhonov residual failed to be monotone in mu during the Mozorov
+    root search."""
 
 
 @dataclass
@@ -52,7 +58,7 @@ class SolveResult:
     status is 'optimal', 'maxiter', or 'infeasible'; at 'optimal' the
     residuals sit below the configured tolerances (1e-8 on LP paths, 1e-6 on
     splitting paths).  ``info`` carries solver-specific extras (e.g. the mu
-    found by the Mozorov bisection).
+    found by the Mozorov search, with its Tikhonov solve count and path).
     """
 
     point: np.ndarray
@@ -224,8 +230,10 @@ def solve_tikhonov(gauge, A, b, mu, x_start=None, maxiter=SPLIT_MAXITER):
 
     Fixed step 1/sigma_max(A)^2 with Nesterov momentum, restarted whenever
     the objective rises (needed because small mu makes the plain iteration
-    crawl).  Stops once the prox fixed-point residual falls below 1e-10 and
-    the relative objective decrease below 1e-12.
+    crawl).  Stops once the relative objective decrease falls below 1e-12
+    and the prox fixed-point residual below 1e-10 (scaled by max(1, ||x||)).
+    The decrease is tested first; the fixed-point residual costs one more
+    prox, so it is computed only on iterations that pass the first test.
     """
     if mu <= 0:
         raise ValueError("mu must be positive")
@@ -236,14 +244,14 @@ def solve_tikhonov(gauge, A, b, mu, x_start=None, maxiter=SPLIT_MAXITER):
         np.asarray(x_start, dtype=float).copy()
 
     def obj(x):
-        return 0.5 * float(np.sum((A @ x - b) ** 2)) + mu * gauge.value(x)
+        return 0.5 * float(((A @ x - b) ** 2).sum()) + mu * gauge.value(x)
 
     F = obj(x)
     y = x.copy()
+    x_prev = x
     tk = 1.0
     it = 0
     status = "maxiter"
-    step_move = 0.0
     for it in range(1, maxiter + 1):
         grad = A.T @ (A @ y - b)
         x_next = gauge.prox(y - grad / L, mu / L)
@@ -257,15 +265,16 @@ def solve_tikhonov(gauge, A, b, mu, x_start=None, maxiter=SPLIT_MAXITER):
             F_next = obj(x_next)
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * tk * tk))
         y = x_next + ((tk - 1.0) / t_next) * (x_next - x)
-        step_move = float(np.linalg.norm(x_next - x))
-        x, tk, F_prev, F = x_next, t_next, F, F_next
+        x_prev, x, tk, F_prev, F = x, x_next, t_next, F, F_next
+        if not F_prev - F < 1e-12 * max(1.0, abs(F_prev)):
+            continue
         # fixed-point residual of the unaccelerated map at x
         fp = float(np.linalg.norm(
             gauge.prox(x - (A.T @ (A @ x - b)) / L, mu / L) - x))
-        if fp < 1e-10 * max(1.0, float(np.linalg.norm(x))) \
-                and F_prev - F < 1e-12 * max(1.0, abs(F_prev)):
+        if fp < 1e-10 * max(1.0, float(np.linalg.norm(x))):
             status = "optimal"
             break
+    step_move = float(np.linalg.norm(x - x_prev))
     resid = float(np.linalg.norm(A @ x - b))
     return SolveResult(point=x, value=F, status=status,
                        residuals={"optimality": step_move,
@@ -276,9 +285,21 @@ def solve_tikhonov(gauge, A, b, mu, x_start=None, maxiter=SPLIT_MAXITER):
 def solve_mozorov(gauge, A, b, delta, maxiter=200):
     """Minimize J(x) subject to ||Ax - b|| <= delta.
 
-    Bisection on mu through solve_tikhonov until the residual matches delta
-    within 1e-6; residual monotonicity in mu is asserted at runtime.  delta=0
-    routes to the equality-constrained primal.
+    Finds the mu at which the Tikhonov residual r(mu) = ||A x(mu) - b||
+    meets delta by a bracketed secant search on (log mu, log r): each step
+    is the secant through the last two Tikhonov solves, aimed at the middle
+    of the band [delta - 1e-6, delta].  The bracket starts at [1e-12,
+    J°(A^T b)]; the solve at 1e-12 only probes feasibility, so while it is
+    still the lower end no step goes more than a factor 10 below the lowest
+    solve with r > delta, and once both ends are real solves a step leaving
+    the bracket is replaced by its geometric midpoint.  Each solve is warm
+    started from the best point so far, and residual monotonicity in mu is
+    asserted on every solve.  The point returned is a solve with r <= delta;
+    status is 'optimal' when r is within 1e-6 of delta and 'maxiter' when
+    ``maxiter`` steps (or a collapsed bracket) end the search first.
+    ``info`` holds mu, the residual, the number of Tikhonov solves and their
+    (mu, r) path in solve order.  delta=0 routes to the equality-constrained
+    primal.
     """
     A, b = _shape(A, b)
     if delta < 0:
@@ -303,52 +324,71 @@ def solve_mozorov(gauge, A, b, delta, maxiter=200):
     mu_hi = gauge.polar(A.T @ b)
     if not np.isfinite(mu_hi) or mu_hi <= 0:
         mu_hi = float(np.linalg.norm(A.T @ b)) + 1.0
-    mu_lo = 1e-12
-    history = []
+    mu_lo = MOZOROV_PROBE_MU
+    path = []
 
     def residual_at(mu, warm):
         sol = solve_tikhonov(gauge, A, b, mu, x_start=warm)
         r = float(np.linalg.norm(A @ sol.point - b))
-        for mu2, r2 in history:
+        for mu2, r2 in path:
             inverted = (mu2 < mu and r2 > r + 1e-6 * max(1.0, r2)) or \
                        (mu2 > mu and r2 < r - 1e-6 * max(1.0, r))
             if inverted:
                 raise ResidualMonotonicityError(
                     f"residual not monotone in mu: ({mu2:.3e},{r2:.6e}) vs "
                     f"({mu:.3e},{r:.6e})")
-        history.append((mu, r))
+        path.append((mu, r))
         return sol, r
 
     sol_lo, r_lo = residual_at(mu_lo, xls)
-    if r_lo > delta + 1e-6:
+    if r_lo > delta + MOZOROV_BAND:
         return SolveResult(point=None, value=math.nan, status="infeasible",
                            residuals={"feasibility": r_lo - delta},
-                           note="delta below the attainable residual")
-    sol_hi, r_hi = residual_at(mu_hi, sol_lo.point)
-    best = sol_lo
-    best_r = r_lo
+                           note="delta below the attainable residual",
+                           info={"tikhonov_solves": len(path), "path": path})
+    residual_at(mu_hi, sol_lo.point)
+    target = delta - 0.5 * MOZOROV_BAND
     it = 0
     for it in range(1, maxiter + 1):
-        if abs(best_r - delta) <= 1e-6:
+        if abs(r_lo - delta) <= MOZOROV_BAND:
             break
-        mu_mid = math.sqrt(mu_lo * mu_hi) if mu_lo > 0 else 0.5 * (mu_lo + mu_hi)
-        sol_mid, r_mid = residual_at(mu_mid, best.point)
-        if r_mid <= delta:
-            mu_lo, sol_lo, r_lo = mu_mid, sol_mid, r_mid
+        mu = _log_secant(path[-2], path[-1], target)
+        if mu_lo == MOZOROV_PROBE_MU and not mu_hi / 10 <= mu < mu_hi:
+            # a secant anchored on the probe can land far below the root,
+            # where FISTA crawls along Ker A
+            mu = mu_hi / 10
+        if not mu_lo < mu < mu_hi:
+            mu = math.sqrt(mu_lo * mu_hi)
+        sol, r = residual_at(mu, sol_lo.point)
+        if r <= delta:
+            mu_lo, sol_lo, r_lo = mu, sol, r
         else:
-            mu_hi, sol_hi, r_hi = mu_mid, sol_mid, r_mid
-        best, best_r = sol_lo, r_lo
+            mu_hi = mu
         if mu_hi - mu_lo < 1e-15 * max(1.0, mu_hi):
             break
-    status = "optimal" if abs(best_r - delta) <= 1e-6 or best_r <= delta \
-        else "maxiter"
-    mu_star = best.info.get("mu", mu_lo)
-    return SolveResult(point=best.point, value=float(gauge.value(best.point)),
-                       status=status,
-                       residuals={"feasibility": max(0.0, best_r - delta),
-                                  "discrepancy": abs(best_r - delta)},
-                       iterations=it, info={"mu": mu_star,
-                                            "residual": best_r})
+    discrepancy = abs(r_lo - delta)
+    return SolveResult(point=sol_lo.point,
+                       value=float(gauge.value(sol_lo.point)),
+                       status="optimal" if discrepancy <= MOZOROV_BAND
+                       else "maxiter",
+                       residuals={"feasibility": max(0.0, r_lo - delta),
+                                  "discrepancy": discrepancy},
+                       iterations=it,
+                       info={"mu": sol_lo.info.get("mu", mu_lo),
+                             "residual": r_lo,
+                             "tikhonov_solves": len(path), "path": path})
+
+
+def _log_secant(p, q, target):
+    """The mu where the line through the solves p = (mu, r) and q, drawn in
+    (log mu, log r), reaches r = target; nan when that line is undefined or
+    flat."""
+    (mu1, r1), (mu2, r2) = p, q
+    if min(r1, r2) <= 0.0 or r1 == r2:
+        return math.nan
+    log_mu = math.log(mu1) + (math.log(target) - math.log(r1)) \
+        * (math.log(mu2) - math.log(mu1)) / (math.log(r2) - math.log(r1))
+    return math.exp(log_mu) if log_mu < 700.0 else math.inf
 
 
 def duality_gap(gauge, A, b0):

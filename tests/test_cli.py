@@ -182,6 +182,16 @@ def test_solve_tikhonov_and_mozorov(tmp_path, capsys):
     assert "discrepancy" in out
 
 
+def test_solve_mozorov_json_reports_the_search(tmp_path, capsys):
+    assert main(["solve", write(tmp_path, NOISY), "--problem", "mozorov",
+                 "--json"]) == 0
+    info = strict_loads(capsys.readouterr().out)["info"]
+    path = info["path"]
+    assert info["tikhonov_solves"] == len(path) >= 2
+    assert path[0][0] == 1e-12  # the feasibility probe comes first
+    assert [info["mu"], info["residual"]] in path
+
+
 def test_solve_tikhonov_needs_data(tmp_path, capsys):
     code = main(["solve", write(tmp_path, E1), "--problem", "tikhonov"])
     assert code == 3
@@ -302,6 +312,13 @@ def test_wrong_version(tmp_path, capsys):
 def test_shape_mismatch(tmp_path, capsys):
     bad = dict(E1, A=[[2.0, 1.0, 0.0]])
     assert main(["certify", write(tmp_path, bad)]) == 3
+
+
+def test_sdp_n_is_the_side_of_C(tmp_path, capsys):
+    # n counts the rows of C, not the columns of A (which are n**2)
+    bad = dict(SDP, gauge={"kind": "sdp_trace", "n": 4})
+    assert main(["certify", write(tmp_path, bad)]) == 3
+    assert "C: expected shape 4 x 4" in capsys.readouterr().err
 
 
 def test_gauge_param_cross_validation(tmp_path, capsys):

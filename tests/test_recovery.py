@@ -68,6 +68,14 @@ def test_gen_instance_noise_models():
     assert np.all(clean.omega == 0.0)
 
 
+def test_gen_instance_zero_sparsity_zero_delta():
+    inst = gen_instance({"m": 2, "n": 3, "sparsity": 0, "delta": 0.0}, 1)
+    assert np.all(inst.x0 == 0) and np.all(inst.b0 == 0)
+    row = run_recovery(inst, 1.0).rows[0]
+    assert row["pass"] == "True"
+    assert row["err_mozorov"] == 0.0 and row["err_tikhonov"] == 0.0
+
+
 def test_gen_instance_nonneg_kind_stays_nonnegative():
     for seed in range(5):
         inst = gen_instance({"m": 2, "n": 5, "sparsity": 3,
@@ -103,6 +111,13 @@ def test_line_bounds_hold():
         assert row["err_mozorov"] <= row["bound_mozorov"] + 1e-5
         assert row["err_tikhonov"] <= row["bound_tikhonov_y0"] + 1e-5
         assert row["err_tikhonov"] <= row["bound_tikhonov_lip"] + 1e-5
+
+
+def test_line_mozorov_error_within_2_sqrt2_delta():
+    # the line's alpha is 1/sqrt(2), so 2 delta / alpha = 2 sqrt(2) delta
+    for delta in (1e-3, 1e-2, 1e-1):
+        row = run_recovery(line_instance(delta), c1=1.0).rows[0]
+        assert row["err_mozorov"] <= 2 * np.sqrt(2) * delta + 1e-5
 
 
 def test_line_row_constants_frozen():

@@ -1,6 +1,7 @@
 """Tests for the four solvers and the duality-gap helper."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from gaugecert.gauges import (
     SdpTraceGauge,
     SortedWeightedL1Gauge,
 )
+from gaugecert.cli import load_problem
+from gaugecert.recovery import gen_instance
 from gaugecert.solvers import (
     duality_gap,
     solve_dual,
@@ -343,3 +346,72 @@ def test_mozorov_infeasible_ball():
 def test_mozorov_validation():
     with pytest.raises(ValueError):
         solve_mozorov(L1Gauge(2), [[2.0, 1.0]], [1.0], -0.5)
+
+
+def test_mozorov_early_stop_is_maxiter():
+    # one root-finding step cannot reach the band: the best point so far
+    # (the 1e-12 probe) misses delta by nearly all of delta
+    A = np.array([[2.0, 1.0]])
+    res = solve_mozorov(L1Gauge(2), A, A @ [0.5, 0.0] + 0.01, 0.01, maxiter=1)
+    assert res.status == "maxiter"
+    assert res.residuals["discrepancy"] > 1e-6
+    res = solve_mozorov(L1Gauge(2), A, A @ [0.5, 0.0] + 0.01, 0.01)
+    assert res.status == "optimal"
+    assert res.residuals["discrepancy"] <= 1e-6
+
+
+NOISY_LINE = Path(__file__).resolve().parent.parent / "demos" / "problems" \
+    / "noisy_line.json"
+#: seeded Mozorov inputs: polyhedral and group kinds ...
+SEARCH_CFGS = {
+    "l1": {"m": 3, "n": 6, "sparsity": 2},
+    "nonneg_l1": {"m": 3, "n": 6, "sparsity": 2},
+    "group_l12": {"m": 3, "n": 6, "sparsity": 1,
+                  "partition": [[0, 1], [2, 3], [4, 5]]},
+}
+#: ... and the matrix kinds
+MATRIX_CFGS = {
+    "nuclear": {"m": 4, "n": 6, "shape": [2, 3], "rank": 1},
+    "sdp_trace": {"m": 2, "n": 4, "C": np.eye(2).tolist(), "rank": 1},
+}
+
+
+def mozorov_cases(cfgs):
+    """(label, gauge, A, b, delta): noisy_line.json, then three seeds of
+    each config at three noise levels."""
+    prob = load_problem(str(NOISY_LINE))
+    yield "noisy_line", prob["gauge"], prob["A"], prob["b"], prob["delta"]
+    for kind, cfg in cfgs.items():
+        for seed in range(3):
+            for delta in (1e-3, 1e-2, 1e-1):
+                inst = gen_instance(dict(cfg, kind=kind, delta=delta), seed)
+                yield (f"{kind} seed {seed} delta {delta}", inst.gauge,
+                       inst.A, inst.b0 + inst.omega, delta)
+
+
+def test_mozorov_search_is_short_and_stays_near_the_root():
+    for label, gauge, A, b, delta in mozorov_cases(SEARCH_CFGS):
+        res = solve_mozorov(gauge, A, b, delta)
+        assert res.status == "optimal", label
+        path = res.info["path"]
+        assert res.info["tikhonov_solves"] == len(path) <= 12, (label, path)
+        # the feasibility probe, then J°(A^T b), then the search
+        assert path[0][0] == 1e-12, label
+        mu = res.info["mu"]
+        assert (mu, res.info["residual"]) in path, label
+        assert all(m >= mu / 10 for m, _ in path[1:]), (label, path)
+
+
+def test_mozorov_point_is_a_tikhonov_point_on_the_band():
+    for label, gauge, A, b, delta in mozorov_cases(
+            dict(SEARCH_CFGS, **MATRIX_CFGS)):
+        res = solve_mozorov(gauge, A, b, delta)
+        assert res.status == "optimal", label
+        r = float(np.linalg.norm(A @ res.point - b))
+        assert r <= delta and delta - r <= 1e-6, (label, r)
+        again = solve_tikhonov(gauge, A, b, res.info["mu"])
+        # both points satisfy the same FISTA stopping rule; at mu ~ 1e-3
+        # that leaves the non-polyhedral kinds a few 1e-6 from the
+        # minimizer, so they agree to 1e-5 only
+        tol = 1e-6 if gauge.is_polyhedral else 1e-5
+        assert np.max(np.abs(again.point - res.point)) <= tol, label
