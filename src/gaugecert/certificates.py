@@ -17,10 +17,22 @@ Whenever both routes produce certified verdicts they must agree; a certified
 disagreement raises ``InternalDisagreementError`` (it would mean a bug, not a
 hard instance).  Verdicts are the tri-state strings ``"Yes"``/``"No"``/
 ``"Unknown"``; Unknown is mandatory whenever only heuristic engines ran.
+
+The per-application checkers are views of the same two routes, with their
+own condition ids and margin thresholds.  ``fuchs_check``
+(support-injectivity, interior-certificate), ``analysis_check``
+(kernel-intersection, interior-certificate) and ``nuclear_check`` (both
+routes: restricted-injectivity, interior-certificate, kernel-probe, and the
+reported-only tail-dominance-sufficient) need a margin >= strict_lt_one_tol
+(1e-6); ``wsl1_check`` (affine-hull, positive-combination) and
+``check_sharp`` (range-space, kernel) a margin > cert_tol (1e-8).
+``nonneg_l1_check`` (descent-cone) runs the kernel route's cone LPs alone,
+``sdp_trace_check`` (kernel-probe) a cone-free kernel probe.
 """
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -29,7 +41,6 @@ from .cones import (CallableFn, ConeSpec, cone_trivial, kernel_basis, lp_solve,
                     matrix_rank, min_conic_singular, sphere_min)
 from .gauges import (AnalysisL1Gauge, L1Gauge, NonnegL1Gauge, NuclearGauge,
                      SdpTraceGauge, SortedWeightedL1Gauge)
-from .gauges.matrix import sym_basis
 
 __all__ = [
     "YES",
@@ -130,14 +141,6 @@ class CertificateReport:
 # small shared helpers
 # ---------------------------------------------------------------------------
 
-def _complement(T, n):
-    """Orthonormal basis of the orthogonal complement of col span(T) in R^n."""
-    T = np.asarray(T, dtype=float)
-    if T.size == 0:
-        return np.eye(n)
-    return kernel_basis(T.T)
-
-
 def _through(batch, S, step=1 << 15):
     """``batch`` of the rows of T mapped through S, a slice at a time: the
     grid probes pass over a million rows, and the ambient images are wider."""
@@ -149,9 +152,10 @@ def _through(batch, S, step=1 << 15):
 
 
 def _restrict(cone, S):
-    """The cone {s : S s in cone} in the coordinates of the basis S."""
-    if cone is None:
-        return None
+    """The cone {s : S s in cone} in the coordinates of the basis S (the
+    cone itself when S is None)."""
+    if cone is None or S is None:
+        return cone
     sub = cone.violation_subgrad
     return ConeSpec.from_violation(
         S.shape[1], lambda s: cone.violation(S @ s),
@@ -203,29 +207,43 @@ class _Geometry:
 
     A gauge whose domain lies in a subspace (the semidefinite kind lives on
     the symmetric matrices) reports an orthonormal basis S of it; everything
-    the kernel route touches is then expressed in S coordinates
-    (``to_ambient`` maps probe directions back).  All other kinds use the
-    ambient coordinates unchanged.
+    the two routes touch is then expressed in S coordinates (``to_ambient``
+    maps probe directions back).  All other kinds use the ambient
+    coordinates unchanged.  The kernel, probe and cones are built on first
+    use: the range-space views need none of them.
     """
 
     def __init__(self, gauge, A, x0):
         self.gauge = gauge
+        self.A = A = np.atleast_2d(np.asarray(A, dtype=float))
+        self.x0 = x0 = gauge.flat(x0)
         self.face = gauge.face(x0)
         self.S = S = gauge.coordinate_basis()
-        probe = gauge.dir_probe(x0)
-        dom_cone = gauge.domain_tangent_cone(x0)
-        crit_cone = gauge.critical_cone(x0)
         if S is None:
             self.A_eff, self.T_eff = A, self.face.tangent
-            self.probe, self.dom_cone, self.crit_cone = probe, dom_cone, crit_cone
         else:
             self.A_eff, self.T_eff = A @ S, S.T @ self.face.tangent
-            self.probe = CallableFn(lambda s: probe.value(S @ s),
-                                    _through(probe.value_batch, S),
-                                    lambda s: S.T @ probe.subgrad(S @ s))
-            self.dom_cone = _restrict(dom_cone, S)
-            self.crit_cone = _restrict(crit_cone, S)
-        self.n_eff = self.A_eff.shape[1]
+
+    @cached_property
+    def K(self):
+        return kernel_basis(self.A_eff)
+
+    @cached_property
+    def probe(self):
+        probe, S = self.gauge.dir_probe(self.x0), self.S
+        if S is None:
+            return probe
+        return CallableFn(lambda s: probe.value(S @ s),
+                          _through(probe.value_batch, S),
+                          lambda s: S.T @ probe.subgrad(S @ s))
+
+    @cached_property
+    def dom_cone(self):
+        return _restrict(self.gauge.domain_tangent_cone(self.x0), self.S)
+
+    @cached_property
+    def crit_cone(self):
+        return _restrict(self.gauge.critical_cone(self.x0), self.S)
 
     def to_ambient(self, h):
         if h is None or self.S is None:
@@ -258,85 +276,33 @@ def check_sharp(gauge, A, x0, with_alpha=True):
     -------
     CertificateReport
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
     x0 = gauge.flat(x0)
-    v0 = gauge.value(x0)
-    if not np.isfinite(v0):
+    if not np.isfinite(gauge.value(x0)):
         raise ValueError("J(x0) must be finite (x0 outside the domain)")
-    rep = CertificateReport()
-    tol = config.cert_tol()
     geom = _Geometry(gauge, A, x0)
+    rep = CertificateReport()
 
     assumption_ok = True
-    feasibility = gauge.interior_feasibility(A, A @ x0)
+    feasibility = gauge.interior_feasibility(geom.A, geom.A @ x0)
     if feasibility is not None:
         ok, note = feasibility
         rep.conditions_checked.append(("interior-feasibility", YES if ok else UNKNOWN, ok))
         rep.notes.append("interior feasibility: " + note)
         assumption_ok = ok
 
-    # --- certificate and range-space condition ----------------------------
-    cert = find_dual_certificate(gauge, A, x0)
-    if cert is not None:
-        rep.dual_certificate = cert["y0"]
-        rep.ri_margin = cert["ri_margin"]
-        rep.notes.append("certificate search: " + cert["note"])
-    else:
-        rep.notes.append("certificate search: no A^T y in the face "
-                         "(affine part infeasible)")
+    rank_ok, cert_row = _range_space(
+        geom, rep, _interior,
+        "certificate search: no A^T y in the face (affine part infeasible)",
+        lambda cert: "certificate search: " + cert["note"])
+    range_row = cert_row if rank_ok else (NO, True)
+    rep.conditions_checked.append(("range-space", *range_row))
 
-    Q = _complement(geom.T_eff, geom.n_eff)
-    rank_ok = matrix_rank(geom.A_eff @ Q) == Q.shape[1] if Q.shape[1] else True
-    if not rank_ok:
-        verdict_v, certified_v = NO, True
-    elif cert is None:
-        # the affine part of the certificate system is infeasible -- decisive
-        # for the LP kinds and for the least-squares residual test alike
-        verdict_v, certified_v = NO, True
-    elif cert["ri_margin"] > tol:
-        verdict_v, certified_v = YES, True
-    elif cert["margin_is_max"]:
-        verdict_v, certified_v = NO, True
-    else:
-        verdict_v, certified_v = UNKNOWN, False
-    rep.conditions_checked.append(("range-space", verdict_v, certified_v))
-
-    # --- kernel condition and kappa ----------------------------------------
-    K = kernel_basis(geom.A_eff)
-    if K.shape[1] == 0:
-        rep.kappa = math.inf
-        rep.kappa_certified = True
-        verdict_k, certified_k = YES, True
-        rep.notes.append("kernel trivial")
-    else:
-        res = sphere_min(geom.probe, K, cone=geom.dom_cone,
-                         seed=0, restarts=config.probe_restarts())
-        rep.kappa = float(res.value)
-        rep.kappa_certified = bool(res.certified)
+    kernel_row, res = _kernel_route(geom, rep)
+    if res is not None:
         rep.notes.append(f"kappa engine: {res.engine}"
                          + (f" ({res.note})" if res.note else ""))
-        if rep.kappa > tol:
-            verdict_k, certified_k = YES, res.certified
-        else:
-            # a concrete direction with J'(x0; h) <= tol refutes sharpness
-            # regardless of how the engine found it -- verify it
-            certified_k = res.certified or _no_witness_checks(geom, res.minimizer, tol)
-            verdict_k = NO
-            if res.minimizer is not None:
-                rep.witness = geom.to_ambient(res.minimizer)
-        if gauge.is_polyhedral and geom.crit_cone.is_polyhedral:
-            # exact polyhedral cross-check of the same condition
-            trivial, wit = cone_trivial(geom.crit_cone, K)
-            verdict_c = YES if trivial else NO
-            if certified_k and verdict_c != verdict_k:
-                raise InternalDisagreementError(
-                    f"kernel probe says {verdict_k} but the cone LP says {verdict_c}")
-            verdict_k, certified_k = verdict_c, True
-            if wit is not None:
-                rep.witness = wit
-    rep.conditions_checked.append(("kernel", verdict_k, certified_k))
+    rep.conditions_checked.append(("kernel", *kernel_row))
 
-    # --- alpha --------------------------------------------------------------
     if with_alpha:
         res_a = min_conic_singular(geom.A_eff, geom.crit_cone, seed=0,
                                    restarts=config.probe_restarts())
@@ -345,13 +311,100 @@ def check_sharp(gauge, A, x0, with_alpha=True):
         rep.notes.append(f"alpha engine: {res_a.engine}"
                          + (f" ({res_a.note})" if res_a.note else ""))
 
-    # --- aggregate -----------------------------------------------------------
     if not assumption_ok:
         rep.is_sharp = UNKNOWN
         rep.notes.append("verdict withheld: interior feasibility unverified")
         return rep
-    if certified_v and certified_k and YES in (verdict_v, verdict_k) \
-            and NO in (verdict_v, verdict_k):
+    _aggregate(rep, gauge, range_row, kernel_row)
+    return rep
+
+
+def _interior(margin):
+    """The main battery's strictness: a margin above ``cert_tol``."""
+    return margin > config.cert_tol()
+
+
+def _below_one(margin):
+    """A source-form "value < 1", up to ``strict_lt_one_tol``."""
+    return margin >= config.strict_lt_one_tol()
+
+
+def _range_space(geom, rep, strict, no_cert_note, cert_note):
+    """Range-space route: the certificate search, and whether A is injective
+    on the orthogonal complement of the face tangent.  Puts the certificate
+    and its note (``no_cert_note`` or ``cert_note(cert)``) in ``rep`` and
+    returns ``(rank_ok, cert_row)``, the (verdict, certified) of the
+    certificate alone under ``strict(margin)``; the route's verdict is No
+    when the rank test fails and ``cert_row`` otherwise.
+    """
+    cert = find_dual_certificate(geom.gauge, geom.A, geom.x0)
+    Q = kernel_basis(geom.T_eff.T)  # the identity when the face is a point
+    rank_ok = matrix_rank(geom.A_eff @ Q) == Q.shape[1]
+    if cert is None:
+        # the affine part of the certificate system is infeasible -- decisive
+        # for the LP kinds and for the least-squares residual test alike
+        rep.notes.append(no_cert_note)
+        return rank_ok, (NO, True)
+    rep.dual_certificate = cert["y0"]
+    rep.ri_margin = cert["ri_margin"]
+    rep.notes.append(cert_note(cert))
+    if strict(cert["ri_margin"]):
+        return rank_ok, (YES, True)
+    if cert["margin_is_max"]:
+        return rank_ok, (NO, True)
+    return rank_ok, (UNKNOWN, False)
+
+
+def _kernel_route(geom, rep, probe=True):
+    """Kernel route: no unit h in Ker A with J'(x0; h) <= cert_tol inside the
+    domain cone.  The sphere probe (skipped when ``probe`` is False) sets
+    kappa and the witness; for polyhedral kinds the cone LPs then decide,
+    and a certified probe must agree with them.  Returns ``((verdict,
+    certified), res)``, ``res`` being the probe's result or None.
+    """
+    K = geom.K
+    if K.shape[1] == 0:
+        rep.notes.append("kernel trivial")
+        if probe:
+            rep.kappa, rep.kappa_certified = math.inf, True
+        return (YES, True), None
+    verdict, certified, res = UNKNOWN, False, None
+    tol = config.cert_tol()
+    if probe:
+        res = sphere_min(geom.probe, K, cone=geom.dom_cone,
+                         seed=0, restarts=config.probe_restarts())
+        rep.kappa = float(res.value)
+        rep.kappa_certified = bool(res.certified)
+        if rep.kappa > tol:
+            verdict, certified = YES, res.certified
+        else:
+            # a concrete direction with J'(x0; h) <= tol refutes sharpness
+            # regardless of how the engine found it -- verify it
+            verdict = NO
+            certified = res.certified or _no_witness_checks(geom, res.minimizer, tol)
+            if res.minimizer is not None:
+                rep.witness = geom.to_ambient(res.minimizer)
+    if geom.gauge.is_polyhedral and geom.crit_cone.is_polyhedral:
+        # exact polyhedral cross-check of the same condition
+        trivial, wit = cone_trivial(geom.crit_cone, K)
+        verdict_c = YES if trivial else NO
+        if certified and verdict_c != verdict:
+            raise InternalDisagreementError(
+                f"kernel probe says {verdict} but the cone LP says {verdict_c}")
+        verdict, certified = verdict_c, True
+        if wit is not None:
+            rep.witness = wit
+    return (verdict, certified), res
+
+
+def _aggregate(rep, gauge, range_row, kernel_row):
+    """Verdicts from the routes' (verdict, certified) rows: certified Yes
+    against certified No raises, a certified range-space verdict goes before
+    a certified kernel one, and a Yes without an interior certificate drops
+    to Unknown.  Sharp means unique, and the converse for polyhedral kinds.
+    """
+    (verdict_v, certified_v), (verdict_k, certified_k) = range_row, kernel_row
+    if certified_v and certified_k and {verdict_v, verdict_k} == {YES, NO}:
         raise InternalDisagreementError(
             f"range-space condition is {verdict_v} (certified) but the "
             f"kernel condition is {verdict_k} (certified)")
@@ -363,7 +416,6 @@ def check_sharp(gauge, A, x0, with_alpha=True):
         rep.is_sharp = UNKNOWN
     if rep.is_sharp == YES and (rep.dual_certificate is None
                                 or not rep.ri_margin or rep.ri_margin <= 0):
-        # structurally a Yes must carry an interior certificate
         rep.is_sharp = UNKNOWN
         rep.notes.append("verdict degraded: sharp by the kernel route but "
                          "no interior certificate was found")
@@ -371,7 +423,6 @@ def check_sharp(gauge, A, x0, with_alpha=True):
         rep.is_unique = YES
     elif gauge.is_polyhedral:
         rep.is_unique = rep.is_sharp
-    return rep
 
 
 def _no_witness_checks(geom, h, tol):
@@ -469,11 +520,7 @@ def _descent_sample(gauge, A, x0, hint, count=400, seed=7):
     domain quadratically would otherwise masquerade as flat.
     """
     S = gauge.coordinate_basis()
-    if S is None:
-        K = kernel_basis(A)
-    else:
-        K = kernel_basis(np.atleast_2d(A) @ S)
-        K = S @ K if K.shape[1] else np.zeros((gauge.n, 0))
+    K = kernel_basis(A) if S is None else S @ kernel_basis(A @ S)
     k = K.shape[1]
     if k == 0:
         return None
@@ -542,8 +589,31 @@ def check_sharp_qp(gauge, A, b, mu, xhat):
 
 
 # ---------------------------------------------------------------------------
-# per-kind corollary checks
+# per-application checkers: views of the two routes
 # ---------------------------------------------------------------------------
+
+def _range_rows(geom, rep, ids, strict, no_cert_note, cert_note):
+    """The range-space route in source form: a rank row and a certificate
+    row under ``ids``.  Returns the route's (verdict, certified)."""
+    rank_ok, cert_row = _range_space(geom, rep, strict, no_cert_note, cert_note)
+    rep.conditions_checked.append((ids[0], YES if rank_ok else NO, True))
+    rep.conditions_checked.append((ids[1], *cert_row))
+    return cert_row if rank_ok else (NO, True)
+
+
+def _source_form(gauge, A, x0, ids, strict, no_cert_note, cert_note):
+    """A polyhedral checker decided by the range-space route alone."""
+    geom = _Geometry(gauge, A, x0)
+    rep = CertificateReport()
+    range_row = _range_rows(geom, rep, ids, strict, no_cert_note, cert_note)
+    _aggregate(rep, gauge, range_row, (UNKNOWN, False))
+    return rep
+
+
+def _lp_value_note(cert):
+    margin = cert["ri_margin"]
+    return f"certificate LP value {(1.0 - margin if np.isfinite(margin) else 0.0):.12g}"
+
 
 def fuchs_check(A, x0):
     """Sharpness of a sparse x0 for the l1 gauge, in source form.
@@ -552,69 +622,25 @@ def fuchs_check(A, x0):
     minimize ||A_{I^c}^T y||_inf s.t. A_I^T y = sign(x0)_I; sharp iff the
     submatrix is injective and the LP value is strictly below one.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
     x0 = np.asarray(x0, dtype=float).ravel()
-    rep = CertificateReport()
-    gauge = L1Gauge(x0.size)
-    face = gauge.face(x0)
-    I = face.support
-    inj = matrix_rank(A[:, I]) == I.size if I.size else True
-    rep.conditions_checked.append(("support-injectivity", YES if inj else NO, True))
-    cert = find_dual_certificate(gauge, A, x0)
-    if cert is None:
-        rep.conditions_checked.append(("interior-certificate", NO, True))
-        rep.notes.append("no y with A_I^T y = sign(x0)_I")
-        rep.is_sharp = rep.is_unique = NO
-        return rep
-    rep.dual_certificate = cert["y0"]
-    rep.ri_margin = cert["ri_margin"]
-    lp_value = 1.0 - cert["ri_margin"] if np.isfinite(cert["ri_margin"]) else 0.0
-    rep.notes.append(f"certificate LP value {lp_value:.12g}")
-    strict = cert["ri_margin"] >= config.strict_lt_one_tol()
-    rep.conditions_checked.append(("interior-certificate", YES if strict else NO, True))
-    rep.is_sharp = YES if (inj and strict) else NO
-    rep.is_unique = rep.is_sharp
-    return rep
+    return _source_form(L1Gauge(x0.size), A, x0,
+                        ("support-injectivity", "interior-certificate"),
+                        _below_one, "no y with A_I^T y = sign(x0)_I",
+                        _lp_value_note)
 
 
 def analysis_check(A, D, x0):
     """Sharpness of x0 for J = ||D^T x||_1 in source form.
 
-    Condition one: Ker A and Ker D_{I^c}^T intersect trivially (exact rank
-    test on the stacked kernel bases).  Condition two: the coefficient-space
-    certificate LP minimize ||u_{I^c}||_inf s.t. A^T y = D u, u_I =
-    sign(D^T x0)_I has value strictly below one.
+    Condition one: Ker A and Ker D_{I^c}^T intersect trivially (A injective
+    on the complement of the face tangent Im D_{I^c}).  Condition two: the
+    coefficient-space certificate LP minimize ||u_{I^c}||_inf s.t. A^T y =
+    D u, u_I = sign(D^T x0)_I has value strictly below one.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    D = np.atleast_2d(np.asarray(D, dtype=float))
-    x0 = np.asarray(x0, dtype=float).ravel()
-    rep = CertificateReport()
-    gauge = AnalysisL1Gauge(D)
-    face = gauge.face(x0)
-    K = kernel_basis(A)
-    Doff = D[:, face.inactive]
-    if K.shape[1] == 0:
-        kernels_ok = True
-    elif face.inactive.size == 0:
-        kernels_ok = False  # Ker D_{I^c}^T is everything, Ker A is not {0}
-    else:
-        kernels_ok = matrix_rank(Doff.T @ K) == K.shape[1]
-    rep.conditions_checked.append(("kernel-intersection", YES if kernels_ok else NO, True))
-    cert = find_dual_certificate(gauge, A, x0)
-    if cert is None:
-        rep.conditions_checked.append(("interior-certificate", NO, True))
-        rep.is_sharp = rep.is_unique = NO
-        rep.notes.append("certificate system infeasible")
-        return rep
-    rep.dual_certificate = cert["y0"]
-    rep.ri_margin = cert["ri_margin"]
-    lp_value = 1.0 - cert["ri_margin"] if np.isfinite(cert["ri_margin"]) else 0.0
-    rep.notes.append(f"certificate LP value {lp_value:.12g}")
-    strict = cert["ri_margin"] >= config.strict_lt_one_tol()
-    rep.conditions_checked.append(("interior-certificate", YES if strict else NO, True))
-    rep.is_sharp = YES if (kernels_ok and strict) else NO
-    rep.is_unique = rep.is_sharp
-    return rep
+    return _source_form(AnalysisL1Gauge(D), A, np.asarray(x0, dtype=float).ravel(),
+                        ("kernel-intersection", "interior-certificate"),
+                        _below_one, "certificate system infeasible",
+                        _lp_value_note)
 
 
 def wsl1_check(A, w, x0):
@@ -622,101 +648,46 @@ def wsl1_check(A, w, x0):
 
     The subdifferential at x0 is the convex hull of a finite vertex set; the
     check tests (a) Im A^T together with the affine hull of that vertex set
-    spans everything (rank test) and (b) some A^T y is a strictly positive
-    convex combination of the vertices (max-min-weight LP).
+    spans everything (rank test) and (b) some A^T y is a convex combination
+    of the vertices whose smallest weight exceeds ``cert_tol``
+    (max-min-weight LP).
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    x0 = np.asarray(x0, dtype=float).ravel()
-    rep = CertificateReport()
-    gauge = SortedWeightedL1Gauge(w)
-    face = gauge.face(x0)
-    n = x0.size
-    stacked = np.hstack([A.T, face.tangent]) if face.tangent.size else A.T
-    aff_ok = matrix_rank(stacked) == n
-    rep.conditions_checked.append(("affine-hull", YES if aff_ok else NO, True))
-    cert = find_dual_certificate(gauge, A, x0)
-    if cert is None:
-        rep.conditions_checked.append(("positive-combination", NO, True))
-        rep.is_sharp = rep.is_unique = NO
-        rep.notes.append("no A^T y in the subdifferential polytope")
-        return rep
-    rep.dual_certificate = cert["y0"]
-    rep.ri_margin = cert["ri_margin"]
-    strict = cert["ri_margin"] > config.cert_tol()
-    rep.notes.append(f"max-min vertex weight {cert['ri_margin']:.12g}")
-    rep.conditions_checked.append(("positive-combination", YES if strict else NO, True))
-    rep.is_sharp = YES if (aff_ok and strict) else NO
-    rep.is_unique = rep.is_sharp
-    return rep
+    return _source_form(SortedWeightedL1Gauge(w), A, np.asarray(x0, dtype=float).ravel(),
+                        ("affine-hull", "positive-combination"),
+                        _interior, "no A^T y in the subdifferential polytope",
+                        lambda cert: f"max-min vertex weight {cert['ri_margin']:.12g}")
 
 
 def nuclear_check(Phi, X0):
     """Sharpness of a low-rank X0 for the nuclear norm in source form.
 
-    Runs (a) the restricted-injectivity rank test of Phi on the subspace
-    T = {Y : U2^T Y V2 = 0}, (b) the certificate search (exact affine part,
-    heuristic spectral minimization, margin verified), and (c) the kernel
-    probe minimizing tr(U1^T H V1) + ||U2^T H V2||_* over unit kernel
-    directions (certified for kernel dimension <= 3).  The stronger
-    singular-value sufficient condition is evaluated and reported
-    separately; it never drives the verdict.
+    Both routes: (a) the restricted-injectivity rank test of Phi on the
+    subspace T = {Y : U2^T Y V2 = 0} and (b) the certificate search (exact
+    affine part, heuristic spectral minimization, margin verified, free-block
+    spectral norm strictly below one), against (c) the kernel probe
+    minimizing tr(U1^T H V1) + ||U2^T H V2||_* over unit kernel directions
+    (certified for kernel dimension <= 3).  The stronger singular-value
+    sufficient condition is evaluated and reported separately; it never
+    drives the verdict.
     """
-    Phi = np.atleast_2d(np.asarray(Phi, dtype=float))
     X0 = np.asarray(X0, dtype=float)
     p, q = X0.shape
     gauge = NuclearGauge((p, q))
-    x0 = X0.ravel()
+    geom = _Geometry(gauge, Phi, X0.ravel())
     rep = CertificateReport()
     tol = config.cert_tol()
-    face = gauge.face(x0)
-    U2, V2 = face.U2, face.V2
-    r = face.U1.shape[1]
-
-    if U2.shape[1] and V2.shape[1]:
-        Tbasis = _complement(np.kron(U2, V2), p * q)
-    else:
-        Tbasis = np.eye(p * q)
-    inj = matrix_rank(Phi @ Tbasis) == Tbasis.shape[1]
-    rep.conditions_checked.append(("restricted-injectivity", YES if inj else NO, True))
-
-    cert = find_dual_certificate(gauge, Phi, x0)
-    verdict_cert = UNKNOWN
-    certified_cert = False
-    if cert is None:
-        verdict_cert, certified_cert = NO, True
-        rep.notes.append("certificate affine system infeasible")
-    else:
-        rep.dual_certificate = cert["y0"]
-        rep.ri_margin = cert["ri_margin"]
-        if cert["ri_margin"] >= config.strict_lt_one_tol():
-            verdict_cert, certified_cert = YES, True
-        rep.notes.append(f"free-block spectral norm {1.0 - cert['ri_margin']:.12g}"
-                         if np.isfinite(cert["ri_margin"]) else "singleton face")
-    rep.conditions_checked.append(("interior-certificate", verdict_cert, certified_cert))
-    verdict_a = YES if (inj and verdict_cert == YES) else \
-        (NO if (not inj or (certified_cert and verdict_cert == NO)) else UNKNOWN)
-    certified_a = verdict_a != UNKNOWN
-
-    K = kernel_basis(Phi)
-    if K.shape[1] == 0:
-        rep.kappa = math.inf
-        rep.kappa_certified = True
-        verdict_b, certified_b = YES, True
-        rep.notes.append("kernel trivial")
-    else:
-        res = sphere_min(gauge.dir_probe(x0), K, seed=0,
-                         restarts=config.probe_restarts())
-        rep.kappa = float(res.value)
-        rep.kappa_certified = bool(res.certified)
+    range_row = _range_rows(
+        geom, rep, ("restricted-injectivity", "interior-certificate"),
+        _below_one, "certificate affine system infeasible",
+        lambda cert: f"free-block spectral norm {1.0 - cert['ri_margin']:.12g}"
+        if np.isfinite(cert["ri_margin"]) else "singleton face")
+    kernel_row, res = _kernel_route(geom, rep)
+    if res is not None:
         rep.notes.append(f"kernel probe value {res.value:.12g} ({res.engine})")
-        if res.value > tol:
-            verdict_b, certified_b = YES, res.certified
-        else:
-            verdict_b, certified_b = NO, res.certified
-            rep.witness = res.minimizer
-    rep.conditions_checked.append(("kernel-probe", verdict_b, certified_b))
+    rep.conditions_checked.append(("kernel-probe", *kernel_row))
 
     # sufficient condition: the nuclear tail dominates the head on Ker Phi
+    K, r = geom.K, geom.face.U1.shape[1]
     if K.shape[1]:
         def tail_head(H):
             M = np.atleast_2d(H).reshape(-1, p, q)
@@ -740,20 +711,7 @@ def nuclear_check(Phi, X0):
     else:
         rep.conditions_checked.append(("tail-dominance-sufficient", YES, True))
 
-    if certified_a and certified_b and YES in (verdict_a, verdict_b) \
-            and NO in (verdict_a, verdict_b):
-        raise InternalDisagreementError(
-            f"certificate route says {verdict_a}, kernel probe says {verdict_b}")
-    if certified_a:
-        rep.is_sharp = verdict_a
-    elif certified_b:
-        rep.is_sharp = verdict_b
-    else:
-        rep.is_sharp = UNKNOWN
-    if rep.is_sharp == YES and rep.dual_certificate is None:
-        rep.is_sharp = UNKNOWN
-        rep.notes.append("verdict degraded: no interior certificate in hand")
-    rep.is_unique = YES if rep.is_sharp == YES else UNKNOWN
+    _aggregate(rep, gauge, range_row, kernel_row)
     return rep
 
 
@@ -761,25 +719,16 @@ def nonneg_l1_check(A, x0):
     """Sharpness of a nonnegative x0 for the conic l1 gauge in source form.
 
     Exact: the polyhedral cone {h : h_{I^c} >= 0, sum_i h_i <= 0} must meet
-    Ker A only at the origin (cone LPs).
+    Ker A only at the origin -- the kernel route's cone LPs, without its
+    sphere probe.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
     x0 = np.asarray(x0, dtype=float).ravel()
-    if np.min(x0, initial=0.0) < -1e-12:
-        raise ValueError("x0 must be nonnegative")
-    gauge = NonnegL1Gauge(x0.size)
+    geom = _Geometry(NonnegL1Gauge(x0.size), A, x0)  # the face checks x0 >= 0
     rep = CertificateReport()
-    K = kernel_basis(A)
-    if K.shape[1] == 0:
-        rep.is_sharp = rep.is_unique = YES
-        rep.conditions_checked.append(("descent-cone", YES, True))
-        rep.notes.append("kernel trivial")
-        return rep
-    trivial, wit = cone_trivial(gauge.critical_cone(x0), K)
-    rep.conditions_checked.append(("descent-cone", YES if trivial else NO, True))
-    rep.is_sharp = rep.is_unique = YES if trivial else NO
-    if wit is not None:
-        rep.witness = wit
+    (verdict, _), _ = _kernel_route(geom, rep, probe=False)
+    rep.conditions_checked.append(("descent-cone", verdict, True))
+    rep.is_sharp = rep.is_unique = verdict
+    if rep.witness is not None:
         rep.notes.append("kernel direction with nonpositive growth found")
     return rep
 
@@ -789,19 +738,13 @@ def sdp_trace_check(Phi, C, X0):
 
     Probes symmetric kernel directions H of Phi: sharp iff no unit H keeps
     E^T H E positive semidefinite (E spanning Ker X0) while <C, H> stays
-    nonpositive.  Certified for kernel dimension <= 3 via the angular grid.
+    nonpositive.  The probe max(-lambda_min(E^T H E), <C, H>) needs no cone,
+    so it is certified for kernel dimension <= 3 via the angular grid.
     """
-    Phi = np.atleast_2d(np.asarray(Phi, dtype=float))
-    X0 = np.asarray(X0, dtype=float)
     gauge = SdpTraceGauge(C)
-    nm = gauge.nmat
-    x0 = X0.ravel()
-    face = gauge.face(x0)  # validates PSD
-    E = face.E
+    geom = _Geometry(gauge, Phi, np.asarray(X0, dtype=float).ravel())  # validates PSD
     rep = CertificateReport()
-    tol = config.cert_tol()
-    S = sym_basis(nm)
-    K = kernel_basis(Phi @ S)
+    nm, S, E, K = gauge.nmat, geom.S, geom.face.E, geom.K
     if K.shape[1] == 0:
         rep.is_sharp = rep.is_unique = YES
         rep.conditions_checked.append(("kernel-probe", YES, True))
@@ -814,41 +757,28 @@ def sdp_trace_check(Phi, C, X0):
         H = (T @ S.T).reshape(T.shape[0], nm, nm)
         return np.einsum("ae,kab,bf->kef", E, H, E)
 
-    def phi(s):
-        lin = float(Cs @ s)
-        if not E.shape[1]:
-            return lin
-        lam = float(np.linalg.eigvalsh(blocks(s[None, :])[0])[0])
-        return max(-lam, lin)
-
     def phi_batch(T):
         lin = np.atleast_2d(T) @ Cs
         if not E.shape[1]:
             return lin
-        lam = np.linalg.eigvalsh(blocks(T))[:, 0]
-        return np.maximum(-lam, lin)
+        return np.maximum(-np.linalg.eigvalsh(blocks(T))[:, 0], lin)
 
     def phi_sg(s):
-        lin = float(Cs @ s)
-        if not E.shape[1]:
-            return Cs.copy()
-        w, V = np.linalg.eigh(blocks(s[None, :])[0])
-        if lin >= -w[0]:
-            return Cs.copy()
-        v = E @ V[:, 0]
-        return -(S.T @ np.outer(v, v).ravel())
+        if E.shape[1]:
+            w, V = np.linalg.eigh(blocks(s[None, :])[0])
+            if Cs @ s < -w[0]:
+                v = E @ V[:, 0]
+                return -(S.T @ np.outer(v, v).ravel())
+        return Cs.copy()
 
-    res = sphere_min(CallableFn(phi, phi_batch, phi_sg), K, seed=0,
-                     restarts=config.probe_restarts())
+    phi = CallableFn(lambda s: float(phi_batch(s[None, :])[0]), phi_batch, phi_sg)
+    res = sphere_min(phi, K, seed=0, restarts=config.probe_restarts())
     rep.notes.append(f"kernel probe value {res.value:.12g} ({res.engine})")
-    if res.value > tol:
-        verdict, certified = YES, res.certified
-    else:
-        verdict, certified = NO, res.certified
-        if res.minimizer is not None:
-            rep.witness = S @ res.minimizer
-    rep.conditions_checked.append(("kernel-probe", verdict, certified))
-    rep.is_sharp = verdict if certified else UNKNOWN
+    verdict = YES if res.value > config.cert_tol() else NO
+    if verdict == NO and res.minimizer is not None:
+        rep.witness = geom.to_ambient(res.minimizer)
+    rep.conditions_checked.append(("kernel-probe", verdict, res.certified))
+    rep.is_sharp = verdict if res.certified else UNKNOWN
     rep.is_unique = YES if rep.is_sharp == YES else UNKNOWN
     return rep
 

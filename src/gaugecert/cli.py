@@ -104,6 +104,8 @@ def _as_number(obj, name, positive=False, nonneg=False):
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         _fail(f"{name}: expected a number")
     val = float(obj)
+    if not math.isfinite(val):
+        _fail(f"{name}: must be finite")
     if positive and not val > 0:
         _fail(f"{name}: must be positive")
     if nonneg and not val >= 0:
@@ -119,10 +121,16 @@ def load_problem(path):
     ProblemValidationError with a located message on any defect; JSON
     syntax errors carry the line and column.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
     try:
-        raw = json.loads(text)
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        _fail(f"cannot read {path}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        _fail(f"{path}: not UTF-8 text (byte {exc.start})")
+    try:
+        raw = json.loads(text, parse_constant=lambda name: _fail(
+            f"{name} is not a number in strict JSON"))
     except json.JSONDecodeError as exc:
         _fail(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}")
     if not isinstance(raw, dict):
@@ -602,8 +610,7 @@ def build_parser():
                        help="decide sharpness/uniqueness of x0")
     p.add_argument("file", help="problem file (strict JSON)")
     p.add_argument("--condition", default="auto",
-                   choices=["auto", "v", "vii", "fuchs", "analysis", "wsl1",
-                            "nuclear", "nonneg", "sdp"],
+                   choices=["auto", *_ROUTE_IDS, *_CHECKERS],
                    help="certification route: auto runs the full battery, "
                         "v/vii select the range-space or kernel route, the "
                         "rest are the kind-specific checkers")

@@ -915,8 +915,10 @@ def min_conic_singular(A, cone, engine="auto", restarts=None, seed=0):
 def nsp_constant(A, I, cap=None):
     """Null-space-property constant max_{h in Ker A, h != 0} ||h_I||_1/||h||_1.
 
-    Enumerates the 2^|I| sign patterns, solving one LP each over the section
-    ||h||_1 <= 1 of the kernel.  Returns 0 for a trivial kernel.  Raises
+    Enumerates the sign patterns s on I, solving one LP each over the
+    section ||h||_1 <= 1 of the kernel.  The section is symmetric, so s and
+    -s give the same value and the sign of the last index of I stays fixed:
+    2^(|I|-1) LPs.  Returns 0 for a trivial kernel.  Raises
     EnumerationCapExceeded when |I| exceeds the cap (default 14).
     """
     if cap is None:
@@ -945,7 +947,7 @@ def nsp_constant(A, I, cap=None):
     bounds = [(None, None)] * k + [(0.0, None)] * n
     best = 0.0
     KI = K[I, :]
-    for bits in range(1 << I.size):
+    for bits in range(1 << (I.size - 1)):  # bit |I|-1 clear: s_last = -1
         s = np.array([1.0 if (bits >> j) & 1 else -1.0 for j in range(I.size)])
         c = np.zeros(k + n)
         c[:k] = -(KI.T @ s)

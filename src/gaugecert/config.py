@@ -37,7 +37,7 @@ RANK_TOL = 1e-10
 #: cap on enumerated subdifferential vertices / linear pieces
 VERTEX_CAP = 4096
 
-#: cap on |I| for the null-space-property enumeration (2**|I| LPs)
+#: cap on |I| for the null-space-property enumeration (2**(|I|-1) LPs)
 NSP_CAP = 14
 
 #: initial angular resolution (radians) of the grid sphere probe, 1-2 angles

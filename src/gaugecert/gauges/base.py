@@ -48,8 +48,8 @@ def spec_int(spec, name):
 
 
 def spec_array(spec, name, ndim, size=None):
-    """The nonempty numeric array field ``name`` with ``ndim`` dimensions
-    (and ``size`` entries when given); ValueError otherwise."""
+    """The nonempty finite numeric array field ``name`` with ``ndim``
+    dimensions (and ``size`` entries when given); ValueError otherwise."""
     what = "list of numbers" if ndim == 1 else "list of equal-length rows of numbers"
     try:
         arr = np.asarray(spec.get(name), dtype=float)
@@ -59,6 +59,8 @@ def spec_array(spec, name, ndim, size=None):
         raise ValueError(f"{name}: expected a nonempty {what}")
     if size is not None and arr.size != size:
         raise ValueError(f"{name}: expected {size} entries, got {arr.size}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name}: entries must be finite")
     return arr
 
 
@@ -276,8 +278,9 @@ class Gauge:
         return None
 
     def tangent_space_test(self, A, x0, y0):
-        """``(verdict, certified, note)`` of a uniqueness rank test at the
-        certificate y0, or None for kinds without one."""
+        """``(verdict, note)`` of a uniqueness rank test at the certificate
+        y0 -- verdict True or False when the test decides, None when it does
+        not apply -- or None for kinds without one."""
         return None
 
     def exposed_face(self, z):

@@ -129,6 +129,7 @@ def test_criterion_03_worked_instances():
     assert rep.alpha_certified
     # max-margin certificate: y = 1/2 leaves 1 - |y| = 1/2 of slack
     assert fuchs_check(A_LINE, X_LINE).ri_margin == pytest.approx(0.5, abs=1e-8)
+    assert check_unique(L1Gauge(2), A_LINE, X_LINE).is_unique == YES
     flat = check_unique(L1Gauge(2), A_FLAT, X_FLAT)
     assert flat.is_sharp == NO and flat.is_unique == NO
 

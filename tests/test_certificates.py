@@ -22,7 +22,7 @@ from gaugecert.certificates import (
     upper_lipschitz_probe,
     wsl1_check,
 )
-from gaugecert.cones import kernel_basis
+from gaugecert.cones import kernel_basis, matrix_rank
 from gaugecert.gauges import (
     AnalysisL1Gauge,
     GroupL12Gauge,
@@ -363,3 +363,47 @@ def test_specialized_checkers_agree_with_generic():
         gen = check_sharp(NonnegL1Gauge(n), A, xp, with_alpha=False)
         spec = nonneg_l1_check(A, xp)
         assert gen.is_sharp == spec.is_sharp
+    # analysis_l1, wsl1 and nuclear: the checker's rank row is the rank test
+    # of check_sharp's range-space route (A injective on the complement of
+    # the face tangent), and the verdicts agree unless the margin lies
+    # between the two strictness thresholds; rank-deficient A, duplicated
+    # columns of D and x0 = 0 included
+    rng = np.random.default_rng(73)
+    cases = []
+    for i in range(8):
+        A = rng.standard_normal((2, 4))
+        if i % 4 == 0:
+            A[1] = A[0]
+        D = rng.standard_normal((4, 3))
+        if i % 2:
+            D[:, 2] = D[:, 0]
+        x0 = np.zeros(4) if i == 6 else \
+            kernel_basis(D[:, :2].T) @ rng.standard_normal(2)
+        cases.append((AnalysisL1Gauge(D), A, x0,
+                      lambda A=A, D=D, x0=x0: analysis_check(A, D, x0)))
+    for i in range(8):
+        A = rng.standard_normal((2, 3))
+        if i % 4 == 0:
+            A[1] = A[0]
+        w = np.array([2.0, 1.5, 1.5]) if i % 2 else np.array([2.0, 1.2, 0.7])
+        x0 = np.zeros(3) if i == 6 else \
+            np.array([1.0, -1.0 if i % 3 else -0.5, 0.0])[rng.permutation(3)]
+        cases.append((SortedWeightedL1Gauge(w), A, x0,
+                      lambda A=A, w=w, x0=x0: wsl1_check(A, w, x0)))
+    for i in range(4):
+        Phi = rng.standard_normal((3, 4))
+        if i == 0:
+            Phi[2] = Phi[0]
+        X0 = np.outer(rng.standard_normal(2), rng.standard_normal(2))
+        cases.append((NuclearGauge((2, 2)), Phi, X0.ravel(),
+                      lambda Phi=Phi, X0=X0: nuclear_check(Phi, X0)))
+    for gauge, A, x0, check in cases:
+        spec = check()
+        gen = check_sharp(gauge, A, x0, with_alpha=False)
+        T = gauge.face(x0).tangent
+        Q = kernel_basis(T.T) if T.size else np.eye(gauge.n)
+        rank_ok = matrix_rank(A @ Q) == Q.shape[1]
+        assert spec.conditions_checked[0][1] == (YES if rank_ok else NO)
+        margin = spec.ri_margin
+        if margin is None or not 1e-8 <= margin < 1e-6:
+            assert spec.is_sharp == gen.is_sharp

@@ -299,6 +299,23 @@ def test_malformed_json_reports_location(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_unreadable_or_non_finite_files_are_validation_errors(tmp_path, capsys):
+    # a directory, bytes that are not UTF-8, and non-finite numbers (the
+    # NaN literal, and 1e400, which Python's reader turns into inf) must
+    # exit 3 with a message, not crash or reach the LP backend
+    bad_bytes = tmp_path / "latin1.json"
+    bad_bytes.write_bytes(json.dumps(E1).encode().replace(b"l1", b"l\xe91"))
+    nan = tmp_path / "nan.json"
+    nan.write_text(json.dumps(E1).replace("2.0", "NaN"))
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(E1).replace("2.0", "1e400"))
+    for path, says in ((tmp_path, "cannot read"), (bad_bytes, "UTF-8"),
+                       (nan, "NaN"), (huge, "A: entries must be finite")):
+        assert main(["certify", str(path)]) == 3, path
+        err = capsys.readouterr().err
+        assert says in err and "Traceback" not in err, err
+
+
 def test_unknown_top_level_field(tmp_path, capsys):
     bad = dict(E1, extra_field=7)
     assert main(["certify", write(tmp_path, bad)]) == 3
