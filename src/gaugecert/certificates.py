@@ -156,11 +156,10 @@ def _restrict(cone, S):
     cone itself when S is None)."""
     if cone is None or S is None:
         return cone
-    sub = cone.violation_subgrad
+    sub = cone.violation_subgrad_batch
     return ConeSpec.from_violation(
-        S.shape[1], lambda s: cone.violation(S @ s),
-        _through(cone.violation_batch, S),
-        None if sub is None else (lambda s: S.T @ sub(S @ s)),
+        S.shape[1], _through(cone.violation_batch, S),
+        None if sub is None else _through(lambda H: sub(H) @ S, S),
         anchor=None if cone.anchor is None else S.T @ cone.anchor,
         note=cone.note + " (subspace coordinates)")
 
@@ -233,9 +232,8 @@ class _Geometry:
         probe, S = self.gauge.dir_probe(self.x0), self.S
         if S is None:
             return probe
-        return CallableFn(lambda s: probe.value(S @ s),
-                          _through(probe.value_batch, S),
-                          lambda s: S.T @ probe.subgrad(S @ s))
+        return CallableFn(_through(probe.value_batch, S),
+                          _through(lambda H: probe.subgrad_batch(H) @ S, S))
 
     @cached_property
     def dom_cone(self):
@@ -694,14 +692,13 @@ def nuclear_check(Phi, X0):
             s = np.linalg.svd(M, compute_uv=False)
             return s[:, r:].sum(axis=1) - s[:, :r].sum(axis=1)
 
-        def tail_head_sg(h):
-            U, s, Vt = np.linalg.svd(h.reshape(p, q))
-            signs = np.concatenate([-np.ones(r), np.ones(s.size - r)])
-            k = min(U.shape[1], Vt.shape[0])
-            return ((U[:, :k] * signs[:k]) @ Vt[:k]).ravel()
+        def tail_head_sg(H):
+            U, s, Vt = np.linalg.svd(np.atleast_2d(H).reshape(-1, p, q))
+            k = s.shape[1]
+            signs = np.concatenate([-np.ones(r), np.ones(k - r)])
+            return ((U[:, :, :k] * signs) @ Vt[:, :k]).reshape(-1, p * q)
 
-        fn = CallableFn(lambda h: float(tail_head(h[None, :])[0]),
-                        tail_head, tail_head_sg)
+        fn = CallableFn(tail_head, tail_head_sg)
         res_s = sphere_min(fn, K, seed=0, restarts=config.probe_restarts())
         suff = res_s.value > tol
         rep.conditions_checked.append(
@@ -763,15 +760,18 @@ def sdp_trace_check(Phi, C, X0):
             return lin
         return np.maximum(-np.linalg.eigvalsh(blocks(T))[:, 0], lin)
 
-    def phi_sg(s):
+    def phi_sg(T):
+        T = np.atleast_2d(np.asarray(T, dtype=float))
+        G = np.tile(Cs, (T.shape[0], 1))
         if E.shape[1]:
-            w, V = np.linalg.eigh(blocks(s[None, :])[0])
-            if Cs @ s < -w[0]:
-                v = E @ V[:, 0]
-                return -(S.T @ np.outer(v, v).ravel())
-        return Cs.copy()
+            w, V = np.linalg.eigh(blocks(T))
+            low = T @ Cs < -w[:, 0]
+            v = V[low, :, 0] @ E.T
+            vv = (v[:, :, None] * v[:, None, :]).reshape(v.shape[0], nm * nm)
+            G[low] = -vv @ S
+        return G
 
-    phi = CallableFn(lambda s: float(phi_batch(s[None, :])[0]), phi_batch, phi_sg)
+    phi = CallableFn(phi_batch, phi_sg)
     res = sphere_min(phi, K, seed=0, restarts=config.probe_restarts())
     rep.notes.append(f"kernel probe value {res.value:.12g} ({res.engine})")
     verdict = YES if res.value > config.cert_tol() else NO

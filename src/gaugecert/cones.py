@@ -14,6 +14,15 @@ Everything the certification layer needs about cones lives here:
   angular grid, multistart subgradient);
 * ``min_conic_singular`` -- minimum of ||Ah|| over a cone's unit sphere;
 * ``nsp_constant`` -- the null-space-property constant by sign enumeration.
+
+Cones and probe functions are batch-first: a ``ConeSpec`` holds one
+``violation_batch`` and one ``violation_subgrad_batch``, and a probe
+(``LinearMaxFn``, ``NormMapFn``, ``CallableFn``) one ``value_batch`` and one
+``subgrad_batch``, each mapping a stack of directions (rows) to one value or
+one subgradient row per direction.  The single-direction calls
+(``violation``, ``violation_subgrad``, ``value``) are row 0 of the batch
+ones, so the grid and multistart engines and the scalar checks read the
+same numbers.
 """
 
 import math
@@ -232,18 +241,22 @@ def subgradient_min(f, subgrad, y0, N, iters=300, restarts=5, seed=0):
 class ConeSpec:
     """A closed convex cone {h : exists u, G_h h + G_u u <= 0}.
 
-    Non-polyhedral cones leave ``G_h`` as None and are described only by the
-    ``violation`` functional (convex, positively homogeneous, zero exactly on
-    the cone).  ``anchor`` is an optional strictly feasible direction used to
+    Non-polyhedral cones leave ``G_h`` as None and are described only by
+    their violation functional (convex, positively homogeneous, zero exactly
+    on the cone).  The cone stores that functional batch-first:
+    ``violation_batch(H)`` gives one violation per row of H, and
+    ``violation_subgrad_batch(H)`` one subgradient row per row of H (zeros
+    where the violation is zero; None when the cone offers none).  The
+    single-direction ``violation(h)`` and ``violation_subgrad(h)`` are row 0
+    of these.  ``anchor`` is an optional strictly feasible direction used to
     polish near-boundary probe points.
     """
 
     n: int
     G_h: np.ndarray = None
     G_u: np.ndarray = None
-    violation: callable = None
     violation_batch: callable = None
-    violation_subgrad: callable = None
+    violation_subgrad_batch: callable = None
     anchor: np.ndarray = None
     note: str = ""
 
@@ -251,47 +264,54 @@ class ConeSpec:
     def is_polyhedral(self):
         return self.G_h is not None
 
+    def violation(self, h):
+        return float(self.violation_batch(_row(h))[0])
+
+    def violation_subgrad(self, h):
+        return self.violation_subgrad_batch(_row(h))[0]
+
     @staticmethod
     def from_rows(G, anchor=None, note=""):
         """Pure inequality description {h : G h <= 0}."""
         G = np.atleast_2d(np.asarray(G, dtype=float))
 
-        def violation(h):
-            return float(max(0.0, np.max(G @ h, initial=0.0)))
-
         def violation_batch(H):
-            vals = H @ G.T
-            return np.maximum(vals.max(axis=1), 0.0)
+            return (np.atleast_2d(H) @ G.T).max(axis=1, initial=0.0)
 
-        def violation_subgrad(h):
-            vals = G @ h
-            i = int(np.argmax(vals))
-            if vals[i] <= 0.0:
-                return np.zeros(G.shape[1])
-            return G[i].copy()
+        def violation_subgrad_batch(H):
+            V = np.atleast_2d(H) @ G.T
+            out = np.zeros((V.shape[0], G.shape[1]))
+            if G.shape[0]:
+                hit = V.max(axis=1) > 0.0
+                out[hit] = G[V[hit].argmax(axis=1)]
+            return out
 
         return ConeSpec(n=G.shape[1], G_h=G, G_u=np.zeros((G.shape[0], 0)),
-                        violation=violation, violation_batch=violation_batch,
-                        violation_subgrad=violation_subgrad, anchor=anchor,
-                        note=note)
+                        violation_batch=violation_batch,
+                        violation_subgrad_batch=violation_subgrad_batch,
+                        anchor=anchor, note=note)
 
     @staticmethod
-    def from_lift(G_h, G_u, violation, violation_batch, violation_subgrad=None,
+    def from_lift(G_h, G_u, violation_batch, violation_subgrad_batch=None,
                   anchor=None, note=""):
         G_h = np.atleast_2d(np.asarray(G_h, dtype=float))
         G_u = np.atleast_2d(np.asarray(G_u, dtype=float))
-        return ConeSpec(n=G_h.shape[1], G_h=G_h, G_u=G_u, violation=violation,
+        return ConeSpec(n=G_h.shape[1], G_h=G_h, G_u=G_u,
                         violation_batch=violation_batch,
-                        violation_subgrad=violation_subgrad, anchor=anchor,
-                        note=note)
+                        violation_subgrad_batch=violation_subgrad_batch,
+                        anchor=anchor, note=note)
 
     @staticmethod
-    def from_violation(n, violation, violation_batch, violation_subgrad=None,
+    def from_violation(n, violation_batch, violation_subgrad_batch=None,
                        anchor=None, note=""):
-        return ConeSpec(n=n, violation=violation,
-                        violation_batch=violation_batch,
-                        violation_subgrad=violation_subgrad, anchor=anchor,
-                        note=note)
+        return ConeSpec(n=n, violation_batch=violation_batch,
+                        violation_subgrad_batch=violation_subgrad_batch,
+                        anchor=anchor, note=note)
+
+
+def _row(h):
+    """A single direction as a one-row stack."""
+    return np.asarray(h, dtype=float).reshape(1, -1)
 
 
 def cone_trivial(cone, K, tol=1e-9):
@@ -401,20 +421,27 @@ class SphereMinResult:
     note: str = ""
 
 
-class LinearMaxFn:
+class _Probe:
+    """The sphere-probe protocol, batch-first: ``value_batch(H)`` gives one
+    value and ``subgrad_batch(H)`` one subgradient row per row of H, and
+    ``pieces()`` the linear pieces of a piecewise-linear f (else None).
+    ``value(h)`` is row 0 of ``value_batch``."""
+
+    def value(self, h):
+        return float(self.value_batch(_row(h))[0])
+
+    def pieces(self):
+        return None
+
+
+class LinearMaxFn(_Probe):
     """f(h) = max_i <z_i, h> given the rows z_i."""
 
     def __init__(self, Z):
         self.Z = np.atleast_2d(np.asarray(Z, dtype=float))
 
-    def value(self, h):
-        return float(np.max(self.Z @ h))
-
     def value_batch(self, H):
         return _chunked_max(H, self.Z)
-
-    def subgrad(self, h):
-        return self.Z[int(np.argmax(self.Z @ h))].copy()
 
     def subgrad_batch(self, H):
         return self.Z[np.argmax(np.atleast_2d(H) @ self.Z.T, axis=1)]
@@ -423,58 +450,34 @@ class LinearMaxFn:
         return self.Z
 
 
-class NormMapFn:
+class NormMapFn(_Probe):
     """f(h) = ||A h||_2."""
 
     def __init__(self, A):
         self.A = np.atleast_2d(np.asarray(A, dtype=float))
 
-    def value(self, h):
-        return float(np.linalg.norm(self.A @ h))
-
     def value_batch(self, H):
-        return np.linalg.norm(H @ self.A.T, axis=1)
-
-    def subgrad(self, h):
-        r = self.A @ h
-        nr = np.linalg.norm(r)
-        if nr < 1e-15:
-            return np.zeros(self.A.shape[1])
-        return self.A.T @ (r / nr)
+        R = np.atleast_2d(H) @ self.A.T
+        return np.sqrt(np.vecdot(R, R))
 
     def subgrad_batch(self, H):
         R = np.atleast_2d(H) @ self.A.T
         nr = np.maximum(np.linalg.norm(R, axis=1, keepdims=True), 1e-15)
         return (R / nr) @ self.A
 
-    def pieces(self):
-        return None
 
+class CallableFn(_Probe):
+    """Adapter wrapping batch closures into the sphere-probe protocol."""
 
-class CallableFn:
-    """Adapter wrapping closures into the sphere-probe protocol."""
-
-    def __init__(self, value, value_batch=None, subgrad=None, pieces=None):
-        self._value = value
-        self._batch = value_batch
-        self._subgrad = subgrad
-        self._pieces = pieces
-
-    def value(self, h):
-        return float(self._value(h))
+    def __init__(self, value_batch, subgrad_batch):
+        self._value_batch = value_batch
+        self._subgrad_batch = subgrad_batch
 
     def value_batch(self, H):
-        if self._batch is not None:
-            return np.asarray(self._batch(H), dtype=float)
-        return np.array([self._value(row) for row in H])
+        return np.asarray(self._value_batch(H), dtype=float)
 
-    def subgrad(self, h):
-        if self._subgrad is None:
-            raise ValueError("probe function has no subgradient access")
-        return np.asarray(self._subgrad(h), dtype=float)
-
-    def pieces(self):
-        return self._pieces
+    def subgrad_batch(self, H):
+        return np.asarray(self._subgrad_batch(H), dtype=float)
 
 
 def _chunked_max(H, Z):
@@ -806,29 +809,6 @@ def _cone_fallback(f, K, cone, engine, evals):
                            note="no feasible direction resolved")
 
 
-def _probe_subgrads(f, H):
-    sg_batch = getattr(f, "subgrad_batch", None)
-    if sg_batch is not None:
-        return np.asarray(sg_batch(H), dtype=float)
-    return np.array([f.subgrad(h) for h in H])
-
-
-def _penalty_subgrads(cone, H, bad):
-    """Penalty subgradients for the infeasible rows of H (zeros elsewhere)."""
-    G = np.zeros_like(H)
-    if not np.any(bad):
-        return G
-    if cone.G_h is not None and cone.G_u.shape[1] == 0:
-        rows = cone.G_h
-        V = H[bad] @ rows.T
-        G[bad] = rows[np.argmax(V, axis=1)]
-    elif cone.violation_subgrad is not None:
-        idx = np.where(bad)[0]
-        for i in idx:
-            G[i] = cone.violation_subgrad(H[i])
-    return G
-
-
 def _multistart(f, K, cone, restarts, seed):
     """Projected-subgradient descent run as one batched ensemble.
 
@@ -848,11 +828,10 @@ def _multistart(f, K, cone, restarts, seed):
     T /= np.linalg.norm(T, axis=1, keepdims=True)
     for it in range(1, 301):
         H = T @ K.T
-        G = _probe_subgrads(f, H)
+        G = f.subgrad_batch(H)
         evals += H.shape[0]
-        if cone is not None:
-            bad = cone.violation_batch(H) > 0.0
-            G = G + rho * _penalty_subgrads(cone, H, bad)
+        if cone is not None and cone.violation_subgrad_batch is not None:
+            G = G + rho * cone.violation_subgrad_batch(H)
         Gt = G @ K
         Gt -= (Gt * T).sum(axis=1, keepdims=True) * T  # tangential component
         gn = np.linalg.norm(Gt, axis=1, keepdims=True)

@@ -6,6 +6,11 @@ restriction).  Each gauge class, with its face class, is the one place that
 holds what is specific to its kind; the certification, solver, recovery and
 CLI layers call the hooks below instead of switching on ``kind``.
 
+Every pointwise oracle is written once, on a stack of directions; the
+single-direction ``value`` and ``dir_deriv`` here are row 0 of the batch
+calls, and ``critical_cone`` and ``dir_probe`` are built here from the batch
+oracles for every finite-valued kind.
+
 A new kind subclasses ``Gauge`` (and ``SubdiffFace``), registers itself in
 ``gauges.KINDS``, and implements:
 
@@ -13,9 +18,14 @@ A new kind subclasses ``Gauge`` (and ``SubdiffFace``), registers itself in
   (``size_field``, plus the one parameter named by ``param_field``),
   ``spec_n`` translating an ambient dimension into that ``n``, and
   ``draw_x0`` for seeded recovery trials;
-* evaluation -- ``value``, ``prox``, ``polar``, ``lipschitz``;
-* first-order geometry -- ``dir_deriv``, ``face``, ``critical_cone``, and for
-  conic kinds ``domain_tangent_cone`` / ``domain_residual``;
+* evaluation -- ``value_batch``, ``prox``, ``polar``, ``lipschitz``;
+* first-order geometry -- ``dir_deriv_batch`` and ``dir_subgrad_batch``
+  (J'(x0; .) and one of its subgradients at each row of a stack of
+  directions), ``face``, and ``descent_pieces`` / ``descent_lift`` where
+  the kind is polyhedral;
+* conic kinds also give ``domain_tangent_cone``, ``domain_residual``,
+  ``finite_dir_deriv_batch`` (J' without the domain's +inf) and their own
+  ``critical_cone``;
 * the face's ``margin``, ``contains``, ``sample`` and ``certificate`` (the
   search for y with A^T y in the relative interior of the face);
 * solvers -- polyhedral kinds give ``primal_lp`` (min J(x) s.t. Ax = b0 as
@@ -159,11 +169,12 @@ class Gauge:
     # -- evaluation ---------------------------------------------------------
 
     def value(self, x):
-        raise NotImplementedError
+        """J(x): row 0 of ``value_batch``."""
+        return float(self.value_batch(self.flat(x)[None, :])[0])
 
     def value_batch(self, X):
-        X = np.asarray(X, dtype=float)
-        return np.array([self.value(row) for row in X])
+        """J at each row of X."""
+        raise NotImplementedError
 
     def prox(self, x, tau):
         """argmin_z 0.5 ||z - x||^2 + tau * J(z)."""
@@ -175,16 +186,27 @@ class Gauge:
     # -- first-order geometry ----------------------------------------------
 
     def dir_deriv(self, x0, h):
-        """One-sided directional derivative J'(x0; h).
+        """J'(x0; h): row 0 of ``dir_deriv_batch``."""
+        return float(self.dir_deriv_batch(x0, self.flat(h)[None, :])[0])
 
-        Conic kinds return +inf when h leaves the tangent cone of the domain
-        at x0.
+    def dir_deriv_batch(self, x0, H):
+        """One-sided directional derivative J'(x0; h) at each row h of H.
+
+        Conic kinds return +inf where h leaves the tangent cone of the
+        domain at x0.
         """
         raise NotImplementedError
 
-    def dir_deriv_batch(self, x0, H):
-        H = np.asarray(H, dtype=float)
-        return np.array([self.dir_deriv(x0, row) for row in H])
+    def finite_dir_deriv_batch(self, x0, H):
+        """The finite part of J'(x0; .) at each row of H: J' itself for the
+        finite-valued kinds; conic kinds leave out the domain's +inf, which
+        ``domain_tangent_cone`` carries instead."""
+        return self.dir_deriv_batch(x0, H)
+
+    def dir_subgrad_batch(self, x0, H):
+        """One subgradient of the finite part of h -> J'(x0; h) at each row
+        of H (one row each)."""
+        raise NotImplementedError
 
     def face(self, x0):
         """Subdifferential face model at x0 (J(x0) must be finite)."""
@@ -199,14 +221,37 @@ class Gauge:
         """
         return None
 
-    def critical_cone(self, x0):
-        """ConeSpec for {h : J'(x0; h) <= 0}."""
-        raise NotImplementedError
+    def descent_lift(self, x0):
+        """``(G_h, G_u)`` with {h : J'(x0; h) <= 0} = {h : exists u,
+        G_h h + G_u u <= 0}, or None for the non-polyhedral kinds."""
+        return None
 
-    def _descent_violation(self, x0):
-        """``violation`` and ``violation_batch`` of {h : J'(x0; h) <= 0}."""
-        return (lambda h: max(0.0, self.dir_deriv(x0, h)),
-                lambda H: np.maximum(self.dir_deriv_batch(x0, H), 0.0))
+    def critical_cone(self, x0):
+        """ConeSpec for {h : J'(x0; h) <= 0}.
+
+        Its violation is max(0, J'(x0; h)), its subgradient that of J' where
+        J' > 0 (zero elsewhere), its anchor -x0, and it carries the kind's
+        ``descent_lift`` when there is one.
+        """
+        from ..cones import ConeSpec
+        x0 = np.array(self.flat(x0))
+
+        def violation_batch(H):
+            return np.maximum(self.dir_deriv_batch(x0, H), 0.0)
+
+        def violation_subgrad_batch(H):
+            up = self.dir_deriv_batch(x0, H) > 0.0
+            return np.where(up[:, None], self.dir_subgrad_batch(x0, H), 0.0)
+
+        anchor = -x0 if self.value(x0) > 0 else None
+        lift = self.descent_lift(x0)
+        if lift is None:
+            return ConeSpec.from_violation(
+                self.n, violation_batch, violation_subgrad_batch, anchor=anchor,
+                note=f"{self.kind} descent cone (non-polyhedral)")
+        return ConeSpec.from_lift(
+            *lift, violation_batch, violation_subgrad_batch, anchor=anchor,
+            note=f"lifted {self.kind} descent cone")
 
     def domain_tangent_cone(self, x0):
         """ConeSpec of the domain's tangent cone at x0, or None.
@@ -226,27 +271,20 @@ class Gauge:
         return 0.0
 
     def dir_probe(self, x0):
-        """Sphere-probe view of h -> J'(x0; h).
-
-        For conic kinds this is only the finite part, to be paired with
-        ``domain_tangent_cone``.  Exposes linear pieces when available so the
-        exact engine can run.
-        """
+        """Sphere-probe view of the finite part of h -> J'(x0; h) (pair it
+        with ``domain_tangent_cone`` for the conic kinds): its linear pieces
+        when the kind lists them under the cap, so the exact engine can run,
+        else the batch oracles."""
         from ..cones import CallableFn, LinearMaxFn
+        x0 = np.array(self.flat(x0))
         try:
             pieces = self.descent_pieces(x0)
         except VertexCapExceeded:
             pieces = None
         if pieces is not None:
             return LinearMaxFn(pieces)
-        copy = np.array(self.flat(x0))
-
-        def subgrad(h):
-            raise NotImplementedError(f"{self.kind} has no generic subgradient")
-
-        return CallableFn(lambda h: self.dir_deriv(copy, h),
-                          lambda H: self.dir_deriv_batch(copy, H),
-                          subgrad)
+        return CallableFn(lambda H: self.finite_dir_deriv_batch(x0, H),
+                          lambda H: self.dir_subgrad_batch(x0, H))
 
     def lipschitz(self):
         """A global Lipschitz constant of J on its domain, w.r.t. the

@@ -10,8 +10,7 @@ import numpy as np
 import scipy.linalg
 
 from .. import config
-from ..cones import (CallableFn, ConeSpec, affine_solve, matrix_rank,
-                     subgradient_min)
+from ..cones import ConeSpec, affine_solve, matrix_rank, subgradient_min
 from .base import Gauge, SubdiffFace, construct, spec_array, spec_int
 
 __all__ = ["NuclearGauge", "SdpTraceGauge", "sym_basis"]
@@ -186,12 +185,8 @@ class NuclearGauge(Gauge):
         r = int(np.sum(s > config.RANK_TOL * max(1.0, smax)))
         return U[:, :r], Vt[:r].T, U[:, r:], Vt[r:].T
 
-    def value(self, x):
-        return float(np.linalg.svd(self._mat(x), compute_uv=False).sum())
-
     def value_batch(self, X):
-        X = np.atleast_2d(X)
-        M = X.reshape(X.shape[0], *self.shape)
+        M = np.asarray(X).reshape(-1, *self.shape)
         return np.linalg.svd(M, compute_uv=False).sum(axis=1)
 
     def prox(self, x, tau):
@@ -201,14 +196,6 @@ class NuclearGauge(Gauge):
     def polar(self, z):
         s = np.linalg.svd(self._mat(z), compute_uv=False)
         return float(s[0]) if s.size else 0.0
-
-    def dir_deriv(self, x0, h):
-        U1, V1, U2, V2 = self._blocks(x0)
-        H = self._mat(h)
-        lin = float(np.trace(U1.T @ H @ V1))
-        tail = float(np.linalg.svd(U2.T @ H @ V2, compute_uv=False).sum()) \
-            if U2.shape[1] and V2.shape[1] else 0.0
-        return lin + tail
 
     def dir_deriv_batch(self, x0, H):
         U1, V1, U2, V2 = self._blocks(x0)
@@ -226,38 +213,17 @@ class NuclearGauge(Gauge):
     def face(self, x0):
         return NuclearFace(*self._blocks(x0))
 
-    def _dir_subgrad(self, blocks, h):
-        """A subgradient of h -> J'(x0; h) at h, from x0's SVD blocks."""
-        U1, V1, U2, V2 = blocks
-        B = (U1 @ V1.T).ravel()
+    def dir_subgrad_batch(self, x0, H):
+        U1, V1, U2, V2 = self._blocks(x0)
+        H = np.atleast_2d(np.asarray(H, dtype=float))
+        G = np.tile((U1 @ V1.T).ravel(), (H.shape[0], 1))
         if U2.shape[1] and V2.shape[1]:
-            Uw, _, Vwt = np.linalg.svd(U2.T @ self._mat(h) @ V2)
+            M = H.reshape(H.shape[0], *self.shape)
+            Uw, _, Vwt = np.linalg.svd(U2.T @ M @ V2)
             # full polar factor: steepest pieces of the nuclear tail
-            k = min(Uw.shape[1], Vwt.shape[0])
-            return B + (U2 @ (Uw[:, :k] @ Vwt[:k]) @ V2.T).ravel()
-        return B
-
-    def critical_cone(self, x0):
-        x0 = self.flat(x0)
-        blocks = self._blocks(x0)
-        violation, violation_batch = self._descent_violation(x0)
-
-        def violation_subgrad(h):
-            if self.dir_deriv(x0, h) <= 0.0:
-                return np.zeros(self.n)
-            return self._dir_subgrad(blocks, h)
-
-        anchor = -x0 if self.value(x0) > 0 else None
-        return ConeSpec.from_violation(self.n, violation, violation_batch,
-                                       violation_subgrad, anchor=anchor,
-                                       note="nuclear descent cone (non-polyhedral)")
-
-    def dir_probe(self, x0):
-        x0 = np.array(self.flat(x0))
-        blocks = self._blocks(x0)
-        return CallableFn(lambda h: self.dir_deriv(x0, h),
-                          lambda H: self.dir_deriv_batch(x0, H),
-                          lambda h: self._dir_subgrad(blocks, h))
+            k = min(Uw.shape[2], Vwt.shape[1])
+            G += (U2 @ (Uw[:, :, :k] @ Vwt[:, :k]) @ V2.T).reshape(-1, self.n)
+        return G
 
     def lipschitz(self):
         return math.sqrt(min(self.shape))
@@ -440,27 +406,16 @@ class SdpTraceGauge(Gauge):
     def _asym(self, X):
         return float(np.max(np.abs(X - X.T)))
 
-    def value(self, x):
-        X = self.flat(x).reshape(self.nmat, self.nmat)
-        if self._asym(X) > 1e-9 * max(1.0, float(np.max(np.abs(X)))):
-            return math.inf  # the domain holds symmetric PSD matrices only
-        X = 0.5 * (X + X.T)
-        w = np.linalg.eigvalsh(X)
-        if w[0] < -1e-9 * max(1.0, abs(w[-1])):
-            return math.inf
-        return float(np.tensordot(self.C, X))
-
     def domain_residual(self, x):
         X = self.flat(x).reshape(self.nmat, self.nmat)
         w = np.linalg.eigvalsh(0.5 * (X + X.T))
         return float(max(0.0, -w[0], self._asym(X)))
 
     def value_batch(self, X):
-        X = np.atleast_2d(X)
-        n = self.nmat
-        M = X.reshape(X.shape[0], n, n)
-        asym = np.abs(M - np.transpose(M, (0, 2, 1))).max(axis=(1, 2))
-        M = 0.5 * (M + np.transpose(M, (0, 2, 1)))
+        M = np.asarray(X).reshape(-1, self.nmat, self.nmat)
+        Mt = np.transpose(M, (0, 2, 1))
+        asym = np.abs(M - Mt).max(axis=(1, 2))
+        M = 0.5 * (M + Mt)
         w = np.linalg.eigvalsh(M)
         vals = np.tensordot(M, self.C, axes=([1, 2], [0, 1]))
         scale = np.maximum(1.0, np.abs(w[:, -1]))
@@ -507,28 +462,30 @@ class SdpTraceGauge(Gauge):
                 lo = mid
         return float(hi)
 
-    def dir_deriv(self, x0, h):
-        E = self._kernel(x0)
-        H = self._mat(h)
-        if E.shape[1]:
-            w = np.linalg.eigvalsh(E.T @ H @ E)
-            if w[0] < -1e-9 * max(1.0, float(np.max(np.abs(w)))):
-                return math.inf
-        return float(np.tensordot(self.C, H))
+    def _sym_stack(self, H):
+        """The rows of H as symmetrized nmat x nmat matrices."""
+        H = np.atleast_2d(np.asarray(H, dtype=float))
+        M = H.reshape(H.shape[0], self.nmat, self.nmat)
+        return 0.5 * (M + np.transpose(M, (0, 2, 1)))
+
+    def _kernel_blocks(self, E, H):
+        """E^T H E for each row of H, read as a symmetric matrix."""
+        return E.T @ self._sym_stack(H) @ E
 
     def dir_deriv_batch(self, x0, H):
         E = self._kernel(x0)
-        H = np.atleast_2d(np.asarray(H, dtype=float))
-        n = self.nmat
-        M = H.reshape(H.shape[0], n, n)
-        M = 0.5 * (M + np.transpose(M, (0, 2, 1)))
-        vals = np.tensordot(M, self.C, axes=([1, 2], [0, 1]))
+        vals = self.finite_dir_deriv_batch(x0, H)
         if E.shape[1]:
-            B = np.einsum("ri,kij,jc->krc", E.T, M, E)
-            w = np.linalg.eigvalsh(B)
+            w = np.linalg.eigvalsh(self._kernel_blocks(E, H))
             scale = np.maximum(1.0, np.max(np.abs(w), axis=1))
             vals = np.where(w[:, 0] < -1e-9 * scale, math.inf, vals)
         return vals
+
+    def finite_dir_deriv_batch(self, x0, H):
+        return np.tensordot(self._sym_stack(H), self.C, axes=([1, 2], [0, 1]))
+
+    def dir_subgrad_batch(self, x0, H):
+        return np.tile(self.C.ravel(), (np.atleast_2d(H).shape[0], 1))
 
     def face(self, x0):
         w, V = np.linalg.eigh(self._mat(x0))
@@ -537,80 +494,48 @@ class SdpTraceGauge(Gauge):
 
     def domain_tangent_cone(self, x0):
         E = self._kernel(x0)
-        n2 = self.n
-        nm = self.nmat
-
-        def violation(h):
-            if not E.shape[1]:
-                return 0.0
-            H = self._mat(h)
-            w = np.linalg.eigvalsh(E.T @ H @ E)
-            return float(max(0.0, -w[0]))
 
         def violation_batch(H):
-            H = np.atleast_2d(np.asarray(H, dtype=float))
             if not E.shape[1]:
-                return np.zeros(H.shape[0])
-            M = H.reshape(H.shape[0], nm, nm)
-            M = 0.5 * (M + np.transpose(M, (0, 2, 1)))
-            B = np.einsum("ri,kij,jc->krc", E.T, M, E)
-            w = np.linalg.eigvalsh(B)
+                return np.zeros(np.atleast_2d(H).shape[0])
+            w = np.linalg.eigvalsh(self._kernel_blocks(E, H))
             return np.maximum(-w[:, 0], 0.0)
 
-        def violation_subgrad(h):
-            if not E.shape[1]:
-                return np.zeros(n2)
-            H = self._mat(h)
-            w, V = np.linalg.eigh(E.T @ H @ E)
-            if w[0] >= 0.0:
-                return np.zeros(n2)
-            v = E @ V[:, 0]
-            return -np.outer(v, v).ravel()
+        def violation_subgrad_batch(H):
+            G = np.zeros((np.atleast_2d(H).shape[0], self.n))
+            if E.shape[1]:
+                w, V = np.linalg.eigh(self._kernel_blocks(E, H))
+                out = w[:, 0] < 0.0
+                v = V[out, :, 0] @ E.T
+                G[out] = -(v[:, :, None] * v[:, None, :]).reshape(-1, self.n)
+            return G
 
-        anchor = np.eye(nm).ravel()
-        return ConeSpec.from_violation(n2, violation, violation_batch,
-                                       violation_subgrad, anchor=anchor,
+        return ConeSpec.from_violation(self.n, violation_batch,
+                                       violation_subgrad_batch,
+                                       anchor=np.eye(self.nmat).ravel(),
                                        note="PSD tangent cone at x0")
-
-    def dir_probe(self, x0):
-        Cflat = self.C.ravel()
-        nm = self.nmat
-
-        def sym_dot(H):
-            H = np.atleast_2d(np.asarray(H, dtype=float))
-            M = H.reshape(H.shape[0], nm, nm)
-            return np.tensordot(M, self.C, axes=([1, 2], [0, 1]))
-
-        return CallableFn(lambda h: float(Cflat @ np.asarray(h, dtype=float)),
-                          sym_dot, lambda h: Cflat.copy())
 
     def critical_cone(self, x0):
         x0 = self.flat(x0)
         tangent = self.domain_tangent_cone(x0)
         Cflat = self.C.ravel()
-        n2 = self.n
-
-        def violation(h):
-            lin = max(0.0, float(Cflat @ np.asarray(h, dtype=float)))
-            return max(lin, tangent.violation(h))
 
         def violation_batch(H):
             H = np.atleast_2d(np.asarray(H, dtype=float))
             lin = np.maximum(H @ Cflat, 0.0)
             return np.maximum(lin, tangent.violation_batch(H))
 
-        def violation_subgrad(h):
-            lin = float(Cflat @ np.asarray(h, dtype=float))
-            tv = tangent.violation(h)
-            if max(lin, tv) <= 0.0:
-                return np.zeros(n2)
-            if lin >= tv:
-                return Cflat.copy()
-            return tangent.violation_subgrad(h)
+        def violation_subgrad_batch(H):
+            H = np.atleast_2d(np.asarray(H, dtype=float))
+            lin = H @ Cflat
+            tv = tangent.violation_batch(H)
+            G = np.where((lin >= tv)[:, None], Cflat,
+                         tangent.violation_subgrad_batch(H))
+            return np.where((np.maximum(lin, tv) > 0.0)[:, None], G, 0.0)
 
         anchor = -x0 if self.value(x0) > 0 else None
-        return ConeSpec.from_violation(n2, violation, violation_batch,
-                                       violation_subgrad, anchor=anchor,
+        return ConeSpec.from_violation(self.n, violation_batch,
+                                       violation_subgrad_batch, anchor=anchor,
                                        note="PSD-restricted descent cone")
 
     def lipschitz(self):

@@ -131,11 +131,8 @@ class L1Gauge(Gauge):
     kind = "l1"
     is_polyhedral = True
 
-    def value(self, x):
-        return float(np.abs(self.flat(x)).sum())
-
     def value_batch(self, X):
-        return np.abs(np.atleast_2d(X)).sum(axis=1)
+        return np.abs(X).sum(axis=-1)
 
     def prox(self, x, tau):
         x = self.flat(x)
@@ -144,17 +141,17 @@ class L1Gauge(Gauge):
     def polar(self, z):
         return float(np.max(np.abs(self.flat(z)), initial=0.0))
 
-    def dir_deriv(self, x0, h):
-        x0 = self.flat(x0)
-        h = self.flat(h)
-        on = _support(x0)
-        return float(np.sign(x0[on]) @ h[on] + np.abs(h[~on]).sum())
-
     def dir_deriv_batch(self, x0, H):
         x0 = self.flat(x0)
         H = np.atleast_2d(np.asarray(H, dtype=float))
         on = _support(x0)
         return H[:, on] @ np.sign(x0[on]) + np.abs(H[:, ~on]).sum(axis=1)
+
+    def dir_subgrad_batch(self, x0, H):
+        x0 = self.flat(x0)
+        H = np.atleast_2d(np.asarray(H, dtype=float))
+        on = _support(x0)
+        return np.where(on, np.sign(x0), np.where(H >= 0.0, 1.0, -1.0))
 
     def face(self, x0):
         return L1Face(self.flat(x0))
@@ -171,36 +168,20 @@ class L1Gauge(Gauge):
         Z[:, face.off] = combos
         return Z
 
-    def critical_cone(self, x0):
-        x0 = self.flat(x0)
+    def descent_lift(self, x0):
+        # J'(x0; h) <= 0 as <sign, h_I> + sum u <= 0 with |h_off| <= u
         face = self.face(x0)
-        n = self.n
-        off = face.off
-        k = off.size
-        G_h = np.zeros((1 + 2 * k, n))
+        k = face.off.size
+        G_h = np.zeros((1 + 2 * k, self.n))
         G_u = np.zeros((1 + 2 * k, k))
         G_h[0, face.support] = face.signs
         G_u[0, :] = 1.0
-        for j, i in enumerate(off):
+        for j, i in enumerate(face.off):
             G_h[1 + 2 * j, i] = 1.0
             G_u[1 + 2 * j, j] = -1.0
             G_h[2 + 2 * j, i] = -1.0
             G_u[2 + 2 * j, j] = -1.0
-
-        violation, violation_batch = self._descent_violation(x0)
-
-        def violation_subgrad(h):
-            if self.dir_deriv(x0, h) <= 0.0:
-                return np.zeros(n)
-            g = np.zeros(n)
-            g[face.support] = face.signs
-            g[off] = np.where(h[off] >= 0.0, 1.0, -1.0)
-            return g
-
-        anchor = -x0 if self.value(x0) > 0 else None
-        return ConeSpec.from_lift(G_h, G_u, violation, violation_batch,
-                                  violation_subgrad, anchor=anchor,
-                                  note="epigraph lift of the l1 descent cone")
+        return G_h, G_u
 
     def lipschitz(self):
         return math.sqrt(self.n)
@@ -340,11 +321,8 @@ class AnalysisL1Gauge(Gauge):
             raise ValueError(f"D: expected {n} rows to match n, got {D.shape[0]}")
         return construct(cls, "D", D)
 
-    def value(self, x):
-        return float(np.abs(self.D.T @ self.flat(x)).sum())
-
     def value_batch(self, X):
-        return np.abs(np.atleast_2d(X) @ self.D).sum(axis=1)
+        return np.abs(np.asarray(X) @ self.D).sum(axis=-1)
 
     def prox(self, x, tau):
         """Evaluated through the dual: u* solves the box-constrained least
@@ -395,17 +373,18 @@ class AnalysisL1Gauge(Gauge):
             return math.inf
         return max(0.0, float(res.value))
 
-    def dir_deriv(self, x0, h):
-        g0 = self.D.T @ self.flat(x0)
-        gh = self.D.T @ self.flat(h)
-        on = _support(g0)
-        return float(np.sign(g0[on]) @ gh[on] + np.abs(gh[~on]).sum())
-
     def dir_deriv_batch(self, x0, H):
         g0 = self.D.T @ self.flat(x0)
         G = np.atleast_2d(H) @ self.D
         on = _support(g0)
         return G[:, on] @ np.sign(g0[on]) + np.abs(G[:, ~on]).sum(axis=1)
+
+    def dir_subgrad_batch(self, x0, H):
+        g0 = self.D.T @ self.flat(x0)
+        G = np.atleast_2d(H) @ self.D
+        on = _support(g0)
+        U = np.where(on, np.sign(g0), np.where(G >= 0.0, 1.0, -1.0))
+        return U @ self.D.T
 
     def face(self, x0):
         return AnalysisL1Face(self.D, self.flat(x0))
@@ -422,38 +401,21 @@ class AnalysisL1Gauge(Gauge):
             Z = face.base[None, :] + combos @ self.D[:, face.inactive].T
         return np.unique(np.round(Z, 12), axis=0)
 
-    def critical_cone(self, x0):
-        x0 = self.flat(x0)
+    def descent_lift(self, x0):
+        # as for l1, on the dictionary coefficients D^T h
         face = self.face(x0)
-        D = self.D
-        act, inact = face.active, face.inactive
-        k = inact.size
+        D, k = self.D, face.inactive.size
         G_h = np.zeros((1 + 2 * k, self.n))
         G_u = np.zeros((1 + 2 * k, k))
-        if act.size:
-            G_h[0] = D[:, act] @ face.signs
+        if face.active.size:
+            G_h[0] = D[:, face.active] @ face.signs
         G_u[0, :] = 1.0
-        for j, i in enumerate(inact):
+        for j, i in enumerate(face.inactive):
             G_h[1 + 2 * j] = D[:, i]
             G_u[1 + 2 * j, j] = -1.0
             G_h[2 + 2 * j] = -D[:, i]
             G_u[2 + 2 * j, j] = -1.0
-
-        violation, violation_batch = self._descent_violation(x0)
-
-        def violation_subgrad(h):
-            if self.dir_deriv(x0, h) <= 0.0:
-                return np.zeros(self.n)
-            gh = D.T @ h
-            u = np.zeros(D.shape[1])
-            u[act] = face.signs
-            u[inact] = np.where(gh[inact] >= 0.0, 1.0, -1.0)
-            return D @ u
-
-        anchor = -x0 if self.value(x0) > 0 else None
-        return ConeSpec.from_lift(G_h, G_u, violation, violation_batch,
-                                  violation_subgrad, anchor=anchor,
-                                  note="epigraph lift of the analysis descent cone")
+        return G_h, G_u
 
     def lipschitz(self):
         return math.sqrt(self.D.shape[1]) * float(np.linalg.norm(self.D, 2))
@@ -613,13 +575,8 @@ class SortedWeightedL1Gauge(Gauge):
         w = spec_array(spec, "w", 1, size=spec_int(spec, "n"))
         return construct(cls, "w", w)
 
-    def value(self, x):
-        ax = np.sort(np.abs(self.flat(x)))[::-1]
-        return float(ax @ self.w)
-
     def value_batch(self, X):
-        AX = np.sort(np.abs(np.atleast_2d(X)), axis=1)[:, ::-1]
-        return AX @ self.w
+        return np.sort(np.abs(X), axis=-1)[..., ::-1] @ self.w
 
     def prox(self, x, tau):
         """Stack-based pool-adjacent-violators routine on the sorted
@@ -665,21 +622,6 @@ class SortedWeightedL1Gauge(Gauge):
         ratios = cum[valid] / self._cumw[valid]
         return float(max(np.max(ratios), 0.0))
 
-    def dir_deriv(self, x0, h):
-        x0 = self.flat(x0)
-        h = self.flat(h)
-        total = 0.0
-        pos = 0
-        for grp in _tie_groups(x0):
-            wblock = self.w[pos:pos + grp.size]
-            if np.abs(x0[grp[0]]) > _SUPP_TOL:
-                d = np.sign(x0[grp]) * h[grp]
-            else:
-                d = np.abs(h[grp])
-            total += float(np.sort(d)[::-1] @ wblock)
-            pos += grp.size
-        return total
-
     def dir_deriv_batch(self, x0, H):
         x0 = self.flat(x0)
         H = np.atleast_2d(np.asarray(H, dtype=float))
@@ -694,6 +636,28 @@ class SortedWeightedL1Gauge(Gauge):
             total += np.sort(d, axis=1)[:, ::-1] @ wblock
             pos += grp.size
         return total
+
+    def dir_subgrad_batch(self, x0, H):
+        """The maximizing vertex of ∂J(x0) for each row: on each tie group
+        of |x0| the weights go to the coordinates in decreasing order of
+        sign(x0) h (of |h| on the zero group, signed by h)."""
+        x0 = self.flat(x0)
+        H = np.atleast_2d(np.asarray(H, dtype=float))
+        w = np.round(self.w, 14)  # the vertex coordinates of ``_vertices``
+        G = np.zeros_like(H)
+        rows = np.arange(H.shape[0])[:, None]
+        pos = 0
+        for grp in _tie_groups(x0):
+            if np.abs(x0[grp[0]]) > _SUPP_TOL:
+                sign = np.sign(x0[grp])
+            else:
+                sign = np.where(H[:, grp] >= 0.0, 1.0, -1.0)
+            order = np.argsort(-(H[:, grp] * sign), axis=1, kind="stable")
+            W = np.empty((H.shape[0], grp.size))
+            W[rows, order] = w[pos:pos + grp.size]
+            G[:, grp] = W * sign
+            pos += grp.size
+        return G
 
     def _vertices(self, x0):
         """The extreme subgradients consistent with x0 (deduplicated)."""
@@ -749,21 +713,9 @@ class SortedWeightedL1Gauge(Gauge):
     def descent_pieces(self, x0):
         return self._vertices(x0)
 
-    def critical_cone(self, x0):
-        x0 = self.flat(x0)
+    def descent_lift(self, x0):
         V = self._vertices(x0)
-        violation, violation_batch = self._descent_violation(x0)
-
-        def violation_subgrad(h):
-            if self.dir_deriv(x0, h) <= 0.0:
-                return np.zeros(self.n)
-            return V[int(np.argmax(V @ h))].copy()
-
-        anchor = -x0 if self.value(x0) > 0 else None
-        return ConeSpec.from_lift(V, np.zeros((V.shape[0], 0)), violation,
-                                  violation_batch, violation_subgrad,
-                                  anchor=anchor,
-                                  note="vertex rows of the sorted-l1 descent cone")
+        return V, np.zeros((V.shape[0], 0))
 
     def lipschitz(self):
         return float(np.linalg.norm(self.w))
@@ -914,6 +866,9 @@ class GroupL12Gauge(Gauge):
             self.groups.append(idx)
         if not np.all(seen):
             raise ValueError("groups must cover every coordinate")
+        # the coordinates in group order, and where each group starts there
+        self._order = np.concatenate(self.groups)
+        self._starts = np.cumsum([0] + [idx.size for idx in self.groups[:-1]])
 
     @classmethod
     def from_spec(cls, spec):
@@ -924,15 +879,14 @@ class GroupL12Gauge(Gauge):
             raise ValueError("partition: expected a list of index lists")
         return construct(cls, "partition", n, part)
 
-    def _norms(self, x):
-        return np.array([np.linalg.norm(x[idx]) for idx in self.groups])
-
-    def value(self, x):
-        return float(self._norms(self.flat(x)).sum())
+    def _block_norms(self, X):
+        """The Euclidean norm of each group along the last axis of X."""
+        X = np.asarray(X)
+        return np.sqrt(np.add.reduceat(X[..., self._order] ** 2, self._starts,
+                                       axis=-1))
 
     def value_batch(self, X):
-        X = np.atleast_2d(X)
-        return sum(np.linalg.norm(X[:, idx], axis=1) for idx in self.groups)
+        return self._block_norms(X).sum(axis=-1)
 
     def prox(self, x, tau):
         x = self.flat(x).copy()
@@ -942,19 +896,7 @@ class GroupL12Gauge(Gauge):
         return x
 
     def polar(self, z):
-        return float(np.max(self._norms(self.flat(z)), initial=0.0))
-
-    def dir_deriv(self, x0, h):
-        x0 = self.flat(x0)
-        h = self.flat(h)
-        total = 0.0
-        for idx in self.groups:
-            nb = np.linalg.norm(x0[idx])
-            if nb > _SUPP_TOL * max(1.0, np.max(np.abs(x0), initial=0.0)):
-                total += float(x0[idx] @ h[idx]) / nb
-            else:
-                total += float(np.linalg.norm(h[idx]))
-        return total
+        return float(np.max(self._block_norms(self.flat(z)), initial=0.0))
 
     def dir_deriv_batch(self, x0, H):
         x0 = self.flat(x0)
@@ -972,40 +914,20 @@ class GroupL12Gauge(Gauge):
     def face(self, x0):
         return GroupFace(self.groups, self.flat(x0))
 
-    def _dir_subgrad(self, x0, h):
-        """A subgradient of h -> J'(x0; h) at h."""
-        g = np.zeros(self.n)
+    def dir_subgrad_batch(self, x0, H):
+        x0 = self.flat(x0)
+        H = np.atleast_2d(np.asarray(H, dtype=float))
+        G = np.zeros_like(H)
         scale = max(1.0, np.max(np.abs(x0), initial=0.0))
         for idx in self.groups:
             nb = np.linalg.norm(x0[idx])
             if nb > _SUPP_TOL * scale:
-                g[idx] = x0[idx] / nb
+                G[:, idx] = x0[idx] / nb
             else:
-                nh = np.linalg.norm(h[idx])
-                if nh > 1e-15:
-                    g[idx] = h[idx] / nh
-        return g
-
-    def critical_cone(self, x0):
-        x0 = self.flat(x0)
-        violation, violation_batch = self._descent_violation(x0)
-
-        def violation_subgrad(h):
-            if self.dir_deriv(x0, h) <= 0.0:
-                return np.zeros(self.n)
-            return self._dir_subgrad(x0, h)
-
-        anchor = -x0 if self.value(x0) > 0 else None
-        return ConeSpec.from_violation(self.n, violation, violation_batch,
-                                       violation_subgrad, anchor=anchor,
-                                       note="group descent cone (non-polyhedral)")
-
-    def dir_probe(self, x0):
-        from ..cones import CallableFn
-        x0 = self.flat(x0)
-        return CallableFn(lambda h: self.dir_deriv(x0, h),
-                          lambda H: self.dir_deriv_batch(x0, H),
-                          lambda h: self._dir_subgrad(x0, h))
+                nh = np.linalg.norm(H[:, idx], axis=1, keepdims=True)
+                G[:, idx] = np.divide(H[:, idx], nh, where=nh > 1e-15,
+                                      out=np.zeros((H.shape[0], idx.size)))
+        return G
 
     def lipschitz(self):
         return math.sqrt(len(self.groups))
@@ -1061,19 +983,13 @@ class NonnegL1Gauge(Gauge):
     is_polyhedral = True
     is_conic = True
 
-    def value(self, x):
-        x = self.flat(x)
-        if np.min(x, initial=0.0) < -1e-12:
-            return math.inf
-        return float(np.maximum(x, 0.0).sum())
-
     def domain_residual(self, x):
         return float(max(0.0, -np.min(self.flat(x), initial=0.0)))
 
     def value_batch(self, X):
-        X = np.atleast_2d(X)
-        vals = np.maximum(X, 0.0).sum(axis=1)
-        return np.where(X.min(axis=1, initial=0.0) < -1e-12, math.inf, vals)
+        X = np.asarray(X)
+        vals = np.maximum(X, 0.0).sum(axis=-1)
+        return np.where(X.min(axis=-1, initial=0.0) < -1e-12, math.inf, vals)
 
     def prox(self, x, tau):
         return np.maximum(self.flat(x) - tau, 0.0)
@@ -1081,22 +997,18 @@ class NonnegL1Gauge(Gauge):
     def polar(self, z):
         return float(max(0.0, np.max(self.flat(z), initial=0.0)))
 
-    def dir_deriv(self, x0, h):
-        x0, h = self.flat(x0), self.flat(h)
-        if np.min(x0, initial=0.0) < -1e-12:
-            raise ValueError("x0 must be nonnegative")
-        off = ~_support(x0)
-        if np.min(h[off], initial=0.0) < -1e-12:
-            return math.inf
-        return float(h.sum())
-
     def dir_deriv_batch(self, x0, H):
         x0 = self.flat(x0)
         H = np.atleast_2d(np.asarray(H, dtype=float))
         off = ~_support(x0)
-        vals = H.sum(axis=1)
         bad = H[:, off].min(axis=1, initial=0.0) < -1e-12
-        return np.where(bad, math.inf, vals)
+        return np.where(bad, math.inf, self.finite_dir_deriv_batch(x0, H))
+
+    def finite_dir_deriv_batch(self, x0, H):
+        return np.atleast_2d(np.asarray(H, dtype=float)).sum(axis=1)
+
+    def dir_subgrad_batch(self, x0, H):
+        return np.ones_like(np.atleast_2d(np.asarray(H, dtype=float)))
 
     def face(self, x0):
         x0 = self.flat(x0)
@@ -1111,17 +1023,6 @@ class NonnegL1Gauge(Gauge):
         anchor = np.ones(self.n)
         return ConeSpec.from_rows(G, anchor=anchor,
                                   note="orthant tangent cone at x0")
-
-    def dir_probe(self, x0):
-        """Finite part of the directional derivative (pair with the domain
-        tangent cone)."""
-        from ..cones import CallableFn
-        n = self.n
-        ones = np.ones(n)
-        return CallableFn(lambda h: float(h.sum()),
-                          lambda H: np.atleast_2d(H).sum(axis=1),
-                          lambda h: ones.copy(),
-                          pieces=None)
 
     def critical_cone(self, x0):
         x0 = self.flat(x0)

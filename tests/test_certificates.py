@@ -304,6 +304,34 @@ def test_nonneg_unbounded_margin_certificate():
     assert rep0.is_sharp == YES
 
 
+def test_kernel_probe_above_the_vertex_cap():
+    # more off-support sign patterns than VERTEX_CAP: the probe gets no
+    # linear pieces and runs on the batch subgradients, and the cone LP
+    # decides the kernel row
+    x0 = np.zeros(16)
+    x0[:2] = [1.0, -0.7]
+    D = np.hstack([np.eye(8), 2.0 * np.eye(8), -np.eye(8)])
+    cases = [(L1Gauge(16),
+              np.random.default_rng(0).standard_normal((10, 16)), x0),
+             (AnalysisL1Gauge(D),
+              np.random.default_rng(1).standard_normal((4, 8)), np.eye(8)[0])]
+    for g, A, x in cases:
+        rep = check_sharp(g, A, x, with_alpha=False)
+        assert ("kernel", YES, True) in rep.conditions_checked, g.kind
+        assert rep.is_sharp == YES and not rep.kappa_certified
+
+
+def test_cone_without_rows():
+    # a full-support x0 gives nonneg_l1 a domain tangent cone with no rows
+    A = np.random.default_rng(0).standard_normal((1, 5))
+    for with_alpha in (False, True):
+        rep = check_sharp(NonnegL1Gauge(5), A, np.ones(5),
+                          with_alpha=with_alpha)
+        assert ("kernel", NO, True) in rep.conditions_checked
+        assert rep.is_sharp == NO
+        assert (rep.alpha is not None) == with_alpha
+
+
 # ------------------------------------------------------ randomized battery
 
 

@@ -122,12 +122,16 @@ def test_conespec_from_rows_violation():
     for _ in range(20):
         d = 1e-6 * rng.standard_normal(2)
         assert cone.violation(h + d) >= cone.violation(h) + g @ d - 1e-12
+    # a cone with no rows is the whole space
+    whole = ConeSpec.from_rows(np.zeros((0, 2)))
+    assert np.all(whole.violation_batch(H) == 0.0)
+    assert whole.violation(h) == 0.0
+    assert np.all(whole.violation_subgrad(h) == 0.0)
 
 
 def test_conespec_from_violation_is_not_polyhedral():
     cone = ConeSpec.from_violation(
-        2, lambda h: max(0.0, -h[0]),
-        lambda H: np.maximum(0.0, -H[:, 0]))
+        2, lambda H: np.maximum(0.0, -H[:, 0]))
     assert not cone.is_polyhedral
     with pytest.raises(ValueError):
         cone_trivial(cone, np.eye(2))

@@ -220,6 +220,39 @@ def test_dir_deriv_matches_finite_differences():
             assert np.allclose(got, want, atol=1e-10)
 
 
+def test_directional_subgradients_and_critical_cones():
+    # each row of dir_subgrad_batch is a subgradient of h -> J'(x0; h); the
+    # critical cone's violation is nonnegative (for the finite kinds zero
+    # exactly where J' <= 0) with subgradient rows of its own
+    rng = np.random.default_rng(12)
+    for gauge in make_zoo():
+        for trial in range(6):
+            x0 = sample_domain(gauge, rng, 1)[0]
+            if trial % 3 == 0:
+                x0 = np.zeros(gauge.n)
+            elif trial % 3 == 1 and not gauge.is_conic:
+                x0 = x0 * (rng.random(gauge.n) < 0.5)
+            # differences of domain points are tangent directions at x0;
+            # -x0 is a direction with J'(x0; -x0) = -J(x0) <= 0
+            H = np.vstack([sample_domain(gauge, rng, 8) - x0, -x0])
+            dd = gauge.dir_deriv_batch(x0, H)
+            cone = gauge.critical_cone(x0)
+            viol = cone.violation_batch(H)
+            assert np.all(viol >= 0.0), gauge.kind
+            if not gauge.is_conic:
+                assert np.array_equal(viol == 0.0, dd <= 0.0), gauge.kind
+            rows = zip(H, gauge.dir_subgrad_batch(x0, H),
+                       cone.violation_subgrad_batch(H))
+            for h, g, vg in rows:
+                tol = 1e-9 * (1.0 + np.linalg.norm(h))
+                for _ in range(4):
+                    d = 1e-6 * rng.standard_normal(gauge.n)
+                    assert gauge.dir_deriv(x0, h + d) >= \
+                        gauge.dir_deriv(x0, h) + g @ d - tol, gauge.kind
+                    assert cone.violation(h + d) >= \
+                        cone.violation(h) + vg @ d - tol, gauge.kind
+
+
 def test_lipschitz_is_an_upper_bound():
     rng = np.random.default_rng(6)
     for gauge in make_zoo():
@@ -306,3 +339,20 @@ def test_kind_switches_live_in_gauges():
                 if (path.name, src) not in ALLOWED_KIND_COMPARISONS:
                     found.append(f"{path.name}:{node.lineno}: {src}")
     assert not found, "kind comparisons outside gauges/:\n" + "\n".join(found)
+
+
+def _gauge_classes(cls=gaugecert.gauges.Gauge):
+    return [cls] + [c for sub in cls.__subclasses__()
+                    for c in _gauge_classes(sub)]
+
+
+def test_pointwise_oracles_are_written_once():
+    # value, dir_deriv and dir_probe are views of the batch oracles written
+    # in Gauge; only the conic kinds build their own critical cone
+    own_cone = {NonnegL1Gauge, SdpTraceGauge}
+    found = [f"{cls.__name__}.{name}"
+             for cls in _gauge_classes()[1:]
+             for name in ("value", "dir_deriv", "dir_probe", "critical_cone")
+             if name in vars(cls)
+             and (name != "critical_cone" or cls not in own_cone)]
+    assert not found, "copies of batch oracles: " + ", ".join(found)
