@@ -25,7 +25,8 @@ own condition ids and margin thresholds.  ``fuchs_check``
 routes: restricted-injectivity, interior-certificate, kernel-probe, and the
 reported-only tail-dominance-sufficient) need a margin >= strict_lt_one_tol
 (1e-6); ``wsl1_check`` (affine-hull, positive-combination) and
-``check_sharp`` (range-space, kernel) a margin > cert_tol (1e-8).
+``check_sharp`` (range-space, kernel) a margin > cert_tol (1e-8); the wsl1
+margin is the smallest slack of the face's majorization inequalities.
 ``nonneg_l1_check`` (descent-cone) runs the kernel route's cone LPs alone,
 ``sdp_trace_check`` (kernel-probe) a cone-free kernel probe.
 """
@@ -644,16 +645,15 @@ def analysis_check(A, D, x0):
 def wsl1_check(A, w, x0):
     """Sharpness of x0 for the sorted weighted l1 gauge in source form.
 
-    The subdifferential at x0 is the convex hull of a finite vertex set; the
-    check tests (a) Im A^T together with the affine hull of that vertex set
-    spans everything (rank test) and (b) some A^T y is a convex combination
-    of the vertices whose smallest weight exceeds ``cert_tol``
-    (max-min-weight LP).
+    The subdifferential at x0 is cut out by majorization inequalities; the
+    check tests (a) Im A^T together with its affine hull spans everything
+    (rank test) and (b) some A^T y meets the inequalities that are not
+    implicit equalities with a slack above ``cert_tol`` (max-slack LP).
     """
     return _source_form(SortedWeightedL1Gauge(w), A, np.asarray(x0, dtype=float).ravel(),
                         ("affine-hull", "positive-combination"),
                         _interior, "no A^T y in the subdifferential polytope",
-                        lambda cert: f"max-min vertex weight {cert['ri_margin']:.12g}")
+                        lambda cert: f"smallest majorization slack {cert['ri_margin']:.12g}")
 
 
 def nuclear_check(Phi, X0):

@@ -563,13 +563,22 @@ def _exact_pl(f, Z, K):
     if trivial:
         # 0 interior to E: minimum = closest facet distance
         Cu = np.unique(np.round(C, 12), axis=0)
+        joggled = False
         try:
             hull = ConvexHull(Cu)
-        except QhullError as exc:  # pragma: no cover - guarded by sign test
-            raise LpFailure(f"convex hull failure in exact-pl: {exc}")
+        except QhullError:
+            # near-degenerate pieces can fail qhull's topology checks; joggle
+            # them, then refit the chosen facet's plane through its pieces
+            try:
+                hull, joggled = ConvexHull(Cu, qhull_options="QJ"), True
+            except QhullError as exc:
+                raise LpFailure(f"convex hull failure in exact-pl: {exc}")
         offsets = hull.equations[:, -1]
         normals = hull.equations[:, :-1]
         i = int(np.argmin(-offsets))
+        if joggled:
+            normals[i] = np.linalg.lstsq(Cu[hull.simplices[i]], np.ones(k),
+                                         rcond=None)[0]
         t = normals[i] / np.linalg.norm(normals[i])
         return _finish(f, K @ t, -offsets[i], "exact-pl", True, evals)
     # nonpositive minimum: is 0 in conv(C)?

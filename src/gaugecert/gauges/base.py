@@ -26,8 +26,10 @@ A new kind subclasses ``Gauge`` (and ``SubdiffFace``), registers itself in
 * conic kinds also give ``domain_tangent_cone``, ``domain_residual``,
   ``finite_dir_deriv_batch`` (J' without the domain's +inf) and their own
   ``critical_cone``;
-* the face's ``margin``, ``contains``, ``sample`` and ``certificate`` (the
-  search for y with A^T y in the relative interior of the face);
+* the face's ``margin`` (for wsl1, the smallest slack of its majorization
+  inequalities), ``sample`` and ``certificate`` (the search for y with
+  A^T y in the relative interior of the face); ``contains`` is written
+  here, as ``margin >= -tol``;
 * solvers -- polyhedral kinds give ``primal_lp`` (min J(x) s.t. Ax = b0 as
   one LP, whose equality multipliers are also the dual point); the others
   give ``polar_ball_project`` for the splitting path;
@@ -110,7 +112,7 @@ class SubdiffFace:
 
     def contains(self, z, tol=1e-9):
         """Whether z belongs to the face up to tolerance."""
-        raise NotImplementedError
+        return self.margin(z) >= -tol
 
     def sample(self, rng, count):
         """Draw ``count`` points of the face (rows)."""

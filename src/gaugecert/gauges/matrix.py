@@ -92,9 +92,6 @@ class NuclearFace(SubdiffFace):
             return math.inf
         return 1.0 - float(np.linalg.norm(W, 2))
 
-    def contains(self, z, tol=1e-9):
-        return self.margin(z) >= -tol
-
     def sample(self, rng, count):
         out = np.empty((count, self.p * self.q))
         k1, k2 = self.U2.shape[1], self.V2.shape[1]
@@ -297,9 +294,6 @@ class SdpFace(SubdiffFace):
         if M.size == 0:
             return math.inf
         return float(-np.max(np.linalg.eigvalsh(M)))
-
-    def contains(self, z, tol=1e-9):
-        return self.margin(z) >= -tol
 
     def sample(self, rng, count):
         d = self.E.shape[1]

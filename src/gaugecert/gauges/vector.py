@@ -19,6 +19,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .. import config
 from ..cones import (ConeSpec, affine_solve, lp_solve, range_basis,
@@ -41,6 +42,16 @@ def _support(x):
     return np.abs(x) > _SUPP_TOL * max(1.0, float(np.max(np.abs(x), initial=0.0)))
 
 
+def _point_certificate(C, target):
+    """y with C y = target, for a face that is a single point; None when
+    there is none."""
+    y, _, resid = affine_solve(C, target)
+    if resid > 1e-9 * max(1.0, np.abs(target).max(initial=0.0)):
+        return None
+    return {"y0": y, "ri_margin": math.inf, "margin_is_max": True,
+            "note": "face is a singleton"}
+
+
 def _orthant_certificate(face, A, two_sided):
     """Max-margin LP for the l1 face (``two_sided``) and the nonnegative-l1
     face: z_I fixed by the base point, +-z_off <= 1 - t, minimize t."""
@@ -49,11 +60,7 @@ def _orthant_certificate(face, A, two_sided):
     off = face.off
     target = face.base[sup]
     if off.size == 0:
-        y, _, resid = affine_solve(A[:, sup].T, target)
-        if resid > 1e-9 * max(1.0, np.abs(target).max(initial=0.0)):
-            return None
-        return {"y0": y, "ri_margin": math.inf, "margin_is_max": True,
-                "note": "face is a singleton"}
+        return _point_certificate(A[:, sup].T, target)
     # vars (y, t): minimize t, A_I^T y = target, +/- A_off^T y <= t
     Aoff = A[:, off].T
     if two_sided:
@@ -113,10 +120,6 @@ class L1Face(SubdiffFace):
         if self.off.size == 0:
             return math.inf
         return 1.0 - float(np.max(np.abs(z[self.off])))
-
-    def contains(self, z, tol=1e-9):
-        m = self.margin(z)
-        return m >= -tol
 
     def sample(self, rng, count):
         Z = np.tile(self.base, (count, 1))
@@ -232,7 +235,7 @@ class AnalysisL1Face(SubdiffFace):
         )
         self.param_desc = "inf-norm ball on the inactive dictionary coefficients"
 
-    def _coeff_margin(self, z):
+    def margin(self, z):
         """1 minus the least inf-norm of feasible inactive coefficients."""
         z = np.asarray(z, dtype=float)
         k = self.inactive.size
@@ -256,12 +259,6 @@ class AnalysisL1Face(SubdiffFace):
             return -math.inf
         return 1.0 - res.value
 
-    def margin(self, z):
-        return self._coeff_margin(z)
-
-    def contains(self, z, tol=1e-9):
-        return self._coeff_margin(z) >= -tol
-
     def sample(self, rng, count):
         U = rng.uniform(-1.0, 1.0, size=(count, self.inactive.size))
         Z = np.tile(self.base, (count, 1))
@@ -275,11 +272,7 @@ class AnalysisL1Face(SubdiffFace):
         act, inact = self.active, self.inactive
         rhs = D[:, act] @ self.signs if act.size else np.zeros(D.shape[0])
         if inact.size == 0:
-            y, _, resid = affine_solve(A.T, rhs)
-            if resid > 1e-9 * max(1.0, np.abs(rhs).max(initial=0.0)):
-                return None
-            return {"y0": y, "ri_margin": math.inf, "margin_is_max": True,
-                    "note": "face is a singleton"}
+            return _point_certificate(A.T, rhs)
         # vars (y, u_off, t): A^T y - D_off u_off = D_act s_act, |u_off| <= t
         p_off = inact.size
         n = D.shape[0]
@@ -441,116 +434,156 @@ class AnalysisL1Gauge(Gauge):
 # sorted weighted l1
 # ---------------------------------------------------------------------------
 
-class SortedFace(SubdiffFace):
-    """conv of the signed weight-permutation vertices consistent with x0."""
+def _top_k_lift(P, ks, two_sided=False):
+    """Lift of the top-k sums T_k of v = P x, of |v| when ``two_sided``
+    (Ogryczak & Tamir 2003): T_k(v) = min k th + sum(xi) over xi >= v - th
+    (and xi >= -v - th), xi >= 0.  Returns ``(G_x, G_u, cost)``: the rows
+    G_x x + G_u u <= 0 over u = (th_1..th_K, xi_1..xi_K) for k in ``ks``,
+    and cost[j] @ u = k_j th_j + sum(xi_j).  xi >= 0 is the caller's."""
+    r, E = P.shape[0], np.eye(len(ks))
+    S = np.vstack([P, -P]) if two_sided else P
+    G_u = -np.hstack([np.kron(E, np.ones((len(S), 1))),
+                      np.kron(E, np.tile(np.eye(r), (len(S) // r, 1)))])
+    cost = np.hstack([np.diag(ks), np.kron(E, np.ones((1, r)))])
+    return np.tile(S, (len(ks), 1)), G_u, cost
 
-    def __init__(self, vertices):
-        V = np.atleast_2d(np.asarray(vertices, dtype=float))
-        self.vertices = V
-        self.base = V.mean(axis=0)
-        diffs = V - self.base
-        self.tangent = range_basis(diffs.T)
-        self.param_desc = "convex hull of the consistent signed weight assignments"
+
+def _helmert(s):
+    """Orthonormal basis (s, s - 1) of the vectors whose entries sum to 0."""
+    j = np.arange(1, s)
+    i = np.arange(s)[:, None]
+    return ((i < j) - j * (i == j)) / np.sqrt(j * (j + 1))
+
+
+class SortedFace(SubdiffFace):
+    """∂J(x0) for the sorted weighted l1 norm, by the tie groups of |x0|.
+
+    With T_k the sum of the k largest entries and W_k that of the group's
+    weight block (Rado 1952): on a group of nonzeros with signs s,
+    z_g = s * u with sum(u) = W_|g| and T_k(u) <= W_k for k < |g| (the
+    permutahedron); on the zero group, T_k(|z_g|) <= W_k for every k.  A
+    block of equal weights (of zeros, on the zero group) pins z_g; every
+    other inequality has slack at the centroid, the base point, and
+    ``margin`` is the smallest of these slacks.
+    """
+
+    def __init__(self, blocks, n):
+        self.parts, self.base, cols = [], np.zeros(n), [np.zeros((n, 0))]
+        for idx, sign, wg in blocks:
+            if sign is None:
+                ks = np.arange(1, idx.size + 1) if wg[0] > 0 else np.arange(0)
+                basis = np.eye(idx.size)
+            else:
+                ks = np.arange(1, idx.size) if wg[0] > wg[-1] else np.arange(0)
+                self.base[idx] = sign * (wg.mean() if ks.size else wg)
+                basis = sign[:, None] * _helmert(idx.size)
+            self.parts.append((idx, sign, wg, ks))
+            if ks.size:
+                cols.append(np.eye(n)[:, idx] @ basis)
+        self.tangent = np.hstack(cols)
+        self.param_desc = "weight-block majorization on the tie groups of |x0|"
 
     def margin(self, z):
-        """Largest minimal barycentric weight over representations of z."""
-        V = self.vertices
-        N = V.shape[0]
-        n = V.shape[1]
-        if N == 1:
-            resid = np.max(np.abs(np.asarray(z, dtype=float) - V[0]), initial=0.0)
-            return math.inf if resid <= 1e-9 else -math.inf
-        # variables (lam, m): V^T lam = z, sum lam = 1, lam >= m, max m
-        A_eq = np.zeros((n + 1, N + 1))
-        A_eq[:n, :N] = V.T
-        A_eq[n, :N] = 1.0
-        b_eq = np.concatenate([np.asarray(z, dtype=float), [1.0]])
-        A_ub = np.zeros((N, N + 1))
-        A_ub[:, :N] = -np.eye(N)
-        A_ub[:, N] = 1.0
-        c = np.zeros(N + 1)
-        c[N] = -1.0
-        res = lp_solve(c, A_ub=A_ub, b_ub=np.zeros(N), A_eq=A_eq, b_eq=b_eq,
-                       bounds=[(0.0, None)] * N + [(None, None)])
-        if res.status != "optimal":
-            return -math.inf
-        return float(-res.value)
-
-    def contains(self, z, tol=1e-9):
-        return self.margin(z) >= -tol
+        z = np.asarray(z, dtype=float)
+        slack = math.inf
+        for idx, sign, wg, ks in self.parts:
+            v = np.abs(z[idx]) if sign is None else sign * z[idx]
+            W = np.cumsum(wg)
+            tol = 1e-9 * max(1.0, W[-1])
+            if not ks.size:
+                if np.max(np.abs(v - wg)) > tol:
+                    return -math.inf
+                continue
+            if sign is not None and abs(v.sum() - W[-1]) > tol:
+                return -math.inf
+            T = np.cumsum(np.sort(v)[::-1])
+            slack = min(slack, float(np.min(W[ks - 1] - T[ks - 1])))
+        return slack
 
     def sample(self, rng, count):
-        lam = rng.dirichlet(np.ones(self.vertices.shape[0]), size=count)
-        return lam @ self.vertices
+        """Mixtures of dim + 1 random vertices: each block permuted, with
+        random signs on the zero group."""
+        r = self.dim + 1
+        V = np.zeros((count * r, self.base.size))
+        for idx, sign, wg, _ in self.parts:
+            P = rng.permuted(np.tile(wg, (count * r, 1)), axis=1)
+            V[:, idx] = P * (rng.choice([-1.0, 1.0], size=P.shape)
+                             if sign is None else sign)
+        lam = rng.dirichlet(np.ones(r), size=count)
+        return np.einsum("cr,crn->cn", lam, V.reshape(count, r, -1))
 
     def certificate(self, A):
+        if not self.dim:
+            return _point_certificate(A.T, self.base)
+        # vars (y, t, u): maximize t >= 0 with A^T y on the affine hull and
+        # T_k + t <= W_k, each top-k sum lifted by ``_top_k_lift``
         m = A.shape[0]
-        V = self.vertices
-        N = V.shape[0]
-        n = V.shape[1]
-        if N == 1:
-            y, _, resid = affine_solve(A.T, V[0])
-            if resid > 1e-9 * max(1.0, np.abs(V).max()):
-                return None
-            return {"y0": y, "ri_margin": math.inf, "margin_is_max": True,
-                    "note": "face is a singleton"}
-        # vars (y, lam, t): maximize t, A^T y = V^T lam, 1^T lam = 1,
-        # lam_i >= t
-        A_eq = np.zeros((n + 1, m + N + 1))
-        A_eq[:n, :m] = A.T
-        A_eq[:n, m:m + N] = -V.T
-        A_eq[n, m:m + N] = 1.0
-        b_eq = np.zeros(n + 1)
-        b_eq[n] = 1.0
-        A_ub = np.zeros((N, m + N + 1))
-        A_ub[:, m:m + N] = -np.eye(N)
-        A_ub[:, m + N] = 1.0
-        b_ub = np.zeros(N)
-        c = np.zeros(m + N + 1)
-        c[m + N] = -1.0
-        bounds = [(None, None)] * m + [(0.0, None)] * N + [(None, None)]
-        res = lp_solve(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                       bounds=bounds)
+        eq, eq_rhs = [np.zeros((0, m))], [np.zeros(0)]
+        ub_y, ub_t, ub_u, ub_rhs = [], [], [], []
+        bounds = [(None, None)] * m + [(0.0, None)]
+        for idx, sign, wg, ks in self.parts:
+            P, W = A[:, idx].T, np.cumsum(wg)
+            if sign is not None:
+                P = sign[:, None] * P
+            if not ks.size:
+                eq.append(P)
+                eq_rhs.append(wg)
+                continue
+            if sign is not None:
+                eq.append(P.sum(axis=0, keepdims=True))
+                eq_rhs.append(W[-1:])
+            G_y, G_u, cost = _top_k_lift(P, ks, two_sided=sign is None)
+            ub_y += [G_y, np.zeros((ks.size, m))]
+            ub_t += [np.zeros(len(G_y)), np.ones(ks.size)]
+            ub_u.append(np.vstack([G_u, cost]))
+            ub_rhs += [np.zeros(len(G_y)), W[ks - 1]]
+            bounds += [(None, None)] * ks.size + [(0.0, None)] * (ks.size * idx.size)
+        A_ub = np.hstack([np.vstack(ub_y), np.concatenate(ub_t)[:, None],
+                          block_diag(*ub_u)])
+        A_eq = np.vstack(eq)
+        c = np.zeros(A_ub.shape[1])
+        c[m] = -1.0
+        res = lp_solve(c, A_ub=A_ub, b_ub=np.concatenate(ub_rhs),
+                       A_eq=np.hstack([A_eq, np.zeros((len(A_eq), c.size - m))]),
+                       b_eq=np.concatenate(eq_rhs), bounds=bounds)
         if res.status != "optimal":
             return None
         y = res.x[:m]
         return {"y0": y, "ri_margin": float(self.margin(A.T @ y)),
-                "margin_is_max": True, "note": "max-min-weight LP over the vertex set"}
+                "margin_is_max": True,
+                "note": "max-slack LP over the majorization inequalities"}
 
 
 def _distinct_perms(vals):
-    """Distinct permutations of a value multiset (lexicographic)."""
-    vals = sorted(vals)
-    out = []
-
-    def rec(prefix, remaining):
-        if not remaining:
-            out.append(tuple(prefix))
-            return
-        prev = object()
-        for i, v in enumerate(remaining):
-            if v == prev:
-                continue
-            prev = v
-            rec(prefix + [v], remaining[:i] + remaining[i + 1:])
-
-    rec([], vals)
-    return out
+    """Distinct permutations of a value multiset, in lexicographic order:
+    each is the next permutation of the one before."""
+    p = sorted(vals)
+    out = [tuple(p)]
+    while True:
+        i = max((i for i in range(len(p) - 1) if p[i] < p[i + 1]), default=-1)
+        if i < 0:
+            return out
+        j = max(j for j in range(i + 1, len(p)) if p[j] > p[i])
+        p[i], p[j] = p[j], p[i]
+        p[i + 1:] = p[:i:-1]
+        out.append(tuple(p))
 
 
-def _tie_groups(x, tol=1e-12):
-    """Indices of coordinates grouped by equal |x| value, descending."""
-    ax = np.abs(np.asarray(x, dtype=float))
+def _tie_blocks(x0, w, tol=1e-12):
+    """The tie groups of |x0|, largest first, as (indices, signs, the block
+    of w they take); the zero group has no signs."""
+    ax = np.abs(x0)
     order = np.argsort(-ax, kind="stable")
-    groups = []
-    start = 0
+    blocks, start = [], 0
     while start < ax.size:
-        stop = start
-        while stop + 1 < ax.size and abs(ax[order[stop + 1]] - ax[order[start]]) <= tol * max(1.0, ax[order[start]]):
+        top, stop = ax[order[start]], start + 1
+        while stop < ax.size and abs(ax[order[stop]] - top) <= tol * max(1.0, top):
             stop += 1
-        groups.append(order[start:stop + 1])
-        start = stop + 1
-    return groups
+        grp = order[start:stop]
+        blocks.append((grp, None if top <= _SUPP_TOL else np.sign(x0[grp]),
+                       w[start:stop]))
+        start = stop
+    return blocks
 
 
 class SortedWeightedL1Gauge(Gauge):
@@ -569,6 +602,8 @@ class SortedWeightedL1Gauge(Gauge):
         super().__init__(w.size)
         self.w = w
         self._cumw = np.cumsum(w)
+        #: the weights as the face and its vertices use them
+        self._wr = np.round(w, 14)
 
     @classmethod
     def from_spec(cls, spec):
@@ -623,82 +658,54 @@ class SortedWeightedL1Gauge(Gauge):
         return float(max(np.max(ratios), 0.0))
 
     def dir_deriv_batch(self, x0, H):
-        x0 = self.flat(x0)
         H = np.atleast_2d(np.asarray(H, dtype=float))
         total = np.zeros(H.shape[0])
-        pos = 0
-        for grp in _tie_groups(x0):
-            wblock = self.w[pos:pos + grp.size]
-            if np.abs(x0[grp[0]]) > _SUPP_TOL:
-                d = H[:, grp] * np.sign(x0[grp])
-            else:
-                d = np.abs(H[:, grp])
-            total += np.sort(d, axis=1)[:, ::-1] @ wblock
-            pos += grp.size
+        for grp, sign, wg in _tie_blocks(self.flat(x0), self.w):
+            d = np.abs(H[:, grp]) if sign is None else H[:, grp] * sign
+            total += np.sort(d, axis=1)[:, ::-1] @ wg
         return total
 
     def dir_subgrad_batch(self, x0, H):
         """The maximizing vertex of ∂J(x0) for each row: on each tie group
         of |x0| the weights go to the coordinates in decreasing order of
         sign(x0) h (of |h| on the zero group, signed by h)."""
-        x0 = self.flat(x0)
         H = np.atleast_2d(np.asarray(H, dtype=float))
-        w = np.round(self.w, 14)  # the vertex coordinates of ``_vertices``
         G = np.zeros_like(H)
         rows = np.arange(H.shape[0])[:, None]
-        pos = 0
-        for grp in _tie_groups(x0):
-            if np.abs(x0[grp[0]]) > _SUPP_TOL:
-                sign = np.sign(x0[grp])
-            else:
+        for grp, sign, wg in _tie_blocks(self.flat(x0), self._wr):
+            if sign is None:
                 sign = np.where(H[:, grp] >= 0.0, 1.0, -1.0)
             order = np.argsort(-(H[:, grp] * sign), axis=1, kind="stable")
             W = np.empty((H.shape[0], grp.size))
-            W[rows, order] = w[pos:pos + grp.size]
+            W[rows, order] = wg
             G[:, grp] = W * sign
-            pos += grp.size
         return G
 
-    def _vertices(self, x0):
+    def descent_pieces(self, x0):
         """The extreme subgradients consistent with x0 (deduplicated)."""
-        x0 = self.flat(x0)
-        groups = _tie_groups(x0)
+        blocks = _tie_blocks(self.flat(x0), self._wr)
         count = 1
-        pos = 0
-        for grp in groups:
-            wblock = tuple(np.round(self.w[pos:pos + grp.size], 14))
-            perms = math.factorial(grp.size)
-            # distinct permutations of the weight multiset
-            for v in set(wblock):
-                perms //= math.factorial(wblock.count(v))
-            count *= perms
-            if np.abs(x0[grp[0]]) <= _SUPP_TOL:
-                nz = sum(1 for v in wblock if v > 0)
-                count *= 2 ** nz
+        for _, sign, wg in blocks:
+            _, reps = np.unique(wg, return_counts=True)
+            count *= math.factorial(wg.size) // math.prod(map(math.factorial, reps))
+            if sign is None:
+                count *= 2 ** int(np.sum(wg > 0))
             if count > config.VERTEX_CAP:
                 raise VertexCapExceeded(
                     f"face vertex count exceeds cap {config.VERTEX_CAP}")
-            pos += grp.size
         per_group = []
-        pos = 0
-        for grp in groups:
-            wblock = self.w[pos:pos + grp.size]
-            opts = _distinct_perms([float(v) for v in np.round(wblock, 14)])
+        for grp, sign, wg in blocks:
             assignments = []
-            zero_group = np.abs(x0[grp[0]]) <= _SUPP_TOL
-            for perm in opts:
-                if zero_group:
-                    nz = [j for j, v in enumerate(perm) if v > 0]
-                    for signs in itertools.product((1.0, -1.0), repeat=len(nz)):
-                        vals = list(perm)
-                        for j, s in zip(nz, signs):
-                            vals[j] = s * vals[j]
-                        assignments.append(vals)
-                else:
-                    s = np.sign(x0[grp])
-                    assignments.append([si * v for si, v in zip(s, perm)])
+            for perm in _distinct_perms(wg.tolist()):
+                if sign is not None:
+                    assignments.append(sign * perm)
+                    continue
+                nz = [j for j, v in enumerate(perm) if v > 0]
+                for signs in itertools.product((1.0, -1.0), repeat=len(nz)):
+                    vals = np.array(perm)
+                    vals[nz] *= signs
+                    assignments.append(vals)
             per_group.append((grp, assignments))
-            pos += grp.size
         verts = []
         for combo in itertools.product(*[a for _, a in per_group]):
             z = np.zeros(self.n)
@@ -708,14 +715,24 @@ class SortedWeightedL1Gauge(Gauge):
         return np.unique(np.round(np.array(verts), 14), axis=0)
 
     def face(self, x0):
-        return SortedFace(self._vertices(x0))
-
-    def descent_pieces(self, x0):
-        return self._vertices(x0)
+        return SortedFace(_tie_blocks(self.flat(x0), self._wr), self.n)
 
     def descent_lift(self, x0):
-        V = self._vertices(x0)
-        return V, np.zeros((V.shape[0], 0))
+        # J'(x0; h) = sum over the tie groups of sum_k d_k T_k(s h_g) (of
+        # |h_g| on the zero group), d_k = w_k - w_{k+1} within the block;
+        # each T_k is lifted by ``_top_k_lift``, its xi >= 0 kept as rows
+        G_h, G_u, cost = [np.zeros((1, self.n))], [], []
+        for idx, sign, wg in _tie_blocks(self.flat(x0), self._wr):
+            d = wg - np.append(wg[1:], 0.0)
+            ks = np.flatnonzero(d > 0) + 1
+            P = np.eye(self.n)[idx] * (1.0 if sign is None else sign[:, None])
+            G_x, G_t, C = _top_k_lift(P, ks, two_sided=sign is None)
+            nxi = ks.size * idx.size
+            G_h += [G_x, np.zeros((nxi, self.n))]
+            G_u.append(np.vstack([G_t, np.hstack([np.zeros((nxi, ks.size)),
+                                                   -np.eye(nxi)])]))
+            cost.append(d[ks - 1] @ C)
+        return np.vstack(G_h), np.vstack([np.concatenate(cost), block_diag(*G_u)])
 
     def lipschitz(self):
         return float(np.linalg.norm(self.w))
@@ -723,42 +740,21 @@ class SortedWeightedL1Gauge(Gauge):
     def primal_lp(self, A, b0):
         m, n = A.shape
         d = self.w - np.concatenate([self.w[1:], [0.0]])
-        ks = [k for k in range(n) if d[k] > 1e-15]  # k is 0-based: top (k+1) sum
-        K = len(ks)
-        # variables: x (n), v (n), t (K), xi (K*n)
-        nv = 2 * n + K + K * n
+        ks = np.flatnonzero(d > 1e-15) + 1
+        # variables (x, v, th, xi): |x| <= v and the top-k lift of v
+        G_v, G_u, cost = _top_k_lift(np.eye(n), ks)
+        A_ub = np.block([
+            [np.kron(np.eye(n), [[1.0], [-1.0]]), -np.kron(np.eye(n), [[1.0], [1.0]]),
+             np.zeros((2 * n, G_u.shape[1]))],
+            [np.zeros((G_v.shape[0], n)), G_v, G_u]])
+        nv = A_ub.shape[1]
         c = np.zeros(nv)
-        for j, k in enumerate(ks):
-            c[2 * n + j] = d[k] * (k + 1)
-            c[2 * n + K + j * n:2 * n + K + (j + 1) * n] = d[k]
-        rows = []
-        rhs = []
-        # |x| <= v
-        for i in range(n):
-            r = np.zeros(nv)
-            r[i] = 1.0
-            r[n + i] = -1.0
-            rows.append(r)
-            rhs.append(0.0)
-            r = np.zeros(nv)
-            r[i] = -1.0
-            r[n + i] = -1.0
-            rows.append(r)
-            rhs.append(0.0)
-        # v_i - t_j <= xi_{j,i}
-        for j in range(K):
-            for i in range(n):
-                r = np.zeros(nv)
-                r[n + i] = 1.0
-                r[2 * n + j] = -1.0
-                r[2 * n + K + j * n + i] = -1.0
-                rows.append(r)
-                rhs.append(0.0)
+        c[2 * n:] = d[ks - 1] @ cost
         A_eq = np.zeros((m, nv))
         A_eq[:, :n] = A
-        bounds = ([(None, None)] * n + [(0.0, None)] * n + [(None, None)] * K
-                  + [(0.0, None)] * (K * n))
-        lp = {"c": c, "A_ub": np.array(rows), "b_ub": np.array(rhs),
+        bounds = ([(None, None)] * n + [(0.0, None)] * n + [(None, None)] * ks.size
+                  + [(0.0, None)] * (ks.size * n))
+        lp = {"c": c, "A_ub": A_ub, "b_ub": np.zeros(A_ub.shape[0]),
               "A_eq": A_eq, "b_eq": b0, "bounds": bounds}
         return lp, lambda v: v[:n].copy()
 
@@ -799,9 +795,6 @@ class GroupFace(SubdiffFace):
             return math.inf
         worst = max(np.linalg.norm(z[self.groups[gi]]) for gi in self.zero)
         return 1.0 - float(worst)
-
-    def contains(self, z, tol=1e-9):
-        return self.margin(z) >= -tol
 
     def sample(self, rng, count):
         Z = np.tile(self.base, (count, 1))
@@ -965,9 +958,6 @@ class NonnegFace(SubdiffFace):
         if self.off.size == 0:
             return math.inf
         return float(np.min(1.0 - z[self.off]))
-
-    def contains(self, z, tol=1e-9):
-        return self.margin(z) >= -tol
 
     def sample(self, rng, count):
         Z = np.tile(self.base, (count, 1))

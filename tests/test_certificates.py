@@ -321,6 +321,35 @@ def test_kernel_probe_above_the_vertex_cap():
         assert rep.is_sharp == YES and not rep.kappa_certified
 
 
+def test_wsl1_certificate_lps_do_not_grow_with_the_face(monkeypatch):
+    # a 3840-vertex face (one nonzero, five distinct trailing weights): every
+    # LP has at most n(n+1) + m + 1 variables, one per top-k bound
+    import gaugecert.cones as cones
+    import gaugecert.gauges.vector as vector
+    sizes, solve = [], cones.lp_solve
+
+    def counted(c, *args, **kwargs):
+        sizes.append(len(c))
+        return solve(c, *args, **kwargs)
+
+    monkeypatch.setattr(vector, "lp_solve", counted)
+    monkeypatch.setattr(cones, "lp_solve", counted)
+    g = SortedWeightedL1Gauge([2.0, 1.8, 1.5, 1.2, 1.0, 0.6])
+    A = np.random.default_rng(3).standard_normal((3, 6))
+    rep = check_unique(g, A, np.eye(6)[0], with_alpha=False)
+    assert rep.is_unique == YES and rep.conditions_checked[0] == ("range-space", YES, True)
+    assert sizes and max(sizes) <= 6 * 7 + 3 + 1
+
+
+def test_exact_engine_survives_a_degenerate_hull():
+    # 64 pieces in a 6-dimensional kernel on which plain qhull reports a
+    # topology error (QH6271); the joggled hull gives the facet
+    A = np.random.default_rng(2).standard_normal((1, 7))
+    rep = check_sharp(L1Gauge(7), A, np.eye(7)[3], with_alpha=False)
+    assert rep.is_sharp == YES and rep.kappa_certified
+    assert rep.kappa == pytest.approx(0.2115853, abs=1e-6)
+
+
 def test_cone_without_rows():
     # a full-support x0 gives nonneg_l1 a domain tangent cone with no rows
     A = np.random.default_rng(0).standard_normal((1, 5))

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 import gaugecert
+from gaugecert.certificates import check_sharp
+from gaugecert.cones import lp_solve
 from gaugecert.gauges import (
     KINDS,
     AnalysisL1Gauge,
@@ -304,12 +306,74 @@ def test_face_membership_sampled():
 
 
 def test_wsl1_vertex_cap():
-    # distinct weights at a dense tie point make the face combinatorial:
-    # every assignment of the 13 weights to the 13 tied coordinates is a
-    # vertex, and 13! blows past the enumeration cap
+    # distinct weights at a dense tie point: every assignment of the 13
+    # weights to the 13 tied coordinates is a vertex, and 13! blows past the
+    # cap of the piece list; the face, its certificate and the critical cone
+    # are written by majorization inequalities and need no vertex list
     g = SortedWeightedL1Gauge(np.arange(13, 0, -1, dtype=float))
+    x0 = np.ones(13)
     with pytest.raises(VertexCapExceeded):
-        g.face(np.ones(13))
+        g.descent_pieces(x0)
+    face = g.face(x0)
+    assert face.dim == 12 and face.margin(face.base) > 0
+    A = np.random.default_rng(5).standard_normal((7, 13))
+    cert = face.certificate(A)
+    assert face.margin(A.T @ cert["y0"]) == cert["ri_margin"]
+    assert g.critical_cone(x0).is_polyhedral
+    rep = check_sharp(g, A, x0, with_alpha=False)
+    assert rep.conditions_checked == [("range-space", "Yes", True),
+                                      ("kernel", "Yes", True)]
+
+
+def _wsl1_draw(rng):
+    """Weights with ties and trailing zeros, and an x0 with ties, zeros and
+    signs, small enough for the vertex list."""
+    n = int(rng.integers(2, 6))
+    w = np.sort(rng.choice([0.5, 1.0, 1.0, 1.5, 2.0], size=n))[::-1]
+    if rng.random() < 0.3:
+        w[n - int(rng.integers(1, n)):] = 0.0
+    x0 = rng.choice([0.0, 0.0, 1.0, 1.0, 2.0], size=n) * rng.choice([-1.0, 1.0], size=n)
+    return SortedWeightedL1Gauge(np.maximum(w, [1.0] + [0.0] * (n - 1))), x0
+
+
+def _vertex_lp_feasible(V, A):
+    """Reference: some A^T y is a convex combination of the rows of V."""
+    m, (N, n) = A.shape[0], V.shape
+    res = lp_solve(np.zeros(m + N), A_eq=np.block([[A.T, -V.T],
+                                                   [np.zeros((1, m)), np.ones((1, N))]]),
+                   b_eq=np.append(np.zeros(n), 1.0),
+                   bounds=[(None, None)] * m + [(0.0, None)] * N)
+    return res.status == "optimal"
+
+
+def test_wsl1_face_matches_its_vertex_list():
+    rng = np.random.default_rng(20)
+    feasible = 0
+    for _ in range(60):
+        g, x0 = _wsl1_draw(rng)
+        face, V = g.face(x0), g.descent_pieces(x0)
+        D = V - face.base
+        # the tangent is orthonormal and spans the vertex differences
+        T = face.tangent
+        assert np.allclose(T.T @ T, np.eye(face.dim), atol=1e-12)
+        assert np.allclose(D - D @ T @ T.T, 0.0, atol=1e-12)
+        assert np.linalg.matrix_rank(D, tol=1e-9) == face.dim
+        for z in rng.dirichlet(np.ones(len(V)), size=20) @ V:
+            assert face.margin(z) >= -1e-9
+        if face.dim:
+            assert face.margin(face.base) > 0
+            for v in V:
+                assert face.margin(v + 1e-3 * (v - face.base)) < 0
+        # a step off the affine hull
+        r = rng.standard_normal(g.n)
+        r -= T @ (T.T @ r)
+        if np.linalg.norm(r) > 1e-6:
+            assert face.margin(face.base + 1e-3 * r / np.linalg.norm(r)) == -np.inf
+        A = rng.standard_normal((int(rng.integers(1, g.n + 2)), g.n))
+        cert = face.certificate(A)
+        assert (cert is not None) == _vertex_lp_feasible(V, A)
+        feasible += cert is not None
+    assert 10 < feasible < 60
 
 
 #: the only kind comparisons allowed outside gauges/: the CLI's registry
