@@ -303,8 +303,7 @@ def check_sharp(gauge, A, x0, with_alpha=True):
     rep.conditions_checked.append(("kernel", *kernel_row))
 
     if with_alpha:
-        res_a = min_conic_singular(geom.A_eff, geom.crit_cone, seed=0,
-                                   restarts=config.probe_restarts())
+        res_a = min_conic_singular(geom.A_eff, geom.crit_cone)
         rep.alpha = float(res_a.value)
         rep.alpha_certified = bool(res_a.certified)
         rep.notes.append(f"alpha engine: {res_a.engine}"
@@ -370,8 +369,7 @@ def _kernel_route(geom, rep, probe=True):
     verdict, certified, res = UNKNOWN, False, None
     tol = config.cert_tol()
     if probe:
-        res = sphere_min(geom.probe, K, cone=geom.dom_cone,
-                         seed=0, restarts=config.probe_restarts())
+        res = sphere_min(geom.probe, K, cone=geom.dom_cone)
         rep.kappa = float(res.value)
         rep.kappa_certified = bool(res.certified)
         if rep.kappa > tol:
@@ -699,7 +697,7 @@ def nuclear_check(Phi, X0):
             return ((U[:, :, :k] * signs) @ Vt[:, :k]).reshape(-1, p * q)
 
         fn = CallableFn(tail_head, tail_head_sg)
-        res_s = sphere_min(fn, K, seed=0, restarts=config.probe_restarts())
+        res_s = sphere_min(fn, K)
         suff = res_s.value > tol
         rep.conditions_checked.append(
             ("tail-dominance-sufficient", YES if suff else NO, res_s.certified))
@@ -772,7 +770,7 @@ def sdp_trace_check(Phi, C, X0):
         return G
 
     phi = CallableFn(phi_batch, phi_sg)
-    res = sphere_min(phi, K, seed=0, restarts=config.probe_restarts())
+    res = sphere_min(phi, K)
     rep.notes.append(f"kernel probe value {res.value:.12g} ({res.engine})")
     verdict = YES if res.value > config.cert_tol() else NO
     if verdict == NO and res.minimizer is not None:

@@ -23,8 +23,10 @@ Exit codes are part of the contract::
     5   iteration budget exhausted before convergence
 
 Tolerance knobs may be set per run with ``--cert-tol``, ``--lp-maxiter``
-and ``--probe-restarts`` (equivalently the environment variables
-``CERT_TOL``, ``LP_MAXITER``, ``PROBE_RESTARTS``; flags win).  All index
+and ``--probe-restarts``.  A flag holds for that one call of ``main``, as a
+``config.overrides`` scope that leaves ``os.environ`` untouched; a knob
+without its flag reads the environment variable ``CERT_TOL``,
+``LP_MAXITER`` or ``PROBE_RESTARTS``, then its default.  All index
 lists (``--support``, ``partition``) are 0-based.  Reports are printed as
 aligned-column text or, with ``--json``, as strict JSON in which non-finite
 numbers appear as the strings "inf"/"-inf"/"nan".
@@ -38,6 +40,7 @@ import sys
 
 import numpy as np
 
+from . import config
 from .certificates import (
     NO,
     UNKNOWN,
@@ -582,10 +585,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
 
 
-_ENV_FLAGS = (("cert_tol", "CERT_TOL"), ("lp_maxiter", "LP_MAXITER"),
-              ("probe_restarts", "PROBE_RESTARTS"))
-
-
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--cert-tol", type=float, metavar="TOL", default=None,
@@ -660,14 +659,10 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_VALIDATION
 
-    saved = {}
-    for attr, env in _ENV_FLAGS:
-        val = getattr(args, attr, None)
-        if val is not None:
-            saved[env] = os.environ.get(env)
-            os.environ[env] = str(val)
     try:
-        code = args.fn(args)
+        with config.overrides(cert_tol=args.cert_tol, lp_maxiter=args.lp_maxiter,
+                              probe_restarts=args.probe_restarts):
+            code = args.fn(args)
         try:
             sys.stdout.flush()
         except BrokenPipeError:
@@ -679,23 +674,11 @@ def main(argv=None):
     except FileNotFoundError as exc:
         print(f"error: cannot read {exc.filename}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (EnumerationCapExceeded, VertexCapExceeded) as exc:
+    except (EnumerationCapExceeded, VertexCapExceeded, LpFailure,
+            InternalDisagreementError, ResidualMonotonicityError, ValueError,
+            NotImplementedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (LpFailure, InternalDisagreementError,
-            ResidualMonotonicityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (ValueError, NotImplementedError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    finally:
-        for attr, env in _ENV_FLAGS:
-            if getattr(args, attr, None) is not None:
-                if saved[env] is None:
-                    os.environ.pop(env, None)
-                else:
-                    os.environ[env] = saved[env]
 
 
 if __name__ == "__main__":

@@ -23,6 +23,13 @@ one subgradient row per direction.  The single-direction calls
 (``violation``, ``violation_subgrad``, ``value``) are row 0 of the batch
 ones, so the grid and multistart engines and the scalar checks read the
 same numbers.
+
+Every heuristic search steps with one loop, ``_subgradient_steps``, which
+moves a stack of start points in lockstep: ``subgradient_min`` over an
+affine set (the group, nuclear and sdp certificate searches, the sdp
+Slater-point probe), and the multistart engine on the sphere.  The engine's
+near-misses are pulled onto the cone together by ``_polish_to_cone``, which
+bisects them in lockstep with one ``violation_batch`` call per step.
 """
 
 import math
@@ -208,28 +215,36 @@ def affine_solve(C, d):
     return y_p, kernel_basis(C), resid
 
 
-def subgradient_min(f, subgrad, y0, N, iters=300, restarts=5, seed=0):
-    """Minimize a convex nonsmooth f(y) over y = y0 + N t by plain
-    subgradient descent with diminishing steps.  Heuristic; returns the best
-    iterate seen."""
-    if N.shape[1] == 0:
-        return y0, f(y0)
-    rng = np.random.default_rng(seed)
-    best_y, best_v = y0.copy(), f(y0)
-    scale = max(1.0, float(np.linalg.norm(y0)))
-    for r in range(restarts):
-        t = np.zeros(N.shape[1]) if r == 0 else rng.standard_normal(N.shape[1])
-        for it in range(1, iters + 1):
-            y = y0 + N @ t
-            g = N.T @ subgrad(y)
-            gn = np.linalg.norm(g)
-            if gn < 1e-14:
-                break
-            t = t - (0.7 * scale / math.sqrt(it)) * g / gn
-            v = f(y0 + N @ t)
-            if v < best_v:
-                best_v = v
-                best_y = y0 + N @ t
+def _subgradient_steps(T, direction, step):
+    """Move every row of T by step/sqrt(it) against its normalized row of
+    ``direction(T)``, for it = 1..300; rows whose direction is below 1e-14
+    stay put, and the loop ends once all do.  Yields T after each step, for
+    the caller to read or to change in place."""
+    for it in range(1, 301):
+        G = direction(T)
+        gn = np.linalg.norm(G, axis=1, keepdims=True)
+        live = gn[:, 0] >= 1e-14
+        if not np.any(live):
+            return
+        T[live] -= (step / math.sqrt(it)) * G[live] / gn[live]
+        yield T
+
+
+def subgradient_min(f, subgrad, y0, N):
+    """Minimize a convex nonsmooth f(y) over y = y0 + N t by the shared
+    subgradient loop from y0 and four points drawn from ``default_rng(0)``.
+    ``f`` and ``subgrad`` map a stack of points (rows) to one value or one
+    subgradient row each.  Heuristic; returns the best iterate seen."""
+    best_y, best_v = y0, float(f(y0[None])[0])
+    k = N.shape[1]
+    T = np.vstack([np.zeros(k), np.random.default_rng(0).standard_normal((4, k))])
+    step = 0.7 * max(1.0, float(np.linalg.norm(y0)))
+    for T in _subgradient_steps(T, lambda T: subgrad(y0 + T @ N.T) @ N, step):
+        Y = y0 + T @ N.T
+        v = f(Y)
+        i = int(np.argmin(v))
+        if v[i] < best_v:
+            best_y, best_v = Y[i], float(v[i])
     return best_y, best_v
 
 
@@ -490,8 +505,7 @@ def _chunked_max(H, Z):
     return out
 
 
-def sphere_min(f, K, cone=None, engine="auto", restarts=None, seed=0,
-               grid_res=None):
+def sphere_min(f, K, cone=None, engine="auto", restarts=None, seed=0):
     """Minimize a convex positively homogeneous f over the unit sphere of
     span(K), optionally restricted to a cone.
 
@@ -523,7 +537,7 @@ def sphere_min(f, K, cone=None, engine="auto", restarts=None, seed=0,
     if engine == "angular-grid":
         if k > 3:
             raise ValueError("angular grid supports subspace dimension <= 3")
-        return _angular_grid(f, K, cone, grid_res)
+        return _angular_grid(f, K, cone)
     if engine == "multistart-subgradient":
         return _multistart(f, K, cone, restarts, seed)
     raise ValueError(f"unknown engine {engine!r}")
@@ -632,10 +646,9 @@ def _angles_of(t):
     return np.array([th, ph])
 
 
-def _angular_grid(f, K, cone, grid_res):
+def _angular_grid(f, K, cone):
     k = K.shape[1]
-    if grid_res is None:
-        grid_res = config.GRID_RES if k <= 2 else config.GRID_RES_3D
+    grid_res = config.GRID_RES if k <= 2 else config.GRID_RES_3D
     evals = 0
     if k == 1:
         T = _unit_grid(1, grid_res)
@@ -701,9 +714,9 @@ def _angular_grid(f, K, cone, grid_res):
     if viol > 1e-11:
         # polishing must not drag the point away from the minimum (thin cones
         # can only be reached at the anchor itself, which is no minimizer)
-        h2 = _polish_to_cone(cone, h, K)
-        if h2 is not None and f.value(h2) <= best_val + 1e-5 * max(1.0, abs(best_val)):
-            h = h2
+        P, on_cone = _polish_to_cone(cone, h[None], K)
+        if on_cone[0] and f.value(P[0]) <= best_val + 1e-5 * max(1.0, abs(best_val)):
+            h = P[0]
             note = "boundary-polished"
         elif cone.is_polyhedral:
             trivial, _ = cone_trivial(cone, K)
@@ -759,43 +772,40 @@ def _angular_zoom(f, K, cone, h, width, sweeps=3):
     return K @ t, v, evals
 
 
-def _polish_to_cone(cone, h, K=None, iters=80):
-    """Pull a near-feasible direction onto the cone along the segment to a
-    strictly feasible anchor (requires cone.anchor).
-
-    When ``K`` is given the candidates are re-projected onto span(K) at every
-    step so the polished direction never leaves the subspace being probed.
+def _polish_to_cone(cone, H, K):
+    """Pull near-feasible directions (rows of H) onto the cone along their
+    segments to a strictly feasible anchor (requires cone.anchor), projected
+    onto span(K) at every step so they never leave the probed subspace.
+    All rows bisect in lockstep; returns the rows and which lie on the cone.
     """
+    failed = (H, np.zeros(H.shape[0], dtype=bool))
     if cone.anchor is None:
-        return None
+        return failed
     a = cone.anchor / np.linalg.norm(cone.anchor)
     if cone.violation(a) > 0.0:
-        return None
+        return failed
 
-    def mix(s):
-        cand = (1 - s) * h + s * a
-        if K is not None:
-            cand = K @ (K.T @ cand)
-        nc = np.linalg.norm(cand)
-        return (cand / nc) if nc > 1e-14 else None
+    HK = H @ K @ K.T
+    toward = a @ K @ K.T - HK
 
-    def feasible(s):
-        cand = mix(s)
-        return cand is not None and cone.violation(cand) <= 5e-12
+    def mix(s, tol):
+        P = HK + s[:, None] * toward
+        nc = np.linalg.norm(P, axis=1)
+        live = nc > 1e-14
+        P /= np.where(live, nc, 1.0)[:, None]
+        return P, live & (cone.violation_batch(P) <= tol)
 
-    if not feasible(1.0):
-        # the anchor leaves the subspace or its projection is infeasible
-        return None
     # bisect for the smallest feasible mixing weight: lo infeasible, hi feasible
-    lo, hi = 0.0, 1.0
-    for _ in range(iters):
+    lo, hi = np.zeros(H.shape[0]), np.ones(H.shape[0])
+    if not np.all(mix(hi, 5e-12)[1]):
+        # the anchor leaves the subspace or its projection is infeasible
+        return failed
+    for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    cand = mix(hi)
-    return cand if cand is not None and cone.violation(cand) <= 1e-11 else None
+        feasible = mix(mid, 5e-12)[1]
+        hi = np.where(feasible, mid, hi)
+        lo = np.where(feasible, lo, mid)
+    return mix(hi, 1e-11)
 
 
 def _cone_fallback(f, K, cone, engine, evals):
@@ -819,11 +829,8 @@ def _cone_fallback(f, K, cone, engine, evals):
 
 
 def _multistart(f, K, cone, restarts, seed):
-    """Projected-subgradient descent run as one batched ensemble.
-
-    All restarts advance in lockstep so the per-iteration work is a handful
-    of matrix products rather than thousands of scalar probe calls.
-    """
+    """Projected-subgradient descent on the sphere: all restarts take the
+    shared loop's tangential steps, renormalized after each one."""
     if restarts is None:
         restarts = config.probe_restarts()
     k = K.shape[1]
@@ -835,46 +842,38 @@ def _multistart(f, K, cone, restarts, seed):
     rho = 100.0 * fscale
     T = rng.standard_normal((restarts, k))
     T /= np.linalg.norm(T, axis=1, keepdims=True)
-    for it in range(1, 301):
+
+    def tangent(T):
+        nonlocal evals
         H = T @ K.T
         G = f.subgrad_batch(H)
         evals += H.shape[0]
         if cone is not None and cone.violation_subgrad_batch is not None:
             G = G + rho * cone.violation_subgrad_batch(H)
         Gt = G @ K
-        Gt -= (Gt * T).sum(axis=1, keepdims=True) * T  # tangential component
-        gn = np.linalg.norm(Gt, axis=1, keepdims=True)
-        live = gn.ravel() > 1e-14
-        if not np.any(live):
-            break
-        step = 0.5 / math.sqrt(it)
-        T[live] -= step * Gt[live] / gn[live]
+        return Gt - (Gt * T).sum(axis=1, keepdims=True) * T
+
+    for T in _subgradient_steps(T, tangent, 0.5):
         T /= np.linalg.norm(T, axis=1, keepdims=True)
     H = T @ K.T
     vals = f.value_batch(H)
     evals += H.shape[0]
-    best_h = None
-    best_val = math.inf
-    if cone is None:
-        i = int(np.argmin(vals))
-        best_h, best_val = H[i], float(vals[i])
-    else:
-        viols = cone.violation_batch(H)
-        # consider candidates best-value first; polish the near-misses
-        for i in np.argsort(vals):
-            if not np.isfinite(vals[i]):
-                break
-            if best_val <= vals[i]:
-                break  # polishing can only raise the value
-            h = H[i]
-            if viols[i] > 1e-11:
-                h = _polish_to_cone(cone, h, K)
-                if h is None:
-                    continue
-            val = f.value(h)
-            if val < best_val:
-                best_val = val
-                best_h = h
+    # polishing can only raise the value, so the near-misses worth it lie
+    # below the best feasible value; then candidates go best value first
+    on_cone = np.full(vals.size, True) if cone is None \
+        else cone.violation_batch(H) <= 1e-11
+    near = ~on_cone & np.isfinite(vals) & (
+        vals <= vals[on_cone].min(initial=math.inf))
+    polished = vals.copy()
+    if np.any(near):
+        H[near], on_cone[near] = _polish_to_cone(cone, H[near], K)
+        polished[near] = f.value_batch(H[near])
+    best_h, best_val = None, math.inf
+    for i in np.argsort(vals):
+        if not np.isfinite(vals[i]) or best_val <= vals[i]:
+            break
+        if on_cone[i] and polished[i] < best_val:
+            best_val, best_h = float(polished[i]), H[i]
     if best_h is None:
         if cone is not None:
             return _cone_fallback(f, K, cone, "multistart-subgradient", evals)
@@ -885,18 +884,14 @@ def _multistart(f, K, cone, restarts, seed):
                    note="heuristic")
 
 
-def min_conic_singular(A, cone, engine="auto", restarts=None, seed=0):
+def min_conic_singular(A, cone, restarts=None, seed=0):
     """Minimum of ||A h|| over unit vectors of the cone.
 
     Certified (angular grid) only in ambient dimension <= 3; otherwise a
     labeled multistart probe.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    n = A.shape[1]
-    f = NormMapFn(A)
-    if engine == "auto":
-        engine = "angular-grid" if n <= 3 else "multistart-subgradient"
-    return sphere_min(f, np.eye(n), cone=cone, engine=engine,
+    return sphere_min(NormMapFn(A), np.eye(A.shape[1]), cone=cone,
                       restarts=restarts, seed=seed)
 
 

@@ -1,7 +1,6 @@
-"""Numerical tolerances and engine budgets, overridable via the environment.
+"""Numerical tolerances and engine budgets.
 
-Three knobs are exposed as environment variables so that command-line runs can
-be tuned without code changes:
+Three settings may be changed per run without code changes:
 
 ``CERT_TOL``
     Strictness threshold for relative-interior margins and verdict
@@ -12,13 +11,18 @@ be tuned without code changes:
     Restart count for the multistart subgradient sphere probe
     (default ``200``).
 
-Values are read at call time, not import time, so tests may monkeypatch the
-environment.
+Each is read at call time from, in this order, the innermost active
+``overrides`` scope (the command line's flags), the environment variable,
+and the default.  A scope is a context variable and ends with its ``with``
+block; nothing here writes to ``os.environ``.
 """
 
+import contextlib
+import contextvars
 import os
 
 __all__ = [
+    "overrides",
     "cert_tol",
     "strict_lt_one_tol",
     "lp_maxiter",
@@ -51,29 +55,36 @@ GRID_RES_3D = 4e-3
 GRID_REFINE_RES = 1e-6
 
 
-def _env_float(name, default):
-    raw = os.environ.get(name)
+_OVERRIDES = contextvars.ContextVar("gaugecert_overrides", default={})
+
+
+@contextlib.contextmanager
+def overrides(cert_tol=None, lp_maxiter=None, probe_restarts=None):
+    """Scope in which the settings given (not None) win over the environment."""
+    given = zip(("CERT_TOL", "LP_MAXITER", "PROBE_RESTARTS"),
+                (cert_tol, lp_maxiter, probe_restarts))
+    token = _OVERRIDES.set({**_OVERRIDES.get(),
+                            **{k: v for k, v in given if v is not None}})
+    try:
+        yield
+    finally:
+        _OVERRIDES.reset(token)
+
+
+def _setting(name, cast, default):
+    raw = _OVERRIDES.get().get(name, os.environ.get(name))
     if raw is None:
         return default
     try:
-        return float(raw)
+        return cast(raw)
     except ValueError as exc:
-        raise ValueError(f"{name} must be a number, got {raw!r}") from exc
-
-
-def _env_int(name, default):
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from exc
+        what = "an integer" if cast is int else "a number"
+        raise ValueError(f"{name} must be {what}, got {raw!r}") from exc
 
 
 def cert_tol():
     """Margin strictness: z is accepted as relative-interior iff margin > this."""
-    return _env_float("CERT_TOL", 1e-8)
+    return _setting("CERT_TOL", float, 1e-8)
 
 
 def strict_lt_one_tol():
@@ -82,8 +93,8 @@ def strict_lt_one_tol():
 
 
 def lp_maxiter():
-    return _env_int("LP_MAXITER", 20000)
+    return _setting("LP_MAXITER", int, 20000)
 
 
 def probe_restarts():
-    return _env_int("PROBE_RESTARTS", 200)
+    return _setting("PROBE_RESTARTS", int, 200)

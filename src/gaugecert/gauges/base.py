@@ -314,7 +314,10 @@ class Gauge:
 
     def interior_feasibility(self, A, b0):
         """``(ok, note)`` of a Slater-point probe for {x in dom J : Ax = b0},
-        or None for kinds whose verdicts do not depend on one."""
+        or None for kinds whose verdicts do not depend on one.  A kind that
+        searches for the point does so with ``cones.subgradient_min``, the
+        shared subgradient loop: ok=True rests on a point found, while
+        ok=False only says that the search found none."""
         return None
 
     def tangent_space_test(self, A, x0, y0):

@@ -38,8 +38,9 @@ def sym_basis(n):
 
 
 def _sym_mat(v, n):
-    M = np.asarray(v, dtype=float).reshape(n, n)
-    return 0.5 * (M + M.T)
+    v = np.asarray(v, dtype=float)
+    M = v.reshape(*v.shape[:-1], n, n)  # one vector or a stack of them
+    return 0.5 * (M + np.swapaxes(M, -1, -2))
 
 
 def _low_rank_draw(rng, p, q, r, symmetric):
@@ -132,16 +133,16 @@ class NuclearFace(SubdiffFace):
             return {"y0": y_p, "ri_margin": math.inf, "margin_is_max": True,
                     "note": "face is a singleton"}
 
-        def top_sv(y):
-            Z = (A.T @ y).reshape(p, q)
-            return float(np.linalg.norm(U2.T @ Z @ V2, 2))
+        def free_block(Y):
+            return U2.T @ (Y @ A).reshape(-1, p, q) @ V2
 
-        def sg(y):
-            Z = (A.T @ y).reshape(p, q)
-            W = U2.T @ Z @ V2
-            Uw, _, Vwt = np.linalg.svd(W)
-            M = np.outer(U2 @ Uw[:, 0], V2 @ Vwt[0])
-            return A @ M.ravel()
+        def top_sv(Y):
+            return np.linalg.svd(free_block(Y), compute_uv=False)[:, 0]
+
+        def sg(Y):
+            Uw, _, Vwt = np.linalg.svd(free_block(Y))
+            u, v = Uw[:, :, 0] @ U2.T, Vwt[:, 0] @ V2.T
+            return (u[:, :, None] * v[:, None, :]).reshape(-1, p * q) @ A.T
 
         y, val = subgradient_min(top_sv, sg, y_p, N)
         return {"y0": y, "ri_margin": float(self.margin(A.T @ y)),
@@ -330,15 +331,15 @@ class SdpFace(SubdiffFace):
             return {"y0": y_p, "ri_margin": math.inf, "margin_is_max": True,
                     "note": "face is a singleton"}
 
-        def lam_max(y):
-            Z = _sym_mat(A.T @ y, nm)
-            return float(np.linalg.eigvalsh(E.T @ (Z - C) @ E)[-1])
+        def kernel_block(Y):
+            return E.T @ (_sym_mat(Y @ A, nm) - C) @ E
 
-        def sg(y):
-            Z = _sym_mat(A.T @ y, nm)
-            wv, Vv = np.linalg.eigh(E.T @ (Z - C) @ E)
-            v = E @ Vv[:, -1]
-            return A @ np.outer(v, v).ravel()
+        def lam_max(Y):
+            return np.linalg.eigvalsh(kernel_block(Y))[:, -1]
+
+        def sg(Y):
+            v = np.linalg.eigh(kernel_block(Y))[1][:, :, -1] @ E.T
+            return (v[:, :, None] * v[:, None, :]).reshape(-1, nm * nm) @ A.T
 
         y, val = subgradient_min(lam_max, sg, y_p, N)
         return {"y0": y, "ri_margin": float(self.margin(A.T @ y)),
@@ -545,34 +546,33 @@ class SdpTraceGauge(Gauge):
         return sym_basis(self.nmat)
 
     def interior_feasibility(self, A, b0):
-        """Probe for a strictly positive definite feasible point (projected
-        supergradient ascent on the smallest eigenvalue).  Heuristic: success
-        is a certificate, failure is not."""
+        """Probe for a strictly positive definite feasible point: the shared
+        subgradient loop minimizes -lambda_min over the feasible symmetric
+        matrices.  Heuristic: success is a certificate, failure is not."""
         nm = self.nmat
         S = sym_basis(nm)
         s_p, N, resid = affine_solve(A @ S, b0)
         if resid > 1e-8 * max(1.0, float(np.linalg.norm(b0))):
             return False, "no symmetric feasible point found"
-
-        def lam_min(s):
-            return float(np.linalg.eigvalsh((S @ s).reshape(nm, nm))[0])
-
-        best = lam_min(s_p)
-        t = np.zeros(N.shape[1])
         scale = max(1.0, float(np.linalg.norm(s_p)))
-        if N.shape[1] and best <= 1e-9 * scale:
-            for it in range(1, 301):
-                s = s_p + N @ t
-                w, V = np.linalg.eigh((S @ s).reshape(nm, nm))
-                v = V[:, 0]
-                g = N.T @ (S.T @ np.outer(v, v).ravel())
-                gn = np.linalg.norm(g)
-                if gn < 1e-14:
-                    break
-                t = t + (0.5 * scale / math.sqrt(it)) * g / gn
-                best = max(best, lam_min(s_p + N @ t))
-                if best > 1e-6 * scale:
-                    break
+
+        def eigh(Ss):
+            return np.linalg.eigh((Ss @ S.T).reshape(-1, nm, nm))
+
+        # -lambda_min is clipped at -1e-6 scale: a start that gets there has
+        # a zero subgradient and stops, and the loop ends once all have
+        def shortfall(Ss):
+            return np.maximum(-eigh(Ss)[0][:, 0], -1e-6 * scale)
+
+        def sg(Ss):
+            w, V = eigh(Ss)
+            v = V[:, :, 0] * (w[:, :1] < 1e-6 * scale)
+            return -(v[:, :, None] * v[:, None, :]).reshape(-1, nm * nm) @ S
+
+        best = eigh(s_p[None])[0][0, 0]
+        if best <= 1e-9 * scale:
+            s = subgradient_min(shortfall, sg, s_p, N)[0]
+            best = eigh(s[None])[0][0, 0]
         if best > 1e-9 * scale:
             return True, f"interior feasible point found (lambda_min {best:.2e})"
         return False, "no strictly feasible point found by the ascent probe"

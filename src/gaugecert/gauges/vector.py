@@ -820,19 +820,22 @@ class GroupFace(SubdiffFace):
                     "note": "face is a singleton"}
         zero_groups = [self.groups[gi] for gi in self.zero]
 
-        def worst_norm(y):
-            z = A.T @ y
-            return max(float(np.linalg.norm(z[idx])) for idx in zero_groups)
+        def block_norms(Y):
+            Z = Y @ A
+            return Z, np.array([np.linalg.norm(Z[:, idx], axis=1)
+                                for idx in zero_groups])
 
-        def sg(y):
-            z = A.T @ y
-            idx = max(zero_groups, key=lambda g: np.linalg.norm(z[g]))
-            zi = z[idx]
-            nz = np.linalg.norm(zi)
-            g = np.zeros(z.size)
-            if nz > 1e-15:
-                g[idx] = zi / nz
-            return A @ g
+        def worst_norm(Y):
+            return block_norms(Y)[1].max(axis=0)
+
+        def sg(Y):
+            Z, norms = block_norms(Y)
+            worst = norms.argmax(axis=0)
+            G = np.zeros_like(Z)
+            for gi, idx in enumerate(zero_groups):
+                rows = (worst == gi) & (norms[gi] > 1e-15)
+                G[np.ix_(rows, idx)] = Z[np.ix_(rows, idx)] / norms[gi, rows, None]
+            return G @ A.T
 
         y, val = subgradient_min(worst_norm, sg, y_p, N)
         return {"y0": y, "ri_margin": float(self.margin(A.T @ y)),

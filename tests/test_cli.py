@@ -423,6 +423,22 @@ def test_flags_do_not_leak_into_the_environment(tmp_path, capsys):
         del os.environ["PROBE_RESTARTS"]
 
 
+def test_flags_override_config_while_main_runs(tmp_path, capsys, monkeypatch):
+    import gaugecert.cli as cli
+    from gaugecert import config
+    monkeypatch.delenv("PROBE_RESTARTS", raising=False)
+    seen = []
+
+    def spy(args):
+        seen.append((config.probe_restarts(), "PROBE_RESTARTS" in os.environ))
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_certify", spy)
+    assert main(["certify", write(tmp_path, E1), "--probe-restarts", "50"]) == 0
+    assert seen == [(50, False)]
+    assert config.probe_restarts() == 200
+
+
 # ----------------------------------------------------------- console entry
 
 

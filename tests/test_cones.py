@@ -16,6 +16,7 @@ from gaugecert.cones import (
     min_norm_point,
     nsp_constant,
     sphere_min,
+    subgradient_min,
 )
 
 
@@ -200,6 +201,40 @@ def test_min_norm_point_segment_oracle():
         want = p + t * (q - p)
         got = min_norm_point(np.vstack([p, q]))
         assert np.linalg.norm(got) == pytest.approx(np.linalg.norm(want), abs=1e-9)
+
+
+# ---------------------------------------------------------- subgradient_min
+
+
+def test_subgradient_min_reaches_the_lp_optimum():
+    # f(y) = ||B^T y - c||_inf over the line y0 + Im N, against the LP
+    # min s s.t. -s <= B^T (y0 + N t) - c <= s
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        B, c = rng.standard_normal((3, 6)), rng.standard_normal(6)
+        y0 = rng.standard_normal(3)
+        N = kernel_basis(rng.standard_normal((2, 3)))
+
+        def f(Y):
+            return np.abs(Y @ B - c).max(axis=1)
+
+        def subgrad(Y):
+            R = Y @ B - c
+            j = np.abs(R).argmax(axis=1)
+            return np.sign(R[np.arange(len(R)), j])[:, None] * B[:, j].T
+
+        y, val = subgradient_min(f, subgrad, y0, N)
+        BN, r0 = B.T @ N, B.T @ y0 - c
+        ones = np.ones((6, 1))
+        lp = lp_solve(np.r_[np.zeros(N.shape[1]), 1.0],
+                      A_ub=np.vstack([np.hstack([BN, -ones]),
+                                      np.hstack([-BN, -ones])]),
+                      b_ub=np.r_[-r0, r0])
+        assert val == pytest.approx(lp.value, abs=1e-3)
+        assert val == pytest.approx(f(y[None])[0], abs=1e-12)
+        assert val <= f(y0[None])[0]
+        # y stays on the affine set
+        assert np.allclose(y - y0, N @ (N.T @ (y - y0)), atol=1e-12)
 
 
 # ---------------------------------------------------------------- sphere_min

@@ -180,6 +180,17 @@ def test_sdp_frozen():
         SdpTraceGauge(np.array([[1.0, 0.5], [0.0, 1.0]]))  # not symmetric
 
 
+def test_sdp_interior_feasibility():
+    g = SdpTraceGauge(np.eye(2))
+    # tr X = 2: X = I is a positive definite feasible point
+    ok, note = g.interior_feasibility(np.eye(2).reshape(1, 4), np.array([2.0]))
+    assert ok, note
+    # X_00 = 0 forces a zero first row on every PSD point: none is definite
+    A = np.array([[1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 1.0]])
+    ok, note = g.interior_feasibility(A, np.array([0.0, 1.0]))
+    assert not ok, note
+
+
 def test_analysis_value_and_orthogonal_prox():
     th = 0.3
     D = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
@@ -403,6 +414,35 @@ def test_kind_switches_live_in_gauges():
                 if (path.name, src) not in ALLOWED_KIND_COMPARISONS:
                     found.append(f"{path.name}:{node.lineno}: {src}")
     assert not found, "kind comparisons outside gauges/:\n" + "\n".join(found)
+
+
+def _mutates_environ(node):
+    def is_environ(sub):
+        return (isinstance(sub, ast.Attribute) and sub.attr == "environ"
+                and isinstance(sub.value, ast.Name) and sub.value.id == "os")
+    if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)):
+        targets = node.targets if isinstance(node, (ast.Assign, ast.Delete)) \
+            else [node.target]
+        return any(isinstance(t, ast.Subscript) and is_environ(t.value)
+                   for t in targets)
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        return ((is_environ(node.func.value) and node.func.attr in
+                 ("pop", "popitem", "clear", "update", "setdefault", "__setitem__"))
+                or (isinstance(node.func.value, ast.Name)
+                    and node.func.value.id == "os"
+                    and node.func.attr in ("putenv", "unsetenv")))
+    return False
+
+
+def test_no_module_writes_the_environment():
+    # settings pass through config.overrides; writing os.environ would leak
+    # them to every later caller in the process
+    found = []
+    for path in sorted(Path(gaugecert.__file__).parent.rglob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(ast.parse(text))
+                  if _mutates_environ(node)]
+    assert not found, "os.environ written at " + ", ".join(found)
 
 
 def _gauge_classes(cls=gaugecert.gauges.Gauge):
