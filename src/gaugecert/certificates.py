@@ -266,10 +266,13 @@ def check_sharp(gauge, A, x0, with_alpha=True):
     otherwise.  Certified disagreement raises InternalDisagreementError.
 
     Also computes kappa (the sharpness constant) and alpha (minimum conic
-    singular value of A against the critical cone).  alpha never feeds the
-    verdicts, and its sphere probe dominates the runtime on small problems;
-    callers that only need verdicts may pass ``with_alpha=False`` to skip it
-    (the report then carries alpha=None, uncertified).
+    singular value of A against the critical cone).  alpha is exact on a
+    polyhedral critical cone with at most log2(VERTEX_CAP) lifted rows (the
+    active-set search of ``min_conic_singular``) and a sphere probe
+    otherwise.  alpha never feeds the verdicts, and its probe can dominate
+    the runtime on small problems; callers that only need verdicts may pass
+    ``with_alpha=False`` to skip it (the report then carries alpha=None,
+    uncertified).
 
     Returns
     -------

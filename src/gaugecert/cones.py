@@ -12,7 +12,10 @@ Everything the certification layer needs about cones lives here:
 * ``sphere_min`` -- minimize a positively homogeneous convex function over
   the unit sphere of a subspace, with three engines (exact piecewise-linear,
   angular grid, multistart subgradient);
-* ``min_conic_singular`` -- minimum of ||Ah|| over a cone's unit sphere;
+* ``min_conic_singular`` -- minimum of ||Ah|| over a cone's unit sphere,
+  exact on polyhedral cones by an active-set eigen search (``exact-active-set``,
+  when the 2^r active sets of the r lifted rows are within ``VERTEX_CAP``),
+  else by ``sphere_min``;
 * ``nsp_constant`` -- the null-space-property constant by sign enumeration.
 
 Cones and probe functions are batch-first: a ``ConeSpec`` holds one
@@ -32,6 +35,8 @@ near-misses are pulled onto the cone together by ``_polish_to_cone``, which
 bisects them in lockstep with one ``violation_batch`` call per step.
 """
 
+import heapq
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -887,12 +892,111 @@ def _multistart(f, K, cone, restarts, seed):
 def min_conic_singular(A, cone, restarts=None, seed=0):
     """Minimum of ||A h|| over unit vectors of the cone.
 
-    Certified (angular grid) only in ambient dimension <= 3; otherwise a
-    labeled multistart probe.
+    Exact and certified (``_active_set_min``) on a polyhedral cone whose
+    lifted description has r rows with 2^r <= ``VERTEX_CAP``.  Above the cap
+    and for non-polyhedral cones it is ``sphere_min``: the angular grid
+    (certified) in ambient dimension <= 3, else a labeled multistart probe.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    return sphere_min(NormMapFn(A), np.eye(A.shape[1]), cone=cone,
-                      restarts=restarts, seed=seed)
+    f = NormMapFn(A)
+    capped = ""
+    if cone is not None and cone.is_polyhedral:
+        r = cone.G_h.shape[0]
+        if 2 ** r <= config.VERTEX_CAP:
+            return _active_set_min(f, cone)
+        capped = f"2^{r} active sets exceed the cap {config.VERTEX_CAP}"
+    res = sphere_min(f, np.eye(A.shape[1]), cone=cone, restarts=restarts,
+                     seed=seed)
+    res.note = "; ".join(filter(None, (capped, res.note)))
+    return res
+
+
+def _active_set_min(f, cone):
+    """Exact minimum of f(h) = ||A h|| over the unit vectors of a polyhedral
+    cone {h : exists u, M (h, u) <= 0}, M = [G_h | G_u] with r rows.
+
+    For an active set I of rows, V_I is the h-projection of Ker M_I.  The
+    minimizer (h, u) lies in the relative interior of the face of its own
+    active set, so h is a local, hence global, minimizer of the Rayleigh
+    quotient of A^T A on V_I.  alpha^2 is therefore the smallest
+    lambda_min(V_I) whose bottom eigenspace E meets the cone (Seeger's
+    cone-constrained eigenvalues).  A best-first branch and bound over I
+    finds it: a child adds one row past max(I), so each subset comes once;
+    its bound lambda_min(V_I) only grows with I; a node whose E meets the
+    cone is a candidate and is not branched; the search stops once the
+    smallest bound in the heap reaches the best candidate.  E meets the cone
+    when +-v does for a basis vector v of E, else by ``cone_trivial``.  A
+    node skips the test, but not its subtree, when its V_I was tested
+    before or its lambda_min equals its parent's.
+    """
+    A = f.A
+    n = cone.n
+    M = np.hstack([cone.G_h, cone.G_u])
+    r = M.shape[0]
+    AtA = A.T @ A
+    # eigenvalues this close to lambda_min belong to the bottom eigenspace
+    etol = 1e-10 * max(1.0, float(np.linalg.norm(A, 2)) ** 2)
+    mtol = config.RANK_TOL * max(1.0, float(np.abs(M).max(initial=0.0)))
+    evals = 0
+
+    def node(I):
+        """(lambda_min, bottom eigenspace E, key of V_I), or None if V_I = 0."""
+        nonlocal evals
+        evals += 1
+        if I:
+            _, s, vt = np.linalg.svd(M[list(I)])
+            N = vt[int(np.sum(s > mtol)):, :n]  # rows span V_I
+            _, s, vt = np.linalg.svd(N, full_matrices=False)
+            B = vt[s > config.RANK_TOL].T
+        else:
+            B = np.eye(n)
+        if B.shape[1] == 0:
+            return None
+        w, U = np.linalg.eigh(B.T @ AtA @ B)
+        key = (np.round(B @ B.T, 9) + 0.0).tobytes()
+        return float(w[0]), B @ U[:, w <= w[0] + etol], key
+
+    def meets_cone(E):
+        """A unit direction of the cone in span(E), or None."""
+        H = np.vstack([E.T, -E.T])
+        ok = cone.violation_batch(H) <= 1e-12
+        if np.any(ok):
+            return H[int(np.argmax(ok))]
+        if E.shape[1] == 1:
+            return None
+        trivial, h = cone_trivial(cone, E)
+        return None if trivial else h
+
+    best_val, best_h = math.inf, None
+    tested = {}  # key of V_I -> its cone direction or None
+    heap, order = [], itertools.count()
+
+    def push(I, parent_lam):
+        nd = node(I)
+        if nd is not None and nd[0] < best_val:
+            heapq.heappush(heap, (nd[0], next(order), I, *nd[1:],
+                                  nd[0] <= parent_lam + etol))
+
+    push((), -math.inf)
+    while heap and heap[0][0] < best_val:
+        lam, _, I, E, key, inside_parent = heapq.heappop(heap)
+        # at its parent's lambda_min, E lies in the parent's E, which
+        # missed the cone (the parent was branched)
+        if not inside_parent:
+            if key not in tested:
+                tested[key] = meets_cone(E)
+            if tested[key] is not None:
+                best_val, best_h = lam, tested[key]
+                continue
+        for j in range(I[-1] + 1 if I else 0, r):
+            push(I + (j,), lam)
+    note = f"active sets visited: {evals}"
+    if best_h is None:
+        return SphereMinResult(value=math.inf, minimizer=None,
+                               engine="exact-active-set", certified=True,
+                               evals=evals, note="no feasible direction; " + note)
+    return _finish(f, best_h, math.sqrt(max(best_val, 0.0)), "exact-active-set",
+                   True, evals, note)
 
 
 def nsp_constant(A, I, cap=None):

@@ -1,7 +1,11 @@
 """Tests for the polyhedral/conic computation engine."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gaugecert.cones import (
     ConeSpec,
@@ -15,9 +19,12 @@ from gaugecert.cones import (
     min_conic_singular,
     min_norm_point,
     nsp_constant,
+    range_basis,
     sphere_min,
     subgradient_min,
 )
+from gaugecert.gauges import (AnalysisL1Gauge, L1Gauge, NonnegL1Gauge,
+                              SortedWeightedL1Gauge)
 
 
 # ---------------------------------------------------------------- lp_solve
@@ -330,12 +337,145 @@ def test_min_conic_singular_heuristic_in_high_dimension():
     rng = np.random.default_rng(32)
     A = rng.standard_normal((6, 5))
     full = ConeSpec.from_rows(np.zeros((1, 5)))
-    res = min_conic_singular(A, full, restarts=40, seed=2)
-    assert not res.certified
     smin = np.linalg.svd(A, compute_uv=False)[-1]
+    # the same cone given only by its violation takes the multistart probe
+    res = min_conic_singular(
+        A, ConeSpec.from_violation(5, full.violation_batch,
+                                   full.violation_subgrad_batch),
+        restarts=40, seed=2)
+    assert not res.certified
     # heuristic: an upper bound that lands close on the full sphere
     assert res.value >= smin - 1e-9
     assert res.value == pytest.approx(smin, abs=1e-3)
+    # the polyhedral form is solved exactly in any dimension
+    res = min_conic_singular(A, full)
+    assert res.certified and res.engine == "exact-active-set"
+    assert res.value == pytest.approx(smin, abs=1e-12)
+
+
+def test_conic_singular_trivial_cone():
+    # l1 at x0 = 0: J'(0; h) = ||h||_1, so the critical cone is {0}
+    A = np.random.default_rng(33).standard_normal((2, 3))
+    res = min_conic_singular(A, L1Gauge(3).critical_cone(np.zeros(3)))
+    assert res.value == np.inf and res.certified and res.minimizer is None
+    assert res.engine == "exact-active-set"
+    assert "no feasible direction" in res.note
+
+
+def test_conic_singular_above_the_cap_keeps_the_sphere_probe():
+    # 13 tied coordinates lift the wsl1 critical cone to 339 rows, far past
+    # 2^r <= VERTEX_CAP: the sphere probe runs as before, and says why
+    g = SortedWeightedL1Gauge(np.arange(13, 0, -1, dtype=float))
+    x0 = np.ones(13)
+    A = np.random.default_rng(5).standard_normal((7, 13))
+    cone = g.critical_cone(x0)
+    res = min_conic_singular(A, cone, restarts=20)
+    ref = sphere_min(NormMapFn(A), np.eye(13), cone=cone, restarts=20)
+    assert res.engine == ref.engine == "multistart-subgradient"
+    assert not res.certified
+    assert res.value == ref.value
+    assert res.note.startswith("2^339 active sets exceed the cap")
+
+
+def test_conic_singular_nonneg_draw_47():
+    # the grid certified 0.0556687 here; a cone direction reaches 0.0550200
+    rng = np.random.default_rng(47)
+    x0 = np.zeros(3)
+    x0[rng.integers(3)] = rng.uniform(0.5, 1.5)
+    A = rng.standard_normal((2, 3))
+    cone = NonnegL1Gauge(3).critical_cone(x0)
+    res = min_conic_singular(A, cone)
+    assert res.certified
+    assert res.value == pytest.approx(0.0550200, abs=1e-7)
+    assert cone.violation(res.minimizer) <= 1e-12
+
+
+def _alpha_by_enumeration(A, cone):
+    """||A v|| at the bottom eigenvector v of A^T A on the h-projection V_I
+    of Ker M_I, M = [G_h | G_u], with the smallest eigenvalue over every
+    active set I whose bottom eigenspace meets the cone (an LP test at
+    every set)."""
+    M = np.hstack([cone.G_h, cone.G_u])
+    n, r = cone.n, M.shape[0]
+    tol = 1e-10 * max(1.0, np.linalg.norm(A, 2) ** 2)
+    best, alpha = np.inf, np.inf
+    for size in range(r + 1):
+        for I in itertools.combinations(range(r), size):
+            N = kernel_basis(M[list(I)]) if I else np.eye(M.shape[1])
+            B = range_basis(N[:n])
+            if B.shape[1] == 0:
+                continue
+            w, U = np.linalg.eigh(B.T @ A.T @ A @ B)
+            if w[0] < best and not cone_trivial(cone, B @ U[:, w <= w[0] + tol])[0]:
+                best, alpha = w[0], float(np.linalg.norm(A @ B @ U[:, 0]))
+    return alpha
+
+
+def _polyhedral_draw(kind, n, rng):
+    """A seeded (gauge, A, x0) of one of the lifted polyhedral kinds."""
+    A = rng.standard_normal((int(rng.integers(max(1, n - 2), n + 2)), n))
+    x0 = np.zeros(n)
+    on = rng.choice(n, int(rng.integers(1, n)), replace=False)
+    if kind == "l1":
+        x0[on] = rng.choice([-1.0, 1.0], on.size) * rng.uniform(0.5, 1.5, on.size)
+        return L1Gauge(n), A, x0
+    if kind == "nonneg_l1":
+        x0[on] = rng.uniform(0.5, 1.5, on.size)
+        return NonnegL1Gauge(n), A, x0
+    if kind == "analysis_l1":
+        D = rng.standard_normal((n, n + 1))
+        K = kernel_basis(D[:, :int(rng.integers(1, n))].T)
+        return AnalysisL1Gauge(D), A, K @ rng.standard_normal(K.shape[1])
+    x0[on] = rng.choice([-1.0, 1.0], on.size) * rng.choice([1.0, 2.0], on.size)
+    w = np.sort(rng.choice([1.0, 2.0, 3.0], n))[::-1]
+    return SortedWeightedL1Gauge(w), A, x0
+
+
+@pytest.mark.parametrize("kind", ["l1", "nonneg_l1", "analysis_l1", "wsl1"])
+def test_conic_singular_matches_active_set_enumeration(kind):
+    rng = np.random.default_rng(34)
+    done = 0
+    while done < 6:
+        g, A, x0 = _polyhedral_draw(kind, int(rng.integers(2, 7)), rng)
+        cone = g.critical_cone(x0)
+        if 2 ** cone.G_h.shape[0] > 2 ** 10:
+            continue  # keeps the enumeration's LPs few
+        res = min_conic_singular(A, cone)
+        assert res.certified and res.engine == "exact-active-set"
+        assert res.value == pytest.approx(_alpha_by_enumeration(A, cone), abs=1e-9)
+        if res.minimizer is not None:
+            assert cone.violation(res.minimizer) <= 1e-9
+        done += 1
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["l1", "nonneg_l1", "analysis_l1", "wsl1"]),
+       n=st.integers(2, 5), seed=st.integers(0, 2 ** 32 - 1),
+       c=st.floats(0.1, 10.0), flip=st.booleans())
+def test_conic_singular_properties(kind, n, seed, c, flip):
+    rng = np.random.default_rng(seed)
+    g, A, x0 = _polyhedral_draw(kind, n, rng)
+    cone = g.critical_cone(x0)
+    assume(2 ** cone.G_h.shape[0] <= 4096)
+    alpha = min_conic_singular(A, cone).value
+    # never above ||A h|| at a cone direction: random directions and their
+    # mixtures with the anchor -x0, which the critical cone contains
+    H = rng.standard_normal((4000, n))
+    if np.any(x0):
+        H[2000:] = rng.uniform(0.0, 1.0, (2000, 1)) * H[2000:] - x0 / np.linalg.norm(x0)
+    H /= np.linalg.norm(H, axis=1, keepdims=True)
+    H = H[cone.violation_batch(H) <= 0.0]
+    if H.shape[0]:
+        assert alpha <= np.min(np.linalg.norm(H @ A.T, axis=1)) + 1e-12
+    # alpha(cA) = |c| alpha(A) and alpha(QA) = alpha(A) for orthogonal Q
+    c = -c if flip else c
+    Q = np.linalg.qr(rng.standard_normal((A.shape[0], A.shape[0])))[0]
+    for B, want in ((c * A, abs(c) * alpha), (Q @ A, alpha)):
+        got = min_conic_singular(B, cone).value
+        if np.isinf(want):
+            assert got == np.inf
+        else:
+            assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
 # ------------------------------------------------------------- nsp_constant
