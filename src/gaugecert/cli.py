@@ -26,7 +26,9 @@ Tolerance knobs may be set per run with ``--cert-tol``, ``--lp-maxiter``
 and ``--probe-restarts``.  A flag holds for that one call of ``main``, as a
 ``config.overrides`` scope that leaves ``os.environ`` untouched; a knob
 without its flag reads the environment variable ``CERT_TOL``,
-``LP_MAXITER`` or ``PROBE_RESTARTS``, then its default.  All index
+``LP_MAXITER`` or ``PROBE_RESTARTS``, then its default.  A knob that
+does not parse or is out of range, from a flag or the environment, is a
+validation error (exit 3) before any work starts.  All index
 lists (``--support``, ``partition``) are 0-based.  Reports are printed as
 aligned-column text or, with ``--json``, as strict JSON in which non-finite
 numbers appear as the strings "inf"/"-inf"/"nan".
@@ -662,13 +664,14 @@ def main(argv=None):
     try:
         with config.overrides(cert_tol=args.cert_tol, lp_maxiter=args.lp_maxiter,
                               probe_restarts=args.probe_restarts):
+            config.validate()
             code = args.fn(args)
         try:
             sys.stdout.flush()
         except BrokenPipeError:
             _drop_stdout()
         return code
-    except ProblemValidationError as exc:
+    except (ProblemValidationError, config.SettingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except FileNotFoundError as exc:

@@ -2,7 +2,10 @@
 
 Everything the certification layer needs about cones lives here:
 
-* ``lp_solve`` -- thin, verified wrapper around a dense LP backend;
+* ``lp_solve`` -- dense LPs solved by HiGHS's dual simplex through scipy's
+  bundled binding ``scipy.optimize._highspy._core``: the model and options
+  of scipy's ``highs-ds`` method, built without its per-call option checks,
+  and each optimum re-verified by its KKT residual;
 * ``kernel_basis`` / ``range_basis`` / ``matrix_rank`` -- SVD-based subspace
   and rank tests, plus ``affine_solve`` and the heuristic ``subgradient_min``
   used by the certificate searches;
@@ -35,13 +38,14 @@ near-misses are pulled onto the cone together by ``_polish_to_cone``, which
 bisects them in lockstep with one ``violation_batch`` call per step.
 """
 
+import functools
 import heapq
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
+from scipy.optimize._highspy import _core as _highs
 from scipy.spatial import ConvexHull, QhullError
 
 from . import config
@@ -87,78 +91,141 @@ class LpResult:
     eq_marginals: np.ndarray = None
 
 
+def _lp_rows(A, b, n, name):
+    """Dense ``(rows, n)`` block and right-hand side of ``A x <= b`` or
+    ``A x = b``; ``None`` is the empty block.  Shapes must match and data
+    be finite, as scipy's ``highs-ds`` method requires (ValueError)."""
+    if A is None:
+        return np.zeros((0, n)), np.zeros(0)
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    b = np.asarray(b, dtype=float).ravel()
+    if A.size == 0:
+        A = A.reshape(0, n)
+    if A.shape != (b.size, n):
+        raise ValueError(f"LP input: A_{name} must be ({b.size}, {n}) "
+                         f"to match c and b_{name}, got {A.shape}")
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):
+        raise ValueError(f"LP input: A_{name} and b_{name} must be finite")
+    return A, b
+
+
+@functools.lru_cache(maxsize=8)
+def _highs_options(maxiter):
+    """The options scipy's ``highs-ds`` method hands HiGHS, built once per
+    iteration cap (scipy validates and builds them again for every LP).
+    ``passOptions`` copies them, so one object serves every solver."""
+    if not 0 <= maxiter <= _highs.kHighsIInf:
+        raise ValueError(f"LP iteration cap must lie in [0, "
+                         f"{_highs.kHighsIInf}], got {maxiter}")
+    opts = _highs.HighsOptions()
+    opts.presolve = "on"
+    opts.solver = "simplex"
+    opts.simplex_strategy = \
+        _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    opts.primal_feasibility_tolerance = 1e-9
+    opts.dual_feasibility_tolerance = 1e-9
+    opts.simplex_iteration_limit = maxiter
+    opts.ipm_iteration_limit = maxiter
+    opts.highs_debug_level = _highs.HighsDebugLevel.kHighsDebugLevelNone
+    opts.log_to_console = False
+    opts.output_flag = False
+    return opts
+
+
 def lp_solve(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None,
              maxiter=None):
     """Solve ``min c @ x  s.t.  A_ub x <= b_ub, A_eq x = b_eq, bounds``.
 
-    Variables are free by default (unlike the scipy default of x >= 0).
-    Optimal solutions are re-verified: primal feasibility and the duality
-    gap computed from the returned marginals must sit below 1e-8 (scaled),
-    otherwise LpFailure is raised.  Statuses other than
-    optimal/infeasible/unbounded also raise.
+    Variables are free by default (unlike the scipy default of x >= 0);
+    a bound of None or +-inf is absent.  The model goes to HiGHS's dual
+    simplex as scipy's ``highs-ds`` method builds it, on a fresh solver
+    each time, so every optimum is the vertex that method returns.  Optimal
+    solutions are re-verified: primal feasibility and the duality gap
+    computed from the returned marginals must be finite and sit below 1e-8
+    (scaled), otherwise LpFailure is raised.  Statuses other than
+    optimal/infeasible/unbounded also raise; non-finite data raise
+    ValueError.
     """
-    c = np.asarray(c, dtype=float)
+    c = np.atleast_1d(np.asarray(c, dtype=float).squeeze())
+    if c.ndim != 1 or c.size == 0:
+        raise ValueError(f"LP input: c must be a nonempty vector, got shape "
+                         f"{c.shape}")
+    if not np.isfinite(c).all():
+        raise ValueError("LP input: c must be finite")
     nvar = c.size
-    if bounds is None:
-        bounds = [(None, None)] * nvar
+    A_ub, b_ub = _lp_rows(A_ub, b_ub, nvar, "ub")
+    A_eq, b_eq = _lp_rows(A_eq, b_eq, nvar, "eq")
+    lo, hi = (np.full((2, nvar), math.nan) if bounds is None else
+              np.array(bounds, dtype=float).reshape(nvar, 2).T)
+    lo = np.where(np.isnan(lo), -_highs.kHighsInf, lo)
+    hi = np.where(np.isnan(hi), _highs.kHighsInf, hi)
     if maxiter is None:
         maxiter = config.lp_maxiter()
-    res = scipy.optimize.linprog(
-        c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds,
-        method="highs-ds",
-        options={"maxiter": maxiter,
-                 "primal_feasibility_tolerance": 1e-9,
-                 "dual_feasibility_tolerance": 1e-9},
-    )
-    if res.status == 2:
+
+    # rows [A_ub; A_eq] column-wise with explicit zeros dropped, as
+    # scipy's csc_array of the stacked rows
+    A = np.vstack((A_ub, A_eq))
+    cols, rows = np.nonzero(A.T)
+    lp = _highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = nvar
+    lp.num_row_ = lp.a_matrix_.num_row_ = A.shape[0]
+    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = np.concatenate(([0], np.cumsum(np.bincount(
+        cols, minlength=nvar))))
+    lp.a_matrix_.index_ = rows
+    lp.a_matrix_.value_ = A[rows, cols]
+    lp.col_cost_ = c
+    lp.col_lower_ = lo
+    lp.col_upper_ = hi
+    lp.row_lower_ = np.concatenate((np.full(b_ub.size, -_highs.kHighsInf), b_eq))
+    lp.row_upper_ = np.concatenate((b_ub, b_eq))
+
+    highs = _highs._Highs()
+    highs.passOptions(_highs_options(maxiter))
+    if highs.passModel(lp) == _highs.HighsStatus.kError:
+        return LpResult(status="infeasible")  # as scipy maps kModelError
+    run_ok = highs.run() != _highs.HighsStatus.kError
+    status = highs.getModelStatus()
+    if status in (_highs.HighsModelStatus.kInfeasible,
+                  _highs.HighsModelStatus.kModelError):
         return LpResult(status="infeasible")
-    if res.status == 3:
+    if status == _highs.HighsModelStatus.kUnbounded:
         return LpResult(status="unbounded")
-    if res.status != 0:
-        raise LpFailure(f"LP backend failure (status {res.status}): {res.message}")
+    if status != _highs.HighsModelStatus.kOptimal or not run_ok:
+        raise LpFailure(f"LP backend failure: "
+                        f"{highs.modelStatusToString(status)}")
 
-    x = np.asarray(res.x, dtype=float)
-    scale = max(1.0, float(np.max(np.abs(c))) if nvar else 1.0)
-    feas = 0.0
-    if A_ub is not None:
-        A_ub = np.atleast_2d(np.asarray(A_ub, dtype=float))
-        b_ub = np.asarray(b_ub, dtype=float).ravel()
-        if A_ub.size:
-            feas = max(feas, float(np.max(A_ub @ x - b_ub, initial=0.0)))
-            scale = max(scale, float(np.max(np.abs(b_ub), initial=0.0)))
-    if A_eq is not None:
-        A_eq = np.atleast_2d(np.asarray(A_eq, dtype=float))
-        b_eq = np.asarray(b_eq, dtype=float).ravel()
-        if A_eq.size:
-            feas = max(feas, float(np.max(np.abs(A_eq @ x - b_eq), initial=0.0)))
-            scale = max(scale, float(np.max(np.abs(b_eq), initial=0.0)))
-    for xi, (lo, hi) in zip(x, bounds):
-        if lo is not None:
-            feas = max(feas, lo - xi)
-        if hi is not None:
-            feas = max(feas, xi - hi)
+    sol = highs.getSolution()
+    x = np.array(sol.col_value)
+    fun = highs.getInfo().objective_function_value
+    row_dual = np.array(sol.row_dual)
+    ineq_m, eq_m = row_dual[:b_ub.size].copy(), row_dual[b_ub.size:].copy()
+    # a bound's multiplier is the column dual where the column sits at it
+    col_status = np.fromiter(map(int, highs.getBasis().col_status), int, nvar)
+    col_dual = np.array(sol.col_dual)
+    lower_m = np.where(col_status == int(_highs.HighsBasisStatus.kLower),
+                       col_dual, 0.0)
+    upper_m = np.where(col_status == int(_highs.HighsBasisStatus.kUpper),
+                       col_dual, 0.0)
 
-    # duality gap from marginals (dual objective must meet the primal value)
-    dual = 0.0
-    if A_eq is not None and A_eq.size:
-        dual += float(b_eq @ res.eqlin.marginals)
-    if A_ub is not None and A_ub.size:
-        dual += float(b_ub @ res.ineqlin.marginals)
-    lower_m = np.asarray(res.lower.marginals, dtype=float)
-    upper_m = np.asarray(res.upper.marginals, dtype=float)
-    for i, (lo, hi) in enumerate(bounds):
-        if lo is not None:
-            dual += lo * lower_m[i]
-        if hi is not None:
-            dual += hi * upper_m[i]
-    gap = abs(dual - res.fun)
-    scale = max(scale, abs(res.fun), 1.0)
+    feas = max(0.0, float(np.max(np.concatenate((
+        A_ub @ x - b_ub, np.abs(A_eq @ x - b_eq), lo - x, x - hi)))))
+    # duality gap from marginals (dual objective must meet the primal
+    # value); the bound terms are added one by one, in column order
+    bound_terms = np.column_stack((np.where(np.isfinite(lo), lo, 0.0) * lower_m,
+                                   np.where(np.isfinite(hi), hi, 0.0) * upper_m))
+    dual = float(b_eq @ eq_m) + float(b_ub @ ineq_m)
+    dual = float(np.add.accumulate(np.append(dual, bound_terms))[-1])
+    gap = abs(dual - fun)
+    scale = max(1.0, float(np.max(np.abs(c))),
+                float(np.max(np.abs(b_ub), initial=0.0)),
+                float(np.max(np.abs(b_eq), initial=0.0)), abs(fun))
     kkt = max(feas, gap) / scale
-    if kkt > 1e-8:
+    # max() drops a NaN argument, so a non-finite x or gap is tested apart
+    if not (kkt <= 1e-8 and np.isfinite(x).all() and math.isfinite(gap)):
         raise LpFailure(f"LP KKT verification failed: residual {kkt:.3e}")
-    eq = res.eqlin.marginals if A_eq is not None and A_eq.size else ()
-    return LpResult(status="optimal", x=x, value=float(res.fun), kkt_residual=kkt,
-                    eq_marginals=np.asarray(eq, dtype=float))
+    return LpResult(status="optimal", x=x, value=float(fun), kkt_residual=kkt,
+                    eq_marginals=eq_m)
 
 
 def kernel_basis(A, rtol=None):

@@ -14,15 +14,22 @@ Three settings may be changed per run without code changes:
 Each is read at call time from, in this order, the innermost active
 ``overrides`` scope (the command line's flags), the environment variable,
 and the default.  A scope is a context variable and ends with its ``with``
-block; nothing here writes to ``os.environ``.
+block; nothing here writes to ``os.environ``.  A value that does not parse
+or lies out of range (a negative or non-finite ``CERT_TOL``, an
+``LP_MAXITER`` below 1 or above HiGHS's largest iteration limit 2^31 - 1,
+a ``PROBE_RESTARTS`` below 1) raises ``SettingError``; ``validate`` reads
+all three at once.
 """
 
 import contextlib
 import contextvars
+import math
 import os
 
 __all__ = [
+    "SettingError",
     "overrides",
+    "validate",
     "cert_tol",
     "strict_lt_one_tol",
     "lp_maxiter",
@@ -71,20 +78,34 @@ def overrides(cert_tol=None, lp_maxiter=None, probe_restarts=None):
         _OVERRIDES.reset(token)
 
 
-def _setting(name, cast, default):
+class SettingError(ValueError):
+    """A setting, from a flag or the environment, is malformed or out of range."""
+
+
+def _setting(name, cast, default, valid, what):
     raw = _OVERRIDES.get().get(name, os.environ.get(name))
     if raw is None:
         return default
     try:
-        return cast(raw)
-    except ValueError as exc:
-        what = "an integer" if cast is int else "a number"
-        raise ValueError(f"{name} must be {what}, got {raw!r}") from exc
+        value = cast(raw)
+        if valid(value):
+            return value
+    except ValueError:
+        pass
+    raise SettingError(f"{name} must be {what}, got {raw!r}")
+
+
+def validate():
+    """Read every setting once, so that a bad one fails before any work."""
+    cert_tol()
+    lp_maxiter()
+    probe_restarts()
 
 
 def cert_tol():
     """Margin strictness: z is accepted as relative-interior iff margin > this."""
-    return _setting("CERT_TOL", float, 1e-8)
+    return _setting("CERT_TOL", float, 1e-8, lambda v: 0.0 <= v < math.inf,
+                    "a finite number >= 0")
 
 
 def strict_lt_one_tol():
@@ -93,8 +114,11 @@ def strict_lt_one_tol():
 
 
 def lp_maxiter():
-    return _setting("LP_MAXITER", int, 20000)
+    # HiGHS's iteration limits are 32-bit integers
+    return _setting("LP_MAXITER", int, 20000, lambda v: 1 <= v <= 2**31 - 1,
+                    "an integer from 1 to 2147483647")
 
 
 def probe_restarts():
-    return _setting("PROBE_RESTARTS", int, 200)
+    return _setting("PROBE_RESTARTS", int, 200, lambda v: v >= 1,
+                    "an integer >= 1")

@@ -405,12 +405,27 @@ def test_gauge_param_cross_validation(tmp_path, capsys):
             assert f"{field}:" in err or repr(field) in err, (kind, err)
 
 
-def test_usage_errors_exit_3(tmp_path, capsys):
+def test_usage_errors_exit_3(tmp_path, capsys, monkeypatch):
     assert main(["frobnicate"]) == 3
     capsys.readouterr()
     assert main(["solve", write(tmp_path, E1)]) == 3  # --problem is required
     capsys.readouterr()
     assert main(["certify", write(tmp_path, E1), "--condition", "viii"]) == 3
+    # out-of-range settings, from a flag or from the environment
+    path = str(REPO_ROOT / "demos" / "problems" / "sharp_line.json")
+    for flag, value in (("--lp-maxiter", "-1"), ("--lp-maxiter", "0"),
+                        ("--lp-maxiter", "abc"), ("--probe-restarts", "-3"),
+                        ("--probe-restarts", "0"), ("--cert-tol", "nan"),
+                        ("--cert-tol", "-1"), ("--cert-tol", "inf")):
+        capsys.readouterr()
+        assert main(["certify", path, f"{flag}={value}"]) == 3, (flag, value)
+        assert "Traceback" not in capsys.readouterr().err
+        var = flag[2:].replace("-", "_").upper()
+        with monkeypatch.context() as env:
+            env.setenv(var, value)
+            assert main(["certify", path]) == 3, (var, value)
+            assert f"{var} must be" in capsys.readouterr().err
+    assert main(["certify", path, "--cert-tol=0", "--lp-maxiter=2147483647"]) == 0
 
 
 def test_flags_do_not_leak_into_the_environment(tmp_path, capsys):

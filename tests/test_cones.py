@@ -1,12 +1,15 @@
 """Tests for the polyhedral/conic computation engine."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from gaugecert import cones
 from gaugecert.cones import (
     ConeSpec,
     EnumerationCapExceeded,
@@ -80,6 +83,116 @@ def test_lp_solve_random_equality_problems():
         assert res.status == "optimal"
         assert np.max(np.abs(A @ res.x - b)) < 1e-8
         assert res.value <= c @ x_feas + 1e-8
+
+
+def _reference_corpus():
+    """Seeded LPs: A_ub only, A_eq only and both, on free, half-bounded and
+    boxed variables, plus explicit infeasible and unbounded ones; the last
+    is the larger LP that the iteration cap of 1 stops."""
+    rng = np.random.default_rng(2024)
+    kinds = {"free": lambda n: [(None, None)] * n,
+             "half": lambda n: [(0.0, None), (None, 1.0), (-np.inf, 0.5),
+                                (-1.0, np.inf)][:n] + [(0.0, None)] * (n - 4),
+             "box": lambda n: [(-2.0, 2.0)] * n}
+    for rows, (name, bounds) in itertools.product(("ub", "eq", "both"),
+                                                  kinds.items()):
+        for _ in range(4):
+            n = int(rng.integers(4, 8))
+            x_feas = rng.uniform(-0.5, 0.5, n)
+            if name == "half":
+                x_feas[:4] = [0.5, 0.5, -0.5, 0.0]
+                x_feas[4:] = np.abs(x_feas[4:])
+            lp = {"c": rng.standard_normal(n), "bounds": bounds(n)}
+            if rows in ("ub", "both"):
+                A = rng.standard_normal((int(rng.integers(2, 2 * n)), n))
+                A[rng.random(A.shape) < 0.3] = 0.0  # zeros are dropped
+                lp["A_ub"] = A
+                lp["b_ub"] = A @ x_feas + rng.uniform(0.0, 1.0, A.shape[0])
+            if rows in ("eq", "both"):
+                A = rng.standard_normal((int(rng.integers(1, n)), n))
+                lp["A_eq"], lp["b_eq"] = A, A @ x_feas
+            yield lp
+    # infeasible: contradictory rows, and an equality outside the box
+    yield {"c": np.ones(2), "A_ub": np.array([[1.0, 1.0], [-1.0, -1.0]]),
+           "b_ub": np.array([1.0, -2.0])}
+    yield {"c": np.ones(3), "A_eq": np.ones((1, 3)), "b_eq": np.array([7.0]),
+           "bounds": [(-2.0, 2.0)] * 3}
+    # unbounded: a free direction of descent
+    yield {"c": np.array([1.0, -1.0]), "A_ub": np.array([[1.0, 0.0]]),
+           "b_ub": np.array([1.0]), "bounds": [(None, None), (0.0, None)]}
+    n, m = 30, 60
+    A = rng.standard_normal((m, n))
+    yield {"c": rng.standard_normal(n), "A_ub": A,
+           "b_ub": np.abs(rng.standard_normal(m)) + 1.0,
+           "bounds": [(-5.0, 5.0)] * n, "maxiter": 1}
+
+
+def test_lp_solve_matches_linprog_highs_ds():
+    seen = set()
+    for lp in _reference_corpus():
+        maxiter = lp.pop("maxiter", 20000)
+        bounds = lp.pop("bounds", [(None, None)] * lp["c"].size)
+        ref = scipy.optimize.linprog(
+            **lp, bounds=bounds, method="highs-ds",
+            options={"maxiter": maxiter, "primal_feasibility_tolerance": 1e-9,
+                     "dual_feasibility_tolerance": 1e-9})
+        if ref.status == 1:
+            with pytest.raises(LpFailure):
+                lp_solve(**lp, bounds=bounds, maxiter=maxiter)
+            seen.add("iteration cap")
+            continue
+        res = lp_solve(**lp, bounds=bounds, maxiter=maxiter)
+        seen.add(res.status)
+        assert res.status == {0: "optimal", 2: "infeasible",
+                              3: "unbounded"}[ref.status], lp
+        if res.status == "optimal":
+            eq = ref.eqlin.marginals if "A_eq" in lp else np.zeros(0)
+            assert res.x.tobytes() == ref.x.tobytes()
+            assert np.float64(res.value).tobytes() == np.float64(ref.fun).tobytes()
+            assert res.eq_marginals.tobytes() == np.asarray(eq).tobytes()
+    assert seen == {"optimal", "infeasible", "unbounded", "iteration cap"}
+
+
+def test_lp_solve_rejects_non_finite_data():
+    good = {"c": np.ones(2), "A_ub": np.eye(2), "b_ub": np.ones(2),
+            "A_eq": np.ones((1, 2)), "b_eq": np.ones(1)}
+    assert lp_solve(**good).status == "optimal"
+    for key, bad in itertools.product(good, (math.nan, math.inf, -math.inf)):
+        data = {k: v.copy() for k, v in good.items()}
+        data[key].flat[0] = bad
+        with pytest.raises(ValueError):
+            lp_solve(**data)
+    with pytest.raises(ValueError):
+        lp_solve(np.zeros(0))
+
+
+@pytest.mark.parametrize("field", ["objective", "x"])
+def test_lp_solve_rejects_a_non_finite_optimum(monkeypatch, field):
+    # max() drops a NaN argument; the KKT check must not pass one through
+    real = cones._highs._Highs
+
+    class NanHighs:
+        def __init__(self):
+            self._highs = real()
+
+        def __getattr__(self, name):
+            return getattr(self._highs, name)
+
+        def getInfo(self):
+            info = self._highs.getInfo()
+            if field == "objective":
+                info.objective_function_value = math.nan
+            return info
+
+        def getSolution(self):
+            sol = self._highs.getSolution()
+            if field == "x":
+                sol.col_value = [math.nan] * len(sol.col_value)
+            return sol
+
+    monkeypatch.setattr(cones._highs, "_Highs", NanHighs)
+    with pytest.raises(LpFailure):
+        lp_solve(np.ones(2), A_ub=-np.eye(2), b_ub=-np.ones(2))
 
 
 # ------------------------------------------------------------ kernel_basis
