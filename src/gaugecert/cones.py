@@ -5,13 +5,15 @@ Everything the certification layer needs about cones lives here:
 * ``lp_solve`` -- dense LPs solved by HiGHS's dual simplex through scipy's
   bundled binding ``scipy.optimize._highspy._core``: the model and options
   of scipy's ``highs-ds`` method, built without its per-call option checks,
-  and each optimum re-verified by its KKT residual;
+  and each optimum re-verified by its KKT residual; LPs that share their
+  rows and differ in cost go to HiGHS together as one block-diagonal LP;
 * ``kernel_basis`` / ``range_basis`` / ``matrix_rank`` -- SVD-based subspace
   and rank tests, plus ``affine_solve`` and the heuristic ``subgradient_min``
   used by the certificate searches;
 * ``ConeSpec`` -- a cone carried both as lifted inequalities (for exact LP
   work) and as a violation functional (for grid/subgradient probes);
-* ``cone_trivial`` -- exact triviality test of ``cone ∩ span(K)``;
+* ``cone_trivial`` -- exact triviality test of ``cone ∩ span(K)`` by k + 1
+  block LPs along a positive spanning set of span(K);
 * ``sphere_min`` -- minimize a positively homogeneous convex function over
   the unit sphere of a subspace, with three engines (exact piecewise-linear,
   angular grid, multistart subgradient);
@@ -19,7 +21,8 @@ Everything the certification layer needs about cones lives here:
   exact on polyhedral cones by an active-set eigen search (``exact-active-set``,
   when the 2^r active sets of the r lifted rows are within ``VERTEX_CAP``),
   else by ``sphere_min``;
-* ``nsp_constant`` -- the null-space-property constant by sign enumeration.
+* ``nsp_constant`` -- the null-space-property constant by sign enumeration,
+  the sign LPs solved as block LPs.
 
 Cones and probe functions are batch-first: a ``ConeSpec`` holds one
 ``violation_batch`` and one ``violation_subgrad_batch``, and a probe
@@ -133,7 +136,7 @@ def _highs_options(maxiter):
 
 
 def lp_solve(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None,
-             maxiter=None):
+             maxiter=None, blocks=None):
     """Solve ``min c @ x  s.t.  A_ub x <= b_ub, A_eq x = b_eq, bounds``.
 
     Variables are free by default (unlike the scipy default of x >= 0);
@@ -145,14 +148,24 @@ def lp_solve(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None,
     (scaled), otherwise LpFailure is raised.  Statuses other than
     optimal/infeasible/unbounded also raise; non-finite data raise
     ValueError.
+
+    With ``blocks=B``, ``c`` is a (B, nvar) stack of costs and the other
+    arguments describe one block: B independent copies of the LP, copy i
+    minimizing ``c[i] @ x``, are solved as one block-diagonal model whose
+    matrix tiles the block's.  ``x`` is then (B, nvar), ``value`` holds
+    the B values ``c[i] @ x[i]`` and ``eq_marginals`` one row per block.
+    The KKT test runs on the whole model: its duality gap is the sum of the
+    blocks' gaps, each nonnegative, so it bounds every one of them.
     """
-    c = np.atleast_1d(np.asarray(c, dtype=float).squeeze())
-    if c.ndim != 1 or c.size == 0:
-        raise ValueError(f"LP input: c must be a nonempty vector, got shape "
-                         f"{c.shape}")
-    if not np.isfinite(c).all():
+    C = np.asarray(c, dtype=float)
+    if blocks is None:
+        C = np.atleast_1d(C.squeeze())[None]
+    if C.ndim != 2 or C.shape[0] != (blocks or 1) or C.size == 0:
+        raise ValueError(f"LP input: c must be a nonempty vector, or one per "
+                         f"block, got shape {np.shape(c)}")
+    if not np.isfinite(C).all():
         raise ValueError("LP input: c must be finite")
-    nvar = c.size
+    nblk, nvar = C.shape
     A_ub, b_ub = _lp_rows(A_ub, b_ub, nvar, "ub")
     A_eq, b_eq = _lp_rows(A_eq, b_eq, nvar, "eq")
     lo, hi = (np.full((2, nvar), math.nan) if bounds is None else
@@ -163,22 +176,25 @@ def lp_solve(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None,
         maxiter = config.lp_maxiter()
 
     # rows [A_ub; A_eq] column-wise with explicit zeros dropped, as
-    # scipy's csc_array of the stacked rows
+    # scipy's csc_array of the stacked rows; block i's entries are the
+    # first block's, shifted by i blocks of rows and of nonzeros
     A = np.vstack((A_ub, A_eq))
     cols, rows = np.nonzero(A.T)
+    nrow, shift = A.shape[0], np.arange(nblk)[:, None]
+    start = np.cumsum(np.bincount(cols, minlength=nvar))
     lp = _highs.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = nvar
-    lp.num_row_ = lp.a_matrix_.num_row_ = A.shape[0]
+    lp.num_col_ = lp.a_matrix_.num_col_ = nblk * nvar
+    lp.num_row_ = lp.a_matrix_.num_row_ = nblk * nrow
     lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = np.concatenate(([0], np.cumsum(np.bincount(
-        cols, minlength=nvar))))
-    lp.a_matrix_.index_ = rows
-    lp.a_matrix_.value_ = A[rows, cols]
-    lp.col_cost_ = c
-    lp.col_lower_ = lo
-    lp.col_upper_ = hi
-    lp.row_lower_ = np.concatenate((np.full(b_ub.size, -_highs.kHighsInf), b_eq))
-    lp.row_upper_ = np.concatenate((b_ub, b_eq))
+    lp.a_matrix_.start_ = np.concatenate(([0], (start + rows.size * shift).ravel()))
+    lp.a_matrix_.index_ = (rows + nrow * shift).ravel()
+    lp.a_matrix_.value_ = np.tile(A[rows, cols], nblk)
+    lp.col_cost_ = C.ravel()
+    lp.col_lower_ = lo_all = np.tile(lo, nblk)
+    lp.col_upper_ = hi_all = np.tile(hi, nblk)
+    lp.row_lower_ = np.tile(np.concatenate(
+        (np.full(b_ub.size, -_highs.kHighsInf), b_eq)), nblk)
+    lp.row_upper_ = np.tile(np.concatenate((b_ub, b_eq)), nblk)
 
     highs = _highs._Highs()
     highs.passOptions(_highs_options(maxiter))
@@ -196,36 +212,42 @@ def lp_solve(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None,
                         f"{highs.modelStatusToString(status)}")
 
     sol = highs.getSolution()
-    x = np.array(sol.col_value)
+    X = np.array(sol.col_value).reshape(nblk, nvar)
     fun = highs.getInfo().objective_function_value
-    row_dual = np.array(sol.row_dual)
-    ineq_m, eq_m = row_dual[:b_ub.size].copy(), row_dual[b_ub.size:].copy()
+    row_dual = np.array(sol.row_dual).reshape(nblk, nrow)
+    ineq_m, eq_m = row_dual[:, :b_ub.size], row_dual[:, b_ub.size:]
     # a bound's multiplier is the column dual where the column sits at it
-    col_status = np.fromiter(map(int, highs.getBasis().col_status), int, nvar)
+    col_status = np.fromiter(map(int, highs.getBasis().col_status), int,
+                             nblk * nvar)
     col_dual = np.array(sol.col_dual)
     lower_m = np.where(col_status == int(_highs.HighsBasisStatus.kLower),
                        col_dual, 0.0)
     upper_m = np.where(col_status == int(_highs.HighsBasisStatus.kUpper),
                        col_dual, 0.0)
 
-    feas = max(0.0, float(np.max(np.concatenate((
-        A_ub @ x - b_ub, np.abs(A_eq @ x - b_eq), lo - x, x - hi)))))
+    feas = max(0.0, max(float(np.max(np.concatenate((
+        A_ub @ x - b_ub, np.abs(A_eq @ x - b_eq), lo - x, x - hi)))) for x in X))
     # duality gap from marginals (dual objective must meet the primal
     # value); the bound terms are added one by one, in column order
-    bound_terms = np.column_stack((np.where(np.isfinite(lo), lo, 0.0) * lower_m,
-                                   np.where(np.isfinite(hi), hi, 0.0) * upper_m))
-    dual = float(b_eq @ eq_m) + float(b_ub @ ineq_m)
+    bound_terms = np.column_stack((
+        np.where(np.isfinite(lo_all), lo_all, 0.0) * lower_m,
+        np.where(np.isfinite(hi_all), hi_all, 0.0) * upper_m))
+    dual = float(np.tile(b_eq, nblk) @ eq_m.ravel()) + \
+        float(np.tile(b_ub, nblk) @ ineq_m.ravel())
     dual = float(np.add.accumulate(np.append(dual, bound_terms))[-1])
     gap = abs(dual - fun)
-    scale = max(1.0, float(np.max(np.abs(c))),
+    scale = max(1.0, float(np.max(np.abs(C))),
                 float(np.max(np.abs(b_ub), initial=0.0)),
                 float(np.max(np.abs(b_eq), initial=0.0)), abs(fun))
     kkt = max(feas, gap) / scale
     # max() drops a NaN argument, so a non-finite x or gap is tested apart
-    if not (kkt <= 1e-8 and np.isfinite(x).all() and math.isfinite(gap)):
+    if not (kkt <= 1e-8 and np.isfinite(X).all() and math.isfinite(gap)):
         raise LpFailure(f"LP KKT verification failed: residual {kkt:.3e}")
-    return LpResult(status="optimal", x=x, value=float(fun), kkt_residual=kkt,
-                    eq_marginals=eq_m)
+    if blocks is None:
+        return LpResult(status="optimal", x=X[0], value=float(fun),
+                        kkt_residual=kkt, eq_marginals=eq_m[0].copy())
+    return LpResult(status="optimal", x=X, value=np.vecdot(C, X),
+                    kkt_residual=kkt, eq_marginals=eq_m.copy())
 
 
 def kernel_basis(A, rtol=None):
@@ -401,15 +423,41 @@ def _row(h):
     return np.asarray(h, dtype=float).reshape(1, -1)
 
 
-def cone_trivial(cone, K, tol=1e-9):
+#: a cone_trivial gain at or below this counts as zero
+TRIVIAL_TOL = 1e-9
+#: most blocks in one block LP.  HiGHS's time grows faster than the model:
+#: nsp_constant at n = 20, m = 8, |I| = 12 (2048 sign LPs, 2-core Xeon) took
+#: 8.6 s as one block LP (over the default iteration cap), 2.8 s as 2048
+#: LPs, and 1.8-2.2 s as block LPs of 8 blocks (2.2-2.7 s at 4 or 64)
+LP_BLOCKS = 8
+
+
+def _block_optima(costs, caller, **lp):
+    """Optima (x rows, values) of min costs[i] @ x over one feasible set, for
+    every row of ``costs``, solved ``LP_BLOCKS`` rows to a block LP."""
+    X, values = [], []
+    for lo in range(0, costs.shape[0], LP_BLOCKS):
+        group = costs[lo:lo + LP_BLOCKS]
+        res = lp_solve(group, blocks=group.shape[0], **lp)
+        if res.status != "optimal":
+            raise LpFailure(f"{caller} LP status {res.status}")
+        X.append(res.x)
+        values.append(res.value)
+    return np.vstack(X), np.concatenate(values)
+
+
+def cone_trivial(cone, K):
     """Exact test whether ``cone ∩ span(K) = {0}``.
 
-    Requires a polyhedral cone.  Runs 2k LPs maximizing each coordinate of
-    the subspace parameterization over the lifted constraints intersected
-    with a unit box; the intersection is trivial iff every optimum is zero.
+    Requires a polyhedral cone.  The k + 1 directions e_1, ..., e_k and
+    -(e_1 + ... + e_k) positively span R^k, so every nonzero t of the section
+    {t : exists u, G_h K t + G_u u <= 0} has a positive gain <v, t> along
+    one of them.  For each v, one block of a block LP (``_block_optima``)
+    maximizes the gain over the section and the unit box |t| <= 1; the
+    section is trivial iff no gain exceeds ``TRIVIAL_TOL``.
 
-    Returns ``(trivial, witness)`` with a nonzero unit witness direction in
-    the cone when nontrivial.
+    Returns ``(trivial, witness)``; when nontrivial the witness is the unit
+    direction K t of the block with the largest gain.
     """
     if not cone.is_polyhedral:
         raise ValueError("cone_trivial needs a polyhedral (lifted) cone")
@@ -421,25 +469,18 @@ def cone_trivial(cone, K, tol=1e-9):
         return True, None
     GK = cone.G_h @ K
     q = cone.G_u.shape[1]
-    nrow = GK.shape[0]
     A_ub = np.hstack([GK, cone.G_u]) if q else GK
-    b_ub = np.zeros(nrow)
     bounds = [(-1.0, 1.0)] * k + [(None, None)] * q
-    best = (0.0, None)
-    for j in range(k):
-        for sign in (1.0, -1.0):
-            c = np.zeros(k + q)
-            c[j] = -sign  # maximize sign * t_j
-            res = lp_solve(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds)
-            if res.status != "optimal":
-                raise LpFailure(f"cone_trivial LP status {res.status}")
-            opt = -res.value
-            if opt > best[0]:
-                best = (opt, res.x[:k].copy())
-    if best[0] <= tol:
+    # minimize -<v, t> for v = e_1, ..., e_k, -(e_1 + ... + e_k)
+    costs = np.zeros((k + 1, k + q))
+    costs[:k, :k] = -np.eye(k)
+    costs[k, :k] = 1.0
+    T, values = _block_optima(costs, "cone_trivial", A_ub=A_ub,
+                              b_ub=np.zeros(GK.shape[0]), bounds=bounds)
+    best = int(np.argmin(values))
+    if -values[best] <= TRIVIAL_TOL:
         return True, None
-    t = best[1]
-    h = K @ t
+    h = K @ T[best, :k]
     return False, h / np.linalg.norm(h)
 
 
@@ -1069,10 +1110,11 @@ def _active_set_min(f, cone):
 def nsp_constant(A, I, cap=None):
     """Null-space-property constant max_{h in Ker A, h != 0} ||h_I||_1/||h||_1.
 
-    Enumerates the sign patterns s on I, solving one LP each over the
-    section ||h||_1 <= 1 of the kernel.  The section is symmetric, so s and
-    -s give the same value and the sign of the last index of I stays fixed:
-    2^(|I|-1) LPs.  Returns 0 for a trivial kernel.  Raises
+    Enumerates the sign patterns s on I: the LP for s maximizes <s, h_I>
+    over the section ||h||_1 <= 1 of the kernel.  The section is symmetric,
+    so s and -s give the same value and the sign of the last index of I
+    stays fixed: 2^(|I|-1) LPs, which share their rows and go to HiGHS as
+    block LPs (``_block_optima``).  Returns 0 for a trivial kernel.  Raises
     EnumerationCapExceeded when |I| exceeds the cap (default 14).
     """
     if cap is None:
@@ -1099,14 +1141,10 @@ def nsp_constant(A, I, cap=None):
     b_ub = np.zeros(2 * n + 1)
     b_ub[2 * n] = 1.0
     bounds = [(None, None)] * k + [(0.0, None)] * n
-    best = 0.0
-    KI = K[I, :]
-    for bits in range(1 << (I.size - 1)):  # bit |I|-1 clear: s_last = -1
-        s = np.array([1.0 if (bits >> j) & 1 else -1.0 for j in range(I.size)])
-        c = np.zeros(k + n)
-        c[:k] = -(KI.T @ s)
-        res = lp_solve(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds)
-        if res.status != "optimal":
-            raise LpFailure(f"nsp LP status {res.status}")
-        best = max(best, -res.value)
-    return float(min(best, 1.0))
+    # pattern p has s_j = +1 where bit j of p is set; bit |I|-1 stays clear
+    bits = np.arange(1 << (I.size - 1))[:, None] >> np.arange(I.size) & 1
+    costs = np.zeros((bits.shape[0], k + n))
+    costs[:, :k] = -(np.where(bits, 1.0, -1.0) @ K[I, :])
+    _, values = _block_optima(costs, "nsp", A_ub=A_ub, b_ub=b_ub,
+                              bounds=bounds)
+    return float(min(max(0.0, -values.min()), 1.0))

@@ -323,13 +323,15 @@ def test_kernel_probe_above_the_vertex_cap():
 
 def test_wsl1_certificate_lps_do_not_grow_with_the_face(monkeypatch):
     # a 3840-vertex face (one nonzero, five distinct trailing weights): every
-    # LP has at most n(n+1) + m + 1 variables, one per top-k bound
+    # LP, and every block of a block LP, has at most n(n+1) + m + 1
+    # variables, one per top-k bound
     import gaugecert.cones as cones
     import gaugecert.gauges.vector as vector
-    sizes, solve = [], cones.lp_solve
+    sizes, blocks, solve = [], [], cones.lp_solve
 
     def counted(c, *args, **kwargs):
-        sizes.append(len(c))
+        sizes.append(np.shape(c)[-1])
+        blocks.append(kwargs.get("blocks"))
         return solve(c, *args, **kwargs)
 
     monkeypatch.setattr(vector, "lp_solve", counted)
@@ -339,6 +341,9 @@ def test_wsl1_certificate_lps_do_not_grow_with_the_face(monkeypatch):
     rep = check_unique(g, A, np.eye(6)[0], with_alpha=False)
     assert rep.is_unique == YES and rep.conditions_checked[0] == ("range-space", YES, True)
     assert sizes and max(sizes) <= 6 * 7 + 3 + 1
+    # the block LPs are the two cone_trivial tests on the 3-dimensional
+    # kernel (the critical cone's and exact-pl's), k + 1 = 4 blocks each
+    assert [b for b in blocks if b] == [4, 4]
 
 
 def test_exact_engine_survives_a_degenerate_hull():
@@ -348,6 +353,33 @@ def test_exact_engine_survives_a_degenerate_hull():
     rep = check_sharp(L1Gauge(7), A, np.eye(7)[3], with_alpha=False)
     assert rep.is_sharp == YES and rep.kappa_certified
     assert rep.kappa == pytest.approx(0.2115853, abs=1e-6)
+
+
+def _nonneg_draw_115():
+    """The 3 x 6 nonneg_l1 draw on which the kernel probe's thin-section
+    branch certifies a grid point off the domain cone (kappa -0.0026); the
+    extreme rays of Ker A ∩ D give the exact kappa 5.462e-4 > 0."""
+    rng = np.random.default_rng(115)
+    A = rng.standard_normal((3, 6))
+    k = int(rng.integers(1, 4))
+    x0 = np.zeros(6)
+    x0[rng.choice(6, k, replace=False)] = rng.uniform(0.5, 1.5, k)
+    return NonnegL1Gauge(6), A, x0
+
+
+def test_nonneg_draw_115_cone_lp_says_unique():
+    from gaugecert.cones import cone_trivial
+    g, A, x0 = _nonneg_draw_115()
+    assert cone_trivial(g.critical_cone(x0), kernel_basis(A)) == (True, None)
+
+
+@pytest.mark.xfail(strict=True, raises=InternalDisagreementError,
+                   reason="the angular grid certifies a kappa off the cone")
+def test_nonneg_draw_115_is_unique_and_sharp():
+    g, A, x0 = _nonneg_draw_115()
+    rep = check_unique(g, A, x0, with_alpha=False)
+    assert rep.is_unique == YES and rep.is_sharp == YES
+    assert rep.kappa == pytest.approx(5.462e-4, rel=1e-3)
 
 
 def test_cone_without_rows():

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gaugecert import cones
@@ -151,6 +151,30 @@ def test_lp_solve_matches_linprog_highs_ds():
             assert np.float64(res.value).tobytes() == np.float64(ref.fun).tobytes()
             assert res.eq_marginals.tobytes() == np.asarray(eq).tobytes()
     assert seen == {"optimal", "infeasible", "unbounded", "iteration cap"}
+
+
+def test_lp_solve_blocks_solve_each_copy():
+    # three copies of one LP with their own costs, as one block LP: each
+    # block meets its single LP; cost stacks of the wrong shape are refused
+    rng = np.random.default_rng(8)
+    lp = {"A_ub": rng.standard_normal((6, 4)), "b_ub": rng.uniform(0.5, 1.0, 6),
+          "A_eq": rng.standard_normal((1, 4)), "b_eq": [0.2],
+          "bounds": [(-2.0, 2.0)] * 4}
+    C = rng.standard_normal((3, 4))
+    res = lp_solve(C, blocks=3, **lp)
+    assert res.status == "optimal" and res.kkt_residual <= 1e-8
+    assert res.x.shape == (3, 4) and res.value.shape == (3,)
+    assert res.eq_marginals.shape == (3, 1)
+    for c, x, value, y in zip(C, res.x, res.value, res.eq_marginals):
+        one = lp_solve(c, **lp)
+        assert np.allclose(x, one.x, atol=1e-9)
+        assert value == pytest.approx(one.value, abs=1e-9)
+        assert np.allclose(y, one.eq_marginals, atol=1e-9)
+    assert lp_solve(C, A_ub=[[1.0] * 4, [-1.0] * 4], b_ub=[-1.0, -1.0],
+                    blocks=3).status == "infeasible"
+    for c, blocks in ((C, 2), (C[0], 1), (C[:, :0], 3)):
+        with pytest.raises(ValueError):
+            lp_solve(c, blocks=blocks, **lp)
 
 
 def test_lp_solve_rejects_non_finite_data():
@@ -298,6 +322,119 @@ def test_cone_trivial_zero_subspace():
     cone = ConeSpec.from_rows(np.eye(2))
     trivial, w = cone_trivial(cone, np.zeros((2, 0)))
     assert trivial and w is None
+
+
+def _cone_trivial_2k(cone, K, tol=cones.TRIVIAL_TOL):
+    """Reference: one LP per coordinate and sign of t, maximizing +-t_j over
+    the lifted rows and the unit box; trivial iff no optimum exceeds tol."""
+    GK = cone.G_h @ K
+    k, q = K.shape[1], cone.G_u.shape[1]
+    best = 0.0
+    for j, sign in itertools.product(range(k), (1.0, -1.0)):
+        c = np.zeros(k + q)
+        c[j] = -sign
+        res = lp_solve(c, A_ub=np.hstack([GK, cone.G_u]), b_ub=np.zeros(len(GK)),
+                       bounds=[(-1.0, 1.0)] * k + [(None, None)] * q)
+        best = max(best, -res.value)
+    return best <= tol
+
+
+@st.composite
+def _cone_sections(draw):
+    """(cone, K): a cone in R^n and an orthonormal K with k = 1..9 columns.
+    Shapes: random rows, a line, a half-space, rows whose restriction to
+    span(K) positively spans it (trivial section), rows cutting a thin cone
+    of half-angle 1e-6 around a direction of span(K), lifted cones with
+    auxiliary variables u, and a polyhedral gauge's critical cone with
+    K a basis of Ker A."""
+    shape = draw(st.sampled_from(["rows", "line", "halfspace", "trivial",
+                                  "thin", "lifted", "gauge"]))
+    k = draw(st.integers(1, 9))
+    n = draw(st.integers(k, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if shape == "gauge":
+        kind = draw(st.sampled_from(["l1", "nonneg_l1", "analysis_l1", "wsl1"]))
+        g, A, x0 = _polyhedral_draw(kind, max(n, 2), rng)
+        return g.critical_cone(x0), kernel_basis(A)
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    K, rest = Q[:, :k], Q[:, k:]
+
+    def lift(W):  # rows acting as W on span(K), random on its complement
+        return W @ K.T + rng.standard_normal((len(W), n - k)) @ rest.T
+
+    if shape == "rows":
+        return ConeSpec.from_rows(rng.standard_normal((int(rng.integers(1, 2 * n)), n))), K
+    if shape == "line":
+        d = Q[:, int(rng.integers(n))]  # in span(K) or not
+        P = kernel_basis(d[None]).T
+        return ConeSpec.from_rows(np.vstack([P, -P])), K
+    if shape == "halfspace":
+        return ConeSpec.from_rows(rng.standard_normal((1, n))), K
+    if shape == "trivial":
+        W = rng.standard_normal((k + 1 + int(rng.integers(0, 3)), k))
+        W[:k + 1] = np.vstack([np.eye(k), -np.ones(k)]) @ \
+            np.linalg.qr(rng.standard_normal((k, k)))[0]
+        return ConeSpec.from_rows(lift(W)), K
+    if shape == "thin":
+        d = rng.standard_normal(k)
+        d /= np.linalg.norm(d)
+        P = kernel_basis(d[None]).T
+        W = np.vstack([P - 1e-6 * d, -P - 1e-6 * d]) if k > 1 else -d[None]
+        return ConeSpec.from_rows(lift(W)), K
+    r, q = int(rng.integers(1, 2 * n + 2)), int(rng.integers(1, 4))
+    G_h, G_u = rng.standard_normal((r, n)), rng.standard_normal((r, q))
+    return ConeSpec.from_lift(G_h, G_u, lambda H: np.zeros(len(H))), K
+
+
+def _lifted_feasible(cone, h, tol=1e-9):
+    """Whether some u gives G_h h + G_u u <= tol."""
+    q = cone.G_u.shape[1]
+    if q == 0:
+        return float(np.max(cone.G_h @ h, initial=0.0)) <= tol
+    res = lp_solve(np.zeros(q), A_ub=cone.G_u, b_ub=tol - cone.G_h @ h)
+    return res.status == "optimal"
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(section=_cone_sections())
+def test_cone_trivial_matches_the_2k_lp_reference(section):
+    cone, K = section
+    trivial, w = cone_trivial(cone, K)
+    assert trivial == _cone_trivial_2k(cone, K)
+    if trivial:
+        assert w is None
+    else:
+        assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(w - K @ (K.T @ w)) <= 1e-9  # in span(K)
+        assert _lifted_feasible(cone, w)
+
+
+@pytest.fixture
+def block_calls(monkeypatch):
+    """The ``blocks`` argument of every ``cones.lp_solve`` call, in order."""
+    calls, solve = [], cones.lp_solve
+
+    def counted(c, *args, **kwargs):
+        calls.append(kwargs["blocks"])
+        return solve(c, *args, **kwargs)
+
+    monkeypatch.setattr(cones, "lp_solve", counted)
+    return calls
+
+
+def test_cone_trivial_lp_count(block_calls):
+    # the orthant {h <= 0} gains only along the last direction
+    # -(e_1 + ... + e_k); the section {h <= 0, sum h >= 0} = {0} needs all
+    calls = block_calls
+    for k in range(1, 18):
+        for G, trivial in ((np.eye(k), False),
+                           (np.vstack([np.eye(k), -np.ones(k)]), True)):
+            calls.clear()
+            got, w = cone_trivial(ConeSpec.from_rows(G), np.eye(k))
+            assert got == trivial
+            assert trivial or np.allclose(w, -np.ones(k) / math.sqrt(k))
+            assert len(calls) == math.ceil((k + 1) / cones.LP_BLOCKS)
+            assert sum(calls) == k + 1 and max(calls) <= cones.LP_BLOCKS
 
 
 # ---------------------------------------------------------- min_norm_point
@@ -634,3 +771,43 @@ def test_nsp_constant_monotone_in_the_index_set():
     v3 = nsp_constant(A, [0, 1, 3])
     assert v1 <= v2 + 1e-12 <= v3 + 2e-12
     assert v3 <= 1.0
+
+
+def _nsp_one_lp_per_pattern(A, I):
+    """Reference: max <s, h_I> over h in Ker A, ||h||_1 <= 1, one LP for
+    each sign pattern s with s_last = -1."""
+    K = kernel_basis(A)
+    n, k = A.shape[1], K.shape[1]
+    A_ub = np.block([[K, -np.eye(n)], [-K, -np.eye(n)],
+                     [np.zeros((1, k)), np.ones((1, n))]])
+    b_ub = np.append(np.zeros(2 * n), 1.0)
+    best = 0.0
+    for s in itertools.product((1.0, -1.0), repeat=len(I) - 1):
+        c = np.append(-(K[I].T @ np.append(s, -1.0)), np.zeros(n))
+        res = lp_solve(c, A_ub=A_ub, b_ub=b_ub,
+                       bounds=[(None, None)] * k + [(0.0, None)] * n)
+        best = max(best, -res.value)
+    return min(best, 1.0)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(size=st.integers(1, 10), extra=st.integers(0, 2),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(size=10, extra=2, seed=0)
+def test_nsp_constant_matches_one_lp_per_pattern(size, extra, seed):
+    rng = np.random.default_rng(seed)
+    n = max(2, size + extra)
+    A = rng.standard_normal((int(rng.integers(1, n)), n))
+    I = sorted(rng.choice(n, size, replace=False).tolist())
+    assert nsp_constant(A, I) == pytest.approx(_nsp_one_lp_per_pattern(A, I),
+                                               abs=1e-12)
+
+
+def test_nsp_constant_lp_count(block_calls):
+    calls = block_calls
+    A = np.random.default_rng(42).standard_normal((3, 12))
+    for size in range(1, 11):
+        calls.clear()
+        nsp_constant(A, range(size))
+        assert len(calls) == math.ceil(2 ** (size - 1) / cones.LP_BLOCKS)
+        assert sum(calls) == 2 ** (size - 1)
