@@ -142,14 +142,9 @@ class CertificateReport:
 # small shared helpers
 # ---------------------------------------------------------------------------
 
-def _through(batch, S, step=1 << 15):
-    """``batch`` of the rows of T mapped through S, a slice at a time: the
-    grid probes pass over a million rows, and the ambient images are wider."""
-    def run(T):
-        T = np.atleast_2d(T)
-        return np.concatenate([batch(T[i:i + step] @ S.T)
-                               for i in range(0, max(T.shape[0], 1), step)])
-    return run
+def _through(batch, S):
+    """``batch`` of the rows of T mapped through S."""
+    return lambda T: batch(np.atleast_2d(T) @ S.T)
 
 
 def _restrict(cone, S):

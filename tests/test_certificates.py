@@ -382,6 +382,19 @@ def test_nonneg_draw_115_is_unique_and_sharp():
     assert rep.kappa == pytest.approx(5.462e-4, rel=1e-3)
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the angular grid certifies a kappa off the cone")
+def test_nonneg_zero_x0_kappa_is_the_extreme_ray_minimum():
+    # Ker A ∩ R^4_+ is spanned by its extreme rays (2, 1, 0, 0), (0, 3, 2, 0)
+    # and (0, 1, 0, 2); J'(0; h) = sum(h), so kappa = 3 / sqrt(5) = 1.341641.
+    # The thin-section branch certifies 1.337083 at a grid point 1.6e-3 off
+    # the cone
+    A = np.array([[1.0, -2.0, 3.0, 1.0]])
+    rep = check_unique(NonnegL1Gauge(4), A, np.zeros(4), with_alpha=False)
+    assert rep.is_unique == YES and rep.kappa_certified
+    assert rep.kappa == pytest.approx(3.0 / np.sqrt(5.0), abs=1e-5)
+
+
 def test_cone_without_rows():
     # a full-support x0 gives nonneg_l1 a domain tangent cone with no rows
     A = np.random.default_rng(0).standard_normal((1, 5))

@@ -1,7 +1,9 @@
 """Tests for the polyhedral/conic computation engine."""
 
+import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -272,6 +274,23 @@ def test_conespec_from_rows_violation():
     assert np.all(whole.violation_batch(H) == 0.0)
     assert whole.violation(h) == 0.0
     assert np.all(whole.violation_subgrad(h) == 0.0)
+
+
+def test_from_rows_violation_fold_matches_the_row_max():
+    # the column fold equals max(axis=1, initial=0.0) bit for bit, on NaN
+    # rows, signed zeros and cones with no rows
+    rng = np.random.default_rng(4)
+    H = rng.standard_normal((40, 3))
+    H[3] = np.nan
+    H[5, 1] = np.nan
+    H[7] = -0.0
+    for rows in (0, 1, 3, 5):
+        G = rng.standard_normal((rows, 3))
+        got = ConeSpec.from_rows(G).violation_batch(H)
+        want = (H @ G.T).max(axis=1, initial=0.0)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert np.isnan(got[3]) == (rows > 0)
 
 
 def test_conespec_from_violation_is_not_polyhedral():
@@ -545,6 +564,122 @@ def test_sphere_min_validation():
         sphere_min(f, np.eye(4), engine="angular-grid")
     with pytest.raises(ValueError):
         sphere_min(f, np.eye(2), engine="nope")
+
+
+def _meshgrid_lattice(k, res, center=None, span=None):
+    """The angular lattice as one meshgrid array (columns), the way the grid
+    probe built it before it was scored in blocks."""
+    if k == 2:
+        if center is None:
+            th = np.arange(0.0, 2 * np.pi, res)
+        else:
+            th = np.arange(center[0] - span, center[0] + span + res, res)
+        return np.vstack([np.cos(th), np.sin(th)])
+    if center is None:
+        th = np.arange(0.0, np.pi + res, res)
+        ph = np.arange(0.0, 2 * np.pi, res)
+    else:
+        th = np.arange(center[0] - span, center[0] + span + res, res)
+        ph = np.arange(center[1] - span, center[1] + span + res, res)
+    TH, PH = np.meshgrid(th, ph, indexing="ij")
+    TH, PH = TH.ravel(), PH.ravel()
+    return np.vstack([np.sin(TH) * np.cos(PH), np.sin(TH) * np.sin(PH),
+                      np.cos(TH)])
+
+
+@pytest.mark.parametrize("k, res, center", [
+    (2, 1e-3, None), (2, 1e-3 / 32, (2.1,)), (2, 1e-6, (-0.4,)),
+    (3, 4e-3, None), (3, 4e-3 / 32, (1.1, 2.3)), (3, 1e-6, (0.002, -3.1)),
+])
+def test_lattice_blocks_are_the_meshgrid_lattice(k, res, center):
+    span = None if center is None else 3.0 * 32 * res
+    lat = cones._Lattice(k, res, center, span)
+    los = list(range(0, lat.size, lat.step))
+    blocks = [lat.block(lo) for lo in los]
+    assert all(T.shape[1] <= cones.GRID_BLOCK for T in blocks)
+    # whole theta-rows: every block starts on a row
+    assert all(lo % lat.row == 0 for lo in los)
+    got = np.hstack(blocks)
+    want = _meshgrid_lattice(k, res, center, span)
+    assert got.shape == want.shape == (k, lat.size)
+    assert got.tobytes() == want.tobytes()
+    for i in (0, lat.size // 2, lat.size - 1):
+        lo, T = lat.block_of(i)
+        assert T[:, i - lo].tobytes() == want[:, i].tobytes()
+
+
+def _grid_case(k, cone_kind):
+    """A seeded sphere probe on a k-dimensional subspace of R^6: a linear
+    max with no cone or a polyhedral one, or ||B h|| on a circular cone."""
+    rng = np.random.default_rng([k, len(cone_kind)])
+    K = kernel_basis(rng.standard_normal((6 - k, 6)))
+    if cone_kind == "violation":
+        # half-angle atan(1/2) about a direction of span(K)
+        c = K @ rng.standard_normal(k)
+        c /= np.linalg.norm(c)
+
+        def violation_batch(H):
+            along = H @ c
+            off = np.linalg.norm(H - np.outer(along, c), axis=1)
+            return np.maximum(0.0, off - 2.0 * along)
+
+        return NormMapFn(rng.standard_normal((3, 6))), K, \
+            ConeSpec.from_violation(6, violation_batch, anchor=c)
+    f = LinearMaxFn(rng.standard_normal((5, 6)))
+    if cone_kind == "none":
+        return f, K, None
+    G = rng.standard_normal((2, 6))
+    # strictly feasible in span(K): G K t = -1
+    t = np.linalg.lstsq(G @ K, -np.ones(2), rcond=None)[0]
+    return f, K, ConeSpec.from_rows(G, anchor=K @ t)
+
+
+@pytest.mark.parametrize("k, cone_kind, value, minimizer_md5, evals, note", [
+    (2, "none", "0x1.3fa6feb70ec74p-1", "b58e76ead7fa6285f01bd6bcc8a25e96",
+     7045, ""),
+    (2, "rows", "0x1.93ad9ad6ae6c3p+0", "b725f1c2d212f8f622c4a096acbe227f",
+     7045, "boundary-polished"),
+    (2, "violation", "0x1.13fda5d123cddp+0",
+     "32b8bff9307f73765efadb19bd8ce4cb", 7046, ""),
+    (3, "none", "-0x1.018e73613d500p-7", "e85c2cf797df9f114db985905d1e0350",
+     1312644, ""),
+    (3, "rows", "0x1.4903d2c256f3cp-4", "25462961beea4178211b09939d779018",
+     1312644, "boundary-polished"),
+    (3, "violation", "0x1.3672f1bd24939p+0",
+     "a0354a37a6cdbd6a560f2d0eaa02b704", 1312450, ""),
+])
+def test_angular_grid_outputs_are_frozen(k, cone_kind, value, minimizer_md5,
+                                         evals, note):
+    # recorded from the grid that built each stage as one meshgrid array;
+    # scoring in blocks must not move a bit
+    f, K, cone = _grid_case(k, cone_kind)
+    res = sphere_min(f, K, cone=cone, engine="angular-grid")
+    assert res.value.hex() == value
+    assert hashlib.md5(res.minimizer.tobytes()).hexdigest() == minimizer_md5
+    assert res.certified
+    assert (res.evals, res.note) == (evals, note)
+
+
+def test_angular_grid_memory_is_bounded():
+    # the seed-115 kappa probe (a 3-dimensional kernel): a stage of 1.24 M
+    # directions holds its two length-N scores (20 MB), not the N x 6 image
+    # of its lattice
+    rng = np.random.default_rng(115)
+    A = rng.standard_normal((3, 6))
+    k = int(rng.integers(1, 4))
+    x0 = np.zeros(6)
+    x0[rng.choice(6, k, replace=False)] = rng.uniform(0.5, 1.5, k)
+    g = NonnegL1Gauge(6)
+    f, K, cone = g.dir_probe(x0), kernel_basis(A), g.domain_tangent_cone(x0)
+    assert K.shape[1] == 3
+    sphere_min(f, K, cone=cone, engine="angular-grid")  # warm
+    tracemalloc.start()
+    try:
+        sphere_min(f, K, cone=cone, engine="angular-grid")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
 
 
 # ------------------------------------------------------ min_conic_singular
