@@ -36,7 +36,12 @@ same numbers.
 Every heuristic search steps with one loop, ``_subgradient_steps``, which
 moves a stack of start points in lockstep: ``subgradient_min`` over an
 affine set (the group, nuclear and sdp certificate searches, the sdp
-Slater-point probe), and the multistart engine on the sphere.  The engine's
+Slater-point probe), and the multistart engine on the sphere.
+``subgradient_min`` takes one oracle that returns the values and the
+subgradients of a stack of points together, and calls it once per iterate,
+so a step of a spectral search costs one decomposition; the gauges' critical
+cones read their violation subgradients from one such call as well
+(``Gauge.dir_deriv_subgrad_batch``).  The engine's
 near-misses are pulled onto the cone together by ``_polish_to_cone``, which
 bisects them in lockstep with one ``violation_batch`` call per step.
 """
@@ -324,21 +329,35 @@ def _subgradient_steps(T, direction, step):
         yield T
 
 
-def subgradient_min(f, subgrad, y0, N):
+def subgradient_min(oracle, y0, N):
     """Minimize a convex nonsmooth f(y) over y = y0 + N t by the shared
     subgradient loop from y0 and four points drawn from ``default_rng(0)``.
-    ``f`` and ``subgrad`` map a stack of points (rows) to one value or one
-    subgradient row each.  Heuristic; returns the best iterate seen."""
-    best_y, best_v = y0, float(f(y0[None])[0])
+    ``oracle`` maps a stack of points (rows) to ``(values, subgradients)``,
+    one value and one subgradient row per point, and is called once per
+    iterate: its values score the iterate, its subgradients take the next
+    step.  y0 and every iterate after a step are scored, the random starts
+    are not.  Heuristic; returns the best iterate seen."""
+    best_y, best_v, calls = y0, math.inf, 0
+
+    def score(T):
+        nonlocal best_y, best_v, calls
+        calls += 1
+        Y = y0 + T @ N.T
+        v, G = oracle(Y)
+        if calls == 1:  # the starts: y0 alone is scored
+            best_v = float(v[0])
+        else:
+            i = int(np.argmin(v))
+            if v[i] < best_v:
+                best_y, best_v = Y[i], float(v[i])
+        return G @ N
+
     k = N.shape[1]
     T = np.vstack([np.zeros(k), np.random.default_rng(0).standard_normal((4, k))])
     step = 0.7 * max(1.0, float(np.linalg.norm(y0)))
-    for T in _subgradient_steps(T, lambda T: subgrad(y0 + T @ N.T) @ N, step):
-        Y = y0 + T @ N.T
-        v = f(Y)
-        i = int(np.argmin(v))
-        if v[i] < best_v:
-            best_y, best_v = Y[i], float(v[i])
+    steps = sum(1 for _ in _subgradient_steps(T, score, step))
+    if steps == calls:  # the loop ran to its end: its last iterate is unscored
+        score(T)
     return best_y, best_v
 
 

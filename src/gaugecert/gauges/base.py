@@ -19,10 +19,13 @@ A new kind subclasses ``Gauge`` (and ``SubdiffFace``), registers itself in
   ``spec_n`` translating an ambient dimension into that ``n``, and
   ``draw_x0`` for seeded recovery trials;
 * evaluation -- ``value_batch``, ``prox``, ``polar``, ``lipschitz``;
-* first-order geometry -- ``dir_deriv_batch`` and ``dir_subgrad_batch``
-  (J'(x0; .) and one of its subgradients at each row of a stack of
-  directions), ``face``, and ``descent_pieces`` / ``descent_lift`` where
-  the kind is polyhedral;
+* first-order geometry -- ``dir_deriv_batch`` (J'(x0; .) at each row of a
+  stack of directions), one subgradient of it per row through
+  ``dir_subgrad_batch`` or ``dir_deriv_subgrad_batch`` (the values and the
+  subgradients from one pass; each of the two defaults to the other, so a
+  kind writes one), ``face``, and ``descent_pieces`` / ``descent_lift``
+  where the kind is polyhedral; a kind whose oracles start from a
+  factorization of x0 computes it once per x0 with ``per_x0``;
 * conic kinds also give ``domain_tangent_cone``, ``domain_residual``,
   ``finite_dir_deriv_batch`` (J' without the domain's +inf) and their own
   ``critical_cone``;
@@ -39,12 +42,13 @@ A new kind subclasses ``Gauge`` (and ``SubdiffFace``), registers itself in
   ``exposed_face``.
 """
 
+import functools
 import numbers
 
 import numpy as np
 
 __all__ = ["Gauge", "SubdiffFace", "VertexCapExceeded", "spec_int",
-           "spec_array", "construct", "sparse_draw"]
+           "spec_array", "construct", "sparse_draw", "per_x0"]
 
 
 class VertexCapExceeded(RuntimeError):
@@ -82,6 +86,26 @@ def construct(cls, field, *args):
         return cls(*args)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{field}: {exc}") from None
+
+
+def per_x0(method):
+    """Cache ``method(self, x0)`` for the last x0 it saw (by its bytes): the
+    factorization of x0 that every oracle call at one point starts from.
+    The arrays it returns are shared between calls, so they are read-only."""
+    slot = "_last_" + method.__name__
+
+    @functools.wraps(method)
+    def cached(self, x0):
+        key = self.flat(x0).tobytes()
+        hit = self.__dict__.get(slot)
+        if hit is None or hit[0] != key:
+            out = method(self, x0)
+            for arr in out if isinstance(out, tuple) else (out,):
+                arr.setflags(write=False)
+            hit = self.__dict__[slot] = (key, out)
+        return hit[1]
+
+    return cached
 
 
 class SubdiffFace:
@@ -207,8 +231,16 @@ class Gauge:
 
     def dir_subgrad_batch(self, x0, H):
         """One subgradient of the finite part of h -> J'(x0; h) at each row
-        of H (one row each)."""
-        raise NotImplementedError
+        of H (one row each): by default the rows of
+        ``dir_deriv_subgrad_batch``."""
+        return self.dir_deriv_subgrad_batch(x0, H)[1]
+
+    def dir_deriv_subgrad_batch(self, x0, H):
+        """``(values, subgradients)``: J'(x0; h) and one subgradient row of
+        it for each row h of H.  By default the two oracles above; a kind
+        that gets both from one pass overrides this, and its
+        ``dir_subgrad_batch`` then reads the rows from here."""
+        return self.dir_deriv_batch(x0, H), self.dir_subgrad_batch(x0, H)
 
     def face(self, x0):
         """Subdifferential face model at x0 (J(x0) must be finite)."""
@@ -232,8 +264,9 @@ class Gauge:
         """ConeSpec for {h : J'(x0; h) <= 0}.
 
         Its violation is max(0, J'(x0; h)), its subgradient that of J' where
-        J' > 0 (zero elsewhere), its anchor -x0, and it carries the kind's
-        ``descent_lift`` when there is one.
+        J' > 0 (zero elsewhere; both read from one
+        ``dir_deriv_subgrad_batch`` call), its anchor -x0, and it carries the
+        kind's ``descent_lift`` when there is one.
         """
         from ..cones import ConeSpec
         x0 = np.array(self.flat(x0))
@@ -242,8 +275,8 @@ class Gauge:
             return np.maximum(self.dir_deriv_batch(x0, H), 0.0)
 
         def violation_subgrad_batch(H):
-            up = self.dir_deriv_batch(x0, H) > 0.0
-            return np.where(up[:, None], self.dir_subgrad_batch(x0, H), 0.0)
+            vals, G = self.dir_deriv_subgrad_batch(x0, H)
+            return np.where((vals > 0.0)[:, None], G, 0.0)
 
         anchor = -x0 if self.value(x0) > 0 else None
         lift = self.descent_lift(x0)

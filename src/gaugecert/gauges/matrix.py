@@ -11,7 +11,8 @@ import scipy.linalg
 
 from .. import config
 from ..cones import ConeSpec, affine_solve, matrix_rank, subgradient_min
-from .base import Gauge, SubdiffFace, construct, spec_array, spec_int
+from .base import (Gauge, SubdiffFace, construct, per_x0, spec_array,
+                   spec_int)
 
 __all__ = ["NuclearGauge", "SdpTraceGauge", "sym_basis"]
 
@@ -133,18 +134,13 @@ class NuclearFace(SubdiffFace):
             return {"y0": y_p, "ri_margin": math.inf, "margin_is_max": True,
                     "note": "face is a singleton"}
 
-        def free_block(Y):
-            return U2.T @ (Y @ A).reshape(-1, p, q) @ V2
-
         def top_sv(Y):
-            return np.linalg.svd(free_block(Y), compute_uv=False)[:, 0]
-
-        def sg(Y):
-            Uw, _, Vwt = np.linalg.svd(free_block(Y))
+            Uw, s, Vwt = np.linalg.svd(U2.T @ (Y @ A).reshape(-1, p, q) @ V2)
             u, v = Uw[:, :, 0] @ U2.T, Vwt[:, 0] @ V2.T
-            return (u[:, :, None] * v[:, None, :]).reshape(-1, p * q) @ A.T
+            uv = (u[:, :, None] * v[:, None, :]).reshape(-1, p * q)
+            return s[:, 0], uv @ A.T
 
-        y, val = subgradient_min(top_sv, sg, y_p, N)
+        y, val = subgradient_min(top_sv, y_p, N)
         return {"y0": y, "ri_margin": float(self.margin(A.T @ y)),
                 "margin_is_max": False,
                 "note": "spectral norm of the free block minimized by "
@@ -176,6 +172,7 @@ class NuclearGauge(Gauge):
     def _mat(self, x):
         return self.flat(x).reshape(self.shape)
 
+    @per_x0
     def _blocks(self, x0):
         X = self._mat(x0)
         U, s, Vt = np.linalg.svd(X)
@@ -195,33 +192,37 @@ class NuclearGauge(Gauge):
         s = np.linalg.svd(self._mat(z), compute_uv=False)
         return float(s[0]) if s.size else 0.0
 
+    def _lin(self, x0, H):
+        """The x0 blocks, each row of H as a p x q matrix, and the linear
+        part <U1 V1^T, h> of J'(x0; h) for each."""
+        U1, V1, _, _ = blocks = self._blocks(x0)
+        M = np.atleast_2d(np.asarray(H, dtype=float)).reshape(-1, *self.shape)
+        return blocks, M, np.einsum("kij,ij->k", M, U1 @ V1.T)
+
     def dir_deriv_batch(self, x0, H):
-        U1, V1, U2, V2 = self._blocks(x0)
-        H = np.atleast_2d(np.asarray(H, dtype=float))
-        M = H.reshape(H.shape[0], *self.shape)
-        lin = np.einsum("kij,ij->k", M, U1 @ V1.T)
-        if U2.shape[1] and V2.shape[1]:
-            tails = np.linalg.svd(
-                np.einsum("ri,kij,jc->krc", U2.T, M, V2),
-                compute_uv=False).sum(axis=1)
-        else:
-            tails = 0.0
-        return lin + tails
+        (_, _, U2, V2), M, lin = self._lin(x0, H)
+        if not (U2.shape[1] and V2.shape[1]):
+            return lin + 0.0
+        W = np.einsum("ri,kij,jc->krc", U2.T, M, V2)
+        return lin + np.linalg.svd(W, compute_uv=False).sum(axis=1)
 
     def face(self, x0):
         return NuclearFace(*self._blocks(x0))
 
-    def dir_subgrad_batch(self, x0, H):
-        U1, V1, U2, V2 = self._blocks(x0)
-        H = np.atleast_2d(np.asarray(H, dtype=float))
-        G = np.tile((U1 @ V1.T).ravel(), (H.shape[0], 1))
-        if U2.shape[1] and V2.shape[1]:
-            M = H.reshape(H.shape[0], *self.shape)
-            Uw, _, Vwt = np.linalg.svd(U2.T @ M @ V2)
-            # full polar factor: steepest pieces of the nuclear tail
-            k = min(Uw.shape[2], Vwt.shape[1])
-            G += (U2 @ (Uw[:, :, :k] @ Vwt[:, :k]) @ V2.T).reshape(-1, self.n)
-        return G
+    def dir_deriv_subgrad_batch(self, x0, H):
+        """J'(x0; .) and its subgradients from one full SVD of the tails:
+        the subgradient adds the tail's full polar factor, the steepest
+        pieces of the nuclear tail, to U1 V1^T.  The tail block is built by
+        two matmuls here and by one einsum in ``dir_deriv_batch``, so the
+        two values agree to rounding, not always bit for bit."""
+        (U1, V1, U2, V2), M, lin = self._lin(x0, H)
+        G = np.tile((U1 @ V1.T).ravel(), (lin.size, 1))
+        if not (U2.shape[1] and V2.shape[1]):
+            return lin + 0.0, G
+        Uw, s, Vwt = np.linalg.svd(U2.T @ M @ V2)
+        k = min(Uw.shape[2], Vwt.shape[1])
+        G += (U2 @ (Uw[:, :, :k] @ Vwt[:, :k]) @ V2.T).reshape(-1, self.n)
+        return lin + s.sum(axis=1), G
 
     def lipschitz(self):
         return math.sqrt(min(self.shape))
@@ -331,17 +332,13 @@ class SdpFace(SubdiffFace):
             return {"y0": y_p, "ri_margin": math.inf, "margin_is_max": True,
                     "note": "face is a singleton"}
 
-        def kernel_block(Y):
-            return E.T @ (_sym_mat(Y @ A, nm) - C) @ E
-
         def lam_max(Y):
-            return np.linalg.eigvalsh(kernel_block(Y))[:, -1]
+            w, V = np.linalg.eigh(E.T @ (_sym_mat(Y @ A, nm) - C) @ E)
+            v = V[:, :, -1] @ E.T
+            vv = (v[:, :, None] * v[:, None, :]).reshape(-1, nm * nm)
+            return w[:, -1], vv @ A.T
 
-        def sg(Y):
-            v = np.linalg.eigh(kernel_block(Y))[1][:, :, -1] @ E.T
-            return (v[:, :, None] * v[:, None, :]).reshape(-1, nm * nm) @ A.T
-
-        y, val = subgradient_min(lam_max, sg, y_p, N)
+        y, val = subgradient_min(lam_max, y_p, N)
         return {"y0": y, "ri_margin": float(self.margin(A.T @ y)),
                 "margin_is_max": False,
                 "note": "kernel-block eigenvalue minimized by subgradient "
@@ -390,6 +387,7 @@ class SdpTraceGauge(Gauge):
         X = self.flat(x).reshape(self.nmat, self.nmat)
         return 0.5 * (X + X.T)
 
+    @per_x0
     def _kernel(self, x0):
         X = self._mat(x0)
         w, V = np.linalg.eigh(X)
@@ -487,6 +485,19 @@ class SdpTraceGauge(Gauge):
         U = V[:, w > config.RANK_TOL * max(1.0, w.max(initial=0.0))]
         return SdpFace(self.C, self._kernel(x0), U)
 
+    def _psd_violation(self, E, H):
+        """max(0, -lambda_min(E^T H E)) and one subgradient row of it for
+        each row of H, both from one ``eigh`` of the kernel blocks."""
+        rows = np.atleast_2d(H).shape[0]
+        viol, G = np.zeros(rows), np.zeros((rows, self.n))
+        if E.shape[1]:
+            w, V = np.linalg.eigh(self._kernel_blocks(E, H))
+            viol = np.maximum(-w[:, 0], 0.0)
+            out = w[:, 0] < 0.0
+            v = V[out, :, 0] @ E.T
+            G[out] = -(v[:, :, None] * v[:, None, :]).reshape(-1, self.n)
+        return viol, G
+
     def domain_tangent_cone(self, x0):
         E = self._kernel(x0)
 
@@ -496,23 +507,15 @@ class SdpTraceGauge(Gauge):
             w = np.linalg.eigvalsh(self._kernel_blocks(E, H))
             return np.maximum(-w[:, 0], 0.0)
 
-        def violation_subgrad_batch(H):
-            G = np.zeros((np.atleast_2d(H).shape[0], self.n))
-            if E.shape[1]:
-                w, V = np.linalg.eigh(self._kernel_blocks(E, H))
-                out = w[:, 0] < 0.0
-                v = V[out, :, 0] @ E.T
-                G[out] = -(v[:, :, None] * v[:, None, :]).reshape(-1, self.n)
-            return G
-
         return ConeSpec.from_violation(self.n, violation_batch,
-                                       violation_subgrad_batch,
+                                       lambda H: self._psd_violation(E, H)[1],
                                        anchor=np.eye(self.nmat).ravel(),
                                        note="PSD tangent cone at x0")
 
     def critical_cone(self, x0):
         x0 = self.flat(x0)
         tangent = self.domain_tangent_cone(x0)
+        E = self._kernel(x0)
         Cflat = self.C.ravel()
 
         def violation_batch(H):
@@ -523,9 +526,8 @@ class SdpTraceGauge(Gauge):
         def violation_subgrad_batch(H):
             H = np.atleast_2d(np.asarray(H, dtype=float))
             lin = H @ Cflat
-            tv = tangent.violation_batch(H)
-            G = np.where((lin >= tv)[:, None], Cflat,
-                         tangent.violation_subgrad_batch(H))
+            tv, tg = self._psd_violation(E, H)
+            G = np.where((lin >= tv)[:, None], Cflat, tg)
             return np.where((np.maximum(lin, tv) > 0.0)[:, None], G, 0.0)
 
         anchor = -x0 if self.value(x0) > 0 else None
@@ -562,16 +564,14 @@ class SdpTraceGauge(Gauge):
         # -lambda_min is clipped at -1e-6 scale: a start that gets there has
         # a zero subgradient and stops, and the loop ends once all have
         def shortfall(Ss):
-            return np.maximum(-eigh(Ss)[0][:, 0], -1e-6 * scale)
-
-        def sg(Ss):
             w, V = eigh(Ss)
             v = V[:, :, 0] * (w[:, :1] < 1e-6 * scale)
-            return -(v[:, :, None] * v[:, None, :]).reshape(-1, nm * nm) @ S
+            return (np.maximum(-w[:, 0], -1e-6 * scale),
+                    -(v[:, :, None] * v[:, None, :]).reshape(-1, nm * nm) @ S)
 
         best = eigh(s_p[None])[0][0, 0]
         if best <= 1e-9 * scale:
-            s = subgradient_min(shortfall, sg, s_p, N)[0]
+            s = subgradient_min(shortfall, s_p, N)[0]
             best = eigh(s[None])[0][0, 0]
         if best > 1e-9 * scale:
             return True, f"interior feasible point found (lambda_min {best:.2e})"

@@ -820,24 +820,18 @@ class GroupFace(SubdiffFace):
                     "note": "face is a singleton"}
         zero_groups = [self.groups[gi] for gi in self.zero]
 
-        def block_norms(Y):
-            Z = Y @ A
-            return Z, np.array([np.linalg.norm(Z[:, idx], axis=1)
-                                for idx in zero_groups])
-
         def worst_norm(Y):
-            return block_norms(Y)[1].max(axis=0)
-
-        def sg(Y):
-            Z, norms = block_norms(Y)
+            Z = Y @ A
+            norms = np.array([np.linalg.norm(Z[:, idx], axis=1)
+                              for idx in zero_groups])
             worst = norms.argmax(axis=0)
             G = np.zeros_like(Z)
             for gi, idx in enumerate(zero_groups):
                 rows = (worst == gi) & (norms[gi] > 1e-15)
                 G[np.ix_(rows, idx)] = Z[np.ix_(rows, idx)] / norms[gi, rows, None]
-            return G @ A.T
+            return norms.max(axis=0), G @ A.T
 
-        y, val = subgradient_min(worst_norm, sg, y_p, N)
+        y, val = subgradient_min(worst_norm, y_p, N)
         return {"y0": y, "ri_margin": float(self.margin(A.T @ y)),
                 "margin_is_max": False,
                 "note": "off-block norm minimized by subgradient descent (heuristic search)"}
@@ -894,15 +888,21 @@ class GroupL12Gauge(Gauge):
     def polar(self, z):
         return float(np.max(self._block_norms(self.flat(z)), initial=0.0))
 
-    def dir_deriv_batch(self, x0, H):
+    def _units(self, x0):
+        """Each group with the unit vector x0_g / ||x0_g|| on the support,
+        None on the zero groups."""
         x0 = self.flat(x0)
-        H = np.atleast_2d(np.asarray(H, dtype=float))
-        total = np.zeros(H.shape[0])
         scale = max(1.0, np.max(np.abs(x0), initial=0.0))
         for idx in self.groups:
             nb = np.linalg.norm(x0[idx])
-            if nb > _SUPP_TOL * scale:
-                total += H[:, idx] @ (x0[idx] / nb)
+            yield idx, x0[idx] / nb if nb > _SUPP_TOL * scale else None
+
+    def dir_deriv_batch(self, x0, H):
+        H = np.atleast_2d(np.asarray(H, dtype=float))
+        total = np.zeros(H.shape[0])
+        for idx, unit in self._units(x0):
+            if unit is not None:
+                total += H[:, idx] @ unit
             else:
                 total += np.linalg.norm(H[:, idx], axis=1)
         return total
@@ -910,20 +910,20 @@ class GroupL12Gauge(Gauge):
     def face(self, x0):
         return GroupFace(self.groups, self.flat(x0))
 
-    def dir_subgrad_batch(self, x0, H):
-        x0 = self.flat(x0)
+    def dir_deriv_subgrad_batch(self, x0, H):
+        """J'(x0; .) and its subgradients in one pass over the groups."""
         H = np.atleast_2d(np.asarray(H, dtype=float))
-        G = np.zeros_like(H)
-        scale = max(1.0, np.max(np.abs(x0), initial=0.0))
-        for idx in self.groups:
-            nb = np.linalg.norm(x0[idx])
-            if nb > _SUPP_TOL * scale:
-                G[:, idx] = x0[idx] / nb
+        total, G = np.zeros(H.shape[0]), np.zeros_like(H)
+        for idx, unit in self._units(x0):
+            if unit is not None:
+                total += H[:, idx] @ unit
+                G[:, idx] = unit
             else:
                 nh = np.linalg.norm(H[:, idx], axis=1, keepdims=True)
+                total += nh[:, 0]
                 G[:, idx] = np.divide(H[:, idx], nh, where=nh > 1e-15,
                                       out=np.zeros((H.shape[0], idx.size)))
-        return G
+        return total, G
 
     def lipschitz(self):
         return math.sqrt(len(self.groups))

@@ -28,7 +28,8 @@ from gaugecert.cones import (
     sphere_min,
     subgradient_min,
 )
-from gaugecert.gauges import (AnalysisL1Gauge, L1Gauge, NonnegL1Gauge,
+from gaugecert.gauges import (AnalysisL1Gauge, GroupL12Gauge, L1Gauge,
+                              NonnegL1Gauge, NuclearGauge, SdpTraceGauge,
                               SortedWeightedL1Gauge)
 
 
@@ -499,7 +500,7 @@ def test_subgradient_min_reaches_the_lp_optimum():
             j = np.abs(R).argmax(axis=1)
             return np.sign(R[np.arange(len(R)), j])[:, None] * B[:, j].T
 
-        y, val = subgradient_min(f, subgrad, y0, N)
+        y, val = subgradient_min(lambda Y: (f(Y), subgrad(Y)), y0, N)
         BN, r0 = B.T @ N, B.T @ y0 - c
         ones = np.ones((6, 1))
         lp = lp_solve(np.r_[np.zeros(N.shape[1]), 1.0],
@@ -511,6 +512,36 @@ def test_subgradient_min_reaches_the_lp_optimum():
         assert val <= f(y0[None])[0]
         # y stays on the affine set
         assert np.allclose(y - y0, N @ (N.T @ (y - y0)), atol=1e-12)
+
+
+def test_subgradient_min_calls_its_oracle_once_per_iterate():
+    # one oracle call for the starts, one per step and one for the last
+    # iterate; the random starts are never scored
+    rng = np.random.default_rng(3)
+    B, c = rng.standard_normal((3, 6)), rng.standard_normal(6)
+    y0, N = rng.standard_normal(3), kernel_basis(rng.standard_normal((1, 3)))
+    calls = []
+
+    def oracle(Y):
+        calls.append(len(Y))
+        R = Y @ B - c
+        j = np.abs(R).argmax(axis=1)
+        return (np.abs(R).max(axis=1),
+                np.sign(R[np.arange(len(R)), j])[:, None] * B[:, j].T)
+
+    subgradient_min(oracle, y0, N)
+    assert calls == [5] * 301
+    # zero subgradients stop the loop at its starts: y0 is returned even
+    # though every random start scores lower
+    calls.clear()
+
+    def flat(Y):
+        calls.append(len(Y))
+        return -np.linalg.norm(Y - y0, axis=1), np.zeros_like(Y)
+
+    y, val = subgradient_min(flat, y0, N)
+    assert calls == [5]
+    assert y is y0 and val == 0.0
 
 
 # ---------------------------------------------------------------- sphere_min
@@ -736,6 +767,44 @@ def test_min_conic_singular_heuristic_in_high_dimension():
     res = min_conic_singular(A, full)
     assert res.certified and res.engine == "exact-active-set"
     assert res.value == pytest.approx(smin, abs=1e-12)
+
+
+def _probe_case(kind):
+    """A seeded non-polyhedral critical cone with a 5-row A: nuclear 2 x 3
+    and sdp_trace n = 3 at rank one, group_l12 n = 6 on one group."""
+    rng = np.random.default_rng([18, len(kind)])
+    if kind == "nuclear":
+        g = NuclearGauge((2, 3))
+    elif kind == "sdp_trace":
+        G = rng.standard_normal((3, 3))
+        g = SdpTraceGauge(G @ G.T / 3 + np.eye(3))
+    else:
+        g = GroupL12Gauge(6, [[0, 1], [2, 3], [4, 5]])
+    x0 = g.draw_x0(rng)
+    return g, rng.standard_normal((5, g.n)), x0
+
+
+@pytest.mark.parametrize("kind, value, minimizer_md5, y0_md5", [
+    ("nuclear", "0x1.86d6e3c76e1b0p-8", "30e9eb494f7643ecf902e69cf99475ac",
+     "621cee91adf09112a5bbac0408a688de"),
+    ("sdp_trace", "0x1.0f32f4f6ab67cp-7", "7f6cc15412876473118a3f1918bd77e1",
+     "0cd596d06ab4b490da7f00553a9f4d5c"),
+    ("group_l12", "0x1.393142d27de38p-1", "77960d1c450b06a9470be24b07ae4ade",
+     "8efc5085519b008a717aa3f92d023499"),
+])
+def test_multistart_and_certificate_search_outputs_are_frozen(
+        kind, value, minimizer_md5, y0_md5):
+    # recorded when each probe step called the values and the subgradients
+    # of a gauge, a cone or a certificate search separately; one call per
+    # step must not move a bit
+    g, A, x0 = _probe_case(kind)
+    res = min_conic_singular(A, g.critical_cone(x0))
+    assert res.value.hex() == value
+    assert hashlib.md5(res.minimizer.tobytes()).hexdigest() == minimizer_md5
+    assert (res.engine, res.certified, res.evals, res.note) == \
+        ("multistart-subgradient", False, 60200, "heuristic")
+    y0 = g.face(x0).certificate(A)["y0"]
+    assert hashlib.md5(y0.tobytes()).hexdigest() == y0_md5
 
 
 def test_conic_singular_trivial_cone():

@@ -266,6 +266,117 @@ def test_directional_subgradients_and_critical_cones():
                         cone.violation(h) + vg @ d - tol, gauge.kind
 
 
+def _two_call_subgrad(gauge, x0, H):
+    """The subgradient rows of the kinds that now take them from
+    ``dir_deriv_subgrad_batch``, by the formulas ``dir_subgrad_batch`` had
+    when it was written on its own; None for the other kinds."""
+    if gauge.kind == "nuclear":
+        U1, V1, U2, V2 = gauge._blocks(x0)
+        G = np.tile((U1 @ V1.T).ravel(), (H.shape[0], 1))
+        if U2.shape[1] and V2.shape[1]:
+            M = H.reshape(H.shape[0], *gauge.shape)
+            Uw, _, Vwt = np.linalg.svd(U2.T @ M @ V2)
+            k = min(Uw.shape[2], Vwt.shape[1])
+            G += (U2 @ (Uw[:, :, :k] @ Vwt[:, :k]) @ V2.T).reshape(-1, gauge.n)
+        return G
+    if gauge.kind == "group_l12":
+        G = np.zeros_like(H)
+        scale = max(1.0, np.max(np.abs(x0), initial=0.0))
+        for idx in gauge.groups:
+            nb = np.linalg.norm(x0[idx])
+            if nb > 1e-12 * scale:
+                G[:, idx] = x0[idx] / nb
+            else:
+                nh = np.linalg.norm(H[:, idx], axis=1, keepdims=True)
+                G[:, idx] = np.divide(H[:, idx], nh, where=nh > 1e-15,
+                                      out=np.zeros((H.shape[0], idx.size)))
+        return G
+    return None
+
+
+def _tail_free(gauge, x0, H):
+    """H with its tail at x0 removed: the part of each row that J'(x0; .)
+    reads through a norm (nuclear: the block U2^T h V2; sdp_trace: the
+    kernel block E^T h E; vector kinds: the coordinates off the support)."""
+    if gauge.kind == "nuclear":
+        _, _, U2, V2 = gauge._blocks(x0)
+        M = H.reshape(-1, *gauge.shape)
+        return (M - U2 @ (U2.T @ M @ V2) @ V2.T).reshape(H.shape)
+    if gauge.kind == "sdp_trace":
+        E = gauge._kernel(x0)
+        M = H.reshape(-1, gauge.nmat, gauge.nmat)
+        return (M - E @ (E.T @ M @ E) @ E.T).reshape(H.shape)
+    return H * (x0 != 0.0)
+
+
+def test_fused_oracle_matches_the_two_oracles():
+    # dir_deriv_subgrad_batch gives dir_deriv_batch's values and the rows
+    # dir_subgrad_batch gave as a separate oracle, at x0 = 0, a sparse or
+    # low-rank x0 and a generic one, on zero rows, +-x0, random directions
+    # and directions with no tail
+    rng = np.random.default_rng(18)
+    for gauge in make_zoo() + [NuclearGauge((2, 3))]:
+        for x0 in (np.zeros(gauge.n), gauge.draw_x0(rng),
+                   sample_domain(gauge, rng, 1)[0]):
+            R = rng.standard_normal((12, gauge.n))
+            H = np.vstack([np.zeros((2, gauge.n)), x0, -x0, R,
+                           _tail_free(gauge, x0, R)])
+            vals, G = gauge.dir_deriv_subgrad_batch(x0, H)
+            dd = gauge.dir_deriv_batch(x0, H)
+            if gauge.kind == "nuclear":
+                # its values come from the full SVD of a tail block built by
+                # matmuls, dir_deriv_batch's from the singular values alone
+                # of one built by einsum: equal up to rounding
+                assert np.allclose(vals, dd, rtol=1e-14, atol=1e-14)
+                assert np.array_equal(vals > 0.0, dd > 0.0)
+            else:
+                assert np.array_equal(vals, dd), gauge.kind
+            want = _two_call_subgrad(gauge, x0, H)
+            if want is None:
+                want = gauge.dir_subgrad_batch(x0, H)
+            assert np.array_equal(G, want), gauge.kind
+            assert np.array_equal(gauge.dir_subgrad_batch(x0, H), G)
+
+
+def test_probe_steps_take_one_decomposition(monkeypatch):
+    counts = {}
+
+    def counting(name):
+        original = getattr(np.linalg, name)
+
+        def call(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, call)
+
+    for name in ("svd", "eigh", "eigvalsh"):
+        counting(name)
+    rng = np.random.default_rng(19)
+    # nuclear: one full SVD of the tail blocks per cone subgradient call,
+    # and the SVD of x0 once for every oracle call at that x0
+    g = NuclearGauge((2, 3))
+    x0 = g.draw_x0(rng)
+    H = rng.standard_normal((50, g.n))
+    cone = g.critical_cone(x0)
+    counts.clear()
+    for _ in range(3):
+        cone.violation_subgrad_batch(H)
+    assert counts == {"svd": 1 + 3}
+    counts.clear()
+    g.dir_deriv_batch(x0, H)
+    g.dir_subgrad_batch(x0, H)
+    g.face(x0)
+    assert counts == {"svd": 2}
+    # sdp_trace: one eigh per critical-cone subgradient call, and none of
+    # x0 once the cone is built
+    g = SdpTraceGauge(np.eye(3))
+    x0 = g.draw_x0(rng)
+    cone = g.critical_cone(x0)
+    counts.clear()
+    cone.violation_subgrad_batch(rng.standard_normal((50, g.n)))
+    assert counts == {"eigh": 1}
+
+
 def test_lipschitz_is_an_upper_bound():
     rng = np.random.default_rng(6)
     for gauge in make_zoo():
