@@ -23,7 +23,7 @@ own condition ids and margin thresholds.  ``fuchs_check``
 (support-injectivity, interior-certificate), ``analysis_check``
 (kernel-intersection, interior-certificate) and ``nuclear_check`` (both
 routes: restricted-injectivity, interior-certificate, kernel-probe, and the
-reported-only tail-dominance-sufficient) need a margin >= strict_lt_one_tol
+reported-only tail-dominance-sufficient) need a margin >= STRICT_LT_ONE_TOL
 (1e-6); ``wsl1_check`` (affine-hull, positive-combination) and
 ``check_sharp`` (range-space, kernel) a margin > cert_tol (1e-8); the wsl1
 margin is the smallest slack of the face's majorization inequalities.
@@ -321,8 +321,8 @@ def _interior(margin):
 
 
 def _below_one(margin):
-    """A source-form "value < 1", up to ``strict_lt_one_tol``."""
-    return margin >= config.strict_lt_one_tol()
+    """A source-form "value < 1", up to ``STRICT_LT_ONE_TOL``."""
+    return margin >= config.STRICT_LT_ONE_TOL
 
 
 def _range_space(geom, rep, strict, no_cert_note, cert_note):

@@ -60,7 +60,8 @@ from .certificates import (
 from .cones import EnumerationCapExceeded, LpFailure, nsp_constant
 from .gauges import KINDS, VertexCapExceeded, from_spec
 from .gauges.base import spec_array
-from .recovery import ProblemInstance, RecoveryReport, rows_to_csv, run_recovery
+from .recovery import (ProblemInstance, RecoveryReport, noise_draw,
+                       rows_to_csv, run_recovery)
 from .solvers import (
     ResidualMonotonicityError,
     solve_dual,
@@ -453,16 +454,6 @@ def _parse_seeds(text):
     return seeds
 
 
-def _noise_draw(b0, delta, seed, noise):
-    """The noise vector for one trial; ||omega|| = delta exactly."""
-    if delta == 0:
-        return np.zeros_like(b0)
-    if noise == "adversarial" and np.linalg.norm(b0) > 0:
-        return delta * b0 / np.linalg.norm(b0)
-    g = np.random.default_rng(seed).standard_normal(b0.size)
-    return delta * g / np.linalg.norm(g)
-
-
 _RECOVER_COLS = ("instance_id", "delta", "err_mozorov", "bound_mozorov",
                  "err_tikhonov", "bound_tikhonov_y0", "bound_tikhonov_lip",
                  "pass")
@@ -497,17 +488,14 @@ def cmd_recover(args):
     agg = RecoveryReport()
     for delta in deltas:
         for seed in seeds:
-            omega = _noise_draw(b0, delta, seed, args.noise)
+            omega = noise_draw(np.random.default_rng(seed), b0, delta,
+                               args.noise)
             inst = ProblemInstance(
                 A=A, x0=x0, b0=b0, delta=delta, omega=omega, seed=seed,
                 gauge=gauge,
                 instance_id=f"file-{gauge.kind}-m{m}-n{n}-s{seed}-d{delta!r}{tag}")
-            rep = run_recovery(inst, c1, overrides=overrides or None,
-                               cert=certificate)
-            agg.rows.extend(rep.rows)
-            agg.n_applicable += rep.n_applicable
-            agg.n_pass += rep.n_pass
-            agg.worst_violation = max(agg.worst_violation, rep.worst_violation)
+            agg.extend(run_recovery(inst, c1, overrides=overrides or None,
+                                    cert=certificate))
 
     csv_text = rows_to_csv(agg.rows)
     if args.csv:

@@ -687,10 +687,15 @@ def sphere_min(f, K, cone=None, engine="auto", restarts=None, seed=0):
     raise ValueError(f"unknown engine {engine!r}")
 
 
-def _finish(f, h, value, engine, certified, evals, note=""):
-    # re-evaluate at the reported minimizer so value and point always agree
-    val = f.value(h)
-    return SphereMinResult(value=float(val), minimizer=h, engine=engine,
+def _finish(f, h, engine, certified, evals, note=""):
+    # the value is f at the reported minimizer, so value and point agree
+    return SphereMinResult(value=float(f.value(h)), minimizer=h, engine=engine,
+                           certified=certified, evals=evals, note=note)
+
+
+def _no_minimizer(engine, certified, evals, note):
+    """The end of a probe that found no direction: the value +inf."""
+    return SphereMinResult(value=math.inf, minimizer=None, engine=engine,
                            certified=certified, evals=evals, note=note)
 
 
@@ -713,8 +718,8 @@ def _exact_pl(f, Z, K):
         vplus = float(np.max(C[:, 0]))
         vminus = float(np.max(-C[:, 0]))
         if vplus <= vminus:
-            return _finish(f, K[:, 0].copy(), vplus, "exact-pl", True, 2)
-        return _finish(f, -K[:, 0], vminus, "exact-pl", True, 2)
+            return _finish(f, K[:, 0].copy(), "exact-pl", True, 2)
+        return _finish(f, -K[:, 0], "exact-pl", True, 2)
 
     rec = ConeSpec.from_rows(C)
     trivial, witness_t = cone_trivial(rec, np.eye(k))
@@ -738,7 +743,7 @@ def _exact_pl(f, Z, K):
             normals[i] = np.linalg.lstsq(Cu[hull.simplices[i]], np.ones(k),
                                          rcond=None)[0]
         t = normals[i] / np.linalg.norm(normals[i])
-        return _finish(f, K @ t, -offsets[i], "exact-pl", True, evals)
+        return _finish(f, K @ t, "exact-pl", True, evals)
     # nonpositive minimum: is 0 in conv(C)?
     N = C.shape[0]
     A_eq = np.vstack([C.T, np.ones((1, N))])
@@ -747,14 +752,14 @@ def _exact_pl(f, Z, K):
                    bounds=[(0.0, None)] * N)
     if res.status == "optimal":
         t = witness_t / np.linalg.norm(witness_t)
-        return _finish(f, K @ t, 0.0, "exact-pl", True, evals)
+        return _finish(f, K @ t, "exact-pl", True, evals)
     p = min_norm_point(C)
     np_norm = np.linalg.norm(p)
     if np_norm < 1e-12:
         t = witness_t / np.linalg.norm(witness_t)
-        return _finish(f, K @ t, 0.0, "exact-pl", True, evals)
+        return _finish(f, K @ t, "exact-pl", True, evals)
     t = -p / np_norm
-    return _finish(f, K @ t, -np_norm, "exact-pl", True, evals)
+    return _finish(f, K @ t, "exact-pl", True, evals)
 
 
 #: most directions of one angular-grid block.  A stage is scored a block of
@@ -869,12 +874,11 @@ def _angular_grid(f, K, cone):
             viol = cone.violation_batch(H)
             feas = viol <= 1e-12
             if not np.any(feas):
-                return SphereMinResult(value=math.inf, minimizer=None,
-                                       engine="angular-grid", certified=True,
-                                       evals=2, note="no feasible direction")
+                return _no_minimizer("angular-grid", True, 2,
+                                     "no feasible direction")
             vals = np.where(feas, vals, np.inf)
         i = int(np.argmin(vals))
-        return _finish(f, H[i], vals[i], "angular-grid", True, 2)
+        return _finish(f, H[i], "angular-grid", True, 2)
 
     res = grid_res
     center = None
@@ -912,9 +916,8 @@ def _angular_grid(f, K, cone):
     if best_h is None:
         if cone is not None:
             return _cone_fallback(f, K, cone, "angular-grid", evals)
-        return SphereMinResult(value=math.inf, minimizer=None,
-                               engine="angular-grid", certified=True,
-                               evals=evals, note="no finite value on grid")
+        return _no_minimizer("angular-grid", True, evals,
+                             "no finite value on grid")
     h = best_h
     note = ""
     certified = True
@@ -929,9 +932,8 @@ def _angular_grid(f, K, cone):
         elif cone.is_polyhedral:
             trivial, _ = cone_trivial(cone, K)
             if trivial:
-                return SphereMinResult(value=math.inf, minimizer=None,
-                                       engine="angular-grid", certified=True,
-                                       evals=evals, note="cone section trivial")
+                return _no_minimizer("angular-grid", True, evals,
+                                     "cone section trivial")
             note = f"thin section; minimizer within {viol:.1e} of the cone"
         else:
             certified = False
@@ -939,9 +941,9 @@ def _angular_grid(f, K, cone):
     if cone is None or cone.violation(h) <= 1e-11:
         # the grid alone leaves an O(res) gap at kinked minima; close it so
         # sign decisions near zero are not hostage to the mesh
-        h, best_val, zevals = _angular_zoom(f, K, cone, h, 4.0 * config.GRID_REFINE_RES)
+        h, _, zevals = _angular_zoom(f, K, cone, h, 4.0 * config.GRID_REFINE_RES)
         evals += zevals
-    return _finish(f, h, best_val, "angular-grid", certified, evals, note)
+    return _finish(f, h, "angular-grid", certified, evals, note)
 
 
 def _angular_zoom(f, K, cone, h, width, sweeps=3):
@@ -1026,14 +1028,10 @@ def _cone_fallback(f, K, cone, engine, evals):
     if cone.is_polyhedral:
         trivial, wit = cone_trivial(cone, K)
         if trivial:
-            return SphereMinResult(value=math.inf, minimizer=None,
-                                   engine=engine, certified=True, evals=evals,
-                                   note="cone section trivial")
-        return _finish(f, wit, f.value(wit), engine, False, evals,
+            return _no_minimizer(engine, True, evals, "cone section trivial")
+        return _finish(f, wit, engine, False, evals,
                        note="thin cone section; witness value only")
-    return SphereMinResult(value=math.inf, minimizer=None, engine=engine,
-                           certified=False, evals=evals,
-                           note="no feasible direction resolved")
+    return _no_minimizer(engine, False, evals, "no feasible direction resolved")
 
 
 def _multistart(f, K, cone, restarts, seed):
@@ -1085,10 +1083,9 @@ def _multistart(f, K, cone, restarts, seed):
     if best_h is None:
         if cone is not None:
             return _cone_fallback(f, K, cone, "multistart-subgradient", evals)
-        return SphereMinResult(value=math.inf, minimizer=None,
-                               engine="multistart-subgradient", certified=False,
-                               evals=evals, note="no feasible point found")
-    return _finish(f, best_h, best_val, "multistart-subgradient", False, evals,
+        return _no_minimizer("multistart-subgradient", False, evals,
+                             "no feasible point found")
+    return _finish(f, best_h, "multistart-subgradient", False, evals,
                    note="heuristic")
 
 
@@ -1195,11 +1192,9 @@ def _active_set_min(f, cone):
             push(I + (j,), lam)
     note = f"active sets visited: {evals}"
     if best_h is None:
-        return SphereMinResult(value=math.inf, minimizer=None,
-                               engine="exact-active-set", certified=True,
-                               evals=evals, note="no feasible direction; " + note)
-    return _finish(f, best_h, math.sqrt(max(best_val, 0.0)), "exact-active-set",
-                   True, evals, note)
+        return _no_minimizer("exact-active-set", True, evals,
+                             "no feasible direction; " + note)
+    return _finish(f, best_h, "exact-active-set", True, evals, note)
 
 
 def nsp_constant(A, I, cap=None):

@@ -31,7 +31,7 @@ __all__ = [
     "overrides",
     "validate",
     "cert_tol",
-    "strict_lt_one_tol",
+    "STRICT_LT_ONE_TOL",
     "lp_maxiter",
     "probe_restarts",
     "RANK_TOL",
@@ -63,6 +63,9 @@ GRID_RES_3D = 4e-3
 
 #: final angular resolution after local refinement
 GRID_REFINE_RES = 1e-6
+
+#: strict inequalities "< 1" are implemented as <= 1 minus this slack
+STRICT_LT_ONE_TOL = 1e-6
 
 
 _OVERRIDES = contextvars.ContextVar("gaugecert_overrides", default={})
@@ -109,11 +112,6 @@ def cert_tol():
     """Margin strictness: z is accepted as relative-interior iff margin > this."""
     return _setting("CERT_TOL", float, 1e-8, lambda v: 0.0 <= v < math.inf,
                     "a finite number >= 0")
-
-
-def strict_lt_one_tol():
-    """Strict inequalities "< 1" are implemented as <= 1 minus this slack."""
-    return 1e-6
 
 
 def lp_maxiter():

@@ -30,9 +30,14 @@ A new kind subclasses ``Gauge`` (and ``SubdiffFace``), registers itself in
   ``finite_dir_deriv_batch`` (J' without the domain's +inf) and their own
   ``critical_cone``;
 * the face's ``margin`` (for wsl1, the smallest slack of its majorization
-  inequalities), ``sample`` and ``certificate`` (the search for y with
-  A^T y in the relative interior of the face); ``contains`` is written
-  here, as ``margin >= -tol``;
+  inequalities) and ``sample``; ``contains`` is written here, as
+  ``margin >= -tol``.  ``certificate`` (the search for y with A^T y in the
+  relative interior of the face) is written here too, as one heuristic
+  search: a face gives its ``affine_part`` (the linear equations on y),
+  its ``spread`` (the ``(values, subgradients)`` oracle that the search
+  minimizes over their solutions) and a ``note``.  The polyhedral faces
+  replace it with an exact max-margin LP, and answer a singleton face with
+  ``point_certificate``;
 * solvers -- polyhedral kinds give ``primal_lp`` (min J(x) s.t. Ax = b0 as
   one LP, whose equality multipliers are also the dual point); the others
   give ``polar_ball_project`` for the splitting path;
@@ -43,12 +48,16 @@ A new kind subclasses ``Gauge`` (and ``SubdiffFace``), registers itself in
 """
 
 import functools
+import math
 import numbers
 
 import numpy as np
 
+from ..cones import affine_solve, subgradient_min
+
 __all__ = ["Gauge", "SubdiffFace", "VertexCapExceeded", "spec_int",
-           "spec_array", "construct", "sparse_draw", "per_x0"]
+           "spec_array", "construct", "sparse_draw", "per_x0",
+           "point_certificate"]
 
 
 class VertexCapExceeded(RuntimeError):
@@ -108,6 +117,19 @@ def per_x0(method):
     return cached
 
 
+def point_certificate(C, target, tol=None):
+    """The certificate of a face that is a single point: the least-squares
+    y of C y = target, or None when its residual exceeds ``tol`` (by
+    default 1e-9 max(1, max |target|))."""
+    y, _, resid = affine_solve(C, target)
+    if tol is None:
+        tol = 1e-9 * max(1.0, np.abs(target).max(initial=0.0))
+    if resid > tol:
+        return None
+    return {"y0": y, "ri_margin": math.inf, "margin_is_max": True,
+            "note": "face is a singleton"}
+
+
 class SubdiffFace:
     """Explicit model of a subdifferential face ∂J(x0).
 
@@ -119,14 +141,13 @@ class SubdiffFace:
     tangent : ndarray, shape (n, t)
         Orthonormal basis of aff(∂J(x0)) - base.  ``t = 0`` for singleton
         faces.
-    param_desc : str
-        Human-readable description of the parameter set (box, spectral ball,
-        per-block balls, nonpositive orthant, ...).
+    note : str
+        What the heuristic ``certificate`` search minimizes, for its result.
     """
 
     base = None
     tangent = None
-    param_desc = ""
+    note = ""
 
     def margin(self, z):
         """Slack of z inside the face; positive iff z lies in its relative
@@ -147,8 +168,32 @@ class SubdiffFace:
 
         Returns a dict with ``y0``, ``ri_margin``, ``margin_is_max`` and
         ``note``, or None when the affine part of the search is infeasible
-        (see ``certificates.find_dual_certificate``).
+        (see ``certificates.find_dual_certificate``).  The search: y solves
+        ``affine_part`` by least squares, which settles a singleton face;
+        otherwise ``subgradient_min`` lowers ``spread`` over the solutions,
+        and the margin of the y it returns is computed exactly.
         """
+        rows, rhs, tol = self.affine_part(A)
+        if not self.dim:
+            return point_certificate(rows, rhs, tol)
+        y, N, resid = affine_solve(rows, rhs)
+        if resid > tol:
+            return None
+        y = subgradient_min(self.spread(A), y, N)[0]
+        return {"y0": y, "ri_margin": float(self.margin(A.T @ y)),
+                "margin_is_max": False, "note": self.note}
+
+    def affine_part(self, A):
+        """``(rows, rhs, tol)``: A^T y lies in the affine hull of the face
+        iff rows @ y = rhs, and a least-squares residual above tol means
+        that no y does."""
+        raise NotImplementedError
+
+    def spread(self, A):
+        """The ``(values, subgradients)`` oracle, on a stack of y (rows), of
+        the convex function of y whose decrease moves A^T y inward from the
+        face's relative boundary: the size of its free block (a largest
+        group norm, spectral norm or eigenvalue)."""
         raise NotImplementedError
 
     @property

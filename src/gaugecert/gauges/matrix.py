@@ -71,13 +71,15 @@ def _reduced_block_test(A, M0, G, H, scale):
 class NuclearFace(SubdiffFace):
     """{U1 V1^T + U2 W V2^T : sigma_1(W) <= 1} from the SVD blocks at X0."""
 
+    note = ("spectral norm of the free block minimized by subgradient descent "
+            "(heuristic search)")
+
     def __init__(self, U1, V1, U2, V2):
         self.U1, self.V1, self.U2, self.V2 = U1, V1, U2, V2
         self.p, self.q = U1.shape[0], V1.shape[0]
         self.base = (U1 @ V1.T).ravel()
         # vec(U2 W V2^T) = kron(U2, V2) vec(W) for row-major vec
         self.tangent = np.kron(U2, V2)
-        self.param_desc = "spectral-norm ball on the off-rank block"
 
     def _block(self, z):
         Z = np.asarray(z, dtype=float).reshape(self.p, self.q)
@@ -108,9 +110,9 @@ class NuclearFace(SubdiffFace):
                 out[i] = self.base
         return out
 
-    def certificate(self, A):
-        m = A.shape[0]
-        p, q = self.p, self.q
+    def affine_part(self, A):
+        """<A^T y, u v^T> = <U1 V1^T, u v^T> for u v^T with u in U1 or v in
+        V1 (rows U1 x V1, U1 x V2 and U2 x V1)."""
         U1, V1, U2, V2 = self.U1, self.V1, self.U2, self.V2
         r = U1.shape[1]
         rows, rhs = [], []
@@ -126,13 +128,11 @@ class NuclearFace(SubdiffFace):
             for j in range(r):
                 rows.append(A @ np.outer(U2[:, i], V1[:, j]).ravel())
                 rhs.append(0.0)
-        y_p, N, resid = affine_solve(np.array(rows).reshape(len(rows), m),
-                                     np.array(rhs))
-        if resid > 1e-8:
-            return None
-        if U2.shape[1] == 0 or V2.shape[1] == 0:
-            return {"y0": y_p, "ri_margin": math.inf, "margin_is_max": True,
-                    "note": "face is a singleton"}
+        return np.array(rows).reshape(len(rows), A.shape[0]), np.array(rhs), 1e-8
+
+    def spread(self, A):
+        """The spectral norm of the free block U2^T (A^T y) V2."""
+        p, q, U2, V2 = self.p, self.q, self.U2, self.V2
 
         def top_sv(Y):
             Uw, s, Vwt = np.linalg.svd(U2.T @ (Y @ A).reshape(-1, p, q) @ V2)
@@ -140,11 +140,7 @@ class NuclearFace(SubdiffFace):
             uv = (u[:, :, None] * v[:, None, :]).reshape(-1, p * q)
             return s[:, 0], uv @ A.T
 
-        y, val = subgradient_min(top_sv, y_p, N)
-        return {"y0": y, "ri_margin": float(self.margin(A.T @ y)),
-                "margin_is_max": False,
-                "note": "spectral norm of the free block minimized by "
-                        "subgradient descent (heuristic search)"}
+        return top_sv
 
 
 class NuclearGauge(Gauge):
@@ -203,8 +199,7 @@ class NuclearGauge(Gauge):
         (_, _, U2, V2), M, lin = self._lin(x0, H)
         if not (U2.shape[1] and V2.shape[1]):
             return lin + 0.0
-        W = np.einsum("ri,kij,jc->krc", U2.T, M, V2)
-        return lin + np.linalg.svd(W, compute_uv=False).sum(axis=1)
+        return lin + np.linalg.svd(U2.T @ M @ V2, compute_uv=False).sum(axis=1)
 
     def face(self, x0):
         return NuclearFace(*self._blocks(x0))
@@ -212,9 +207,9 @@ class NuclearGauge(Gauge):
     def dir_deriv_subgrad_batch(self, x0, H):
         """J'(x0; .) and its subgradients from one full SVD of the tails:
         the subgradient adds the tail's full polar factor, the steepest
-        pieces of the nuclear tail, to U1 V1^T.  The tail block is built by
-        two matmuls here and by one einsum in ``dir_deriv_batch``, so the
-        two values agree to rounding, not always bit for bit."""
+        pieces of the nuclear tail, to U1 V1^T.  The tail block is built as
+        in ``dir_deriv_batch``; the singular values of a full SVD and of a
+        values-only one agree to rounding."""
         (U1, V1, U2, V2), M, lin = self._lin(x0, H)
         G = np.tile((U1 @ V1.T).ravel(), (lin.size, 1))
         if not (U2.shape[1] and V2.shape[1]):
@@ -262,6 +257,9 @@ class SdpFace(SubdiffFace):
     symmetric matrices, so antisymmetric parts are normal to it.
     """
 
+    note = ("kernel-block eigenvalue minimized by subgradient descent "
+            "(heuristic search)")
+
     def __init__(self, C, E, U):
         self.C = C
         self.E = E
@@ -280,7 +278,6 @@ class SdpFace(SubdiffFace):
                 M = s * (np.outer(E[:, i], E[:, j]) + np.outer(E[:, j], E[:, i]))
                 cols.append(M.ravel())
         self.tangent = np.array(cols).T if cols else np.zeros((n * n, 0))
-        self.param_desc = "negative-semidefinite block on Ker X0"
 
     def _block(self, z):
         Z = _sym_mat(z, self.nmat)
@@ -310,9 +307,10 @@ class SdpFace(SubdiffFace):
                 out[i] = self.C.ravel()
         return out
 
-    def certificate(self, A):
-        m = A.shape[0]
-        nm, E, U, C = self.nmat, self.E, self.U, self.C
+    def affine_part(self, A):
+        """<A^T y, M> = <C, M> for the symmetric M on the U x U and U x E
+        blocks."""
+        E, U, C = self.E, self.U, self.C
         rows, rhs = [], []
         for i in range(U.shape[1]):
             for j in range(i, U.shape[1]):
@@ -324,13 +322,12 @@ class SdpFace(SubdiffFace):
                 M = 0.5 * (np.outer(U[:, i], E[:, j]) + np.outer(E[:, j], U[:, i]))
                 rows.append(A @ M.ravel())
                 rhs.append(float(np.tensordot(M, C)))
-        y_p, N, resid = affine_solve(np.array(rows).reshape(len(rows), m),
-                                     np.array(rhs))
-        if resid > 1e-8 * max(1.0, float(np.abs(C).max())):
-            return None
-        if E.shape[1] == 0:
-            return {"y0": y_p, "ri_margin": math.inf, "margin_is_max": True,
-                    "note": "face is a singleton"}
+        return (np.array(rows).reshape(len(rows), A.shape[0]), np.array(rhs),
+                1e-8 * max(1.0, float(np.abs(C).max())))
+
+    def spread(self, A):
+        """The largest eigenvalue of the kernel block E^T (A^T y - C) E."""
+        nm, E, C = self.nmat, self.E, self.C
 
         def lam_max(Y):
             w, V = np.linalg.eigh(E.T @ (_sym_mat(Y @ A, nm) - C) @ E)
@@ -338,11 +335,7 @@ class SdpFace(SubdiffFace):
             vv = (v[:, :, None] * v[:, None, :]).reshape(-1, nm * nm)
             return w[:, -1], vv @ A.T
 
-        y, val = subgradient_min(lam_max, y_p, N)
-        return {"y0": y, "ri_margin": float(self.margin(A.T @ y)),
-                "margin_is_max": False,
-                "note": "kernel-block eigenvalue minimized by subgradient "
-                        "descent (heuristic search)"}
+        return lam_max
 
 
 class SdpTraceGauge(Gauge):

@@ -22,10 +22,9 @@ import numpy as np
 from scipy.linalg import block_diag
 
 from .. import config
-from ..cones import (ConeSpec, affine_solve, lp_solve, range_basis,
-                     subgradient_min)
+from ..cones import ConeSpec, lp_solve, range_basis
 from .base import (Gauge, SubdiffFace, VertexCapExceeded, construct,
-                   sparse_draw, spec_array, spec_int)
+                   point_certificate, sparse_draw, spec_array, spec_int)
 
 __all__ = [
     "L1Gauge",
@@ -42,76 +41,53 @@ def _support(x):
     return np.abs(x) > _SUPP_TOL * max(1.0, float(np.max(np.abs(x), initial=0.0)))
 
 
-def _point_certificate(C, target):
-    """y with C y = target, for a face that is a single point; None when
-    there is none."""
-    y, _, resid = affine_solve(C, target)
-    if resid > 1e-9 * max(1.0, np.abs(target).max(initial=0.0)):
-        return None
-    return {"y0": y, "ri_margin": math.inf, "margin_is_max": True,
-            "note": "face is a singleton"}
+def _abs_lift(g, P):
+    """``descent_lift`` of J'(x0; h) = <g, h> + sum_j |<P_j, h>| (P_j the
+    rows of P): <g, h> + sum(u) <= 0, and +-<P_j, h> <= u_j."""
+    k = P.shape[0]
+    return (np.vstack([g, np.kron(P, [[1.0], [-1.0]])]),
+            np.vstack([np.ones(k), np.kron(np.eye(k), [[-1.0], [-1.0]])]))
 
 
-def _orthant_certificate(face, A, two_sided):
-    """Max-margin LP for the l1 face (``two_sided``) and the nonnegative-l1
-    face: z_I fixed by the base point, +-z_off <= 1 - t, minimize t."""
-    m = A.shape[0]
-    sup = face.support
-    off = face.off
-    target = face.base[sup]
-    if off.size == 0:
-        return _point_certificate(A[:, sup].T, target)
-    # vars (y, t): minimize t, A_I^T y = target, +/- A_off^T y <= t
-    Aoff = A[:, off].T
-    if two_sided:
-        A_ub = np.vstack([np.hstack([Aoff, -np.ones((off.size, 1))]),
-                          np.hstack([-Aoff, -np.ones((off.size, 1))])])
-    else:
-        A_ub = np.hstack([Aoff, -np.ones((off.size, 1))])
-    b_ub = np.zeros(A_ub.shape[0])
-    A_eq = np.hstack([A[:, sup].T, np.zeros((sup.size, 1))]) \
-        if sup.size else None
-    b_eq = target if sup.size else None
-    c = np.zeros(m + 1)
-    c[m] = 1.0
-    bounds = [(None, None)] * (m + 1)
-    res = lp_solve(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                   bounds=bounds)
-    if res.status == "unbounded":
-        # one-sided off-support constraints (the conic kind) can be
-        # pushed arbitrarily low: the margin has no finite maximum.
-        # Re-solve with a floor to extract a concrete certificate.
-        res = lp_solve(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                       bounds=[(None, None)] * m + [(-1.0, None)])
-        if res.status != "optimal":
-            return None
-        return {"y0": res.x[:m], "ri_margin": math.inf,
-                "margin_is_max": True,
-                "note": "max-margin LP (margin unbounded)"}
-    if res.status != "optimal":
-        return None
-    y = res.x[:m]
-    return {"y0": y, "ri_margin": float(face.margin(A.T @ y)),
-            "margin_is_max": True, "note": "max-margin LP"}
+def _sign_vertices(g, P):
+    """The vertices g + sum_j s_j P_j (s in {1, -1}^k, in product order) of
+    the face whose support function is that J'(x0; .); VertexCapExceeded
+    past the cap."""
+    k = P.shape[0]
+    if 2 ** k > config.VERTEX_CAP:
+        raise VertexCapExceeded(f"2^{k} sign vertices exceed cap")
+    return g + np.array(list(itertools.product((1.0, -1.0), repeat=k))) @ P
+
+
+def _min_abs_bound(F, P, rhs):
+    """The LP min t over (y, u, t) subject to F y + P u = rhs and |u| <= t."""
+    k, nv = P.shape[1], F.shape[1] + P.shape[1] + 1
+    E, ones = np.eye(k), np.ones((k, 1))
+    A_ub = np.hstack([np.zeros((2 * k, F.shape[1])),
+                      np.block([[E, -ones], [-E, -ones]])])
+    c = np.zeros(nv)
+    c[-1] = 1.0
+    return lp_solve(c, A_ub=A_ub, b_ub=np.zeros(2 * k),
+                    A_eq=np.hstack([F, P, np.zeros((len(P), 1))]), b_eq=rhs)
 
 
 # ---------------------------------------------------------------------------
-# l1
+# l1 (its orthant face serves nonnegative l1 too)
 # ---------------------------------------------------------------------------
 
-class L1Face(SubdiffFace):
-    """∂||.||_1(x0): sign vector on the support, a box on the rest."""
+class OrthantFace(SubdiffFace):
+    """∂J(x0) at x0 with support I: {z : z_I = sign(x0_I), |z_off| <= 1}
+    for l1 (``two_sided``), {z : z_I = 1, z_off <= 1} for nonneg_l1."""
 
-    def __init__(self, x0):
+    def __init__(self, x0, two_sided):
         x0 = np.asarray(x0, dtype=float)
-        self.support = np.where(_support(x0))[0]
-        self.off = np.where(~_support(x0))[0]
+        on = _support(x0)
+        self.support, self.off = np.where(on)[0], np.where(~on)[0]
         self.signs = np.sign(x0[self.support])
-        base = np.zeros(x0.size)
-        base[self.support] = self.signs
-        self.base = base
+        self.two_sided = two_sided
+        self.base = np.zeros(x0.size)
+        self.base[self.support] = self.signs
         self.tangent = np.eye(x0.size)[:, self.off]
-        self.param_desc = "inf-norm ball on the off-support coordinates"
 
     def margin(self, z):
         z = np.asarray(z, dtype=float)
@@ -119,15 +95,52 @@ class L1Face(SubdiffFace):
             return -math.inf
         if self.off.size == 0:
             return math.inf
-        return 1.0 - float(np.max(np.abs(z[self.off])))
+        v = z[self.off]
+        return 1.0 - float(np.max(np.abs(v) if self.two_sided else v))
 
     def sample(self, rng, count):
         Z = np.tile(self.base, (count, 1))
-        Z[:, self.off] = rng.uniform(-1.0, 1.0, size=(count, self.off.size))
+        shape = (count, self.off.size)
+        Z[:, self.off] = rng.uniform(-1.0, 1.0, size=shape) if self.two_sided \
+            else 1.0 - rng.exponential(1.0, size=shape)
         return Z
 
     def certificate(self, A):
-        return _orthant_certificate(self, A, two_sided=True)
+        """Max-margin LP: z_I fixed by the base point, +-z_off <= 1 - t
+        (z_off <= 1 - t when one-sided), minimize t."""
+        m = A.shape[0]
+        sup, off = self.support, self.off
+        target = self.base[sup]
+        if off.size == 0:
+            return point_certificate(A[:, sup].T, target)
+        # vars (y, t): minimize t, A_I^T y = target, +/- A_off^T y <= t
+        Aoff = A[:, off].T
+        if self.two_sided:
+            Aoff = np.vstack([Aoff, -Aoff])
+        A_ub = np.hstack([Aoff, -np.ones((len(Aoff), 1))])
+        b_ub = np.zeros(A_ub.shape[0])
+        A_eq = np.hstack([A[:, sup].T, np.zeros((sup.size, 1))]) \
+            if sup.size else None
+        b_eq = target if sup.size else None
+        c = np.zeros(m + 1)
+        c[m] = 1.0
+        res = lp_solve(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq)
+        if res.status == "unbounded":
+            # one-sided off-support constraints (the conic kind) can be
+            # pushed arbitrarily low: the margin has no finite maximum.
+            # Re-solve with a floor to extract a concrete certificate.
+            res = lp_solve(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                           bounds=[(None, None)] * m + [(-1.0, None)])
+            if res.status != "optimal":
+                return None
+            return {"y0": res.x[:m], "ri_margin": math.inf,
+                    "margin_is_max": True,
+                    "note": "max-margin LP (margin unbounded)"}
+        if res.status != "optimal":
+            return None
+        y = res.x[:m]
+        return {"y0": y, "ri_margin": float(self.margin(A.T @ y)),
+                "margin_is_max": True, "note": "max-margin LP"}
 
 
 class L1Gauge(Gauge):
@@ -157,34 +170,15 @@ class L1Gauge(Gauge):
         return np.where(on, np.sign(x0), np.where(H >= 0.0, 1.0, -1.0))
 
     def face(self, x0):
-        return L1Face(self.flat(x0))
+        return OrthantFace(self.flat(x0), two_sided=True)
 
     def descent_pieces(self, x0):
         face = self.face(x0)
-        k = face.off.size
-        if 2 ** k > config.VERTEX_CAP:
-            raise VertexCapExceeded(f"2^{k} subdifferential vertices exceed cap")
-        combos = np.array(list(itertools.product((1.0, -1.0), repeat=k)))
-        if k == 0:
-            return face.base[None, :]
-        Z = np.tile(face.base, (combos.shape[0], 1))
-        Z[:, face.off] = combos
-        return Z
+        return _sign_vertices(face.base, np.eye(self.n)[face.off])
 
     def descent_lift(self, x0):
-        # J'(x0; h) <= 0 as <sign, h_I> + sum u <= 0 with |h_off| <= u
         face = self.face(x0)
-        k = face.off.size
-        G_h = np.zeros((1 + 2 * k, self.n))
-        G_u = np.zeros((1 + 2 * k, k))
-        G_h[0, face.support] = face.signs
-        G_u[0, :] = 1.0
-        for j, i in enumerate(face.off):
-            G_h[1 + 2 * j, i] = 1.0
-            G_u[1 + 2 * j, j] = -1.0
-            G_h[2 + 2 * j, i] = -1.0
-            G_u[2 + 2 * j, j] = -1.0
-        return G_h, G_u
+        return _abs_lift(face.base, np.eye(self.n)[face.off])
 
     def lipschitz(self):
         return math.sqrt(self.n)
@@ -212,7 +206,7 @@ class AnalysisL1Face(SubdiffFace):
 
     Margins are measured in coefficient (u) space via an LP; when the
     off-support columns of D are linearly dependent this can understate the
-    geometric margin, flagged by ``rank_deficient``.
+    geometric margin.
     """
 
     def __init__(self, D, x0):
@@ -223,17 +217,14 @@ class AnalysisL1Face(SubdiffFace):
         self.active = np.where(_support(g))[0]
         self.inactive = np.where(~_support(g))[0]
         self.signs = np.sign(g[self.active])
+        #: D_act s_act, the base point summed over the active columns alone
+        #: (its last bits can differ from base's): the LPs' right-hand side
+        self.lin = D[:, self.active] @ self.signs
         u0 = np.zeros(D.shape[1])
         u0[self.active] = self.signs
         self.base = D @ u0
         self.tangent = range_basis(D[:, self.inactive]) if self.inactive.size \
             else np.zeros((D.shape[0], 0))
-        Doff = D[:, self.inactive]
-        self.rank_deficient = (
-            self.inactive.size > 0
-            and np.linalg.matrix_rank(Doff, tol=None) < self.inactive.size
-        )
-        self.param_desc = "inf-norm ball on the inactive dictionary coefficients"
 
     def margin(self, z):
         """1 minus the least inf-norm of feasible inactive coefficients."""
@@ -242,19 +233,9 @@ class AnalysisL1Face(SubdiffFace):
         if k == 0:
             resid = np.max(np.abs(z - self.base), initial=0.0)
             return math.inf if resid <= 1e-9 else -math.inf
-        Doff = self.D[:, self.inactive]
-        # variables (u_off, s): D_off u = z - base, |u| <= s, minimize s
-        n = self.D.shape[0]
-        A_eq = np.hstack([Doff, np.zeros((n, 1))])
-        b_eq = z - self.base
-        A_ub = np.zeros((2 * k, k + 1))
-        A_ub[:k, :k] = np.eye(k)
-        A_ub[:k, k] = -1.0
-        A_ub[k:, :k] = -np.eye(k)
-        A_ub[k:, k] = -1.0
-        c = np.zeros(k + 1)
-        c[k] = 1.0
-        res = lp_solve(c, A_ub=A_ub, b_ub=np.zeros(2 * k), A_eq=A_eq, b_eq=b_eq)
+        # D_off u = z - base, |u| <= s, minimize s
+        res = _min_abs_bound(np.zeros((z.size, 0)), self.D[:, self.inactive],
+                             z - self.base)
         if res.status != "optimal":
             return -math.inf
         return 1.0 - res.value
@@ -267,30 +248,13 @@ class AnalysisL1Face(SubdiffFace):
         return Z
 
     def certificate(self, A):
-        m = A.shape[0]
-        D = self.D
-        act, inact = self.active, self.inactive
-        rhs = D[:, act] @ self.signs if act.size else np.zeros(D.shape[0])
-        if inact.size == 0:
-            return _point_certificate(A.T, rhs)
-        # vars (y, u_off, t): A^T y - D_off u_off = D_act s_act, |u_off| <= t
-        p_off = inact.size
-        n = D.shape[0]
-        A_eq = np.hstack([A.T, -D[:, inact], np.zeros((n, 1))])
-        b_eq = rhs
-        E = np.eye(p_off)
-        A_ub = np.vstack([
-            np.hstack([np.zeros((p_off, m)), E, -np.ones((p_off, 1))]),
-            np.hstack([np.zeros((p_off, m)), -E, -np.ones((p_off, 1))]),
-        ])
-        b_ub = np.zeros(2 * p_off)
-        c = np.zeros(m + p_off + 1)
-        c[-1] = 1.0
-        res = lp_solve(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                       bounds=[(None, None)] * (m + p_off + 1))
+        if self.inactive.size == 0:
+            return point_certificate(A.T, self.lin)
+        # A^T y - D_off u_off = D_act s_act, |u_off| <= t, minimize t
+        res = _min_abs_bound(A.T, -self.D[:, self.inactive], self.lin)
         if res.status != "optimal":
             return None
-        y = res.x[:m]
+        y = res.x[:A.shape[0]]
         return {"y0": y, "ri_margin": float(self.margin(A.T @ y)),
                 "margin_is_max": True, "note": "max-margin LP (coefficient space)"}
 
@@ -350,18 +314,7 @@ class AnalysisL1Gauge(Gauge):
     def polar(self, z):
         """inf-norm of the smallest coefficient representation (LP);
         +inf when z is outside the column span of D."""
-        z = self.flat(z)
-        D = self.D
-        n, p = D.shape
-        A_eq = np.hstack([D, np.zeros((n, 1))])
-        A_ub = np.zeros((2 * p, p + 1))
-        A_ub[:p, :p] = np.eye(p)
-        A_ub[:p, p] = -1.0
-        A_ub[p:, :p] = -np.eye(p)
-        A_ub[p:, p] = -1.0
-        c = np.zeros(p + 1)
-        c[p] = 1.0
-        res = lp_solve(c, A_ub=A_ub, b_ub=np.zeros(2 * p), A_eq=A_eq, b_eq=z)
+        res = _min_abs_bound(np.zeros((self.n, 0)), self.D, self.flat(z))
         if res.status != "optimal":
             return math.inf
         return max(0.0, float(res.value))
@@ -382,33 +335,15 @@ class AnalysisL1Gauge(Gauge):
     def face(self, x0):
         return AnalysisL1Face(self.D, self.flat(x0))
 
+    # as for l1, on the dictionary coefficients D^T h
     def descent_pieces(self, x0):
         face = self.face(x0)
-        k = face.inactive.size
-        if 2 ** k > config.VERTEX_CAP:
-            raise VertexCapExceeded(f"2^{k} dictionary sign patterns exceed cap")
-        combos = np.array(list(itertools.product((1.0, -1.0), repeat=k)))
-        if k == 0:
-            Z = face.base[None, :]
-        else:
-            Z = face.base[None, :] + combos @ self.D[:, face.inactive].T
+        Z = _sign_vertices(face.base, self.D[:, face.inactive].T)
         return np.unique(np.round(Z, 12), axis=0)
 
     def descent_lift(self, x0):
-        # as for l1, on the dictionary coefficients D^T h
         face = self.face(x0)
-        D, k = self.D, face.inactive.size
-        G_h = np.zeros((1 + 2 * k, self.n))
-        G_u = np.zeros((1 + 2 * k, k))
-        if face.active.size:
-            G_h[0] = D[:, face.active] @ face.signs
-        G_u[0, :] = 1.0
-        for j, i in enumerate(face.inactive):
-            G_h[1 + 2 * j] = D[:, i]
-            G_u[1 + 2 * j, j] = -1.0
-            G_h[2 + 2 * j] = -D[:, i]
-            G_u[2 + 2 * j, j] = -1.0
-        return G_h, G_u
+        return _abs_lift(face.lin, self.D[:, face.inactive].T)
 
     def lipschitz(self):
         return math.sqrt(self.D.shape[1]) * float(np.linalg.norm(self.D, 2))
@@ -481,7 +416,6 @@ class SortedFace(SubdiffFace):
             if ks.size:
                 cols.append(np.eye(n)[:, idx] @ basis)
         self.tangent = np.hstack(cols)
-        self.param_desc = "weight-block majorization on the tie groups of |x0|"
 
     def margin(self, z):
         z = np.asarray(z, dtype=float)
@@ -514,7 +448,7 @@ class SortedFace(SubdiffFace):
 
     def certificate(self, A):
         if not self.dim:
-            return _point_certificate(A.T, self.base)
+            return point_certificate(A.T, self.base)
         # vars (y, t, u): maximize t >= 0 with A^T y on the affine hull and
         # T_k + t <= W_k, each top-k sum lifted by ``_top_k_lift``
         m = A.shape[0]
@@ -764,6 +698,11 @@ class SortedWeightedL1Gauge(Gauge):
 # ---------------------------------------------------------------------------
 
 class GroupFace(SubdiffFace):
+    """The unit block x0_g / ||x0_g|| on each support group, a Euclidean
+    ball on each zero group."""
+
+    note = "off-block norm minimized by subgradient descent (heuristic search)"
+
     def __init__(self, groups, x0):
         x0 = np.asarray(x0, dtype=float)
         self.groups = groups
@@ -779,11 +718,12 @@ class GroupFace(SubdiffFace):
             else:
                 self.zero.append(gi)
         self.base = base
-        zero_coords = np.concatenate([groups[gi] for gi in self.zero]) \
-            if self.zero else np.array([], dtype=int)
-        self.zero_coords = zero_coords
-        self.tangent = np.eye(x0.size)[:, zero_coords]
-        self.param_desc = "Euclidean balls on the zero blocks"
+        self.tangent = np.eye(x0.size)[:, self._coords(self.zero)]
+
+    def _coords(self, gis):
+        """The coordinates of the groups ``gis``, in group order."""
+        return np.concatenate([self.groups[gi] for gi in gis]
+                              + [np.zeros(0, dtype=int)])
 
     def margin(self, z):
         z = np.asarray(z, dtype=float)
@@ -806,18 +746,13 @@ class GroupFace(SubdiffFace):
             Z[:, idx] = dirs * radii
         return Z
 
-    def certificate(self, A):
-        m = A.shape[0]
-        sup_coords = np.concatenate([self.groups[gi] for gi in self.sup]) \
-            if self.sup else np.array([], dtype=int)
-        C = A[:, sup_coords].T if sup_coords.size else np.zeros((0, m))
-        target = self.base[sup_coords]
-        y_p, N, resid = affine_solve(C, target)
-        if resid > 1e-8 * max(1.0, np.abs(target).max(initial=0.0)):
-            return None
-        if not self.zero:
-            return {"y0": y_p, "ri_margin": math.inf, "margin_is_max": True,
-                    "note": "face is a singleton"}
+    def affine_part(self, A):
+        sup = self._coords(self.sup)
+        target = self.base[sup]
+        return A[:, sup].T, target, 1e-8 * max(1.0, np.abs(target).max(initial=0.0))
+
+    def spread(self, A):
+        """The largest norm of a zero group of A^T y."""
         zero_groups = [self.groups[gi] for gi in self.zero]
 
         def worst_norm(Y):
@@ -831,10 +766,7 @@ class GroupFace(SubdiffFace):
                 G[np.ix_(rows, idx)] = Z[np.ix_(rows, idx)] / norms[gi, rows, None]
             return norms.max(axis=0), G @ A.T
 
-        y, val = subgradient_min(worst_norm, y_p, N)
-        return {"y0": y, "ri_margin": float(self.margin(A.T @ y)),
-                "margin_is_max": False,
-                "note": "off-block norm minimized by subgradient descent (heuristic search)"}
+        return worst_norm
 
 
 class GroupL12Gauge(Gauge):
@@ -941,36 +873,6 @@ class GroupL12Gauge(Gauge):
 # nonnegative l1
 # ---------------------------------------------------------------------------
 
-class NonnegFace(SubdiffFace):
-    """{z : z_I = 1, z_{I^c} <= 1} at a nonnegative x0 with support I."""
-
-    def __init__(self, x0):
-        x0 = np.asarray(x0, dtype=float)
-        self.support = np.where(_support(x0))[0]
-        self.off = np.where(~_support(x0))[0]
-        base = np.zeros(x0.size)
-        base[self.support] = 1.0
-        self.base = base
-        self.tangent = np.eye(x0.size)[:, self.off]
-        self.param_desc = "nonpositive shifts on the off-support coordinates"
-
-    def margin(self, z):
-        z = np.asarray(z, dtype=float)
-        if self.support.size and np.max(np.abs(z[self.support] - 1.0)) > 1e-9:
-            return -math.inf
-        if self.off.size == 0:
-            return math.inf
-        return float(np.min(1.0 - z[self.off]))
-
-    def sample(self, rng, count):
-        Z = np.tile(self.base, (count, 1))
-        Z[:, self.off] = 1.0 - rng.exponential(1.0, size=(count, self.off.size))
-        return Z
-
-    def certificate(self, A):
-        return _orthant_certificate(self, A, two_sided=False)
-
-
 class NonnegL1Gauge(Gauge):
     kind = "nonneg_l1"
     is_polyhedral = True
@@ -1007,7 +909,7 @@ class NonnegL1Gauge(Gauge):
         x0 = self.flat(x0)
         if np.min(x0, initial=0.0) < -1e-12:
             raise ValueError("x0 must be nonnegative")
-        return NonnegFace(x0)
+        return OrthantFace(x0, two_sided=False)
 
     def domain_tangent_cone(self, x0):
         x0 = self.flat(x0)

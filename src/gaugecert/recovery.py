@@ -29,7 +29,7 @@ from .gauges import KINDS, Gauge, from_spec
 from .solvers import solve_mozorov, solve_primal_eq, solve_tikhonov
 
 __all__ = ["ProblemInstance", "RecoveryReport", "gen_instance",
-           "run_recovery", "sweep", "CSV_HEADER"]
+           "noise_draw", "run_recovery", "sweep", "CSV_HEADER"]
 
 CSV_HEADER = ("instance_id,gauge,m,n,delta,mu,err_mozorov,bound_mozorov,"
               "err_tikhonov,bound_tikhonov_y0,bound_tikhonov_lip,kappa,"
@@ -79,6 +79,13 @@ class RecoveryReport:
     def all_pass(self):
         return all(r["pass"] != "False" for r in self.rows)
 
+    def extend(self, other):
+        """Fold another report's rows and counts into this one."""
+        self.rows.extend(other.rows)
+        self.n_applicable += other.n_applicable
+        self.n_pass += other.n_pass
+        self.worst_violation = max(self.worst_violation, other.worst_violation)
+
     def summary(self):
         return {
             "rows": len(self.rows),
@@ -88,6 +95,19 @@ class RecoveryReport:
             "worst_violation": self.worst_violation,
             "all_pass": self.all_pass,
         }
+
+
+def noise_draw(rng, b0, delta, noise="sphere"):
+    """omega with ||omega|| = delta (zero unless delta > 0 and b0 is
+    nonempty): along b0 for "adversarial" noise with b0 != 0, else uniform
+    on the delta-sphere, drawn from the caller's Generator ``rng``."""
+    if not delta > 0 or b0.size == 0:
+        return np.zeros(b0.size)
+    if noise == "adversarial" and np.linalg.norm(b0) > 0:
+        base = b0
+    else:
+        base = rng.standard_normal(b0.size)
+    return delta * base / np.linalg.norm(base)
 
 
 def gen_instance(cfg, seed):
@@ -125,15 +145,7 @@ def gen_instance(cfg, seed):
     x0 = gauge.draw_x0(rng, sparsity=int(cfg.get("sparsity", 1)),
                        rank=int(cfg.get("rank", 1)))
     b0 = A @ x0
-    if delta > 0 and m > 0:
-        if cfg.get("noise", "sphere") == "adversarial":
-            base = b0 if np.linalg.norm(b0) > 0 else rng.standard_normal(m)
-            omega = delta * base / np.linalg.norm(base)
-        else:
-            g = rng.standard_normal(m)
-            omega = delta * g / np.linalg.norm(g)
-    else:
-        omega = np.zeros(m)
+    omega = noise_draw(rng, b0, delta, cfg.get("noise", "sphere"))
     iid = "{}-m{}-n{}-s{}-d{}".format(kind, m, n, seed, repr(delta))
     if cfg.get("noise") == "adversarial":
         iid += "-adv"
@@ -290,11 +302,6 @@ def sweep(grid, seeds, c1, overrides=None):
     agg = RecoveryReport()
     for cfg in grid:
         for seed in seeds:
-            rep = run_recovery(gen_instance(cfg, seed), c1,
-                               overrides=overrides)
-            agg.rows.extend(rep.rows)
-            agg.n_applicable += rep.n_applicable
-            agg.n_pass += rep.n_pass
-            agg.worst_violation = max(agg.worst_violation,
-                                      rep.worst_violation)
+            agg.extend(run_recovery(gen_instance(cfg, seed), c1,
+                                    overrides=overrides))
     return agg, rows_to_csv(agg.rows)

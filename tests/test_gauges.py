@@ -324,9 +324,9 @@ def test_fused_oracle_matches_the_two_oracles():
             vals, G = gauge.dir_deriv_subgrad_batch(x0, H)
             dd = gauge.dir_deriv_batch(x0, H)
             if gauge.kind == "nuclear":
-                # its values come from the full SVD of a tail block built by
-                # matmuls, dir_deriv_batch's from the singular values alone
-                # of one built by einsum: equal up to rounding
+                # its values come from the full SVD of the tail block,
+                # dir_deriv_batch's from its singular values alone: equal up
+                # to rounding
                 assert np.allclose(vals, dd, rtol=1e-14, atol=1e-14)
                 assert np.array_equal(vals > 0.0, dd > 0.0)
             else:
@@ -336,6 +336,32 @@ def test_fused_oracle_matches_the_two_oracles():
                 want = gauge.dir_subgrad_batch(x0, H)
             assert np.array_equal(G, want), gauge.kind
             assert np.array_equal(gauge.dir_subgrad_batch(x0, H), G)
+
+
+def test_nuclear_dir_deriv_builds_the_tail_once():
+    # both oracles build the tail block U2^T M V2 the same way; at a rank-1
+    # 2 x 2 point the tail is 1 x 1, its singular value the same from either
+    # SVD, so the two values agree bit for bit
+    rng = np.random.default_rng(21)
+    g = NuclearGauge((2, 2))
+    x0 = g.draw_x0(rng, rank=1)
+    H = rng.standard_normal((5000, g.n))
+    assert np.array_equal(g.dir_deriv_batch(x0, H),
+                          g.dir_deriv_subgrad_batch(x0, H)[0])
+
+
+def test_l1_is_analysis_l1_with_the_identity():
+    # J(x) = ||I^T x||_1 is the l1 norm: the two kinds give the same lifted
+    # descent cone and the same subdifferential vertices at any x0
+    rng = np.random.default_rng(22)
+    for n in range(1, 7):
+        l1, an = L1Gauge(n), AnalysisL1Gauge(np.eye(n))
+        for sparsity in range(n + 1):
+            x0 = l1.draw_x0(rng, sparsity=sparsity)
+            for a, b in zip(l1.descent_lift(x0), an.descent_lift(x0)):
+                assert np.array_equal(a, b), (n, x0)
+            assert ({tuple(v) for v in l1.descent_pieces(x0)}
+                    == {tuple(v) for v in an.descent_pieces(x0)}), (n, x0)
 
 
 def test_probe_steps_take_one_decomposition(monkeypatch):
@@ -559,6 +585,15 @@ def test_no_module_writes_the_environment():
 def _gauge_classes(cls=gaugecert.gauges.Gauge):
     return [cls] + [c for sub in cls.__subclasses__()
                     for c in _gauge_classes(sub)]
+
+
+def test_certificate_search_is_written_once():
+    # the heuristic faces give its affine part and spread, not a search
+    from gaugecert.gauges.matrix import NuclearFace, SdpFace
+    from gaugecert.gauges.vector import GroupFace
+    for cls in (GroupFace, NuclearFace, SdpFace):
+        assert "certificate" not in vars(cls), cls.__name__
+        assert {"affine_part", "spread", "note"} <= set(vars(cls)), cls.__name__
 
 
 def test_pointwise_oracles_are_written_once():

@@ -12,6 +12,7 @@ from gaugecert.recovery import (
     ProblemInstance,
     RecoveryReport,
     gen_instance,
+    noise_draw,
     rows_to_csv,
     run_recovery,
     sweep,
@@ -66,6 +67,21 @@ def test_gen_instance_noise_models():
     # zero delta means zero noise
     clean = gen_instance({"m": 3, "n": 5, "sparsity": 1, "delta": 0.0}, 7)
     assert np.all(clean.omega == 0.0)
+
+
+def test_noise_draw_reads_the_callers_generator():
+    # the sphere draw is one standard normal vector from the caller's
+    # Generator; adversarial noise along b0 draws nothing, and falls back to
+    # the sphere draw when b0 = 0; zero delta draws nothing
+    b0 = np.array([3.0, -4.0])
+    g = np.random.default_rng(5).standard_normal(2)
+    rng = np.random.default_rng(5)
+    assert np.array_equal(noise_draw(rng, b0, 0.5), 0.5 * g / np.linalg.norm(g))
+    rng = np.random.default_rng(5)
+    assert np.array_equal(noise_draw(rng, b0, 0.5, "adversarial"), [0.3, -0.4])
+    assert np.array_equal(noise_draw(rng, b0, 0.0), [0.0, 0.0])
+    assert np.array_equal(noise_draw(rng, 0.0 * b0, 0.5, "adversarial"),
+                          0.5 * g / np.linalg.norm(g))
 
 
 def test_gen_instance_zero_sparsity_zero_delta():
