@@ -435,8 +435,8 @@ def _parse_deltas(text):
         deltas = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         _fail(f"--deltas: could not parse {text!r}")
-    if not deltas or any(d < 0 for d in deltas):
-        _fail("--deltas: expected a comma list of nonnegative reals")
+    if not deltas or not all(math.isfinite(d) and d >= 0 for d in deltas):
+        _fail("--deltas: expected a comma list of finite nonnegative reals")
     return deltas
 
 
@@ -472,8 +472,8 @@ def cmd_recover(args):
         _fail("provide --deltas or a delta field in the problem file")
     seeds = _parse_seeds(args.seeds)
     c1 = args.c1 if args.c1 is not None else (prob["c1"] or 1.0)
-    if c1 <= 0:
-        _fail("--c1 must be positive")
+    if not (math.isfinite(c1) and c1 > 0):
+        _fail("--c1 must be finite and positive")
     overrides = {}
     if args.force_kappa is not None:
         overrides["kappa"] = args.force_kappa

@@ -39,11 +39,13 @@ affine set (the group, nuclear and sdp certificate searches, the sdp
 Slater-point probe), and the multistart engine on the sphere.
 ``subgradient_min`` takes one oracle that returns the values and the
 subgradients of a stack of points together, and calls it once per iterate,
-so a step of a spectral search costs one decomposition; the gauges' critical
-cones read their violation subgradients from one such call as well
-(``Gauge.dir_deriv_subgrad_batch``).  The engine's
-near-misses are pulled onto the cone together by ``_polish_to_cone``, which
-bisects them in lockstep with one ``violation_batch`` call per step.
+so a step of a spectral search costs at most one decomposition, and none for
+nuclear tails with a side of 1 or sdp kernel blocks of side <= 2, which the
+matrix gauges solve in closed form; the gauges' critical cones read their
+violation subgradients from one such call as well
+(``Gauge.dir_deriv_subgrad_batch``).  The engine's near-misses are pulled
+onto the cone together by ``_polish_to_cone``, which bisects them in
+lockstep with one ``violation_batch`` call per step.
 """
 
 import functools

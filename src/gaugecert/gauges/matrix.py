@@ -1,7 +1,11 @@
 """Matrix gauges: nuclear norm and the PSD-cone trace gauge.
 
 Matrix variables are flattened row-major; every engine-facing method speaks
-vectors of length p*q (or n*n) and reshapes internally.
+vectors of length p*q (or n*n) and reshapes internally.  The probe oracles
+reach the reduced blocks at x0 (the nuclear tail U2^T h V2, the sdp kernel
+block E^T h E) by one GEMM with a flat Kronecker basis cached per x0, and
+solve the small ones in closed form: a tail with a side of 1 by its norm,
+a kernel block of side 1 or 2 by ``_bottom_eig``.
 """
 
 import math
@@ -66,6 +70,63 @@ def _reduced_block_test(A, M0, G, H, scale):
     B = np.kron(G, H) @ sym_basis(G.shape[1])
     d = B.shape[1]
     return matrix_rank(A @ B) == d, f"rank test on the {d}-dimensional tangent space"
+
+
+def _thin_polar(t):
+    """The one singular value and the polar factor of each row of t, a flat
+    block with a side of 1: its norm, and the row over its norm.  A zero
+    block takes LAPACK's polar factor, the first unit vector signed as its
+    first entry, so zero rows keep the bits of a full SVD."""
+    s = np.linalg.norm(t, axis=1)
+    P = np.zeros_like(t)
+    P[:, 0] = np.copysign(1.0, t[:, 0])
+    np.divide(t, s[:, None], out=P, where=(s > 0.0)[:, None])
+    return s, P
+
+
+def _bottom_eig(K, vectors=False):
+    """The smallest eigenvalue of each symmetric block of the stack K, the
+    largest |eigenvalue|, and with ``vectors`` a unit eigenvector for the
+    smallest (else None).
+
+    Blocks of side 1 are their entry, with eigenvector 1.  Blocks of side 2,
+    [[a, b], [b, c]], take the 2 x 2 symmetric Schur decomposition of
+    LAPACK's ``dlaev2`` (Golub & Van Loan, Matrix Computations, 8.5): with
+    rt = hypot(a - c, 2b), rt1 = (a + c +- rt) / 2 is the eigenvalue of
+    larger magnitude (the sign of a + c), the other is det / rt1, and the
+    smallest one's eigenvector is (-2b, a - c + rt) when a >= c, else
+    (a - c - rt, 2b): the pair dlaev2 divides by its larger entry, which
+    has no cancellation.  Larger blocks take LAPACK's ``eigh`` or
+    ``eigvalsh``.
+    """
+    d = K.shape[-1]
+    if d == 1:
+        w = K[:, 0, 0]
+        return w, np.abs(w), np.ones((len(w), 1)) if vectors else None
+    if d > 2:
+        if vectors:
+            w, V = np.linalg.eigh(K)
+            return w[:, 0], np.abs(w).max(axis=1), V[:, :, 0]
+        w = np.linalg.eigvalsh(K)
+        return w[:, 0], np.abs(w).max(axis=1), None
+    a, b, c = K[:, 0, 0], K[:, 0, 1], K[:, 1, 1]
+    sm, df, tb = a + c, a - c, b + b
+    rt = np.hypot(df, tb)
+    neg = sm < 0.0
+    rt1 = 0.5 * np.where(neg, sm - rt, sm + rt)
+    # |a|, |c| <= |rt1|, so neither quotient overflows
+    den = np.where(rt1 == 0.0, 1.0, rt1)
+    lam = np.where(neg, rt1, (a / den) * c - (b / den) * b)
+    if not vectors:
+        return lam, np.abs(rt1), None
+    up = df >= 0.0
+    v = np.empty((len(a), 2))
+    v[:, 0] = np.where(up, -tb, df - rt)
+    v[:, 1] = np.where(up, df + rt, tb)
+    norm = np.hypot(v[:, 0], v[:, 1])
+    flat = norm == 0.0  # a multiple of the identity: any unit vector
+    v[flat, 0] = norm[flat] = 1.0
+    return lam, np.abs(rt1), v / norm[:, None]
 
 
 class NuclearFace(SubdiffFace):
@@ -188,36 +249,61 @@ class NuclearGauge(Gauge):
         s = np.linalg.svd(self._mat(z), compute_uv=False)
         return float(s[0]) if s.size else 0.0
 
-    def _lin(self, x0, H):
-        """The x0 blocks, each row of H as a p x q matrix, and the linear
-        part <U1 V1^T, h> of J'(x0; h) for each."""
-        U1, V1, _, _ = blocks = self._blocks(x0)
-        M = np.atleast_2d(np.asarray(H, dtype=float)).reshape(-1, *self.shape)
-        return blocks, M, np.einsum("kij,ij->k", M, U1 @ V1.T)
+    @per_x0
+    def _bases(self, x0):
+        """U1 V1^T, the linear part of J'(x0; .), and the flat tail basis
+        kron(U2, V2): a row h of H maps to its tail block U2^T h V2
+        (flattened row-major) as h @ kron(U2, V2), and a flat block w of
+        that shape back to U2 W V2^T as w @ kron(U2, V2)^T."""
+        U1, V1, U2, V2 = self._blocks(x0)
+        return U1 @ V1.T, np.kron(U2, V2)
+
+    def _split(self, x0, H):
+        """The linear part <U1 V1^T, h> of J'(x0; h) for each row h of H,
+        and the tail blocks U2^T h V2 from one GEMM (None when the tail is
+        empty)."""
+        _, _, U2, V2 = self._blocks(x0)
+        base, K = self._bases(x0)
+        H = np.atleast_2d(np.asarray(H, dtype=float))
+        lin = np.einsum("kij,ij->k", H.reshape(-1, *self.shape), base)
+        if not K.size:
+            return lin, None
+        return lin, (H @ K).reshape(-1, U2.shape[1], V2.shape[1])
 
     def dir_deriv_batch(self, x0, H):
-        (_, _, U2, V2), M, lin = self._lin(x0, H)
-        if not (U2.shape[1] and V2.shape[1]):
+        """<U1 V1^T, h> + ||U2^T h V2||_*.  A tail with a side of 1 has its
+        norm as its one singular value; larger tails take LAPACK's."""
+        lin, T = self._split(x0, H)
+        if T is None:
             return lin + 0.0
-        return lin + np.linalg.svd(U2.T @ M @ V2, compute_uv=False).sum(axis=1)
+        if min(T.shape[1:]) == 1:
+            return lin + np.linalg.norm(T.reshape(len(T), -1), axis=1)
+        return lin + np.linalg.svd(T, compute_uv=False).sum(axis=1)
 
     def face(self, x0):
         return NuclearFace(*self._blocks(x0))
 
     def dir_deriv_subgrad_batch(self, x0, H):
-        """J'(x0; .) and its subgradients from one full SVD of the tails:
-        the subgradient adds the tail's full polar factor, the steepest
-        pieces of the nuclear tail, to U1 V1^T.  The tail block is built as
-        in ``dir_deriv_batch``; the singular values of a full SVD and of a
-        values-only one agree to rounding."""
-        (U1, V1, U2, V2), M, lin = self._lin(x0, H)
-        G = np.tile((U1 @ V1.T).ravel(), (lin.size, 1))
-        if not (U2.shape[1] and V2.shape[1]):
+        """J'(x0; .) and its subgradients from one pass over the tails: the
+        subgradient adds the tail's full polar factor, the steepest pieces
+        of the nuclear tail, to U1 V1^T.  The tail block and, for a side of
+        1, its value are computed as in ``dir_deriv_batch``, and its polar
+        factor by ``_thin_polar``; a larger tail takes one full SVD, whose
+        singular values agree with a values-only one to rounding."""
+        lin, T = self._split(x0, H)
+        base, K = self._bases(x0)
+        G = np.tile(base.ravel(), (lin.size, 1))
+        if T is None:
             return lin + 0.0, G
-        Uw, s, Vwt = np.linalg.svd(U2.T @ M @ V2)
-        k = min(Uw.shape[2], Vwt.shape[1])
-        G += (U2 @ (Uw[:, :, :k] @ Vwt[:, :k]) @ V2.T).reshape(-1, self.n)
-        return lin + s.sum(axis=1), G
+        if min(T.shape[1:]) == 1:
+            s, P = _thin_polar(T.reshape(len(T), -1))
+        else:
+            Uw, s, Vwt = np.linalg.svd(T)
+            k = min(Uw.shape[2], Vwt.shape[1])
+            P = (Uw[:, :, :k] @ Vwt[:, :k]).reshape(len(T), -1)
+            s = s.sum(axis=1)
+        G += P @ K.T
+        return lin + s, G
 
     def lipschitz(self):
         return math.sqrt(min(self.shape))
@@ -448,27 +534,32 @@ class SdpTraceGauge(Gauge):
                 lo = mid
         return float(hi)
 
-    def _sym_stack(self, H):
-        """The rows of H as symmetrized nmat x nmat matrices."""
-        H = np.atleast_2d(np.asarray(H, dtype=float))
-        M = H.reshape(H.shape[0], self.nmat, self.nmat)
-        return 0.5 * (M + np.transpose(M, (0, 2, 1)))
+    @per_x0
+    def _kernel_basis(self, x0):
+        """kron(E, E): a row h of H maps to the kernel block E^T h E
+        (flattened row-major) as h @ kron(E, E)."""
+        E = self._kernel(x0)
+        return np.kron(E, E)
 
-    def _kernel_blocks(self, E, H):
-        """E^T H E for each row of H, read as a symmetric matrix."""
-        return E.T @ self._sym_stack(H) @ E
+    def _kernel_blocks(self, x0, H):
+        """E^T H E for each row of H, read as a symmetric matrix: one GEMM
+        with the flat kernel basis, then the symmetric part."""
+        d = self._kernel(x0).shape[1]
+        K = (np.atleast_2d(H) @ self._kernel_basis(x0)).reshape(-1, d, d)
+        return 0.5 * (K + np.swapaxes(K, 1, 2))
 
     def dir_deriv_batch(self, x0, H):
-        E = self._kernel(x0)
+        """<C, h>, or +inf where the kernel block E^T h E has an eigenvalue
+        below -1e-9 max(1, max |eigenvalue|) (``_bottom_eig``)."""
         vals = self.finite_dir_deriv_batch(x0, H)
-        if E.shape[1]:
-            w = np.linalg.eigvalsh(self._kernel_blocks(E, H))
-            scale = np.maximum(1.0, np.max(np.abs(w), axis=1))
-            vals = np.where(w[:, 0] < -1e-9 * scale, math.inf, vals)
+        if self._kernel(x0).shape[1]:
+            lam, top, _ = _bottom_eig(self._kernel_blocks(x0, H))
+            vals = np.where(lam < -1e-9 * np.maximum(1.0, top), math.inf, vals)
         return vals
 
     def finite_dir_deriv_batch(self, x0, H):
-        return np.tensordot(self._sym_stack(H), self.C, axes=([1, 2], [0, 1]))
+        # C is symmetric, so <C, h> is <C, sym h>
+        return np.atleast_2d(np.asarray(H, dtype=float)) @ self.C.ravel()
 
     def dir_subgrad_batch(self, x0, H):
         return np.tile(self.C.ravel(), (np.atleast_2d(H).shape[0], 1))
@@ -478,37 +569,37 @@ class SdpTraceGauge(Gauge):
         U = V[:, w > config.RANK_TOL * max(1.0, w.max(initial=0.0))]
         return SdpFace(self.C, self._kernel(x0), U)
 
-    def _psd_violation(self, E, H):
+    def _psd_violation(self, x0, H):
         """max(0, -lambda_min(E^T H E)) and one subgradient row of it for
-        each row of H, both from one ``eigh`` of the kernel blocks."""
-        rows = np.atleast_2d(H).shape[0]
-        viol, G = np.zeros(rows), np.zeros((rows, self.n))
-        if E.shape[1]:
-            w, V = np.linalg.eigh(self._kernel_blocks(E, H))
-            viol = np.maximum(-w[:, 0], 0.0)
-            out = w[:, 0] < 0.0
-            v = V[out, :, 0] @ E.T
-            G[out] = -(v[:, :, None] * v[:, None, :]).reshape(-1, self.n)
-        return viol, G
+        each row of H, both from one ``_bottom_eig`` of the kernel blocks
+        (no LAPACK call for blocks of side 2 or less)."""
+        E = self._kernel(x0)
+        if not E.shape[1]:
+            rows = np.atleast_2d(H).shape[0]
+            return np.zeros(rows), np.zeros((rows, self.n))
+        lam, _, v = _bottom_eig(self._kernel_blocks(x0, H), vectors=True)
+        v = v @ E.T
+        G = -(v[:, :, None] * v[:, None, :]).reshape(-1, self.n)
+        return np.maximum(-lam, 0.0), np.where((lam < 0.0)[:, None], G, 0.0)
 
     def domain_tangent_cone(self, x0):
-        E = self._kernel(x0)
+        x0 = np.array(self.flat(x0))
+        empty = not self._kernel(x0).shape[1]
 
         def violation_batch(H):
-            if not E.shape[1]:
+            if empty:
                 return np.zeros(np.atleast_2d(H).shape[0])
-            w = np.linalg.eigvalsh(self._kernel_blocks(E, H))
-            return np.maximum(-w[:, 0], 0.0)
+            lam = _bottom_eig(self._kernel_blocks(x0, H))[0]
+            return np.maximum(-lam, 0.0)
 
         return ConeSpec.from_violation(self.n, violation_batch,
-                                       lambda H: self._psd_violation(E, H)[1],
+                                       lambda H: self._psd_violation(x0, H)[1],
                                        anchor=np.eye(self.nmat).ravel(),
                                        note="PSD tangent cone at x0")
 
     def critical_cone(self, x0):
-        x0 = self.flat(x0)
+        x0 = np.array(self.flat(x0))
         tangent = self.domain_tangent_cone(x0)
-        E = self._kernel(x0)
         Cflat = self.C.ravel()
 
         def violation_batch(H):
@@ -519,7 +610,7 @@ class SdpTraceGauge(Gauge):
         def violation_subgrad_batch(H):
             H = np.atleast_2d(np.asarray(H, dtype=float))
             lin = H @ Cflat
-            tv, tg = self._psd_violation(E, H)
+            tv, tg = self._psd_violation(x0, H)
             G = np.where((lin >= tv)[:, None], Cflat, tg)
             return np.where((np.maximum(lin, tv) > 0.0)[:, None], G, 0.0)
 

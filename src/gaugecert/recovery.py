@@ -186,8 +186,10 @@ def run_recovery(instance, c1, overrides=None, cert=None):
     gauge, A, x0 = instance.gauge, instance.A, instance.x0
     delta = float(instance.delta)
     c1 = float(c1)
-    if c1 <= 0:
-        raise ValueError("c1 must be positive")
+    if not (math.isfinite(c1) and c1 > 0):
+        raise ValueError("c1 must be finite and positive")
+    if not math.isfinite(delta):
+        raise ValueError("delta must be finite")
     b = instance.b0 + instance.omega
     mu = c1 * delta
 

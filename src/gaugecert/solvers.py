@@ -235,8 +235,8 @@ def solve_tikhonov(gauge, A, b, mu, x_start=None, maxiter=SPLIT_MAXITER):
     The decrease is tested first; the fixed-point residual costs one more
     prox, so it is computed only on iterations that pass the first test.
     """
-    if mu <= 0:
-        raise ValueError("mu must be positive")
+    if not (math.isfinite(mu) and mu > 0):
+        raise ValueError("mu must be finite and positive")
     A, b = _shape(A, b)
     smax = float(np.linalg.norm(A, 2))
     L = max(smax ** 2, 1e-300)
@@ -302,6 +302,8 @@ def solve_mozorov(gauge, A, b, delta, maxiter=200):
     primal.
     """
     A, b = _shape(A, b)
+    if not math.isfinite(delta):
+        raise ValueError("delta must be finite")
     if delta < 0:
         raise ValueError("delta must be nonnegative")
     if delta == 0.0:

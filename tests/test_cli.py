@@ -261,6 +261,16 @@ def test_recover_bad_deltas(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("flags", [
+    ["--deltas", "nan"], ["--deltas", "0.01,inf"],
+    ["--deltas", "0.01", "--c1", "nan"], ["--deltas", "0.01", "--c1", "inf"]])
+def test_recover_rejects_non_finite_noise_parameters(tmp_path, capsys, flags):
+    # validation errors, as a negative delta or c1 is, before any solve
+    code = main(["recover", write(tmp_path, E1), *flags, "--seeds", "0:1"])
+    assert code == 3
+    assert "finite" in capsys.readouterr().err
+
+
 # --------------------------------------------------------------------- nsp
 
 

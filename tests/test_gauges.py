@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gaugecert
 from gaugecert.certificates import check_sharp
@@ -21,6 +23,9 @@ from gaugecert.gauges import (
     SortedWeightedL1Gauge,
     VertexCapExceeded,
 )
+from gaugecert.gauges.matrix import _bottom_eig, _thin_polar
+
+EPS = np.finfo(float).eps
 
 
 def sample_domain(gauge, rng, count):
@@ -271,11 +276,13 @@ def _two_call_subgrad(gauge, x0, H):
     ``dir_deriv_subgrad_batch``, by the formulas ``dir_subgrad_batch`` had
     when it was written on its own; None for the other kinds."""
     if gauge.kind == "nuclear":
+        # the tail block taken as the gauge takes it, by one GEMM, so that
+        # a tail at rounding level has the same direction in both
         U1, V1, U2, V2 = gauge._blocks(x0)
         G = np.tile((U1 @ V1.T).ravel(), (H.shape[0], 1))
         if U2.shape[1] and V2.shape[1]:
-            M = H.reshape(H.shape[0], *gauge.shape)
-            Uw, _, Vwt = np.linalg.svd(U2.T @ M @ V2)
+            T = (H @ np.kron(U2, V2)).reshape(-1, U2.shape[1], V2.shape[1])
+            Uw, _, Vwt = np.linalg.svd(T)
             k = min(Uw.shape[2], Vwt.shape[1])
             G += (U2 @ (Uw[:, :, :k] @ Vwt[:, :k]) @ V2.T).reshape(-1, gauge.n)
         return G
@@ -334,7 +341,14 @@ def test_fused_oracle_matches_the_two_oracles():
             want = _two_call_subgrad(gauge, x0, H)
             if want is None:
                 want = gauge.dir_subgrad_batch(x0, H)
-            assert np.array_equal(G, want), gauge.kind
+            if gauge.kind == "nuclear":
+                # a tail with a side of 1 takes its polar factor in closed
+                # form: equal to LAPACK's to rounding, and bit for bit on
+                # the zero rows, where both take the first unit vector
+                assert np.array_equal(G[:2], want[:2])
+                assert np.allclose(G, want, rtol=0.0, atol=1e-15)
+            else:
+                assert np.array_equal(G, want), gauge.kind
             assert np.array_equal(gauge.dir_subgrad_batch(x0, H), G)
 
 
@@ -378,29 +392,124 @@ def test_probe_steps_take_one_decomposition(monkeypatch):
     for name in ("svd", "eigh", "eigvalsh"):
         counting(name)
     rng = np.random.default_rng(19)
-    # nuclear: one full SVD of the tail blocks per cone subgradient call,
-    # and the SVD of x0 once for every oracle call at that x0
-    g = NuclearGauge((2, 3))
-    x0 = g.draw_x0(rng)
-    H = rng.standard_normal((50, g.n))
-    cone = g.critical_cone(x0)
-    counts.clear()
-    for _ in range(3):
+    # nuclear: the SVD of x0 once for every oracle call at that x0; a tail
+    # with a side of 1 (2 x 3 at rank 1) takes no LAPACK call, a larger one
+    # (3 x 3 at rank 1) one full SVD per cone subgradient call
+    for shape, per_step in (((2, 3), 0), ((3, 3), 1)):
+        g = NuclearGauge(shape)
+        x0 = g.draw_x0(rng)
+        H = rng.standard_normal((50, g.n))
+        cone = g.critical_cone(x0)
+        counts.clear()
+        for _ in range(3):
+            cone.violation_subgrad_batch(H)
+        assert counts == {"svd": 1 + 3 * per_step}, shape
+        counts.clear()
+        g.dir_deriv_batch(x0, H)
+        g.dir_subgrad_batch(x0, H)
+        g.face(x0)
+        assert counts == ({"svd": 2} if per_step else {}), shape
+    # sdp_trace: none of x0 once the cone is built; a kernel block of side
+    # 2 (n = 3 at rank 1) takes no LAPACK call, one of side 3 (n = 4 at
+    # rank 1) one eigh per critical-cone subgradient call and one eigvalsh
+    # per value call
+    for nm, per_step in ((3, 0), (4, 1)):
+        g = SdpTraceGauge(np.eye(nm))
+        x0 = g.draw_x0(rng)
+        H = rng.standard_normal((50, g.n))
+        cone = g.critical_cone(x0)
+        counts.clear()
         cone.violation_subgrad_batch(H)
-    assert counts == {"svd": 1 + 3}
-    counts.clear()
-    g.dir_deriv_batch(x0, H)
-    g.dir_subgrad_batch(x0, H)
-    g.face(x0)
-    assert counts == {"svd": 2}
-    # sdp_trace: one eigh per critical-cone subgradient call, and none of
-    # x0 once the cone is built
-    g = SdpTraceGauge(np.eye(3))
-    x0 = g.draw_x0(rng)
-    cone = g.critical_cone(x0)
-    counts.clear()
-    cone.violation_subgrad_batch(rng.standard_normal((50, g.n)))
-    assert counts == {"eigh": 1}
+        assert counts == ({"eigh": 1} if per_step else {}), nm
+        counts.clear()
+        cone.violation_batch(H)
+        g.dir_deriv_batch(x0, H)
+        assert counts == ({"eigvalsh": 2} if per_step else {}), nm
+
+
+#: entries of a block before its scale: signed, and far from underflow
+_MANTISSA = st.one_of(st.floats(1e-3, 1.0), st.floats(-1.0, -1e-3))
+#: overall scales of a block: the closed forms hold far from 1 as well
+_SCALES = st.sampled_from([1e-150, 1e-8, 1.0, 1e8, 1e150])
+
+
+@st.composite
+def _sym_block(draw, side):
+    """A symmetric block of side 1 or 2: random, or zero, or, at side 2,
+    a multiple of the identity, diagonal (b = 0), with equal diagonal
+    entries, or with |b| far below |a - c|."""
+    a, b, c = (draw(_MANTISSA) for _ in range(3))
+    shape = draw(st.sampled_from(["random", "zero", "scalar", "diagonal",
+                                  "equal_diagonal", "tiny_b"]))
+    if shape == "zero":
+        a = b = c = 0.0
+    elif shape == "scalar":
+        b, c = 0.0, a
+    elif shape == "diagonal":
+        b = 0.0
+    elif shape == "equal_diagonal":
+        c = a
+    elif shape == "tiny_b":
+        b *= 1e-9 * abs(a - c)
+    K = draw(_SCALES) * np.array([[a, b], [b, c]])
+    return K[:side, :side]
+
+
+@pytest.mark.parametrize("side", [1, 2])
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_closed_form_bottom_eigenpair_matches_lapack(side, data):
+    # the kernel blocks of side <= 2 skip LAPACK: their smallest eigenvalue
+    # agrees with eigvalsh, and its vector is a unit eigenvector, both to
+    # 8 eps ||K||_F
+    K = np.array(data.draw(st.lists(_sym_block(side), min_size=1,
+                                    max_size=6)))
+    lam, top, v = _bottom_eig(K, vectors=True)
+    w = np.linalg.eigvalsh(K)
+    tol = 8 * EPS * np.linalg.norm(K, axis=(1, 2))
+    assert np.all(np.abs(lam - w[:, 0]) <= tol)
+    assert np.all(np.abs(top - np.abs(w).max(axis=1)) <= tol)
+    assert np.array_equal(_bottom_eig(K)[0], lam)
+    resid = np.einsum("kij,kj->ki", K, v) - lam[:, None] * v
+    assert np.all(np.linalg.norm(resid, axis=1) <= tol)
+    assert np.allclose(np.linalg.norm(v, axis=1), 1.0, rtol=0.0, atol=4 * EPS)
+
+
+@st.composite
+def _thin_stack(draw):
+    """A stack of 1 x q or q x 1 blocks: random, zero (with a signed zero
+    first) or with one nonzero entry, each at its own scale."""
+    q, tall = draw(st.integers(1, 4)), draw(st.booleans())
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        row = np.array([draw(_MANTISSA) for _ in range(q)])
+        shape = draw(st.sampled_from(["random", "zero", "one_entry"]))
+        if shape == "zero":
+            row = np.copysign(0.0, row)
+        elif shape == "one_entry":
+            row *= np.arange(q) == draw(st.integers(0, q - 1))
+        rows.append(draw(_SCALES) * row)
+    return np.array(rows).reshape((-1, q, 1) if tall else (-1, 1, q))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(B=_thin_stack())
+def test_closed_form_thin_polar_matches_lapack(B):
+    # a nuclear tail with a side of 1 skips LAPACK: its value agrees with
+    # the SVD to 4 eps ||B||, its polar factor P is a subgradient of the
+    # nuclear norm there (||P||_2 <= 1 and <P, B> = ||B||_*), and a zero
+    # block's is LAPACK's, bit for bit
+    t = B.reshape(len(B), -1)
+    s, P = _thin_polar(t)
+    Uw, ref, Vwt = np.linalg.svd(B)
+    ref = ref[:, 0]
+    assert np.all(np.abs(s - ref) <= 4 * EPS * ref)
+    assert np.all(np.linalg.norm(P.reshape(B.shape), 2, axis=(1, 2))
+                  <= 1.0 + 4 * EPS)
+    assert np.all(np.abs(np.einsum("ki,ki->k", P, t) - ref) <= 4 * EPS * ref)
+    zero = ~t.any(axis=1)
+    lapack = (Uw[:, :, :1] @ Vwt[:, :1]).reshape(t.shape)
+    assert np.array_equal(P[zero], lapack[zero])
 
 
 def test_lipschitz_is_an_upper_bound():

@@ -221,6 +221,14 @@ def test_run_recovery_validation():
         run_recovery(line_instance(1e-2), c1=-2.0)
 
 
+@pytest.mark.parametrize("c1, delta", [(math.nan, 1e-2), (math.inf, 1e-2),
+                                       (1.0, math.nan), (1.0, math.inf)])
+def test_run_recovery_rejects_non_finite_noise_parameters(c1, delta):
+    # a NaN mu once gave NaN bounds that max() skipped, and a row that passed
+    with pytest.raises(ValueError, match="finite"):
+        run_recovery(line_instance(delta, omega=np.zeros(1)), c1=c1)
+
+
 # ------------------------------------------------------------------- sweep
 
 

@@ -297,6 +297,19 @@ def test_tikhonov_validation():
         solve_tikhonov(L1Gauge(2), np.eye(2), np.ones(2), -1.0)
 
 
+@pytest.mark.parametrize("mu", [math.nan, math.inf])
+def test_tikhonov_rejects_a_non_finite_mu(mu):
+    # nan > 0 is False and inf > 0 is True: neither may reach FISTA
+    with pytest.raises(ValueError, match="finite"):
+        solve_tikhonov(L1Gauge(2), np.eye(2), np.ones(2), mu)
+
+
+@pytest.mark.parametrize("delta", [math.nan, math.inf])
+def test_mozorov_rejects_a_non_finite_delta(delta):
+    with pytest.raises(ValueError, match="finite"):
+        solve_mozorov(L1Gauge(2), np.eye(2), np.ones(2), delta)
+
+
 # ----------------------------------------------------------------- mozorov
 
 

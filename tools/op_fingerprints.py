@@ -7,6 +7,11 @@
 or, in one command, ``--against ../parent``: both checkouts run in child
 processes, only the lines that differ are printed (``-`` the other
 checkout's, ``+`` this one's), and the exit status is 1 on any difference.
+With ``--show`` as well, each differing operation is followed by the output
+fields that differ, one per line: dotted path, old value, new value (a
+string that holds JSON, such as the CLI's ``--json`` output, is compared
+field by field).  ``--show`` alone prints each operation's fingerprinted
+text after its md5.
 
 The md5 is taken over ``gcbench.workloads.fingerprint`` of the operation's
 outputs (floats written in full, or the error text of a failed operation),
@@ -23,6 +28,7 @@ written, and the certify-cli problem files go to a temporary directory.
 import argparse
 import hashlib
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -45,9 +51,13 @@ def main(argv=None):
     ap.add_argument("--seeds", type=int, nargs="+", default=[1])
     ap.add_argument("--workloads", nargs="+", choices=WORKLOADS,
                     default=list(WORKLOADS))
+    ap.add_argument("--show", action="store_true",
+                    help="print the outputs behind the md5s: with --against, "
+                         "the fields that differ; alone, the full text")
     args = ap.parse_args(argv)
     if args.against is not None:
-        return compare(args.against, args.root, args.seeds, args.workloads)
+        return compare(args.against, args.root, args.seeds, args.workloads,
+                       args.show)
 
     root = args.root.resolve()
     for var in BLAS_VARS:
@@ -66,15 +76,46 @@ def main(argv=None):
                 for i, op in enumerate(ops):
                     text = workloads.fingerprint(workloads.run_op(op))
                     digest = hashlib.md5(text.encode("utf-8")).hexdigest()
-                    print(workload, seed, i, digest, flush=True)
+                    line = f"{workload} {seed} {i} {digest}"
+                    if args.show:
+                        line += "\t" + json.dumps(text)
+                    print(line, flush=True)
     return 0
 
 
-def compare(other, root, seeds, workloads):
+def _parsed(val):
+    """``val``, or the document it holds when it is a JSON string."""
+    if isinstance(val, str):
+        try:
+            return json.loads(val)
+        except ValueError:
+            pass
+    return val
+
+
+def field_diffs(old, new, path=""):
+    """(dotted path, old value, new value) for each leaf where the two
+    documents differ; list items are numbered from 0."""
+    old, new = _parsed(old), _parsed(new)
+    if isinstance(old, dict) and isinstance(new, dict):
+        keys = sorted(old.keys() | new.keys())
+        pairs = ((k, old.get(k), new.get(k)) for k in keys)
+    elif (isinstance(old, list) and isinstance(new, list)
+          and len(old) == len(new)):
+        pairs = ((str(k), a, b) for k, (a, b) in enumerate(zip(old, new)))
+    else:
+        return [] if old == new else [(path or "(output)", old, new)]
+    return [d for key, a, b in pairs
+            for d in field_diffs(a, b, f"{path}.{key}" if path else key)]
+
+
+def compare(other, root, seeds, workloads, show=False):
     """Fingerprint ``other`` and ``root`` side by side (two child
-    processes); print the lines that differ, return 1 if any do."""
+    processes); print the lines that differ (with ``show``, followed by
+    their differing fields), return 1 if any do."""
     cmd = [sys.executable, str(Path(__file__).resolve()),
-           "--seeds", *map(str, seeds), "--workloads", *workloads, "--root"]
+           "--seeds", *map(str, seeds), "--workloads", *workloads]
+    cmd += ["--show", "--root"] if show else ["--root"]
     procs = [subprocess.Popen(cmd + [str(r)], stdout=subprocess.PIPE,
                               stderr=subprocess.PIPE, text=True)
              for r in (other, root)]
@@ -86,10 +127,17 @@ def compare(other, root, seeds, workloads):
     differ = 0
     lines = itertools.zip_longest(*(out.splitlines() for out, _ in outs))
     for old, new in lines:
+        (old, old_text), (new, new_text) = (
+            line.split("\t", 1) if line and show else (line, None)
+            for line in (old, new))
         if old != new:
             differ += 1
             print(*(f"{sign} {line}" for sign, line in (("-", old), ("+", new))
                     if line is not None), sep="\n")
+            if old_text is not None and new_text is not None:
+                for path, a, b in field_diffs(json.loads(old_text),
+                                              json.loads(new_text)):
+                    print(f"    {path}: {a!r} -> {b!r}")
     print(f"{differ} of the operations differ" if differ
           else "all operations identical", file=sys.stderr)
     return 1 if differ else 0
