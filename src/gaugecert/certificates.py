@@ -38,8 +38,9 @@ from functools import cached_property
 import numpy as np
 
 from . import config
-from .cones import (CallableFn, ConeSpec, cone_trivial, kernel_basis, lp_solve,
-                    matrix_rank, min_conic_singular, sphere_min)
+from .cones import (CallableFn, ConeSpec, SphereMinResult, cone_trivial,
+                    kernel_basis, lp_solve, matrix_rank, min_conic_singular,
+                    sphere_min)
 from .gauges import (AnalysisL1Gauge, L1Gauge, NonnegL1Gauge, NuclearGauge,
                      SdpTraceGauge, SortedWeightedL1Gauge)
 
@@ -149,15 +150,18 @@ def _through(batch, S):
 
 def _restrict(cone, S):
     """The cone {s : S s in cone} in the coordinates of the basis S (the
-    cone itself when S is None)."""
+    cone itself when S is None), with its lift and second-order form."""
     if cone is None or S is None:
         return cone
     sub = cone.violation_subgrad_batch
-    return ConeSpec.from_violation(
-        S.shape[1], _through(cone.violation_batch, S),
-        None if sub is None else _through(lambda H: sub(H) @ S, S),
+    return ConeSpec(
+        n=S.shape[1], G_h=None if cone.G_h is None else cone.G_h @ S,
+        G_u=cone.G_u, violation_batch=_through(cone.violation_batch, S),
+        violation_subgrad_batch=None if sub is None else
+        _through(lambda H: sub(H) @ S, S),
         anchor=None if cone.anchor is None else S.T @ cone.anchor,
-        note=cone.note + " (subspace coordinates)")
+        note=cone.note + " (subspace coordinates)",
+        soc=None if cone.soc is None else (S.T @ cone.soc[0], cone.soc[1] @ S))
 
 
 # ---------------------------------------------------------------------------
@@ -261,13 +265,16 @@ def check_sharp(gauge, A, x0, with_alpha=True):
     otherwise.  Certified disagreement raises InternalDisagreementError.
 
     Also computes kappa (the sharpness constant) and alpha (minimum conic
-    singular value of A against the critical cone).  alpha is exact on a
-    polyhedral critical cone with at most log2(VERTEX_CAP) lifted rows (the
-    active-set search of ``min_conic_singular``) and a sphere probe
-    otherwise.  alpha never feeds the verdicts, and its probe can dominate
-    the runtime on small problems; callers that only need verdicts may pass
-    ``with_alpha=False`` to skip it (the report then carries alpha=None,
-    uncertified).
+    singular value of A against the critical cone).  alpha is certified
+    exact by the kernel route's witness (``kernel-witness``: a unit h with
+    ||A h|| <= 1e-8 and a critical-cone violation of at most 1e-11 makes
+    alpha = ||A h||, 0 up to rounding), else by ``min_conic_singular`` on a
+    lifted critical cone with at most log2(VERTEX_CAP) rows or one
+    second-order constraint; otherwise it is a sphere probe.  The ``alpha
+    engine:`` note names the route and why.  alpha never feeds the
+    verdicts, and its probe can dominate the runtime on small problems;
+    callers that only need verdicts may pass ``with_alpha=False`` to skip
+    it (the report then carries alpha=None, uncertified).
 
     Returns
     -------
@@ -294,14 +301,15 @@ def check_sharp(gauge, A, x0, with_alpha=True):
     range_row = cert_row if rank_ok else (NO, True)
     rep.conditions_checked.append(("range-space", *range_row))
 
-    kernel_row, res = _kernel_route(geom, rep)
+    kernel_row, res, witness = _kernel_route(geom, rep)
     if res is not None:
         rep.notes.append(f"kappa engine: {res.engine}"
                          + (f" ({res.note})" if res.note else ""))
     rep.conditions_checked.append(("kernel", *kernel_row))
 
     if with_alpha:
-        res_a = min_conic_singular(geom.A_eff, geom.crit_cone)
+        res_a = _kernel_witness_alpha(geom, witness) or \
+            min_conic_singular(geom.A_eff, geom.crit_cone)
         rep.alpha = float(res_a.value)
         rep.alpha_certified = bool(res_a.certified)
         rep.notes.append(f"alpha engine: {res_a.engine}"
@@ -356,15 +364,17 @@ def _kernel_route(geom, rep, probe=True):
     domain cone.  The sphere probe (skipped when ``probe`` is False) sets
     kappa and the witness; for polyhedral kinds the cone LPs then decide,
     and a certified probe must agree with them.  Returns ``((verdict,
-    certified), res)``, ``res`` being the probe's result or None.
+    certified), res, witness)``: ``res`` is the probe's result or None, and
+    ``witness`` the direction behind ``rep.witness`` in effective
+    coordinates, or None.
     """
     K = geom.K
     if K.shape[1] == 0:
         rep.notes.append("kernel trivial")
         if probe:
             rep.kappa, rep.kappa_certified = math.inf, True
-        return (YES, True), None
-    verdict, certified, res = UNKNOWN, False, None
+        return (YES, True), None, None
+    verdict, certified, res, witness = UNKNOWN, False, None, None
     tol = config.cert_tol()
     if probe:
         res = sphere_min(geom.probe, K, cone=geom.dom_cone)
@@ -377,8 +387,7 @@ def _kernel_route(geom, rep, probe=True):
             # regardless of how the engine found it -- verify it
             verdict = NO
             certified = res.certified or _no_witness_checks(geom, res.minimizer, tol)
-            if res.minimizer is not None:
-                rep.witness = geom.to_ambient(res.minimizer)
+            witness = res.minimizer
     if geom.gauge.is_polyhedral and geom.crit_cone.is_polyhedral:
         # exact polyhedral cross-check of the same condition
         trivial, wit = cone_trivial(geom.crit_cone, K)
@@ -388,8 +397,27 @@ def _kernel_route(geom, rep, probe=True):
                 f"kernel probe says {verdict} but the cone LP says {verdict_c}")
         verdict, certified = verdict_c, True
         if wit is not None:
-            rep.witness = wit
-    return (verdict, certified), res
+            witness = wit
+    if witness is not None:
+        rep.witness = geom.to_ambient(witness)
+    return (verdict, certified), res, witness
+
+
+def _kernel_witness_alpha(geom, h):
+    """alpha from a kernel direction h in the critical cone: a unit h with
+    ||A h|| <= 1e-8 (the bound of ``_no_witness_checks``) and a critical-cone
+    violation of at most 1e-11 lies in Ker A and in the cone up to rounding,
+    so alpha = ||A h|| is certified.  None when h does not qualify."""
+    if h is None:
+        return None
+    h = h / np.linalg.norm(h)
+    r = float(np.linalg.norm(geom.A_eff @ h))
+    if r > 1e-8 or geom.crit_cone.violation(h) > 1e-11:
+        return None
+    return SphereMinResult(value=r, minimizer=h, engine="kernel-witness",
+                           certified=True, evals=1,
+                           note="the kernel route's direction "
+                                "lies in Ker A and in the critical cone")
 
 
 def _aggregate(rep, gauge, range_row, kernel_row):
@@ -675,7 +703,7 @@ def nuclear_check(Phi, X0):
         _below_one, "certificate affine system infeasible",
         lambda cert: f"free-block spectral norm {1.0 - cert['ri_margin']:.12g}"
         if np.isfinite(cert["ri_margin"]) else "singleton face")
-    kernel_row, res = _kernel_route(geom, rep)
+    kernel_row, res, _ = _kernel_route(geom, rep)
     if res is not None:
         rep.notes.append(f"kernel probe value {res.value:.12g} ({res.engine})")
     rep.conditions_checked.append(("kernel-probe", *kernel_row))
@@ -718,7 +746,7 @@ def nonneg_l1_check(A, x0):
     x0 = np.asarray(x0, dtype=float).ravel()
     geom = _Geometry(NonnegL1Gauge(x0.size), A, x0)  # the face checks x0 >= 0
     rep = CertificateReport()
-    (verdict, _), _ = _kernel_route(geom, rep, probe=False)
+    (verdict, _), _, _ = _kernel_route(geom, rep, probe=False)
     rep.conditions_checked.append(("descent-cone", verdict, True))
     rep.is_sharp = rep.is_unique = verdict
     if rep.witness is not None:

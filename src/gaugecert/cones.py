@@ -20,7 +20,8 @@ Everything the certification layer needs about cones lives here:
 * ``min_conic_singular`` -- minimum of ||Ah|| over a cone's unit sphere,
   exact on polyhedral cones by an active-set eigen search (``exact-active-set``,
   when the 2^r active sets of the r lifted rows are within ``VERTEX_CAP``),
-  else by ``sphere_min``;
+  on one second-order constraint by meeting eigenvalue bounds
+  (``exact-soc``), else by ``sphere_min``;
 * ``nsp_constant`` -- the null-space-property constant by sign enumeration,
   the sign LPs solved as block LPs.
 
@@ -379,7 +380,9 @@ class ConeSpec:
     where the violation is zero; None when the cone offers none).  The
     single-direction ``violation(h)`` and ``violation_subgrad(h)`` are row 0
     of these.  ``anchor`` is an optional strictly feasible direction used to
-    polish near-boundary probe points.
+    polish near-boundary probe points.  A non-polyhedral cone that is one
+    second-order constraint {h : <b, h> + ||W h|| <= 0} carries ``soc`` =
+    (b, W), which ``min_conic_singular`` solves by an eigenvalue search.
     """
 
     n: int
@@ -389,6 +392,7 @@ class ConeSpec:
     violation_subgrad_batch: callable = None
     anchor: np.ndarray = None
     note: str = ""
+    soc: tuple = None
 
     @property
     def is_polyhedral(self):
@@ -439,10 +443,10 @@ class ConeSpec:
 
     @staticmethod
     def from_violation(n, violation_batch, violation_subgrad_batch=None,
-                       anchor=None, note=""):
+                       anchor=None, note="", soc=None):
         return ConeSpec(n=n, violation_batch=violation_batch,
                         violation_subgrad_batch=violation_subgrad_batch,
-                        anchor=anchor, note=note)
+                        anchor=anchor, note=note, soc=soc)
 
 
 def _row(h):
@@ -1094,23 +1098,125 @@ def _multistart(f, K, cone, restarts, seed):
 def min_conic_singular(A, cone, restarts=None, seed=0):
     """Minimum of ||A h|| over unit vectors of the cone.
 
-    Exact and certified (``_active_set_min``) on a polyhedral cone whose
-    lifted description has r rows with 2^r <= ``VERTEX_CAP``.  Above the cap
-    and for non-polyhedral cones it is ``sphere_min``: the angular grid
-    (certified) in ambient dimension <= 3, else a labeled multistart probe.
+    Exact and certified on two kinds of cone:
+
+    * a polyhedral (lifted) cone whose r rows have 2^r <= ``VERTEX_CAP``
+      active sets: the active-set eigen search ``_active_set_min``;
+    * one second-order constraint (``cone.soc``): the eigenvalue bounds of
+      ``_soc_min``, certified when they meet.
+
+    Otherwise, and when the second-order bounds stay apart, it is
+    ``sphere_min``: the angular grid (certified) in ambient dimension <= 3,
+    else a labeled multistart probe.  The note says which route ran and why
+    the exact ones did not.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     f = NormMapFn(A)
-    capped = ""
+    skipped = ""
     if cone is not None and cone.is_polyhedral:
         r = cone.G_h.shape[0]
         if 2 ** r <= config.VERTEX_CAP:
             return _active_set_min(f, cone)
-        capped = f"2^{r} active sets exceed the cap {config.VERTEX_CAP}"
+        skipped = f"2^{r} active sets exceed the cap {config.VERTEX_CAP}"
+    elif cone is not None and cone.soc is not None:
+        res = _soc_min(f, cone)
+        if res.certified:
+            return res
+        skipped = res.note
     res = sphere_min(f, np.eye(A.shape[1]), cone=cone, restarts=restarts,
                      seed=seed)
-    res.note = "; ".join(filter(None, (capped, res.note)))
+    res.note = "; ".join(filter(None, (skipped, res.note)))
     return res
+
+
+def _soc_min(f, cone):
+    """Minimum of f(h) = ||A h|| over the unit vectors of one second-order
+    cone C = {h : <b, h> + ||W h|| <= 0}, (b, W) = ``cone.soc``, by two
+    eigenvalue bounds (Ben-Tal & Teboulle 1996, hidden convexity; Polik &
+    Terlaky 2007, the S-lemma).
+
+    C lies in {h : h^T Q h <= 0}, Q = W^T W - b b^T, which is C u -C, and
+    ||A h|| is even, so for every t >= 0 lambda(t) = lambda_min(A^T A + t Q)
+    is a lower bound on alpha^2.  lambda is concave in t with slope v^T Q v
+    at its bottom eigenvector v, so a bisection on the sign of that slope
+    maximizes it.  The bottom eigenvector at the upper end of the bracket
+    (slope <= 0), signed so that <b, v> <= 0, lies in C; after
+    ``_polish_to_cone`` its ||A v|| is the upper bound (at a double bottom
+    eigenvalue, so is that of a direction of span(v_lo, v), v_lo from the
+    lower end, with h^T Q h = 0, when it is smaller).  Certified, with the
+    upper bound as the value, when the bounds agree to 1e-8 max(1, ||A||_2);
+    otherwise the result is uncertified and its note gives both bounds.
+    """
+    A = f.A
+    b, W = cone.soc
+    P, Q = A.T @ A, W.T @ W - np.outer(b, b)
+    pn, qn = np.linalg.norm(P), np.linalg.norm(Q)
+    evals = 0
+
+    def bottom(t):
+        nonlocal evals
+        evals += 1
+        w, V = np.linalg.eigh(P + t * Q)
+        return float(w[0]), V[:, 0], float(V[:, 0] @ Q @ V[:, 0])
+
+    best, v, slope = bottom(0.0)
+    v_lo, bracketed = v, False
+    if slope > 0.0:
+        # bracket the maximum of lambda: slope > 0 at t_lo (v_lo), <= 0 at
+        # t_hi (v), then bisect until P + t Q moves by no more than rounding
+        # across the bracket (at most 200 steps)
+        t_lo, t_hi = 0.0, 1.0
+        for _ in range(64):
+            lam, v, slope = bottom(t_hi)
+            best = max(best, lam)
+            if slope <= 0.0:
+                bracketed = True
+                break
+            t_lo, t_hi, v_lo = t_hi, 2.0 * t_hi, v
+        for _ in range(200 if bracketed else 0):
+            if (t_hi - t_lo) * qn <= 1e-15 * (pn + t_hi * qn):
+                break
+            t = 0.5 * (t_lo + t_hi)
+            lam, v_t, slope_t = bottom(t)
+            best = max(best, lam)
+            if slope_t > 0.0:
+                t_lo, v_lo = t, v_t
+            else:
+                t_hi, v = t, v_t
+    lo = math.sqrt(max(best, 0.0))
+    H = np.zeros((0, cone.n))
+    if slope <= 0.0:
+        H = v[None]
+    if bracketed:
+        # a bottom eigenvalue that is multiple at the maximum splits v_lo
+        # from v; its eigenspace then holds the directions of span(v_lo, v)
+        # with h^T Q h = 0, which meet both bounds
+        B = np.linalg.qr(np.column_stack([v_lo, v]))[0]
+        mu, R = np.linalg.eigh(B.T @ Q @ B)
+        if mu[0] <= 0.0 <= mu[1] and mu[0] < mu[1]:
+            c = np.sqrt([mu[1], -mu[0]])
+            H = np.vstack([H, (B @ R @ np.array([c, c * [1.0, -1.0]]).T).T])
+    h = None
+    if H.shape[0]:
+        H = H / np.linalg.norm(H, axis=1, keepdims=True)
+        H *= np.where(H @ b > 0.0, -1.0, 1.0)[:, None]
+        on_cone = cone.violation_batch(H) <= 1e-11
+        if not np.all(on_cone):
+            H[~on_cone], on_cone[~on_cone] = _polish_to_cone(
+                cone, H[~on_cone], np.eye(cone.n))
+        if np.any(on_cone):
+            vals = np.where(on_cone, f.value_batch(H), np.inf)
+            h = H[int(np.argmin(vals))]
+    if h is None:
+        return _no_minimizer("exact-soc", False, evals,
+                             f"single second-order cone: lower bound "
+                             f"{lo:.10g}, no cone direction to match it")
+    hi = float(f.value(h))
+    note = f"single second-order cone, bounds [{lo:.10g}, {hi:.10g}]"
+    scale = max(1.0, float(np.linalg.norm(A, 2)))
+    if hi - lo > 1e-8 * scale:
+        return _finish(f, h, "exact-soc", False, evals, note + " too far apart")
+    return _finish(f, h, "exact-soc", True, evals, note)
 
 
 def _active_set_min(f, cone):
@@ -1192,7 +1298,7 @@ def _active_set_min(f, cone):
                 continue
         for j in range(I[-1] + 1 if I else 0, r):
             push(I + (j,), lam)
-    note = f"active sets visited: {evals}"
+    note = "; ".join(filter(None, (cone.note, f"active sets visited: {evals}")))
     if best_h is None:
         return _no_minimizer("exact-active-set", True, evals,
                              "no feasible direction; " + note)

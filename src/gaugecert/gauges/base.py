@@ -24,7 +24,9 @@ A new kind subclasses ``Gauge`` (and ``SubdiffFace``), registers itself in
   ``dir_subgrad_batch`` or ``dir_deriv_subgrad_batch`` (the values and the
   subgradients from one pass; each of the two defaults to the other, so a
   kind writes one), ``face``, and ``descent_pieces`` / ``descent_lift``
-  where the kind is polyhedral; a kind whose oracles start from a
+  where the kind is polyhedral (``descent_lift`` also where J'(x0; .) is
+  polyhedral at the given x0, and ``descent_soc`` where it is one
+  second-order constraint); a kind whose oracles start from a
   factorization of x0 computes it once per x0 with ``per_x0``;
 * conic kinds also give ``domain_tangent_cone``, ``domain_residual``,
   ``finite_dir_deriv_batch`` (J' without the domain's +inf) and their own
@@ -57,7 +59,7 @@ from ..cones import affine_solve, subgradient_min
 
 __all__ = ["Gauge", "SubdiffFace", "VertexCapExceeded", "spec_int",
            "spec_array", "construct", "sparse_draw", "per_x0",
-           "point_certificate"]
+           "point_certificate", "abs_lift"]
 
 
 class VertexCapExceeded(RuntimeError):
@@ -115,6 +117,14 @@ def per_x0(method):
         return hit[1]
 
     return cached
+
+
+def abs_lift(g, P):
+    """``descent_lift`` of J'(x0; h) = <g, h> + sum_j |<P_j, h>| (P_j the
+    rows of P): <g, h> + sum(u) <= 0, and +-<P_j, h> <= u_j."""
+    k = P.shape[0]
+    return (np.vstack([g, np.kron(P, [[1.0], [-1.0]])]),
+            np.vstack([np.ones(k), np.kron(np.eye(k), [[-1.0], [-1.0]])]))
 
 
 def point_certificate(C, target, tol=None):
@@ -302,7 +312,12 @@ class Gauge:
 
     def descent_lift(self, x0):
         """``(G_h, G_u)`` with {h : J'(x0; h) <= 0} = {h : exists u,
-        G_h h + G_u u <= 0}, or None for the non-polyhedral kinds."""
+        G_h h + G_u u <= 0}, or None where that cone is not polyhedral."""
+        return None
+
+    def descent_soc(self, x0):
+        """``(b, W)`` with {h : J'(x0; h) <= 0} = {h : <b, h> + ||W h|| <=
+        0}, one second-order constraint, or None where it is not one."""
         return None
 
     def critical_cone(self, x0):
@@ -310,10 +325,9 @@ class Gauge:
 
         Its violation is max(0, J'(x0; h)), its subgradient that of J' where
         J' > 0 (zero elsewhere; both read from one
-        ``dir_deriv_subgrad_batch`` call), its anchor -x0, and it carries the
-        kind's ``descent_lift`` when there is one.
+        ``dir_deriv_subgrad_batch`` call), and it is built by
+        ``_descent_cone``.
         """
-        from ..cones import ConeSpec
         x0 = np.array(self.flat(x0))
 
         def violation_batch(H):
@@ -323,15 +337,24 @@ class Gauge:
             vals, G = self.dir_deriv_subgrad_batch(x0, H)
             return np.where((vals > 0.0)[:, None], G, 0.0)
 
+        return self._descent_cone(x0, violation_batch, violation_subgrad_batch,
+                                  f"{self.kind} descent cone")
+
+    def _descent_cone(self, x0, violation_batch, violation_subgrad_batch,
+                      what):
+        """The critical cone at x0 from its violation oracles: anchored at
+        -x0 (when J(x0) > 0), lifted by the kind's ``descent_lift`` when it
+        gives one at x0, else carrying its ``descent_soc``."""
+        from ..cones import ConeSpec
         anchor = -x0 if self.value(x0) > 0 else None
         lift = self.descent_lift(x0)
         if lift is None:
             return ConeSpec.from_violation(
                 self.n, violation_batch, violation_subgrad_batch, anchor=anchor,
-                note=f"{self.kind} descent cone (non-polyhedral)")
+                note=f"{what} (non-polyhedral)", soc=self.descent_soc(x0))
         return ConeSpec.from_lift(
             *lift, violation_batch, violation_subgrad_batch, anchor=anchor,
-            note=f"lifted {self.kind} descent cone")
+            note=f"lifted {what}")
 
     def domain_tangent_cone(self, x0):
         """ConeSpec of the domain's tangent cone at x0, or None.

@@ -15,8 +15,8 @@ import scipy.linalg
 
 from .. import config
 from ..cones import ConeSpec, affine_solve, matrix_rank, subgradient_min
-from .base import (Gauge, SubdiffFace, construct, per_x0, spec_array,
-                   spec_int)
+from .base import (Gauge, SubdiffFace, abs_lift, construct, per_x0,
+                   spec_array, spec_int)
 
 __all__ = ["NuclearGauge", "SdpTraceGauge", "sym_basis"]
 
@@ -282,6 +282,23 @@ class NuclearGauge(Gauge):
 
     def face(self, x0):
         return NuclearFace(*self._blocks(x0))
+
+    def descent_lift(self, x0):
+        """A tail of at most one entry, U2^T h V2 = <vec(U2 V2^T), h>: the
+        l1 lift of <U1 V1^T, h> + |<vec(U2 V2^T), h>|."""
+        base, K = self._bases(x0)
+        if K.shape[1] > 1:
+            return None
+        return abs_lift(base.ravel(), K.T)
+
+    def descent_soc(self, x0):
+        """A tail with a side of 1 and more than one entry, whose nuclear
+        norm is its Euclidean norm: b = vec(U1 V1^T), W = kron(U2, V2)^T."""
+        _, _, U2, V2 = self._blocks(x0)
+        base, K = self._bases(x0)
+        if K.shape[1] < 2 or min(U2.shape[1], V2.shape[1]) != 1:
+            return None
+        return base.ravel(), K.T
 
     def dir_deriv_subgrad_batch(self, x0, H):
         """J'(x0; .) and its subgradients from one pass over the tails: the
@@ -597,6 +614,15 @@ class SdpTraceGauge(Gauge):
                                        anchor=np.eye(self.nmat).ravel(),
                                        note="PSD tangent cone at x0")
 
+    def descent_lift(self, x0):
+        """A kernel E of side at most 1: the rows <C, h> <= 0 and
+        -e^T h e <= 0 (e the column of E)."""
+        E = self._kernel(x0)
+        if E.shape[1] > 1:
+            return None
+        G = np.vstack([self.C.ravel()] + [-np.outer(e, e).ravel() for e in E.T])
+        return G, np.zeros((len(G), 0))
+
     def critical_cone(self, x0):
         x0 = np.array(self.flat(x0))
         tangent = self.domain_tangent_cone(x0)
@@ -614,10 +640,8 @@ class SdpTraceGauge(Gauge):
             G = np.where((lin >= tv)[:, None], Cflat, tg)
             return np.where((np.maximum(lin, tv) > 0.0)[:, None], G, 0.0)
 
-        anchor = -x0 if self.value(x0) > 0 else None
-        return ConeSpec.from_violation(self.n, violation_batch,
-                                       violation_subgrad_batch, anchor=anchor,
-                                       note="PSD-restricted descent cone")
+        return self._descent_cone(x0, violation_batch, violation_subgrad_batch,
+                                  "PSD-restricted descent cone")
 
     def lipschitz(self):
         return float(np.linalg.norm(self.C))

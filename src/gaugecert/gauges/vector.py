@@ -23,8 +23,9 @@ from scipy.linalg import block_diag
 
 from .. import config
 from ..cones import ConeSpec, lp_solve, range_basis
-from .base import (Gauge, SubdiffFace, VertexCapExceeded, construct,
-                   point_certificate, sparse_draw, spec_array, spec_int)
+from .base import (Gauge, SubdiffFace, VertexCapExceeded, abs_lift,
+                   construct, point_certificate, sparse_draw, spec_array,
+                   spec_int)
 
 __all__ = [
     "L1Gauge",
@@ -39,14 +40,6 @@ _SUPP_TOL = 1e-12
 
 def _support(x):
     return np.abs(x) > _SUPP_TOL * max(1.0, float(np.max(np.abs(x), initial=0.0)))
-
-
-def _abs_lift(g, P):
-    """``descent_lift`` of J'(x0; h) = <g, h> + sum_j |<P_j, h>| (P_j the
-    rows of P): <g, h> + sum(u) <= 0, and +-<P_j, h> <= u_j."""
-    k = P.shape[0]
-    return (np.vstack([g, np.kron(P, [[1.0], [-1.0]])]),
-            np.vstack([np.ones(k), np.kron(np.eye(k), [[-1.0], [-1.0]])]))
 
 
 def _sign_vertices(g, P):
@@ -178,7 +171,7 @@ class L1Gauge(Gauge):
 
     def descent_lift(self, x0):
         face = self.face(x0)
-        return _abs_lift(face.base, np.eye(self.n)[face.off])
+        return abs_lift(face.base, np.eye(self.n)[face.off])
 
     def lipschitz(self):
         return math.sqrt(self.n)
@@ -217,12 +210,7 @@ class AnalysisL1Face(SubdiffFace):
         self.active = np.where(_support(g))[0]
         self.inactive = np.where(~_support(g))[0]
         self.signs = np.sign(g[self.active])
-        #: D_act s_act, the base point summed over the active columns alone
-        #: (its last bits can differ from base's): the LPs' right-hand side
-        self.lin = D[:, self.active] @ self.signs
-        u0 = np.zeros(D.shape[1])
-        u0[self.active] = self.signs
-        self.base = D @ u0
+        self.base = D[:, self.active] @ self.signs
         self.tangent = range_basis(D[:, self.inactive]) if self.inactive.size \
             else np.zeros((D.shape[0], 0))
 
@@ -249,9 +237,9 @@ class AnalysisL1Face(SubdiffFace):
 
     def certificate(self, A):
         if self.inactive.size == 0:
-            return point_certificate(A.T, self.lin)
+            return point_certificate(A.T, self.base)
         # A^T y - D_off u_off = D_act s_act, |u_off| <= t, minimize t
-        res = _min_abs_bound(A.T, -self.D[:, self.inactive], self.lin)
+        res = _min_abs_bound(A.T, -self.D[:, self.inactive], self.base)
         if res.status != "optimal":
             return None
         y = res.x[:A.shape[0]]
@@ -343,7 +331,7 @@ class AnalysisL1Gauge(Gauge):
 
     def descent_lift(self, x0):
         face = self.face(x0)
-        return _abs_lift(face.lin, self.D[:, face.inactive].T)
+        return abs_lift(face.base, self.D[:, face.inactive].T)
 
     def lipschitz(self):
         return math.sqrt(self.D.shape[1]) * float(np.linalg.norm(self.D, 2))
@@ -841,6 +829,31 @@ class GroupL12Gauge(Gauge):
 
     def face(self, x0):
         return GroupFace(self.groups, self.flat(x0))
+
+    def _descent_parts(self, x0):
+        """J'(x0; h) = <b, h> + the sum of ||h_g|| over the zero groups g:
+        b (x0_g / ||x0_g|| on the support groups) and the zero groups."""
+        b, zero = np.zeros(self.n), []
+        for idx, unit in self._units(x0):
+            if unit is None:
+                zero.append(idx)
+            else:
+                b[idx] = unit
+        return b, zero
+
+    def descent_lift(self, x0):
+        """The l1 lift when every zero group is a single coordinate."""
+        b, zero = self._descent_parts(x0)
+        if any(idx.size > 1 for idx in zero):
+            return None
+        return abs_lift(b, np.eye(self.n)[np.concatenate(zero + [np.zeros(0, int)])])
+
+    def descent_soc(self, x0):
+        """One zero group of two or more coordinates, and no other."""
+        b, zero = self._descent_parts(x0)
+        if len(zero) != 1 or zero[0].size < 2:
+            return None
+        return b, np.eye(self.n)[zero[0]]
 
     def dir_deriv_subgrad_batch(self, x0, H):
         """J'(x0; .) and its subgradients in one pass over the groups."""

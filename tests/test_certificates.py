@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaugecert.certificates import (
     NO,
@@ -509,3 +511,119 @@ def test_specialized_checkers_agree_with_generic():
         margin = spec.ri_margin
         if margin is None or not 1e-8 <= margin < 1e-6:
             assert spec.is_sharp == gen.is_sharp
+
+
+# ---------------------------------------------------------- alpha routes
+
+#: certify-cli designs of the benchmark's seed 1: nuclear 2 x 3 at rank 1
+#: (a tail with a side of 1) and sdp_trace n = 2 at rank 1 (a kernel of
+#: side 1), both sharp
+NUCLEAR_23_A = np.array([
+    [-0.38858162643092137, -0.005345108194554901, 0.2805141327606361,
+     -0.04672964686924841, -0.9005558176527775, 0.41116809612685545],
+    [-2.0205683437390713, 0.3936714246719213, 0.1011805479039996,
+     1.305504439678361, 0.162492524439714, 0.4843666861510153],
+    [-0.945004880210997, 0.1751267259369293, 0.7767715923088043,
+     1.0237570637342623, 0.11372135501159347, 1.5840865666047834],
+    [1.2697782035697391, -0.6544917819047186, -2.472501641473311,
+     -1.0987964420034737, 0.06633321754376165, 0.15801666920094792],
+    [-0.2904922358627054, -0.4228707833949457, 0.6475913732532051,
+     -0.5908800607637399, -2.129441533392909, -0.30868073617960234]])
+NUCLEAR_23_X0 = np.array([0.309629969023535, 0.6123796664108909,
+                          -0.03136116101573505, -0.3275731074162369,
+                          -0.6478672296397978, 0.03317854857042091])
+SDP_22_A = np.array([
+    [0.1138049234042452, 0.13572450601154007, 0.13572450601154007,
+     -0.5333475675684216],
+    [0.69391199097919, -1.1170578022920137, -1.1170578022920137,
+     0.42544923956540653]])
+SDP_22_X0 = np.array([0.937806893463829, -0.2415059503108601,
+                      -0.2415059503108601, 0.06219310653617117])
+
+
+def _found_nuclear_draw():
+    """The nuclear 2 x 3 draw whose multistart alpha was 0.009075: a unit
+    kernel direction has J'(x0; h) = -0.1012, so alpha is 0."""
+    g = NuclearGauge((2, 3))
+    rng = np.random.default_rng([99, 29])
+    x0 = g.draw_x0(rng)
+    return g, rng.standard_normal((int(rng.integers(3, 6)), 6)), x0
+
+
+def _alpha_note(rep):
+    return next(n for n in rep.notes if n.startswith("alpha engine: "))
+
+
+def test_found_nuclear_draw_alpha_is_a_certified_zero():
+    rep = check_sharp(*_found_nuclear_draw())
+    assert rep.is_sharp == NO and rep.kappa == pytest.approx(-0.1012, abs=1e-4)
+    assert rep.alpha_certified and 0.0 <= rep.alpha <= 1e-12
+
+
+def test_structured_designs_alpha_pins():
+    rep = check_sharp(NuclearGauge((2, 3)), NUCLEAR_23_A, NUCLEAR_23_X0)
+    assert rep.is_sharp == YES and rep.alpha_certified
+    assert rep.alpha == pytest.approx(0.0667124, abs=1e-7)
+    rep = check_sharp(SdpTraceGauge(np.eye(2)), SDP_22_A, SDP_22_X0)
+    assert rep.is_sharp == YES and rep.alpha_certified
+    assert rep.alpha == pytest.approx(0.2692781, abs=1e-7)
+
+
+def test_alpha_engine_note_names_the_route():
+    rep = check_sharp(*_found_nuclear_draw())
+    assert _alpha_note(rep).startswith("alpha engine: kernel-witness (the "
+                                       "kernel route's direction lies in Ker A")
+    rep = check_sharp(NuclearGauge((2, 2)), np.eye(4)[:3], np.eye(4)[0])
+    assert _alpha_note(rep).startswith(
+        "alpha engine: exact-active-set (lifted nuclear descent cone; ")
+    rep = check_sharp(NuclearGauge((2, 3)), NUCLEAR_23_A, NUCLEAR_23_X0)
+    lo, hi = (float(v) for v in _alpha_note(rep).split("bounds [")[1]
+              .rstrip("])").split(", "))
+    assert _alpha_note(rep).startswith(
+        "alpha engine: exact-soc (single second-order cone, bounds [")
+    assert lo <= rep.alpha and hi == pytest.approx(rep.alpha, rel=1e-9)
+
+
+def _kind_draw(kind, rng):
+    """A small seeded (gauge, A, x0) of any kind with a wide kernel
+    (m of 1 or 2), so the kernel route often certifies No."""
+    n = int(rng.integers(3, 6))
+    m = int(rng.integers(1, 3))
+    x0 = np.zeros(n)
+    on = rng.choice(n, int(rng.integers(1, n)), replace=False)
+    x0[on] = rng.uniform(0.5, 1.5, on.size)
+    if kind == "l1":
+        return L1Gauge(n), rng.standard_normal((m, n)), x0 * rng.choice([-1, 1], n)
+    if kind == "nonneg_l1":
+        return NonnegL1Gauge(n), rng.standard_normal((m, n)), x0
+    if kind == "analysis_l1":
+        D = rng.standard_normal((n, n + 1))
+        return AnalysisL1Gauge(D), rng.standard_normal((m, n)), \
+            kernel_basis(D[:, :n - 1].T) @ rng.standard_normal(1)
+    if kind == "wsl1":
+        w = np.sort(rng.choice([1.0, 2.0, 3.0], n))[::-1]
+        return SortedWeightedL1Gauge(w), rng.standard_normal((m, n)), \
+            x0 * rng.choice([-1.0, 1.0], n)
+    if kind == "group_l12":
+        g = GroupL12Gauge(n, [list(range(0, n, 2)), list(range(1, n, 2))])
+        return g, rng.standard_normal((m, n)), x0 * rng.choice([-1.0, 1.0], n)
+    if kind == "nuclear":
+        g = NuclearGauge([(2, 2), (2, 3)][int(rng.integers(2))])
+    else:
+        G = rng.standard_normal((2, 2))
+        g = SdpTraceGauge(G @ G.T + 0.1 * np.eye(2))
+    return g, rng.standard_normal((m, g.n)), g.draw_x0(rng)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["l1", "nonneg_l1", "analysis_l1", "wsl1",
+                             "group_l12", "nuclear", "sdp_trace"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_kernel_no_makes_alpha_a_certified_zero(kind, seed):
+    # a certified kernel No holds a unit kernel direction in the critical
+    # cone, so alpha is 0; whichever route gives it, it is certified
+    g, A, x0 = _kind_draw(kind, np.random.default_rng(seed))
+    rep = check_sharp(g, A, x0)
+    if ("kernel", NO, True) in rep.conditions_checked:
+        assert rep.alpha_certified and 0.0 <= rep.alpha <= 1e-8, \
+            _alpha_note(rep)

@@ -114,6 +114,17 @@ def test_certify_json_output(tmp_path, capsys):
     assert rep["condition"] == "auto"
 
 
+def test_certify_spiked_matrix_alpha_is_certified(capsys):
+    # a nuclear 2 x 2 point of rank 1: the tail is one entry, so the
+    # critical cone is lifted and alpha = 1/sqrt(2) exactly
+    path = str(Path(__file__).resolve().parents[1] / "demos" / "problems"
+               / "spiked_matrix.json")
+    assert main(["certify", path, "--json"]) == 0
+    rep = strict_loads(capsys.readouterr().out)["report"]
+    assert rep["alpha_certified"] is True
+    assert rep["alpha"] == pytest.approx(1 / 2 ** 0.5, abs=1e-12)
+
+
 def test_certify_json_reruns_are_identical(tmp_path, capsys):
     path = write(tmp_path, E1)
     main(["certify", path, "--json"])

@@ -799,9 +799,11 @@ def test_multistart_and_certificate_search_outputs_are_frozen(
     # step must not move a bit.  The nuclear and sdp_trace probe values were
     # recorded again when their tails (a side of 1) and kernel blocks (side
     # 2) took closed forms instead of LAPACK; their certificates, whose
-    # searches still take LAPACK, kept every bit
+    # searches still take LAPACK, kept every bit.  The probe is called as
+    # ``min_conic_singular`` called it: that call now certifies the nuclear
+    # cone (a tail with a side of 1) by its second-order bounds instead
     g, A, x0 = _probe_case(kind)
-    res = min_conic_singular(A, g.critical_cone(x0))
+    res = sphere_min(NormMapFn(A), np.eye(g.n), cone=g.critical_cone(x0))
     assert res.value.hex() == value
     assert hashlib.md5(res.minimizer.tobytes()).hexdigest() == minimizer_md5
     assert (res.engine, res.certified, res.evals, res.note) == \
@@ -933,6 +935,155 @@ def test_conic_singular_properties(kind, n, seed, c, flip):
             assert got == np.inf
         else:
             assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+def _structured_draw(route, rng):
+    """A seeded (gauge, A, x0) whose critical cone is lifted ("...-lift":
+    a nuclear tail of at most one entry, group_l12 zero groups of single
+    coordinates, an sdp_trace kernel of side 1) or one second-order
+    constraint ("...-soc": a nuclear tail with a side of 1, one group_l12
+    zero group of two or more coordinates)."""
+    kind, form = route.split("-")
+    if kind == "nuclear":
+        if form == "lift":
+            g = NuclearGauge([(2, 2), (2, 3), (3, 2)][int(rng.integers(3))])
+            x0 = g.draw_x0(rng, rank=1 if g.shape == (2, 2) else 2)
+        else:
+            q = int(rng.integers(3, 5))
+            g = NuclearGauge((2, q) if rng.random() < 0.5 else (q, 2))
+            x0 = g.draw_x0(rng, rank=1)
+    elif kind == "group_l12":
+        n = int(rng.integers(3, 6))
+        s = int(rng.integers(1, n - 1))
+        # support on the first group; the rest is single coordinates or
+        # one zero group
+        rest = [[j] for j in range(s, n)] if form == "lift" else [list(range(s, n))]
+        g = GroupL12Gauge(n, [list(range(s))] + rest)
+        x0 = np.zeros(n)
+        x0[:s] = rng.standard_normal(s)
+        if form == "lift":
+            x0[s:] = rng.standard_normal(n - s) * (rng.random(n - s) < 0.5)
+    else:
+        nm = int(rng.integers(2, 4))
+        G = rng.standard_normal((nm, nm))
+        g = SdpTraceGauge(G @ G.T / nm + 0.1 * np.eye(nm))
+        x0 = g.draw_x0(rng, rank=nm - 1)
+    A = rng.standard_normal((int(rng.integers(1, g.n + 2)), g.n))
+    return g, A, x0
+
+
+STRUCTURED = ["nuclear-lift", "group_l12-lift", "sdp_trace-lift",
+              "nuclear-soc", "group_l12-soc"]
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(route=st.sampled_from(STRUCTURED), seed=st.integers(0, 2 ** 32 - 1))
+def test_structured_cone_alpha_properties(route, seed):
+    rng = np.random.default_rng(seed)
+    g, A, x0 = _structured_draw(route, rng)
+    cone = g.critical_cone(x0)
+    lifted = route.endswith("lift")
+    assert cone.is_polyhedral == lifted and (cone.soc is None) == lifted
+    res = min_conic_singular(A, cone)
+    assert res.certified
+    assert res.engine == ("exact-active-set" if lifted else "exact-soc")
+    if res.minimizer is not None:
+        assert cone.violation(res.minimizer) <= 1e-11
+    # never above ||A h|| at a cone direction: random directions and their
+    # mixtures with the anchor -x0, which the critical cone contains; the
+    # second-order value is its upper bound, within 1e-8 ||A|| of the lower
+    H = rng.standard_normal((4000, g.n))
+    H[2000:] = rng.uniform(0.0, 1.0, (2000, 1)) * H[2000:] - x0 / np.linalg.norm(x0)
+    H /= np.linalg.norm(H, axis=1, keepdims=True)
+    H = H[cone.violation_batch(H) <= 0.0]
+    tol = 1e-12 if lifted else 1e-8 * max(1.0, np.linalg.norm(A, 2))
+    if H.shape[0]:
+        assert res.value <= np.min(np.linalg.norm(H @ A.T, axis=1)) + tol
+
+
+def _soc_search(A, b, W, rng):
+    """min ||A h|| over the unit h with <b, h> + ||W h|| <= 0, by search:
+    2,000 random unit directions (signed so that <b, h> <= 0), the 10 best
+    (by value plus ten times the violation) polished by SLSQP on the smooth
+    form ||W h||^2 <= <b, h>^2, <b, h> <= 0, ||h|| = 1."""
+    H = rng.standard_normal((2000, A.shape[1]))
+    H /= np.linalg.norm(H, axis=1, keepdims=True)
+    H *= np.where(H @ b > 0.0, -1.0, 1.0)[:, None]
+    viol = np.maximum(H @ b + np.linalg.norm(H @ W.T, axis=1), 0.0)
+    score = np.linalg.norm(H @ A.T, axis=1) + 10.0 * viol
+    cons = [{"type": "eq", "fun": lambda h: h @ h - 1.0},
+            {"type": "ineq", "fun": lambda h: (h @ b) ** 2 - (W @ h) @ (W @ h)},
+            {"type": "ineq", "fun": lambda h: -(h @ b)}]
+    best = np.inf
+    for h in H[np.argsort(score)[:10]]:
+        x = scipy.optimize.minimize(lambda h: (A @ h) @ (A @ h), h,
+                                    constraints=cons, method="SLSQP",
+                                    options={"ftol": 1e-15}).x
+        x /= np.linalg.norm(x)
+        if x @ b + np.linalg.norm(W @ x) <= 1e-9:
+            best = min(best, float(np.linalg.norm(A @ x)))
+    return best
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(kind=st.sampled_from(["nuclear", "group_l12"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_soc_alpha_matches_a_restart_search(kind, seed):
+    # n >= 3 and A of full column rank (alpha > 0, where the search
+    # converges fast): the certified value is the searched minimum
+    rng = np.random.default_rng(seed)
+    g, A, x0 = _structured_draw(kind + "-soc", rng)
+    A = rng.standard_normal((g.n + int(rng.integers(2)), g.n))
+    cone = g.critical_cone(x0)
+    res = min_conic_singular(A, cone)
+    assert res.certified and res.engine == "exact-soc"
+    ref = _soc_search(A, *cone.soc, rng)
+    assert res.value <= ref + 1e-9
+    assert res.value == pytest.approx(ref, abs=1e-8)
+
+
+def _lift_slack(cone, h):
+    """min s over u with G_h h + G_u u <= s (one LP): negative inside the
+    lifted cone, positive outside it."""
+    q = cone.G_u.shape[1]
+    c = np.zeros(q + 1)
+    c[q] = 1.0
+    res = lp_solve(c, A_ub=np.hstack([cone.G_u, -np.ones((len(cone.G_u), 1))]),
+                   b_ub=-cone.G_h @ h)
+    return res.value
+
+
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(route=st.sampled_from(["nuclear-lift", "group_l12-lift",
+                              "sdp_trace-lift"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_structured_lifts_agree_with_the_violation(route, seed):
+    # random directions, and pairs 1e-6 to either side of the boundary on
+    # segments from a direction outside the cone to one inside it
+    rng = np.random.default_rng(seed)
+    g, _, x0 = _structured_draw(route, rng)
+    cone = g.critical_cone(x0)
+    H = rng.standard_normal((40, g.n))
+    H[20:] = rng.uniform(0.0, 1.0, (20, 1)) * H[20:] - x0 / np.linalg.norm(x0)
+    slack = np.array([_lift_slack(cone, h) for h in H])
+    viol = cone.violation_batch(H)
+    inside, outside = H[slack < -1e-6], H[viol > 1e-6]
+    near = []
+    for a, b in zip(inside[:10], outside[:10]):
+        lo, hi = 0.0, 1.0  # (1 - s) a + s b: inside at lo, outside at hi
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if cone.violation((1 - mid) * a + mid * b) > 0.0:
+                hi = mid
+            else:
+                lo = mid
+        near += [(1 - s) * a + s * b for s in (lo - 1e-6, hi + 1e-6)]
+    H = np.vstack([H] + near)
+    slack = np.array([_lift_slack(cone, h) for h in H])
+    viol = cone.violation_batch(H)
+    sure = np.abs(slack) > 1e-9
+    assert len(near) and np.all(sure[-len(near):])
+    assert np.array_equal((viol > 0.0)[sure], (slack > 0.0)[sure])
 
 
 # ------------------------------------------------------------- nsp_constant

@@ -168,6 +168,26 @@ def test_zero_delta_recovers_exactly():
     assert row["err_tikhonov"] <= 1e-7
 
 
+@pytest.mark.parametrize("cfg, seed", [
+    ({"m": 4, "n": 6, "kind": "nuclear", "shape": [2, 3], "rank": 1}, 3),
+    ({"m": 3, "n": 4, "kind": "group_l12", "partition": [[0, 1], [2, 3]],
+      "sparsity": 1}, 0),
+])
+def test_second_order_alpha_rows_are_asserted(cfg, seed):
+    # a nuclear tail with a side of 1 and one group_l12 zero group: alpha
+    # is certified by its second-order bounds, so the bounds are asserted
+    base = gen_instance(dict(cfg, delta=1e-2), seed)
+    cert = check_sharp(base.gauge, base.A, base.x0)
+    assert cert.alpha_certified and cert.kappa_certified
+    for delta in (1e-3, 1e-2, 1e-1):
+        for noise in ("sphere", "adversarial"):
+            inst = gen_instance(dict(cfg, delta=delta, noise=noise), seed)
+            row = run_recovery(inst, c1=1.0, cert=cert).rows[0]
+            assert row["pass"] == "True", row
+            assert row["err_mozorov"] <= row["bound_mozorov"]
+            assert row["err_tikhonov"] <= row["bound_tikhonov_y0"]
+
+
 def test_non_sharp_instance_is_not_applicable():
     A = np.array([[1.0, 1.0]])
     x0 = np.array([1.0, 0.0])
