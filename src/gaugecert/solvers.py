@@ -244,9 +244,12 @@ def solve_tikhonov(gauge, A, b, mu, x_start=None, maxiter=SPLIT_MAXITER):
         np.asarray(x_start, dtype=float).copy()
 
     def obj(x):
-        return 0.5 * float(((A @ x - b) ** 2).sum()) + mu * gauge.value(x)
+        """(objective, residual A x - b) at x."""
+        r = A @ x - b
+        return (0.5 * float(np.add.reduce(r * r))
+                + mu * float(gauge.value_batch(x[None])[0])), r
 
-    F = obj(x)
+    F, r = obj(x)
     y = x.copy()
     x_prev = x
     tk = 1.0
@@ -255,30 +258,28 @@ def solve_tikhonov(gauge, A, b, mu, x_start=None, maxiter=SPLIT_MAXITER):
     for it in range(1, maxiter + 1):
         grad = A.T @ (A @ y - b)
         x_next = gauge.prox(y - grad / L, mu / L)
-        F_next = obj(x_next)
+        F_next, r_next = obj(x_next)
         if F_next > F:
             # momentum overshot: restart from the last good iterate
             y = x.copy()
             tk = 1.0
             grad = A.T @ (A @ y - b)
             x_next = gauge.prox(y - grad / L, mu / L)
-            F_next = obj(x_next)
+            F_next, r_next = obj(x_next)
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * tk * tk))
         y = x_next + ((tk - 1.0) / t_next) * (x_next - x)
-        x_prev, x, tk, F_prev, F = x, x_next, t_next, F, F_next
+        x_prev, x, tk, F_prev, F, r = x, x_next, t_next, F, F_next, r_next
         if not F_prev - F < 1e-12 * max(1.0, abs(F_prev)):
             continue
         # fixed-point residual of the unaccelerated map at x
-        fp = float(np.linalg.norm(
-            gauge.prox(x - (A.T @ (A @ x - b)) / L, mu / L) - x))
+        fp = float(np.linalg.norm(gauge.prox(x - (A.T @ r) / L, mu / L) - x))
         if fp < 1e-10 * max(1.0, float(np.linalg.norm(x))):
             status = "optimal"
             break
     step_move = float(np.linalg.norm(x - x_prev))
-    resid = float(np.linalg.norm(A @ x - b))
     return SolveResult(point=x, value=F, status=status,
                        residuals={"optimality": step_move,
-                                  "data_misfit": resid},
+                                  "data_misfit": float(np.linalg.norm(r))},
                        iterations=it, info={"mu": float(mu)})
 
 
@@ -331,7 +332,7 @@ def solve_mozorov(gauge, A, b, delta, maxiter=200):
 
     def residual_at(mu, warm):
         sol = solve_tikhonov(gauge, A, b, mu, x_start=warm)
-        r = float(np.linalg.norm(A @ sol.point - b))
+        r = sol.residuals["data_misfit"]
         for mu2, r2 in path:
             inverted = (mu2 < mu and r2 > r + 1e-6 * max(1.0, r2)) or \
                        (mu2 > mu and r2 < r - 1e-6 * max(1.0, r))
