@@ -12,9 +12,13 @@ its solution is the primal point and the multipliers of its rows A x = b0
 are the dual point, so primal and dual come from the same model.  The rest
 use Douglas-Rachford splitting (primal), projected-subgradient ascent with
 ``Gauge.polar_ball_project`` (dual), and proximal gradient (Tikhonov).
-Mozorov runs a bracketed secant search on mu through the Tikhonov path
-(secant steps on log mu versus log residual), asserting the residual's
-monotonicity in mu at runtime.
+Mozorov runs a bracketed search on mu through the Tikhonov path, asserting
+the residual's monotonicity in mu at runtime.  Its steps rest on one fact:
+the Tikhonov dual point y(mu) = (b - A x(mu)) / mu is the projection of
+b / mu onto the convex set {y : J°(A^T y) <= 1}, which holds 0, so the
+residual r(mu) = mu ||y(mu)|| never falls and r(mu) / mu never rises as mu
+grows.  Below a solve (mu_hi, r_hi), r(mu) >= mu r_hi / mu_hi: the step to
+mu_hi target / r_hi never undershoots the root.
 """
 
 import logging
@@ -287,20 +291,24 @@ def solve_mozorov(gauge, A, b, delta, maxiter=200):
     """Minimize J(x) subject to ||Ax - b|| <= delta.
 
     Finds the mu at which the Tikhonov residual r(mu) = ||A x(mu) - b||
-    meets delta by a bracketed secant search on (log mu, log r): each step
-    is the secant through the last two Tikhonov solves, aimed at the middle
-    of the band [delta - 1e-6, delta].  The bracket starts at [1e-12,
-    J°(A^T b)]; the solve at 1e-12 only probes feasibility, so while it is
-    still the lower end no step goes more than a factor 10 below the lowest
-    solve with r > delta, and once both ends are real solves a step leaving
-    the bracket is replaced by its geometric midpoint.  Each solve is warm
-    started from the best point so far, and residual monotonicity in mu is
-    asserted on every solve.  The point returned is a solve with r <= delta;
-    status is 'optimal' when r is within 1e-6 of delta and 'maxiter' when
-    ``maxiter`` steps (or a collapsed bracket) end the search first.
-    ``info`` holds mu, the residual, the number of Tikhonov solves and their
-    (mu, r) path in solve order.  delta=0 routes to the equality-constrained
-    primal.
+    meets delta by a bracketed search aimed at the middle of the band,
+    target = delta - 1e-6 / 2.  The bracket starts at [1e-12, J°(A^T b)];
+    the solve at 1e-12 only probes feasibility.  While it is still the lower
+    end, the step goes to mu_hi * target / r_hi, from the lowest solve
+    (mu_hi, r_hi) above the band: r(mu) / mu never rises with mu (see the
+    module docstring), so r >= target there and the step never lands below
+    the band's middle.  From the third solve on, the secant through the
+    last two solves on (log mu, log r) replaces that step when it lies in
+    [mu_hi / 10, step).  These steps are warm started from the point at
+    mu_hi.  Once both ends are real solves, each step is that secant, or
+    the bracket's geometric midpoint when the secant leaves the bracket,
+    warm started from the point at the lower end.  Residual monotonicity in
+    mu is asserted on every solve.  The point returned is a solve with
+    r <= delta; status is 'optimal' when r is within 1e-6 of delta and
+    'maxiter' when ``maxiter`` steps (or a collapsed bracket) end the search
+    first.  ``info`` holds mu, the residual, the number of Tikhonov solves,
+    their (mu, r) path in solve order and their summed FISTA iterations.
+    delta=0 routes to the equality-constrained primal.
     """
     A, b = _shape(A, b)
     if not math.isfinite(delta):
@@ -329,9 +337,12 @@ def solve_mozorov(gauge, A, b, delta, maxiter=200):
         mu_hi = float(np.linalg.norm(A.T @ b)) + 1.0
     mu_lo = MOZOROV_PROBE_MU
     path = []
+    fista_iterations = 0
 
     def residual_at(mu, warm):
+        nonlocal fista_iterations
         sol = solve_tikhonov(gauge, A, b, mu, x_start=warm)
+        fista_iterations += sol.iterations
         r = sol.residuals["data_misfit"]
         for mu2, r2 in path:
             inverted = (mu2 < mu and r2 > r + 1e-6 * max(1.0, r2)) or \
@@ -348,25 +359,31 @@ def solve_mozorov(gauge, A, b, delta, maxiter=200):
         return SolveResult(point=None, value=math.nan, status="infeasible",
                            residuals={"feasibility": r_lo - delta},
                            note="delta below the attainable residual",
-                           info={"tikhonov_solves": len(path), "path": path})
-    residual_at(mu_hi, sol_lo.point)
+                           info={"tikhonov_solves": len(path), "path": path,
+                                 "fista_iterations": fista_iterations})
+    sol_hi, r_hi = residual_at(mu_hi, sol_lo.point)
     target = delta - 0.5 * MOZOROV_BAND
     it = 0
     for it in range(1, maxiter + 1):
         if abs(r_lo - delta) <= MOZOROV_BAND:
             break
-        mu = _log_secant(path[-2], path[-1], target)
-        if mu_lo == MOZOROV_PROBE_MU and not mu_hi / 10 <= mu < mu_hi:
-            # a secant anchored on the probe can land far below the root,
-            # where FISTA crawls along Ker A
-            mu = mu_hi / 10
+        warm = sol_lo.point
+        if mu_lo == MOZOROV_PROBE_MU and r_hi > target:
+            # r(mu) >= mu r_hi / mu_hi below mu_hi: r >= target at this mu
+            mu, warm = mu_hi * target / r_hi, sol_hi.point
+            if len(path) >= 3:
+                secant = _log_secant(path[-2], path[-1], target)
+                if mu_hi / 10 <= secant < mu:
+                    mu = secant
+        else:
+            mu = _log_secant(path[-2], path[-1], target)
         if not mu_lo < mu < mu_hi:
             mu = math.sqrt(mu_lo * mu_hi)
-        sol, r = residual_at(mu, sol_lo.point)
+        sol, r = residual_at(mu, warm)
         if r <= delta:
             mu_lo, sol_lo, r_lo = mu, sol, r
         else:
-            mu_hi = mu
+            mu_hi, sol_hi, r_hi = mu, sol, r
         if mu_hi - mu_lo < 1e-15 * max(1.0, mu_hi):
             break
     discrepancy = abs(r_lo - delta)
@@ -379,7 +396,8 @@ def solve_mozorov(gauge, A, b, delta, maxiter=200):
                        iterations=it,
                        info={"mu": sol_lo.info.get("mu", mu_lo),
                              "residual": r_lo,
-                             "tikhonov_solves": len(path), "path": path})
+                             "tikhonov_solves": len(path), "path": path,
+                             "fista_iterations": fista_iterations})
 
 
 def _log_secant(p, q, target):

@@ -201,6 +201,8 @@ def test_solve_mozorov_json_reports_the_search(tmp_path, capsys):
     assert info["tikhonov_solves"] == len(path) >= 2
     assert path[0][0] == 1e-12  # the feasibility probe comes first
     assert [info["mu"], info["residual"]] in path
+    fista = info["fista_iterations"]
+    assert isinstance(fista, int) and fista > 0
 
 
 def test_solve_tikhonov_needs_data(tmp_path, capsys):

@@ -6,6 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gaugecert.gauges import (
     AnalysisL1Gauge,
@@ -362,13 +364,15 @@ def test_mozorov_validation():
 
 
 def test_mozorov_early_stop_is_maxiter():
-    # one root-finding step cannot reach the band: the best point so far
-    # (the 1e-12 probe) misses delta by nearly all of delta
-    A = np.array([[2.0, 1.0]])
-    res = solve_mozorov(L1Gauge(2), A, A @ [0.5, 0.0] + 0.01, 0.01, maxiter=1)
+    # the soft-threshold path of b = (1, 0.5) gains its second coordinate at
+    # mu = 0.5, between J°(b) = 1 and the root (~0.007), so r(mu)/mu is not
+    # constant there and one root-finding step cannot reach the band: the
+    # best point so far (the 1e-12 probe) misses delta by nearly all of delta
+    A, b = np.eye(2), np.array([1.0, 0.5])
+    res = solve_mozorov(L1Gauge(2), A, b, 0.01, maxiter=1)
     assert res.status == "maxiter"
     assert res.residuals["discrepancy"] > 1e-6
-    res = solve_mozorov(L1Gauge(2), A, A @ [0.5, 0.0] + 0.01, 0.01)
+    res = solve_mozorov(L1Gauge(2), A, b, 0.01)
     assert res.status == "optimal"
     assert res.residuals["discrepancy"] <= 1e-6
 
@@ -413,6 +417,45 @@ def test_mozorov_search_is_short_and_stays_near_the_root():
         mu = res.info["mu"]
         assert (mu, res.info["residual"]) in path, label
         assert all(m >= mu / 10 for m, _ in path[1:]), (label, path)
+
+
+def test_mozorov_line_takes_three_solves():
+    # on a line r(mu)/mu is constant below J°(A^T b), so the first step,
+    # mu_hi * target / r_hi, is the root: the probe, J°(A^T b), the root
+    prob = load_problem(str(NOISY_LINE))
+    cases = [(prob["gauge"], prob["A"], prob["b"], prob["delta"])]
+    cases += [(L1Gauge(2), [[2.0, 1.0]], [1.0], d) for d in (0.05, 0.1, 0.3)]
+    for gauge, A, b, delta in cases:
+        res = solve_mozorov(gauge, A, b, delta)
+        assert res.status == "optimal", delta
+        assert res.info["tikhonov_solves"] == 3, (delta, res.info["path"])
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(kind=st.sampled_from(["l1", "nonneg_l1", "group_l12"]),
+       seed=st.integers(0, 2 ** 32 - 1),
+       delta=st.sampled_from([1e-3, 1e-2, 1e-1]))
+@example(kind="nuclear", seed=0, delta=1e-2)
+def test_tikhonov_residual_is_monotone_in_both_senses(kind, seed, delta):
+    # y(mu) = (b - A x(mu)) / mu projects b / mu onto the convex set
+    # {y : J°(A^T y) <= 1}, which holds 0: so r(mu) never falls and
+    # r(mu) / mu never rises as mu grows
+    cfgs = dict(SEARCH_CFGS, **MATRIX_CFGS)
+    inst = gen_instance(dict(cfgs[kind], kind=kind, delta=delta), seed)
+    gauge, A, b = inst.gauge, inst.A, inst.b0 + inst.omega
+    rng = np.random.default_rng(seed)
+    mus = gauge.polar(A.T @ b) * np.sort(10.0 ** rng.uniform(-3.0, 0.0, 3))
+    rs = [solve_tikhonov(gauge, A, b, mu).residuals["data_misfit"]
+          for mu in mus]
+    for (mu1, r1), (mu2, r2) in zip(zip(mus, rs), zip(mus[1:], rs[1:])):
+        assert r1 <= r2 + 1e-6, (mus, rs)
+        # r(mu1) / mu1 >= r(mu2) / mu2, in units of r
+        assert r1 >= r2 * mu1 / mu2 - 1e-6, (mus, rs)
+    # so the first search step, taken while the probe is the lower end,
+    # never lands below the middle of the band
+    path = solve_mozorov(gauge, A, b, delta).info.get("path", [])
+    if len(path) > 2:
+        assert path[2][1] >= delta - 0.5e-6 - 1e-6, path
 
 
 def test_mozorov_point_is_a_tikhonov_point_on_the_band():
