@@ -43,6 +43,7 @@ from .cones import (CallableFn, ConeSpec, SphereMinResult, cone_trivial,
                     sphere_min)
 from .gauges import (AnalysisL1Gauge, L1Gauge, NonnegL1Gauge, NuclearGauge,
                      SdpTraceGauge, SortedWeightedL1Gauge)
+from .gauges.matrix import _bottom_eig
 
 __all__ = [
     "YES",
@@ -530,8 +531,9 @@ def check_unique(gauge, A, x0, with_alpha=True):
     return rep
 
 
-def _descent_sample(gauge, A, x0, hint, count=400, seed=7):
-    """Search kernel directions for a genuinely flat step J(x0+th) <= J(x0).
+def _descent_sample(gauge, A, x0, hint):
+    """Search kernel directions (400 seeded random ones, +-the basis and
+    the hint) for a genuinely flat step J(x0+th) <= J(x0).
 
     A hit exhibits a second minimizer (x0 being optimal), so it certifies
     non-uniqueness; not finding one proves nothing.  Steps are macroscopic
@@ -548,8 +550,8 @@ def _descent_sample(gauge, A, x0, hint, count=400, seed=7):
     if k == 0:
         return None
     v0 = gauge.value(x0)
-    rng = np.random.default_rng(seed)
-    T = rng.standard_normal((count, k))
+    rng = np.random.default_rng(7)
+    T = rng.standard_normal((400, k))
     T /= np.linalg.norm(T, axis=1, keepdims=True)
     T = np.vstack([T, np.eye(k), -np.eye(k)])
     H = T @ K.T
@@ -760,12 +762,14 @@ def sdp_trace_check(Phi, C, X0):
     Probes symmetric kernel directions H of Phi: sharp iff no unit H keeps
     E^T H E positive semidefinite (E spanning Ker X0) while <C, H> stays
     nonpositive.  The probe max(-lambda_min(E^T H E), <C, H>) needs no cone,
-    so it is certified for kernel dimension <= 3 via the angular grid.
+    so it is certified for kernel dimension <= 3 via the angular grid; it
+    reads the blocks and their bottom eigenpairs as the gauge's own oracles
+    do.
     """
     gauge = SdpTraceGauge(C)
     geom = _Geometry(gauge, Phi, np.asarray(X0, dtype=float).ravel())  # validates PSD
     rep = CertificateReport()
-    nm, S, E, K = gauge.nmat, geom.S, geom.face.E, geom.K
+    x0, S, E, K = geom.x0, geom.S, geom.face.E, geom.K
     if K.shape[1] == 0:
         rep.is_sharp = rep.is_unique = YES
         rep.conditions_checked.append(("kernel-probe", YES, True))
@@ -773,26 +777,23 @@ def sdp_trace_check(Phi, C, X0):
         return rep
     Cs = S.T @ gauge.C.ravel()
 
-    def blocks(T):
-        T = np.atleast_2d(np.asarray(T, dtype=float))
-        H = (T @ S.T).reshape(T.shape[0], nm, nm)
-        return np.einsum("ae,kab,bf->kef", E, H, E)
-
     def phi_batch(T):
-        lin = np.atleast_2d(T) @ Cs
+        T = np.atleast_2d(np.asarray(T, dtype=float))
+        lin = T @ Cs
         if not E.shape[1]:
             return lin
-        return np.maximum(-np.linalg.eigvalsh(blocks(T))[:, 0], lin)
+        lam = _bottom_eig(gauge._kernel_blocks(x0, T @ S.T))[0]
+        return np.maximum(-lam, lin)
 
     def phi_sg(T):
         T = np.atleast_2d(np.asarray(T, dtype=float))
         G = np.tile(Cs, (T.shape[0], 1))
         if E.shape[1]:
-            w, V = np.linalg.eigh(blocks(T))
-            low = T @ Cs < -w[:, 0]
-            v = V[low, :, 0] @ E.T
-            vv = (v[:, :, None] * v[:, None, :]).reshape(v.shape[0], nm * nm)
-            G[low] = -vv @ S
+            lam, _, v = _bottom_eig(gauge._kernel_blocks(x0, T @ S.T),
+                                    vectors=True)
+            low = T @ Cs < -lam
+            v = v[low] @ E.T
+            G[low] = -(v[:, :, None] * v[:, None, :]).reshape(len(v), -1) @ S
         return G
 
     phi = CallableFn(phi_batch, phi_sg)

@@ -58,7 +58,7 @@ from .certificates import (
     wsl1_check,
 )
 from .cones import EnumerationCapExceeded, LpFailure, nsp_constant
-from .gauges import KINDS, VertexCapExceeded, from_spec
+from .gauges import KINDS, from_spec
 from .gauges.base import spec_array
 from .recovery import (ProblemInstance, RecoveryReport, noise_draw,
                        rows_to_csv, run_recovery)
@@ -665,7 +665,7 @@ def main(argv=None):
     except FileNotFoundError as exc:
         print(f"error: cannot read {exc.filename}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (EnumerationCapExceeded, VertexCapExceeded, LpFailure,
+    except (EnumerationCapExceeded, LpFailure,
             InternalDisagreementError, ResidualMonotonicityError, ValueError,
             NotImplementedError) as exc:
         print(f"error: {exc}", file=sys.stderr)

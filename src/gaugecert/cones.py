@@ -258,20 +258,18 @@ def lp_solve(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None,
                     kkt_residual=kkt, eq_marginals=eq_m.copy())
 
 
-def kernel_basis(A, rtol=None):
+def kernel_basis(A):
     """Orthonormal basis of Ker A as columns, shape (n, k).
 
-    Rank is decided by singular values above ``rtol * sigma_max``
-    (default 1e-10).  A zero or empty matrix yields the identity.
+    Rank is decided by singular values above ``RANK_TOL * sigma_max``.  A
+    zero or empty matrix yields the identity.
     """
-    if rtol is None:
-        rtol = config.RANK_TOL
     A = np.atleast_2d(np.asarray(A, dtype=float))
     m, n = A.shape
     if m == 0 or not np.any(A):
         return np.eye(n)
     _, s, vt = np.linalg.svd(A)
-    rank = int(np.sum(s > rtol * s[0]))
+    rank = int(np.sum(s > config.RANK_TOL * s[0]))
     K = vt[rank:].T
     if K.size:
         resid = float(np.max(np.abs(A @ K)))
@@ -280,15 +278,14 @@ def kernel_basis(A, rtol=None):
     return K
 
 
-def range_basis(A, rtol=None):
-    """Orthonormal basis of Im A as columns of an (m, r) array."""
-    if rtol is None:
-        rtol = config.RANK_TOL
+def range_basis(A):
+    """Orthonormal basis of Im A as columns of an (m, r) array (rank as in
+    ``kernel_basis``)."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     if not np.any(A):
         return np.zeros((A.shape[0], 0))
     u, s, _ = np.linalg.svd(A, full_matrices=False)
-    rank = int(np.sum(s > rtol * s[0]))
+    rank = int(np.sum(s > config.RANK_TOL * s[0]))
     return u[:, :rank]
 
 
@@ -952,19 +949,20 @@ def _angular_grid(f, K, cone):
     return _finish(f, h, "angular-grid", certified, evals, note)
 
 
-def _angular_zoom(f, K, cone, h, width, sweeps=3):
+def _angular_zoom(f, K, cone, h, width):
     """Local refinement of a feasible grid minimizer.
 
     Scans great circles through the incumbent along an orthonormal tangent
-    frame, shrinking the angular window geometrically; infeasible samples are
-    masked out, so the incumbent only ever moves to feasible improvements.
-    Brings kinked (V-shaped) minima from grid accuracy down to ~1e-12.
+    frame in three sweeps, shrinking the angular window geometrically;
+    infeasible samples are masked out, so the incumbent only ever moves to
+    feasible improvements.  Brings kinked (V-shaped) minima from grid
+    accuracy down to ~1e-12.
     """
     t = K.T @ h
     t /= np.linalg.norm(t)
     v = float(f.value(K @ t))
     evals = 1
-    for _ in range(sweeps):
+    for _ in range(3):
         for _j in range(max(1, t.size - 1)):
             B = kernel_basis(t[None, :])
             if B.shape[1] == 0:

@@ -19,15 +19,15 @@ A new kind subclasses ``Gauge`` (and ``SubdiffFace``), registers itself in
   ``spec_n`` translating an ambient dimension into that ``n``, and
   ``draw_x0`` for seeded recovery trials;
 * evaluation -- ``value_batch``, ``prox``, ``polar``, ``lipschitz``;
-* first-order geometry -- ``dir_deriv_batch`` (J'(x0; .) at each row of a
-  stack of directions), one subgradient of it per row through
-  ``dir_subgrad_batch`` or ``dir_deriv_subgrad_batch`` (the values and the
-  subgradients from one pass; each of the two defaults to the other, so a
-  kind writes one), ``face``, and ``descent_pieces`` / ``descent_lift``
-  where the kind is polyhedral (``descent_lift`` also where J'(x0; .) is
-  polyhedral at the given x0, and ``descent_soc`` where it is one
-  second-order constraint); a kind whose oracles start from a
-  factorization of x0 computes it once per x0 with ``per_x0``;
+* first-order geometry -- ``face``, and a ``descent_form`` (J'(x0; .) as a
+  sum of linear, l1 and l2 blocks of h @ M: the decomposable norms), from
+  which ``dir_deriv_batch``, ``dir_deriv_subgrad_batch``, ``descent_lift``,
+  ``descent_soc`` and ``descent_pieces`` are read here; or else the kind's
+  own ``dir_deriv_batch``, one subgradient per row through
+  ``dir_subgrad_batch`` or ``dir_deriv_subgrad_batch`` (each defaults to
+  the other, so a kind writes one), and ``descent_pieces`` /
+  ``descent_lift`` / ``descent_soc`` where they apply; a kind whose oracles
+  start from a factorization of x0 computes it once per x0 with ``per_x0``;
 * conic kinds also give ``domain_tangent_cone``, ``domain_residual``,
   ``finite_dir_deriv_batch`` (J' without the domain's +inf) and their own
   ``critical_cone``;
@@ -50,20 +50,22 @@ A new kind subclasses ``Gauge`` (and ``SubdiffFace``), registers itself in
 """
 
 import functools
+import itertools
 import math
 import numbers
 
 import numpy as np
 
-from ..cones import affine_solve, subgradient_min
+from .. import config
+from ..cones import EnumerationCapExceeded, affine_solve, subgradient_min
 
 __all__ = ["Gauge", "SubdiffFace", "VertexCapExceeded", "spec_int",
            "spec_array", "construct", "sparse_draw", "per_x0",
-           "point_certificate", "abs_lift"]
+           "point_certificate"]
 
-
-class VertexCapExceeded(RuntimeError):
-    """Raised when a face/piece enumeration would exceed the configured cap."""
+#: a face or piece enumeration past its cap: the one cap exception of
+#: ``cones``, under the name the gauge layer has always raised
+VertexCapExceeded = EnumerationCapExceeded
 
 
 def spec_int(spec, name):
@@ -119,12 +121,31 @@ def per_x0(method):
     return cached
 
 
-def abs_lift(g, P):
-    """``descent_lift`` of J'(x0; h) = <g, h> + sum_j |<P_j, h>| (P_j the
-    rows of P): <g, h> + sum(u) <= 0, and +-<P_j, h> <= u_j."""
-    k = P.shape[0]
-    return (np.vstack([g, np.kron(P, [[1.0], [-1.0]])]),
-            np.vstack([np.ones(k), np.kron(np.eye(k), [[-1.0], [-1.0]])]))
+def _form_terms(form, H, subgrad):
+    """J'(x0; h) at each row of H from a ``descent_form``, and with
+    ``subgrad`` one subgradient row of it (else None)."""
+    M, blocks = form
+    H = np.atleast_2d(np.asarray(H, dtype=float))
+    g = H if M is None else H @ M
+    total = np.zeros(len(g))
+    U = np.zeros_like(g) if subgrad else None
+    for kind, cols, s in blocks:
+        gc = g[:, cols]
+        if kind == "lin":
+            total += gc @ s
+            if subgrad:
+                U[:, cols] = s
+        elif kind == "abs":
+            total += np.abs(gc).sum(axis=1)
+            if subgrad:
+                U[:, cols] = np.where(gc >= 0.0, 1.0, -1.0)
+        else:
+            nh = np.linalg.norm(gc, axis=1, keepdims=True)
+            total += nh[:, 0]
+            if subgrad:
+                U[:, cols] = np.divide(gc, nh, where=nh > 1e-15,
+                                       out=np.zeros_like(gc))
+    return total, U if not subgrad or M is None else U @ M.T
 
 
 def point_certificate(C, target, tol=None):
@@ -270,13 +291,26 @@ class Gauge:
         """J'(x0; h): row 0 of ``dir_deriv_batch``."""
         return float(self.dir_deriv_batch(x0, self.flat(h)[None, :])[0])
 
+    def descent_form(self, x0):
+        """``(M, blocks)`` that writes J'(x0; .) as a sum of block terms, or
+        None where the kind gives its own oracles.  With g = h @ M (g = h
+        when M is None), J'(x0; h) is the sum, in block order, of each
+        block's term on the columns ``cols`` of g: ``g[cols] @ s`` for a
+        ``("lin", cols, s)`` block, sum |g[cols]| for ``("abs", cols,
+        None)`` and ||g[cols]|| for ``("l2", cols, None)``."""
+        return None
+
     def dir_deriv_batch(self, x0, H):
-        """One-sided directional derivative J'(x0; h) at each row h of H.
+        """One-sided directional derivative J'(x0; h) at each row h of H
+        (by default from ``descent_form``).
 
         Conic kinds return +inf where h leaves the tangent cone of the
         domain at x0.
         """
-        raise NotImplementedError
+        form = self.descent_form(x0)
+        if form is None:
+            raise NotImplementedError
+        return _form_terms(form, H, subgrad=False)[0]
 
     def finite_dir_deriv_batch(self, x0, H):
         """The finite part of J'(x0; .) at each row of H: J' itself for the
@@ -292,33 +326,84 @@ class Gauge:
 
     def dir_deriv_subgrad_batch(self, x0, H):
         """``(values, subgradients)``: J'(x0; h) and one subgradient row of
-        it for each row h of H.  By default the two oracles above; a kind
-        that gets both from one pass overrides this, and its
-        ``dir_subgrad_batch`` then reads the rows from here."""
-        return self.dir_deriv_batch(x0, H), self.dir_subgrad_batch(x0, H)
+        it for each row h of H, from one pass over ``descent_form`` (else
+        the two oracles above, unless the kind overrides this with a pass
+        of its own)."""
+        form = self.descent_form(x0)
+        if form is None:
+            return self.dir_deriv_batch(x0, H), self.dir_subgrad_batch(x0, H)
+        return _form_terms(form, H, subgrad=True)
 
     def face(self, x0):
         """Subdifferential face model at x0 (J(x0) must be finite)."""
         raise NotImplementedError
+
+    def _form_rows(self, x0):
+        """The linear part b of ``descent_form`` (J'(x0; h) = <b, h> + its
+        norm terms) and its norm blocks as ``(kind, W)``, W the rows that
+        map h to the block; None without a form."""
+        form = self.descent_form(x0)
+        if form is None:
+            return None
+        M, blocks = form
+        M = np.eye(self.n) if M is None else M
+        b, norms = np.zeros(self.n), []
+        for kind, cols, s in blocks:
+            if kind == "lin":
+                b += M[:, cols] @ s
+            else:
+                norms.append((kind, M[:, cols].T))
+        return b, norms
+
+    def _abs_rows(self, x0):
+        """``(b, P)`` with J'(x0; h) = <b, h> + sum_j |<P_j, h>|, from a
+        form whose l2 blocks are at most one column wide; else None."""
+        rows = self._form_rows(x0)
+        if rows is None or any(k == "l2" and len(W) > 1 for k, W in rows[1]):
+            return None
+        return rows[0], np.vstack([np.zeros((0, self.n))]
+                                  + [W for _, W in rows[1]])
 
     def descent_pieces(self, x0):
         """Rows z_i with J'(x0; h) = max_i <z_i, h>, or None.
 
         Only finite polyhedral kinds can supply this (it is the vertex list
         of ∂J(x0)); the exact piecewise-linear sphere engine consumes it.
-        Raises VertexCapExceeded past the configured cap.
+        By default the sign vertices b + sum_j (+-P_j) of ``_abs_rows``, in
+        product order.  Raises VertexCapExceeded past the configured cap.
         """
-        return None
+        rows = self._abs_rows(x0) if self.is_polyhedral else None
+        if rows is None:
+            return None
+        b, P = rows
+        if 2 ** len(P) > config.VERTEX_CAP:
+            raise VertexCapExceeded(f"2^{len(P)} sign vertices exceed cap")
+        return b + np.array(list(itertools.product((1.0, -1.0),
+                                                   repeat=len(P)))) @ P
 
     def descent_lift(self, x0):
         """``(G_h, G_u)`` with {h : J'(x0; h) <= 0} = {h : exists u,
-        G_h h + G_u u <= 0}, or None where that cone is not polyhedral."""
-        return None
+        G_h h + G_u u <= 0}, or None where that cone is not polyhedral.  By
+        default, from ``_abs_rows``: <b, h> + sum(u) <= 0, +-<P_j, h> <= u_j.
+        """
+        rows = self._abs_rows(x0)
+        if rows is None:
+            return None
+        b, P = rows
+        return (np.vstack([b, np.kron(P, [[1.0], [-1.0]])]),
+                np.vstack([np.ones(len(P)),
+                           np.kron(np.eye(len(P)), [[-1.0], [-1.0]])]))
 
     def descent_soc(self, x0):
         """``(b, W)`` with {h : J'(x0; h) <= 0} = {h : <b, h> + ||W h|| <=
-        0}, one second-order constraint, or None where it is not one."""
-        return None
+        0}, one second-order constraint, or None where it is not one.  By
+        default, a ``descent_form`` whose one norm block is an l2 block of
+        two or more columns."""
+        rows = self._form_rows(x0)
+        if rows is None or len(rows[1]) != 1:
+            return None
+        (kind, W), = rows[1]
+        return (rows[0], W) if kind == "l2" and len(W) > 1 else None
 
     def critical_cone(self, x0):
         """ConeSpec for {h : J'(x0; h) <= 0}.

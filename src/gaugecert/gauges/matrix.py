@@ -15,8 +15,8 @@ import scipy.linalg
 
 from .. import config
 from ..cones import ConeSpec, affine_solve, matrix_rank, subgradient_min
-from .base import (Gauge, SubdiffFace, abs_lift, construct, per_x0,
-                   spec_array, spec_int)
+from .base import (Gauge, SubdiffFace, construct, per_x0, spec_array,
+                   spec_int)
 
 __all__ = ["NuclearGauge", "SdpTraceGauge", "sym_basis"]
 
@@ -27,19 +27,12 @@ def sym_basis(n):
     Returns an (n*n, n*(n+1)/2) array whose columns are vec(E_ii) and
     vec((E_ij + E_ji)/sqrt(2)) for i < j.
     """
-    cols = []
-    for i in range(n):
-        E = np.zeros((n, n))
-        E[i, i] = 1.0
-        cols.append(E.ravel())
-    s = 1.0 / math.sqrt(2.0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            E = np.zeros((n, n))
-            E[i, j] = s
-            E[j, i] = s
-            cols.append(E.ravel())
-    return np.array(cols).T
+    B = np.zeros((n * n, n * (n + 1) // 2))
+    i, j = np.triu_indices(n, 1)
+    cols = np.arange(n, B.shape[1])
+    B[np.arange(n) * (n + 1), np.arange(n)] = 1.0
+    B[i * n + j, cols] = B[j * n + i, cols] = 1.0 / math.sqrt(2.0)
+    return B
 
 
 def _sym_mat(v, n):
@@ -283,22 +276,16 @@ class NuclearGauge(Gauge):
     def face(self, x0):
         return NuclearFace(*self._blocks(x0))
 
-    def descent_lift(self, x0):
-        """A tail of at most one entry, U2^T h V2 = <vec(U2 V2^T), h>: the
-        l1 lift of <U1 V1^T, h> + |<vec(U2 V2^T), h>|."""
-        base, K = self._bases(x0)
-        if K.shape[1] > 1:
-            return None
-        return abs_lift(base.ravel(), K.T)
-
-    def descent_soc(self, x0):
-        """A tail with a side of 1 and more than one entry, whose nuclear
-        norm is its Euclidean norm: b = vec(U1 V1^T), W = kron(U2, V2)^T."""
+    def descent_form(self, x0):
+        """<U1 V1^T, h> + ||h @ kron(U2, V2)|| for a tail with a side of at
+        most 1 (its nuclear norm is its Euclidean norm); larger tails have
+        none, and the SVD oracles here serve every tail."""
         _, _, U2, V2 = self._blocks(x0)
-        base, K = self._bases(x0)
-        if K.shape[1] < 2 or min(U2.shape[1], V2.shape[1]) != 1:
+        if min(U2.shape[1], V2.shape[1]) > 1:
             return None
-        return base.ravel(), K.T
+        base, K = self._bases(x0)
+        return np.hstack([base.reshape(-1, 1), K]), [
+            ("lin", [0], np.ones(1)), ("l2", np.arange(1, K.shape[1] + 1), None)]
 
     def dir_deriv_subgrad_batch(self, x0, H):
         """J'(x0; .) and its subgradients from one pass over the tails: the
@@ -363,24 +350,12 @@ class SdpFace(SubdiffFace):
     note = ("kernel-block eigenvalue minimized by subgradient descent "
             "(heuristic search)")
 
-    def __init__(self, C, E, U):
-        self.C = C
-        self.E = E
-        self.U = U
-        n = C.shape[0]
-        self.nmat = n
-        d = E.shape[1]
+    def __init__(self, C, E, U, kron_E):
+        self.C, self.E, self.U, self.kron_E = C, E, U, kron_E
+        self.nmat = C.shape[0]
         self.base = (C - E @ E.T).ravel()
-        cols = []
-        for i in range(d):
-            M = np.outer(E[:, i], E[:, i])
-            cols.append(M.ravel())
-        s = 1.0 / math.sqrt(2.0)
-        for i in range(d):
-            for j in range(i + 1, d):
-                M = s * (np.outer(E[:, i], E[:, j]) + np.outer(E[:, j], E[:, i]))
-                cols.append(M.ravel())
-        self.tangent = np.array(cols).T if cols else np.zeros((n * n, 0))
+        # vec(E M E^T) = kron(E, E) vec(M) for row-major vec
+        self.tangent = kron_E @ sym_basis(E.shape[1])
 
     def _block(self, z):
         Z = _sym_mat(z, self.nmat)
@@ -399,16 +374,9 @@ class SdpFace(SubdiffFace):
 
     def sample(self, rng, count):
         d = self.E.shape[1]
-        n = self.nmat
-        out = np.empty((count, n * n))
-        for i in range(count):
-            if d:
-                G = rng.standard_normal((d, d))
-                M = -(G @ G.T) / d
-                out[i] = (self.C + self.E @ M @ self.E.T).ravel()
-            else:
-                out[i] = self.C.ravel()
-        return out
+        G = rng.standard_normal((count, d, d))
+        M = -(G @ np.swapaxes(G, 1, 2)) / max(d, 1)
+        return self.C.ravel() + M.reshape(count, d * d) @ self.kron_E.T
 
     def affine_part(self, A):
         """<A^T y, M> = <C, M> for the symmetric M on the U x U and U x E
@@ -584,7 +552,7 @@ class SdpTraceGauge(Gauge):
     def face(self, x0):
         w, V = np.linalg.eigh(self._mat(x0))
         U = V[:, w > config.RANK_TOL * max(1.0, w.max(initial=0.0))]
-        return SdpFace(self.C, self._kernel(x0), U)
+        return SdpFace(self.C, self._kernel(x0), U, self._kernel_basis(x0))
 
     def _psd_violation(self, x0, H):
         """max(0, -lambda_min(E^T H E)) and one subgradient row of it for
@@ -616,11 +584,10 @@ class SdpTraceGauge(Gauge):
 
     def descent_lift(self, x0):
         """A kernel E of side at most 1: the rows <C, h> <= 0 and
-        -e^T h e <= 0 (e the column of E)."""
-        E = self._kernel(x0)
-        if E.shape[1] > 1:
+        -e^T h e <= 0 (e the column of E, e^T h e = h @ kron(e, e))."""
+        if self._kernel(x0).shape[1] > 1:
             return None
-        G = np.vstack([self.C.ravel()] + [-np.outer(e, e).ravel() for e in E.T])
+        G = np.vstack([self.C.ravel(), -self._kernel_basis(x0).T])
         return G, np.zeros((len(G), 0))
 
     def critical_cone(self, x0):

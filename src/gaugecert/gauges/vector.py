@@ -23,9 +23,8 @@ from scipy.linalg import block_diag
 
 from .. import config
 from ..cones import ConeSpec, lp_solve, range_basis
-from .base import (Gauge, SubdiffFace, VertexCapExceeded, abs_lift,
-                   construct, point_certificate, sparse_draw, spec_array,
-                   spec_int)
+from .base import (Gauge, SubdiffFace, VertexCapExceeded, construct,
+                   point_certificate, sparse_draw, spec_array, spec_int)
 
 __all__ = [
     "L1Gauge",
@@ -42,14 +41,12 @@ def _support(x):
     return np.abs(x) > _SUPP_TOL * max(1.0, float(np.max(np.abs(x), initial=0.0)))
 
 
-def _sign_vertices(g, P):
-    """The vertices g + sum_j s_j P_j (s in {1, -1}^k, in product order) of
-    the face whose support function is that J'(x0; .); VertexCapExceeded
-    past the cap."""
-    k = P.shape[0]
-    if 2 ** k > config.VERTEX_CAP:
-        raise VertexCapExceeded(f"2^{k} sign vertices exceed cap")
-    return g + np.array(list(itertools.product((1.0, -1.0), repeat=k))) @ P
+def _l1_form(M, g0):
+    """``descent_form`` of J'(x0; h) = <sign(g0_I), g_I> + ||g_{I^c}||_1 at
+    g = h @ M (h when M is None), I the support of g0 = x0 @ M."""
+    on = _support(g0)
+    return M, [("lin", np.flatnonzero(on), np.sign(g0[on])),
+               ("abs", np.flatnonzero(~on), None)]
 
 
 def _min_abs_bound(F, P, rhs):
@@ -73,10 +70,8 @@ class OrthantFace(SubdiffFace):
     for l1 (``two_sided``), {z : z_I = 1, z_off <= 1} for nonneg_l1."""
 
     def __init__(self, x0, two_sided):
-        x0 = np.asarray(x0, dtype=float)
-        on = _support(x0)
-        self.support, self.off = np.where(on)[0], np.where(~on)[0]
-        self.signs = np.sign(x0[self.support])
+        # the support and its signs as the l1 descent form splits them
+        (_, self.support, self.signs), (_, self.off, _) = _l1_form(None, x0)[1]
         self.two_sided = two_sided
         self.base = np.zeros(x0.size)
         self.base[self.support] = self.signs
@@ -150,28 +145,11 @@ class L1Gauge(Gauge):
     def polar(self, z):
         return float(np.max(np.abs(self.flat(z)), initial=0.0))
 
-    def dir_deriv_batch(self, x0, H):
-        x0 = self.flat(x0)
-        H = np.atleast_2d(np.asarray(H, dtype=float))
-        on = _support(x0)
-        return H[:, on] @ np.sign(x0[on]) + np.abs(H[:, ~on]).sum(axis=1)
-
-    def dir_subgrad_batch(self, x0, H):
-        x0 = self.flat(x0)
-        H = np.atleast_2d(np.asarray(H, dtype=float))
-        on = _support(x0)
-        return np.where(on, np.sign(x0), np.where(H >= 0.0, 1.0, -1.0))
+    def descent_form(self, x0):
+        return _l1_form(None, self.flat(x0))
 
     def face(self, x0):
         return OrthantFace(self.flat(x0), two_sided=True)
-
-    def descent_pieces(self, x0):
-        face = self.face(x0)
-        return _sign_vertices(face.base, np.eye(self.n)[face.off])
-
-    def descent_lift(self, x0):
-        face = self.face(x0)
-        return abs_lift(face.base, np.eye(self.n)[face.off])
 
     def lipschitz(self):
         return math.sqrt(self.n)
@@ -203,13 +181,9 @@ class AnalysisL1Face(SubdiffFace):
     """
 
     def __init__(self, D, x0):
-        D = np.asarray(D, dtype=float)
-        x0 = np.asarray(x0, dtype=float)
-        g = D.T @ x0
         self.D = D
-        self.active = np.where(_support(g))[0]
-        self.inactive = np.where(~_support(g))[0]
-        self.signs = np.sign(g[self.active])
+        (_, self.active, self.signs), (_, self.inactive, _) = \
+            _l1_form(D, D.T @ x0)[1]
         self.base = D[:, self.active] @ self.signs
         self.tangent = range_basis(D[:, self.inactive]) if self.inactive.size \
             else np.zeros((D.shape[0], 0))
@@ -307,31 +281,17 @@ class AnalysisL1Gauge(Gauge):
             return math.inf
         return max(0.0, float(res.value))
 
-    def dir_deriv_batch(self, x0, H):
-        g0 = self.D.T @ self.flat(x0)
-        G = np.atleast_2d(H) @ self.D
-        on = _support(g0)
-        return G[:, on] @ np.sign(g0[on]) + np.abs(G[:, ~on]).sum(axis=1)
-
-    def dir_subgrad_batch(self, x0, H):
-        g0 = self.D.T @ self.flat(x0)
-        G = np.atleast_2d(H) @ self.D
-        on = _support(g0)
-        U = np.where(on, np.sign(g0), np.where(G >= 0.0, 1.0, -1.0))
-        return U @ self.D.T
+    def descent_form(self, x0):
+        """As for l1, on the dictionary coefficients h @ D."""
+        return _l1_form(self.D, self.D.T @ self.flat(x0))
 
     def face(self, x0):
         return AnalysisL1Face(self.D, self.flat(x0))
 
-    # as for l1, on the dictionary coefficients D^T h
     def descent_pieces(self, x0):
-        face = self.face(x0)
-        Z = _sign_vertices(face.base, self.D[:, face.inactive].T)
-        return np.unique(np.round(Z, 12), axis=0)
-
-    def descent_lift(self, x0):
-        face = self.face(x0)
-        return abs_lift(face.base, self.D[:, face.inactive].T)
+        """The sign vertices of the form, rounded and deduplicated: columns
+        of D can repeat or cancel."""
+        return np.unique(np.round(super().descent_pieces(x0), 12), axis=0)
 
     def lipschitz(self):
         return math.sqrt(self.D.shape[1]) * float(np.linalg.norm(self.D, 2))
@@ -691,22 +651,15 @@ class GroupFace(SubdiffFace):
 
     note = "off-block norm minimized by subgradient descent (heuristic search)"
 
-    def __init__(self, groups, x0):
-        x0 = np.asarray(x0, dtype=float)
+    def __init__(self, groups, blocks, n):
+        """``blocks``: the gauge's ``descent_form`` blocks, one per group."""
         self.groups = groups
-        self.sup = []
-        self.zero = []
-        base = np.zeros(x0.size)
-        for gi, idx in enumerate(groups):
-            blk = x0[idx]
-            nb = np.linalg.norm(blk)
-            if nb > _SUPP_TOL * max(1.0, np.max(np.abs(x0))):
-                self.sup.append(gi)
-                base[idx] = blk / nb
-            else:
-                self.zero.append(gi)
-        self.base = base
-        self.tangent = np.eye(x0.size)[:, self._coords(self.zero)]
+        self.sup = [gi for gi, blk in enumerate(blocks) if blk[0] == "lin"]
+        self.zero = [gi for gi, blk in enumerate(blocks) if blk[0] == "l2"]
+        self.base = np.zeros(n)
+        for gi in self.sup:
+            self.base[groups[gi]] = blocks[gi][2]
+        self.tangent = np.eye(n)[:, self._coords(self.zero)]
 
     def _coords(self, gis):
         """The coordinates of the groups ``gis``, in group order."""
@@ -808,67 +761,20 @@ class GroupL12Gauge(Gauge):
     def polar(self, z):
         return float(np.max(self._block_norms(self.flat(z)), initial=0.0))
 
-    def _units(self, x0):
-        """Each group with the unit vector x0_g / ||x0_g|| on the support,
-        None on the zero groups."""
+    def descent_form(self, x0):
+        """One block per group: <x0_g / ||x0_g||, h_g> on a support group,
+        ||h_g|| on a zero group."""
         x0 = self.flat(x0)
         scale = max(1.0, np.max(np.abs(x0), initial=0.0))
+        blocks = []
         for idx in self.groups:
             nb = np.linalg.norm(x0[idx])
-            yield idx, x0[idx] / nb if nb > _SUPP_TOL * scale else None
-
-    def dir_deriv_batch(self, x0, H):
-        H = np.atleast_2d(np.asarray(H, dtype=float))
-        total = np.zeros(H.shape[0])
-        for idx, unit in self._units(x0):
-            if unit is not None:
-                total += H[:, idx] @ unit
-            else:
-                total += np.linalg.norm(H[:, idx], axis=1)
-        return total
+            blocks.append(("lin", idx, x0[idx] / nb) if nb > _SUPP_TOL * scale
+                          else ("l2", idx, None))
+        return None, blocks
 
     def face(self, x0):
-        return GroupFace(self.groups, self.flat(x0))
-
-    def _descent_parts(self, x0):
-        """J'(x0; h) = <b, h> + the sum of ||h_g|| over the zero groups g:
-        b (x0_g / ||x0_g|| on the support groups) and the zero groups."""
-        b, zero = np.zeros(self.n), []
-        for idx, unit in self._units(x0):
-            if unit is None:
-                zero.append(idx)
-            else:
-                b[idx] = unit
-        return b, zero
-
-    def descent_lift(self, x0):
-        """The l1 lift when every zero group is a single coordinate."""
-        b, zero = self._descent_parts(x0)
-        if any(idx.size > 1 for idx in zero):
-            return None
-        return abs_lift(b, np.eye(self.n)[np.concatenate(zero + [np.zeros(0, int)])])
-
-    def descent_soc(self, x0):
-        """One zero group of two or more coordinates, and no other."""
-        b, zero = self._descent_parts(x0)
-        if len(zero) != 1 or zero[0].size < 2:
-            return None
-        return b, np.eye(self.n)[zero[0]]
-
-    def dir_deriv_subgrad_batch(self, x0, H):
-        """J'(x0; .) and its subgradients in one pass over the groups."""
-        H = np.atleast_2d(np.asarray(H, dtype=float))
-        total, G = np.zeros(H.shape[0]), np.zeros_like(H)
-        for idx, unit in self._units(x0):
-            if unit is not None:
-                total += H[:, idx] @ unit
-                G[:, idx] = unit
-            else:
-                nh = np.linalg.norm(H[:, idx], axis=1, keepdims=True)
-                total += nh[:, 0]
-                G[:, idx] = np.divide(H[:, idx], nh, where=nh > 1e-15,
-                                      out=np.zeros((H.shape[0], idx.size)))
-        return total, G
+        return GroupFace(self.groups, self.descent_form(x0)[1], self.n)
 
     def lipschitz(self):
         return math.sqrt(len(self.groups))

@@ -357,6 +357,63 @@ def test_exact_engine_survives_a_degenerate_hull():
     assert rep.kappa == pytest.approx(0.2115853, abs=1e-6)
 
 
+def test_exact_engine_zero_minimum_inside_the_hull(monkeypatch):
+    # at x0 = e1 the l1 pieces, restricted to Ker [1, 1, 0], hold 0 in
+    # their hull: the exact engine answers 0 from its recession-cone
+    # witness, without the minimum-norm point
+    from gaugecert import cones
+
+    def no_min_norm_point(*args, **kwargs):
+        raise AssertionError("min_norm_point called")
+
+    monkeypatch.setattr(cones, "min_norm_point", no_min_norm_point)
+    rep = check_sharp(L1Gauge(3), np.array([[1.0, 1.0, 0.0]]),
+                      np.array([1.0, 0.0, 0.0]))
+    assert rep.is_sharp == NO and rep.kappa_certified
+    assert "kappa engine: exact-pl" in rep.notes
+    assert abs(rep.kappa) <= 1e-15
+    assert np.allclose(rep.witness, np.array([-1.0, 1.0, 0.0]) / np.sqrt(2.0),
+                       atol=1e-12)
+
+
+def test_sdp_probe_subgradient_on_a_large_kernel(monkeypatch):
+    # a 4-dimensional symmetric kernel takes the multistart probe, the one
+    # path that reads the probe's subgradient: each row is a subgradient of
+    # max(-lambda_min(E^T H E), <C, H>), which matches its formula
+    import gaugecert.certificates as certificates
+
+    rng = np.random.default_rng(3)
+    gauge = SdpTraceGauge(np.eye(3))
+    x0 = gauge.draw_x0(rng)
+    Phi = rng.standard_normal((2, 9))
+    probes = []
+
+    original = certificates.sphere_min
+
+    def spy(f, K, *args, **kwargs):
+        probes.append((f, K))
+        return original(f, K, *args, **kwargs)
+
+    monkeypatch.setattr(certificates, "sphere_min", spy)
+    rep = sdp_trace_check(Phi, np.eye(3), x0.reshape(3, 3))
+    assert rep.conditions_checked == [("kernel-probe", NO, False)]
+    assert "(multistart-subgradient)" in rep.notes[0]
+    (f, K), = probes
+    assert K.shape == (6, 4)
+    S, E = gauge.coordinate_basis(), gauge._kernel(x0)
+    T = rng.standard_normal((40, 4)) @ K.T
+    vals, G = f.value_batch(T), f.subgrad_batch(T)
+    H = (T @ S.T).reshape(-1, 3, 3)
+    low = -np.linalg.eigvalsh(E.T @ H @ E)[:, 0]
+    assert np.allclose(vals, np.maximum(low, np.trace(H, axis1=1, axis2=2)),
+                       rtol=0.0, atol=1e-12)
+    assert np.any(low > np.trace(H, axis1=1, axis2=2))
+    for _ in range(4):
+        D = 1e-3 * rng.standard_normal(T.shape)
+        gain = f.value_batch(T + D) - vals - np.sum(G * D, axis=1)
+        assert gain.min() >= -1e-12
+
+
 def _nonneg_draw_115():
     """The 3 x 6 nonneg_l1 draw on which the kernel probe's thin-section
     branch certifies a grid point off the domain cone (kappa -0.0026); the

@@ -784,6 +784,21 @@ def _probe_case(kind):
     return g, rng.standard_normal((5, g.n)), x0
 
 
+def test_multistart_on_a_ray_falls_back_to_the_cone_witness():
+    # no random start lands on the ray {h1 >= 0, h2 = h3 = h4 = 0} and the
+    # cone has no anchor to polish toward: the polyhedral fallback returns
+    # the cone LP's witness e1 with its value ||A e1||, uncertified
+    A = np.random.default_rng(0).standard_normal((3, 4))
+    E = np.eye(4)
+    cone = ConeSpec.from_rows(np.vstack([-E[0], E[1:], -E[1:]]))
+    res = sphere_min(NormMapFn(A), E, cone=cone,
+                     engine="multistart-subgradient", restarts=20)
+    assert res.engine == "multistart-subgradient" and not res.certified
+    assert res.note == "thin cone section; witness value only"
+    assert np.array_equal(res.minimizer, E[0])
+    assert res.value == np.linalg.norm(A[:, 0])
+
+
 @pytest.mark.parametrize("kind, value, minimizer_md5, y0_md5", [
     ("nuclear", "0x1.86d71f333dc65p-8", "2e9108b54dc0d16f3f34c8a1d6db8920",
      "621cee91adf09112a5bbac0408a688de"),

@@ -2,6 +2,8 @@
 plus frozen oracles for the closed-form special cases."""
 
 import ast
+import itertools
+import math
 from pathlib import Path
 
 import numpy as np
@@ -273,8 +275,9 @@ def test_directional_subgradients_and_critical_cones():
 
 def _two_call_subgrad(gauge, x0, H):
     """The subgradient rows of the kinds that now take them from
-    ``dir_deriv_subgrad_batch``, by the formulas ``dir_subgrad_batch`` had
-    when it was written on its own; None for the other kinds."""
+    ``dir_deriv_subgrad_batch`` (l1, analysis_l1 and group_l12 through
+    ``descent_form``), by the formulas ``dir_subgrad_batch`` had when it was
+    written on its own; None for the other kinds."""
     if gauge.kind == "nuclear":
         # the tail block taken as the gauge takes it, by one GEMM, so that
         # a tail at rounding level has the same direction in both
@@ -286,6 +289,14 @@ def _two_call_subgrad(gauge, x0, H):
             k = min(Uw.shape[2], Vwt.shape[1])
             G += (U2 @ (Uw[:, :, :k] @ Vwt[:, :k]) @ V2.T).reshape(-1, gauge.n)
         return G
+    if gauge.kind == "l1":
+        on = np.abs(x0) > 1e-12 * max(1.0, np.max(np.abs(x0), initial=0.0))
+        return np.where(on, np.sign(x0), np.where(H >= 0.0, 1.0, -1.0))
+    if gauge.kind == "analysis_l1":
+        g0, G = gauge.D.T @ x0, H @ gauge.D
+        on = np.abs(g0) > 1e-12 * max(1.0, np.max(np.abs(g0), initial=0.0))
+        U = np.where(on, np.sign(g0), np.where(G >= 0.0, 1.0, -1.0))
+        return U @ gauge.D.T
     if gauge.kind == "group_l12":
         G = np.zeros_like(H)
         scale = max(1.0, np.max(np.abs(x0), initial=0.0))
@@ -362,6 +373,175 @@ def test_nuclear_dir_deriv_builds_the_tail_once():
     H = rng.standard_normal((5000, g.n))
     assert np.array_equal(g.dir_deriv_batch(x0, H),
                           g.dir_deriv_subgrad_batch(x0, H)[0])
+
+
+def _abs_lift(g, P):
+    k = P.shape[0]
+    return (np.vstack([g, np.kron(P, [[1.0], [-1.0]])]),
+            np.vstack([np.ones(k), np.kron(np.eye(k), [[-1.0], [-1.0]])]))
+
+
+def _sign_vertices(g, P):
+    signs = itertools.product((1.0, -1.0), repeat=P.shape[0])
+    return g + np.array(list(signs)) @ P
+
+
+#: the directions at which the reference values are taken, by dimension
+_HOOK_DIRS = {n: np.random.default_rng(n).standard_normal((9, n))
+              for n in (1, 4, 5, 6, 9)}
+
+
+def _hooks_as_written_per_kind(gauge, x0):
+    """``(J'(x0; .) at the rows of _HOOK_DIRS or None, descent_lift,
+    descent_soc, descent_pieces)`` by each kind's closed formulas, written
+    out here as the reference for the hooks read from ``descent_form``."""
+    n = gauge.n
+    H = _HOOK_DIRS[n]
+    if gauge.kind in ("l1", "analysis_l1"):
+        D = np.eye(n) if gauge.kind == "l1" else gauge.D
+        g0, G = D.T @ x0, H @ D
+        on = np.abs(g0) > 1e-12 * max(1.0, np.max(np.abs(g0), initial=0.0))
+        vals = G[:, on] @ np.sign(g0[on]) + np.abs(G[:, ~on]).sum(axis=1)
+        if gauge.kind == "l1":
+            base = np.where(on, np.sign(x0), 0.0)
+            P = np.eye(n)[~on]
+            pieces = _sign_vertices(base, P)
+        else:
+            base, P = D[:, on] @ np.sign(g0[on]), D[:, ~on].T
+            pieces = np.unique(np.round(_sign_vertices(base, P), 12), axis=0)
+        return vals, _abs_lift(base, P), None, pieces
+    if gauge.kind == "group_l12":
+        vals, b, zero = np.zeros(len(H)), np.zeros(n), []
+        scale = max(1.0, np.max(np.abs(x0), initial=0.0))
+        for idx in gauge.groups:
+            nb = np.linalg.norm(x0[idx])
+            if nb > 1e-12 * scale:
+                b[idx] = x0[idx] / nb
+                vals += H[:, idx] @ b[idx]
+            else:
+                zero.append(idx)
+                vals += np.linalg.norm(H[:, idx], axis=1)
+        lift = None if any(idx.size > 1 for idx in zero) else \
+            _abs_lift(b, np.eye(n)[np.concatenate(zero + [np.zeros(0, int)])])
+        soc = (b, np.eye(n)[zero[0]]) \
+            if len(zero) == 1 and zero[0].size > 1 else None
+        return vals, lift, soc, None
+    U1, V1, U2, V2 = gauge._blocks(x0)
+    base, K = (U1 @ V1.T).ravel(), np.kron(U2, V2)
+    lift = _abs_lift(base, K.T) if K.shape[1] <= 1 else None
+    soc = (base, K.T) if K.shape[1] > 1 and min(K.shape[1], U2.shape[1],
+                                                 V2.shape[1]) == 1 else None
+    return None, lift, soc, None
+
+
+def _same(a, b):
+    """Both None, or the same arrays (one or a tuple of them), bit for bit."""
+    if a is None or b is None:
+        return a is None and b is None
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(np.array_equal, a, b))
+    return np.array_equal(a, b)
+
+
+def test_descent_form_gives_the_hooks_each_kind_wrote():
+    # the hooks read from descent_form return what the kinds' own hooks
+    # returned: seeded x0 with and without zero groups, and nuclear tails
+    # of no entry, one entry, a side of 1 and a side of 2
+    rng = np.random.default_rng(24)
+    D = rng.standard_normal((4, 6))
+    D_rep = np.hstack([np.eye(4), np.eye(4)[:, :2]])  # repeated columns
+    group = GroupL12Gauge(5, [[0, 1], [2, 3], [4]])
+    cases = [(L1Gauge(5), np.zeros(5)), (L1Gauge(5), rng.standard_normal(5))]
+    cases += [(L1Gauge(5), L1Gauge(5).draw_x0(rng, sparsity=k)) for k in (1, 2)]
+    for M in (D, D_rep):
+        g = AnalysisL1Gauge(M)
+        cases += [(g, np.zeros(4)), (g, rng.standard_normal(4)),
+                  (g, np.array([1.0, 0.0, -2.0, 0.0]))]
+    for keep in itertools.product((0.0, 1.0), repeat=3):
+        x0 = rng.standard_normal(5)
+        for gi, idx in enumerate(group.groups):
+            x0[idx] *= keep[gi]
+        cases.append((group, x0))
+    for shape, rank in (((2, 3), 1), ((2, 3), 2), ((2, 2), 1), ((3, 3), 1),
+                        ((3, 3), 2), ((1, 4), 0), ((1, 4), 1), ((2, 2), 0)):
+        g = NuclearGauge(shape)
+        cases.append((g, g.draw_x0(rng, rank=rank)))
+    for gauge, x0 in cases:
+        vals, lift, soc, pieces = _hooks_as_written_per_kind(gauge, x0)
+        what = (gauge.kind, x0)
+        if vals is not None:
+            H = _HOOK_DIRS[gauge.n]
+            assert np.array_equal(gauge.dir_deriv_batch(x0, H), vals), what
+            assert np.array_equal(gauge.dir_deriv_subgrad_batch(x0, H)[0],
+                                  vals), what
+        assert _same(gauge.descent_lift(x0), lift), what
+        assert _same(gauge.descent_soc(x0), soc), what
+        assert _same(gauge.descent_pieces(x0), pieces), what
+    # every shape of nuclear tail above, and each of lift / soc / neither
+    kinds = {(g.kind, g.descent_lift(x0) is not None,
+              g.descent_soc(x0) is not None) for g, x0 in cases}
+    assert {("group_l12", True, False), ("group_l12", False, True),
+            ("group_l12", False, False), ("nuclear", True, False),
+            ("nuclear", False, True), ("nuclear", False, False)} <= kinds
+
+
+def test_decomposable_kinds_give_only_a_form():
+    own = {"dir_deriv_batch", "dir_subgrad_batch", "dir_deriv_subgrad_batch",
+           "descent_lift", "descent_soc"}
+    for cls in (L1Gauge, AnalysisL1Gauge, GroupL12Gauge):
+        assert not own & set(vars(cls)), cls.__name__
+        assert "descent_form" in vars(cls), cls.__name__
+    assert not {"descent_lift", "descent_soc"} & set(vars(NuclearGauge))
+
+
+def test_one_cap_exception():
+    from gaugecert.cones import EnumerationCapExceeded
+    assert VertexCapExceeded is EnumerationCapExceeded
+    assert gaugecert.VertexCapExceeded is EnumerationCapExceeded
+
+
+def test_sdp_polar_with_a_singular_c():
+    # C = diag(1, 0) is singular: the polar inf{a >= 0 : a C - Z is PSD}
+    # is found by bisection, and is +inf where no multiple of C dominates Z
+    g = SdpTraceGauge(np.diag([1.0, 0.0]))
+    assert g.polar(np.diag([2.0, 0.0]).ravel()) == pytest.approx(2.0, abs=1e-10)
+    assert g.polar(-np.eye(2).ravel()) == 0.0
+    assert g.polar(np.diag([0.0, 1.0]).ravel()) == math.inf
+    assert g.polar(np.ones(4)) == math.inf
+    # scaling Z scales the polar
+    assert g.polar(np.diag([6.0, -1.0]).ravel()) == pytest.approx(6.0, abs=1e-9)
+
+
+def test_sdp_geometry_matches_the_loop_formulas():
+    # sym_basis by index is the loop's basis bit for bit; the face tangent
+    # and samples through kron(E, E) are the outer-product formulas' to
+    # rounding
+    def sym_loop(n):
+        cols = [np.outer(e, e).ravel() for e in np.eye(n)]
+        cols += [(np.outer(a, b) + np.outer(b, a)).ravel() / np.sqrt(2.0)
+                 for i, a in enumerate(np.eye(n)) for b in np.eye(n)[i + 1:]]
+        return np.array(cols).reshape(len(cols), n * n).T
+
+    for n in range(6):
+        assert np.array_equal(gaugecert.sym_basis(n), sym_loop(n)), n
+    rng = np.random.default_rng(25)
+    for nm, rank in ((3, 1), (4, 2), (4, 1), (2, 2)):
+        g = SdpTraceGauge(np.eye(nm))
+        x0 = g.draw_x0(rng, rank=rank)
+        face, E = g.face(x0), g._kernel(x0)
+        d = E.shape[1]
+        S = sym_loop(d)
+        want = np.array([(E @ s.reshape(d, d) @ E.T).ravel() for s in S.T])
+        assert np.allclose(face.tangent, want.reshape(-1, nm * nm).T,
+                           rtol=0.0, atol=1e-15), (nm, rank)
+        seed = int(rng.integers(1 << 30))
+        Z = face.sample(np.random.default_rng(seed), 5)
+        draw = np.random.default_rng(seed)
+        for z in Z:
+            G = draw.standard_normal((d, d))
+            M = -(G @ G.T) / max(d, 1)
+            assert np.allclose(z, (g.C + E @ M @ E.T).ravel(),
+                               rtol=0.0, atol=1e-14), (nm, rank)
 
 
 def test_l1_is_analysis_l1_with_the_identity():
