@@ -43,7 +43,6 @@ from .cones import (CallableFn, ConeSpec, SphereMinResult, cone_trivial,
                     sphere_min)
 from .gauges import (AnalysisL1Gauge, L1Gauge, NonnegL1Gauge, NuclearGauge,
                      SdpTraceGauge, SortedWeightedL1Gauge)
-from .gauges.matrix import _bottom_eig
 
 __all__ = [
     "YES",
@@ -763,13 +762,14 @@ def sdp_trace_check(Phi, C, X0):
     E^T H E positive semidefinite (E spanning Ker X0) while <C, H> stays
     nonpositive.  The probe max(-lambda_min(E^T H E), <C, H>) needs no cone,
     so it is certified for kernel dimension <= 3 via the angular grid; it
-    reads the blocks and their bottom eigenpairs as the gauge's own oracles
-    do.
+    reads the blocks' bottom eigenpairs from the gauge's ``_bottom``, as its
+    own oracles do.  A minimizer at or below cert_tol that passes
+    ``_no_witness_checks`` certifies No, as on the kernel route.
     """
     gauge = SdpTraceGauge(C)
     geom = _Geometry(gauge, Phi, np.asarray(X0, dtype=float).ravel())  # validates PSD
     rep = CertificateReport()
-    x0, S, E, K = geom.x0, geom.S, geom.face.E, geom.K
+    x0, S, K = geom.x0, geom.S, geom.K
     if K.shape[1] == 0:
         rep.is_sharp = rep.is_unique = YES
         rep.conditions_checked.append(("kernel-probe", YES, True))
@@ -779,31 +779,26 @@ def sdp_trace_check(Phi, C, X0):
 
     def phi_batch(T):
         T = np.atleast_2d(np.asarray(T, dtype=float))
-        lin = T @ Cs
-        if not E.shape[1]:
-            return lin
-        lam = _bottom_eig(gauge._kernel_blocks(x0, T @ S.T))[0]
-        return np.maximum(-lam, lin)
+        return np.maximum(-gauge._bottom(x0, T @ S.T)[0], T @ Cs)
 
     def phi_sg(T):
         T = np.atleast_2d(np.asarray(T, dtype=float))
         G = np.tile(Cs, (T.shape[0], 1))
-        if E.shape[1]:
-            lam, _, v = _bottom_eig(gauge._kernel_blocks(x0, T @ S.T),
-                                    vectors=True)
-            low = T @ Cs < -lam
-            v = v[low] @ E.T
-            G[low] = -(v[:, :, None] * v[:, None, :]).reshape(len(v), -1) @ S
+        lam, _, Gk = gauge._bottom(x0, T @ S.T, vectors=True)
+        low = T @ Cs < -lam
+        G[low] = Gk[low] @ S
         return G
 
     phi = CallableFn(phi_batch, phi_sg)
     res = sphere_min(phi, K)
     rep.notes.append(f"kernel probe value {res.value:.12g} ({res.engine})")
-    verdict = YES if res.value > config.cert_tol() else NO
+    tol = config.cert_tol()
+    verdict, certified = (YES, res.certified) if res.value > tol else \
+        (NO, res.certified or _no_witness_checks(geom, res.minimizer, tol))
     if verdict == NO and res.minimizer is not None:
         rep.witness = geom.to_ambient(res.minimizer)
-    rep.conditions_checked.append(("kernel-probe", verdict, res.certified))
-    rep.is_sharp = verdict if res.certified else UNKNOWN
+    rep.conditions_checked.append(("kernel-probe", verdict, certified))
+    rep.is_sharp = verdict if certified else UNKNOWN
     rep.is_unique = YES if rep.is_sharp == YES else UNKNOWN
     return rep
 

@@ -512,7 +512,7 @@ def cone_trivial(cone, K):
     return False, h / np.linalg.norm(h)
 
 
-def min_norm_point(P, tol=1e-12, maxiter=2000):
+def min_norm_point(P):
     """Minimum-norm point of conv(rows of P) by Wolfe's algorithm."""
     P = np.atleast_2d(np.asarray(P, dtype=float))
     norms = np.einsum("ij,ij->i", P, P)
@@ -520,10 +520,10 @@ def min_norm_point(P, tol=1e-12, maxiter=2000):
     S = [int(np.argmin(norms))]
     lam = np.array([1.0])
     x = P[S[0]].copy()
-    for _ in range(maxiter):
+    for _ in range(2000):
         dots = P @ x
         i = int(np.argmin(dots))
-        if dots[i] >= x @ x - tol * scale:
+        if dots[i] >= x @ x - 1e-12 * scale:
             break
         if i in S:
             break

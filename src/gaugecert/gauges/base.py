@@ -186,9 +186,9 @@ class SubdiffFace:
         the face is a singleton containing z."""
         raise NotImplementedError
 
-    def contains(self, z, tol=1e-9):
-        """Whether z belongs to the face up to tolerance."""
-        return self.margin(z) >= -tol
+    def contains(self, z):
+        """Whether z belongs to the face up to a tolerance of 1e-9."""
+        return self.margin(z) >= -1e-9
 
     def sample(self, rng, count):
         """Draw ``count`` points of the face (rows)."""

@@ -5,7 +5,10 @@ vectors of length p*q (or n*n) and reshapes internally.  The probe oracles
 reach the reduced blocks at x0 (the nuclear tail U2^T h V2, the sdp kernel
 block E^T h E) by one GEMM with a flat Kronecker basis cached per x0, and
 solve the small ones in closed form: a tail with a side of 1 by its norm,
-a kernel block of side 1 or 2 by ``_bottom_eig``.
+a kernel block of side 1 or 2 by ``_bottom_eig``, which only
+``SdpTraceGauge._bottom`` calls.  Both kinds' ``tangent_space_test`` find the
+certificate's contact blocks and leave the rest of the argument to
+``_contact_test``.
 """
 
 import math
@@ -54,10 +57,33 @@ def _low_rank_draw(rng, p, q, r, symmetric):
     return x0.ravel()
 
 
-def _reduced_block_test(A, M0, G, H, scale):
-    """Tail of ``tangent_space_test`` for both matrix kinds: with x0 = G M0
-    H^T and M0 positive definite the tangent cone at x0 is the subspace
-    {G S H^T : S symmetric}, and uniqueness is injectivity of A on it."""
+def _outer_rows(u, v):
+    """The flat rank-one matrices u_k v_k^T, one row for each row pair."""
+    return (u[:, :, None] * v[:, None, :]).reshape(len(u), u.shape[1] * v.shape[1])
+
+
+def _rows(A, Bt):
+    """A b for each row b of Bt, one matrix-vector product per contiguous
+    row (a single GEMM rounds differently)."""
+    return np.array([A @ b for b in Bt]).reshape(len(Bt), A.shape[0])
+
+
+def _contact_test(A, A_eff, X0, G, H, inside_note, off_note):
+    """Shared body of both matrix kinds' ``tangent_space_test``.  G and H
+    are the dual certificate's contact blocks: none when it lies strictly
+    inside the polar set (then J vanishes on the solution set, and A_eff, A
+    on dom J, must be injective).  Otherwise the solution set lies in
+    {G S H^T : S sym PSD}; with x0 = G M0 H^T and M0 positive definite the
+    tangent cone at x0 is the subspace {G S H^T : S symmetric}, and
+    uniqueness is injectivity of A on it."""
+    if not G.shape[1]:
+        return (True, inside_note) if matrix_rank(A_eff) == A_eff.shape[1] \
+            else (None, "flat-gauge case")
+    M0 = G.T @ X0 @ H
+    resid = float(np.linalg.norm(X0 - G @ M0 @ H.T))
+    scale = max(1.0, float(np.linalg.norm(X0)))
+    if resid > 1e-7 * scale or np.linalg.norm(M0 - M0.T) > 1e-7 * scale:
+        return None, off_note
     if np.linalg.eigvalsh(0.5 * (M0 + M0.T))[0] <= 1e-7 * scale:
         return None, "reduced block is singular; tangent cone is not a subspace"
     B = np.kron(G, H) @ sym_basis(G.shape[1])
@@ -169,20 +195,9 @@ class NuclearFace(SubdiffFace):
         V1 (rows U1 x V1, U1 x V2 and U2 x V1)."""
         U1, V1, U2, V2 = self.U1, self.V1, self.U2, self.V2
         r = U1.shape[1]
-        rows, rhs = [], []
-        for i in range(r):
-            for j in range(r):
-                rows.append(A @ np.outer(U1[:, i], V1[:, j]).ravel())
-                rhs.append(1.0 if i == j else 0.0)
-        for i in range(r):
-            for j in range(V2.shape[1]):
-                rows.append(A @ np.outer(U1[:, i], V2[:, j]).ravel())
-                rhs.append(0.0)
-        for i in range(U2.shape[1]):
-            for j in range(r):
-                rows.append(A @ np.outer(U2[:, i], V1[:, j]).ravel())
-                rhs.append(0.0)
-        return np.array(rows).reshape(len(rows), A.shape[0]), np.array(rhs), 1e-8
+        Bt = np.vstack([np.kron(U1, V1).T, np.kron(U1, V2).T, np.kron(U2, V1).T])
+        rhs = np.concatenate([np.eye(r).ravel(), np.zeros(len(Bt) - r * r)])
+        return _rows(A, Bt), rhs, 1e-8
 
     def spread(self, A):
         """The spectral norm of the free block U2^T (A^T y) V2."""
@@ -191,8 +206,7 @@ class NuclearFace(SubdiffFace):
         def top_sv(Y):
             Uw, s, Vwt = np.linalg.svd(U2.T @ (Y @ A).reshape(-1, p, q) @ V2)
             u, v = Uw[:, :, 0] @ U2.T, Vwt[:, 0] @ V2.T
-            uv = (u[:, :, None] * v[:, None, :]).reshape(-1, p * q)
-            return s[:, 0], uv @ A.T
+            return s[:, 0], _outer_rows(u, v) @ A.T
 
         return top_sv
 
@@ -319,25 +333,13 @@ class NuclearGauge(Gauge):
     def tangent_space_test(self, A, x0, y0):
         """At z0 = A^T y0 the solution set lies in {U1 S V1^T : S sym PSD},
         built from the singular blocks of z0 at level one."""
-        p, q = self.shape
-        Z = (A.T @ y0).reshape(p, q)
-        U, s, Vt = np.linalg.svd(Z)
+        U, s, Vt = np.linalg.svd((A.T @ y0).reshape(self.shape))
         if s.size and s[0] > 1.0 + 1e-7:
             return None, "certificate is not dual feasible"
-        lev = s >= 1.0 - 1e-7
-        r = int(np.sum(lev))
-        if r == 0:
-            # z0 strictly inside the polar ball: J(x)=0 on the solution set
-            return (True, "certificate strictly inside the polar ball") \
-                if matrix_rank(A) == p * q else (None, "flat-gauge case")
-        U1, V1 = U[:, :r], Vt[:r].T
-        X0 = x0.reshape(p, q)
-        M0 = U1.T @ X0 @ V1
-        resid = float(np.linalg.norm(X0 - U1 @ M0 @ V1.T))
-        scale = max(1.0, float(np.linalg.norm(X0)))
-        if resid > 1e-7 * scale or np.linalg.norm(M0 - M0.T) > 1e-7 * scale:
-            return None, "x0 is not aligned with the certificate's blocks"
-        return _reduced_block_test(A, M0, U1, V1, scale)
+        r = int(np.sum(s >= 1.0 - 1e-7))
+        return _contact_test(A, A, self._mat(x0), U[:, :r], Vt[:r].T,
+                             "certificate strictly inside the polar ball",
+                             "x0 is not aligned with the certificate's blocks")
 
 
 class SdpFace(SubdiffFace):
@@ -382,19 +384,12 @@ class SdpFace(SubdiffFace):
         """<A^T y, M> = <C, M> for the symmetric M on the U x U and U x E
         blocks."""
         E, U, C = self.E, self.U, self.C
-        rows, rhs = [], []
-        for i in range(U.shape[1]):
-            for j in range(i, U.shape[1]):
-                M = 0.5 * (np.outer(U[:, i], U[:, j]) + np.outer(U[:, j], U[:, i]))
-                rows.append(A @ M.ravel())
-                rhs.append(float(np.tensordot(M, C)))
-        for i in range(U.shape[1]):
-            for j in range(E.shape[1]):
-                M = 0.5 * (np.outer(U[:, i], E[:, j]) + np.outer(E[:, j], U[:, i]))
-                rows.append(A @ M.ravel())
-                rhs.append(float(np.tensordot(M, C)))
-        return (np.array(rows).reshape(len(rows), A.shape[0]), np.array(rhs),
-                1e-8 * max(1.0, float(np.abs(C).max())))
+        i, j = np.triu_indices(U.shape[1])
+        Bt = np.vstack([np.kron(U, U).T[i * U.shape[1] + j], np.kron(U, E).T])
+        # strided rows would move the bits of <b, C>, as in ``_rows``
+        Bt = np.ascontiguousarray(_sym_mat(Bt, self.nmat)).reshape(Bt.shape)
+        rhs = np.array([b @ C.ravel() for b in Bt])
+        return _rows(A, Bt), rhs, 1e-8 * max(1.0, float(np.abs(C).max()))
 
     def spread(self, A):
         """The largest eigenvalue of the kernel block E^T (A^T y - C) E."""
@@ -403,8 +398,7 @@ class SdpFace(SubdiffFace):
         def lam_max(Y):
             w, V = np.linalg.eigh(E.T @ (_sym_mat(Y @ A, nm) - C) @ E)
             v = V[:, :, -1] @ E.T
-            vv = (v[:, :, None] * v[:, None, :]).reshape(-1, nm * nm)
-            return w[:, -1], vv @ A.T
+            return w[:, -1], _outer_rows(v, v) @ A.T
 
         return lam_max
 
@@ -448,25 +442,25 @@ class SdpTraceGauge(Gauge):
         return _low_rank_draw(rng, self.nmat, self.nmat, rank, symmetric=True)
 
     def _mat(self, x):
-        X = self.flat(x).reshape(self.nmat, self.nmat)
-        return 0.5 * (X + X.T)
+        return _sym_mat(self.flat(x), self.nmat)
 
     @per_x0
-    def _kernel(self, x0):
-        X = self._mat(x0)
-        w, V = np.linalg.eigh(X)
+    def _eigen_split(self, x0):
+        """E spanning Ker X0 and U spanning its range, from one ``eigh``."""
+        w, V = np.linalg.eigh(self._mat(x0))
         scale = max(1.0, float(np.max(np.abs(w))))
         if np.min(w) < -1e-9 * scale:
             raise ValueError("x0 must be positive semidefinite")
-        return V[:, w <= config.RANK_TOL * scale]
+        ker = w <= config.RANK_TOL * scale
+        return V[:, ker], V[:, ~ker]
 
-    def _asym(self, X):
-        return float(np.max(np.abs(X - X.T)))
+    def _kernel(self, x0):
+        return self._eigen_split(x0)[0]
 
     def domain_residual(self, x):
         X = self.flat(x).reshape(self.nmat, self.nmat)
-        w = np.linalg.eigvalsh(0.5 * (X + X.T))
-        return float(max(0.0, -w[0], self._asym(X)))
+        w = np.linalg.eigvalsh(self._mat(x))
+        return float(max(0.0, -w[0], np.max(np.abs(X - X.T))))
 
     def value_batch(self, X):
         M = np.asarray(X).reshape(-1, self.nmat, self.nmat)
@@ -526,21 +520,29 @@ class SdpTraceGauge(Gauge):
         E = self._kernel(x0)
         return np.kron(E, E)
 
-    def _kernel_blocks(self, x0, H):
-        """E^T H E for each row of H, read as a symmetric matrix: one GEMM
-        with the flat kernel basis, then the symmetric part."""
-        d = self._kernel(x0).shape[1]
-        K = (np.atleast_2d(H) @ self._kernel_basis(x0)).reshape(-1, d, d)
-        return 0.5 * (K + np.swapaxes(K, 1, 2))
+    def _bottom(self, x0, H, vectors=False):
+        """lambda_min and the largest |eigenvalue| of each kernel block
+        E^T h E, read as a symmetric matrix (one GEMM with the flat kernel
+        basis, then ``_bottom_eig``), and with ``vectors`` the subgradient
+        -v v^T of -lambda_min, v its unit eigenvector mapped back by E (else
+        None).  An empty kernel gives lambda_min = +inf, 0 and G = 0."""
+        E, H = self._kernel(x0), np.atleast_2d(H)
+        if not E.shape[1]:
+            return (np.full(len(H), math.inf), np.zeros(len(H)),
+                    np.zeros((len(H), self.n)) if vectors else None)
+        K = _sym_mat(H @ self._kernel_basis(x0), E.shape[1])
+        lam, top, v = _bottom_eig(K, vectors)
+        if vectors:
+            v = v @ E.T
+            return lam, top, -_outer_rows(v, v)
+        return lam, top, None
 
     def dir_deriv_batch(self, x0, H):
         """<C, h>, or +inf where the kernel block E^T h E has an eigenvalue
-        below -1e-9 max(1, max |eigenvalue|) (``_bottom_eig``)."""
-        vals = self.finite_dir_deriv_batch(x0, H)
-        if self._kernel(x0).shape[1]:
-            lam, top, _ = _bottom_eig(self._kernel_blocks(x0, H))
-            vals = np.where(lam < -1e-9 * np.maximum(1.0, top), math.inf, vals)
-        return vals
+        below -1e-9 max(1, max |eigenvalue|) (``_bottom``)."""
+        lam, top, _ = self._bottom(x0, H)
+        return np.where(lam < -1e-9 * np.maximum(1.0, top), math.inf,
+                        self.finite_dir_deriv_batch(x0, H))
 
     def finite_dir_deriv_batch(self, x0, H):
         # C is symmetric, so <C, h> is <C, sym h>
@@ -550,32 +552,20 @@ class SdpTraceGauge(Gauge):
         return np.tile(self.C.ravel(), (np.atleast_2d(H).shape[0], 1))
 
     def face(self, x0):
-        w, V = np.linalg.eigh(self._mat(x0))
-        U = V[:, w > config.RANK_TOL * max(1.0, w.max(initial=0.0))]
-        return SdpFace(self.C, self._kernel(x0), U, self._kernel_basis(x0))
+        return SdpFace(self.C, *self._eigen_split(x0), self._kernel_basis(x0))
 
     def _psd_violation(self, x0, H):
         """max(0, -lambda_min(E^T H E)) and one subgradient row of it for
-        each row of H, both from one ``_bottom_eig`` of the kernel blocks
-        (no LAPACK call for blocks of side 2 or less)."""
-        E = self._kernel(x0)
-        if not E.shape[1]:
-            rows = np.atleast_2d(H).shape[0]
-            return np.zeros(rows), np.zeros((rows, self.n))
-        lam, _, v = _bottom_eig(self._kernel_blocks(x0, H), vectors=True)
-        v = v @ E.T
-        G = -(v[:, :, None] * v[:, None, :]).reshape(-1, self.n)
+        each row of H, both from one ``_bottom`` (no LAPACK call for blocks
+        of side 2 or less)."""
+        lam, _, G = self._bottom(x0, H, vectors=True)
         return np.maximum(-lam, 0.0), np.where((lam < 0.0)[:, None], G, 0.0)
 
     def domain_tangent_cone(self, x0):
         x0 = np.array(self.flat(x0))
-        empty = not self._kernel(x0).shape[1]
 
         def violation_batch(H):
-            if empty:
-                return np.zeros(np.atleast_2d(H).shape[0])
-            lam = _bottom_eig(self._kernel_blocks(x0, H))[0]
-            return np.maximum(-lam, 0.0)
+            return np.maximum(-self._bottom(x0, H)[0], 0.0)
 
         return ConeSpec.from_violation(self.n, violation_batch,
                                        lambda H: self._psd_violation(x0, H)[1],
@@ -641,8 +631,7 @@ class SdpTraceGauge(Gauge):
         def shortfall(Ss):
             w, V = eigh(Ss)
             v = V[:, :, 0] * (w[:, :1] < 1e-6 * scale)
-            return (np.maximum(-w[:, 0], -1e-6 * scale),
-                    -(v[:, :, None] * v[:, None, :]).reshape(-1, nm * nm) @ S)
+            return np.maximum(-w[:, 0], -1e-6 * scale), -_outer_rows(v, v) @ S
 
         best = eigh(s_p[None])[0][0, 0]
         if best <= 1e-9 * scale:
@@ -660,17 +649,7 @@ class SdpTraceGauge(Gauge):
         scale = max(1.0, float(np.abs(w).max(initial=0.0)))
         if w[0] < -1e-7 * scale:
             return None, "certificate is not dual feasible"
-        ker = np.abs(w) <= 1e-7 * scale
-        d0 = int(np.sum(ker))
-        if d0 == 0:
-            return (True, "certificate strictly inside the polar set") \
-                if matrix_rank(A @ sym_basis(nm)) == nm * (nm + 1) // 2 \
-                else (None, "flat-gauge case")
-        G = V[:, ker]
-        X0 = _sym_mat(x0, nm)
-        M0 = G.T @ X0 @ G
-        resid = float(np.linalg.norm(X0 - G @ M0 @ G.T))
-        xscale = max(1.0, float(np.linalg.norm(X0)))
-        if resid > 1e-7 * xscale:
-            return None, "x0 is not supported on the certificate's kernel block"
-        return _reduced_block_test(A, M0, G, G, xscale)
+        G = V[:, np.abs(w) <= 1e-7 * scale]
+        return _contact_test(A, A @ sym_basis(nm), _sym_mat(x0, nm), G, G,
+                             "certificate strictly inside the polar set",
+                             "x0 is not supported on the certificate's kernel block")

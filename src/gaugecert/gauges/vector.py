@@ -451,7 +451,7 @@ def _distinct_perms(vals):
         out.append(tuple(p))
 
 
-def _tie_blocks(x0, w, tol=1e-12):
+def _tie_blocks(x0, w):
     """The tie groups of |x0|, largest first, as (indices, signs, the block
     of w they take); the zero group has no signs."""
     ax = np.abs(x0)
@@ -459,7 +459,7 @@ def _tie_blocks(x0, w, tol=1e-12):
     blocks, start = [], 0
     while start < ax.size:
         top, stop = ax[order[start]], start + 1
-        while stop < ax.size and abs(ax[order[stop]] - top) <= tol * max(1.0, top):
+        while stop < ax.size and abs(ax[order[stop]] - top) <= 1e-12 * max(1.0, top):
             stop += 1
         grp = order[start:stop]
         blocks.append((grp, None if top <= _SUPP_TOL else np.sign(x0[grp]),

@@ -44,6 +44,7 @@ __all__ = [
 SPLIT_MAXITER = 100_000
 SPLIT_MOVE_TOL = 1e-9
 SPLIT_FEAS_TOL = 1e-8
+DUAL_ASCENT_ITERS = 500
 #: Mozorov stops once | ||Ax - b|| - delta | <= MOZOROV_BAND
 MOZOROV_BAND = 1e-6
 #: the first Mozorov solve: its residual decides feasibility of the ball
@@ -110,7 +111,7 @@ def _primal_lp(gauge, A, b0):
     return res, (to_x(res.x) if res.status == "optimal" else None)
 
 
-def _primal_splitting(gauge, A, b0, maxiter=SPLIT_MAXITER):
+def _primal_splitting(gauge, A, b0):
     """Douglas-Rachford on J(x) + indicator{Ax=b0}.
 
     Alternates the pseudoinverse projection onto the affine set with the prox
@@ -128,7 +129,7 @@ def _primal_splitting(gauge, A, b0, maxiter=SPLIT_MAXITER):
     y = xls.copy()
     move = math.inf
     it = 0
-    for it in range(1, maxiter + 1):
+    for it in range(1, SPLIT_MAXITER + 1):
         x = z - pinvA @ (A @ z - b0)
         y = gauge.prox(2.0 * x - z, 1.0)
         move = float(np.linalg.norm(y - x))
@@ -173,7 +174,7 @@ def solve_dual(gauge, A, b0):
                                   "optimality": res.kkt_residual})
 
 
-def _dual_ascent(gauge, A, b0, iters=500):
+def _dual_ascent(gauge, A, b0):
     """Heuristic dual for the splitting kinds: start from the DR multiplier,
     then projected-subgradient ascent with the polar-ball projection pulled
     back through A^T by least squares; feasibility is restored by radial
@@ -202,7 +203,7 @@ def _dual_ascent(gauge, A, b0, iters=500):
             best_y, best_val = y, float(b0 @ y)
     y = best_y.copy()
     bnorm = max(1.0, float(np.linalg.norm(b0)))
-    for it in range(1, iters + 1):
+    for it in range(1, DUAL_ASCENT_ITERS + 1):
         y = y + (0.5 / (bnorm * math.sqrt(it))) * b0
         z = gauge.polar_ball_project(A.T @ y)
         y, *_ = np.linalg.lstsq(A.T, z, rcond=None)
@@ -220,7 +221,7 @@ def _dual_ascent(gauge, A, b0, iters=500):
                        residuals={"feasibility":
                                   max(0.0, gauge.polar(A.T @ best_y) - 1.0),
                                   "optimality": max(gap, 0.0)},
-                       iterations=iters,
+                       iterations=DUAL_ASCENT_ITERS,
                        note="heuristic ascent; quality certified by the "
                             "duality gap")
 
@@ -229,7 +230,7 @@ def _dual_ascent(gauge, A, b0, iters=500):
 # Tikhonov / Mozorov
 # ---------------------------------------------------------------------------
 
-def solve_tikhonov(gauge, A, b, mu, x_start=None, maxiter=SPLIT_MAXITER):
+def solve_tikhonov(gauge, A, b, mu, x_start=None):
     """Minimize 0.5 ||Ax - b||^2 + mu J(x) by accelerated proximal gradient.
 
     Fixed step 1/sigma_max(A)^2 with Nesterov momentum, restarted whenever
@@ -259,7 +260,7 @@ def solve_tikhonov(gauge, A, b, mu, x_start=None, maxiter=SPLIT_MAXITER):
     tk = 1.0
     it = 0
     status = "maxiter"
-    for it in range(1, maxiter + 1):
+    for it in range(1, SPLIT_MAXITER + 1):
         grad = A.T @ (A @ y - b)
         x_next = gauge.prox(y - grad / L, mu / L)
         F_next, r_next = obj(x_next)

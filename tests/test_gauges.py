@@ -897,3 +897,35 @@ def test_pointwise_oracles_are_written_once():
              if name in vars(cls)
              and (name != "critical_cone" or cls not in own_cone)]
     assert not found, "copies of batch oracles: " + ", ".join(found)
+
+
+def _calls_by_function(tree):
+    """{"Class.method" or "function": the names it calls, nested functions
+    included}, for the definitions at the top of a module."""
+    defs = [(None, node) for node in tree.body]
+    defs += [(node.name, fn) for node in tree.body
+             if isinstance(node, ast.ClassDef) for fn in node.body]
+    return {f"{owner}.{fn.name}" if owner else fn.name:
+            {getattr(c.func, "id", getattr(c.func, "attr", None))
+             for c in ast.walk(fn) if isinstance(c, ast.Call)}
+            for owner, fn in defs if isinstance(fn, ast.FunctionDef)}
+
+
+def test_spectral_facts_are_written_once():
+    # the sdp kernel-block eigen step lives in SdpTraceGauge._bottom and the
+    # tangent-space rank test in _contact_test; certificates.py reads them
+    # through the gauge, not from the module
+    pkg = Path(gaugecert.__file__).parent
+    calls = _calls_by_function(ast.parse((pkg / "gauges" / "matrix.py").read_text()))
+    assert [f for f, names in calls.items() if "_bottom_eig" in names] == \
+        ["SdpTraceGauge._bottom"]
+    for cls in ("NuclearGauge", "SdpTraceGauge"):
+        names = calls[f"{cls}.tangent_space_test"]
+        assert "_contact_test" in names and "matrix_rank" not in names, cls
+    imported = []
+    for node in ast.walk(ast.parse((pkg / "certificates.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported += [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+    assert not [m for m in imported if "gauges.matrix" in m], imported
