@@ -267,14 +267,15 @@ def check_sharp(gauge, A, x0, with_alpha=True):
     Also computes kappa (the sharpness constant) and alpha (minimum conic
     singular value of A against the critical cone).  alpha is certified
     exact by the kernel route's witness (``kernel-witness``: a unit h with
-    ||A h|| <= 1e-8 and a critical-cone violation of at most 1e-11 makes
-    alpha = ||A h||, 0 up to rounding), else by ``min_conic_singular`` on a
-    lifted critical cone with at most log2(VERTEX_CAP) rows or one
-    second-order constraint; otherwise it is a sphere probe.  The ``alpha
-    engine:`` note names the route and why.  alpha never feeds the
-    verdicts, and its probe can dominate the runtime on small problems;
-    callers that only need verdicts may pass ``with_alpha=False`` to skip
-    it (the report then carries alpha=None, uncertified).
+    ||A h|| <= 1e-8 max(1, ||A||_2) and a critical-cone violation of at most
+    1e-11 makes alpha = ||A h||, 0 up to rounding), else by
+    ``min_conic_singular`` on a lifted critical cone with at most
+    log2(VERTEX_CAP) rows or one second-order constraint; otherwise it is a
+    sphere probe.  The ``alpha engine:`` note names the route and why.
+    alpha never feeds the verdicts, and its probe can dominate the runtime
+    on small problems; callers that only need verdicts may pass
+    ``with_alpha=False`` to skip it (the report then carries alpha=None,
+    uncertified).
 
     Returns
     -------
@@ -403,17 +404,30 @@ def _kernel_route(geom, rep, probe=True):
     return (verdict, certified), res, witness
 
 
+def _kernel_direction(geom, h, cone):
+    """h / ||h|| when it lies in Ker A and in ``cone`` (None: no cone) up to
+    rounding: ||A h|| <= 1e-8 max(1, ||A||_2) for the unit h, a bound that
+    scales with A, and a cone violation of at most 1e-11.  None otherwise."""
+    norm = 0.0 if h is None else float(np.linalg.norm(h))
+    if not norm > 0.0:
+        return None
+    h = h / norm
+    bound = 1e-8 * max(1.0, float(np.linalg.norm(geom.A_eff, 2)))
+    if float(np.linalg.norm(geom.A_eff @ h)) > bound:
+        return None
+    if cone is not None and cone.violation(h) > 1e-11:
+        return None
+    return h
+
+
 def _kernel_witness_alpha(geom, h):
-    """alpha from a kernel direction h in the critical cone: a unit h with
-    ||A h|| <= 1e-8 (the bound of ``_no_witness_checks``) and a critical-cone
-    violation of at most 1e-11 lies in Ker A and in the cone up to rounding,
-    so alpha = ||A h|| is certified.  None when h does not qualify."""
+    """alpha from a kernel direction h in the critical cone
+    (``_kernel_direction``): alpha = ||A h|| is certified, 0 up to rounding.
+    None when h does not qualify."""
+    h = _kernel_direction(geom, h, geom.crit_cone)
     if h is None:
         return None
-    h = h / np.linalg.norm(h)
     r = float(np.linalg.norm(geom.A_eff @ h))
-    if r > 1e-8 or geom.crit_cone.violation(h) > 1e-11:
-        return None
     return SphereMinResult(value=r, minimizer=h, engine="kernel-witness",
                            certified=True, evals=1,
                            note="the kernel route's direction "
@@ -449,15 +463,10 @@ def _aggregate(rep, gauge, range_row, kernel_row):
 
 
 def _no_witness_checks(geom, h, tol):
-    if h is None:
-        return False
-    if abs(np.linalg.norm(h) - 1.0) > 1e-7:
-        return False
-    if float(np.linalg.norm(geom.A_eff.T @ (geom.A_eff @ h))) > 1e-8:
-        return False
-    if geom.dom_cone is not None and geom.dom_cone.violation(h) > 1e-11:
-        return False
-    return geom.probe.value(h) <= tol
+    """A kernel direction in the domain cone (``_kernel_direction``) with
+    J'(x0; h) <= tol refutes sharpness."""
+    h = _kernel_direction(geom, h, geom.dom_cone)
+    return h is not None and geom.probe.value(h) <= tol
 
 
 def check_unique(gauge, A, x0, with_alpha=True):

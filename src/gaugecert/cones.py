@@ -16,7 +16,8 @@ Everything the certification layer needs about cones lives here:
   block LPs along a positive spanning set of span(K);
 * ``sphere_min`` -- minimize a positively homogeneous convex function over
   the unit sphere of a subspace, with three engines (exact piecewise-linear,
-  angular grid, multistart subgradient);
+  angular grid, multistart subgradient); a negative exact-pl minimum is
+  minus the norm of ``min_norm_point``, SciPy's NNLS on homogenized weights;
 * ``min_conic_singular`` -- minimum of ||Ah|| over a cone's unit sphere,
   exact on polyhedral cones by an active-set eigen search (``exact-active-set``,
   when the 2^r active sets of the r lifted rows are within ``VERTEX_CAP``),
@@ -56,6 +57,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import nnls
 from scipy.optimize._highspy import _core as _highs
 from scipy.spatial import ConvexHull, QhullError
 
@@ -513,54 +515,19 @@ def cone_trivial(cone, K):
 
 
 def min_norm_point(P):
-    """Minimum-norm point of conv(rows of P) by Wolfe's algorithm."""
+    """Minimum-norm point of conv(rows of P), by NNLS on the homogenized
+    system (Lawson & Hanson 1974).
+
+    mu >= 0 minimizes ||P^T mu||^2 + (1 - sum(mu))^2, and the point is
+    P^T mu / sum(mu).  Along mu = t lam, lam convex weights, that residual is
+    t^2 ||P^T lam||^2 + (1 - t)^2, whose minimum over t, a / (1 + a) with
+    a = ||P^T lam||^2, grows with ||P^T lam||: so the NNLS optimum is a
+    multiple of the convex weights of the minimum-norm point.
+    """
     P = np.atleast_2d(np.asarray(P, dtype=float))
-    norms = np.einsum("ij,ij->i", P, P)
-    scale = max(1.0, float(np.max(norms)))
-    S = [int(np.argmin(norms))]
-    lam = np.array([1.0])
-    x = P[S[0]].copy()
-    for _ in range(2000):
-        dots = P @ x
-        i = int(np.argmin(dots))
-        if dots[i] >= x @ x - 1e-12 * scale:
-            break
-        if i in S:
-            break
-        S.append(i)
-        lam = np.append(lam, 0.0)
-        while True:
-            B = P[S]
-            s = len(S)
-            # affine minimizer: KKT system for min ||B^T a||^2, sum a = 1
-            M = np.zeros((s + 1, s + 1))
-            M[:s, :s] = B @ B.T
-            M[:s, s] = 1.0
-            M[s, :s] = 1.0
-            rhs = np.zeros(s + 1)
-            rhs[s] = 1.0
-            sol, *_ = np.linalg.lstsq(M, rhs, rcond=None)
-            a = sol[:s]
-            if np.all(a > 1e-11):
-                lam = a
-                x = B.T @ lam
-                break
-            mask = a <= 1e-11
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratios = np.where(mask & (lam > a), lam / (lam - a), np.inf)
-            theta = float(np.min(ratios))
-            theta = min(max(theta, 0.0), 1.0)
-            lam = lam + theta * (a - lam)
-            lam[lam < 1e-11] = 0.0
-            keep = lam > 0.0
-            if not np.any(keep):
-                keep[int(np.argmax(a))] = True
-                lam[keep] = 1.0
-            S = [S[j] for j in range(s) if keep[j]]
-            lam = lam[keep]
-            lam = lam / lam.sum()
-            x = P[S].T @ lam
-    return x
+    E = np.vstack([P.T, np.ones(P.shape[0])])
+    mu, _ = nnls(E, np.eye(E.shape[0])[-1])
+    return P.T @ mu / mu.sum()
 
 
 # ---------------------------------------------------------------------------
@@ -1303,7 +1270,7 @@ def _active_set_min(f, cone):
     return _finish(f, best_h, "exact-active-set", True, evals, note)
 
 
-def nsp_constant(A, I, cap=None):
+def nsp_constant(A, I):
     """Null-space-property constant max_{h in Ker A, h != 0} ||h_I||_1/||h||_1.
 
     Enumerates the sign patterns s on I: the LP for s maximizes <s, h_I>
@@ -1311,18 +1278,16 @@ def nsp_constant(A, I, cap=None):
     so s and -s give the same value and the sign of the last index of I
     stays fixed: 2^(|I|-1) LPs, which share their rows and go to HiGHS as
     block LPs (``_block_optima``).  Returns 0 for a trivial kernel.  Raises
-    EnumerationCapExceeded when |I| exceeds the cap (default 14).
+    EnumerationCapExceeded when |I| exceeds ``config.NSP_CAP``.
     """
-    if cap is None:
-        cap = config.NSP_CAP
     A = np.atleast_2d(np.asarray(A, dtype=float))
     n = A.shape[1]
     I = np.asarray(sorted(set(int(i) for i in I)), dtype=int)
     if I.size and (I.min() < 0 or I.max() >= n):
         raise ValueError("index set out of range")
-    if I.size > cap:
+    if I.size > config.NSP_CAP:
         raise EnumerationCapExceeded(
-            f"|I| = {I.size} exceeds the enumeration cap {cap}")
+            f"|I| = {I.size} exceeds the enumeration cap {config.NSP_CAP}")
     K = kernel_basis(A)
     k = K.shape[1]
     if k == 0 or I.size == 0:

@@ -19,7 +19,8 @@ import itertools
 import math
 
 import numpy as np
-from scipy.linalg import block_diag
+from scipy.linalg import block_diag, helmert
+from scipy.optimize import isotonic_regression, lsq_linear
 
 from .. import config
 from ..cones import ConeSpec, lp_solve, range_basis
@@ -230,7 +231,6 @@ class AnalysisL1Gauge(Gauge):
         D = np.atleast_2d(np.asarray(D, dtype=float))
         super().__init__(D.shape[0])
         self.D = D
-        self._prox_lip = float(np.linalg.norm(D, 2) ** 2) if D.size else 1.0
 
     @classmethod
     def from_spec(cls, spec):
@@ -245,33 +245,13 @@ class AnalysisL1Gauge(Gauge):
 
     def prox(self, x, tau):
         """Evaluated through the dual: u* solves the box-constrained least
-        squares min_{|u|<=tau} 0.5||x - D u||^2 and prox = x - D u*."""
+        squares min_{|u|<=tau} 0.5||x - D u||^2, exactly by BVLS (Stark &
+        Parker 1995), and prox = x - D u*."""
         x = self.flat(x)
         if tau <= 0:
             return x.copy()
-        D = self.D
-        p = D.shape[1]
-        u = np.zeros(p)
-        v = u.copy()
-        t = 1.0
-        L = max(self._prox_lip, 1e-12)
-        last = math.inf
-        for _ in range(5000):
-            grad = D.T @ (D @ v - x)
-            u_next = np.clip(v - grad / L, -tau, tau)
-            obj = 0.5 * float(np.sum((x - D @ u_next) ** 2))
-            if obj > last:  # momentum overshoot: restart from the last point
-                v, t = u, 1.0
-                last = math.inf
-                continue
-            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-            v = u_next + ((t - 1.0) / t_next) * (u_next - u)
-            u, t, last = u_next, t_next, obj
-            # fixed point of the projected gradient map = dual optimality
-            step = np.clip(u - D.T @ (D @ u - x) / L, -tau, tau) - u
-            if float(np.max(np.abs(step))) <= 1e-12 * max(1.0, tau):
-                break
-        return x - D @ u
+        u = lsq_linear(self.D, x, bounds=(-tau, tau), method="bvls").x
+        return x - self.D @ u
 
     def polar(self, z):
         """inf-norm of the smallest coefficient representation (LP);
@@ -331,13 +311,6 @@ def _top_k_lift(P, ks, two_sided=False):
     return np.tile(S, (len(ks), 1)), G_u, cost
 
 
-def _helmert(s):
-    """Orthonormal basis (s, s - 1) of the vectors whose entries sum to 0."""
-    j = np.arange(1, s)
-    i = np.arange(s)[:, None]
-    return ((i < j) - j * (i == j)) / np.sqrt(j * (j + 1))
-
-
 class SortedFace(SubdiffFace):
     """∂J(x0) for the sorted weighted l1 norm, by the tie groups of |x0|.
 
@@ -359,7 +332,7 @@ class SortedFace(SubdiffFace):
             else:
                 ks = np.arange(1, idx.size) if wg[0] > wg[-1] else np.arange(0)
                 self.base[idx] = sign * (wg.mean() if ks.size else wg)
-                basis = sign[:, None] * _helmert(idx.size)
+                basis = sign[:, None] * helmert(idx.size).T
             self.parts.append((idx, sign, wg, ks))
             if ks.size:
                 cols.append(np.eye(n)[:, idx] @ basis)
@@ -496,48 +469,20 @@ class SortedWeightedL1Gauge(Gauge):
         return np.sort(np.abs(X), axis=-1)[..., ::-1] @ self.w
 
     def prox(self, x, tau):
-        """Stack-based pool-adjacent-violators routine on the sorted
-        magnitudes (isotonic regression of |x|_sorted - tau*w clipped at 0)."""
+        """The isotonic regression of |x|_sorted - tau*w, nonincreasing and
+        clipped at 0, mapped back through the sort order and the signs
+        (Bogdan et al. 2015)."""
         x = self.flat(x)
-        lam = tau * self.w
-        sign = np.sign(x)
         ax = np.abs(x)
         order = np.argsort(-ax, kind="stable")
-        y = ax[order] - lam
-        n = y.size
-        # merge blocks whose averages violate the nonincreasing constraint
-        starts = np.empty(n, dtype=int)
-        ends = np.empty(n, dtype=int)
-        sums = np.empty(n)
-        k = 0
-        for i in range(n):
-            starts[k] = i
-            ends[k] = i
-            sums[k] = y[i]
-            k += 1
-            while k > 1 and sums[k - 2] / (ends[k - 2] - starts[k - 2] + 1) <= \
-                    sums[k - 1] / (ends[k - 1] - starts[k - 1] + 1):
-                sums[k - 2] += sums[k - 1]
-                ends[k - 2] = ends[k - 1]
-                k -= 1
-        z = np.empty(n)
-        for j in range(k):
-            avg = max(sums[j] / (ends[j] - starts[j] + 1), 0.0)
-            z[starts[j]:ends[j] + 1] = avg
-        out = np.empty(n)
-        out[order] = z
-        return sign * out
+        z = isotonic_regression(ax[order] - tau * self.w, increasing=False).x
+        out = np.empty_like(ax)
+        out[order] = np.maximum(z, 0.0)
+        return np.sign(x) * out
 
     def polar(self, z):
         az = np.sort(np.abs(self.flat(z)))[::-1]
-        cum = np.cumsum(az)
-        if self._cumw[-1] <= 0.0:
-            return 0.0 if cum[-1] <= 0.0 else math.inf
-        valid = self._cumw > 0.0
-        if np.any(~valid) and np.any(cum[~valid] > 0.0):
-            return math.inf
-        ratios = cum[valid] / self._cumw[valid]
-        return float(max(np.max(ratios), 0.0))
+        return float(np.max(np.cumsum(az) / self._cumw))
 
     def dir_deriv_batch(self, x0, H):
         H = np.atleast_2d(np.asarray(H, dtype=float))

@@ -269,6 +269,24 @@ def test_upper_lipschitz_probe_line():
     assert len(probe["rows"]) == 3
 
 
+def test_upper_lipschitz_probe_nonneg_line():
+    # the nonneg_l1 exposed face {i : z_i >= 1} (the polar set is z <= 1):
+    # a w shift moves x along the active coordinate, a v that lifts z_1
+    # above 1 leaves the polar set, and one that lowers it empties the face
+    g = NonnegL1Gauge(2)
+    rep = check_sharp(g, A_LINE, X_SHARP)
+    assert rep.is_sharp == YES
+    grid = [(None, np.array([0.01])), (np.array([0.0, 0.01]), None),
+            (np.array([0.1, 0.0]), None), (np.array([-0.5, 0.0]), None)]
+    probe = upper_lipschitz_probe(g, A_LINE, X_SHARP, rep.dual_certificate,
+                                  grid)
+    assert [r["status"] for r in probe["rows"]] == \
+        ["ok", "ok", "outside polar set", "empty"]
+    assert probe["rows"][0]["ratio"] == pytest.approx(0.5, abs=1e-9)
+    assert probe["rows"][1]["ratio"] == pytest.approx(0.0, abs=1e-12)
+    assert probe["max_ratio"] == pytest.approx(0.5, abs=1e-9)
+
+
 def test_report_serializes_to_json():
     rep = check_sharp(L1Gauge(2), A_LINE, X_SHARP)
     back = json.loads(json.dumps(rep.to_dict()))
@@ -374,6 +392,37 @@ def test_exact_engine_zero_minimum_inside_the_hull(monkeypatch):
     assert abs(rep.kappa) <= 1e-15
     assert np.allclose(rep.witness, np.array([-1.0, 1.0, 0.0]) / np.sqrt(2.0),
                        atol=1e-12)
+
+
+def test_nuclear_tail_dominance_subgradient_is_the_gradient(monkeypatch):
+    # a 4-dimensional kernel (3 x 3, 5 measurements) sends the tail-dominance
+    # probe to the multistart, the one engine that reads its subgradient;
+    # where the singular values are distinct and nonzero it is the gradient
+    # of sum(tail) - sum(head), which central differences approximate
+    import gaugecert.certificates as certificates
+
+    rng = np.random.default_rng(0)
+    X0 = np.outer(rng.standard_normal(3), rng.standard_normal(3))
+    Phi = rng.standard_normal((5, 9))
+    probes = []
+    original = certificates.sphere_min
+
+    def spy(f, K, *args, **kwargs):
+        probes.append((f, K))
+        return original(f, K, *args, **kwargs)
+
+    monkeypatch.setattr(certificates, "sphere_min", spy)
+    rep = nuclear_check(Phi, X0)
+    assert rep.conditions_checked[-1][0] == "tail-dominance-sufficient"
+    f, K = probes[-1]
+    assert K.shape == (9, 4)
+    H = rng.standard_normal((10, 9))
+    s = np.linalg.svd(H.reshape(-1, 3, 3), compute_uv=False)
+    assert np.all(np.diff(s, axis=1) < -1e-3) and np.all(s > 1e-3)
+    step, E = 1e-6, np.eye(9)
+    fd = np.stack([(f.value_batch(H + step * e) - f.value_batch(H - step * e))
+                   / (2 * step) for e in E], axis=1)
+    assert np.allclose(f.subgrad_batch(H), fd, rtol=0.0, atol=1e-7)
 
 
 def test_sdp_probe_subgradient_on_a_large_kernel(monkeypatch):
@@ -684,3 +733,36 @@ def test_kernel_no_makes_alpha_a_certified_zero(kind, seed):
     if ("kernel", NO, True) in rep.conditions_checked:
         assert rep.alpha_certified and 0.0 <= rep.alpha <= 1e-8, \
             _alpha_note(rep)
+
+
+@pytest.mark.parametrize("c", [1.0, 1e4, 1e8])
+def test_sdp_kernel_witness_does_not_depend_on_the_scale_of_a(c):
+    # the probe's minimizer is an explicit kernel witness at every scale:
+    # ||A h|| is bounded relative to ||A||_2, not absolutely
+    rng = np.random.default_rng(3)
+    x0 = SdpTraceGauge(np.eye(3)).draw_x0(rng)
+    Phi = rng.standard_normal((2, 9))
+    rep = sdp_trace_check(c * Phi, np.eye(3), x0.reshape(3, 3))
+    assert rep.conditions_checked == [("kernel-probe", NO, True)]
+    assert rep.is_sharp == NO
+
+
+def test_scaling_a_changes_no_verdict():
+    # A -> cA keeps Ker A, the face and the certificates' existence, so
+    # every verdict, condition row and certified kappa stays; a heuristic
+    # (multistart) kappa may move within its search's accuracy
+    for kind in ("l1", "nonneg_l1", "analysis_l1", "wsl1", "group_l12",
+                 "nuclear", "sdp_trace"):
+        for seed in range(12):
+            g, A, x0 = _kind_draw(kind, np.random.default_rng(seed))
+            base = check_unique(g, A, x0, with_alpha=False)
+            for c in (1e-3, 1e4):
+                rep = check_unique(g, c * A, x0, with_alpha=False)
+                case = (kind, seed, c)
+                assert rep.conditions_checked == base.conditions_checked, case
+                assert (rep.is_sharp, rep.is_unique) == \
+                    (base.is_sharp, base.is_unique), case
+                assert rep.kappa_certified == base.kappa_certified, case
+                if base.kappa_certified:
+                    assert rep.kappa == pytest.approx(base.kappa, rel=1e-9,
+                                                      abs=1e-12), case

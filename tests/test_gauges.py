@@ -730,6 +730,11 @@ def test_face_membership_sampled():
     rng = np.random.default_rng(7)
     for gauge in make_zoo():
         X0 = sample_domain(gauge, rng, 4)
+        # a sparse or low-rank x0 too: zero groups and spectral tails
+        if gauge.kind == "nuclear":
+            X0 = np.vstack([X0, np.outer(*rng.standard_normal((2, 2))).ravel()])
+        elif gauge.kind != "sdp_trace":
+            X0 = np.vstack([X0, X0[0] * (np.arange(gauge.n) >= 2)])
         for x0 in X0:
             if gauge.kind == "sdp_trace":
                 x0 = x0 + 0.5 * np.eye(gauge.nmat).ravel()
