@@ -1,22 +1,25 @@
 """Print, per module of ``src/gaugecert``, how many executable lines never ran.
 
     python3 tools/line_traffic.py                      # Tier-1 and all workloads
-    python3 tools/line_traffic.py tier1 verdicts-lp --show --seed 1
+    python3 tools/line_traffic.py tier1 verdicts-lp --show
 
 Each target runs in its own child process, so every target counts from a
 fresh import: ``tier1`` is the test suite under ``pytest.main`` in that
-process, and a workload name is one round of that gcbench workload (every
-operation run once, untimed and unchecked, as in ``op_fingerprints.py``).
-``--show`` adds, under each module, the line numbers that never ran.
+process, and a workload name is one seed-1 round of that gcbench workload,
+run by ``op_fingerprints.rounds`` (every operation once, untimed and
+unchecked, its outputs fingerprinted as ``gcbench/run.py`` does, and
+``gcbench`` imported read-only).  ``--show`` adds, under each module, the
+line numbers that never ran.
 
 Only the standard library is used: ``sys.settrace`` and ``threading.settrace``
-with a line tracer on frames whose code lies in ``src/gaugecert``.  The
-executable lines of a module are the line numbers of the instructions of its
-compiled code objects (``co_lines``); a function's first line counts as run
-when the function is called.  Lines run only in the suite's own child
-processes (the CLI tests) are not counted.  ``gcbench`` is imported
-read-only: no bytecode is written, and the run's files go to a temporary
-directory.
+with a line tracer on frames whose code lies in ``src/gaugecert``.  (The
+``trace`` module's ignore list caches its answer per file base name, so a
+package ``__init__.py`` or ``config.py`` inherits the answer given for an
+ignored file of the same name elsewhere.)  The executable lines of a module
+are the line numbers of the instructions of its compiled code objects
+(``co_lines``); a function's first line counts as run when the function is
+called.  Lines run only in the suite's own child processes (the CLI tests)
+are not counted.
 """
 
 import argparse
@@ -28,10 +31,9 @@ import tempfile
 import threading
 from pathlib import Path
 
-WORKLOADS = ("verdicts-lp", "certify-cli", "recovery-sweep")
+from op_fingerprints import WORKLOADS, rounds
+
 TARGETS = ("tier1",) + WORKLOADS
-#: as in ``gcbench/run.py``: BLAS computes in one thread
-BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def main(argv=None):
@@ -41,8 +43,6 @@ def main(argv=None):
     ap.add_argument("--root", type=Path,
                     default=Path(__file__).resolve().parent.parent,
                     help="source checkout to run (default: this one)")
-    ap.add_argument("--seed", type=int, default=1,
-                    help="seed of the workload rounds")
     ap.add_argument("--show", action="store_true",
                     help="list the lines that never ran")
     ap.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
@@ -54,13 +54,13 @@ def main(argv=None):
     root = args.root.resolve()
     if args.child:
         (target,) = args.targets
-        json.dump(trace_target(target, root, args.seed), sys.stdout)
+        json.dump(trace_target(target, root), sys.stdout)
         return 0
     status = 0
     for target in args.targets:
         proc = subprocess.run(
             [sys.executable, str(Path(__file__).resolve()), "--child",
-             "--root", str(root), "--seed", str(args.seed), target],
+             "--root", str(root), target],
             stdout=subprocess.PIPE, text=True)
         if proc.returncode:
             print(f"{target}: exit {proc.returncode}", file=sys.stderr)
@@ -70,7 +70,29 @@ def main(argv=None):
     return status
 
 
-def trace_target(target, root, seed):
+def run_target(target, root):
+    if target != "tier1":
+        for _ in rounds(root, [target], [1]):
+            pass
+        return
+    import pytest
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, str(root / "src"))
+    # the suite's own child processes (CLI tests) import the same checkout
+    os.environ["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    # stdout carries the report: the suite's own output goes to stderr; the
+    # hypothesis database goes to a temporary directory
+    out, sys.stdout = sys.stdout, sys.stderr
+    try:
+        with tempfile.TemporaryDirectory(prefix="line-traffic-") as tmp:
+            os.chdir(tmp)
+            pytest.main([str(root / "tests"), "-q", "-p", "no:cacheprovider"])
+    finally:
+        sys.stdout = out
+
+
+def trace_target(target, root):
     """Run ``target`` under the line tracer; {file: sorted lines run}."""
     package = str(root / "src" / "gaugecert")
     ran = {}
@@ -87,36 +109,13 @@ def trace_target(target, root, seed):
         ran.setdefault(path, set()).add(frame.f_lineno)
         return local
 
-    for var in BLAS_VARS:
-        os.environ.setdefault(var, "1")
-    sys.dont_write_bytecode = True
-    sys.path[:0] = [str(root / "src"), str(root / "gcbench")]
-    # the suite's own child processes (CLI tests) import the same checkout
-    os.environ["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
-    with tempfile.TemporaryDirectory(prefix="line-traffic-") as tmp:
-        os.chdir(tmp)
-        threading.settrace(call)
-        sys.settrace(call)
-        try:
-            if target == "tier1":
-                import pytest
-                # stdout carries the report: the suite's own output goes to
-                # stderr
-                out, sys.stdout = sys.stdout, sys.stderr
-                try:
-                    pytest.main([str(root / "tests"), "-q",
-                                 "-p", "no:cacheprovider"])
-                finally:
-                    sys.stdout = out
-            else:
-                import run
-                import workloads
-                for op in run.make_round(target, seed, Path(tmp)):
-                    workloads.run_op(op)
-        finally:
-            sys.settrace(None)
-            threading.settrace(None)
+    threading.settrace(call)
+    sys.settrace(call)
+    try:
+        run_target(target, root)
+    finally:
+        sys.settrace(None)
+        threading.settrace(None)
     return {path: sorted(lines) for path, lines in ran.items()}
 
 

@@ -59,7 +59,25 @@ def main(argv=None):
         return compare(args.against, args.root, args.seeds, args.workloads,
                        args.show)
 
-    root = args.root.resolve()
+    for workload, seed, i, text in rounds(args.root.resolve(),
+                                          args.workloads, args.seeds):
+        digest = hashlib.md5(text.encode("utf-8")).hexdigest()
+        line = f"{workload} {seed} {i} {digest}"
+        if args.show:
+            line += "\t" + json.dumps(text)
+        print(line, flush=True)
+    return 0
+
+
+def rounds(root, names, seeds):
+    """Run one round of each workload in ``names`` at each seed, from the
+    ``src/`` and ``gcbench/`` of the checkout ``root``; yield
+    ``(workload, seed, index, text)`` per operation, ``text`` being
+    ``gcbench.workloads.fingerprint`` of its outputs.
+
+    Each operation runs once, untimed and unchecked.  ``gcbench`` is
+    imported read-only: no bytecode is written, and the certify-cli problem
+    files go to a temporary directory."""
     for var in BLAS_VARS:
         os.environ.setdefault(var, "1")
     sys.dont_write_bytecode = True
@@ -68,19 +86,14 @@ def main(argv=None):
     import workloads
 
     with tempfile.TemporaryDirectory(prefix="op-fingerprints-") as tmp:
-        for workload in args.workloads:
-            for seed in args.seeds:
+        for workload in names:
+            for seed in seeds:
                 workdir = Path(tmp) / f"{workload}-{seed}"
                 workdir.mkdir()
-                ops = run.make_round(workload, seed, workdir)
-                for i, op in enumerate(ops):
-                    text = workloads.fingerprint(workloads.run_op(op))
-                    digest = hashlib.md5(text.encode("utf-8")).hexdigest()
-                    line = f"{workload} {seed} {i} {digest}"
-                    if args.show:
-                        line += "\t" + json.dumps(text)
-                    print(line, flush=True)
-    return 0
+                for i, op in enumerate(run.make_round(workload, seed,
+                                                      workdir)):
+                    yield (workload, seed, i,
+                           workloads.fingerprint(workloads.run_op(op)))
 
 
 def _parsed(val):
