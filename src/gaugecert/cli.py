@@ -64,7 +64,7 @@ from .recovery import (ProblemInstance, RecoveryReport, noise_draw,
                        rows_to_csv, run_recovery)
 from .solvers import (
     ResidualMonotonicityError,
-    solve_dual,
+    dual_from_primal,
     solve_mozorov,
     solve_primal_eq,
     solve_tikhonov,
@@ -377,7 +377,7 @@ def cmd_solve(args):
         if b0 is None:
             _fail(f"--problem {which} requires b0 (or x0) in the problem file")
         rp = solve_primal_eq(gauge, A, b0)
-        rd = solve_dual(gauge, A, b0)
+        rd = dual_from_primal(gauge, A, b0, rp)
         res = rp if which == "primal" else rd
         point = None if res.point is None else np.asarray(res.point).ravel()
         payload = {
@@ -451,6 +451,8 @@ def _parse_seeds(text):
         _fail(f"--seeds: could not parse {text!r}")
     if not seeds:
         _fail("--seeds: empty range")
+    if min(seeds) < 0:
+        _fail("--seeds: seeds must be nonnegative integers")
     return seeds
 
 

@@ -16,8 +16,9 @@ Everything the certification layer needs about cones lives here:
   block LPs along a positive spanning set of span(K);
 * ``sphere_min`` -- minimize a positively homogeneous convex function over
   the unit sphere of a subspace, with three engines (exact piecewise-linear,
-  angular grid, multistart subgradient); a negative exact-pl minimum is
-  minus the norm of ``min_norm_point``, SciPy's NNLS on homogenized weights;
+  angular grid, multistart subgradient); a nonpositive exact-pl minimum is
+  minus the norm of ``min_norm_point``, SciPy's NNLS on homogenized weights,
+  which also answers whether 0 lies in the pieces' hull;
 * ``min_conic_singular`` -- minimum of ||Ah|| over a cone's unit sphere,
   exact on polyhedral cones by an active-set eigen search (``exact-active-set``,
   when the 2^r active sets of the r lifted rows are within ``VERTEX_CAP``),
@@ -127,9 +128,6 @@ def _highs_options(maxiter):
     """The options scipy's ``highs-ds`` method hands HiGHS, built once per
     iteration cap (scipy validates and builds them again for every LP).
     ``passOptions`` copies them, so one object serves every solver."""
-    if not 0 <= maxiter <= _highs.kHighsIInf:
-        raise ValueError(f"LP iteration cap must lie in [0, "
-                         f"{_highs.kHighsIInf}], got {maxiter}")
     opts = _highs.HighsOptions()
     opts.presolve = "on"
     opts.solver = "simplex"
@@ -146,7 +144,7 @@ def _highs_options(maxiter):
 
 
 def lp_solve(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None,
-             maxiter=None, blocks=None):
+             blocks=None):
     """Solve ``min c @ x  s.t.  A_ub x <= b_ub, A_eq x = b_eq, bounds``.
 
     Variables are free by default (unlike the scipy default of x >= 0);
@@ -182,8 +180,6 @@ def lp_solve(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None,
               np.array(bounds, dtype=float).reshape(nvar, 2).T)
     lo = np.where(np.isnan(lo), -_highs.kHighsInf, lo)
     hi = np.where(np.isnan(hi), _highs.kHighsInf, hi)
-    if maxiter is None:
-        maxiter = config.lp_maxiter()
 
     # rows [A_ub; A_eq] column-wise with explicit zeros dropped, as
     # scipy's csc_array of the stacked rows; block i's entries are the
@@ -207,7 +203,7 @@ def lp_solve(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None,
     lp.row_upper_ = np.tile(np.concatenate((b_ub, b_eq)), nblk)
 
     highs = _highs._Highs()
-    highs.passOptions(_highs_options(maxiter))
+    highs.passOptions(_highs_options(config.lp_maxiter()))
     if highs.passModel(lp) == _highs.HighsStatus.kError:
         return LpResult(status="infeasible")  # as scipy maps kModelError
     run_ok = highs.run() != _highs.HighsStatus.kError
@@ -613,14 +609,15 @@ def _chunked_max(H, Z):
     return out
 
 
-def sphere_min(f, K, cone=None, engine="auto", restarts=None, seed=0):
+def sphere_min(f, K, cone=None):
     """Minimize a convex positively homogeneous f over the unit sphere of
     span(K), optionally restricted to a cone.
 
-    Engine choice (``engine="auto"``): the exact piecewise-linear engine when
-    f exposes its linear pieces and there is no cone restriction; the angular
-    grid (certified) when the subspace dimension is at most 3; multistart
-    subgradient descent (heuristic, labeled) otherwise.
+    Engine choice: the exact piecewise-linear engine when f exposes its
+    linear pieces and there is no cone restriction; the angular grid
+    (certified) when the subspace dimension is at most 3; multistart
+    subgradient descent (heuristic, labeled, ``config.probe_restarts()``
+    starts) otherwise.
 
     Memory: the grid's first 3-D stage scores 1,236,377 directions.  It
     keeps two float64 scores per direction (about 20 MB) and maps the
@@ -635,26 +632,11 @@ def sphere_min(f, K, cone=None, engine="auto", restarts=None, seed=0):
     if k == 0:
         raise ValueError("sphere_min over a zero-dimensional subspace")
     pieces = f.pieces()
-    if engine == "auto":
-        if pieces is not None and cone is None:
-            engine = "exact-pl"
-        elif k <= 3:
-            engine = "angular-grid"
-        else:
-            engine = "multistart-subgradient"
-    if engine == "exact-pl":
-        if cone is not None:
-            raise ValueError("exact-pl engine does not support cone restrictions")
-        if pieces is None:
-            raise ValueError("exact-pl engine needs the linear piece list")
+    if pieces is not None and cone is None:
         return _exact_pl(f, pieces, K)
-    if engine == "angular-grid":
-        if k > 3:
-            raise ValueError("angular grid supports subspace dimension <= 3")
+    if k <= 3:
         return _angular_grid(f, K, cone)
-    if engine == "multistart-subgradient":
-        return _multistart(f, K, cone, restarts, seed)
-    raise ValueError(f"unknown engine {engine!r}")
+    return _multistart(f, K, cone)
 
 
 def _finish(f, h, engine, certified, evals, note=""):
@@ -678,8 +660,9 @@ def _exact_pl(f, Z, K):
     * recession cone {C t <= 0} trivial  =>  min > 0; then 0 lies in the
       interior of E = conv(C) and the minimum is the smallest facet distance
       of E from the origin (convex hull);
-    * otherwise, if 0 in E the minimum is 0 (witness from the recession LP);
-      if 0 outside E it is -dist(0, E) via the minimum-norm point.
+    * otherwise it is -dist(0, E), from the minimum-norm point p of E: 0
+      when ||p|| < 1e-12 (0 in E; the witness is the recession LP's), else
+      attained at -p / ||p||.
     """
     C = np.atleast_2d(Z @ K)
     k = K.shape[1]
@@ -714,21 +697,13 @@ def _exact_pl(f, Z, K):
                                          rcond=None)[0]
         t = normals[i] / np.linalg.norm(normals[i])
         return _finish(f, K @ t, "exact-pl", True, evals)
-    # nonpositive minimum: is 0 in conv(C)?
-    N = C.shape[0]
-    A_eq = np.vstack([C.T, np.ones((1, N))])
-    b_eq = np.concatenate([np.zeros(k), [1.0]])
-    res = lp_solve(np.zeros(N), A_eq=A_eq, b_eq=b_eq,
-                   bounds=[(0.0, None)] * N)
-    if res.status == "optimal":
-        t = witness_t / np.linalg.norm(witness_t)
-        return _finish(f, K @ t, "exact-pl", True, evals)
+    # nonpositive minimum: 0 in E (a minimum-norm point of norm ~0) or not
     p = min_norm_point(C)
     np_norm = np.linalg.norm(p)
     if np_norm < 1e-12:
         t = witness_t / np.linalg.norm(witness_t)
-        return _finish(f, K @ t, "exact-pl", True, evals)
-    t = -p / np_norm
+    else:
+        t = -p / np_norm
     return _finish(f, K @ t, "exact-pl", True, evals)
 
 
@@ -1005,11 +980,11 @@ def _cone_fallback(f, K, cone, engine, evals):
     return _no_minimizer(engine, False, evals, "no feasible direction resolved")
 
 
-def _multistart(f, K, cone, restarts, seed):
-    """Projected-subgradient descent on the sphere: all restarts take the
-    shared loop's tangential steps, renormalized after each one."""
-    if restarts is None:
-        restarts = config.probe_restarts()
+def _multistart(f, K, cone, seed=0):
+    """Projected-subgradient descent on the sphere: all
+    ``config.probe_restarts()`` restarts take the shared loop's tangential
+    steps, renormalized after each one."""
+    restarts = config.probe_restarts()
     k = K.shape[1]
     rng = np.random.default_rng(seed)
     evals = 0
@@ -1060,7 +1035,7 @@ def _multistart(f, K, cone, restarts, seed):
                    note="heuristic")
 
 
-def min_conic_singular(A, cone, restarts=None, seed=0):
+def min_conic_singular(A, cone):
     """Minimum of ||A h|| over unit vectors of the cone.
 
     Exact and certified on two kinds of cone:
@@ -1088,8 +1063,7 @@ def min_conic_singular(A, cone, restarts=None, seed=0):
         if res.certified:
             return res
         skipped = res.note
-    res = sphere_min(f, np.eye(A.shape[1]), cone=cone, restarts=restarts,
-                     seed=seed)
+    res = sphere_min(f, np.eye(A.shape[1]), cone=cone)
     res.note = "; ".join(filter(None, (skipped, res.note)))
     return res
 

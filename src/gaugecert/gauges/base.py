@@ -42,7 +42,7 @@ A new kind subclasses ``Gauge`` (and ``SubdiffFace``), registers itself in
   ``point_certificate``;
 * solvers -- polyhedral kinds give ``primal_lp`` (min J(x) s.t. Ax = b0 as
   one LP, whose equality multipliers are also the dual point); the others
-  give ``polar_ball_project`` for the splitting path;
+  are solved by splitting, from ``prox`` and ``polar`` alone;
 * optional extras, with defaults here that mean "not applicable":
   ``coordinate_basis`` (effective coordinates when the domain lies in a
   subspace), ``interior_feasibility``, ``tangent_space_test`` and
@@ -486,10 +486,6 @@ class Gauge:
         ``lp_solve`` arguments of min J(x) s.t. Ax = b0, with A x = b0 as its
         last m equality rows, and ``to_x`` maps an LP solution to x."""
         raise NotImplementedError(f"{self.kind} has no LP formulation")
-
-    def polar_ball_project(self, z):
-        """Euclidean projection onto {z : J°(z) <= 1} (splitting kinds)."""
-        raise NotImplementedError(f"no polar-ball projection for kind {self.kind!r}")
 
     # -- optional certification hooks ------------------------------------------
 

@@ -326,10 +326,6 @@ class NuclearGauge(Gauge):
     def lipschitz(self):
         return math.sqrt(min(self.shape))
 
-    def polar_ball_project(self, z):
-        U, s, Vt = np.linalg.svd(z.reshape(self.shape), full_matrices=False)
-        return (U @ np.diag(np.minimum(s, 1.0)) @ Vt).ravel()
-
     def tangent_space_test(self, A, x0, y0):
         """At z0 = A^T y0 the solution set lies in {U1 S V1^T : S sym PSD},
         built from the singular blocks of z0 at level one."""
@@ -602,12 +598,6 @@ class SdpTraceGauge(Gauge):
 
     def lipschitz(self):
         return float(np.linalg.norm(self.C))
-
-    def polar_ball_project(self, z):
-        R = self.C - _sym_mat(z, self.nmat)
-        w, V = np.linalg.eigh(R)
-        Rp = V @ np.diag(np.maximum(w, 0.0)) @ V.T
-        return (self.C - Rp).ravel()
 
     def coordinate_basis(self):
         return sym_basis(self.nmat)

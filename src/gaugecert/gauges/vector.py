@@ -724,14 +724,6 @@ class GroupL12Gauge(Gauge):
     def lipschitz(self):
         return math.sqrt(len(self.groups))
 
-    def polar_ball_project(self, z):
-        z = z.copy()
-        for idx in self.groups:
-            nb = np.linalg.norm(z[idx])
-            if nb > 1.0:
-                z[idx] /= nb
-        return z
-
 
 # ---------------------------------------------------------------------------
 # nonnegative l1

@@ -7,11 +7,11 @@ Four problems:
 * Tikhonov                         min 0.5 ||A x - b||^2 + mu J(x)
 * Mozorov (noise-aware)            min J(x)  s.t.  ||A x - b|| <= delta
 
-Polyhedral gauges route through one verified LP each (``Gauge.primal_lp``):
-its solution is the primal point and the multipliers of its rows A x = b0
-are the dual point, so primal and dual come from the same model.  The rest
-use Douglas-Rachford splitting (primal), projected-subgradient ascent with
-``Gauge.polar_ball_project`` (dual), and proximal gradient (Tikhonov).
+The primal goes through one verified LP for the polyhedral gauges
+(``Gauge.primal_lp``) and through Douglas-Rachford splitting for the rest;
+either way the solve keeps the multiplier of A x = b0, and the dual point is
+read from it, so primal and dual come from one solve (``dual_from_primal``).
+Tikhonov is proximal gradient.
 Mozorov runs a bracketed search on mu through the Tikhonov path, asserting
 the residual's monotonicity in mu at runtime.  Its steps rest on one fact:
 the Tikhonov dual point y(mu) = (b - A x(mu)) / mu is the projection of
@@ -36,6 +36,7 @@ __all__ = [
     "ResidualMonotonicityError",
     "solve_primal_eq",
     "solve_dual",
+    "dual_from_primal",
     "solve_tikhonov",
     "solve_mozorov",
     "duality_gap",
@@ -44,11 +45,12 @@ __all__ = [
 SPLIT_MAXITER = 100_000
 SPLIT_MOVE_TOL = 1e-9
 SPLIT_FEAS_TOL = 1e-8
-DUAL_ASCENT_ITERS = 500
 #: Mozorov stops once | ||Ax - b|| - delta | <= MOZOROV_BAND
 MOZOROV_BAND = 1e-6
 #: the first Mozorov solve: its residual decides feasibility of the ball
 MOZOROV_PROBE_MU = 1e-12
+#: most root-finding steps of one Mozorov search
+MOZOROV_MAXITER = 200
 
 
 class ResidualMonotonicityError(RuntimeError):
@@ -89,26 +91,27 @@ def _shape(A, rhs):
 # ---------------------------------------------------------------------------
 
 def solve_primal_eq(gauge, A, b0):
-    """Minimize J(x) subject to A x = b0."""
+    """Minimize J(x) subject to A x = b0.
+
+    ``info["multiplier"]`` holds the multiplier y of A x = b0: the LP's
+    equality marginals, or the splitting path's fixed-point multiplier.
+    """
     A, b0 = _shape(A, b0)
     if A.shape[1] != gauge.n:
         raise ValueError("A column count does not match the gauge dimension")
     if not gauge.is_polyhedral:
         return _primal_splitting(gauge, A, b0)
-    res, x = _primal_lp(gauge, A, b0)
+    lp, to_x = gauge.primal_lp(A, b0)
+    res = lp_solve(**lp)
     if res.status != "optimal":
         return SolveResult(point=None, value=math.nan, status=res.status,
                            residuals={})
-    return SolveResult(point=x, value=float(res.value), status="optimal",
+    eq = res.eq_marginals
+    return SolveResult(point=to_x(res.x), value=float(res.value),
+                       status="optimal",
                        residuals={"feasibility": 0.0,
-                                  "optimality": res.kkt_residual})
-
-
-def _primal_lp(gauge, A, b0):
-    """The gauge's LP for min J(x) s.t. Ax = b0: (LpResult, x or None)."""
-    lp, to_x = gauge.primal_lp(A, b0)
-    res = lp_solve(**lp)
-    return res, (to_x(res.x) if res.status == "optimal" else None)
+                                  "optimality": res.kkt_residual},
+                       info={"multiplier": eq[eq.size - A.shape[0]:].copy()})
 
 
 def _primal_splitting(gauge, A, b0):
@@ -152,77 +155,49 @@ def _primal_splitting(gauge, A, b0):
 # ---------------------------------------------------------------------------
 
 def solve_dual(gauge, A, b0):
-    """Maximize <b0, y> subject to J°(A^T y) <= 1.
+    """Maximize <b0, y> subject to J°(A^T y) <= 1, read off one
+    ``solve_primal_eq`` by ``dual_from_primal``."""
+    return dual_from_primal(gauge, A, b0, solve_primal_eq(gauge, A, b0))
 
-    For the polyhedral kinds y is read off the primal LP: the multipliers of
-    its rows A x = b0 are a dual optimum, and the value is <b0, y>.
+
+def dual_from_primal(gauge, A, b0, primal):
+    """The dual of min J(x) s.t. A x = b0, from ``primal``, the result of
+    ``solve_primal_eq`` on the same problem.
+
+    The dual point is the primal's multiplier y of A x = b0.  On the LP path
+    it is a dual optimum, and the value is <b0, y>.  On the splitting path y
+    is scaled into the polar ball, y / max(1, J°(A^T y)), or is 0 when that
+    scores higher; the duality gap against the primal value is the
+    optimality residual, and the status is optimal only when the primal is
+    and the gap is at most 1e-6 max(1, |p|).  A primal without a feasible
+    point makes the dual unbounded.
     """
     A, b0 = _shape(A, b0)
-    if not gauge.is_polyhedral:
-        return _dual_ascent(gauge, A, b0)
-    res, _ = _primal_lp(gauge, A, b0)
-    if res.status == "infeasible":
-        return SolveResult(point=None, value=math.inf, status="unbounded",
-                           residuals={}, note="primal infeasible")
-    if res.status != "optimal":
-        return SolveResult(point=None, value=math.nan, status=res.status,
-                           residuals={})
-    eq = res.eq_marginals
-    y = eq[eq.size - A.shape[0]:].copy()
-    return SolveResult(point=y, value=float(b0 @ y), status="optimal",
-                       residuals={"feasibility": 0.0,
-                                  "optimality": res.kkt_residual})
-
-
-def _dual_ascent(gauge, A, b0):
-    """Heuristic dual for the splitting kinds: start from the DR multiplier,
-    then projected-subgradient ascent with the polar-ball projection pulled
-    back through A^T by least squares; feasibility is restored by radial
-    scaling (J° is positively homogeneous).  The duality gap against the
-    primal value is the optimality residual; status is optimal only when it
-    closes below 1e-6 (scaled)."""
-    primal = solve_primal_eq(gauge, A, b0)
     if primal.status == "infeasible":
-        # dual is unbounded when b0 has no preimage at all
         return SolveResult(point=None, value=math.inf, status="unbounded",
                            residuals={}, note="primal infeasible")
-    m = A.shape[0]
-
-    def feasify(y):
-        p = gauge.polar(A.T @ y)
-        if p > 1.0 and np.isfinite(p):
-            return y / p
-        return y if np.isfinite(p) else None
-
-    best_y = np.zeros(m)
-    best_val = 0.0
     y = primal.info.get("multiplier")
-    if y is not None:
-        y = feasify(np.asarray(y, dtype=float))
-        if y is not None and b0 @ y > best_val:
-            best_y, best_val = y, float(b0 @ y)
-    y = best_y.copy()
-    bnorm = max(1.0, float(np.linalg.norm(b0)))
-    for it in range(1, DUAL_ASCENT_ITERS + 1):
-        y = y + (0.5 / (bnorm * math.sqrt(it))) * b0
-        z = gauge.polar_ball_project(A.T @ y)
-        y, *_ = np.linalg.lstsq(A.T, z, rcond=None)
-        yf = feasify(y)
-        if yf is None:
-            continue
-        val = float(b0 @ yf)
-        if val > best_val:
-            best_y, best_val = yf, val
-    scale = max(1.0, abs(primal.value))
-    gap = primal.value - best_val if np.isfinite(primal.value) else math.inf
-    status = "optimal" if (primal.status == "optimal" and gap <= 1e-6 * scale) \
+    if y is None:
+        return SolveResult(point=None, value=math.nan, status=primal.status,
+                           residuals={})
+    if gauge.is_polyhedral:
+        return SolveResult(point=y, value=float(b0 @ y), status="optimal",
+                           residuals=dict(primal.residuals))
+    p = gauge.polar(A.T @ y)
+    y = y / max(1.0, p) if math.isfinite(p) else np.zeros(A.shape[0])
+    if not b0 @ y > 0.0:
+        y = np.zeros(A.shape[0])
+    value = float(b0 @ y)
+    gap = primal.value - value
+    status = "optimal" if (primal.status == "optimal"
+                           and gap <= 1e-6 * max(1.0, abs(primal.value))) \
         else "maxiter"
-    return SolveResult(point=best_y, value=best_val, status=status,
+    return SolveResult(point=y, value=value, status=status,
                        residuals={"feasibility":
-                                  max(0.0, gauge.polar(A.T @ best_y) - 1.0),
+                                  max(0.0, gauge.polar(A.T @ y) - 1.0),
                                   "optimality": max(gap, 0.0)},
-                       iterations=DUAL_ASCENT_ITERS,
-                       note="heuristic ascent; quality certified by the "
+                       iterations=primal.iterations,
+                       note="splitting multiplier; quality certified by the "
                             "duality gap")
 
 
@@ -288,7 +263,7 @@ def solve_tikhonov(gauge, A, b, mu, x_start=None):
                        iterations=it, info={"mu": float(mu)})
 
 
-def solve_mozorov(gauge, A, b, delta, maxiter=200):
+def solve_mozorov(gauge, A, b, delta):
     """Minimize J(x) subject to ||Ax - b|| <= delta.
 
     Finds the mu at which the Tikhonov residual r(mu) = ||A x(mu) - b||
@@ -306,9 +281,10 @@ def solve_mozorov(gauge, A, b, delta, maxiter=200):
     warm started from the point at the lower end.  Residual monotonicity in
     mu is asserted on every solve.  The point returned is a solve with
     r <= delta; status is 'optimal' when r is within 1e-6 of delta and
-    'maxiter' when ``maxiter`` steps (or a collapsed bracket) end the search
-    first.  ``info`` holds mu, the residual, the number of Tikhonov solves,
-    their (mu, r) path in solve order and their summed FISTA iterations.
+    'maxiter' when ``MOZOROV_MAXITER`` steps (or a collapsed bracket) end
+    the search first.  ``info`` holds mu, the residual, the number of
+    Tikhonov solves, their (mu, r) path in solve order and their summed
+    FISTA iterations.
     delta=0 routes to the equality-constrained primal.
     """
     A, b = _shape(A, b)
@@ -365,7 +341,7 @@ def solve_mozorov(gauge, A, b, delta, maxiter=200):
     sol_hi, r_hi = residual_at(mu_hi, sol_lo.point)
     target = delta - 0.5 * MOZOROV_BAND
     it = 0
-    for it in range(1, maxiter + 1):
+    for it in range(1, MOZOROV_MAXITER + 1):
         if abs(r_lo - delta) <= MOZOROV_BAND:
             break
         warm = sol_lo.point
@@ -416,6 +392,6 @@ def _log_secant(p, q, target):
 def duality_gap(gauge, A, b0):
     """val(P_J) - val(D_J); both values are logged."""
     p = solve_primal_eq(gauge, A, b0)
-    d = solve_dual(gauge, A, b0)
+    d = dual_from_primal(gauge, A, b0, p)
     logger.info("duality gap: primal %.12g dual %.12g", p.value, d.value)
     return float(p.value - d.value)

