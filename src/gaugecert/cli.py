@@ -361,6 +361,10 @@ def _print_solve(payload):
     if "duality_gap" in payload:
         _kv("duality_gap", _fmt_float(payload["duality_gap"]))
     _kv("iterations", payload["iterations"])
+    info = payload.get("info", {})
+    if "route" in info:
+        _kv("route", info["route"] + (f" ({info['fallback']})"
+                                      if "fallback" in info else ""))
     if payload.get("note"):
         _kv("note", payload["note"])
 

@@ -7,6 +7,8 @@ Everything the certification layer needs about cones lives here:
   of scipy's ``highs-ds`` method, built without its per-call option checks,
   and each optimum re-verified by its KKT residual; LPs that share their
   rows and differ in cost go to HiGHS together as one block-diagonal LP;
+* ``qp_solve`` -- the same model with a Hessian, solved by HiGHS's
+  active-set QP method (the polyhedral Tikhonov and Mozorov solves);
 * ``kernel_basis`` / ``range_basis`` / ``matrix_rank`` -- SVD-based subspace
   and rank tests, plus ``affine_solve`` and the heuristic ``subgradient_min``
   used by the certificate searches;
@@ -68,6 +70,7 @@ __all__ = [
     "LpFailure",
     "LpResult",
     "lp_solve",
+    "qp_solve",
     "kernel_basis",
     "range_basis",
     "matrix_rank",
@@ -124,23 +127,90 @@ def _lp_rows(A, b, n, name):
 
 
 @functools.lru_cache(maxsize=8)
-def _highs_options(maxiter):
+def _highs_options(maxiter, qp=False):
     """The options scipy's ``highs-ds`` method hands HiGHS, built once per
-    iteration cap (scipy validates and builds them again for every LP).
+    iteration cap (scipy validates and builds them again for every LP); the
+    cap binds ``qp_solve``'s QP iterations as well.  With ``qp``, the
+    feasibility tolerances are HiGHS's defaults of 1e-7: HiGHS regularizes
+    a QP by 1e-7 and checks its optimum against them, and at 1e-9 it calls
+    some regularized optima a solve error.
     ``passOptions`` copies them, so one object serves every solver."""
     opts = _highs.HighsOptions()
     opts.presolve = "on"
     opts.solver = "simplex"
     opts.simplex_strategy = \
         _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
-    opts.primal_feasibility_tolerance = 1e-9
-    opts.dual_feasibility_tolerance = 1e-9
+    opts.primal_feasibility_tolerance = 1e-7 if qp else 1e-9
+    opts.dual_feasibility_tolerance = 1e-7 if qp else 1e-9
     opts.simplex_iteration_limit = maxiter
     opts.ipm_iteration_limit = maxiter
+    opts.qp_iteration_limit = maxiter
     opts.highs_debug_level = _highs.HighsDebugLevel.kHighsDebugLevelNone
     opts.log_to_console = False
     opts.output_flag = False
     return opts
+
+
+def _highs_lp(C, A_ub, b_ub, A_eq, b_eq, bounds):
+    """Validate the costs, rows and bounds of ``lp_solve`` / ``qp_solve``
+    for the (B, nvar) stack of costs ``C``, and build their HighsLp: B
+    copies of the rows, copy i with cost ``C[i]``, as one block-diagonal
+    model.
+
+    Returns ``(lp, rows)``, ``rows`` holding the one block's dense
+    ``A_ub, b_ub, A_eq, b_eq, lo, hi`` (missing bounds at +-inf)."""
+    if not np.isfinite(C).all():
+        raise ValueError("LP input: c must be finite")
+    nblk, nvar = C.shape
+    A_ub, b_ub = _lp_rows(A_ub, b_ub, nvar, "ub")
+    A_eq, b_eq = _lp_rows(A_eq, b_eq, nvar, "eq")
+    lo, hi = (np.full((2, nvar), math.nan) if bounds is None else
+              np.array(bounds, dtype=float).reshape(nvar, 2).T)
+    lo = np.where(np.isnan(lo), -_highs.kHighsInf, lo)
+    hi = np.where(np.isnan(hi), _highs.kHighsInf, hi)
+
+    # rows [A_ub; A_eq] column-wise with explicit zeros dropped, as
+    # scipy's csc_array of the stacked rows; block i's entries are the
+    # first block's, shifted by i blocks of rows and of nonzeros
+    A = np.vstack((A_ub, A_eq))
+    cols, rows = np.nonzero(A.T)
+    nrow, shift = A.shape[0], np.arange(nblk)[:, None]
+    start = np.cumsum(np.bincount(cols, minlength=nvar))
+    lp = _highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = nblk * nvar
+    lp.num_row_ = lp.a_matrix_.num_row_ = nblk * nrow
+    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = np.concatenate(([0], (start + rows.size * shift).ravel()))
+    lp.a_matrix_.index_ = (rows + nrow * shift).ravel()
+    lp.a_matrix_.value_ = np.tile(A[rows, cols], nblk)
+    lp.col_cost_ = C.ravel()
+    lp.col_lower_ = np.tile(lo, nblk)
+    lp.col_upper_ = np.tile(hi, nblk)
+    lp.row_lower_ = np.tile(np.concatenate(
+        (np.full(b_ub.size, -_highs.kHighsInf), b_eq)), nblk)
+    lp.row_upper_ = np.tile(np.concatenate((b_ub, b_eq)), nblk)
+    return lp, (A_ub, b_ub, A_eq, b_eq, lo, hi)
+
+
+def _highs_run(model, qp=False):
+    """Solve ``model`` (a HighsLp, or a HighsModel with a Hessian) on a fresh
+    HiGHS under ``_highs_options``.  Returns the solver at an optimum, or
+    the status 'infeasible' / 'unbounded'; other statuses raise LpFailure."""
+    highs = _highs._Highs()
+    highs.passOptions(_highs_options(config.lp_maxiter(), qp))
+    if highs.passModel(model) == _highs.HighsStatus.kError:
+        return "infeasible"  # as scipy maps kModelError
+    run_ok = highs.run() != _highs.HighsStatus.kError
+    status = highs.getModelStatus()
+    if status in (_highs.HighsModelStatus.kInfeasible,
+                  _highs.HighsModelStatus.kModelError):
+        return "infeasible"
+    if status == _highs.HighsModelStatus.kUnbounded:
+        return "unbounded"
+    if status != _highs.HighsModelStatus.kOptimal or not run_ok:
+        raise LpFailure(f"LP backend failure: "
+                        f"{highs.modelStatusToString(status)}")
+    return highs
 
 
 def lp_solve(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None,
@@ -171,51 +241,13 @@ def lp_solve(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None,
     if C.ndim != 2 or C.shape[0] != (blocks or 1) or C.size == 0:
         raise ValueError(f"LP input: c must be a nonempty vector, or one per "
                          f"block, got shape {np.shape(c)}")
-    if not np.isfinite(C).all():
-        raise ValueError("LP input: c must be finite")
+    lp, (A_ub, b_ub, A_eq, b_eq, lo, hi) = _highs_lp(C, A_ub, b_ub, A_eq,
+                                                     b_eq, bounds)
+    highs = _highs_run(lp)
+    if isinstance(highs, str):
+        return LpResult(status=highs)
     nblk, nvar = C.shape
-    A_ub, b_ub = _lp_rows(A_ub, b_ub, nvar, "ub")
-    A_eq, b_eq = _lp_rows(A_eq, b_eq, nvar, "eq")
-    lo, hi = (np.full((2, nvar), math.nan) if bounds is None else
-              np.array(bounds, dtype=float).reshape(nvar, 2).T)
-    lo = np.where(np.isnan(lo), -_highs.kHighsInf, lo)
-    hi = np.where(np.isnan(hi), _highs.kHighsInf, hi)
-
-    # rows [A_ub; A_eq] column-wise with explicit zeros dropped, as
-    # scipy's csc_array of the stacked rows; block i's entries are the
-    # first block's, shifted by i blocks of rows and of nonzeros
-    A = np.vstack((A_ub, A_eq))
-    cols, rows = np.nonzero(A.T)
-    nrow, shift = A.shape[0], np.arange(nblk)[:, None]
-    start = np.cumsum(np.bincount(cols, minlength=nvar))
-    lp = _highs.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = nblk * nvar
-    lp.num_row_ = lp.a_matrix_.num_row_ = nblk * nrow
-    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = np.concatenate(([0], (start + rows.size * shift).ravel()))
-    lp.a_matrix_.index_ = (rows + nrow * shift).ravel()
-    lp.a_matrix_.value_ = np.tile(A[rows, cols], nblk)
-    lp.col_cost_ = C.ravel()
-    lp.col_lower_ = lo_all = np.tile(lo, nblk)
-    lp.col_upper_ = hi_all = np.tile(hi, nblk)
-    lp.row_lower_ = np.tile(np.concatenate(
-        (np.full(b_ub.size, -_highs.kHighsInf), b_eq)), nblk)
-    lp.row_upper_ = np.tile(np.concatenate((b_ub, b_eq)), nblk)
-
-    highs = _highs._Highs()
-    highs.passOptions(_highs_options(config.lp_maxiter()))
-    if highs.passModel(lp) == _highs.HighsStatus.kError:
-        return LpResult(status="infeasible")  # as scipy maps kModelError
-    run_ok = highs.run() != _highs.HighsStatus.kError
-    status = highs.getModelStatus()
-    if status in (_highs.HighsModelStatus.kInfeasible,
-                  _highs.HighsModelStatus.kModelError):
-        return LpResult(status="infeasible")
-    if status == _highs.HighsModelStatus.kUnbounded:
-        return LpResult(status="unbounded")
-    if status != _highs.HighsModelStatus.kOptimal or not run_ok:
-        raise LpFailure(f"LP backend failure: "
-                        f"{highs.modelStatusToString(status)}")
+    nrow = b_ub.size + b_eq.size
 
     sol = highs.getSolution()
     X = np.array(sol.col_value).reshape(nblk, nvar)
@@ -235,6 +267,7 @@ def lp_solve(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None,
         A_ub @ x - b_ub, np.abs(A_eq @ x - b_eq), lo - x, x - hi)))) for x in X))
     # duality gap from marginals (dual objective must meet the primal
     # value); the bound terms are added one by one, in column order
+    lo_all, hi_all = np.tile(lo, nblk), np.tile(hi, nblk)
     bound_terms = np.column_stack((
         np.where(np.isfinite(lo_all), lo_all, 0.0) * lower_m,
         np.where(np.isfinite(hi_all), hi_all, 0.0) * upper_m))
@@ -254,6 +287,41 @@ def lp_solve(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None,
                         kkt_residual=kkt, eq_marginals=eq_m[0].copy())
     return LpResult(status="optimal", x=X, value=np.vecdot(C, X),
                     kkt_residual=kkt, eq_marginals=eq_m.copy())
+
+
+def qp_solve(c, Q, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None):
+    """Solve ``min 0.5 x @ Q @ x + c @ x`` over the rows and bounds of
+    ``lp_solve``, for a symmetric positive semidefinite ``Q``.
+
+    The model is ``lp_solve``'s HighsLp with Q's lower triangle as its
+    HighsHessian, under the same options; HiGHS solves it by its
+    active-set QP method.  Returns an ``LpResult`` with ``x`` and
+    ``value`` (no marginals, no KKT residual: the caller certifies the
+    point).  Statuses other than optimal/infeasible/unbounded raise
+    LpFailure.
+    """
+    C = np.atleast_1d(np.asarray(c, dtype=float).squeeze())[None]
+    Q = np.asarray(Q, dtype=float)
+    if Q.shape != (C.shape[1],) * 2 or not np.isfinite(Q).all():
+        raise ValueError(f"QP input: Q must be a finite ({C.shape[1]}, "
+                         f"{C.shape[1]}) matrix, got shape {Q.shape}")
+    model = _highs.HighsModel()
+    model.lp_, _ = _highs_lp(C, A_ub, b_ub, A_eq, b_eq, bounds)
+    cols, rows = np.nonzero(np.tril(Q).T)
+    hess = _highs.HighsHessian()
+    hess.dim_ = Q.shape[0]
+    hess.format_ = _highs.HessianFormat.kTriangular
+    hess.start_ = np.concatenate(([0], np.cumsum(
+        np.bincount(cols, minlength=Q.shape[0]))))
+    hess.index_ = rows
+    hess.value_ = Q[rows, cols]
+    model.hessian_ = hess
+    highs = _highs_run(model, qp=True)
+    if isinstance(highs, str):
+        return LpResult(status=highs)
+    x = np.array(highs.getSolution().col_value)
+    return LpResult(status="optimal", x=x,
+                    value=float(highs.getInfo().objective_function_value))
 
 
 def kernel_basis(A):

@@ -41,8 +41,9 @@ A new kind subclasses ``Gauge`` (and ``SubdiffFace``), registers itself in
   replace it with an exact max-margin LP, and answer a singleton face with
   ``point_certificate``;
 * solvers -- polyhedral kinds give ``primal_lp`` (min J(x) s.t. Ax = b0 as
-  one LP, whose equality multipliers are also the dual point); the others
-  are solved by splitting, from ``prox`` and ``polar`` alone;
+  one LP, whose equality multipliers are also the dual point; its lift
+  also carries their Tikhonov and Mozorov QPs); the others are solved by
+  splitting and FISTA, from ``prox`` and ``polar`` alone;
 * optional extras, with defaults here that mean "not applicable":
   ``coordinate_basis`` (effective coordinates when the domain lies in a
   subspace), ``interior_feasibility``, ``tangent_space_test`` and

@@ -11,14 +11,23 @@ The primal goes through one verified LP for the polyhedral gauges
 (``Gauge.primal_lp``) and through Douglas-Rachford splitting for the rest;
 either way the solve keeps the multiplier of A x = b0, and the dual point is
 read from it, so primal and dual come from one solve (``dual_from_primal``).
-Tikhonov is proximal gradient.
-Mozorov runs a bracketed search on mu through the Tikhonov path, asserting
-the residual's monotonicity in mu at runtime.  Its steps rest on one fact:
-the Tikhonov dual point y(mu) = (b - A x(mu)) / mu is the projection of
-b / mu onto the convex set {y : J°(A^T y) <= 1}, which holds 0, so the
-residual r(mu) = mu ||y(mu)|| never falls and r(mu) / mu never rises as mu
-grows.  Below a solve (mu_hi, r_hi), r(mu) >= mu r_hi / mu_hi: the step to
-mu_hi target / r_hi never undershoots the root.
+
+Tikhonov and Mozorov are QPs for the polyhedral gauges: one HiGHS QP on the
+lift of ``primal_lp`` with the residual r = A x - b as variables, polished
+on its active set and returned only once the gauge's own KKT test holds,
+z = A^T (b - A x) / mu in ∂J(x).  On an active set the solution is affine in
+mu (the homotopy / LARS path: Osborne, Presnell & Turlach 2000; Efron et al.
+2004), so the Mozorov equation ||r(mu)|| = delta is a scalar quadratic on
+each piece.  The other kinds, and a polyhedral solve whose QP fails or is
+not certified, take the FISTA route: accelerated proximal gradient for
+Tikhonov, and for Mozorov a bracketed search on mu through the Tikhonov
+path.  Both routes assert the residual's monotonicity in mu at runtime.
+The search's steps rest on one fact: the Tikhonov dual point
+y(mu) = (b - A x(mu)) / mu is the projection of b / mu onto the convex set
+{y : J°(A^T y) <= 1}, which holds 0, so the residual r(mu) = mu ||y(mu)||
+never falls and r(mu) / mu never rises as mu grows.  Below a solve
+(mu_hi, r_hi), r(mu) >= mu r_hi / mu_hi: the step to mu_hi target / r_hi
+never undershoots the root.
 """
 
 import logging
@@ -27,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cones import lp_solve
+from .cones import LpFailure, lp_solve, qp_solve
 
 logger = logging.getLogger(__name__)
 
@@ -47,10 +56,13 @@ SPLIT_MOVE_TOL = 1e-9
 SPLIT_FEAS_TOL = 1e-8
 #: Mozorov stops once | ||Ax - b|| - delta | <= MOZOROV_BAND
 MOZOROV_BAND = 1e-6
-#: the first Mozorov solve: its residual decides feasibility of the ball
+#: the first solve of the FISTA Mozorov search: its residual decides
+#: feasibility of the ball
 MOZOROV_PROBE_MU = 1e-12
-#: most root-finding steps of one Mozorov search
+#: most root-finding steps of one Mozorov search (QPs on the exact route)
 MOZOROV_MAXITER = 200
+#: the exact route's KKT test: z = A^T (b - A x) / mu in ∂J(x) to this
+EXACT_KKT_TOL = 1e-9
 
 
 class ResidualMonotonicityError(RuntimeError):
@@ -64,8 +76,9 @@ class SolveResult:
 
     status is 'optimal', 'maxiter', or 'infeasible'; at 'optimal' the
     residuals sit below the configured tolerances (1e-8 on LP paths, 1e-6 on
-    splitting paths).  ``info`` carries solver-specific extras (e.g. the mu
-    found by the Mozorov search, with its Tikhonov solve count and path).
+    splitting paths).  ``info`` carries solver-specific extras (e.g. the
+    route of a Tikhonov or Mozorov solve, the mu found by the Mozorov
+    search and its (mu, r) path).
     """
 
     point: np.ndarray
@@ -205,7 +218,172 @@ def dual_from_primal(gauge, A, b0, primal):
 # Tikhonov / Mozorov
 # ---------------------------------------------------------------------------
 
+class _NotCertified(Exception):
+    """The exact route found no certified point; the message says why."""
+
+
+class _RFormQp:
+    """The Tikhonov problem of a polyhedral gauge as the QP
+
+        min 0.5 ||r||^2 + mu c @ v  s.t.  r = A P v - b  and the lift rows,
+
+    built from ``gauge.primal_lp(A, b)``: its last m equality rows (A P v =
+    b) get -I on m free columns r, and the Hessian is I on r.
+    ``certified`` runs the QP at mu and polishes its optimum into the
+    affine piece w(mu) = w0 + mu w1 of its active set; ``point`` reads x
+    and its KKT residual off a piece.  ``path`` collects the (mu, r) of
+    every certified point, with the residual's monotonicity in mu
+    asserted."""
+
+    def __init__(self, gauge, A, b):
+        lp, self.to_x = gauge.primal_lp(A, b)
+        m = A.shape[0]
+        self.nv = nv = np.size(lp["c"])
+        A_eq = np.atleast_2d(np.asarray(lp["A_eq"], dtype=float))
+        self.A_eq = np.hstack([A_eq, np.vstack([np.zeros((len(A_eq) - m, m)),
+                                                -np.eye(m)])])
+        self.b_eq = np.asarray(lp["b_eq"], dtype=float)
+        A_ub = lp.get("A_ub")
+        A_ub = np.zeros((0, nv)) if A_ub is None else np.asarray(A_ub, float)
+        self.A_ub = np.hstack([A_ub, np.zeros((len(A_ub), m))])
+        self.b_ub = np.asarray(lp.get("b_ub", np.zeros(0)), dtype=float)
+        bounds = np.array(list(lp.get("bounds") or [(None, None)] * nv)
+                          + [(None, None)] * m, dtype=float)
+        bounds[:, 0] = np.where(np.isnan(bounds[:, 0]), -np.inf, bounds[:, 0])
+        bounds[:, 1] = np.where(np.isnan(bounds[:, 1]), np.inf, bounds[:, 1])
+        self.bounds, (self.lo, self.hi) = bounds, bounds.T
+        self.c = np.concatenate([lp["c"], np.zeros(m)])
+        self.h = np.concatenate([np.zeros(nv), np.ones(m)])
+        self.hess = np.diag(self.h)
+        self.gauge, self.A, self.b = gauge, A, b
+        self.scale = max(1.0, float(np.linalg.norm(A) * np.linalg.norm(b)))
+        self.qp_solves = 0
+        self.path = []
+
+    def piece(self, w, tol):
+        """The affine piece (w0, w1) of the active set of w: each variable
+        within ``tol`` max(1, |w|) of a bound is fixed at it, each
+        inequality row as tight is kept as an equality, and one ``lstsq``
+        on that set's equality KKT system gives the rest for every mu."""
+        tol *= max(1.0, float(np.max(np.abs(w))))
+        at_lo, at_hi = np.abs(w - self.lo) <= tol, np.abs(w - self.hi) <= tol
+        w0 = np.where(at_lo, self.lo, np.where(at_hi, self.hi, 0.0))
+        tight = np.abs(self.A_ub @ w - self.b_ub) <= tol
+        C = np.vstack([self.A_eq, self.A_ub[tight]])
+        d = np.concatenate([self.b_eq, self.b_ub[tight]]) - C @ w0
+        free = np.flatnonzero(~(at_lo | at_hi))
+        nf, F = free.size, C[:, free]
+        K = np.zeros((nf + len(F),) * 2)
+        K[:nf, nf:], K[nf:, :nf] = F.T, F
+        K[np.arange(nf), np.arange(nf)] = self.h[free]
+        rhs = np.zeros((len(K), 2))
+        rhs[nf:, 0], rhs[:nf, 1] = d, -self.c[free]
+        sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
+        w1 = np.zeros_like(w0)
+        w0[free], w1[free] = sol[:nf, 0], sol[:nf, 1]
+        return w0, w1
+
+    def point(self, piece, mu):
+        """x on ``piece`` at mu, its residual ||A x - b|| and its KKT
+        residual: max(J°(z) - 1, |<z, x> - J(x)| / max(1, J(x))) for
+        z = A^T (b - A x) / mu, so that x minimizes the Tikhonov objective
+        at mu when it is 0.  At mu = 0 z is not divided, and the terms are
+        J°(z) and |<z, x>|, in units of ||A|| ||b||: x then minimizes
+        ||A x - b|| over dom J."""
+        w0, w1 = piece
+        x = self.to_x((w0 + mu * w1)[:self.nv])
+        resid = self.A @ x - self.b
+        z = -(self.A.T @ resid)
+        J = float(self.gauge.value(x))
+        if mu > 0:
+            z = z / mu
+            kkt = max(self.gauge.polar(z) - 1.0,
+                      abs(float(z @ x) - J) / max(1.0, J))
+        else:
+            kkt = max(self.gauge.polar(z), abs(float(z @ x))) / self.scale
+        return x, float(np.linalg.norm(resid)), kkt
+
+    def certified(self, mu):
+        """The QP at mu and its polished point ``(piece, x, r, kkt)``.  The
+        active set is read at a bound distance of 1e-6 (HiGHS regularizes
+        the QP by 1e-7, which can lift a variable off its bound), then of
+        1e-9 (a variable that close to its bound may be free);
+        ``_NotCertified`` unless a point passes the KKT test to
+        ``EXACT_KKT_TOL``."""
+        self.qp_solves += 1
+        res = qp_solve(mu * self.c, self.hess, self.A_ub, self.b_ub,
+                       self.A_eq, self.b_eq, self.bounds)
+        if res.status != "optimal":
+            raise _NotCertified(f"QP at mu={mu:.3e} is {res.status}")
+        for tol in (1e-6, 1e-9):
+            piece = self.piece(res.x, tol)
+            x, r, kkt = self.point(piece, mu)
+            if kkt <= EXACT_KKT_TOL:
+                _record(self.path, mu, r)
+                return piece, x, r, kkt
+        raise _NotCertified(f"KKT residual {kkt:.1e} at mu={mu:.3e}")
+
+    def info(self, **extra):
+        return dict(extra, route="exact-qp", qp_solves=self.qp_solves,
+                    path=self.path, fista_iterations=0)
+
+    def fallback(self, problem, exc):
+        """The info a FISTA solve carries after this route failed, logged."""
+        logger.debug("%s on %s: FISTA route after %d QP solves: %s", problem,
+                     self.gauge.kind, self.qp_solves, exc)
+        return {"fallback": str(exc), "qp_solves": self.qp_solves}
+
+
+def _record(path, mu, r):
+    """Append the solve (mu, r) to ``path``, asserting that the residual is
+    monotone in mu against every earlier solve."""
+    for mu2, r2 in path:
+        inverted = (mu2 < mu and r2 > r + 1e-6 * max(1.0, r2)) or \
+                   (mu2 > mu and r2 < r - 1e-6 * max(1.0, r))
+        if inverted:
+            raise ResidualMonotonicityError(
+                f"residual not monotone in mu: ({mu2:.3e},{r2:.6e}) vs "
+                f"({mu:.3e},{r:.6e})")
+    path.append((mu, r))
+
+
 def solve_tikhonov(gauge, A, b, mu, x_start=None):
+    """Minimize 0.5 ||Ax - b||^2 + mu J(x).
+
+    A polyhedral gauge is solved exactly: one QP on the lift of
+    ``Gauge.primal_lp`` (``_RFormQp``), polished on its active set and
+    returned once x passes the KKT test z = A^T (b - A x) / mu in ∂J(x),
+    that is J°(z) <= 1 + 1e-9 and |<z, x> - J(x)| <= 1e-9 max(1, J(x)).
+    ``iterations`` then counts QP solves and ``info["route"]`` is
+    "exact-qp".  The other kinds, and a polyhedral solve whose QP fails or
+    is not certified (``info["fallback"]`` says why), take the FISTA route
+    of ``_fista``, with ``info["route"]`` "fista".
+    """
+    if not (math.isfinite(mu) and mu > 0):
+        raise ValueError("mu must be finite and positive")
+    A, b = _shape(A, b)
+    fallback = {}
+    if gauge.is_polyhedral:
+        qp = _RFormQp(gauge, A, b)
+        try:
+            _, x, r, kkt = qp.certified(mu)
+        except (_NotCertified, LpFailure) as exc:
+            fallback = qp.fallback("tikhonov", exc)
+        else:
+            logger.debug("tikhonov on %s: exact-qp route, KKT residual %.1e",
+                         gauge.kind, kkt)
+            return SolveResult(
+                point=x, value=0.5 * r * r + mu * float(gauge.value(x)),
+                status="optimal",
+                residuals={"optimality": max(kkt, 0.0), "data_misfit": r},
+                iterations=qp.qp_solves, note="exact QP route",
+                info=qp.info(mu=float(mu)))
+    res = _fista(gauge, A, b, mu, x_start)
+    res.info.update(fallback)
+    return res
+
+
+def _fista(gauge, A, b, mu, x_start=None):
     """Minimize 0.5 ||Ax - b||^2 + mu J(x) by accelerated proximal gradient.
 
     Fixed step 1/sigma_max(A)^2 with Nesterov momentum, restarted whenever
@@ -215,9 +393,6 @@ def solve_tikhonov(gauge, A, b, mu, x_start=None):
     The decrease is tested first; the fixed-point residual costs one more
     prox, so it is computed only on iterations that pass the first test.
     """
-    if not (math.isfinite(mu) and mu > 0):
-        raise ValueError("mu must be finite and positive")
-    A, b = _shape(A, b)
     smax = float(np.linalg.norm(A, 2))
     L = max(smax ** 2, 1e-300)
     x = np.zeros(A.shape[1]) if x_start is None else \
@@ -260,32 +435,30 @@ def solve_tikhonov(gauge, A, b, mu, x_start=None):
     return SolveResult(point=x, value=F, status=status,
                        residuals={"optimality": step_move,
                                   "data_misfit": float(np.linalg.norm(r))},
-                       iterations=it, info={"mu": float(mu)})
+                       iterations=it,
+                       info={"mu": float(mu), "route": "fista",
+                             "fista_iterations": it})
 
 
 def solve_mozorov(gauge, A, b, delta):
     """Minimize J(x) subject to ||Ax - b|| <= delta.
 
     Finds the mu at which the Tikhonov residual r(mu) = ||A x(mu) - b||
-    meets delta by a bracketed search aimed at the middle of the band,
-    target = delta - 1e-6 / 2.  The bracket starts at [1e-12, J°(A^T b)];
-    the solve at 1e-12 only probes feasibility.  While it is still the lower
-    end, the step goes to mu_hi * target / r_hi, from the lowest solve
-    (mu_hi, r_hi) above the band: r(mu) / mu never rises with mu (see the
-    module docstring), so r >= target there and the step never lands below
-    the band's middle.  From the third solve on, the secant through the
-    last two solves on (log mu, log r) replaces that step when it lies in
-    [mu_hi / 10, step).  These steps are warm started from the point at
-    mu_hi.  Once both ends are real solves, each step is that secant, or
-    the bracket's geometric midpoint when the secant leaves the bracket,
-    warm started from the point at the lower end.  Residual monotonicity in
-    mu is asserted on every solve.  The point returned is a solve with
-    r <= delta; status is 'optimal' when r is within 1e-6 of delta and
+    meets target = delta - 1e-6 / 2, the middle of the band.  delta = 0
+    routes to the equality-constrained primal, and the point is 0 when
+    ||b|| <= delta.  A non-conic gauge whose least-squares residual misses
+    the ball is infeasible.
+
+    A polyhedral gauge takes the exact route (``_mozorov_exact``): QPs on
+    the Tikhonov lift, each giving the affine piece of x(mu) on its active
+    set, on which r(mu) = target is a scalar quadratic.  The other kinds,
+    and a polyhedral search whose QP fails or is not certified, take the
+    FISTA route of ``_mozorov_fista``.  ``info["route"]`` names the route,
+    ``info["path"]`` holds the (mu, r) of every solve in order, and
+    residual monotonicity in mu is asserted on each.  The point returned
+    has r <= delta; status is 'optimal' when r is within 1e-6 of delta and
     'maxiter' when ``MOZOROV_MAXITER`` steps (or a collapsed bracket) end
-    the search first.  ``info`` holds mu, the residual, the number of
-    Tikhonov solves, their (mu, r) path in solve order and their summed
-    FISTA iterations.
-    delta=0 routes to the equality-constrained primal.
+    the FISTA search first.
     """
     A, b = _shape(A, b)
     if not math.isfinite(delta):
@@ -312,6 +485,107 @@ def solve_mozorov(gauge, A, b, delta):
     mu_hi = gauge.polar(A.T @ b)
     if not np.isfinite(mu_hi) or mu_hi <= 0:
         mu_hi = float(np.linalg.norm(A.T @ b)) + 1.0
+    fallback = {}
+    if gauge.is_polyhedral:
+        qp = _RFormQp(gauge, A, b)
+        try:
+            return _mozorov_exact(qp, delta, mu_hi)
+        except (_NotCertified, LpFailure) as exc:
+            fallback = qp.fallback("mozorov", exc)
+    res = _mozorov_fista(gauge, A, b, delta, xls, mu_hi)
+    res.info.update(fallback)
+    return res
+
+
+def _mozorov_exact(qp, delta, mu_hi):
+    """The exact Mozorov route on the r-form QP ``qp``.
+
+    A conic gauge first solves the QP at mu = 0: its residual, the
+    distance from b to A dom J, decides feasibility (in place of the FISTA
+    route's probe at mu = 1e-12).  The search starts at the FISTA route's
+    first step mu_hi target / ||b||, r(mu_hi) being ||b||.  At each mu the
+    QP gives the piece w0 + mu w1 of its active set; ||r(mu)|| = target is
+    a quadratic in mu on it, and its larger root is returned once its point
+    passes the KKT test and its residual lies in [delta - 1e-6, delta].
+    Otherwise the next QP runs at that root, or, when the piece has no root
+    inside the bracket of the solves so far, at the FISTA route's safe step
+    mu_hi target / r_hi from the lowest solve above the band.  After
+    ``MOZOROV_MAXITER`` QPs ``_NotCertified`` hands the solve to the FISTA
+    route."""
+    target = delta - 0.5 * MOZOROV_BAND
+    mu_lo, r_hi = 0.0, float(np.linalg.norm(qp.b))
+
+    def done(mu, x, r):
+        logger.debug("mozorov on %s: exact-qp route, %d QP solves",
+                     qp.gauge.kind, qp.qp_solves)
+        return SolveResult(point=x, value=float(qp.gauge.value(x)),
+                           status="optimal",
+                           residuals={"feasibility": 0.0,
+                                      "discrepancy": abs(r - delta)},
+                           iterations=qp.qp_solves, note="exact QP route",
+                           info=qp.info(mu=mu, residual=r))
+
+    if qp.gauge.is_conic:
+        _, _, r0, _ = qp.certified(0.0)
+        if r0 > delta + MOZOROV_BAND:
+            logger.debug("mozorov on %s: exact-qp route, infeasible",
+                         qp.gauge.kind)
+            return SolveResult(point=None, value=math.nan,
+                               status="infeasible",
+                               residuals={"feasibility": r0 - delta},
+                               iterations=qp.qp_solves,
+                               note="delta below the attainable residual",
+                               info=qp.info())
+        if r0 >= target:
+            raise _NotCertified("the least residual is inside the band")
+
+    mu = mu_hi * target / r_hi
+    while qp.qp_solves < MOZOROV_MAXITER:
+        piece, x, r, _ = qp.certified(mu)
+        if delta - MOZOROV_BAND <= r <= delta:
+            return done(mu, x, r)
+        if r > delta:
+            mu_hi, r_hi = mu, r
+        else:
+            mu_lo = mu
+        m = qp.nv
+        r0, r1 = piece[0][m:], piece[1][m:]
+        aa, bb, cc = r1 @ r1, r0 @ r1, r0 @ r0 - target * target
+        disc = bb * bb - aa * cc
+        root = math.nan
+        if aa > 0 and disc >= 0:
+            # the larger root, without cancellation
+            root = float((-bb + math.sqrt(disc)) / aa if bb <= 0 else
+                         -cc / (bb + math.sqrt(disc)))
+        if not mu_lo < root < mu_hi:
+            mu = mu_hi * target / r_hi
+            continue
+        x, r, kkt = qp.point(piece, root)
+        if kkt <= EXACT_KKT_TOL and delta - MOZOROV_BAND <= r <= delta:
+            _record(qp.path, root, r)
+            return done(root, x, r)
+        mu = root
+    raise _NotCertified(f"no certified root in {MOZOROV_MAXITER} QP solves")
+
+
+def _mozorov_fista(gauge, A, b, delta, xls, mu_hi):
+    """The FISTA route of ``solve_mozorov``: a bracketed search on mu
+    through Tikhonov solves.
+
+    The bracket starts at [1e-12, J°(A^T b)]; the solve at 1e-12 only
+    probes feasibility.  While it is still the lower end, the step goes to
+    mu_hi * target / r_hi, from the lowest solve (mu_hi, r_hi) above the
+    band: r(mu) / mu never rises with mu (see the module docstring), so r
+    >= target there and the step never lands below the band's middle.
+    From the third solve on, the secant through the last two solves on
+    (log mu, log r) replaces that step when it lies in [mu_hi / 10, step).
+    These steps are warm started from the point at mu_hi.  Once both ends
+    are real solves, each step is that secant, or the bracket's geometric
+    midpoint when the secant leaves the bracket, warm started from the
+    point at the lower end.  ``info`` holds mu, the residual, the number
+    of Tikhonov solves, their (mu, r) path in solve order and their summed
+    FISTA iterations.
+    """
     mu_lo = MOZOROV_PROBE_MU
     path = []
     fista_iterations = 0
@@ -319,16 +593,9 @@ def solve_mozorov(gauge, A, b, delta):
     def residual_at(mu, warm):
         nonlocal fista_iterations
         sol = solve_tikhonov(gauge, A, b, mu, x_start=warm)
-        fista_iterations += sol.iterations
+        fista_iterations += sol.info["fista_iterations"]
         r = sol.residuals["data_misfit"]
-        for mu2, r2 in path:
-            inverted = (mu2 < mu and r2 > r + 1e-6 * max(1.0, r2)) or \
-                       (mu2 > mu and r2 < r - 1e-6 * max(1.0, r))
-            if inverted:
-                raise ResidualMonotonicityError(
-                    f"residual not monotone in mu: ({mu2:.3e},{r2:.6e}) vs "
-                    f"({mu:.3e},{r:.6e})")
-        path.append((mu, r))
+        _record(path, mu, r)
         return sol, r
 
     sol_lo, r_lo = residual_at(mu_lo, xls)
@@ -336,7 +603,8 @@ def solve_mozorov(gauge, A, b, delta):
         return SolveResult(point=None, value=math.nan, status="infeasible",
                            residuals={"feasibility": r_lo - delta},
                            note="delta below the attainable residual",
-                           info={"tikhonov_solves": len(path), "path": path,
+                           info={"route": "fista",
+                                 "tikhonov_solves": len(path), "path": path,
                                  "fista_iterations": fista_iterations})
     sol_hi, r_hi = residual_at(mu_hi, sol_lo.point)
     target = delta - 0.5 * MOZOROV_BAND
@@ -372,7 +640,7 @@ def solve_mozorov(gauge, A, b, delta):
                                   "discrepancy": discrepancy},
                        iterations=it,
                        info={"mu": sol_lo.info.get("mu", mu_lo),
-                             "residual": r_lo,
+                             "residual": r_lo, "route": "fista",
                              "tikhonov_solves": len(path), "path": path,
                              "fista_iterations": fista_iterations})
 

@@ -9,6 +9,7 @@ installed executable and runs only where ``gaugecert`` is on PATH.
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -52,6 +53,10 @@ NOISY = {
     "delta": 0.05,
     "mu": 0.05,
 }
+#: NOISY under the sum of group norms with singleton groups (the same
+#: function), a kind that runs the FISTA search
+NOISY_GROUP = dict(NOISY, gauge={"kind": "group_l12", "n": 2},
+                   partition=[[0], [1]])
 NUCLEAR = {
     "version": 1,
     "gauge": {"kind": "nuclear", "shape": [2, 2]},
@@ -194,8 +199,8 @@ def test_solve_tikhonov_and_mozorov(tmp_path, capsys):
 
 
 def test_solve_mozorov_json_reports_the_search(tmp_path, capsys):
-    assert main(["solve", write(tmp_path, NOISY), "--problem", "mozorov",
-                 "--json"]) == 0
+    assert main(["solve", write(tmp_path, NOISY_GROUP), "--problem",
+                 "mozorov", "--json"]) == 0
     info = strict_loads(capsys.readouterr().out)["info"]
     path = info["path"]
     assert info["tikhonov_solves"] == len(path) >= 2
@@ -203,6 +208,21 @@ def test_solve_mozorov_json_reports_the_search(tmp_path, capsys):
     assert [info["mu"], info["residual"]] in path
     fista = info["fista_iterations"]
     assert isinstance(fista, int) and fista > 0
+    assert info["route"] == "fista"
+
+
+def test_solve_mozorov_json_reports_the_exact_route(tmp_path, capsys):
+    path = write(tmp_path, NOISY)
+    assert main(["solve", path, "--problem", "mozorov", "--json"]) == 0
+    out = strict_loads(capsys.readouterr().out)
+    info = out["info"]
+    assert info["route"] == "exact-qp" and info["fista_iterations"] == 0
+    assert info["qp_solves"] == out["iterations"] >= 1
+    assert [info["mu"], info["residual"]] in info["path"]
+    for problem in ("mozorov", "tikhonov"):
+        assert main(["solve", path, "--problem", problem]) == 0
+        assert re.search(r"^route +exact-qp$", capsys.readouterr().out,
+                         re.M), problem
 
 
 def test_solve_tikhonov_needs_data(tmp_path, capsys):

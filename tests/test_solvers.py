@@ -419,19 +419,23 @@ def test_mozorov_validation():
 
 
 def test_mozorov_early_stop_is_maxiter(monkeypatch):
-    # the soft-threshold path of b = (1, 0.5) gains its second coordinate at
-    # mu = 0.5, between J°(b) = 1 and the root (~0.007), so r(mu)/mu is not
-    # constant there and one root-finding step cannot reach the band: the
-    # best point so far (the 1e-12 probe) misses delta by nearly all of delta
-    A, b = np.eye(2), np.array([1.0, 0.5])
-    with monkeypatch.context() as mp:
-        mp.setattr(solvers, "MOZOROV_MAXITER", 1)
-        res = solve_mozorov(L1Gauge(2), A, b, 0.01)
-    assert res.status == "maxiter"
-    assert res.residuals["discrepancy"] > 1e-6
-    res = solve_mozorov(L1Gauge(2), A, b, 0.01)
-    assert res.status == "optimal"
-    assert res.residuals["discrepancy"] <= 1e-6
+    # with A = I, singleton groups and a diagonal b both make the Tikhonov
+    # path the soft-threshold path of (1, 0.5): it gains its second
+    # coordinate at mu = 0.5, between J°(b) = 1 and the root (~0.007), so
+    # r(mu)/mu is not constant there and one root-finding step cannot reach
+    # the band: the best point so far (the 1e-12 probe) misses delta by
+    # nearly all of delta
+    for gauge, b in ((GroupL12Gauge(2, [[0], [1]]), np.array([1.0, 0.5])),
+                     (NuclearGauge((2, 2)), np.array([1.0, 0.0, 0.0, 0.5]))):
+        A = np.eye(b.size)
+        with monkeypatch.context() as mp:
+            mp.setattr(solvers, "MOZOROV_MAXITER", 1)
+            res = solve_mozorov(gauge, A, b, 0.01)
+        assert res.status == "maxiter", gauge.kind
+        assert res.residuals["discrepancy"] > 1e-6, gauge.kind
+        res = solve_mozorov(gauge, A, b, 0.01)
+        assert res.status == "optimal", gauge.kind
+        assert res.residuals["discrepancy"] <= 1e-6, gauge.kind
 
 
 NOISY_LINE = Path(__file__).resolve().parent.parent / "demos" / "problems" \
@@ -450,11 +454,12 @@ MATRIX_CFGS = {
 }
 
 
-def mozorov_cases(cfgs):
-    """(label, gauge, A, b, delta): noisy_line.json, then three seeds of
-    each config at three noise levels."""
-    prob = load_problem(str(NOISY_LINE))
-    yield "noisy_line", prob["gauge"], prob["A"], prob["b"], prob["delta"]
+def mozorov_cases(cfgs, line=True):
+    """(label, gauge, A, b, delta): noisy_line.json (an l1 file) when
+    ``line``, then three seeds of each config at three noise levels."""
+    if line:
+        prob = load_problem(str(NOISY_LINE))
+        yield "noisy_line", prob["gauge"], prob["A"], prob["b"], prob["delta"]
     for kind, cfg in cfgs.items():
         for seed in range(3):
             for delta in (1e-3, 1e-2, 1e-1):
@@ -463,10 +468,16 @@ def mozorov_cases(cfgs):
                        inst.A, inst.b0 + inst.omega, delta)
 
 
+#: the kinds that run the FISTA search
+FISTA_CFGS = {"group_l12": SEARCH_CFGS["group_l12"],
+              "nuclear": MATRIX_CFGS["nuclear"]}
+
+
 def test_mozorov_search_is_short_and_stays_near_the_root():
-    for label, gauge, A, b, delta in mozorov_cases(SEARCH_CFGS):
+    for label, gauge, A, b, delta in mozorov_cases(FISTA_CFGS, line=False):
         res = solve_mozorov(gauge, A, b, delta)
         assert res.status == "optimal", label
+        assert res.info["route"] == "fista", label
         path = res.info["path"]
         assert res.info["tikhonov_solves"] == len(path) <= 12, (label, path)
         # the feasibility probe, then J°(A^T b), then the search
@@ -476,16 +487,18 @@ def test_mozorov_search_is_short_and_stays_near_the_root():
         assert all(m >= mu / 10 for m, _ in path[1:]), (label, path)
 
 
-def test_mozorov_line_takes_three_solves():
-    # on a line r(mu)/mu is constant below J°(A^T b), so the first step,
-    # mu_hi * target / r_hi, is the root: the probe, J°(A^T b), the root
+def test_mozorov_line_takes_one_qp():
+    # on a line r(mu) is linear below J°(A^T b): the piece of the first QP
+    # holds the root, which the KKT test then certifies
     prob = load_problem(str(NOISY_LINE))
     cases = [(prob["gauge"], prob["A"], prob["b"], prob["delta"])]
     cases += [(L1Gauge(2), [[2.0, 1.0]], [1.0], d) for d in (0.05, 0.1, 0.3)]
     for gauge, A, b, delta in cases:
         res = solve_mozorov(gauge, A, b, delta)
         assert res.status == "optimal", delta
-        assert res.info["tikhonov_solves"] == 3, (delta, res.info["path"])
+        assert res.info["route"] == "exact-qp", delta
+        assert res.info["qp_solves"] == res.iterations == 1, \
+            (delta, res.info["path"])
 
 
 @settings(derandomize=True, max_examples=20, deadline=None)
@@ -508,10 +521,11 @@ def test_tikhonov_residual_is_monotone_in_both_senses(kind, seed, delta):
         assert r1 <= r2 + 1e-6, (mus, rs)
         # r(mu1) / mu1 >= r(mu2) / mu2, in units of r
         assert r1 >= r2 * mu1 / mu2 - 1e-6, (mus, rs)
-    # so the first search step, taken while the probe is the lower end,
-    # never lands below the middle of the band
-    path = solve_mozorov(gauge, A, b, delta).info.get("path", [])
-    if len(path) > 2:
+    # so the first step of the FISTA search, taken while the probe is the
+    # lower end, never lands below the middle of the band
+    info = solve_mozorov(gauge, A, b, delta).info
+    path = info.get("path", [])
+    if info.get("route") == "fista" and len(path) > 2:
         assert path[2][1] >= delta - 0.5e-6 - 1e-6, path
 
 
@@ -523,8 +537,119 @@ def test_mozorov_point_is_a_tikhonov_point_on_the_band():
         r = float(np.linalg.norm(A @ res.point - b))
         assert r <= delta and delta - r <= 1e-6, (label, r)
         again = solve_tikhonov(gauge, A, b, res.info["mu"])
-        # both points satisfy the same FISTA stopping rule; at mu ~ 1e-3
-        # that leaves the non-polyhedral kinds a few 1e-6 from the
-        # minimizer, so they agree to 1e-5 only
+        # the polyhedral kinds give two certified QP points; the others two
+        # points of the same FISTA stopping rule, which at mu ~ 1e-3 leaves
+        # them a few 1e-6 from the minimizer, so they agree to 1e-5 only
         tol = 1e-6 if gauge.is_polyhedral else 1e-5
         assert np.max(np.abs(again.point - res.point)) <= tol, label
+
+
+# ------------------------------------------------------ exact polyhedral route
+
+
+def _polyhedral_draw(kind, seed):
+    """A seeded (gauge, A, b, delta) of a polyhedral kind: b = A x0 + noise
+    of norm delta, x0 sparse (nonnegative for nonneg_l1).  analysis_l1 gets
+    a dictionary with a repeated column; "wsl1_tied" draws its weights from
+    three values, so they tie."""
+    rng = np.random.default_rng([seed, len(kind)])
+    m = int(rng.integers(1, 5))
+    n = int(rng.integers(m + 1, 8))
+    if kind == "l1":
+        g = L1Gauge(n)
+    elif kind == "nonneg_l1":
+        g = NonnegL1Gauge(n)
+    elif kind == "analysis_l1":
+        D = rng.standard_normal((n, n + 1))
+        D[:, -1] = D[:, 0]
+        g = AnalysisL1Gauge(D)
+    else:
+        w = (rng.choice([0.5, 1.0, 2.0], n) if kind == "wsl1_tied"
+             else rng.uniform(0.1, 2.0, n))
+        g = SortedWeightedL1Gauge(np.sort(w)[::-1])
+    A = rng.standard_normal((m, n))
+    x0 = np.zeros(n)
+    k = int(rng.integers(1, m + 1))
+    x0[rng.choice(n, k, replace=False)] = rng.uniform(0.5, 2.0, k) * \
+        (1.0 if kind == "nonneg_l1" else rng.choice([-1.0, 1.0], k))
+    delta = float(10.0 ** rng.uniform(-3.0, -1.0))
+    noise = rng.standard_normal(m)
+    return g, A, A @ x0 + delta * noise / np.linalg.norm(noise), delta
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["l1", "nonneg_l1", "analysis_l1", "wsl1",
+                             "wsl1_tied"]),
+       seed=st.integers(0, 2 ** 32 - 1),
+       scale=st.floats(0.01, 0.5))
+def test_exact_route_is_certified_and_meets_fista(kind, seed, scale):
+    g, A, b, delta = _polyhedral_draw(kind, seed)
+    mu = scale * g.polar(A.T @ b)
+    res = solve_tikhonov(g, A, b, mu)
+    assert res.status == "optimal"
+    assert res.info["route"] == "exact-qp", res.info.get("fallback")
+    assert res.info["fista_iterations"] == 0
+    assert res.iterations == res.info["qp_solves"] == 1
+    # the KKT test, read again: z = A^T (b - A x) / mu lies in dJ(x)
+    x = res.point
+    z = A.T @ (b - A @ x) / mu
+    assert g.polar(z) <= 1.0 + 1e-9
+    assert abs(z @ x - g.value(x)) <= 1e-9 * max(1.0, g.value(x))
+    ref = solvers._fista(g, A, b, mu)
+    assert ref.status == "optimal"
+    assert np.max(np.abs(x - ref.point)) <= 1e-5
+    moz = solve_mozorov(g, A, b, delta)
+    assert moz.status == "optimal"
+    if moz.info["mu"] != math.inf:
+        r = float(np.linalg.norm(A @ moz.point - b))
+        assert delta - 1e-6 <= r <= delta
+
+
+def test_tikhonov_keeps_a_coordinate_just_off_its_bound():
+    # soft thresholding leaves x_2 = 5e-7: the polish must not snap it to 0,
+    # or the KKT test fails and the solve falls back to FISTA
+    mu = 0.1
+    res = solve_tikhonov(L1Gauge(2), np.eye(2), [1.0, mu + 5e-7], mu)
+    assert res.info["route"] == "exact-qp"
+    assert np.allclose(res.point, [1.0 - mu, 5e-7], rtol=0, atol=1e-12)
+
+
+def test_nonneg_feasibility_qp_is_nnls():
+    # the QP at mu = 0 gives the distance from b to the cone A R^n_+,
+    # which NNLS computes independently
+    rng = np.random.default_rng(58)
+    A = rng.standard_normal((4, 2))
+    b = rng.standard_normal(4)
+    _, dist = scipy.optimize.nnls(A, b)
+    assert 0.1 < dist < np.linalg.norm(b) - 0.1
+    g = NonnegL1Gauge(2)
+    for delta, status in ((0.5 * dist, "infeasible"),
+                          (0.5 * (dist + np.linalg.norm(b)), "optimal")):
+        res = solve_mozorov(g, A, b, delta)
+        assert res.status == status
+        assert res.info["route"] == "exact-qp"
+        mu0, r0 = res.info["path"][0]
+        assert mu0 == 0.0 and r0 == pytest.approx(dist, abs=1e-9)
+
+
+def test_failed_certificate_falls_back_to_fista(monkeypatch):
+    g, A, b, delta = _polyhedral_draw("l1", 3)
+    mu = 0.1 * g.polar(A.T @ b)
+    exact = solve_tikhonov(g, A, b, mu), solve_mozorov(g, A, b, delta)
+    assert [res.info["route"] for res in exact] == ["exact-qp"] * 2
+    qp_solve = solvers.qp_solve
+
+    def perturbed(*args, **kwargs):
+        # lifts every variable off its bound, so the active set is lost
+        res = qp_solve(*args, **kwargs)
+        res.x = res.x + 1e-3
+        return res
+
+    monkeypatch.setattr(solvers, "qp_solve", perturbed)
+    forced = solve_tikhonov(g, A, b, mu), solve_mozorov(g, A, b, delta)
+    for old, new in zip(exact, forced):
+        assert new.info["route"] == "fista"
+        assert "KKT residual" in new.info["fallback"]
+        assert new.info["qp_solves"] >= 1 and new.info["fista_iterations"] > 0
+        assert new.status == old.status
+        assert np.max(np.abs(new.point - old.point)) <= 1e-5

@@ -10,8 +10,10 @@ checkout's, ``+`` this one's), and the exit status is 1 on any difference.
 With ``--show`` as well, each differing operation is followed by the output
 fields that differ, one per line: dotted path, old value, new value (a
 string that holds JSON, such as the CLI's ``--json`` output, is compared
-field by field).  ``--show`` alone prints each operation's fingerprinted
-text after its md5.
+field by field), and the output ends with one summary line per workload:
+how many of its operations differ, and the largest absolute difference over
+the numeric fields that differ.  ``--show`` alone prints each operation's
+fingerprinted text after its md5.
 
 The md5 is taken over ``gcbench.workloads.fingerprint`` of the operation's
 outputs (floats written in full, or the error text of a failed operation),
@@ -122,6 +124,10 @@ def field_diffs(old, new, path=""):
             for d in field_diffs(a, b, f"{path}.{key}" if path else key)]
 
 
+def _is_number(val):
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
 def compare(other, root, seeds, workloads, show=False):
     """Fingerprint ``other`` and ``root`` side by side (two child
     processes); print the lines that differ (with ``show``, followed by
@@ -138,19 +144,30 @@ def compare(other, root, seeds, workloads, show=False):
             sys.stderr.write(f"{r}: exit {p.returncode}\n{err}")
             return 1
     differ = 0
+    # workload -> [operations, operations that differ, largest |difference|]
+    summary = {}
     lines = itertools.zip_longest(*(out.splitlines() for out, _ in outs))
     for old, new in lines:
         (old, old_text), (new, new_text) = (
             line.split("\t", 1) if line and show else (line, None)
             for line in (old, new))
+        counts = summary.setdefault((old or new).split()[0], [0, 0, 0.0])
+        counts[0] += 1
         if old != new:
             differ += 1
+            counts[1] += 1
             print(*(f"{sign} {line}" for sign, line in (("-", old), ("+", new))
                     if line is not None), sep="\n")
             if old_text is not None and new_text is not None:
                 for path, a, b in field_diffs(json.loads(old_text),
                                               json.loads(new_text)):
                     print(f"    {path}: {a!r} -> {b!r}")
+                    if _is_number(a) and _is_number(b):
+                        counts[2] = max(counts[2], abs(a - b))
+    if show:
+        for workload, (total, changed, largest) in summary.items():
+            print(f"{workload}: {changed} of {total} operations differ, "
+                  f"largest numeric difference {largest:.3g}")
     print(f"{differ} of the operations differ" if differ
           else "all operations identical", file=sys.stderr)
     return 1 if differ else 0
