@@ -35,6 +35,7 @@ numbers appear as the strings "inf"/"-inf"/"nan".
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -362,6 +363,8 @@ def _print_solve(payload):
         _kv("duality_gap", _fmt_float(payload["duality_gap"]))
     _kv("iterations", payload["iterations"])
     info = payload.get("info", {})
+    # Tikhonov and Mozorov: zero, exact-qp, newton or fista, with the reason
+    # a certified route fell back to fista
     if "route" in info:
         _kv("route", info["route"] + (f" ({info['fallback']})"
                                       if "fallback" in info else ""))
@@ -609,14 +612,12 @@ def build_parser():
                    help="certification route: auto runs the full battery, "
                         "v/vii select the range-space or kernel route, the "
                         "rest are the kind-specific checkers")
-    p.set_defaults(fn=cmd_certify)
 
     p = sub.add_parser("solve", parents=[common],
                        help="solve one of the four problem forms")
     p.add_argument("file", help="problem file (strict JSON)")
     p.add_argument("--problem", required=True,
                    choices=["primal", "dual", "tikhonov", "mozorov"])
-    p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("recover", parents=[common],
                        help="noise sweep on a fixed design, checking the "
@@ -637,21 +638,24 @@ def build_parser():
                    help="testing knob: replace the certified kappa")
     p.add_argument("--force-alpha", type=float, default=None,
                    help="testing knob: replace the certified alpha")
-    p.set_defaults(fn=cmd_recover)
 
     p = sub.add_parser("nsp", parents=[common],
                        help="null-space-property constant of A on a support")
     p.add_argument("file", help="problem file (strict JSON; only A is used)")
     p.add_argument("--support", required=True, metavar="I1,I2,...",
                    help="0-based coordinate indices of the support set")
-    p.set_defaults(fn=cmd_nsp)
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser, built on the first call of ``main`` in a process."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_VALIDATION
 
@@ -659,7 +663,8 @@ def main(argv=None):
         with config.overrides(cert_tol=args.cert_tol, lp_maxiter=args.lp_maxiter,
                               probe_restarts=args.probe_restarts):
             config.validate()
-            code = args.fn(args)
+            # looked up at call time, so a replaced cmd_* is the one run
+            code = globals()[f"cmd_{args.command}"](args)
         try:
             sys.stdout.flush()
         except BrokenPipeError:

@@ -283,6 +283,12 @@ class Gauge:
         """argmin_z 0.5 ||z - x||^2 + tau * J(z)."""
         raise NotImplementedError
 
+    def prox_jacobian(self, v, tau):
+        """``(prox(v, tau), D)`` with D an n x n element of the generalized
+        Jacobian of the prox at v, or None where the kind gives none (its
+        Tikhonov solves then skip the semismooth Newton route)."""
+        return None
+
     def polar(self, z):
         raise NotImplementedError
 

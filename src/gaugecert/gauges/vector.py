@@ -703,6 +703,21 @@ class GroupL12Gauge(Gauge):
             x[idx] *= max(1.0 - tau / nb, 0.0) if nb > 0 else 0.0
         return x
 
+    def prox_jacobian(self, v, tau):
+        """The block soft threshold and, on each group with ||v_g|| > tau,
+        its derivative (1 - tau / ||v_g||) I + tau v_g v_g^T / ||v_g||^3
+        (0 on the other groups)."""
+        v = self.flat(v)
+        p, D = np.zeros(self.n), np.zeros((self.n, self.n))
+        for idx in self.groups:
+            nb = np.linalg.norm(v[idx])
+            if nb > tau:
+                p[idx] = (1.0 - tau / nb) * v[idx]
+                D[np.ix_(idx, idx)] = (
+                    (1.0 - tau / nb) * np.eye(idx.size)
+                    + np.outer(v[idx], v[idx]) * tau / nb ** 3)
+        return p, D
+
     def polar(self, z):
         return float(np.max(self._block_norms(self.flat(z)), initial=0.0))
 

@@ -12,17 +12,26 @@ The primal goes through one verified LP for the polyhedral gauges
 either way the solve keeps the multiplier of A x = b0, and the dual point is
 read from it, so primal and dual come from one solve (``dual_from_primal``).
 
-Tikhonov and Mozorov are QPs for the polyhedral gauges: one HiGHS QP on the
-lift of ``primal_lp`` with the residual r = A x - b as variables, polished
-on its active set and returned only once the gauge's own KKT test holds,
-z = A^T (b - A x) / mu in ∂J(x).  On an active set the solution is affine in
-mu (the homotopy / LARS path: Osborne, Presnell & Turlach 2000; Efron et al.
-2004), so the Mozorov equation ||r(mu)|| = delta is a scalar quadratic on
-each piece.  The other kinds, and a polyhedral solve whose QP fails or is
-not certified, take the FISTA route: accelerated proximal gradient for
-Tikhonov, and for Mozorov a bracketed search on mu through the Tikhonov
-path.  Both routes assert the residual's monotonicity in mu at runtime.
-The search's steps rest on one fact: the Tikhonov dual point
+Tikhonov has four routes, tried in order; each but the last returns a point
+only once the gauge's own KKT test holds, z = A^T (b - A x) / mu in ∂J(x):
+
+* ``zero``: at mu >= J°(A^T b) the minimizer is 0, with no solve;
+* ``exact-qp``, for the polyhedral gauges: one HiGHS QP on the lift of
+  ``primal_lp`` with the residual r = A x - b as variables, polished on its
+  active set;
+* ``newton``, for a kind with ``Gauge.prox_jacobian`` (group_l12):
+  semismooth Newton on the proximal-gradient fixed-point map, globalized on
+  the forward-backward envelope;
+* ``fista``: accelerated proximal gradient, for nuclear and sdp_trace and
+  for a solve whose certified route failed.
+
+Mozorov on a polyhedral gauge is QPs too: on an active set the solution is
+affine in mu (the homotopy / LARS path: Osborne, Presnell & Turlach 2000;
+Efron et al. 2004), so ||r(mu)|| = delta is a scalar quadratic on each
+piece.  The other kinds, and a polyhedral search whose QP fails or is not
+certified, take the search route: a bracketed search on mu through
+Tikhonov solves.  Both routes assert the residual's monotonicity in mu at
+runtime.  The search's steps rest on one fact: the Tikhonov dual point
 y(mu) = (b - A x(mu)) / mu is the projection of b / mu onto the convex set
 {y : J°(A^T y) <= 1}, which holds 0, so the residual r(mu) = mu ||y(mu)||
 never falls and r(mu) / mu never rises as mu grows.  Below a solve
@@ -56,13 +65,18 @@ SPLIT_MOVE_TOL = 1e-9
 SPLIT_FEAS_TOL = 1e-8
 #: Mozorov stops once | ||Ax - b|| - delta | <= MOZOROV_BAND
 MOZOROV_BAND = 1e-6
-#: the first solve of the FISTA Mozorov search: its residual decides
+#: the first solve of the Mozorov search route: its residual decides
 #: feasibility of the ball
 MOZOROV_PROBE_MU = 1e-12
 #: most root-finding steps of one Mozorov search (QPs on the exact route)
 MOZOROV_MAXITER = 200
-#: the exact route's KKT test: z = A^T (b - A x) / mu in ∂J(x) to this
+#: the certified routes' KKT test: z = A^T (b - A x) / mu in ∂J(x) to this
 EXACT_KKT_TOL = 1e-9
+#: the Newton route: most steps, and halvings of one step's length
+NEWTON_MAXITER = 50
+NEWTON_BACKTRACKS = 30
+#: the Newton route runs at mu >= NEWTON_MU_FLOOR J°(A^T b) only
+NEWTON_MU_FLOOR = 1e-6
 
 
 class ResidualMonotonicityError(RuntimeError):
@@ -285,23 +299,10 @@ class _RFormQp:
 
     def point(self, piece, mu):
         """x on ``piece`` at mu, its residual ||A x - b|| and its KKT
-        residual: max(J°(z) - 1, |<z, x> - J(x)| / max(1, J(x))) for
-        z = A^T (b - A x) / mu, so that x minimizes the Tikhonov objective
-        at mu when it is 0.  At mu = 0 z is not divided, and the terms are
-        J°(z) and |<z, x>|, in units of ||A|| ||b||: x then minimizes
-        ||A x - b|| over dom J."""
+        residual (``_kkt``)."""
         w0, w1 = piece
         x = self.to_x((w0 + mu * w1)[:self.nv])
-        resid = self.A @ x - self.b
-        z = -(self.A.T @ resid)
-        J = float(self.gauge.value(x))
-        if mu > 0:
-            z = z / mu
-            kkt = max(self.gauge.polar(z) - 1.0,
-                      abs(float(z @ x) - J) / max(1.0, J))
-        else:
-            kkt = max(self.gauge.polar(z), abs(float(z @ x))) / self.scale
-        return x, float(np.linalg.norm(resid)), kkt
+        return (x, *_kkt(self.gauge, self.A, self.b, x, mu, self.scale))
 
     def certified(self, mu):
         """The QP at mu and its polished point ``(piece, x, r, kkt)``.  The
@@ -325,12 +326,13 @@ class _RFormQp:
 
     def info(self, **extra):
         return dict(extra, route="exact-qp", qp_solves=self.qp_solves,
-                    path=self.path, fista_iterations=0)
+                    path=self.path, fista_iterations=0, newton_iterations=0)
 
     def fallback(self, problem, exc):
-        """The info a FISTA solve carries after this route failed, logged."""
-        logger.debug("%s on %s: FISTA route after %d QP solves: %s", problem,
-                     self.gauge.kind, self.qp_solves, exc)
+        """The info the next route's solve carries after this one failed,
+        logged."""
+        logger.debug("%s on %s: leaves exact-qp after %d QP solves: %s",
+                     problem, self.gauge.kind, self.qp_solves, exc)
         return {"fallback": str(exc), "qp_solves": self.qp_solves}
 
 
@@ -347,21 +349,74 @@ def _record(path, mu, r):
     path.append((mu, r))
 
 
+def _kkt(gauge, A, b, x, mu, scale=1.0):
+    """||A x - b|| and the KKT residual of x for the Tikhonov problem at
+    mu: max(J°(z) - 1, |<z, x> - J(x)| / max(1, J(x))) for
+    z = A^T (b - A x) / mu, so that x minimizes the objective when it is at
+    most 0 (z then lies in ∂J(x)); the certified routes require
+    ``EXACT_KKT_TOL``.  At mu = 0 z is not divided, and the terms are J°(z)
+    and |<z, x>|, in units of ``scale``: x then minimizes ||A x - b|| over
+    dom J."""
+    resid = A @ x - b
+    z = -(A.T @ resid)
+    J = float(gauge.value(x))
+    if mu > 0:
+        z = z / mu
+        kkt = max(gauge.polar(z) - 1.0, abs(float(z @ x) - J) / max(1.0, J))
+    else:
+        kkt = max(gauge.polar(z), abs(float(z @ x))) / scale
+    return float(np.linalg.norm(resid)), kkt
+
+
+def _certified_result(gauge, x, r, kkt, mu, iterations, note, info):
+    """The SolveResult of a Tikhonov point that passed ``_kkt``."""
+    logger.debug("tikhonov on %s: %s route, KKT residual %.1e", gauge.kind,
+                 info["route"], kkt)
+    return SolveResult(point=x, value=0.5 * r * r + mu * float(gauge.value(x)),
+                       status="optimal",
+                       residuals={"optimality": max(kkt, 0.0),
+                                  "data_misfit": r},
+                       iterations=iterations, note=note,
+                       info=dict(info, mu=float(mu)))
+
+
 def solve_tikhonov(gauge, A, b, mu, x_start=None):
     """Minimize 0.5 ||Ax - b||^2 + mu J(x).
 
-    A polyhedral gauge is solved exactly: one QP on the lift of
-    ``Gauge.primal_lp`` (``_RFormQp``), polished on its active set and
-    returned once x passes the KKT test z = A^T (b - A x) / mu in ∂J(x),
-    that is J°(z) <= 1 + 1e-9 and |<z, x> - J(x)| <= 1e-9 max(1, J(x)).
-    ``iterations`` then counts QP solves and ``info["route"]`` is
-    "exact-qp".  The other kinds, and a polyhedral solve whose QP fails or
-    is not certified (``info["fallback"]`` says why), take the FISTA route
-    of ``_fista``, with ``info["route"]`` "fista".
+    Every route but FISTA returns a point only once it passes the KKT test
+    of ``_kkt``: z = A^T (b - A x) / mu in ∂J(x), that is
+    J°(z) <= 1 + 1e-9 and |<z, x> - J(x)| <= 1e-9 max(1, J(x)).  The
+    routes, in order (``info["route"]``):
+
+    * "zero": at mu >= J°(A^T b), x = 0, with no solve (∂J(0) is the
+      polar unit ball, which then holds z = A^T b / mu);
+    * "exact-qp", for a polyhedral gauge: one QP on the lift of
+      ``Gauge.primal_lp`` (``_RFormQp``), polished on its active set;
+      ``iterations`` counts QP solves;
+    * "newton", for a kind with ``Gauge.prox_jacobian``: semismooth Newton
+      on the proximal-gradient fixed-point map (``_newton``), started at
+      ``x_start`` or 0; ``iterations`` counts Newton steps;
+    * "fista": ``_fista``, for the other kinds and for a solve whose
+      certified route failed or cannot certify (``info["fallback"]`` says
+      why).
+
+    ``info`` counts ``fista_iterations`` and ``newton_iterations`` on every
+    route.
     """
     if not (math.isfinite(mu) and mu > 0):
         raise ValueError("mu must be finite and positive")
     A, b = _shape(A, b)
+    z = A.T @ b
+    # <z, z> <= J(z) J°(z), so J°(z) is not read (an LP for analysis_l1)
+    # where mu is below ||z||^2 / J(z)
+    if mu * gauge.value(z) >= z @ z and mu >= gauge.polar(z):
+        x = np.zeros(A.shape[1])
+        r, kkt = _kkt(gauge, A, b, x, mu)
+        if kkt <= EXACT_KKT_TOL:
+            return _certified_result(
+                gauge, x, r, kkt, mu, 0, "zero point: mu >= J°(A^T b)",
+                {"route": "zero", "fista_iterations": 0,
+                 "newton_iterations": 0})
     fallback = {}
     if gauge.is_polyhedral:
         qp = _RFormQp(gauge, A, b)
@@ -370,17 +425,100 @@ def solve_tikhonov(gauge, A, b, mu, x_start=None):
         except (_NotCertified, LpFailure) as exc:
             fallback = qp.fallback("tikhonov", exc)
         else:
-            logger.debug("tikhonov on %s: exact-qp route, KKT residual %.1e",
-                         gauge.kind, kkt)
-            return SolveResult(
-                point=x, value=0.5 * r * r + mu * float(gauge.value(x)),
-                status="optimal",
-                residuals={"optimality": max(kkt, 0.0), "data_misfit": r},
-                iterations=qp.qp_solves, note="exact QP route",
-                info=qp.info(mu=float(mu)))
+            return _certified_result(gauge, x, r, kkt, mu, qp.qp_solves,
+                                     "exact QP route", qp.info())
+    elif (newton := _newton(gauge, A, b, mu, x_start)) is not None:
+        x, steps, why = newton
+        if why is None:
+            r, kkt = _kkt(gauge, A, b, x, mu)
+            if kkt <= EXACT_KKT_TOL:
+                return _certified_result(
+                    gauge, x, r, kkt, mu, steps, "semismooth Newton route",
+                    {"route": "newton", "fista_iterations": 0,
+                     "newton_iterations": steps})
+            why = f"KKT residual {kkt:.1e} at mu={mu:.3e}"
+        logger.debug("tikhonov on %s: FISTA route after %d Newton steps: %s",
+                     gauge.kind, steps, why)
+        fallback = {"fallback": why, "newton_iterations": steps}
     res = _fista(gauge, A, b, mu, x_start)
     res.info.update(fallback)
     return res
+
+
+def _newton(gauge, A, b, mu, x_start):
+    """Semismooth Newton on F(x) = x - prox_{t mu J}(x - t A^T (A x - b)),
+    t = 0.95 / ||A||^2, whose zeros are the Tikhonov minimizers (Milzarek &
+    Ulbrich 2014; Li, Sun & Toh 2018).
+
+    With M = I - t A^T A and D from ``gauge.prox_jacobian``, each step
+    solves (M - M D M + eps I) d = -M F, eps = 0.01 ||F|| / max(||x||,
+    ||x - F||): M times the Newton system V d = -F, V = I - D M, made
+    symmetric and, by eps, nonsingular where A is rank-deficient on the
+    active groups.  M F is t times the gradient of the forward-backward
+    envelope, whose minimizers are the Tikhonov minimizers for t < 1 /
+    ||A||^2 (Patrinos & Bemporad 2013; Stella, Themelis & Patrinos 2017),
+    and d descends on it.  The full step is taken when it halves the least
+    ||F|| so far; otherwise the step length s is halved until the envelope
+    falls by 1e-4 s times its slope along d.  The solve stops once
+    ||F(x)|| <= 1e-10 max(1, ||x||), the fixed-point test of ``_fista``,
+    and x passes ``_kkt``.
+
+    Returns ``(x, steps, None)``, or ``(x, steps, reason)`` when the line
+    search stalls, the steps run out or the KKT test cannot certify: below
+    mu = 1e-6 J°(A^T b) the rounding of z = A^T (b - A x) / mu alone
+    exceeds its 1e-9, so no step is tried there.  None when the kind gives
+    no ``prox_jacobian``."""
+    n = A.shape[1]
+    t = 0.95 / max(float(np.linalg.norm(A, 2)) ** 2, 1e-300)
+    x = np.zeros(n) if x_start is None else \
+        np.asarray(x_start, dtype=float).copy()
+    if gauge.prox_jacobian(x, t * mu) is None:
+        return None
+    if mu < NEWTON_MU_FLOOR * gauge.polar(A.T @ b):
+        return x, 0, (f"mu={mu:.3e} below {NEWTON_MU_FLOOR:g} J°(A^T b): "
+                      f"the KKT test cannot certify")
+    M = np.eye(n) - t * (A.T @ A)
+
+    def evaluate(x):
+        """(F(x), ||F(x)||, D, forward-backward envelope) at x."""
+        r = A @ x - b
+        grad = A.T @ r
+        p, D = gauge.prox_jacobian(x - t * grad, t * mu)
+        F = x - p
+        envelope = (0.5 * float(r @ r) - float(grad @ F)
+                    + float(F @ F) / (2.0 * t) + mu * gauge.value(p))
+        return F, float(np.linalg.norm(F)), D, envelope
+
+    F, nF, D, envelope = evaluate(x)
+    least = nF
+    for step in range(NEWTON_MAXITER + 1):
+        if (nF <= 1e-10 * max(1.0, float(np.linalg.norm(x)))
+                and _kkt(gauge, A, b, x, mu)[1] <= EXACT_KKT_TOL):
+            return x, step, None
+        if step == NEWTON_MAXITER:
+            break
+        MF = M @ F
+        eps = 0.01 * nF / max(float(np.linalg.norm(x)),
+                              float(np.linalg.norm(x - F)), 1e-300)
+        # lstsq, not solve: the LAPACK code of solve would add 0.3 MB to
+        # the peak RSS of a process that has no other use for it
+        d = np.linalg.lstsq(M - M @ D @ M + eps * np.eye(n), -MF,
+                            rcond=None)[0]
+        slope = float(MF @ d) / t
+        s = 1.0
+        for k in range(NEWTON_BACKTRACKS):
+            trial = evaluate(x + s * d)
+            if ((k == 0 and trial[1] <= 0.5 * least)
+                    or trial[3] <= envelope + 1e-4 * s * slope):
+                break
+            s *= 0.5
+        else:
+            return x, step, f"Newton line search stalled at ||F|| = {nF:.1e}"
+        x = x + s * d
+        F, nF, D, envelope = trial
+        least = min(least, nF)
+    return x, NEWTON_MAXITER, (f"no certified point in {NEWTON_MAXITER} "
+                               f"Newton steps (||F|| = {nF:.1e})")
 
 
 def _fista(gauge, A, b, mu, x_start=None):
@@ -437,7 +575,7 @@ def _fista(gauge, A, b, mu, x_start=None):
                                   "data_misfit": float(np.linalg.norm(r))},
                        iterations=it,
                        info={"mu": float(mu), "route": "fista",
-                             "fista_iterations": it})
+                             "fista_iterations": it, "newton_iterations": 0})
 
 
 def solve_mozorov(gauge, A, b, delta):
@@ -453,12 +591,13 @@ def solve_mozorov(gauge, A, b, delta):
     the Tikhonov lift, each giving the affine piece of x(mu) on its active
     set, on which r(mu) = target is a scalar quadratic.  The other kinds,
     and a polyhedral search whose QP fails or is not certified, take the
-    FISTA route of ``_mozorov_fista``.  ``info["route"]`` names the route,
+    search route of ``_mozorov_search``, whose ``info["route"]`` is that of
+    the Tikhonov solve it returns ("newton" or "fista").
     ``info["path"]`` holds the (mu, r) of every solve in order, and
     residual monotonicity in mu is asserted on each.  The point returned
     has r <= delta; status is 'optimal' when r is within 1e-6 of delta and
     'maxiter' when ``MOZOROV_MAXITER`` steps (or a collapsed bracket) end
-    the FISTA search first.
+    the search first.
     """
     A, b = _shape(A, b)
     if not math.isfinite(delta):
@@ -492,7 +631,7 @@ def solve_mozorov(gauge, A, b, delta):
             return _mozorov_exact(qp, delta, mu_hi)
         except (_NotCertified, LpFailure) as exc:
             fallback = qp.fallback("mozorov", exc)
-    res = _mozorov_fista(gauge, A, b, delta, xls, mu_hi)
+    res = _mozorov_search(gauge, A, b, delta, xls, mu_hi)
     res.info.update(fallback)
     return res
 
@@ -501,16 +640,16 @@ def _mozorov_exact(qp, delta, mu_hi):
     """The exact Mozorov route on the r-form QP ``qp``.
 
     A conic gauge first solves the QP at mu = 0: its residual, the
-    distance from b to A dom J, decides feasibility (in place of the FISTA
-    route's probe at mu = 1e-12).  The search starts at the FISTA route's
+    distance from b to A dom J, decides feasibility (in place of the search
+    route's probe at mu = 1e-12).  The search starts at the search route's
     first step mu_hi target / ||b||, r(mu_hi) being ||b||.  At each mu the
     QP gives the piece w0 + mu w1 of its active set; ||r(mu)|| = target is
     a quadratic in mu on it, and its larger root is returned once its point
     passes the KKT test and its residual lies in [delta - 1e-6, delta].
     Otherwise the next QP runs at that root, or, when the piece has no root
-    inside the bracket of the solves so far, at the FISTA route's safe step
-    mu_hi target / r_hi from the lowest solve above the band.  After
-    ``MOZOROV_MAXITER`` QPs ``_NotCertified`` hands the solve to the FISTA
+    inside the bracket of the solves so far, at the search route's safe
+    step mu_hi target / r_hi from the lowest solve above the band.  After
+    ``MOZOROV_MAXITER`` QPs ``_NotCertified`` hands the solve to the search
     route."""
     target = delta - 0.5 * MOZOROV_BAND
     mu_lo, r_hi = 0.0, float(np.linalg.norm(qp.b))
@@ -568,44 +707,50 @@ def _mozorov_exact(qp, delta, mu_hi):
     raise _NotCertified(f"no certified root in {MOZOROV_MAXITER} QP solves")
 
 
-def _mozorov_fista(gauge, A, b, delta, xls, mu_hi):
-    """The FISTA route of ``solve_mozorov``: a bracketed search on mu
-    through Tikhonov solves.
+def _mozorov_search(gauge, A, b, delta, xls, mu_hi):
+    """The search route of ``solve_mozorov``: a bracketed search on mu
+    through ``solve_tikhonov``.
 
     The bracket starts at [1e-12, J°(A^T b)]; the solve at 1e-12 only
-    probes feasibility.  While it is still the lower end, the step goes to
-    mu_hi * target / r_hi, from the lowest solve (mu_hi, r_hi) above the
-    band: r(mu) / mu never rises with mu (see the module docstring), so r
-    >= target there and the step never lands below the band's middle.
-    From the third solve on, the secant through the last two solves on
-    (log mu, log r) replaces that step when it lies in [mu_hi / 10, step).
-    These steps are warm started from the point at mu_hi.  Once both ends
-    are real solves, each step is that secant, or the bracket's geometric
-    midpoint when the secant leaves the bracket, warm started from the
-    point at the lower end.  ``info`` holds mu, the residual, the number
-    of Tikhonov solves, their (mu, r) path in solve order and their summed
-    FISTA iterations.
+    probes feasibility (on FISTA: ``_newton`` cannot certify there), and
+    the one at J°(A^T b) is the zero point.  While the probe is still the
+    lower end, the step goes to mu_hi * target / r_hi, from the lowest
+    solve (mu_hi, r_hi) above the band: r(mu) / mu never rises with mu (see
+    the module docstring), so r >= target there and the step never lands
+    below the band's middle.  From the third solve on, the secant through
+    the last two solves on (log mu, log r) replaces that step when it lies
+    in [mu_hi / 10, step).  These steps are warm started from the point at
+    mu_hi.  Once both ends are real solves, each step is that secant, or
+    the bracket's geometric midpoint when the secant leaves the bracket,
+    warm started from the point at the lower end.  ``info`` holds mu, the
+    residual, the number of Tikhonov solves, their (mu, r) path in solve
+    order, their summed FISTA and Newton iterations, and the route (and
+    any fallback reason) of the solve whose point is returned.
     """
     mu_lo = MOZOROV_PROBE_MU
     path = []
-    fista_iterations = 0
+    spent = {"fista_iterations": 0, "newton_iterations": 0}
 
     def residual_at(mu, warm):
-        nonlocal fista_iterations
         sol = solve_tikhonov(gauge, A, b, mu, x_start=warm)
-        fista_iterations += sol.info["fista_iterations"]
+        for key in spent:
+            spent[key] += sol.info[key]
         r = sol.residuals["data_misfit"]
         _record(path, mu, r)
         return sol, r
+
+    def info(sol, **extra):
+        route = {k: sol.info[k] for k in ("route", "fallback")
+                 if k in sol.info}
+        return dict(extra, **route, tikhonov_solves=len(path), path=path,
+                    **spent)
 
     sol_lo, r_lo = residual_at(mu_lo, xls)
     if r_lo > delta + MOZOROV_BAND:
         return SolveResult(point=None, value=math.nan, status="infeasible",
                            residuals={"feasibility": r_lo - delta},
                            note="delta below the attainable residual",
-                           info={"route": "fista",
-                                 "tikhonov_solves": len(path), "path": path,
-                                 "fista_iterations": fista_iterations})
+                           info=info(sol_lo))
     sol_hi, r_hi = residual_at(mu_hi, sol_lo.point)
     target = delta - 0.5 * MOZOROV_BAND
     it = 0
@@ -639,10 +784,8 @@ def _mozorov_fista(gauge, A, b, delta, xls, mu_hi):
                        residuals={"feasibility": max(0.0, r_lo - delta),
                                   "discrepancy": discrepancy},
                        iterations=it,
-                       info={"mu": sol_lo.info.get("mu", mu_lo),
-                             "residual": r_lo, "route": "fista",
-                             "tikhonov_solves": len(path), "path": path,
-                             "fista_iterations": fista_iterations})
+                       info=info(sol_lo, mu=sol_lo.info.get("mu", mu_lo),
+                                 residual=r_lo))
 
 
 def _log_secant(p, q, target):

@@ -54,7 +54,7 @@ NOISY = {
     "mu": 0.05,
 }
 #: NOISY under the sum of group norms with singleton groups (the same
-#: function), a kind that runs the FISTA search
+#: function), a kind that runs the Newton route
 NOISY_GROUP = dict(NOISY, gauge={"kind": "group_l12", "n": 2},
                    partition=[[0], [1]])
 NUCLEAR = {
@@ -63,6 +63,9 @@ NUCLEAR = {
     "A": [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]],
     "x0": [1.0, 0.0, 0.0, 0.0],
 }
+#: NUCLEAR with noisy measurements, a kind whose Mozorov search runs on
+#: FISTA solves
+NOISY_NUCLEAR = dict(NUCLEAR, b=[1.05, 0.02, 0.0], delta=0.05, mu=0.05)
 SDP = {
     "version": 1,
     "gauge": {"kind": "sdp_trace", "n": 2},
@@ -199,7 +202,7 @@ def test_solve_tikhonov_and_mozorov(tmp_path, capsys):
 
 
 def test_solve_mozorov_json_reports_the_search(tmp_path, capsys):
-    assert main(["solve", write(tmp_path, NOISY_GROUP), "--problem",
+    assert main(["solve", write(tmp_path, NOISY_NUCLEAR), "--problem",
                  "mozorov", "--json"]) == 0
     info = strict_loads(capsys.readouterr().out)["info"]
     path = info["path"]
@@ -209,6 +212,24 @@ def test_solve_mozorov_json_reports_the_search(tmp_path, capsys):
     fista = info["fista_iterations"]
     assert isinstance(fista, int) and fista > 0
     assert info["route"] == "fista"
+
+
+def test_solve_reports_the_newton_and_zero_routes(tmp_path, capsys):
+    path = write(tmp_path, NOISY_GROUP)
+    assert main(["solve", path, "--problem", "mozorov", "--json"]) == 0
+    info = strict_loads(capsys.readouterr().out)["info"]
+    assert info["route"] == "newton" and info["newton_iterations"] > 0
+    assert [info["mu"], info["residual"]] in info["path"]
+    for problem in ("mozorov", "tikhonov"):
+        assert main(["solve", path, "--problem", problem]) == 0
+        assert re.search(r"^route +newton$", capsys.readouterr().out,
+                         re.M), problem
+    # mu = 5 is above J°(A^T b) = 2.1: the minimizer is 0
+    path = write(tmp_path, dict(NOISY_GROUP, mu=5.0))
+    assert main(["solve", path, "--problem", "tikhonov"]) == 0
+    out = capsys.readouterr().out
+    assert re.search(r"^route +zero$", out, re.M)
+    assert re.search(r"^iterations +0$", out, re.M)
 
 
 def test_solve_mozorov_json_reports_the_exact_route(tmp_path, capsys):

@@ -149,6 +149,36 @@ def test_group_frozen():
     assert g.polar([3.0, 4.0, -2.0]) == pytest.approx(5.0)  # max block norm
 
 
+def test_group_prox_jacobian_matches_finite_differences():
+    # away from the kinks ||v_g|| = tau the prox is smooth, and D must be
+    # its Jacobian: symmetric, 0 on the groups the prox kills, with
+    # eigenvalues in [0, 1]; the prox itself is ``prox`` to the bit
+    g = GroupL12Gauge(6, [[0, 1, 2], [3, 4], [5]])
+    rng = np.random.default_rng(13)
+    checked = 0
+    for _ in range(40):
+        v = rng.standard_normal(6)
+        tau = float(rng.uniform(0.1, 1.5))
+        norms = [np.linalg.norm(v[idx]) for idx in g.groups]
+        if min(abs(nb - tau) for nb in norms) < 1e-3:
+            continue
+        p, D = g.prox_jacobian(v, tau)
+        assert np.array_equal(p, g.prox(v, tau))
+        assert np.allclose(D, D.T, atol=1e-15)
+        eig = np.linalg.eigvalsh(D)
+        assert eig.min() >= -1e-12 and eig.max() <= 1.0 + 1e-12
+        h = 1e-6
+        fd = np.column_stack([(g.prox(v + h * e, tau) - g.prox(v - h * e, tau))
+                              / (2 * h) for e in np.eye(6)])
+        assert np.max(np.abs(D - fd)) <= 1e-7
+        for idx, nb in zip(g.groups, norms):
+            if nb <= tau:
+                assert not D[idx].any() and not p[idx].any()
+        checked += 1
+    assert checked >= 30
+    assert L1Gauge(3).prox_jacobian(np.ones(3), 0.5) is None
+
+
 def test_nonneg_frozen():
     g = NonnegL1Gauge(2)
     assert g.value([1.2, 0.0]) == pytest.approx(1.2)

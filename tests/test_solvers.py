@@ -468,9 +468,8 @@ def mozorov_cases(cfgs, line=True):
                        inst.A, inst.b0 + inst.omega, delta)
 
 
-#: the kinds that run the FISTA search
-FISTA_CFGS = {"group_l12": SEARCH_CFGS["group_l12"],
-              "nuclear": MATRIX_CFGS["nuclear"]}
+#: the kind whose search runs on FISTA solves
+FISTA_CFGS = {"nuclear": MATRIX_CFGS["nuclear"]}
 
 
 def test_mozorov_search_is_short_and_stays_near_the_root():
@@ -521,11 +520,12 @@ def test_tikhonov_residual_is_monotone_in_both_senses(kind, seed, delta):
         assert r1 <= r2 + 1e-6, (mus, rs)
         # r(mu1) / mu1 >= r(mu2) / mu2, in units of r
         assert r1 >= r2 * mu1 / mu2 - 1e-6, (mus, rs)
-    # so the first step of the FISTA search, taken while the probe is the
-    # lower end, never lands below the middle of the band
+    # so the first step of the search route (on Newton or FISTA solves),
+    # taken while the probe is the lower end, never lands below the middle
+    # of the band
     info = solve_mozorov(gauge, A, b, delta).info
     path = info.get("path", [])
-    if info.get("route") == "fista" and len(path) > 2:
+    if info.get("route") in ("newton", "fista") and len(path) > 2:
         assert path[2][1] >= delta - 0.5e-6 - 1e-6, path
 
 
@@ -537,10 +537,11 @@ def test_mozorov_point_is_a_tikhonov_point_on_the_band():
         r = float(np.linalg.norm(A @ res.point - b))
         assert r <= delta and delta - r <= 1e-6, (label, r)
         again = solve_tikhonov(gauge, A, b, res.info["mu"])
-        # the polyhedral kinds give two certified QP points; the others two
-        # points of the same FISTA stopping rule, which at mu ~ 1e-3 leaves
-        # them a few 1e-6 from the minimizer, so they agree to 1e-5 only
-        tol = 1e-6 if gauge.is_polyhedral else 1e-5
+        # the polyhedral kinds give two certified QP points and group_l12
+        # two certified Newton points; nuclear and sdp_trace two points of
+        # the same FISTA stopping rule, which at mu ~ 1e-3 leaves them a few
+        # 1e-6 from the minimizer, so they agree to 1e-5 only
+        tol = 1e-5 if gauge.kind in MATRIX_CFGS else 1e-6
         assert np.max(np.abs(again.point - res.point)) <= tol, label
 
 
@@ -653,3 +654,135 @@ def test_failed_certificate_falls_back_to_fista(monkeypatch):
         assert new.info["qp_solves"] >= 1 and new.info["fista_iterations"] > 0
         assert new.status == old.status
         assert np.max(np.abs(new.point - old.point)) <= 1e-5
+
+
+# -------------------------------------------------- group_l12 Newton route
+
+
+def test_cold_and_warm_group_solves_agree():
+    # FISTA's stop left the cold solve and the warm-started solve of the
+    # Mozorov search at the same mu 7.6e-6 apart on this draw, where the
+    # objective is nearly flat along Ker A; two certified Newton points
+    # agree to rounding
+    inst = gen_instance({"m": 3, "n": 6, "sparsity": 1, "kind": "group_l12",
+                         "partition": [[0, 1], [2, 3], [4, 5]],
+                         "delta": 1e-3}, 4)
+    g, A, b = inst.gauge, inst.A, inst.b0 + inst.omega
+    moz = solve_mozorov(g, A, b, 1e-3)
+    cold = solve_tikhonov(g, A, b, moz.info["mu"])
+    assert moz.info["route"] == cold.info["route"] == "newton"
+    assert np.max(np.abs(cold.point - moz.point)) <= 1e-9
+    cold = solve_tikhonov(g, A, b, 1e-3)
+    warm = solve_tikhonov(g, A, b, 1e-3, x_start=moz.point)
+    assert cold.info["route"] == warm.info["route"] == "newton"
+    assert warm.iterations < cold.iterations
+    assert np.max(np.abs(cold.point - warm.point)) <= 1e-9
+
+
+def _group_draw(seed, groups, shape):
+    """A seeded group_l12 (gauge, A, b): singleton groups or a random
+    partition; A wide, tall (m >= n) or of rank below min(m, n); b = A x0
+    plus noise, x0 on one group."""
+    rng = np.random.default_rng([seed, 12])
+    n = int(rng.integers(1, 8))
+    perm = [int(i) for i in rng.permutation(n)]
+    cuts = sorted(int(c) for c in rng.choice(np.arange(1, n), int(
+        rng.integers(0, n)), replace=False)) if groups == "partition" else \
+        range(1, n)
+    partition = [perm[i:j] for i, j in zip([0, *cuts], [*cuts, n])]
+    m = int(rng.integers(n, n + 4) if shape == "tall" else
+            rng.integers(1, n + 1))
+    if shape == "rank-deficient" and min(m, n) > 1:
+        k = int(rng.integers(1, min(m, n)))
+        A = rng.standard_normal((m, k)) @ rng.standard_normal((k, n))
+    else:
+        A = rng.standard_normal((m, n))
+    g = GroupL12Gauge(n, partition)
+    x0 = np.zeros(n)
+    idx = g.groups[int(rng.integers(len(g.groups)))]
+    x0[idx] = rng.uniform(0.5, 1.5, idx.size) * rng.choice([-1.0, 1.0],
+                                                            idx.size)
+    return g, A, A @ x0 + 0.05 * rng.standard_normal(m)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       groups=st.sampled_from(["singletons", "partition"]),
+       shape=st.sampled_from(["wide", "tall", "rank-deficient"]),
+       log_scale=st.floats(-4.0, 0.0))
+@example(seed=0, groups="singletons", shape="tall", log_scale=0.0)
+def test_group_solve_is_certified_or_says_why(seed, groups, shape,
+                                              log_scale):
+    g, A, b = _group_draw(seed, groups, shape)
+    mu = 10.0 ** log_scale * g.polar(A.T @ b)
+    res = solve_tikhonov(g, A, b, mu)
+    assert res.status == "optimal"
+    if res.info["route"] == "fista":
+        assert res.info["fallback"] and res.info["fista_iterations"] > 0
+        return
+    assert res.info["route"] in ("newton", "zero")
+    assert res.iterations == res.info["newton_iterations"]
+    assert res.info["fista_iterations"] == 0
+    # the KKT test, read again: z = A^T (b - A x) / mu lies in dJ(x)
+    x = res.point
+    z = A.T @ (b - A @ x) / mu
+    assert g.polar(z) <= 1.0 + 1e-9
+    assert abs(z @ x - g.value(x)) <= 1e-9 * max(1.0, g.value(x))
+    ref = solvers._fista(g, A, b, mu)
+    assert ref.status == "optimal"
+    assert np.max(np.abs(x - ref.point)) <= 1e-5
+
+
+def test_zero_point_takes_no_solve():
+    # at mu >= J°(A^T b) the minimizer is 0, for every kind
+    rng = np.random.default_rng(65)
+    A, b = rng.standard_normal((3, 4)), rng.standard_normal(3)
+    for g in (L1Gauge(4), GroupL12Gauge(4, [[0, 1], [2, 3]]),
+              NuclearGauge((2, 2))):
+        mu = g.polar(A.T @ b)
+        res = solve_tikhonov(g, A, b, mu)
+        assert res.info["route"] == "zero", g.kind
+        assert res.iterations == 0 and not res.point.any()
+        assert res.value == pytest.approx(0.5 * b @ b, rel=1e-15)
+        below = solve_tikhonov(g, A, b, 0.999 * mu)
+        assert below.info["route"] != "zero" and below.point.any()
+
+
+def test_failed_newton_certificate_falls_back_to_fista(monkeypatch):
+    inst = gen_instance(dict(SEARCH_CFGS["group_l12"], kind="group_l12",
+                             delta=1e-2), 1)
+    g, A, b = inst.gauge, inst.A, inst.b0 + inst.omega
+    mu = 0.1 * g.polar(A.T @ b)
+    exact = solve_tikhonov(g, A, b, mu), solve_mozorov(g, A, b, 1e-2)
+    assert [res.info["route"] for res in exact] == ["newton"] * 2
+    newton = solvers._newton
+
+    def perturbed(*args, **kwargs):
+        out = newton(*args, **kwargs)
+        return None if out is None else (out[0] + 1e-3, *out[1:])
+
+    monkeypatch.setattr(solvers, "_newton", perturbed)
+    forced = solve_tikhonov(g, A, b, mu), solve_mozorov(g, A, b, 1e-2)
+    for old, new in zip(exact, forced):
+        assert new.info["route"] == "fista"
+        assert "KKT residual" in new.info["fallback"]
+        assert new.info["newton_iterations"] > 0
+        assert new.info["fista_iterations"] > 0
+        assert new.status == old.status
+        assert np.max(np.abs(new.point - old.point)) <= 1e-5
+
+
+def test_feasibility_probe_stays_on_fista():
+    # at mu = 1e-12 the KKT test divides by 1e-12: no Newton step is tried
+    inst = gen_instance(dict(SEARCH_CFGS["group_l12"], kind="group_l12",
+                             delta=1e-2), 2)
+    g, A, b = inst.gauge, inst.A, inst.b0 + inst.omega
+    res = solve_tikhonov(g, A, b, solvers.MOZOROV_PROBE_MU)
+    assert res.info["route"] == "fista"
+    assert res.info["newton_iterations"] == 0
+    assert "cannot certify" in res.info["fallback"]
+    moz = solve_mozorov(g, A, b, 1e-2)
+    assert moz.info["route"] == "newton"
+    assert moz.info["path"][0][0] == solvers.MOZOROV_PROBE_MU
+    assert moz.info["fista_iterations"] > 0
+    assert moz.info["newton_iterations"] > 0

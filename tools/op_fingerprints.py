@@ -10,16 +10,20 @@ checkout's, ``+`` this one's), and the exit status is 1 on any difference.
 With ``--show`` as well, each differing operation is followed by the output
 fields that differ, one per line: dotted path, old value, new value (a
 string that holds JSON, such as the CLI's ``--json`` output, is compared
-field by field), and the output ends with one summary line per workload:
-how many of its operations differ, and the largest absolute difference over
-the numeric fields that differ.  ``--show`` alone prints each operation's
-fingerprinted text after its md5.
+field by field) and by its solve routes when they changed, and the output
+ends with two summary lines per workload: how many of its operations
+differ, with the largest absolute difference over the numeric fields that
+differ, and how many solves took each route (``SolveResult.info["route"]``)
+in the other checkout and in this one.  ``--show`` alone prints each
+operation's fingerprinted text and its routes after its md5.
 
 The md5 is taken over ``gcbench.workloads.fingerprint`` of the operation's
 outputs (floats written in full, or the error text of a failed operation),
 so two checkouts that print the same lines returned the same bits on every
 benchmark operation.  This is the "outputs unchanged" check for a change
-that should only make the program faster.
+that should only make the program faster.  The routes are not
+fingerprinted: a solve that changes route but not its outputs does not
+count as a difference.
 
 Each operation runs once, untimed and unchecked.  ``--root`` names the
 checkout whose ``src/`` and ``gcbench/`` are imported (default: the one
@@ -28,6 +32,7 @@ written, and the certify-cli problem files go to a temporary directory.
 """
 
 import argparse
+import collections
 import hashlib
 import itertools
 import json
@@ -61,12 +66,12 @@ def main(argv=None):
         return compare(args.against, args.root, args.seeds, args.workloads,
                        args.show)
 
-    for workload, seed, i, text in rounds(args.root.resolve(),
-                                          args.workloads, args.seeds):
+    for workload, seed, i, text, routes in rounds(args.root.resolve(),
+                                                  args.workloads, args.seeds):
         digest = hashlib.md5(text.encode("utf-8")).hexdigest()
         line = f"{workload} {seed} {i} {digest}"
         if args.show:
-            line += "\t" + json.dumps(text)
+            line += "\t" + json.dumps(text) + "\t" + json.dumps(routes)
         print(line, flush=True)
     return 0
 
@@ -74,8 +79,9 @@ def main(argv=None):
 def rounds(root, names, seeds):
     """Run one round of each workload in ``names`` at each seed, from the
     ``src/`` and ``gcbench/`` of the checkout ``root``; yield
-    ``(workload, seed, index, text)`` per operation, ``text`` being
-    ``gcbench.workloads.fingerprint`` of its outputs.
+    ``(workload, seed, index, text, routes)`` per operation, ``text`` being
+    ``gcbench.workloads.fingerprint`` of its outputs and ``routes`` the
+    ``info["route"]`` of each of its solve results, by output name.
 
     Each operation runs once, untimed and unchecked.  ``gcbench`` is
     imported read-only: no bytecode is written, and the certify-cli problem
@@ -94,8 +100,11 @@ def rounds(root, names, seeds):
                 workdir.mkdir()
                 for i, op in enumerate(run.make_round(workload, seed,
                                                       workdir)):
-                    yield (workload, seed, i,
-                           workloads.fingerprint(workloads.run_op(op)))
+                    out = workloads.run_op(op)
+                    routes = {key: val.info["route"]
+                              for key, val in out.outputs.items()
+                              if "route" in getattr(val, "info", {})}
+                    yield workload, seed, i, workloads.fingerprint(out), routes
 
 
 def _parsed(val):
@@ -144,15 +153,22 @@ def compare(other, root, seeds, workloads, show=False):
             sys.stderr.write(f"{r}: exit {p.returncode}\n{err}")
             return 1
     differ = 0
-    # workload -> [operations, operations that differ, largest |difference|]
+    # workload -> [operations, operations that differ, largest |difference|,
+    #              route counts of the other checkout, of this one]
     summary = {}
     lines = itertools.zip_longest(*(out.splitlines() for out, _ in outs))
     for old, new in lines:
-        (old, old_text), (new, new_text) = (
-            line.split("\t", 1) if line and show else (line, None)
+        (old, old_text, old_routes), (new, new_text, new_routes) = (
+            line.split("\t", 2) if line and show else (line, None, None)
             for line in (old, new))
-        counts = summary.setdefault((old or new).split()[0], [0, 0, 0.0])
+        counts = summary.setdefault(
+            (old or new).split()[0],
+            [0, 0, 0.0, collections.Counter(), collections.Counter()])
         counts[0] += 1
+        routes = [json.loads(r) if r is not None else {}
+                  for r in (old_routes, new_routes)]
+        for side, got in zip(counts[3:], routes):
+            side.update(got.values())
         if old != new:
             differ += 1
             counts[1] += 1
@@ -164,10 +180,16 @@ def compare(other, root, seeds, workloads, show=False):
                     print(f"    {path}: {a!r} -> {b!r}")
                     if _is_number(a) and _is_number(b):
                         counts[2] = max(counts[2], abs(a - b))
+            for path, a, b in field_diffs(*routes, "route"):
+                print(f"    {path}: {a!r} -> {b!r}")
     if show:
-        for workload, (total, changed, largest) in summary.items():
+        for workload, (total, changed, largest, *sides) in summary.items():
             print(f"{workload}: {changed} of {total} operations differ, "
                   f"largest numeric difference {largest:.3g}")
+            names = sorted(set().union(*sides))
+            print(f"{workload} routes: " + (", ".join(
+                f"{name} {sides[0][name]} -> {sides[1][name]}"
+                for name in names) or "none"))
     print(f"{differ} of the operations differ" if differ
           else "all operations identical", file=sys.stderr)
     return 1 if differ else 0
