@@ -548,6 +548,7 @@ def _descent_sample(gauge, A, x0, hint):
     on purpose: a genuine flat segment survives shrinking (the solution set
     is convex), whereas a direction that is only first-order flat picks up
     O(t^2) value growth that tiny steps would hide below the tolerance.
+    Steps and tolerance are in units of ||x0|| and J(x0) (1 where these are 0).
     Hits must also pass a strict domain check -- ``value`` tolerates
     O(1e-9) boundary violations, and a direction curving out of a conic
     domain quadratically would otherwise masquerade as flat.
@@ -568,8 +569,8 @@ def _descent_sample(gauge, A, x0, hint):
         h = np.asarray(hint, dtype=float)
         cands.append((h / np.linalg.norm(h))[None, :])
     H = np.vstack(cands)
-    tol = 1e-11 * max(1.0, v0)
-    scale = max(1.0, float(np.linalg.norm(x0)))
+    tol = 1e-11 * (v0 or 1.0)
+    scale = float(np.linalg.norm(x0)) or 1.0
     for t in (1e-2 * scale, 1e-1 * scale, scale):
         vals = gauge.value_batch(x0[None, :] + t * H)
         for i in np.where(vals <= v0 + tol)[0]:

@@ -9,9 +9,11 @@ Everything the certification layer needs about cones lives here:
   rows and differ in cost go to HiGHS together as one block-diagonal LP;
 * ``qp_solve`` -- the same model with a Hessian, solved by HiGHS's
   active-set QP method (the polyhedral Tikhonov and Mozorov solves);
-* ``kernel_basis`` / ``range_basis`` / ``matrix_rank`` -- SVD-based subspace
-  and rank tests, plus ``affine_solve`` and the heuristic ``subgradient_min``
-  used by the certificate searches;
+* ``negligible`` -- the one scale-free rule for numerical zero, which every
+  support, tie, rank and kernel test reads; ``kernel_basis`` /
+  ``range_basis`` / ``matrix_rank`` -- SVD-based subspace and rank tests,
+  plus ``affine_solve`` and the heuristic ``subgradient_min`` used by the
+  certificate searches;
 * ``ConeSpec`` -- a cone carried both as lifted inequalities (for exact LP
   work) and as a violation functional (for grid/subgradient probes);
 * ``cone_trivial`` -- exact triviality test of ``cone ∩ span(K)`` by k + 1
@@ -71,6 +73,7 @@ __all__ = [
     "LpResult",
     "lp_solve",
     "qp_solve",
+    "negligible",
     "kernel_basis",
     "range_basis",
     "matrix_rank",
@@ -324,18 +327,26 @@ def qp_solve(c, Q, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None):
                     value=float(highs.getInfo().objective_function_value))
 
 
+def negligible(v):
+    """|v_i| <= RANK_TOL max |v|: the numerically zero entries of v (all of a
+    zero v), alike for v and c v.  A caller that knows the unit of v appends
+    it and drops its answer."""
+    a = np.abs(np.asarray(v, dtype=float))
+    return a <= config.RANK_TOL * a.max(initial=0.0)
+
+
 def kernel_basis(A):
     """Orthonormal basis of Ker A as columns, shape (n, k).
 
-    Rank is decided by singular values above ``RANK_TOL * sigma_max``.  A
-    zero or empty matrix yields the identity.
+    Rank counts the singular values that are not ``negligible``.  A zero or
+    empty matrix yields the identity.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     m, n = A.shape
     if m == 0 or not np.any(A):
         return np.eye(n)
     _, s, vt = np.linalg.svd(A)
-    rank = int(np.sum(s > config.RANK_TOL * s[0]))
+    rank = int(np.sum(~negligible(s)))
     K = vt[rank:].T
     if K.size:
         resid = float(np.max(np.abs(A @ K)))
@@ -348,22 +359,14 @@ def range_basis(A):
     """Orthonormal basis of Im A as columns of an (m, r) array (rank as in
     ``kernel_basis``)."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    if not np.any(A):
-        return np.zeros((A.shape[0], 0))
     u, s, _ = np.linalg.svd(A, full_matrices=False)
-    rank = int(np.sum(s > config.RANK_TOL * s[0]))
-    return u[:, :rank]
+    return u[:, ~negligible(s)]
 
 
 def matrix_rank(M):
-    """Numerical rank: singular values above RANK_TOL * max(1, sigma_max)."""
+    """Numerical rank: the singular values that are not ``negligible``."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
-    if M.size == 0:
-        return 0
-    s = np.linalg.svd(M, compute_uv=False)
-    if s.size == 0:
-        return 0
-    return int(np.sum(s > config.RANK_TOL * max(1.0, s[0])))
+    return int(np.sum(~negligible(np.linalg.svd(M, compute_uv=False))))
 
 
 def affine_solve(C, d):
@@ -1251,7 +1254,6 @@ def _active_set_min(f, cone):
     AtA = A.T @ A
     # eigenvalues this close to lambda_min belong to the bottom eigenspace
     etol = 1e-10 * max(1.0, float(np.linalg.norm(A, 2)) ** 2)
-    mtol = config.RANK_TOL * max(1.0, float(np.abs(M).max(initial=0.0)))
     evals = 0
 
     def node(I):
@@ -1260,9 +1262,10 @@ def _active_set_min(f, cone):
         evals += 1
         if I:
             _, s, vt = np.linalg.svd(M[list(I)])
-            N = vt[int(np.sum(s > mtol)):, :n]  # rows span V_I
+            N = vt[int(np.sum(~negligible(s))):, :n]  # rows span V_I
+            # N's rows are cut from unit vectors: 1 is its singular values' unit
             _, s, vt = np.linalg.svd(N, full_matrices=False)
-            B = vt[s > config.RANK_TOL].T
+            B = vt[~negligible(np.append(s, 1.0))[:-1]].T
         else:
             B = np.eye(n)
         if B.shape[1] == 0:

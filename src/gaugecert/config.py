@@ -42,7 +42,7 @@ __all__ = [
     "GRID_REFINE_RES",
 ]
 
-#: relative threshold on singular values when estimating ranks/kernels
+#: the one relative threshold for numerical zero; only ``cones.negligible`` reads it
 RANK_TOL = 1e-10
 
 #: cap on enumerated subdifferential vertices / linear pieces

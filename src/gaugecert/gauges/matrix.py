@@ -16,8 +16,8 @@ import math
 import numpy as np
 import scipy.linalg
 
-from .. import config
-from ..cones import ConeSpec, affine_solve, matrix_rank, subgradient_min
+from ..cones import (ConeSpec, affine_solve, matrix_rank, negligible,
+                     subgradient_min)
 from .base import (Gauge, SubdiffFace, construct, per_x0, spec_array,
                    spec_int)
 
@@ -81,7 +81,7 @@ def _contact_test(A, A_eff, X0, G, H, inside_note, off_note):
             else (None, "flat-gauge case")
     M0 = G.T @ X0 @ H
     resid = float(np.linalg.norm(X0 - G @ M0 @ H.T))
-    scale = max(1.0, float(np.linalg.norm(X0)))
+    scale = float(np.linalg.norm(X0))
     if resid > 1e-7 * scale or np.linalg.norm(M0 - M0.T) > 1e-7 * scale:
         return None, off_note
     if np.linalg.eigvalsh(0.5 * (M0 + M0.T))[0] <= 1e-7 * scale:
@@ -240,8 +240,7 @@ class NuclearGauge(Gauge):
     def _blocks(self, x0):
         X = self._mat(x0)
         U, s, Vt = np.linalg.svd(X)
-        smax = s[0] if s.size else 0.0
-        r = int(np.sum(s > config.RANK_TOL * max(1.0, smax)))
+        r = int(np.sum(~negligible(s)))
         return U[:, :r], Vt[:r].T, U[:, r:], Vt[r:].T
 
     def value_batch(self, X):
@@ -444,10 +443,10 @@ class SdpTraceGauge(Gauge):
     def _eigen_split(self, x0):
         """E spanning Ker X0 and U spanning its range, from one ``eigh``."""
         w, V = np.linalg.eigh(self._mat(x0))
-        scale = max(1.0, float(np.max(np.abs(w))))
-        if np.min(w) < -1e-9 * scale:
+        if np.min(w) < -1e-9 * np.max(np.abs(w)):
             raise ValueError("x0 must be positive semidefinite")
-        ker = w <= config.RANK_TOL * scale
+        # the rounding that the check above lets through counts as 0
+        ker = negligible(np.maximum(w, 0.0))
         return V[:, ker], V[:, ~ker]
 
     def _kernel(self, x0):
@@ -605,11 +604,13 @@ class SdpTraceGauge(Gauge):
     def interior_feasibility(self, A, b0):
         """Probe for a strictly positive definite feasible point: the shared
         subgradient loop minimizes -lambda_min over the feasible symmetric
-        matrices.  Heuristic: success is a certificate, failure is not."""
+        matrices at b0 / ||b0||, so alike for every scale of x0.  Heuristic:
+        success is a certificate, failure is not."""
         nm = self.nmat
         S = sym_basis(nm)
-        s_p, N, resid = affine_solve(A @ S, b0)
-        if resid > 1e-8 * max(1.0, float(np.linalg.norm(b0))):
+        unit = float(np.linalg.norm(b0)) or 1.0
+        s_p, N, resid = affine_solve(A @ S, b0 / unit)
+        if resid > 1e-8:
             return False, "no symmetric feasible point found"
         scale = max(1.0, float(np.linalg.norm(s_p)))
 
@@ -628,7 +629,7 @@ class SdpTraceGauge(Gauge):
             s = subgradient_min(shortfall, s_p, N)[0]
             best = eigh(s[None])[0][0, 0]
         if best > 1e-9 * scale:
-            return True, f"interior feasible point found (lambda_min {best:.2e})"
+            return True, f"interior feasible point found (lambda_min {best * unit:.2e})"
         return False, "no strictly feasible point found by the ascent probe"
 
     def tangent_space_test(self, A, x0, y0):

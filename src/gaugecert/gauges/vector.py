@@ -23,7 +23,7 @@ from scipy.linalg import block_diag, helmert
 from scipy.optimize import isotonic_regression, lsq_linear
 
 from .. import config
-from ..cones import ConeSpec, lp_solve, range_basis
+from ..cones import ConeSpec, lp_solve, negligible, range_basis
 from .base import (Gauge, SubdiffFace, VertexCapExceeded, construct,
                    point_certificate, sparse_draw, spec_array, spec_int)
 
@@ -35,17 +35,10 @@ __all__ = [
     "NonnegL1Gauge",
 ]
 
-_SUPP_TOL = 1e-12
-
-
-def _support(x):
-    return np.abs(x) > _SUPP_TOL * max(1.0, float(np.max(np.abs(x), initial=0.0)))
-
-
 def _l1_form(M, g0):
     """``descent_form`` of J'(x0; h) = <sign(g0_I), g_I> + ||g_{I^c}||_1 at
     g = h @ M (h when M is None), I the support of g0 = x0 @ M."""
-    on = _support(g0)
+    on = ~negligible(g0)
     return M, [("lin", np.flatnonzero(on), np.sign(g0[on])),
                ("abs", np.flatnonzero(~on), None)]
 
@@ -429,13 +422,15 @@ def _tie_blocks(x0, w):
     of w they take); the zero group has no signs."""
     ax = np.abs(x0)
     order = np.argsort(-ax, kind="stable")
+    zero = negligible(ax)
     blocks, start = [], 0
     while start < ax.size:
-        top, stop = ax[order[start]], start + 1
-        while stop < ax.size and abs(ax[order[stop]] - top) <= 1e-12 * max(1.0, top):
-            stop += 1
+        # ties: drops below the group's top that are negligible beside
+        # max |x0| (appended as the unit); they come first, as |x0| descends
+        drop = ax[order[start]] - ax[order[start:]]
+        stop = start + int(np.sum(negligible(np.append(drop, ax.max()))[:-1]))
         grp = order[start:stop]
-        blocks.append((grp, None if top <= _SUPP_TOL else np.sign(x0[grp]),
+        blocks.append((grp, None if zero[grp[0]] else np.sign(x0[grp]),
                        w[start:stop]))
         start = stop
     return blocks
@@ -725,13 +720,10 @@ class GroupL12Gauge(Gauge):
         """One block per group: <x0_g / ||x0_g||, h_g> on a support group,
         ||h_g|| on a zero group."""
         x0 = self.flat(x0)
-        scale = max(1.0, np.max(np.abs(x0), initial=0.0))
-        blocks = []
-        for idx in self.groups:
-            nb = np.linalg.norm(x0[idx])
-            blocks.append(("lin", idx, x0[idx] / nb) if nb > _SUPP_TOL * scale
-                          else ("l2", idx, None))
-        return None, blocks
+        norms = np.array([np.linalg.norm(x0[idx]) for idx in self.groups])
+        return None, [("l2", idx, None) if zero else ("lin", idx, x0[idx] / nb)
+                      for idx, nb, zero in zip(self.groups, norms,
+                                               negligible(norms))]
 
     def face(self, x0):
         return GroupFace(self.groups, self.descent_form(x0)[1], self.n)
@@ -766,7 +758,7 @@ class NonnegL1Gauge(Gauge):
     def dir_deriv_batch(self, x0, H):
         x0 = self.flat(x0)
         H = np.atleast_2d(np.asarray(H, dtype=float))
-        off = ~_support(x0)
+        off = negligible(x0)
         bad = H[:, off].min(axis=1, initial=0.0) < -1e-12
         return np.where(bad, math.inf, self.finite_dir_deriv_batch(x0, H))
 
@@ -784,7 +776,7 @@ class NonnegL1Gauge(Gauge):
 
     def domain_tangent_cone(self, x0):
         x0 = self.flat(x0)
-        off = np.where(~_support(x0))[0]
+        off = np.where(negligible(x0))[0]
         G = -np.eye(self.n)[off]
         anchor = np.ones(self.n)
         return ConeSpec.from_rows(G, anchor=anchor,
@@ -792,7 +784,7 @@ class NonnegL1Gauge(Gauge):
 
     def critical_cone(self, x0):
         x0 = self.flat(x0)
-        off = np.where(~_support(x0))[0]
+        off = np.where(negligible(x0))[0]
         G = np.vstack([-np.eye(self.n)[off], np.ones((1, self.n))])
         anchor = -x0 if self.value(x0) > 0 else None
         return ConeSpec.from_rows(G, anchor=anchor,

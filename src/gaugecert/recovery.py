@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import config as _config
 from .certificates import YES, check_sharp
+from .cones import negligible
 from .gauges import KINDS, Gauge, from_spec
 from .solvers import solve_mozorov, solve_primal_eq, solve_tikhonov
 
@@ -155,7 +155,7 @@ def gen_instance(cfg, seed):
 
 def _pinv_norm(A):
     s = np.linalg.svd(A, compute_uv=False)
-    pos = s[s > _config.RANK_TOL * max(1.0, float(s[0]) if s.size else 1.0)]
+    pos = s[~negligible(s)]
     return float(1.0 / pos[-1]) if pos.size else 0.0
 
 

@@ -111,6 +111,15 @@ def test_certify_flat_line(tmp_path, capsys):
     assert "verdict            No" in capsys.readouterr().out
 
 
+def test_certify_flat_line_at_a_tiny_x0(tmp_path, capsys):
+    # x0 = [1e-13, 0] has the face of E2's [1, 0], so it is not unique either
+    problem = {"version": 1, "gauge": {"kind": "l1", "n": 2},
+               "A": [[1, 1]], "x0": [1e-13, 0]}
+    code = main(["certify", write(tmp_path, problem), "--json"])
+    assert code == 1
+    assert strict_loads(capsys.readouterr().out)["report"]["is_unique"] == "No"
+
+
 def test_certify_json_output(tmp_path, capsys):
     code = main(["certify", write(tmp_path, E1), "--json"])
     out = capsys.readouterr().out

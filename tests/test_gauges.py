@@ -879,6 +879,31 @@ def test_kind_switches_live_in_gauges():
     assert not found, "kind comparisons outside gauges/:\n" + "\n".join(found)
 
 
+def test_numerical_zero_has_one_rule():
+    # every support, tie, rank and kernel decision calls cones.negligible,
+    # the one reader of RANK_TOL outside config.py
+    found = []
+    root = Path(gaugecert.__file__).parent
+    for path in sorted(root.rglob("*.py")):
+        name = str(path.relative_to(root))
+        if name == "config.py":
+            continue
+        text = path.read_text(encoding="utf-8")
+        if "_SUPP_TOL" in text:
+            found.append(f"{name}: _SUPP_TOL")
+        tree = ast.parse(text)
+        allowed = set()
+        if name == "cones.py":
+            allowed = {id(sub) for fn in tree.body if isinstance(fn, ast.FunctionDef)
+                       and fn.name == "negligible" for sub in ast.walk(fn)}
+        found += [f"{name}:{node.lineno}: RANK_TOL" for node in ast.walk(tree)
+                  if id(node) not in allowed and "RANK_TOL" in
+                  (getattr(node, "id", None), getattr(node, "attr", None),
+                   getattr(node, "name", None))]
+    assert not found, "numerical-zero tests outside cones.negligible:\n" + \
+        "\n".join(found)
+
+
 def _mutates_environ(node):
     def is_environ(sub):
         return (isinstance(sub, ast.Attribute) and sub.attr == "environ"

@@ -14,9 +14,8 @@ import numpy as np
 import pytest
 
 import gaugecert.certificates as certificates
-from gaugecert import config
 from gaugecert.certificates import sdp_trace_check
-from gaugecert.cones import matrix_rank
+from gaugecert.cones import matrix_rank, negligible
 from gaugecert.gauges import NuclearGauge, SdpTraceGauge
 from gaugecert.gauges.matrix import _sym_mat, sym_basis
 
@@ -187,8 +186,7 @@ def test_sdp_face_rows_keep_every_bit(nm, rank):
     face = g.face(x0)
     assert face.E.shape[1] == nm - rank
     w, V = np.linalg.eigh(g._mat(x0))
-    assert np.array_equal(
-        face.U, V[:, w > config.RANK_TOL * max(1.0, w.max(initial=0.0))])
+    assert np.array_equal(face.U, V[:, ~negligible(np.maximum(w, 0.0))])
     rows, rhs, tol = face.affine_part(A)
     want_rows, want_rhs, want_tol = _sdp_rows_reference(face, A)
     assert np.array_equal(rows, want_rows) and np.array_equal(rhs, want_rhs)
