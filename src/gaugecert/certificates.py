@@ -161,7 +161,8 @@ def _restrict(cone, S):
         _through(lambda H: sub(H) @ S, S),
         anchor=None if cone.anchor is None else S.T @ cone.anchor,
         note=cone.note + " (subspace coordinates)",
-        soc=None if cone.soc is None else (S.T @ cone.soc[0], cone.soc[1] @ S))
+        soc=None if cone.soc is None else (S.T @ cone.soc[0], cone.soc[1] @ S),
+        scale=cone.scale)
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +268,8 @@ def check_sharp(gauge, A, x0, with_alpha=True):
     Also computes kappa (the sharpness constant) and alpha (minimum conic
     singular value of A against the critical cone).  alpha is certified
     exact by the kernel route's witness (``kernel-witness``: a unit h with
-    ||A h|| <= 1e-8 max(1, ||A||_2) and a critical-cone violation of at most
-    1e-11 makes alpha = ||A h||, 0 up to rounding), else by
+    ||A h|| <= 1e-8 max(1, ||A||_2) on the critical cone (``ConeSpec.on``)
+    makes alpha = ||A h||, 0 up to rounding), else by
     ``min_conic_singular`` on a lifted critical cone with at most
     log2(VERTEX_CAP) rows or one second-order constraint; otherwise it is a
     sphere probe.  The ``alpha engine:`` note names the route and why.
@@ -407,7 +408,7 @@ def _kernel_route(geom, rep, probe=True):
 def _kernel_direction(geom, h, cone):
     """h / ||h|| when it lies in Ker A and in ``cone`` (None: no cone) up to
     rounding: ||A h|| <= 1e-8 max(1, ||A||_2) for the unit h, a bound that
-    scales with A, and a cone violation of at most 1e-11.  None otherwise."""
+    scales with A, and ``cone.on(h)``.  None otherwise."""
     norm = 0.0 if h is None else float(np.linalg.norm(h))
     if not norm > 0.0:
         return None
@@ -415,7 +416,7 @@ def _kernel_direction(geom, h, cone):
     bound = 1e-8 * max(1.0, float(np.linalg.norm(geom.A_eff, 2)))
     if float(np.linalg.norm(geom.A_eff @ h)) > bound:
         return None
-    if cone is not None and cone.violation(h) > 1e-11:
+    if cone is not None and not cone.on(h)[0]:
         return None
     return h
 

@@ -16,13 +16,14 @@ Everything the certification layer needs about cones lives here:
   certificate searches;
 * ``ConeSpec`` -- a cone carried both as lifted inequalities (for exact LP
   work) and as a violation functional (for grid/subgradient probes);
+  ``ConeSpec.on`` is the one membership rule, scaled by the cone's ``scale``;
 * ``cone_trivial`` -- exact triviality test of ``cone ∩ span(K)`` by k + 1
   block LPs along a positive spanning set of span(K);
 * ``sphere_min`` -- minimize a positively homogeneous convex function over
   the unit sphere of a subspace, with three engines (exact piecewise-linear,
-  angular grid, multistart subgradient); a nonpositive exact-pl minimum is
-  minus the norm of ``min_norm_point``, SciPy's NNLS on homogenized weights,
-  which also answers whether 0 lies in the pieces' hull;
+  angular grid, multistart subgradient); exact-pl reads the sign of its
+  minimum from ``min_norm_point`` (SciPy's NNLS on homogenized weights)
+  and the rank of the pieces, and solves no LP;
 * ``min_conic_singular`` -- minimum of ||Ah|| over a cone's unit sphere,
   exact on polyhedral cones by an active-set eigen search (``exact-active-set``,
   when the 2^r active sets of the r lifted rows are within ``VERTEX_CAP``),
@@ -434,6 +435,11 @@ def subgradient_min(oracle, y0, N):
 # cones
 # ---------------------------------------------------------------------------
 
+#: a unit direction lies on a cone when its violation is at most this many
+#: of the cone's units (``ConeSpec.scale``)
+ON_CONE_TOL = 1e-11
+
+
 @dataclass
 class ConeSpec:
     """A closed convex cone {h : exists u, G_h h + G_u u <= 0}.
@@ -449,6 +455,10 @@ class ConeSpec:
     polish near-boundary probe points.  A non-polyhedral cone that is one
     second-order constraint {h : <b, h> + ||W h|| <= 0} carries ``soc`` =
     (b, W), which ``min_conic_singular`` solves by an eigenvalue search.
+    ``scale`` is the unit of the violation: the largest |entry| of a lift's
+    rows (``from_lift``; its violation is J', so J and c J answer alike),
+    else 1.  ``on``, a violation of at most ``ON_CONE_TOL`` times ``scale``,
+    is the one membership rule.
     """
 
     n: int
@@ -459,10 +469,16 @@ class ConeSpec:
     anchor: np.ndarray = None
     note: str = ""
     soc: tuple = None
+    scale: float = 1.0
 
     @property
     def is_polyhedral(self):
         return self.G_h is not None
+
+    def on(self, H, tol=ON_CONE_TOL):
+        """Which rows of H (or the one direction H) lie on the cone: a
+        violation of at most ``tol`` times ``scale``."""
+        return self.violation_batch(np.atleast_2d(H)) <= tol * self.scale
 
     def violation(self, h):
         return float(self.violation_batch(_row(h))[0])
@@ -502,10 +518,11 @@ class ConeSpec:
                   anchor=None, note=""):
         G_h = np.atleast_2d(np.asarray(G_h, dtype=float))
         G_u = np.atleast_2d(np.asarray(G_u, dtype=float))
+        scale = max(np.abs(G_h).max(initial=0.0), np.abs(G_u).max(initial=0.0))
         return ConeSpec(n=G_h.shape[1], G_h=G_h, G_u=G_u,
                         violation_batch=violation_batch,
                         violation_subgrad_batch=violation_subgrad_batch,
-                        anchor=anchor, note=note)
+                        anchor=anchor, note=note, scale=float(scale))
 
     @staticmethod
     def from_violation(n, violation_batch, violation_subgrad_batch=None,
@@ -684,11 +701,12 @@ def sphere_min(f, K, cone=None):
     """Minimize a convex positively homogeneous f over the unit sphere of
     span(K), optionally restricted to a cone.
 
-    Engine choice: the exact piecewise-linear engine when f exposes its
-    linear pieces and there is no cone restriction; the angular grid
-    (certified) when the subspace dimension is at most 3; multistart
-    subgradient descent (heuristic, labeled, ``config.probe_restarts()``
-    starts) otherwise.
+    Engine choice: the exact piecewise-linear engine (``_exact_pl``, no LP)
+    when f exposes its linear pieces and there is no cone restriction; the
+    angular grid (certified) when the subspace dimension is at most 3;
+    multistart subgradient descent (heuristic, labeled,
+    ``config.probe_restarts()`` starts) otherwise.  Both probes test cone
+    membership by ``cone.on``.
 
     Memory: the grid's first 3-D stage scores 1,236,377 directions.  It
     keeps two float64 scores per direction (about 20 MB) and maps the
@@ -726,18 +744,17 @@ def _exact_pl(f, Z, K):
     """Exact minimum of max_i <z_i, h> over the unit sphere of span(K).
 
     Writes the problem in subspace coordinates t (h = K t, C = Z K) and
-    splits on the sign of the minimum:
+    splits on the sign of the minimum, read from the minimum-norm point p of
+    E = conv(C):
 
-    * recession cone {C t <= 0} trivial  =>  min > 0; then 0 lies in the
-      interior of E = conv(C) and the minimum is the smallest facet distance
-      of E from the origin (convex hull);
-    * otherwise it is -dist(0, E), from the minimum-norm point p of E: 0
-      when ||p|| < 1e-12 (0 in E; the witness is the recession LP's), else
-      attained at -p / ||p||.
+    * p not ``negligible`` beside max |C|  =>  0 lies outside E and the
+      minimum is -||p||, attained at -p / ||p||;
+    * else the minimum is 0 when C has rank below k, at a direction of
+      Ker C, and otherwise the smallest facet distance of the
+      full-dimensional E from the origin (convex hull).
     """
     C = np.atleast_2d(Z @ K)
     k = K.shape[1]
-    evals = 0
     if k == 1:
         vplus = float(np.max(C[:, 0]))
         vminus = float(np.max(-C[:, 0]))
@@ -745,37 +762,31 @@ def _exact_pl(f, Z, K):
             return _finish(f, K[:, 0].copy(), "exact-pl", True, 2)
         return _finish(f, -K[:, 0], "exact-pl", True, 2)
 
-    rec = ConeSpec.from_rows(C)
-    trivial, witness_t = cone_trivial(rec, np.eye(k))
-    if trivial:
-        # 0 interior to E: minimum = closest facet distance
-        Cu = np.unique(np.round(C, 12), axis=0)
-        joggled = False
-        try:
-            hull = ConvexHull(Cu)
-        except QhullError:
-            # near-degenerate pieces can fail qhull's topology checks; joggle
-            # them, then refit the chosen facet's plane through its pieces
-            try:
-                hull, joggled = ConvexHull(Cu, qhull_options="QJ"), True
-            except QhullError as exc:
-                raise LpFailure(f"convex hull failure in exact-pl: {exc}")
-        offsets = hull.equations[:, -1]
-        normals = hull.equations[:, :-1]
-        i = int(np.argmin(-offsets))
-        if joggled:
-            normals[i] = np.linalg.lstsq(Cu[hull.simplices[i]], np.ones(k),
-                                         rcond=None)[0]
-        t = normals[i] / np.linalg.norm(normals[i])
-        return _finish(f, K @ t, "exact-pl", True, evals)
-    # nonpositive minimum: 0 in E (a minimum-norm point of norm ~0) or not
     p = min_norm_point(C)
-    np_norm = np.linalg.norm(p)
-    if np_norm < 1e-12:
-        t = witness_t / np.linalg.norm(witness_t)
-    else:
-        t = -p / np_norm
-    return _finish(f, K @ t, "exact-pl", True, evals)
+    if not np.all(negligible(np.append(p, np.abs(C).max()))[:-1]):
+        return _finish(f, K @ (-p / np.linalg.norm(p)), "exact-pl", True, 0)
+    if matrix_rank(C) < k:
+        return _finish(f, K @ kernel_basis(C)[:, 0], "exact-pl", True, 0)
+    Cu = np.unique(np.round(C, 12), axis=0)
+    joggled = False
+    try:
+        hull = ConvexHull(Cu)
+    except QhullError:
+        # near-degenerate pieces can fail qhull's topology checks; joggle
+        # them, then refit the chosen facet's plane <n, c> = d (d may be 0)
+        # through its pieces
+        try:
+            hull, joggled = ConvexHull(Cu, qhull_options="QJ"), True
+        except QhullError as exc:
+            raise LpFailure(f"convex hull failure in exact-pl: {exc}")
+    offsets = hull.equations[:, -1]
+    normals = hull.equations[:, :-1]
+    i = int(np.argmin(-offsets))
+    if joggled:
+        n = np.linalg.svd(np.c_[Cu[hull.simplices[i]], -np.ones(k)])[2][-1, :k]
+        normals[i] = n * np.sign(n @ normals[i])
+    t = normals[i] / np.linalg.norm(normals[i])
+    return _finish(f, K @ t, "exact-pl", True, 0)
 
 
 #: most directions of one angular-grid block.  A stage is scored a block of
@@ -867,7 +878,7 @@ def _angular_grid(f, K, cone):
       the 75th percentile of the stage's violations (or within that band of
       the least violation, when no direction is).  The incumbent is the
       banded argmin of the current stage, not the best value seen so far.
-    * End: an incumbent off the cone is pulled onto it by
+    * End: an incumbent off the cone (not ``cone.on``) is pulled onto it by
       ``_polish_to_cone`` when that keeps its value (1e-5 relative); if not,
       a trivial polyhedral section certifies +inf; otherwise the point stays
       where it is, certified with a "thin section" note on a polyhedral cone
@@ -887,8 +898,7 @@ def _angular_grid(f, K, cone):
         H = (K @ np.array([[1.0, -1.0]])).T
         vals = f.value_batch(H)
         if cone is not None:
-            viol = cone.violation_batch(H)
-            feas = viol <= 1e-12
+            feas = cone.on(H)
             if not np.any(feas):
                 return _no_minimizer("angular-grid", True, 2,
                                      "no feasible direction")
@@ -937,8 +947,8 @@ def _angular_grid(f, K, cone):
     h = best_h
     note = ""
     certified = True
-    viol = 0.0 if cone is None else cone.violation(h)
-    if viol > 1e-11:
+    if cone is not None and not cone.on(h)[0]:
+        viol = cone.violation(h)
         # polishing must not drag the point away from the minimum (thin cones
         # can only be reached at the anchor itself, which is no minimizer)
         P, on_cone = _polish_to_cone(cone, h[None], K)
@@ -954,7 +964,7 @@ def _angular_grid(f, K, cone):
         else:
             certified = False
             note = f"minimizer within {viol:.1e} of the cone"
-    if cone is None or cone.violation(h) <= 1e-11:
+    if cone is None or cone.on(h)[0]:
         # the grid alone leaves an O(res) gap at kinked minima; close it so
         # sign decisions near zero are not hostage to the mesh
         h, _, zevals = _angular_zoom(f, K, cone, h, 4.0 * config.GRID_REFINE_RES)
@@ -989,8 +999,7 @@ def _angular_zoom(f, K, cone, h, width):
                 vals = f.value_batch(Hc)
                 evals += Hc.shape[0]
                 if cone is not None:
-                    vals = np.where(cone.violation_batch(Hc) <= 1e-11,
-                                    vals, np.inf)
+                    vals = np.where(cone.on(Hc), vals, np.inf)
                 i = int(np.argmin(vals))
                 if np.isfinite(vals[i]) and vals[i] < v:
                     v = float(vals[i])
@@ -1020,19 +1029,19 @@ def _polish_to_cone(cone, H, K):
         nc = np.linalg.norm(P, axis=1)
         live = nc > 1e-14
         P /= np.where(live, nc, 1.0)[:, None]
-        return P, live & (cone.violation_batch(P) <= tol)
+        return P, live & cone.on(P, tol)
 
     # bisect for the smallest feasible mixing weight: lo infeasible, hi feasible
     lo, hi = np.zeros(H.shape[0]), np.ones(H.shape[0])
-    if not np.all(mix(hi, 5e-12)[1]):
+    if not np.all(mix(hi, ON_CONE_TOL / 2)[1]):
         # the anchor leaves the subspace or its projection is infeasible
         return failed
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        feasible = mix(mid, 5e-12)[1]
+        feasible = mix(mid, ON_CONE_TOL / 2)[1]
         hi = np.where(feasible, mid, hi)
         lo = np.where(feasible, lo, mid)
-    return mix(hi, 1e-11)
+    return mix(hi, ON_CONE_TOL)
 
 
 def _cone_fallback(f, K, cone, engine, evals):
@@ -1083,8 +1092,7 @@ def _multistart(f, K, cone, seed=0):
     evals += H.shape[0]
     # polishing can only raise the value, so the near-misses worth it lie
     # below the best feasible value; then candidates go best value first
-    on_cone = np.full(vals.size, True) if cone is None \
-        else cone.violation_batch(H) <= 1e-11
+    on_cone = np.full(vals.size, True) if cone is None else cone.on(H)
     near = ~on_cone & np.isfinite(vals) & (
         vals <= vals[on_cone].min(initial=math.inf))
     polished = vals.copy()
@@ -1210,7 +1218,7 @@ def _soc_min(f, cone):
     if H.shape[0]:
         H = H / np.linalg.norm(H, axis=1, keepdims=True)
         H *= np.where(H @ b > 0.0, -1.0, 1.0)[:, None]
-        on_cone = cone.violation_batch(H) <= 1e-11
+        on_cone = cone.on(H)
         if not np.all(on_cone):
             H[~on_cone], on_cone[~on_cone] = _polish_to_cone(
                 cone, H[~on_cone], np.eye(cone.n))
@@ -1277,7 +1285,7 @@ def _active_set_min(f, cone):
     def meets_cone(E):
         """A unit direction of the cone in span(E), or None."""
         H = np.vstack([E.T, -E.T])
-        ok = cone.violation_batch(H) <= 1e-12
+        ok = cone.on(H)
         if np.any(ok):
             return H[int(np.argmax(ok))]
         if E.shape[1] == 1:

@@ -350,6 +350,7 @@ class SdpFace(SubdiffFace):
     def __init__(self, C, E, U, kron_E):
         self.C, self.E, self.U, self.kron_E = C, E, U, kron_E
         self.nmat = C.shape[0]
+        self.unit = max(1.0, float(np.abs(C).max()))  # of affine residuals
         self.base = (C - E @ E.T).ravel()
         # vec(E M E^T) = kron(E, E) vec(M) for row-major vec
         self.tangent = kron_E @ sym_basis(E.shape[1])
@@ -363,7 +364,7 @@ class SdpFace(SubdiffFace):
 
     def margin(self, z):
         M, resid = self._block(z)
-        if resid > 1e-9:
+        if resid > 1e-9 * self.unit:
             return -math.inf
         if M.size == 0:
             return math.inf
@@ -384,7 +385,7 @@ class SdpFace(SubdiffFace):
         # strided rows would move the bits of <b, C>, as in ``_rows``
         Bt = np.ascontiguousarray(_sym_mat(Bt, self.nmat)).reshape(Bt.shape)
         rhs = np.array([b @ C.ravel() for b in Bt])
-        return _rows(A, Bt), rhs, 1e-8 * max(1.0, float(np.abs(C).max()))
+        return _rows(A, Bt), rhs, 1e-8 * self.unit
 
     def spread(self, A):
         """The largest eigenvalue of the kernel block E^T (A^T y - C) E."""

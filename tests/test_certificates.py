@@ -361,9 +361,9 @@ def test_wsl1_certificate_lps_do_not_grow_with_the_face(monkeypatch):
     rep = check_unique(g, A, np.eye(6)[0], with_alpha=False)
     assert rep.is_unique == YES and rep.conditions_checked[0] == ("range-space", YES, True)
     assert sizes and max(sizes) <= 6 * 7 + 3 + 1
-    # the block LPs are the two cone_trivial tests on the 3-dimensional
-    # kernel (the critical cone's and exact-pl's), k + 1 = 4 blocks each
-    assert [b for b in blocks if b] == [4, 4]
+    # the block LP is the critical cone's cone_trivial test on the
+    # 3-dimensional kernel, k + 1 = 4 blocks (exact-pl solves no LP)
+    assert [b for b in blocks if b] == [4]
 
 
 def test_exact_engine_survives_a_degenerate_hull():
@@ -378,7 +378,7 @@ def test_exact_engine_survives_a_degenerate_hull():
 def test_exact_engine_zero_minimum_inside_the_hull():
     # at x0 = e1 the l1 pieces, restricted to Ker [1, 1, 0], hold 0 in
     # their hull: the minimum-norm point is 0, and the exact engine answers
-    # 0 from its recession-cone witness
+    # 0 from the hull's facet through the origin
     rep = check_sharp(L1Gauge(3), np.array([[1.0, 1.0, 0.0]]),
                       np.array([1.0, 0.0, 0.0]))
     assert rep.is_sharp == NO and rep.kappa_certified
@@ -386,6 +386,18 @@ def test_exact_engine_zero_minimum_inside_the_hull():
     assert abs(rep.kappa) <= 1e-15
     assert np.allclose(rep.witness, np.array([-1.0, 1.0, 0.0]) / np.sqrt(2.0),
                        atol=1e-12)
+
+
+def test_exact_engine_zero_minimum_on_a_flat_hull():
+    # the third column of D is zero, so every piece vanishes on the kernel
+    # direction e3: the pieces have rank 1 on the 2-dimensional kernel, and
+    # the exact engine answers 0 at a direction of their kernel
+    rep = check_sharp(AnalysisL1Gauge([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]),
+                      np.array([[1.0, 1.0, 0.0]]), np.array([1.0, 0.0, 0.0]),
+                      with_alpha=False)
+    assert rep.is_sharp == NO and rep.kappa_certified
+    assert "kappa engine: exact-pl" in rep.notes
+    assert abs(rep.kappa) <= 1e-15
 
 
 def test_nuclear_tail_dominance_subgradient_is_the_gradient(monkeypatch):
@@ -764,6 +776,56 @@ def test_scaling_a_changes_no_verdict():
             for c in (1e-3, 1e4):
                 _assert_same_verdicts(check_unique(g, c * A, x0, with_alpha=False),
                                       base, (kind, seed, c))
+
+
+#: c J for the kinds whose J is linear in its parameter
+_SCALED_J = {
+    "wsl1": lambda g, c: SortedWeightedL1Gauge(c * g.w),
+    "analysis_l1": lambda g, c: AnalysisL1Gauge(c * g.D),
+    "sdp_trace": lambda g, c: SdpTraceGauge(c * g.C),
+}
+
+
+def test_scaling_j_keeps_alpha_and_scales_kappa():
+    # J -> cJ keeps the critical cone, hence alpha, and scales J', hence
+    # kappa, by c.  Certified flags are not compared: the grid's polish
+    # rule, 1e-5 max(1, |value|), is not scale-free
+    for kind, scaled in _SCALED_J.items():
+        for seed in range(12):
+            g, A, x0 = _kind_draw(kind, np.random.default_rng(seed))
+            base = check_unique(g, A, x0)
+            for c in (1e-2, 1e2, 1e4):
+                rep, case = check_unique(scaled(g, c), A, x0), (kind, seed, c)
+                assert (rep.is_sharp, rep.is_unique) == \
+                    (base.is_sharp, base.is_unique), case
+                if rep.alpha_certified and base.alpha_certified:
+                    assert rep.alpha == pytest.approx(base.alpha, rel=1e-9,
+                                                      abs=1e-12), case
+                if rep.kappa_certified and base.kappa_certified:
+                    assert rep.kappa == pytest.approx(c * base.kappa, rel=1e-9,
+                                                      abs=c * 1e-12), case
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_sdp_face_margin_is_measured_in_the_units_of_c(seed):
+    # the face's affine residual grows with C: at 1e6 C the certificate's
+    # margin is still read, so its Yes stays certified
+    g, A, x0 = _kind_draw("sdp_trace", np.random.default_rng(seed))
+    rep = check_unique(SdpTraceGauge(1e6 * g.C), A, x0)
+    assert ("range-space", YES, True) in rep.conditions_checked
+    assert rep.is_sharp == YES and rep.is_unique == YES
+
+
+@pytest.mark.xfail(strict=True, raises=InternalDisagreementError,
+                   reason="the face margin LP's rows D_off u = z - base hold "
+                          "only up to rounding that grows with D, past "
+                          "HiGHS's absolute feasibility tolerance (1e-9): "
+                          "the LP comes back infeasible and the range-space "
+                          "route certifies No")
+def test_large_analysis_operator_changes_no_verdict():
+    g, A, x0 = _kind_draw("analysis_l1", np.random.default_rng(4))
+    rep = check_unique(AnalysisL1Gauge(1e6 * g.D), A, x0)
+    assert rep.is_sharp == check_unique(g, A, x0).is_sharp
 
 
 def test_scaling_x0_changes_no_verdict():

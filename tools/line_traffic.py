@@ -9,7 +9,8 @@ process, and a workload name is one seed-1 round of that gcbench workload,
 run by ``op_fingerprints.rounds`` (every operation once, untimed and
 unchecked, its outputs fingerprinted as ``gcbench/run.py`` does, and
 ``gcbench`` imported read-only).  ``--show`` adds, under each module, the
-line numbers that never ran.
+line numbers that never ran, and ends with the lines that no target ran
+(when every target ran to its end).
 
 Only the standard library is used: ``sys.settrace`` and ``threading.settrace``
 with a line tracer on frames whose code lies in ``src/gaugecert``.  (The
@@ -56,7 +57,7 @@ def main(argv=None):
         (target,) = args.targets
         json.dump(trace_target(target, root), sys.stdout)
         return 0
-    status = 0
+    status, ran_any = 0, {}
     for target in args.targets:
         proc = subprocess.run(
             [sys.executable, str(Path(__file__).resolve()), "--child",
@@ -66,7 +67,12 @@ def main(argv=None):
             print(f"{target}: exit {proc.returncode}", file=sys.stderr)
             status = 1
             continue
-        report(target, json.loads(proc.stdout), root, args.show)
+        ran = json.loads(proc.stdout)
+        report(target, ran, root, args.show)
+        for path, lines in ran.items():
+            ran_any.setdefault(path, set()).update(lines)
+    if args.show and not status:
+        report("no target", ran_any, root, True)
     return status
 
 
