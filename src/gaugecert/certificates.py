@@ -175,10 +175,11 @@ def find_dual_certificate(gauge, A, x0):
     The search is the face model's ``certificate``.  For the polyhedral
     kinds it is an exact LP that maximizes the interior margin over the face
     of dJ(x0).  For the spectral kinds (nuclear, sdp_trace) and group l1/l2,
-    the affine part of the face is matched by least squares and the residual
-    freedom is used to push the boundary block inward by subgradient descent
-    -- the *search* is heuristic but the margin of the returned certificate
-    is verified exactly against the face model.
+    the affine part of the face is matched by least squares, and the largest
+    eigenvalue of the boundary block over the residual freedom is minimized
+    by ``cones.min_lambda_max``; the margin of the returned certificate is
+    verified exactly against the face model, and it is the maximum when the
+    search closed its duality gap.
 
     Parameters
     ----------
@@ -697,8 +698,8 @@ def nuclear_check(Phi, X0):
 
     Both routes: (a) the restricted-injectivity rank test of Phi on the
     subspace T = {Y : U2^T Y V2 = 0} and (b) the certificate search (exact
-    affine part, heuristic spectral minimization, margin verified, free-block
-    spectral norm strictly below one), against (c) the kernel probe
+    affine part, interior-point spectral minimization, margin verified,
+    free-block spectral norm strictly below one), against (c) the kernel probe
     minimizing tr(U1^T H V1) + ||U2^T H V2||_* over unit kernel directions
     (certified for kernel dimension <= 3).  The stronger singular-value
     sufficient condition is evaluated and reported separately; it never

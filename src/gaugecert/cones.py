@@ -12,7 +12,7 @@ Everything the certification layer needs about cones lives here:
 * ``negligible`` -- the one scale-free rule for numerical zero, which every
   support, tie, rank and kernel test reads; ``kernel_basis`` /
   ``range_basis`` / ``matrix_rank`` -- SVD-based subspace and rank tests,
-  plus ``affine_solve`` and the heuristic ``subgradient_min`` used by the
+  plus ``affine_solve`` and the eigenvalue search ``min_lambda_max`` of the
   certificate searches;
 * ``ConeSpec`` -- a cone carried both as lifted inequalities (for exact LP
   work) and as a violation functional (for grid/subgradient probes);
@@ -41,19 +41,19 @@ one subgradient row per direction.  The single-direction calls
 ones, so the grid and multistart engines and the scalar checks read the
 same numbers.
 
-Every heuristic search steps with one loop, ``_subgradient_steps``, which
-moves a stack of start points in lockstep: ``subgradient_min`` over an
-affine set (the group, nuclear and sdp certificate searches, the sdp
-Slater-point probe), and the multistart engine on the sphere.
-``subgradient_min`` takes one oracle that returns the values and the
-subgradients of a stack of points together, and calls it once per iterate,
-so a step of a spectral search costs at most one decomposition, and none for
-nuclear tails with a side of 1 or sdp kernel blocks of side <= 2, which the
-matrix gauges solve in closed form; the gauges' critical cones read their
-violation subgradients from one such call as well
-(``Gauge.dir_deriv_subgrad_batch``).  The engine's near-misses are pulled
-onto the cone together by ``_polish_to_cone``, which bisects them in
-lockstep with one ``violation_batch`` call per step.
+The multistart engine moves its restarts on the sphere in lockstep and
+reads the probe's and the cone's subgradients once per step, so a step of a
+spectral probe costs at most one decomposition, and none for nuclear tails
+with a side of 1 or sdp kernel blocks of side <= 2, which the matrix gauges
+solve in closed form; the gauges' critical cones read their violation
+subgradients from one such call as well (``Gauge.dir_deriv_subgrad_batch``).
+Its near-misses are pulled onto the cone together by ``_polish_to_cone``,
+which bisects them in lockstep with one ``violation_batch`` call per step.
+
+``min_lambda_max`` minimizes the largest eigenvalue of an affine family of
+symmetric matrices by a primal-dual interior-point method, with a lower
+bound from its dual iterate: the group, nuclear and sdp certificate
+searches and the sdp Slater-point probe.
 """
 
 import functools
@@ -79,7 +79,8 @@ __all__ = [
     "range_basis",
     "matrix_rank",
     "affine_solve",
-    "subgradient_min",
+    "LambdaMaxResult",
+    "min_lambda_max",
     "ConeSpec",
     "cone_trivial",
     "min_norm_point",
@@ -384,51 +385,120 @@ def affine_solve(C, d):
     return y_p, kernel_basis(C), resid
 
 
-def _subgradient_steps(T, direction, step):
-    """Move every row of T by step/sqrt(it) against its normalized row of
-    ``direction(T)``, for it = 1..300; rows whose direction is below 1e-14
-    stay put, and the loop ends once all do.  Yields T after each step, for
-    the caller to read or to change in place."""
-    for it in range(1, 301):
-        G = direction(T)
-        gn = np.linalg.norm(G, axis=1, keepdims=True)
-        live = gn[:, 0] >= 1e-14
-        if not np.any(live):
-            return
-        T[live] -= (step / math.sqrt(it)) * G[live] / gn[live]
-        yield T
+#: ``min_lambda_max`` closes its gap at this many units of the pencil's
+#: scale, and steps on to ``_GAP_STOP`` of them, for at most ``_IPM_STEPS``
+GAP_TOL, _GAP_STOP, _IPM_STEPS = 1e-9, 1e-10, 50
 
 
-def subgradient_min(oracle, y0, N):
-    """Minimize a convex nonsmooth f(y) over y = y0 + N t by the shared
-    subgradient loop from y0 and four points drawn from ``default_rng(0)``.
-    ``oracle`` maps a stack of points (rows) to ``(values, subgradients)``,
-    one value and one subgradient row per point, and is called once per
-    iterate: its values score the iterate, its subgradients take the next
-    step.  y0 and every iterate after a step are scored, the random starts
-    are not.  Heuristic; returns the best iterate seen."""
-    best_y, best_v, calls = y0, math.inf, 0
+@dataclass
+class LambdaMaxResult:
+    """``min_lambda_max``'s point t, lambda_max at t, a lower bound on its
+    minimum (-inf: none read), its steps, and whether its gap closed."""
 
-    def score(T):
-        nonlocal best_y, best_v, calls
-        calls += 1
-        Y = y0 + T @ N.T
-        v, G = oracle(Y)
-        if calls == 1:  # the starts: y0 alone is scored
-            best_v = float(v[0])
-        else:
-            i = int(np.argmin(v))
-            if v[i] < best_v:
-                best_y, best_v = Y[i], float(v[i])
-        return G @ N
+    t: np.ndarray
+    upper: float
+    lower: float
+    iters: int
+    certified: bool
 
-    k = N.shape[1]
-    T = np.vstack([np.zeros(k), np.random.default_rng(0).standard_normal((4, k))])
-    step = 0.7 * max(1.0, float(np.linalg.norm(y0)))
-    steps = sum(1 for _ in _subgradient_steps(T, score, step))
-    if steps == calls:  # the loop ran to its end: its last iterate is unscored
-        score(T)
-    return best_y, best_v
+
+def min_lambda_max(M0, Ms, stop=-math.inf):
+    """Minimize lambda_max(M0 + sum_i t_i M_i) over t, for symmetric d x d
+    M0 and a stack Ms, by the primal-dual interior-point method of Helmberg,
+    Rendl, Vanderbei & Wolkowicz (1996): HKM direction, Mehrotra's
+    predictor-corrector, on min z s.t. S = z I - M0 - sum_j tau_j B_j >= 0
+    and its dual max <M0, W> s.t. tr W = 1, <B_j, W> = 0, W >= 0.
+
+    B is a Frobenius-orthonormal basis of span(M_i) (t = R tau), so neither
+    the scale nor the rotation of t matters.  Each iterate tau is a point,
+    and the one with the least lambda_max is returned.  The primal iterate,
+    projected onto the equations of W, gives the lower bound <M0, W>; where
+    rounding leaves the projection indefinite, it is mixed with the most
+    interior one seen.  Step lengths come from eigenvalues, and an iterate
+    that is not definite, or a failed factorization, ends the iteration.
+    The scale is the largest |entry| of M0 (that of the M_i is the
+    parametrization's).
+
+    The iteration also stops below ``stop``, and below lambda_min(M0),
+    which no <M0, W> undercuts: the family is then unbounded below, and the
+    point is pulled back along its ray from t = 0 to one scale below
+    lambda_min(M0), 0 and ``stop``.  A span that holds the identity is
+    unbounded along it, and goes there at once.
+    """
+    M0 = np.asarray(M0, dtype=float)
+    d = len(M0)
+    Ms = np.asarray(Ms, dtype=float).reshape(-1, d * d)
+    scale, w0 = float(np.abs(M0).max()), np.linalg.eigvalsh(M0)
+    U, s, Vt = np.linalg.svd(Ms.T, full_matrices=False) if len(Ms) else \
+        (np.zeros((d * d, 0)), np.zeros(0), np.zeros((0, 0)))
+    keep = ~negligible(s)
+    B = U[:, keep].T.reshape(-1, d, d)
+    B = 0.5 * (B + np.swapaxes(B, 1, 2))
+    R, trB = Vt[keep].T / s[keep], np.trace(B, axis1=1, axis2=2)
+
+    def result(tau, upper, lower, iters):
+        return LambdaMaxResult(R @ tau, float(upper), float(lower), iters,
+                               upper - lower <= GAP_TOL * scale)
+
+    def step(w, V, D, frac):  # to the boundary of the PSD cone, by eigenvalues
+        low = np.linalg.eigvalsh((V / np.sqrt(w)).T @ D @ (V / np.sqrt(w)))[0]
+        return 1.0 if low >= -frac else -frac / low
+
+    if not len(B):
+        return result(np.zeros(0), w0[-1], w0[-1], 0)
+    if w0[-1] < stop:
+        return result(np.zeros(len(B)), w0[-1], -math.inf, 0)
+    # one scale below lambda_min(M0), 0 and stop: where an unbounded search ends
+    bottom = min(w0[0], 0.0, stop if math.isfinite(stop) else 0.0) - (scale or 1.0)
+    if negligible([d, d - trB @ trB])[1]:  # I = sum_j tr(B_j) B_j
+        return result((bottom - w0[-1]) * trB, bottom, -math.inf, 0)
+    floor = max(stop, w0[0] - _GAP_STOP * scale)
+    F = np.concatenate([np.eye(d)[None], B])  # the equations of W
+    gram, e0 = np.einsum("iab,jab->ij", F, F), np.eye(len(F))[0]
+    z, tau, X = w0[-1] + (np.abs(w0).max() or 1.0), np.zeros(len(B)), np.eye(d) / d
+    best, lower, anchor, iters = (tau, w0[-1]), -math.inf, (0.0, 0.0), 0
+    try:
+        while True:
+            S = z * np.eye(d) - M0 - np.tensordot(tau, B, 1)
+            (wS, VS), (wX, VX) = np.linalg.eigh(S), np.linalg.eigh(X)
+            if not (wS[0] > 0.0 and wX[0] > 0.0):
+                break
+            if z - wS[0] < best[1]:
+                best = (tau, z - wS[0])
+            W = X + np.tensordot(np.linalg.solve(
+                gram, e0 - np.einsum("iab,ab->i", F, X)), F, 1)
+            low, val = np.linalg.eigvalsh(W)[0], float(np.sum(M0 * W))
+            if low > anchor[1]:
+                anchor = (val, low)
+            if anchor[1] > 0.0:  # W mixed with the most interior W seen is PSD
+                theta = max(-low, 0.0) / anchor[1]
+                lower = max(lower, (val + theta * anchor[0]) / (1.0 + theta))
+            if (best[1] < floor or best[1] - lower <= _GAP_STOP * scale
+                    or iters == _IPM_STEPS):
+                break
+            iters += 1
+            Si, mu = (VS / wS) @ VS.T, float(np.sum(X * S)) / d
+            G = np.einsum("iab,jab->ij", F, X @ F @ Si)
+
+            def direction(target, C):
+                # dS = sum_j v_j F_j, dX = sym(target S^-1 - X - X dS S^-1 - C)
+                v = np.linalg.solve(G, np.einsum("iab,ab->i", F, target * Si - C) - e0)
+                dS = np.tensordot(v, F, 1)
+                dX = target * Si - X - X @ dS @ Si - C
+                return v, dS, 0.5 * (dX + dX.T)
+
+            v, dS, dX = direction(0.0, 0.0)
+            ap, ad = step(wX, VX, dX, 1.0), step(wS, VS, dS, 1.0)
+            sigma = min(1.0, (np.sum((X + ap * dX) * (S + ad * dS)) / (d * mu)) ** 3)
+            v, dS, dX = direction(sigma * mu, dX @ dS @ Si)
+            ad = step(wS, VS, dS, 0.95)
+            X, z, tau = X + step(wX, VX, dX, 0.95) * dX, z + ad * v[0], tau - ad * v[1:]
+    except np.linalg.LinAlgError:
+        pass
+    if best[1] < bottom:  # back along the ray from 0, where lambda_max is convex
+        tau = best[0] * (w0[-1] - bottom) / (w0[-1] - best[1])
+        best = (tau, np.linalg.eigvalsh(M0 + np.tensordot(tau, B, 1))[-1])
+    return result(*best, lower, iters)
 
 
 # ---------------------------------------------------------------------------
@@ -1062,8 +1132,9 @@ def _cone_fallback(f, K, cone, engine, evals):
 
 def _multistart(f, K, cone, seed=0):
     """Projected-subgradient descent on the sphere: all
-    ``config.probe_restarts()`` restarts take the shared loop's tangential
-    steps, renormalized after each one."""
+    ``config.probe_restarts()`` restarts take up to 300 tangential steps of
+    0.5 / sqrt(it) in lockstep, renormalized after each one; a restart whose
+    tangent is below 1e-14 stays put, and the loop ends once all do."""
     restarts = config.probe_restarts()
     k = K.shape[1]
     rng = np.random.default_rng(seed)
@@ -1085,7 +1156,13 @@ def _multistart(f, K, cone, seed=0):
         Gt = G @ K
         return Gt - (Gt * T).sum(axis=1, keepdims=True) * T
 
-    for T in _subgradient_steps(T, tangent, 0.5):
+    for it in range(1, 301):
+        G = tangent(T)
+        gn = np.linalg.norm(G, axis=1, keepdims=True)
+        live = gn[:, 0] >= 1e-14
+        if not np.any(live):
+            break
+        T[live] -= (0.5 / math.sqrt(it)) * G[live] / gn[live]
         T /= np.linalg.norm(T, axis=1, keepdims=True)
     H = T @ K.T
     vals = f.value_batch(H)

@@ -34,12 +34,12 @@ A new kind subclasses ``Gauge`` (and ``SubdiffFace``), registers itself in
 * the face's ``margin`` (for wsl1, the smallest slack of its majorization
   inequalities) and ``sample``; ``contains`` is written here, as
   ``margin >= -tol``.  ``certificate`` (the search for y with A^T y in the
-  relative interior of the face) is written here too, as one heuristic
-  search: a face gives its ``affine_part`` (the linear equations on y),
-  its ``spread`` (the ``(values, subgradients)`` oracle that the search
-  minimizes over their solutions) and a ``note``.  The polyhedral faces
-  replace it with an exact max-margin LP, and answer a singleton face with
-  ``point_certificate``;
+  relative interior of the face) is written here too, as one
+  interior-point eigenvalue search: a face gives its ``affine_part`` (the
+  linear equations on y), its ``pencil`` (the affine symmetric matrix of y
+  whose largest eigenvalue the search minimizes over their solutions) and
+  a ``note``.  The polyhedral faces replace it with an exact max-margin LP,
+  and answer a singleton face with ``point_certificate``;
 * solvers -- polyhedral kinds give ``primal_lp`` (min J(x) s.t. Ax = b0 as
   one LP, whose equality multipliers are also the dual point; its lift
   also carries their Tikhonov and Mozorov QPs); the others are solved by
@@ -58,7 +58,7 @@ import numbers
 import numpy as np
 
 from .. import config
-from ..cones import EnumerationCapExceeded, affine_solve, subgradient_min
+from ..cones import EnumerationCapExceeded, affine_solve, min_lambda_max
 
 __all__ = ["Gauge", "SubdiffFace", "VertexCapExceeded", "spec_int",
            "spec_array", "construct", "sparse_draw", "per_x0",
@@ -174,7 +174,7 @@ class SubdiffFace:
         Orthonormal basis of aff(∂J(x0)) - base.  ``t = 0`` for singleton
         faces.
     note : str
-        What the heuristic ``certificate`` search minimizes, for its result.
+        What the ``certificate`` search minimizes, for its result.
     """
 
     base = None
@@ -201,9 +201,12 @@ class SubdiffFace:
         Returns a dict with ``y0``, ``ri_margin``, ``margin_is_max`` and
         ``note``, or None when the affine part of the search is infeasible
         (see ``certificates.find_dual_certificate``).  The search: y solves
-        ``affine_part`` by least squares, which settles a singleton face;
-        otherwise ``subgradient_min`` lowers ``spread`` over the solutions,
-        and the margin of the y it returns is computed exactly.
+        ``affine_part`` by least squares, which settles a singleton face and
+        a face whose affine part leaves y no free direction; otherwise
+        ``cones.min_lambda_max`` lowers the largest eigenvalue of ``pencil``
+        over the solutions.  The margin of the y returned is computed
+        exactly, and it is the largest one when the engine closed its
+        duality gap.
         """
         rows, rhs, tol = self.affine_part(A)
         if not self.dim:
@@ -211,9 +214,18 @@ class SubdiffFace:
         y, N, resid = affine_solve(rows, rhs)
         if resid > tol:
             return None
-        y = subgradient_min(self.spread(A), y, N)[0]
+        if not N.shape[1]:
+            return {"y0": y, "ri_margin": float(self.margin(A.T @ y)),
+                    "margin_is_max": True,
+                    "note": self.note + " fixed by the affine part"}
+        pencil = self.pencil(A)
+        res = min_lambda_max(pencil(y[None])[0],
+                             pencil(N.T) - pencil(np.zeros((1, len(y)))))
+        y = y + N @ res.t
         return {"y0": y, "ri_margin": float(self.margin(A.T @ y)),
-                "margin_is_max": False, "note": self.note}
+                "margin_is_max": res.certified,
+                "note": f"{self.note} minimized by interior point (gap "
+                        f"{res.upper - res.lower:.1e}, {res.iters} iterations)"}
 
     def affine_part(self, A):
         """``(rows, rhs, tol)``: A^T y lies in the affine hull of the face
@@ -221,11 +233,12 @@ class SubdiffFace:
         that no y does."""
         raise NotImplementedError
 
-    def spread(self, A):
-        """The ``(values, subgradients)`` oracle, on a stack of y (rows), of
-        the convex function of y whose decrease moves A^T y inward from the
-        face's relative boundary: the size of its free block (a largest
-        group norm, spectral norm or eigenvalue)."""
+    def pencil(self, A):
+        """The map from a stack of y (rows) to a stack of symmetric
+        matrices, affine in y, whose largest eigenvalue is the size of the
+        free block of A^T y (a largest group norm, spectral norm or
+        eigenvalue): lowering it moves A^T y inward from the face's
+        relative boundary."""
         raise NotImplementedError
 
     @property
@@ -504,9 +517,9 @@ class Gauge:
     def interior_feasibility(self, A, b0):
         """``(ok, note)`` of a Slater-point probe for {x in dom J : Ax = b0},
         or None for kinds whose verdicts do not depend on one.  A kind that
-        searches for the point does so with ``cones.subgradient_min``, the
-        shared subgradient loop: ok=True rests on a point found, while
-        ok=False only says that the search found none."""
+        searches for the point does so with ``cones.min_lambda_max``:
+        ok=True rests on a point found, while ok=False says that the search
+        found none."""
         return None
 
     def tangent_space_test(self, A, x0, y0):

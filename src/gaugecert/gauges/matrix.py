@@ -16,8 +16,8 @@ import math
 import numpy as np
 import scipy.linalg
 
-from ..cones import (ConeSpec, affine_solve, matrix_rank, negligible,
-                     subgradient_min)
+from ..cones import (ConeSpec, affine_solve, matrix_rank, min_lambda_max,
+                     negligible)
 from .base import (Gauge, SubdiffFace, construct, per_x0, spec_array,
                    spec_int)
 
@@ -55,11 +55,6 @@ def _low_rank_draw(rng, p, q, r, symmetric):
     s = rng.uniform(0.5, 1.5, size=r)
     x0 = (U * s) @ V.T if r else np.zeros((p, q))
     return x0.ravel()
-
-
-def _outer_rows(u, v):
-    """The flat rank-one matrices u_k v_k^T, one row for each row pair."""
-    return (u[:, :, None] * v[:, None, :]).reshape(len(u), u.shape[1] * v.shape[1])
 
 
 def _rows(A, Bt):
@@ -151,8 +146,7 @@ def _bottom_eig(K, vectors=False):
 class NuclearFace(SubdiffFace):
     """{U1 V1^T + U2 W V2^T : sigma_1(W) <= 1} from the SVD blocks at X0."""
 
-    note = ("spectral norm of the free block minimized by subgradient descent "
-            "(heuristic search)")
+    note = "spectral norm of the free block"
 
     def __init__(self, U1, V1, U2, V2):
         self.U1, self.V1, self.U2, self.V2 = U1, V1, U2, V2
@@ -199,16 +193,20 @@ class NuclearFace(SubdiffFace):
         rhs = np.concatenate([np.eye(r).ravel(), np.zeros(len(Bt) - r * r)])
         return _rows(A, Bt), rhs, 1e-8
 
-    def spread(self, A):
-        """The spectral norm of the free block U2^T (A^T y) V2."""
+    def pencil(self, A):
+        """The dilation [[0, W], [W^T, 0]] of the free block W = U2^T (A^T y)
+        V2, whose largest eigenvalue is the spectral norm of W."""
         p, q, U2, V2 = self.p, self.q, self.U2, self.V2
+        k1 = U2.shape[1]
 
-        def top_sv(Y):
-            Uw, s, Vwt = np.linalg.svd(U2.T @ (Y @ A).reshape(-1, p, q) @ V2)
-            u, v = Uw[:, :, 0] @ U2.T, Vwt[:, 0] @ V2.T
-            return s[:, 0], _outer_rows(u, v) @ A.T
+        def dilation(Y):
+            W = U2.T @ (Y @ A).reshape(-1, p, q) @ V2
+            out = np.zeros((len(W), k1 + W.shape[2], k1 + W.shape[2]))
+            out[:, :k1, k1:] = W
+            out[:, k1:, :k1] = np.swapaxes(W, 1, 2)
+            return out
 
-        return top_sv
+        return dilation
 
 
 class NuclearGauge(Gauge):
@@ -344,8 +342,7 @@ class SdpFace(SubdiffFace):
     symmetric matrices, so antisymmetric parts are normal to it.
     """
 
-    note = ("kernel-block eigenvalue minimized by subgradient descent "
-            "(heuristic search)")
+    note = "largest kernel-block eigenvalue"
 
     def __init__(self, C, E, U, kron_E):
         self.C, self.E, self.U, self.kron_E = C, E, U, kron_E
@@ -387,16 +384,10 @@ class SdpFace(SubdiffFace):
         rhs = np.array([b @ C.ravel() for b in Bt])
         return _rows(A, Bt), rhs, 1e-8 * self.unit
 
-    def spread(self, A):
-        """The largest eigenvalue of the kernel block E^T (A^T y - C) E."""
+    def pencil(self, A):
+        """The kernel block E^T (sym A^T y - C) E."""
         nm, E, C = self.nmat, self.E, self.C
-
-        def lam_max(Y):
-            w, V = np.linalg.eigh(E.T @ (_sym_mat(Y @ A, nm) - C) @ E)
-            v = V[:, :, -1] @ E.T
-            return w[:, -1], _outer_rows(v, v) @ A.T
-
-        return lam_max
+        return lambda Y: E.T @ (_sym_mat(Y @ A, nm) - C) @ E
 
 
 class SdpTraceGauge(Gauge):
@@ -530,7 +521,7 @@ class SdpTraceGauge(Gauge):
         lam, top, v = _bottom_eig(K, vectors)
         if vectors:
             v = v @ E.T
-            return lam, top, -_outer_rows(v, v)
+            return lam, top, -(v[:, :, None] * v[:, None, :]).reshape(len(v), -1)
         return lam, top, None
 
     def dir_deriv_batch(self, x0, H):
@@ -603,35 +594,25 @@ class SdpTraceGauge(Gauge):
         return sym_basis(self.nmat)
 
     def interior_feasibility(self, A, b0):
-        """Probe for a strictly positive definite feasible point: the shared
-        subgradient loop minimizes -lambda_min over the feasible symmetric
-        matrices at b0 / ||b0||, so alike for every scale of x0.  Heuristic:
-        success is a certificate, failure is not."""
+        """Probe for a strictly positive definite feasible point: the
+        largest lambda_min over the feasible symmetric matrices at b0 /
+        ||b0|| (so alike for every scale of x0) is minus the least
+        lambda_max of their negatives, which ``min_lambda_max`` lowers until
+        lambda_min exceeds 1e-9 max(1, ||s_p||), s_p the least-squares
+        point.  ok=True rests on a point found; ok=False, when the engine
+        closed its duality gap, means that none lies above that floor."""
         nm = self.nmat
         S = sym_basis(nm)
         unit = float(np.linalg.norm(b0)) or 1.0
         s_p, N, resid = affine_solve(A @ S, b0 / unit)
         if resid > 1e-8:
             return False, "no symmetric feasible point found"
-        scale = max(1.0, float(np.linalg.norm(s_p)))
-
-        def eigh(Ss):
-            return np.linalg.eigh((Ss @ S.T).reshape(-1, nm, nm))
-
-        # -lambda_min is clipped at -1e-6 scale: a start that gets there has
-        # a zero subgradient and stops, and the loop ends once all have
-        def shortfall(Ss):
-            w, V = eigh(Ss)
-            v = V[:, :, 0] * (w[:, :1] < 1e-6 * scale)
-            return np.maximum(-w[:, 0], -1e-6 * scale), -_outer_rows(v, v) @ S
-
-        best = eigh(s_p[None])[0][0, 0]
-        if best <= 1e-9 * scale:
-            s = subgradient_min(shortfall, s_p, N)[0]
-            best = eigh(s[None])[0][0, 0]
-        if best > 1e-9 * scale:
-            return True, f"interior feasible point found (lambda_min {best * unit:.2e})"
-        return False, "no strictly feasible point found by the ascent probe"
+        floor = 1e-9 * max(1.0, float(np.linalg.norm(s_p)))
+        res = min_lambda_max(-(S @ s_p).reshape(nm, nm),
+                             -(N.T @ S.T).reshape(-1, nm, nm), stop=-floor)
+        if -res.upper > floor:
+            return True, f"interior feasible point found (lambda_min {-res.upper * unit:.2e})"
+        return False, "no strictly feasible point found by the interior-point probe"
 
     def tangent_space_test(self, A, x0, y0):
         """At z0 = A^T y0 the solution set lies in {G S G^T : S sym PSD} on

@@ -778,6 +778,28 @@ def test_scaling_a_changes_no_verdict():
                                       base, (kind, seed, c))
 
 
+@pytest.mark.parametrize("kind", ["group_l12", "nuclear", "sdp_trace"])
+def test_certificate_margin_does_not_depend_on_the_rows_of_a(kind):
+    # A -> QA (Q orthogonal) and A -> cA keep Im A^T, so the largest margin
+    # over the certificates and whether it was reached.  The draws' one or
+    # two rows mostly leave the search no free direction; three more rows
+    # give it some
+    for seed in range(12):
+        g, A, x0 = _kind_draw(kind, np.random.default_rng(seed))
+        rng = np.random.default_rng([seed, 32])
+        for A in (A, np.vstack([A, rng.standard_normal((3, g.n))])):
+            base = find_dual_certificate(g, A, x0)
+            Q = np.linalg.qr(rng.standard_normal((len(A), len(A))))[0]
+            for case, A2 in (("Q", Q @ A), (1e-3, 1e-3 * A), (1e3, 1e3 * A)):
+                cert, case = find_dual_certificate(g, A2, x0), (seed, len(A), case)
+                if base is None:
+                    assert cert is None, case
+                    continue
+                assert cert["margin_is_max"] == base["margin_is_max"], case
+                assert cert["ri_margin"] == pytest.approx(base["ri_margin"],
+                                                          rel=1e-9), case
+
+
 #: c J for the kinds whose J is linear in its parameter
 _SCALED_J = {
     "wsl1": lambda g, c: SortedWeightedL1Gauge(c * g.w),

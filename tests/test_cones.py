@@ -22,11 +22,11 @@ from gaugecert.cones import (
     kernel_basis,
     lp_solve,
     min_conic_singular,
+    min_lambda_max,
     min_norm_point,
     nsp_constant,
     range_basis,
     sphere_min,
-    subgradient_min,
 )
 from gaugecert.gauges import (AnalysisL1Gauge, GroupL12Gauge, L1Gauge,
                               NonnegL1Gauge, NuclearGauge, SdpTraceGauge,
@@ -481,11 +481,12 @@ def test_min_norm_point_segment_oracle():
         assert np.linalg.norm(got) == pytest.approx(np.linalg.norm(want), abs=1e-9)
 
 
-# ---------------------------------------------------------- subgradient_min
+# ---------------------------------------------------------- min_lambda_max
 
 
-def test_subgradient_min_reaches_the_lp_optimum():
-    # f(y) = ||B^T y - c||_inf over the line y0 + Im N, against the LP
+def test_min_lambda_max_reaches_the_lp_optimum():
+    # f(y) = ||B^T y - c||_inf over the line y0 + Im N is the largest
+    # eigenvalue of diag(r, -r), r = B^T y - c; against the LP
     # min s s.t. -s <= B^T (y0 + N t) - c <= s
     for seed in range(5):
         rng = np.random.default_rng(seed)
@@ -496,53 +497,41 @@ def test_subgradient_min_reaches_the_lp_optimum():
         def f(Y):
             return np.abs(Y @ B - c).max(axis=1)
 
-        def subgrad(Y):
-            R = Y @ B - c
-            j = np.abs(R).argmax(axis=1)
-            return np.sign(R[np.arange(len(R)), j])[:, None] * B[:, j].T
-
-        y, val = subgradient_min(lambda Y: (f(Y), subgrad(Y)), y0, N)
         BN, r0 = B.T @ N, B.T @ y0 - c
+        res = min_lambda_max(np.diag(np.r_[r0, -r0]),
+                             [np.diag(np.r_[col, -col]) for col in BN.T])
         ones = np.ones((6, 1))
         lp = lp_solve(np.r_[np.zeros(N.shape[1]), 1.0],
                       A_ub=np.vstack([np.hstack([BN, -ones]),
                                       np.hstack([-BN, -ones])]),
                       b_ub=np.r_[-r0, r0])
-        assert val == pytest.approx(lp.value, abs=1e-3)
-        assert val == pytest.approx(f(y[None])[0], abs=1e-12)
-        assert val <= f(y0[None])[0]
-        # y stays on the affine set
-        assert np.allclose(y - y0, N @ (N.T @ (y - y0)), atol=1e-12)
+        y = y0 + N @ res.t
+        assert res.certified and res.lower <= lp.value <= res.upper
+        assert res.upper == pytest.approx(lp.value, abs=1e-9)
+        assert res.upper == pytest.approx(f(y[None])[0], abs=1e-12)
+        assert res.upper <= f(y0[None])[0]
 
 
-def test_subgradient_min_calls_its_oracle_once_per_iterate():
-    # one oracle call for the starts, one per step and one for the last
-    # iterate; the random starts are never scored
-    rng = np.random.default_rng(3)
-    B, c = rng.standard_normal((3, 6)), rng.standard_normal(6)
-    y0, N = rng.standard_normal(3), kernel_basis(rng.standard_normal((1, 3)))
-    calls = []
-
-    def oracle(Y):
-        calls.append(len(Y))
-        R = Y @ B - c
-        j = np.abs(R).argmax(axis=1)
-        return (np.abs(R).max(axis=1),
-                np.sign(R[np.arange(len(R)), j])[:, None] * B[:, j].T)
-
-    subgradient_min(oracle, y0, N)
-    assert calls == [5] * 301
-    # zero subgradients stop the loop at its starts: y0 is returned even
-    # though every random start scores lower
-    calls.clear()
-
-    def flat(Y):
-        calls.append(len(Y))
-        return -np.linalg.norm(Y - y0, axis=1), np.zeros_like(Y)
-
-    y, val = subgradient_min(flat, y0, N)
-    assert calls == [5]
-    assert y is y0 and val == 0.0
+def test_min_lambda_max_survives_degenerate_families():
+    # no free direction, directions that vanish, a family that holds the
+    # identity (unbounded below) and M0 = 0: each returns a finite point
+    # whose upper bound is its largest eigenvalue, and no LinAlgError
+    rng = np.random.default_rng(4)
+    G = rng.standard_normal((3, 3))
+    M0, E = G + G.T, np.diag([1.0, -1.0, 0.0])
+    for Ms, certified in [(np.zeros((0, 3, 3)), True),
+                          (np.zeros((2, 3, 3)), True),
+                          ([np.eye(3), E], False),
+                          ([E], True)]:
+        for base in (M0, np.zeros((3, 3))):
+            res = min_lambda_max(base, Ms)
+            Ms_ = np.asarray(Ms).reshape(-1, 3, 3)
+            top = np.linalg.eigvalsh(base + np.tensordot(res.t, Ms_, 1))[-1]
+            assert np.all(np.isfinite(res.t)) and res.certified == certified
+            assert res.upper == pytest.approx(top, abs=1e-12 * max(1.0, abs(top)))
+            assert res.lower <= res.upper
+    # unbounded below: the point lies below any finite stop
+    assert min_lambda_max(M0, [np.eye(3)], stop=-5.0).upper < -5.0
 
 
 # ---------------------------------------------------------------- sphere_min
@@ -798,11 +787,11 @@ def test_multistart_on_a_ray_falls_back_to_the_cone_witness():
 
 @pytest.mark.parametrize("kind, value, minimizer_md5, y0_md5", [
     ("nuclear", "0x1.86d71f333dc65p-8", "2e9108b54dc0d16f3f34c8a1d6db8920",
-     "621cee91adf09112a5bbac0408a688de"),
+     "feb9084b0fbf4052ad6a26b7b77814b5"),
     ("sdp_trace", "0x1.0f32f4f6ab1e6p-7", "d619bb668ce3892430a2917808c31e40",
-     "0cd596d06ab4b490da7f00553a9f4d5c"),
+     "68a4144d321cc95626a08b72da23450b"),
     ("group_l12", "0x1.393142d27de38p-1", "77960d1c450b06a9470be24b07ae4ade",
-     "8efc5085519b008a717aa3f92d023499"),
+     "052b9d841fb0467c847e864a6ea82604"),
 ])
 def test_multistart_and_certificate_search_outputs_are_frozen(
         kind, value, minimizer_md5, y0_md5):
@@ -810,18 +799,22 @@ def test_multistart_and_certificate_search_outputs_are_frozen(
     # of a gauge, a cone or a certificate search separately; one call per
     # step must not move a bit.  The nuclear and sdp_trace probe values were
     # recorded again when their tails (a side of 1) and kernel blocks (side
-    # 2) took closed forms instead of LAPACK; their certificates, whose
-    # searches still take LAPACK, kept every bit.  The probe is called as
+    # 2) took closed forms instead of LAPACK.  The probe is called as
     # ``min_conic_singular`` called it: that call now certifies the nuclear
-    # cone (a tail with a side of 1) by its second-order bounds instead
+    # cone (a tail with a side of 1) by its second-order bounds instead.
+    # The certificates were recorded again when the interior-point
+    # eigenvalue search replaced the subgradient loop.  It closes its gap,
+    # except on the sdp_trace family, which is unbounded below: a
+    # certificate of any margin exists, so none is the largest
     g, A, x0 = _probe_case(kind)
     res = sphere_min(NormMapFn(A), np.eye(g.n), cone=g.critical_cone(x0))
     assert res.value.hex() == value
     assert hashlib.md5(res.minimizer.tobytes()).hexdigest() == minimizer_md5
     assert (res.engine, res.certified, res.evals, res.note) == \
         ("multistart-subgradient", False, 60200, "heuristic")
-    y0 = g.face(x0).certificate(A)["y0"]
-    assert hashlib.md5(y0.tobytes()).hexdigest() == y0_md5
+    cert = g.face(x0).certificate(A)
+    assert cert["margin_is_max"] == (kind != "sdp_trace")
+    assert hashlib.md5(cert["y0"].tobytes()).hexdigest() == y0_md5
 
 
 def test_conic_singular_trivial_cone():

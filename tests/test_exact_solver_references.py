@@ -1,14 +1,15 @@
-"""SciPy's exact solvers against the iterative loops they replaced.
+"""Exact solvers against the iterative loops they replaced.
 
 The reference functions below are the earlier hand-written code, kept
 verbatim apart from taking D / w as arguments: Wolfe's minimum-norm point
 algorithm (``cones.min_norm_point``), the restarted FISTA on the
 box-constrained dual of the analysis-l1 prox, the stack-based
-pool-adjacent-violators routine of the sorted weighted l1 prox, and the
-Helmert basis of ``SortedFace``.  The replacements (NNLS, BVLS,
-``isotonic_regression``, ``scipy.linalg.helmert``) must match them within
-rounding, and the properties that define each solution must hold on their
-own.
+pool-adjacent-violators routine of the sorted weighted l1 prox, the
+Helmert basis of ``SortedFace``, and the multistart subgradient loop of the
+certificate searches (``cones.min_lambda_max``).  The replacements (NNLS,
+BVLS, ``isotonic_regression``, ``scipy.linalg.helmert``, an interior-point
+eigenvalue search) must match them within rounding or do better, and the
+properties that define each solution must hold on their own.
 """
 
 import math
@@ -19,8 +20,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import helmert
 
-from gaugecert.cones import min_norm_point
-from gaugecert.gauges import AnalysisL1Gauge, SortedWeightedL1Gauge
+from gaugecert.cones import (affine_solve, kernel_basis, min_lambda_max,
+                             min_norm_point)
+from gaugecert.gauges import (AnalysisL1Gauge, GroupL12Gauge, NuclearGauge,
+                              SdpTraceGauge, SortedWeightedL1Gauge)
 
 EPS = np.finfo(float).eps
 
@@ -143,6 +146,53 @@ def _helmert_reference(s):
     j = np.arange(1, s)
     i = np.arange(s)[:, None]
     return ((i < j) - j * (i == j)) / np.sqrt(j * (j + 1))
+
+
+def _subgradient_steps(T, direction, step):
+    """Move every row of T by step/sqrt(it) against its normalized row of
+    ``direction(T)``, for it = 1..300; rows whose direction is below 1e-14
+    stay put, and the loop ends once all do.  Yields T after each step, for
+    the caller to read or to change in place."""
+    for it in range(1, 301):
+        G = direction(T)
+        gn = np.linalg.norm(G, axis=1, keepdims=True)
+        live = gn[:, 0] >= 1e-14
+        if not np.any(live):
+            return
+        T[live] -= (step / math.sqrt(it)) * G[live] / gn[live]
+        yield T
+
+
+def subgradient_min(oracle, y0, N):
+    """Minimize a convex nonsmooth f(y) over y = y0 + N t by the shared
+    subgradient loop from y0 and four points drawn from ``default_rng(0)``.
+    ``oracle`` maps a stack of points (rows) to ``(values, subgradients)``,
+    one value and one subgradient row per point, and is called once per
+    iterate: its values score the iterate, its subgradients take the next
+    step.  y0 and every iterate after a step are scored, the random starts
+    are not.  Heuristic; returns the best iterate seen."""
+    best_y, best_v, calls = y0, math.inf, 0
+
+    def score(T):
+        nonlocal best_y, best_v, calls
+        calls += 1
+        Y = y0 + T @ N.T
+        v, G = oracle(Y)
+        if calls == 1:  # the starts: y0 alone is scored
+            best_v = float(v[0])
+        else:
+            i = int(np.argmin(v))
+            if v[i] < best_v:
+                best_y, best_v = Y[i], float(v[i])
+        return G @ N
+
+    k = N.shape[1]
+    T = np.vstack([np.zeros(k), np.random.default_rng(0).standard_normal((4, k))])
+    step = 0.7 * max(1.0, float(np.linalg.norm(y0)))
+    steps = sum(1 for _ in _subgradient_steps(T, score, step))
+    if steps == calls:  # the loop ran to its end: its last iterate is unscored
+        score(T)
+    return best_y, best_v
 
 
 # ---------------------------------------------------------- min_norm_point
@@ -281,3 +331,93 @@ def test_analysis_prox_is_at_least_as_exact_as_fista(D, data, tau, zero_x):
 def test_helmert_basis_keeps_every_bit():
     for s in range(1, 40):
         assert np.array_equal(helmert(s).T, _helmert_reference(s))
+
+
+# ---------------------------------------------------------- min_lambda_max
+
+def test_subgradient_min_calls_its_oracle_once_per_iterate():
+    # one oracle call for the starts, one per step and one for the last
+    # iterate; the random starts are never scored
+    rng = np.random.default_rng(3)
+    B, c = rng.standard_normal((3, 6)), rng.standard_normal(6)
+    y0, N = rng.standard_normal(3), kernel_basis(rng.standard_normal((1, 3)))
+    calls = []
+
+    def oracle(Y):
+        calls.append(len(Y))
+        R = Y @ B - c
+        j = np.abs(R).argmax(axis=1)
+        return (np.abs(R).max(axis=1),
+                np.sign(R[np.arange(len(R)), j])[:, None] * B[:, j].T)
+
+    subgradient_min(oracle, y0, N)
+    assert calls == [5] * 301
+    # zero subgradients stop the loop at its starts: y0 is returned even
+    # though every random start scores lower
+    calls.clear()
+
+    def flat(Y):
+        calls.append(len(Y))
+        return -np.linalg.norm(Y - y0, axis=1), np.zeros_like(Y)
+
+    y, val = subgradient_min(flat, y0, N)
+    assert calls == [5]
+    assert y is y0 and val == 0.0
+
+
+def _face_draw(kind, seed):
+    """A seeded face with one to three free directions of its certificate
+    search, and its A: group_l12 on three groups of two, nuclear 2 x 3 and
+    sdp_trace n = 4 at rank one."""
+    rng = np.random.default_rng(seed)
+    if kind == "group_l12":
+        g, fixed = GroupL12Gauge(6, [[0, 1], [2, 3], [4, 5]]), 2
+        x0 = np.zeros(6)
+        x0[:2] = rng.uniform(0.5, 1.5, 2)
+    elif kind == "nuclear":
+        g, fixed = NuclearGauge((2, 3)), 4
+        x0 = g.draw_x0(rng)
+    else:
+        G = rng.standard_normal((4, 4))
+        g, fixed = SdpTraceGauge(G @ G.T / 4 + np.eye(4)), 4
+        x0 = g.draw_x0(rng)
+    A = rng.standard_normal((fixed + int(rng.integers(1, 4)), g.n))
+    return g.face(x0), A, rng
+
+
+def _pencil_oracle(pencil, m):
+    """The ``(values, subgradients)`` oracle of lambda_max(pencil(y)): the
+    top eigenvalue, and <L_j, v v^T> for its unit eigenvector v and the
+    linear part L_j of the pencil along e_j."""
+    L = pencil(np.eye(m)) - pencil(np.zeros((1, m)))
+
+    def oracle(Y):
+        w, V = np.linalg.eigh(pencil(Y))
+        v = V[:, :, -1]
+        return w[:, -1], np.einsum("jab,ka,kb->kj", L, v, v)
+
+    return oracle
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["group_l12", "nuclear", "sdp_trace"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_min_lambda_max_beats_the_subgradient_loop(kind, seed):
+    face, A, rng = _face_draw(kind, seed)
+    rows, rhs, _ = face.affine_part(A)
+    y_p, N, _ = affine_solve(rows, rhs)
+    pencil = face.pencil(A)
+    M0 = pencil(y_p[None])[0]
+    res = min_lambda_max(M0, pencil(N.T) - pencil(np.zeros((1, len(y_p)))))
+    scale = float(np.abs(M0).max())
+    assert res.iters <= 40
+    if not res.certified:
+        # below lambda_min(M0) the family is unbounded: no dual point bounds it
+        assert res.upper < np.linalg.eigvalsh(M0)[0]
+        return
+    ref = subgradient_min(_pencil_oracle(pencil, len(y_p)), y_p, N)[1]
+    assert res.upper <= ref + 1e-9 * scale
+    # the lower bound holds at points near and far from the minimizer
+    T = res.t + rng.standard_normal((50, N.shape[1])) * np.logspace(-8, 0, 50)[:, None]
+    spread = np.linalg.eigvalsh(pencil(y_p + T @ N.T))[:, -1]
+    assert res.lower <= spread.min() + 1e-12 * scale

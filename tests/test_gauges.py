@@ -939,12 +939,12 @@ def _gauge_classes(cls=gaugecert.gauges.Gauge):
 
 
 def test_certificate_search_is_written_once():
-    # the heuristic faces give its affine part and spread, not a search
+    # the eigenvalue faces give its affine part and pencil, not a search
     from gaugecert.gauges.matrix import NuclearFace, SdpFace
     from gaugecert.gauges.vector import GroupFace
     for cls in (GroupFace, NuclearFace, SdpFace):
         assert "certificate" not in vars(cls), cls.__name__
-        assert {"affine_part", "spread", "note"} <= set(vars(cls)), cls.__name__
+        assert {"affine_part", "pencil", "note"} <= set(vars(cls)), cls.__name__
 
 
 def test_pointwise_oracles_are_written_once():
