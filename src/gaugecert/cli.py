@@ -65,7 +65,7 @@ from .recovery import (ProblemInstance, RecoveryReport, noise_draw,
                        rows_to_csv, run_recovery)
 from .solvers import (
     ResidualMonotonicityError,
-    dual_from_primal,
+    solve_dual,
     solve_mozorov,
     solve_primal_eq,
     solve_tikhonov,
@@ -384,7 +384,7 @@ def cmd_solve(args):
         if b0 is None:
             _fail(f"--problem {which} requires b0 (or x0) in the problem file")
         rp = solve_primal_eq(gauge, A, b0)
-        rd = dual_from_primal(gauge, A, b0, rp)
+        rd = solve_dual(gauge, A, b0)
         res = rp if which == "primal" else rd
         point = None if res.point is None else np.asarray(res.point).ravel()
         payload = {

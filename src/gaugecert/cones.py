@@ -6,7 +6,11 @@ Everything the certification layer needs about cones lives here:
   bundled binding ``scipy.optimize._highspy._core``: the model and options
   of scipy's ``highs-ds`` method, built without its per-call option checks,
   and each optimum re-verified by its KKT residual; LPs that share their
-  rows and differ in cost go to HiGHS together as one block-diagonal LP;
+  rows and differ in cost go to HiGHS together as one block-diagonal LP.
+  Each thread keeps one solver for all its LPs and QPs, and hands it the
+  options and the model on every call; a new model clears the last one's
+  basis, solution and status, so a solve returns the bits a fresh solver
+  returns, whatever was solved (or failed) before it;
 * ``qp_solve`` -- the same model with a Hessian, solved by HiGHS's
   active-set QP method (the polyhedral Tikhonov and Mozorov solves);
 * ``negligible`` -- the one scale-free rule for numerical zero, which every
@@ -60,6 +64,7 @@ import functools
 import heapq
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,7 +144,9 @@ def _highs_options(maxiter, qp=False):
     feasibility tolerances are HiGHS's defaults of 1e-7: HiGHS regularizes
     a QP by 1e-7 and checks its optimum against them, and at 1e-9 it calls
     some regularized optima a solve error.
-    ``passOptions`` copies them, so one object serves every solver."""
+    ``passOptions`` copies every option, so one object serves every solve,
+    and a solve under one cap or kind leaves none of its options to the
+    next solve on the same solver."""
     opts = _highs.HighsOptions()
     opts.presolve = "on"
     opts.solver = "simplex"
@@ -197,11 +204,20 @@ def _highs_lp(C, A_ub, b_ub, A_eq, b_eq, bounds):
     return lp, (A_ub, b_ub, A_eq, b_eq, lo, hi)
 
 
+#: this thread's HiGHS (``_thread.highs``), made on its first solve
+_thread = threading.local()
+
+
 def _highs_run(model, qp=False):
-    """Solve ``model`` (a HighsLp, or a HighsModel with a Hessian) on a fresh
-    HiGHS under ``_highs_options``.  Returns the solver at an optimum, or
-    the status 'infeasible' / 'unbounded'; other statuses raise LpFailure."""
-    highs = _highs._Highs()
+    """Solve ``model`` (a HighsLp, or a HighsModel with a Hessian) on this
+    thread's HiGHS, made on first use and handed ``_highs_options`` and the
+    model on every call.  ``passModel`` clears the solver's last model,
+    basis, solution and status, so no solve reads its predecessor's.
+    Returns the solver at an optimum, or the status 'infeasible' /
+    'unbounded'; other statuses raise LpFailure."""
+    highs = getattr(_thread, "highs", None)
+    if highs is None:
+        highs = _thread.highs = _highs._Highs()
     highs.passOptions(_highs_options(config.lp_maxiter(), qp))
     if highs.passModel(model) == _highs.HighsStatus.kError:
         return "infeasible"  # as scipy maps kModelError
@@ -224,8 +240,9 @@ def lp_solve(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None,
 
     Variables are free by default (unlike the scipy default of x >= 0);
     a bound of None or +-inf is absent.  The model goes to HiGHS's dual
-    simplex as scipy's ``highs-ds`` method builds it, on a fresh solver
-    each time, so every optimum is the vertex that method returns.  Optimal
+    simplex as scipy's ``highs-ds`` method builds it, on this thread's
+    reused solver (``_highs_run``), which starts each model afresh: every
+    optimum is the vertex that method returns.  Optimal
     solutions are re-verified: primal feasibility and the duality gap
     computed from the returned marginals must be finite and sit below 1e-8
     (scaled), otherwise LpFailure is raised.  Statuses other than

@@ -10,7 +10,10 @@ Four problems:
 The primal goes through one verified LP for the polyhedral gauges
 (``Gauge.primal_lp``) and through Douglas-Rachford splitting for the rest;
 either way the solve keeps the multiplier of A x = b0, and the dual point is
-read from it, so primal and dual come from one solve (``dual_from_primal``).
+read from it.  Each gauge keeps a record of its last primal solve, keyed by
+the shape and bytes of A and b0, so ``solve_dual`` after ``solve_primal_eq``
+on the same problem reads the record and solves nothing: primal and dual
+come from one solve.
 
 Tikhonov has four routes, tried in order; each but the last returns a point
 only once the gauge's own KKT test holds, z = A^T (b - A x) / mu in ∂J(x):
@@ -41,7 +44,7 @@ never undershoots the root.
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -54,7 +57,6 @@ __all__ = [
     "ResidualMonotonicityError",
     "solve_primal_eq",
     "solve_dual",
-    "dual_from_primal",
     "solve_tikhonov",
     "solve_mozorov",
     "duality_gap",
@@ -77,6 +79,8 @@ NEWTON_MAXITER = 50
 NEWTON_BACKTRACKS = 30
 #: the Newton route runs at mu >= NEWTON_MU_FLOOR J°(A^T b) only
 NEWTON_MU_FLOOR = 1e-6
+#: the gauge attribute holding (problem key, result) of its last primal solve
+_PRIMAL_RECORD = "_last_primal_eq"
 
 
 class ResidualMonotonicityError(RuntimeError):
@@ -122,12 +126,34 @@ def solve_primal_eq(gauge, A, b0):
 
     ``info["multiplier"]`` holds the multiplier y of A x = b0: the LP's
     equality marginals, or the splitting path's fixed-point multiplier.
+    A read-only copy of the result is recorded on the gauge for
+    ``solve_dual``; it replaces the record of the gauge's last problem.
     """
     A, b0 = _shape(A, b0)
     if A.shape[1] != gauge.n:
         raise ValueError("A column count does not match the gauge dimension")
-    if not gauge.is_polyhedral:
-        return _primal_splitting(gauge, A, b0)
+    res = (_primal_lp if gauge.is_polyhedral else _primal_splitting)(
+        gauge, A, b0)
+    vars(gauge)[_PRIMAL_RECORD] = (_problem_key(A, b0), replace(
+        res, point=_frozen(res.point), residuals=dict(res.residuals),
+        info={k: _frozen(v) for k, v in res.info.items()}))
+    return res
+
+
+def _problem_key(A, b0):
+    return A.shape, A.tobytes(), b0.tobytes()
+
+
+def _frozen(v):
+    """A read-only copy of an array; anything else as it is."""
+    if not isinstance(v, np.ndarray):
+        return v
+    v = v.copy()
+    v.setflags(write=False)
+    return v
+
+
+def _primal_lp(gauge, A, b0):
     lp, to_x = gauge.primal_lp(A, b0)
     res = lp_solve(**lp)
     if res.status != "optimal":
@@ -182,14 +208,9 @@ def _primal_splitting(gauge, A, b0):
 # ---------------------------------------------------------------------------
 
 def solve_dual(gauge, A, b0):
-    """Maximize <b0, y> subject to J°(A^T y) <= 1, read off one
-    ``solve_primal_eq`` by ``dual_from_primal``."""
-    return dual_from_primal(gauge, A, b0, solve_primal_eq(gauge, A, b0))
-
-
-def dual_from_primal(gauge, A, b0, primal):
-    """The dual of min J(x) s.t. A x = b0, from ``primal``, the result of
-    ``solve_primal_eq`` on the same problem.
+    """Maximize <b0, y> subject to J°(A^T y) <= 1, read off the primal
+    min J(x) s.t. A x = b0: the gauge's record of its last
+    ``solve_primal_eq`` when that solved this A and b0, else a new solve.
 
     The dual point is the primal's multiplier y of A x = b0.  On the LP path
     it is a dual optimum, and the value is <b0, y>.  On the splitting path y
@@ -197,9 +218,19 @@ def dual_from_primal(gauge, A, b0, primal):
     scores higher; the duality gap against the primal value is the
     optimality residual, and the status is optimal only when the primal is
     and the gap is at most 1e-6 max(1, |p|).  A primal without a feasible
-    point makes the dual unbounded.
+    point makes the dual unbounded.  The returned arrays are the caller's:
+    none is shared with the record.
     """
     A, b0 = _shape(A, b0)
+    hit = vars(gauge).get(_PRIMAL_RECORD)
+    if hit is not None and hit[0] == _problem_key(A, b0):
+        return _dual_from_primal(gauge, A, b0, hit[1])
+    return _dual_from_primal(gauge, A, b0, solve_primal_eq(gauge, A, b0))
+
+
+def _dual_from_primal(gauge, A, b0, primal):
+    """``solve_dual`` from ``primal``, the result of ``solve_primal_eq`` on
+    the same (shaped) A and b0."""
     if primal.status == "infeasible":
         return SolveResult(point=None, value=math.inf, status="unbounded",
                            residuals={}, note="primal infeasible")
@@ -208,7 +239,8 @@ def dual_from_primal(gauge, A, b0, primal):
         return SolveResult(point=None, value=math.nan, status=primal.status,
                            residuals={})
     if gauge.is_polyhedral:
-        return SolveResult(point=y, value=float(b0 @ y), status="optimal",
+        return SolveResult(point=y.copy(), value=float(b0 @ y),
+                           status="optimal",
                            residuals=dict(primal.residuals))
     p = gauge.polar(A.T @ y)
     y = y / max(1.0, p) if math.isfinite(p) else np.zeros(A.shape[0])
@@ -803,6 +835,6 @@ def _log_secant(p, q, target):
 def duality_gap(gauge, A, b0):
     """val(P_J) - val(D_J); both values are logged."""
     p = solve_primal_eq(gauge, A, b0)
-    d = dual_from_primal(gauge, A, b0, p)
+    d = solve_dual(gauge, A, b0)
     logger.info("duality gap: primal %.12g dual %.12g", p.value, d.value)
     return float(p.value - d.value)

@@ -778,6 +778,46 @@ def test_scaling_a_changes_no_verdict():
                                       base, (kind, seed, c))
 
 
+def _rotated(g, A, x0, rng):
+    # A -> QA keeps Ker A and Im A^T
+    return np.linalg.qr(rng.standard_normal((len(A), len(A))))[0] @ A, x0
+
+
+def _permuted(g, A, x0, rng):
+    # J(Px) = J(x) for l1, nonneg_l1 and wsl1, and (A P^T)(P x0) = A x0
+    perm = rng.permutation(g.n)
+    return A[:, perm], x0[perm]
+
+
+def _sign_flipped(g, A, x0, rng):
+    # ||Sx||_1 = ||x||_1, and (A S)(S x0) = A x0
+    s = rng.choice([-1.0, 1.0], g.n)
+    return A * s, x0 * s
+
+
+#: the angular grid certifies a nonneg_l1 kappa that moves with the basis of
+#: Ker A, by up to 6e-3 relative over these draws
+_GRID_KAPPA_MOVES = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="the angular grid's certified nonneg_l1 kappa depends on the "
+           "basis of Ker A that the probe gets")
+
+
+@pytest.mark.parametrize("relation, kind", [
+    *((_rotated, kind) for kind in _SEVEN_KINDS if kind != "nonneg_l1"),
+    pytest.param(_rotated, "nonneg_l1", marks=_GRID_KAPPA_MOVES),
+    (_permuted, "l1"), (_permuted, "wsl1"),
+    pytest.param(_permuted, "nonneg_l1", marks=_GRID_KAPPA_MOVES),
+    (_sign_flipped, "l1")])
+def test_symmetries_of_the_problem_change_no_verdict(relation, kind):
+    for seed in range(12):
+        g, A, x0 = _kind_draw(kind, np.random.default_rng(seed))
+        base = check_unique(g, A, x0, with_alpha=False)
+        A2, x2 = relation(g, A, x0, np.random.default_rng([seed, 33]))
+        _assert_same_verdicts(check_unique(g, A2, x2, with_alpha=False),
+                              base, (kind, seed))
+
+
 @pytest.mark.parametrize("kind", ["group_l12", "nuclear", "sdp_trace"])
 def test_certificate_margin_does_not_depend_on_the_rows_of_a(kind):
     # A -> QA (Q orthogonal) and A -> cA keep Im A^T, so the largest margin

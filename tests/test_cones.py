@@ -3,6 +3,8 @@
 import hashlib
 import itertools
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -25,6 +27,7 @@ from gaugecert.cones import (
     min_lambda_max,
     min_norm_point,
     nsp_constant,
+    qp_solve,
     range_basis,
     sphere_min,
 )
@@ -130,9 +133,33 @@ def _reference_corpus():
            "bounds": [(-5.0, 5.0)] * n, "maxiter": 1}
 
 
+def _lp_bits(res):
+    """An ``lp_solve`` result's status and, at an optimum, the bytes of its
+    x, value, eq_marginals and kkt_residual."""
+    if res.status != "optimal":
+        return res.status,
+    return (res.status, res.x.tobytes(), np.float64(res.value).tobytes(),
+            res.eq_marginals.tobytes(), np.float64(res.kkt_residual).tobytes())
+
+
+def _corpus_bits(lp):
+    """``_lp_bits`` of a corpus LP solved under its iteration cap, or
+    "iteration cap" where the solve raises LpFailure."""
+    lp = dict(lp)
+    maxiter = lp.pop("maxiter", 20000)
+    lp.setdefault("bounds", [(None, None)] * lp["c"].size)
+    try:
+        with config.overrides(lp_maxiter=maxiter):
+            return _lp_bits(lp_solve(**lp))
+    except LpFailure:
+        return "iteration cap"
+
+
 def test_lp_solve_matches_linprog_highs_ds():
-    seen = set()
-    for lp in _reference_corpus():
+    corpus = list(_reference_corpus())
+    seen, bits = set(), []
+    for lp in corpus:
+        lp = dict(lp)
         maxiter = lp.pop("maxiter", 20000)
         bounds = lp.pop("bounds", [(None, None)] * lp["c"].size)
         ref = scipy.optimize.linprog(
@@ -143,10 +170,12 @@ def test_lp_solve_matches_linprog_highs_ds():
             with pytest.raises(LpFailure), config.overrides(lp_maxiter=maxiter):
                 lp_solve(**lp, bounds=bounds)
             seen.add("iteration cap")
+            bits.append("iteration cap")
             continue
         with config.overrides(lp_maxiter=maxiter):
             res = lp_solve(**lp, bounds=bounds)
         seen.add(res.status)
+        bits.append(_lp_bits(res))
         assert res.status == {0: "optimal", 2: "infeasible",
                               3: "unbounded"}[ref.status], lp
         if res.status == "optimal":
@@ -155,6 +184,37 @@ def test_lp_solve_matches_linprog_highs_ds():
             assert np.float64(res.value).tobytes() == np.float64(ref.fun).tobytes()
             assert res.eq_marginals.tobytes() == np.asarray(eq).tobytes()
     assert seen == {"optimal", "infeasible", "unbounded", "iteration cap"}
+    # every solve reuses one solver: the corpus again, reversed, each LP
+    # after a QP and after the capped LP (which fails), gives the same bits
+    for lp, out in zip(reversed(corpus), reversed(bits)):
+        qp = qp_solve(np.ones(3), np.eye(3), A_eq=np.ones((1, 3)), b_eq=[1.0])
+        assert qp.status == "optimal"
+        assert _corpus_bits(corpus[-1]) == "iteration cap"
+        assert _corpus_bits(lp) == out
+
+
+def test_lp_solve_threads_keep_their_own_solver():
+    # a solver shared between threads would let one thread's model replace
+    # another's between its passModel and its getSolution
+    corpus = list(_reference_corpus())
+    want = [_corpus_bits(lp) for lp in corpus]
+    got = {}
+
+    def work(i):
+        got[i] = [_corpus_bits(lp) for lp in corpus]
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == {i: want for i in range(4)}
 
 
 def test_lp_solve_blocks_solve_each_copy():
@@ -196,29 +256,29 @@ def test_lp_solve_rejects_non_finite_data():
 
 @pytest.mark.parametrize("field", ["objective", "x"])
 def test_lp_solve_rejects_a_non_finite_optimum(monkeypatch, field):
-    # max() drops a NaN argument; the KKT check must not pass one through
-    real = cones._highs._Highs
+    # max() drops a NaN argument; the KKT check must not pass one through.
+    # The fake wraps this thread's solver, which every solve reuses (the
+    # unbounded LP min x makes it if no solve has yet).
+    lp_solve(np.ones(1))
+    real = cones._thread.highs
 
     class NanHighs:
-        def __init__(self):
-            self._highs = real()
-
         def __getattr__(self, name):
-            return getattr(self._highs, name)
+            return getattr(real, name)
 
         def getInfo(self):
-            info = self._highs.getInfo()
+            info = real.getInfo()
             if field == "objective":
                 info.objective_function_value = math.nan
             return info
 
         def getSolution(self):
-            sol = self._highs.getSolution()
+            sol = real.getSolution()
             if field == "x":
                 sol.col_value = [math.nan] * len(sol.col_value)
             return sol
 
-    monkeypatch.setattr(cones._highs, "_Highs", NanHighs)
+    monkeypatch.setattr(cones._thread, "highs", NanHighs())
     with pytest.raises(LpFailure):
         lp_solve(np.ones(2), A_ub=-np.eye(2), b_ub=-np.ones(2))
 

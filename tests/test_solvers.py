@@ -291,6 +291,57 @@ def test_dual_and_gap_take_one_primal_solve(monkeypatch, gauge):
     assert len(calls) == 2
 
 
+#: fresh instances of one polyhedral and one splitting kind
+_RECORD_GAUGES = {
+    "analysis_l1": lambda: AnalysisL1Gauge(
+        np.random.default_rng(58).standard_normal((4, 5))),
+    "group_l12": lambda: GroupL12Gauge(4, [[0, 1], [2, 3]]),
+}
+
+
+def _bits(res):
+    """Everything a solve returns, its arrays as bytes."""
+    return (res.status, np.float64(res.value).tobytes(), res.residuals,
+            res.iterations, res.note, np.asarray(res.point).tobytes())
+
+
+@pytest.mark.parametrize("kind", sorted(_RECORD_GAUGES))
+def test_dual_after_primal_reads_the_primal_record(monkeypatch, kind):
+    solves = []
+    for name in ("lp_solve", "_primal_splitting"):
+        def spy(*args, real=getattr(solvers, name), **kwargs):
+            solves.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, name, spy)
+    rng = np.random.default_rng(57)
+    A = rng.standard_normal((2, 4))
+    b0 = A @ np.array([1.0, -1.0, 0.0, 0.0])
+    A2 = A.copy()
+    A2[0, 0] += 0.5
+    # each problem's dual, solved alone on a fresh gauge
+    lone = {key: _bits(solve_dual(_RECORD_GAUGES[kind](), *problem))
+            for key, problem in (("A", (A, b0)), ("b0", (A, 2.0 * b0)),
+                                 ("A2", (A2, b0)))}
+    solves.clear()
+    g = _RECORD_GAUGES[kind]()
+    p = solve_primal_eq(g, A, b0)
+    d = solve_dual(g, A, b0)
+    assert len(solves) == 1
+    assert d.status == "optimal" and _bits(d) == lone["A"]
+    # the returned arrays are the caller's to write into
+    for arr in (p.point, p.info["multiplier"], d.point):
+        arr[:] = 7.0
+    assert _bits(solve_dual(g, A, b0)) == lone["A"]
+    assert len(solves) == 1
+    # a new b0, a new A of the same shape, another instance: each re-solves
+    for key, g2, problem in (("b0", g, (A, 2.0 * b0)), ("A2", g, (A2, b0)),
+                             ("A", _RECORD_GAUGES[kind](), (A, b0))):
+        count = len(solves)
+        assert _bits(solve_dual(g2, *problem)) == lone[key], key
+        assert len(solves) == count + 1, key
+
+
 # ---------------------------------------------------------------- tikhonov
 
 
