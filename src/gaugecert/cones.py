@@ -317,18 +317,43 @@ def qp_solve(c, Q, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None):
 
     The model is ``lp_solve``'s HighsLp with Q's lower triangle as its
     HighsHessian, under the same options; HiGHS solves it by its
-    active-set QP method.  Returns an ``LpResult`` with ``x`` and
-    ``value`` (no marginals, no KKT residual: the caller certifies the
-    point).  Statuses other than optimal/infeasible/unbounded raise
-    LpFailure.
+    active-set QP method.  That method does not scale the model: on l1
+    lifts where one column of A was 1/40 of another, it called QPs that
+    are bounded below unbounded, or reached its iteration cap.  A solve
+    that ends other than optimal therefore runs again with each variable
+    in units of its column's largest entry.  The first solve is unscaled:
+    scaling every solve would move the optima of QPs HiGHS solves as
+    given, by rounding.  Returns an ``LpResult`` with ``x`` and ``value``
+    (no marginals, no KKT residual: the caller certifies the point).
+    Statuses other than optimal/infeasible/unbounded raise LpFailure.
     """
     C = np.atleast_1d(np.asarray(c, dtype=float).squeeze())[None]
+    n = C.shape[1]
     Q = np.asarray(Q, dtype=float)
-    if Q.shape != (C.shape[1],) * 2 or not np.isfinite(Q).all():
-        raise ValueError(f"QP input: Q must be a finite ({C.shape[1]}, "
-                         f"{C.shape[1]}) matrix, got shape {Q.shape}")
+    if Q.shape != (n, n) or not np.isfinite(Q).all():
+        raise ValueError(f"QP input: Q must be a finite ({n}, {n}) matrix, "
+                         f"got shape {Q.shape}")
+    A_ub, b_ub = _lp_rows(A_ub, b_ub, n, "ub")
+    A_eq, b_eq = _lp_rows(A_eq, b_eq, n, "eq")
+    bounds = (np.full((n, 2), math.nan) if bounds is None else
+              np.array(bounds, dtype=float).reshape(n, 2))
+    problem = C, Q, A_ub, b_ub, A_eq, b_eq, bounds
+    try:
+        res = _qp_run(*problem, np.ones(n))
+    except LpFailure:
+        res = None
+    if res is None or res.status != "optimal":
+        s = np.max(np.abs(np.vstack((A_ub, A_eq))), axis=0, initial=0.0)
+        res = _qp_run(*problem, 1.0 / np.where(s > 0.0, s, 1.0))
+    return res
+
+
+def _qp_run(C, Q, A_ub, b_ub, A_eq, b_eq, bounds, s):
+    """One HiGHS solve of ``qp_solve``'s problem in the variables x / s."""
     model = _highs.HighsModel()
-    model.lp_, _ = _highs_lp(C, A_ub, b_ub, A_eq, b_eq, bounds)
+    model.lp_, _ = _highs_lp(C * s, A_ub * s, b_ub, A_eq * s, b_eq,
+                             bounds / s[:, None])
+    Q = Q * np.outer(s, s)
     cols, rows = np.nonzero(np.tril(Q).T)
     hess = _highs.HighsHessian()
     hess.dim_ = Q.shape[0]
@@ -341,8 +366,8 @@ def qp_solve(c, Q, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None):
     highs = _highs_run(model, qp=True)
     if isinstance(highs, str):
         return LpResult(status=highs)
-    x = np.array(highs.getSolution().col_value)
-    return LpResult(status="optimal", x=x,
+    return LpResult(status="optimal",
+                    x=s * np.array(highs.getSolution().col_value),
                     value=float(highs.getInfo().objective_function_value))
 
 

@@ -222,10 +222,14 @@ class SubdiffFace:
         res = min_lambda_max(pencil(y[None])[0],
                              pencil(N.T) - pencil(np.zeros((1, len(y)))))
         y = y + N @ res.t
+        # lower = -inf when the engine read no dual bound; a gap of inf
+        # would read as a failure
+        gap = (f"gap {res.upper - res.lower:.1e}" if res.lower > -math.inf
+               else "no lower bound read")
         return {"y0": y, "ri_margin": float(self.margin(A.T @ y)),
                 "margin_is_max": res.certified,
-                "note": f"{self.note} minimized by interior point (gap "
-                        f"{res.upper - res.lower:.1e}, {res.iters} iterations)"}
+                "note": f"{self.note} minimized by interior point ({gap}, "
+                        f"{res.iters} iterations)"}
 
     def affine_part(self, A):
         """``(rows, rhs, tol)``: A^T y lies in the affine hull of the face

@@ -13,7 +13,10 @@ either way the solve keeps the multiplier of A x = b0, and the dual point is
 read from it.  Each gauge keeps a record of its last primal solve, keyed by
 the shape and bytes of A and b0, so ``solve_dual`` after ``solve_primal_eq``
 on the same problem reads the record and solves nothing: primal and dual
-come from one solve.
+come from one solve.  A polyhedral gauge keeps a second record, of its last
+Tikhonov or Mozorov problem (A, b): the QP lift and the certified affine
+pieces of x(mu) found so far, so a Tikhonov solve after a Mozorov solve of
+the same data reads its point off a piece where the KKT test passes.
 
 Tikhonov has four routes, tried in order; each but the last returns a point
 only once the gauge's own KKT test holds, z = A^T (b - A x) / mu in ∂J(x):
@@ -42,6 +45,7 @@ never falls and r(mu) / mu never rises as mu grows.  Below a solve
 never undershoots the root.
 """
 
+import copy
 import logging
 import math
 from dataclasses import dataclass, field, replace
@@ -70,7 +74,8 @@ MOZOROV_BAND = 1e-6
 #: the first solve of the Mozorov search route: its residual decides
 #: feasibility of the ball
 MOZOROV_PROBE_MU = 1e-12
-#: most root-finding steps of one Mozorov search (QPs on the exact route)
+#: most root-finding steps of one Mozorov search (certified points on the
+#: exact route, from a QP or a recorded piece)
 MOZOROV_MAXITER = 200
 #: the certified routes' KKT test: z = A^T (b - A x) / mu in ∂J(x) to this
 EXACT_KKT_TOL = 1e-9
@@ -79,8 +84,6 @@ NEWTON_MAXITER = 50
 NEWTON_BACKTRACKS = 30
 #: the Newton route runs at mu >= NEWTON_MU_FLOOR J°(A^T b) only
 NEWTON_MU_FLOOR = 1e-6
-#: the gauge attribute holding (problem key, result) of its last primal solve
-_PRIMAL_RECORD = "_last_primal_eq"
 
 
 class ResidualMonotonicityError(RuntimeError):
@@ -134,14 +137,47 @@ def solve_primal_eq(gauge, A, b0):
         raise ValueError("A column count does not match the gauge dimension")
     res = (_primal_lp if gauge.is_polyhedral else _primal_splitting)(
         gauge, A, b0)
-    vars(gauge)[_PRIMAL_RECORD] = (_problem_key(A, b0), replace(
+    _PRIMAL_RECORD.put(gauge, A, b0, replace(
         res, point=_frozen(res.point), residuals=dict(res.residuals),
         info={k: _frozen(v) for k, v in res.info.items()}))
     return res
 
 
-def _problem_key(A, b0):
-    return A.shape, A.tobytes(), b0.tobytes()
+class _GaugeRecord:
+    """What a gauge keeps of its last problem under the attribute ``attr``:
+    one value, keyed by the shape and bytes of (A, b).  ``put`` replaces
+    the last problem's value; ``get`` returns it when (A, b) is that
+    problem, else None."""
+
+    def __init__(self, attr):
+        self.attr = attr
+
+    def get(self, gauge, A, b):
+        hit = vars(gauge).get(self.attr)
+        return hit[1] if hit and hit[0] == _problem_key(A, b) else None
+
+    def put(self, gauge, A, b, value):
+        vars(gauge)[self.attr] = _Entry((_problem_key(A, b), value))
+        return value
+
+
+class _Entry(tuple):
+    """A record's (key, value).  It pickles and deep-copies as an empty
+    tuple: a QP record holds the lift's closures, which do not pickle, and
+    a copied gauge solves its problems anew."""
+
+    def __reduce__(self):
+        return tuple, ()
+
+
+def _problem_key(A, b):
+    return A.shape, A.tobytes(), b.tobytes()
+
+
+#: a read-only copy of the gauge's last ``solve_primal_eq`` result
+_PRIMAL_RECORD = _GaugeRecord("_last_primal_eq")
+#: the ``_RFormQp`` of the gauge's last Tikhonov or Mozorov problem
+_QP_RECORD = _GaugeRecord("_last_rform_qp")
 
 
 def _frozen(v):
@@ -222,10 +258,10 @@ def solve_dual(gauge, A, b0):
     none is shared with the record.
     """
     A, b0 = _shape(A, b0)
-    hit = vars(gauge).get(_PRIMAL_RECORD)
-    if hit is not None and hit[0] == _problem_key(A, b0):
-        return _dual_from_primal(gauge, A, b0, hit[1])
-    return _dual_from_primal(gauge, A, b0, solve_primal_eq(gauge, A, b0))
+    primal = _PRIMAL_RECORD.get(gauge, A, b0)
+    if primal is None:
+        primal = solve_primal_eq(gauge, A, b0)
+    return _dual_from_primal(gauge, A, b0, primal)
 
 
 def _dual_from_primal(gauge, A, b0, primal):
@@ -275,13 +311,18 @@ class _RFormQp:
 
     built from ``gauge.primal_lp(A, b)``: its last m equality rows (A P v =
     b) get -I on m free columns r, and the Hessian is I on r.
-    ``certified`` runs the QP at mu and polishes its optimum into the
-    affine piece w(mu) = w0 + mu w1 of its active set; ``point`` reads x
-    and its KKT residual off a piece.  ``path`` collects the (mu, r) of
-    every certified point, with the residual's monotonicity in mu
-    asserted."""
+    ``certified`` answers mu from a recorded piece, or runs the QP at mu
+    and polishes its optimum into the affine piece w(mu) = w0 + mu w1 of
+    its active set, which it records in ``pieces``; ``point`` reads x and
+    its KKT residual off a piece.  The lift, A, b and ``pieces`` belong to
+    the problem and are kept by ``_QP_RECORD``; each solve works on a
+    ``for_solve`` view, whose ``qp_solves`` counts its QPs and whose
+    ``path`` collects the (mu, r) of its certified points, with the
+    residual's monotonicity in mu asserted."""
 
     def __init__(self, gauge, A, b):
+        # read-only copies: the caller may write into A and b later
+        A, b = _frozen(A), _frozen(b)
         lp, self.to_x = gauge.primal_lp(A, b)
         m = A.shape[0]
         self.nv = nv = np.size(lp["c"])
@@ -303,8 +344,16 @@ class _RFormQp:
         self.hess = np.diag(self.h)
         self.gauge, self.A, self.b = gauge, A, b
         self.scale = max(1.0, float(np.linalg.norm(A) * np.linalg.norm(b)))
+        self.pieces = []
         self.qp_solves = 0
         self.path = []
+
+    def for_solve(self):
+        """A view for one solve: the lift and ``pieces`` are this QP's, the
+        QP count and the path start anew."""
+        view = copy.copy(self)
+        view.qp_solves, view.path = 0, []
+        return view
 
     def piece(self, w, tol):
         """The affine piece (w0, w1) of the active set of w: each variable
@@ -327,6 +376,8 @@ class _RFormQp:
         sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
         w1 = np.zeros_like(w0)
         w0[free], w1[free] = sol[:nf, 0], sol[:nf, 1]
+        w0.setflags(write=False)
+        w1.setflags(write=False)
         return w0, w1
 
     def point(self, piece, mu):
@@ -337,12 +388,18 @@ class _RFormQp:
         return (x, *_kkt(self.gauge, self.A, self.b, x, mu, self.scale))
 
     def certified(self, mu):
-        """The QP at mu and its polished point ``(piece, x, r, kkt)``.  The
-        active set is read at a bound distance of 1e-6 (HiGHS regularizes
-        the QP by 1e-7, which can lift a variable off its bound), then of
-        1e-9 (a variable that close to its bound may be free);
-        ``_NotCertified`` unless a point passes the KKT test to
-        ``EXACT_KKT_TOL``."""
+        """The certified point ``(piece, x, r, kkt)`` at mu: on the first
+        recorded piece whose point passes the KKT test to ``EXACT_KKT_TOL``
+        there, else on the piece of the QP at mu, which is then recorded.
+        The QP optimum's active set is read at a bound distance of 1e-6
+        (HiGHS regularizes the QP by 1e-7, which can lift a variable off
+        its bound), then of 1e-9 (a variable that close to its bound may be
+        free); ``_NotCertified`` unless a point passes the KKT test."""
+        for piece in self.pieces:
+            x, r, kkt = self.point(piece, mu)
+            if kkt <= EXACT_KKT_TOL:
+                _record(self.path, mu, r)
+                return piece, x, r, kkt
         self.qp_solves += 1
         res = qp_solve(mu * self.c, self.hess, self.A_ub, self.b_ub,
                        self.A_eq, self.b_eq, self.bounds)
@@ -353,6 +410,7 @@ class _RFormQp:
             x, r, kkt = self.point(piece, mu)
             if kkt <= EXACT_KKT_TOL:
                 _record(self.path, mu, r)
+                self.pieces.append(piece)
                 return piece, x, r, kkt
         raise _NotCertified(f"KKT residual {kkt:.1e} at mu={mu:.3e}")
 
@@ -366,6 +424,15 @@ class _RFormQp:
         logger.debug("%s on %s: leaves exact-qp after %d QP solves: %s",
                      problem, self.gauge.kind, self.qp_solves, exc)
         return {"fallback": str(exc), "qp_solves": self.qp_solves}
+
+
+def _rform_qp(gauge, A, b):
+    """A ``for_solve`` view of the r-form QP of (A, b): the gauge's record
+    when it holds this problem, else a new QP, recorded in its place."""
+    qp = _QP_RECORD.get(gauge, A, b)
+    if qp is None:
+        qp = _QP_RECORD.put(gauge, A, b, _RFormQp(gauge, A, b))
+    return qp.for_solve()
 
 
 def _record(path, mu, r):
@@ -388,11 +455,14 @@ def _kkt(gauge, A, b, x, mu, scale=1.0):
     most 0 (z then lies in ∂J(x)); the certified routes require
     ``EXACT_KKT_TOL``.  At mu = 0 z is not divided, and the terms are J°(z)
     and |<z, x>|, in units of ``scale``: x then minimizes ||A x - b|| over
-    dom J."""
+    dom J.  Off dom J (J(x) = inf) the residual is inf: there the second
+    term would be inf / inf = nan, which ``max`` drops."""
     resid = A @ x - b
     z = -(A.T @ resid)
     J = float(gauge.value(x))
-    if mu > 0:
+    if not math.isfinite(J):
+        kkt = math.inf
+    elif mu > 0:
         z = z / mu
         kkt = max(gauge.polar(z) - 1.0, abs(float(z @ x) - J) / max(1.0, J))
     else:
@@ -422,9 +492,10 @@ def solve_tikhonov(gauge, A, b, mu, x_start=None):
 
     * "zero": at mu >= J°(A^T b), x = 0, with no solve (∂J(0) is the
       polar unit ball, which then holds z = A^T b / mu);
-    * "exact-qp", for a polyhedral gauge: one QP on the lift of
+    * "exact-qp", for a polyhedral gauge: a piece w0 + mu w1 of the
+      gauge's record of this (A, b), or one QP on the lift of
       ``Gauge.primal_lp`` (``_RFormQp``), polished on its active set;
-      ``iterations`` counts QP solves;
+      ``iterations`` counts QP solves, 0 when a recorded piece answered;
     * "newton", for a kind with ``Gauge.prox_jacobian``: semismooth Newton
       on the proximal-gradient fixed-point map (``_newton``), started at
       ``x_start`` or 0; ``iterations`` counts Newton steps;
@@ -434,6 +505,12 @@ def solve_tikhonov(gauge, A, b, mu, x_start=None):
 
     ``info`` counts ``fista_iterations`` and ``newton_iterations`` on every
     route.
+
+    The record holds one problem per gauge: the lift and the certified
+    pieces of the last (A, b) that ``solve_tikhonov`` or ``solve_mozorov``
+    solved on it, replaced when another (A, b) comes.  A recorded piece
+    answers any mu where its point passes the KKT test; the point returned
+    is computed anew, and no returned array or list is the record's.
     """
     if not (math.isfinite(mu) and mu > 0):
         raise ValueError("mu must be finite and positive")
@@ -451,7 +528,7 @@ def solve_tikhonov(gauge, A, b, mu, x_start=None):
                  "newton_iterations": 0})
     fallback = {}
     if gauge.is_polyhedral:
-        qp = _RFormQp(gauge, A, b)
+        qp = _rform_qp(gauge, A, b)
         try:
             _, x, r, kkt = qp.certified(mu)
         except (_NotCertified, LpFailure) as exc:
@@ -621,7 +698,11 @@ def solve_mozorov(gauge, A, b, delta):
 
     A polyhedral gauge takes the exact route (``_mozorov_exact``): QPs on
     the Tikhonov lift, each giving the affine piece of x(mu) on its active
-    set, on which r(mu) = target is a scalar quadratic.  The other kinds,
+    set, on which r(mu) = target is a scalar quadratic.  Its pieces are the
+    gauge's record of (A, b), one problem per gauge, as in
+    ``solve_tikhonov``: a recorded piece answers any mu where its point
+    passes the KKT test, in this search and in a later Tikhonov or Mozorov
+    solve of the same (A, b), and saves that mu's QP.  The other kinds,
     and a polyhedral search whose QP fails or is not certified, take the
     search route of ``_mozorov_search``, whose ``info["route"]`` is that of
     the Tikhonov solve it returns ("newton" or "fista").
@@ -658,7 +739,7 @@ def solve_mozorov(gauge, A, b, delta):
         mu_hi = float(np.linalg.norm(A.T @ b)) + 1.0
     fallback = {}
     if gauge.is_polyhedral:
-        qp = _RFormQp(gauge, A, b)
+        qp = _rform_qp(gauge, A, b)
         try:
             return _mozorov_exact(qp, delta, mu_hi)
         except (_NotCertified, LpFailure) as exc:
@@ -674,15 +755,16 @@ def _mozorov_exact(qp, delta, mu_hi):
     A conic gauge first solves the QP at mu = 0: its residual, the
     distance from b to A dom J, decides feasibility (in place of the search
     route's probe at mu = 1e-12).  The search starts at the search route's
-    first step mu_hi target / ||b||, r(mu_hi) being ||b||.  At each mu the
-    QP gives the piece w0 + mu w1 of its active set; ||r(mu)|| = target is
-    a quadratic in mu on it, and its larger root is returned once its point
-    passes the KKT test and its residual lies in [delta - 1e-6, delta].
-    Otherwise the next QP runs at that root, or, when the piece has no root
-    inside the bracket of the solves so far, at the search route's safe
-    step mu_hi target / r_hi from the lowest solve above the band.  After
-    ``MOZOROV_MAXITER`` QPs ``_NotCertified`` hands the solve to the search
-    route."""
+    first step mu_hi target / ||b||, r(mu_hi) being ||b||.  At each mu
+    ``qp.certified`` gives the piece w0 + mu w1 of an active set there, a
+    recorded one or the QP's; ||r(mu)|| = target is a quadratic in mu on
+    it, and its larger root is returned once its point passes the KKT test
+    and its residual lies in [delta - 1e-6, delta].  Otherwise the next
+    step goes to that root, or, when the piece has no root inside the
+    bracket of the solves so far, to the search route's safe step mu_hi
+    target / r_hi from the lowest solve above the band.  After
+    ``MOZOROV_MAXITER`` steps ``_NotCertified`` hands the solve to the
+    search route."""
     target = delta - 0.5 * MOZOROV_BAND
     mu_lo, r_hi = 0.0, float(np.linalg.norm(qp.b))
 
@@ -711,7 +793,7 @@ def _mozorov_exact(qp, delta, mu_hi):
             raise _NotCertified("the least residual is inside the band")
 
     mu = mu_hi * target / r_hi
-    while qp.qp_solves < MOZOROV_MAXITER:
+    while len(qp.path) < MOZOROV_MAXITER:
         piece, x, r, _ = qp.certified(mu)
         if delta - MOZOROV_BAND <= r <= delta:
             return done(mu, x, r)
@@ -736,7 +818,7 @@ def _mozorov_exact(qp, delta, mu_hi):
             _record(qp.path, root, r)
             return done(root, x, r)
         mu = root
-    raise _NotCertified(f"no certified root in {MOZOROV_MAXITER} QP solves")
+    raise _NotCertified(f"no certified root in {MOZOROV_MAXITER} steps")
 
 
 def _mozorov_search(gauge, A, b, delta, xls, mu_hi):

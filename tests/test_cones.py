@@ -193,6 +193,20 @@ def test_lp_solve_matches_linprog_highs_ds():
         assert _corpus_bits(lp) == out
 
 
+def test_qp_solve_scales_a_qp_highs_left_unsolved():
+    # the nonneg l1 Tikhonov lift of A = [[1.16, -0.0377]] (variables v1,
+    # v2 >= 0 and the residual r): unscaled, HiGHS's QP method calls it
+    # unbounded, though its objective is >= 0.  At the optimum v1 = 0 and
+    # the second column's stationarity gives r = mu / 0.0377
+    a, b, mu = np.array([1.16042597, -0.03771304]), -0.03244605, 6.1e-4
+    res = qp_solve(mu * np.array([1.0, 1.0, 0.0]), np.diag([0.0, 0.0, 1.0]),
+                   A_eq=[[*a, -1.0]], b_eq=[b],
+                   bounds=[(0.0, None), (0.0, None), (None, None)])
+    assert res.status == "optimal"
+    r = mu / -a[1]
+    assert np.allclose(res.x, [0.0, (r + b) / a[1], r], rtol=0, atol=1e-7)
+
+
 def test_lp_solve_threads_keep_their_own_solver():
     # a solver shared between threads would let one thread's model replace
     # another's between its passModel and its getSolution
@@ -874,6 +888,10 @@ def test_multistart_and_certificate_search_outputs_are_frozen(
         ("multistart-subgradient", False, 60200, "heuristic")
     cert = g.face(x0).certificate(A)
     assert cert["margin_is_max"] == (kind != "sdp_trace")
+    # the unbounded family gives no dual bound, and the note says so
+    # rather than print a gap of inf
+    assert ("no lower bound read" in cert["note"]) == (kind == "sdp_trace")
+    assert "gap inf" not in cert["note"]
     assert hashlib.md5(cert["y0"].tobytes()).hexdigest() == y0_md5
 
 

@@ -1,6 +1,7 @@
 """Tests for the four solvers and the duality-gap helper."""
 
 import math
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -644,6 +645,7 @@ def test_exact_route_is_certified_and_meets_fista(kind, seed, scale):
     assert res.iterations == res.info["qp_solves"] == 1
     # the KKT test, read again: z = A^T (b - A x) / mu lies in dJ(x)
     x = res.point
+    assert math.isfinite(g.value(x))
     z = A.T @ (b - A @ x) / mu
     assert g.polar(z) <= 1.0 + 1e-9
     assert abs(z @ x - g.value(x)) <= 1e-9 * max(1.0, g.value(x))
@@ -652,9 +654,59 @@ def test_exact_route_is_certified_and_meets_fista(kind, seed, scale):
     assert np.max(np.abs(x - ref.point)) <= 1e-5
     moz = solve_mozorov(g, A, b, delta)
     assert moz.status == "optimal"
+    assert math.isfinite(g.value(moz.point))
     if moz.info["mu"] != math.inf:
         r = float(np.linalg.norm(A @ moz.point - b))
         assert delta - 1e-6 <= r <= delta
+
+
+@pytest.mark.parametrize("kind", ["l1", "nonneg_l1", "wsl1", "analysis_l1"])
+def test_tikhonov_after_mozorov_reads_the_recorded_pieces(monkeypatch, kind):
+    qps = []
+
+    def spy(*args, real=solvers.qp_solve, **kwargs):
+        qps.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "qp_solve", spy)
+    for seed in range(3):
+        g, A, b, delta = _polyhedral_draw(kind, seed)
+        moz = solve_mozorov(g, A, b, delta)
+        assert moz.info["route"] == "exact-qp", seed
+        # the piece of the Mozorov point holds at its mu; a piece the
+        # record lacks costs one QP, after which the record holds it too
+        for mu, most in ((moz.info["mu"], 0), (0.1 * delta, 1)):
+            count = len(qps)
+            res = solve_tikhonov(g, A, b, mu)
+            assert len(qps) - count <= most, (seed, mu)
+            assert res.info["route"] == "exact-qp", (seed, mu)
+            assert res.iterations == res.info["qp_solves"] == len(qps) - count
+            x = res.point
+            z = A.T @ (b - A @ x) / mu
+            assert g.polar(z) <= 1.0 + 1e-9
+            assert abs(z @ x - g.value(x)) <= 1e-9 * max(1.0, g.value(x))
+            lone = solve_tikhonov(_polyhedral_draw(kind, seed)[0], A, b, mu)
+            assert np.max(np.abs(x - lone.point)) <= 1e-12, (seed, mu)
+            # the returned point and path are the caller's to write into
+            bits = _bits(res)
+            res.point[:] = 7.0
+            res.info["path"].append((mu, 7.0))
+            count = len(qps)
+            again = solve_tikhonov(g, A, b, mu)
+            assert _bits(again) == bits and again.info["path"] == [
+                (mu, again.residuals["data_misfit"])]
+            assert len(qps) == count, (seed, mu)
+        # a new b, a new A of the same shape, another instance, a pickled
+        # copy: each solves
+        A2 = A.copy()
+        A2[0, 0] += 0.5
+        for g2, problem in ((g, (A, 2.0 * b)), (g, (A2, b)),
+                            (_polyhedral_draw(kind, seed)[0], (A, b)),
+                            (pickle.loads(pickle.dumps(g)), (A, b))):
+            count = len(qps)
+            assert solve_tikhonov(g2, *problem, moz.info["mu"]).info[
+                "route"] == "exact-qp"
+            assert len(qps) == count + 1, seed
 
 
 def test_tikhonov_keeps_a_coordinate_just_off_its_bound():
@@ -664,6 +716,22 @@ def test_tikhonov_keeps_a_coordinate_just_off_its_bound():
     res = solve_tikhonov(L1Gauge(2), np.eye(2), [1.0, mu + 5e-7], mu)
     assert res.info["route"] == "exact-qp"
     assert np.allclose(res.point, [1.0 - mu, 5e-7], rtol=0, atol=1e-12)
+
+
+def test_kkt_test_rejects_a_point_outside_dom_j():
+    # the piece of an earlier QP, extrapolated to the root, gave x3 < 0,
+    # where J = inf: the KKT test read inf / inf = nan and max() dropped it
+    g = NonnegL1Gauge(3)
+    A = np.array([[-0.5227, -0.4131, -2.4415], [1.7997, 1.1442, -0.3254],
+                  [0.7738, 0.2812, -0.5538]])
+    b = np.array([-0.101, 0.325, 0.0937])
+    res = solve_mozorov(g, A, b, 0.01)
+    assert res.status == "optimal" and res.info["route"] == "exact-qp"
+    assert np.all(res.point >= 0.0) and math.isfinite(g.value(res.point))
+    assert solvers._kkt(g, A, b, res.point, res.info["mu"])[1] <= \
+        solvers.EXACT_KKT_TOL
+    for mu in (res.info["mu"], 0.0):
+        assert solvers._kkt(g, A, b, [0.1, 0.2, -1e-3], mu)[1] == math.inf
 
 
 def test_nonneg_feasibility_qp_is_nnls():
@@ -698,6 +766,8 @@ def test_failed_certificate_falls_back_to_fista(monkeypatch):
         return res
 
     monkeypatch.setattr(solvers, "qp_solve", perturbed)
+    # a fresh gauge: the record of g would answer without a QP
+    g = L1Gauge(g.n)
     forced = solve_tikhonov(g, A, b, mu), solve_mozorov(g, A, b, delta)
     for old, new in zip(exact, forced):
         assert new.info["route"] == "fista"

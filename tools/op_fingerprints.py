@@ -29,6 +29,15 @@ Each operation runs once, untimed and unchecked.  ``--root`` names the
 checkout whose ``src/`` and ``gcbench/`` are imported (default: the one
 holding this script).  ``gcbench`` is imported read-only: no bytecode is
 written, and the certify-cli problem files go to a temporary directory.
+
+``--recovery`` checks the recovery CSV in place of the benchmark
+operations: it runs ``gaugecert.recovery.sweep`` on a fixed grid (the five
+vector kinds at three sizes, three noise levels, both noise kinds and four
+seeds) at c1 = 0.1 and c1 = 1, and prints the CSV rows, each led by its
+c1.  With ``--against`` both checkouts run it, each row that differs is
+printed (``-`` the other checkout's, ``+`` this one's) with its largest
+relative difference and the column where it is, and the exit status is 1
+on any difference.
 """
 
 import argparse
@@ -43,6 +52,11 @@ import tempfile
 from pathlib import Path
 
 WORKLOADS = ("verdicts-lp", "certify-cli", "recovery-sweep")
+#: the ``--recovery`` grid: (m, n), noise levels, seeds and values of c1
+RECOVERY_SIZES = ((3, 6), (4, 8), (5, 10))
+RECOVERY_DELTAS = (0.1, 0.01, 0.001)
+RECOVERY_SEEDS = (0, 1, 2, 3)
+RECOVERY_C1 = (0.1, 1.0)
 #: as in ``gcbench/run.py``: BLAS computes in one thread
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -61,7 +75,16 @@ def main(argv=None):
     ap.add_argument("--show", action="store_true",
                     help="print the outputs behind the md5s: with --against, "
                          "the fields that differ; alone, the full text")
+    ap.add_argument("--recovery", action="store_true",
+                    help="print (with --against: compare) the recovery CSV "
+                         "of a fixed sweep instead of the operations")
     args = ap.parse_args(argv)
+    if args.recovery:
+        if args.against is not None:
+            return compare_recovery(args.against, args.root)
+        for line in recovery_rows(args.root.resolve()):
+            print(line, flush=True)
+        return 0
     if args.against is not None:
         return compare(args.against, args.root, args.seeds, args.workloads,
                        args.show)
@@ -107,6 +130,107 @@ def rounds(root, names, seeds):
                     yield workload, seed, i, workloads.fingerprint(out), routes
 
 
+def _run_both(other, root, args):
+    """Run this script with ``args`` on the checkouts ``other`` and
+    ``root`` (``--root``), in two child processes side by side; return
+    their standard outputs, or None when one fails (its error is
+    printed)."""
+    cmd = [sys.executable, str(Path(__file__).resolve()), *args, "--root"]
+    procs = [subprocess.Popen(cmd + [str(r)], stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True)
+             for r in (other, root)]
+    outs = [p.communicate() for p in procs]
+    for r, p, (_, err) in zip((other, root), procs, outs):
+        if p.returncode:
+            sys.stderr.write(f"{r}: exit {p.returncode}\n{err}")
+            return None
+    return [out for out, _ in outs]
+
+
+def recovery_grid():
+    """The configs of the ``--recovery`` sweep, in order: per size, the
+    five vector kinds (wsl1 with distinct weights, analysis_l1 with the
+    identity and the difference operator, group_l12 with pairs), each at
+    every noise level and noise kind."""
+    import numpy as np
+
+    grid = []
+    for m, n in RECOVERY_SIZES:
+        eye = np.eye(n)
+        params = {"l1": {}, "nonneg_l1": {},
+                  "wsl1": {"w": np.linspace(2.0, 0.5, n).tolist()},
+                  "analysis_l1": {
+                      "D": np.hstack([eye, np.diff(eye, axis=1)]).tolist()},
+                  "group_l12": {"partition": [[i, i + 1]
+                                              for i in range(0, n, 2)]}}
+        for kind, param in params.items():
+            for delta in RECOVERY_DELTAS:
+                for noise in ("sphere", "adversarial"):
+                    grid.append(dict(param, kind=kind, m=m, n=n, delta=delta,
+                                     noise=noise,
+                                     sparsity=1 if kind == "group_l12" else 2))
+    return grid
+
+
+def recovery_rows(root):
+    """The ``--recovery`` sweep from the ``src/`` of ``root``: the CSV
+    header, then each row, each line led by c1 and a comma."""
+    for var in BLAS_VARS:
+        os.environ.setdefault(var, "1")
+    sys.dont_write_bytecode = True
+    sys.path[:0] = [str(root / "src")]
+    from gaugecert import recovery
+
+    yield "c1," + recovery.CSV_HEADER
+    for c1 in RECOVERY_C1:
+        _, csv = recovery.sweep(recovery_grid(), RECOVERY_SEEDS, c1)
+        for line in csv.splitlines()[1:]:
+            yield f"{c1!r},{line}"
+
+
+def _largest_relative_difference(old, new, columns):
+    """(difference, column) of the numeric field of two CSV rows that
+    differs most, relative to the larger magnitude; a non-numeric field
+    that differs counts as 1."""
+    worst = (0.0, "")
+    for col, a, b in zip(columns, old.split(","), new.split(",")):
+        if a == b:
+            continue
+        try:
+            a, b = float(a), float(b)
+            diff = abs(a - b) / max(abs(a), abs(b))
+        except (ValueError, ZeroDivisionError):
+            diff = 1.0
+        worst = max(worst, (diff if diff == diff else 1.0, col))
+    return worst
+
+
+def compare_recovery(other, root):
+    """Run the ``--recovery`` sweep in ``other`` and ``root`` (two child
+    processes); print each row that differs with its largest relative
+    difference, return 1 if any does."""
+    outs = _run_both(other, root, ["--recovery"])
+    if outs is None:
+        return 1
+    old_rows, new_rows = (out.splitlines() for out in outs)
+    if old_rows[:1] != new_rows[:1] or len(old_rows) != len(new_rows):
+        print("the two checkouts write different CSV headers or row counts",
+              file=sys.stderr)
+        return 1
+    columns = old_rows[0].split(",")
+    differ = 0
+    for old, new in zip(old_rows[1:], new_rows[1:]):
+        if old != new:
+            differ += 1
+            diff, col = _largest_relative_difference(old, new, columns)
+            print(f"- {old}\n+ {new}\n    largest relative difference "
+                  f"{diff:.3g} ({col})")
+    print(f"{differ} of {len(old_rows) - 1} recovery rows differ" if differ
+          else f"all {len(old_rows) - 1} recovery rows identical",
+          file=sys.stderr)
+    return 1 if differ else 0
+
+
 def _parsed(val):
     """``val``, or the document it holds when it is a JSON string."""
     if isinstance(val, str):
@@ -141,22 +265,16 @@ def compare(other, root, seeds, workloads, show=False):
     """Fingerprint ``other`` and ``root`` side by side (two child
     processes); print the lines that differ (with ``show``, followed by
     their differing fields), return 1 if any do."""
-    cmd = [sys.executable, str(Path(__file__).resolve()),
-           "--seeds", *map(str, seeds), "--workloads", *workloads]
-    cmd += ["--show", "--root"] if show else ["--root"]
-    procs = [subprocess.Popen(cmd + [str(r)], stdout=subprocess.PIPE,
-                              stderr=subprocess.PIPE, text=True)
-             for r in (other, root)]
-    outs = [p.communicate() for p in procs]
-    for r, p, (_, err) in zip((other, root), procs, outs):
-        if p.returncode:
-            sys.stderr.write(f"{r}: exit {p.returncode}\n{err}")
-            return 1
+    outs = _run_both(other, root, ["--seeds", *map(str, seeds),
+                                   "--workloads", *workloads]
+                     + (["--show"] if show else []))
+    if outs is None:
+        return 1
     differ = 0
     # workload -> [operations, operations that differ, largest |difference|,
     #              route counts of the other checkout, of this one]
     summary = {}
-    lines = itertools.zip_longest(*(out.splitlines() for out, _ in outs))
+    lines = itertools.zip_longest(*(out.splitlines() for out in outs))
     for old, new in lines:
         (old, old_text, old_routes), (new, new_text, new_routes) = (
             line.split("\t", 2) if line and show else (line, None, None)
