@@ -61,7 +61,7 @@ from .. import config
 from ..cones import EnumerationCapExceeded, affine_solve, min_lambda_max
 
 __all__ = ["Gauge", "SubdiffFace", "VertexCapExceeded", "spec_int",
-           "spec_array", "construct", "sparse_draw", "per_x0",
+           "spec_array", "construct", "sparse_draw", "Memo", "per_x0",
            "point_certificate"]
 
 #: a face or piece enumeration past its cap: the one cap exception of
@@ -102,22 +102,50 @@ def construct(cls, field, *args):
         raise ValueError(f"{field}: {exc}") from None
 
 
+class Memo:
+    """One value that an object keeps for the last key it was given, under
+    the attribute ``attr`` of ``vars(obj)``: ``put`` replaces the last
+    value, and ``get`` returns it when the key is that key, else None.  A
+    pickled or deep-copied object keeps no memo (``_MemoEntry``)."""
+
+    def __init__(self, attr):
+        self.attr = attr
+
+    def get(self, obj, key):
+        hit = vars(obj).get(self.attr)
+        return hit[1] if hit and hit[0] == key else None
+
+    def put(self, obj, key, value):
+        vars(obj)[self.attr] = _MemoEntry((key, value))
+        return value
+
+
+class _MemoEntry(tuple):
+    """A memo's (key, value).  It pickles and deep-copies as an empty
+    tuple, which ``Memo.get`` reads as a miss: a value may hold closures,
+    which do not pickle, and a copy computes its values anew."""
+
+    def __reduce__(self):
+        return tuple, ()
+
+
 def per_x0(method):
-    """Cache ``method(self, x0)`` for the last x0 it saw (by its bytes): the
-    factorization of x0 that every oracle call at one point starts from.
-    The arrays it returns are shared between calls, so they are read-only."""
-    slot = "_last_" + method.__name__
+    """Cache ``method(self, x0)`` for the last x0 it saw (by its bytes), in a
+    ``Memo``: the factorization of x0 that every oracle call at one point
+    starts from.  The arrays it returns are shared between calls, so they
+    are read-only."""
+    memo = Memo("_last_" + method.__name__)
 
     @functools.wraps(method)
     def cached(self, x0):
         key = self.flat(x0).tobytes()
-        hit = self.__dict__.get(slot)
-        if hit is None or hit[0] != key:
+        out = memo.get(self, key)
+        if out is None:
             out = method(self, x0)
             for arr in out if isinstance(out, tuple) else (out,):
                 arr.setflags(write=False)
-            hit = self.__dict__[slot] = (key, out)
-        return hit[1]
+            memo.put(self, key, out)
+        return out
 
     return cached
 

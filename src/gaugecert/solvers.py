@@ -24,28 +24,28 @@ only once the gauge's own KKT test holds, z = A^T (b - A x) / mu in ∂J(x):
 * ``zero``: at mu >= J°(A^T b) the minimizer is 0, with no solve;
 * ``exact-qp``, for the polyhedral gauges: one HiGHS QP on the lift of
   ``primal_lp`` with the residual r = A x - b as variables, polished on its
-  active set;
+  active set into the piece of x(mu) that is affine in mu there (the
+  homotopy / LARS path: Osborne, Presnell & Turlach 2000; Efron et al.
+  2004);
 * ``newton``, for a kind with ``Gauge.prox_jacobian`` (group_l12):
   semismooth Newton on the proximal-gradient fixed-point map, globalized on
   the forward-backward envelope;
 * ``fista``: accelerated proximal gradient, for nuclear and sdp_trace and
   for a solve whose certified route failed.
 
-Mozorov on a polyhedral gauge is QPs too: on an active set the solution is
-affine in mu (the homotopy / LARS path: Osborne, Presnell & Turlach 2000;
-Efron et al. 2004), so ||r(mu)|| = delta is a scalar quadratic on each
-piece.  The other kinds, and a polyhedral search whose QP fails or is not
-certified, take the search route: a bracketed search on mu through
-Tikhonov solves.  Both routes assert the residual's monotonicity in mu at
-runtime.  The search's steps rest on one fact: the Tikhonov dual point
+Mozorov is one root search on mu for every kind, each step a Tikhonov solve
+on these routes, asserting the residual's monotonicity in mu at runtime.
+Its steps rest on one fact: the Tikhonov dual point
 y(mu) = (b - A x(mu)) / mu is the projection of b / mu onto the convex set
 {y : J°(A^T y) <= 1}, which holds 0, so the residual r(mu) = mu ||y(mu)||
 never falls and r(mu) / mu never rises as mu grows.  Below a solve
 (mu_hi, r_hi), r(mu) >= mu r_hi / mu_hi: the step to mu_hi target / r_hi
-never undershoots the root.
+never undershoots the root.  That step is taken when the root of the last
+step's model leaves the bracket: on an exact-qp step, ||r(mu)|| = target
+on the step's piece, a scalar quadratic; on the others, the secant on
+(log mu, log r) through the last two steps.
 """
 
-import copy
 import logging
 import math
 from dataclasses import dataclass, field, replace
@@ -53,6 +53,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .cones import LpFailure, lp_solve, qp_solve
+from .gauges.base import Memo
 
 logger = logging.getLogger(__name__)
 
@@ -71,11 +72,7 @@ SPLIT_MOVE_TOL = 1e-9
 SPLIT_FEAS_TOL = 1e-8
 #: Mozorov stops once | ||Ax - b|| - delta | <= MOZOROV_BAND
 MOZOROV_BAND = 1e-6
-#: the first solve of the Mozorov search route: its residual decides
-#: feasibility of the ball
-MOZOROV_PROBE_MU = 1e-12
-#: most root-finding steps of one Mozorov search (certified points on the
-#: exact route, from a QP or a recorded piece)
+#: most Tikhonov solves of one Mozorov search
 MOZOROV_MAXITER = 200
 #: the certified routes' KKT test: z = A^T (b - A x) / mu in ∂J(x) to this
 EXACT_KKT_TOL = 1e-9
@@ -97,9 +94,13 @@ class SolveResult:
 
     status is 'optimal', 'maxiter', or 'infeasible'; at 'optimal' the
     residuals sit below the configured tolerances (1e-8 on LP paths, 1e-6 on
-    splitting paths).  ``info`` carries solver-specific extras (e.g. the
-    route of a Tikhonov or Mozorov solve, the mu found by the Mozorov
-    search and its (mu, r) path).
+    splitting paths).  ``iterations`` counts a solver's own steps: QP
+    solves on the exact-qp route, Newton or FISTA steps, splitting steps;
+    for a Mozorov solve, of any kind, its Tikhonov solves,
+    ``len(info["path"])`` (``info["qp_solves"]`` counts its QPs).
+    ``info`` carries solver-specific extras (e.g. the route of a Tikhonov
+    or Mozorov solve, the mu found by the Mozorov search and its (mu, r)
+    path).
     """
 
     point: np.ndarray
@@ -137,37 +138,10 @@ def solve_primal_eq(gauge, A, b0):
         raise ValueError("A column count does not match the gauge dimension")
     res = (_primal_lp if gauge.is_polyhedral else _primal_splitting)(
         gauge, A, b0)
-    _PRIMAL_RECORD.put(gauge, A, b0, replace(
+    _PRIMAL_RECORD.put(gauge, _problem_key(A, b0), replace(
         res, point=_frozen(res.point), residuals=dict(res.residuals),
         info={k: _frozen(v) for k, v in res.info.items()}))
     return res
-
-
-class _GaugeRecord:
-    """What a gauge keeps of its last problem under the attribute ``attr``:
-    one value, keyed by the shape and bytes of (A, b).  ``put`` replaces
-    the last problem's value; ``get`` returns it when (A, b) is that
-    problem, else None."""
-
-    def __init__(self, attr):
-        self.attr = attr
-
-    def get(self, gauge, A, b):
-        hit = vars(gauge).get(self.attr)
-        return hit[1] if hit and hit[0] == _problem_key(A, b) else None
-
-    def put(self, gauge, A, b, value):
-        vars(gauge)[self.attr] = _Entry((_problem_key(A, b), value))
-        return value
-
-
-class _Entry(tuple):
-    """A record's (key, value).  It pickles and deep-copies as an empty
-    tuple: a QP record holds the lift's closures, which do not pickle, and
-    a copied gauge solves its problems anew."""
-
-    def __reduce__(self):
-        return tuple, ()
 
 
 def _problem_key(A, b):
@@ -175,9 +149,9 @@ def _problem_key(A, b):
 
 
 #: a read-only copy of the gauge's last ``solve_primal_eq`` result
-_PRIMAL_RECORD = _GaugeRecord("_last_primal_eq")
+_PRIMAL_RECORD = Memo("_last_primal_eq")
 #: the ``_RFormQp`` of the gauge's last Tikhonov or Mozorov problem
-_QP_RECORD = _GaugeRecord("_last_rform_qp")
+_QP_RECORD = Memo("_last_rform_qp")
 
 
 def _frozen(v):
@@ -258,7 +232,7 @@ def solve_dual(gauge, A, b0):
     none is shared with the record.
     """
     A, b0 = _shape(A, b0)
-    primal = _PRIMAL_RECORD.get(gauge, A, b0)
+    primal = _PRIMAL_RECORD.get(gauge, _problem_key(A, b0))
     if primal is None:
         primal = solve_primal_eq(gauge, A, b0)
     return _dual_from_primal(gauge, A, b0, primal)
@@ -314,11 +288,9 @@ class _RFormQp:
     ``certified`` answers mu from a recorded piece, or runs the QP at mu
     and polishes its optimum into the affine piece w(mu) = w0 + mu w1 of
     its active set, which it records in ``pieces``; ``point`` reads x and
-    its KKT residual off a piece.  The lift, A, b and ``pieces`` belong to
-    the problem and are kept by ``_QP_RECORD``; each solve works on a
-    ``for_solve`` view, whose ``qp_solves`` counts its QPs and whose
-    ``path`` collects the (mu, r) of its certified points, with the
-    residual's monotonicity in mu asserted."""
+    its KKT residual off a piece, and ``root`` the mu where its residual
+    meets a target.  The lift, A, b and ``pieces`` belong to the problem and
+    are kept by ``_QP_RECORD``."""
 
     def __init__(self, gauge, A, b):
         # read-only copies: the caller may write into A and b later
@@ -345,15 +317,6 @@ class _RFormQp:
         self.gauge, self.A, self.b = gauge, A, b
         self.scale = max(1.0, float(np.linalg.norm(A) * np.linalg.norm(b)))
         self.pieces = []
-        self.qp_solves = 0
-        self.path = []
-
-    def for_solve(self):
-        """A view for one solve: the lift and ``pieces`` are this QP's, the
-        QP count and the path start anew."""
-        view = copy.copy(self)
-        view.qp_solves, view.path = 0, []
-        return view
 
     def piece(self, w, tol):
         """The affine piece (w0, w1) of the active set of w: each variable
@@ -387,20 +350,31 @@ class _RFormQp:
         x = self.to_x((w0 + mu * w1)[:self.nv])
         return (x, *_kkt(self.gauge, self.A, self.b, x, mu, self.scale))
 
+    def root(self, piece, target):
+        """The larger mu where ||r(mu)|| = target on ``piece``, a root of a
+        scalar quadratic in mu; nan when it has none."""
+        r0, r1 = piece[0][self.nv:], piece[1][self.nv:]
+        aa, bb, cc = r1 @ r1, r0 @ r1, r0 @ r0 - target * target
+        disc = bb * bb - aa * cc
+        if not (aa > 0 and disc >= 0):
+            return math.nan
+        # the larger root, without cancellation
+        return float((-bb + math.sqrt(disc)) / aa if bb <= 0 else
+                     -cc / (bb + math.sqrt(disc)))
+
     def certified(self, mu):
-        """The certified point ``(piece, x, r, kkt)`` at mu: on the first
-        recorded piece whose point passes the KKT test to ``EXACT_KKT_TOL``
-        there, else on the piece of the QP at mu, which is then recorded.
-        The QP optimum's active set is read at a bound distance of 1e-6
-        (HiGHS regularizes the QP by 1e-7, which can lift a variable off
-        its bound), then of 1e-9 (a variable that close to its bound may be
-        free); ``_NotCertified`` unless a point passes the KKT test."""
+        """The certified point ``(piece, x, r, kkt, qps)`` at mu: on the
+        first recorded piece whose point passes the KKT test to
+        ``EXACT_KKT_TOL`` there (qps = 0), else on the piece of the QP at mu
+        (qps = 1), which is then recorded.  The QP optimum's active set is
+        read at a bound distance of 1e-6 (HiGHS regularizes the QP by 1e-7,
+        which can lift a variable off its bound), then of 1e-9 (a variable
+        that close to its bound may be free); ``_NotCertified`` unless a
+        point passes the KKT test."""
         for piece in self.pieces:
             x, r, kkt = self.point(piece, mu)
             if kkt <= EXACT_KKT_TOL:
-                _record(self.path, mu, r)
-                return piece, x, r, kkt
-        self.qp_solves += 1
+                return piece, x, r, kkt, 0
         res = qp_solve(mu * self.c, self.hess, self.A_ub, self.b_ub,
                        self.A_eq, self.b_eq, self.bounds)
         if res.status != "optimal":
@@ -409,30 +383,20 @@ class _RFormQp:
             piece = self.piece(res.x, tol)
             x, r, kkt = self.point(piece, mu)
             if kkt <= EXACT_KKT_TOL:
-                _record(self.path, mu, r)
                 self.pieces.append(piece)
-                return piece, x, r, kkt
+                return piece, x, r, kkt, 1
         raise _NotCertified(f"KKT residual {kkt:.1e} at mu={mu:.3e}")
-
-    def info(self, **extra):
-        return dict(extra, route="exact-qp", qp_solves=self.qp_solves,
-                    path=self.path, fista_iterations=0, newton_iterations=0)
-
-    def fallback(self, problem, exc):
-        """The info the next route's solve carries after this one failed,
-        logged."""
-        logger.debug("%s on %s: leaves exact-qp after %d QP solves: %s",
-                     problem, self.gauge.kind, self.qp_solves, exc)
-        return {"fallback": str(exc), "qp_solves": self.qp_solves}
 
 
 def _rform_qp(gauge, A, b):
-    """A ``for_solve`` view of the r-form QP of (A, b): the gauge's record
-    when it holds this problem, else a new QP, recorded in its place."""
-    qp = _QP_RECORD.get(gauge, A, b)
-    if qp is None:
-        qp = _QP_RECORD.put(gauge, A, b, _RFormQp(gauge, A, b))
-    return qp.for_solve()
+    """The r-form QP of (A, b) for a polyhedral gauge, None for the other
+    kinds: the gauge's record when it holds this problem, else a new QP,
+    recorded in its place."""
+    if not gauge.is_polyhedral:
+        return None
+    key = _problem_key(A, b)
+    return _QP_RECORD.get(gauge, key) or \
+        _QP_RECORD.put(gauge, key, _RFormQp(gauge, A, b))
 
 
 def _record(path, mu, r):
@@ -479,7 +443,9 @@ def _certified_result(gauge, x, r, kkt, mu, iterations, note, info):
                        residuals={"optimality": max(kkt, 0.0),
                                   "data_misfit": r},
                        iterations=iterations, note=note,
-                       info=dict(info, mu=float(mu)))
+                       info=dict({"fista_iterations": 0,
+                                  "newton_iterations": 0}, **info,
+                                 mu=float(mu)))
 
 
 def solve_tikhonov(gauge, A, b, mu, x_start=None):
@@ -515,6 +481,15 @@ def solve_tikhonov(gauge, A, b, mu, x_start=None):
     if not (math.isfinite(mu) and mu > 0):
         raise ValueError("mu must be finite and positive")
     A, b = _shape(A, b)
+    return _tikhonov(gauge, A, b, mu, x_start, _rform_qp(gauge, A, b))[0]
+
+
+def _tikhonov(gauge, A, b, mu, x_start, qp):
+    """``solve_tikhonov`` on shaped A and b at mu >= 0, with ``qp`` the
+    ``_rform_qp`` of (A, b).  Returns the result and, on the exact-qp
+    route, the piece of its point (else None).  At mu = 0 the point
+    minimizes ||A x - b|| over dom J: the QP's, or FISTA's, whose
+    prox(., 0) is the projection onto dom J."""
     z = A.T @ b
     # <z, z> <= J(z) J°(z), so J°(z) is not read (an LP for analysis_l1)
     # where mu is below ||z||^2 / J(z)
@@ -522,20 +497,20 @@ def solve_tikhonov(gauge, A, b, mu, x_start=None):
         x = np.zeros(A.shape[1])
         r, kkt = _kkt(gauge, A, b, x, mu)
         if kkt <= EXACT_KKT_TOL:
-            return _certified_result(
-                gauge, x, r, kkt, mu, 0, "zero point: mu >= J°(A^T b)",
-                {"route": "zero", "fista_iterations": 0,
-                 "newton_iterations": 0})
+            return _certified_result(gauge, x, r, kkt, mu, 0,
+                                     "zero point: mu >= J°(A^T b)",
+                                     {"route": "zero"}), None
     fallback = {}
-    if gauge.is_polyhedral:
-        qp = _rform_qp(gauge, A, b)
+    if qp is not None:
         try:
-            _, x, r, kkt = qp.certified(mu)
+            piece, x, r, kkt, qps = qp.certified(mu)
         except (_NotCertified, LpFailure) as exc:
-            fallback = qp.fallback("tikhonov", exc)
+            fallback = {"fallback": str(exc), "qp_solves": 1}
         else:
-            return _certified_result(gauge, x, r, kkt, mu, qp.qp_solves,
-                                     "exact QP route", qp.info())
+            return _certified_result(
+                gauge, x, r, kkt, mu, qps, "exact QP route",
+                {"route": "exact-qp", "qp_solves": qps,
+                 "path": [(mu, r)]}), piece
     elif (newton := _newton(gauge, A, b, mu, x_start)) is not None:
         x, steps, why = newton
         if why is None:
@@ -543,15 +518,15 @@ def solve_tikhonov(gauge, A, b, mu, x_start=None):
             if kkt <= EXACT_KKT_TOL:
                 return _certified_result(
                     gauge, x, r, kkt, mu, steps, "semismooth Newton route",
-                    {"route": "newton", "fista_iterations": 0,
-                     "newton_iterations": steps})
+                    {"route": "newton", "newton_iterations": steps}), None
             why = f"KKT residual {kkt:.1e} at mu={mu:.3e}"
-        logger.debug("tikhonov on %s: FISTA route after %d Newton steps: %s",
-                     gauge.kind, steps, why)
         fallback = {"fallback": why, "newton_iterations": steps}
+    if fallback:
+        logger.debug("tikhonov on %s: FISTA route: %s", gauge.kind,
+                     fallback["fallback"])
     res = _fista(gauge, A, b, mu, x_start)
     res.info.update(fallback)
-    return res
+    return res, None
 
 
 def _newton(gauge, A, b, mu, x_start):
@@ -693,24 +668,31 @@ def solve_mozorov(gauge, A, b, delta):
     Finds the mu at which the Tikhonov residual r(mu) = ||A x(mu) - b||
     meets target = delta - 1e-6 / 2, the middle of the band.  delta = 0
     routes to the equality-constrained primal, and the point is 0 when
-    ||b|| <= delta.  A non-conic gauge whose least-squares residual misses
-    the ball is infeasible.
+    ||b|| <= delta.
 
-    A polyhedral gauge takes the exact route (``_mozorov_exact``): QPs on
-    the Tikhonov lift, each giving the affine piece of x(mu) on its active
-    set, on which r(mu) = target is a scalar quadratic.  Its pieces are the
-    gauge's record of (A, b), one problem per gauge, as in
-    ``solve_tikhonov``: a recorded piece answers any mu where its point
-    passes the KKT test, in this search and in a later Tikhonov or Mozorov
-    solve of the same (A, b), and saves that mu's QP.  The other kinds,
-    and a polyhedral search whose QP fails or is not certified, take the
-    search route of ``_mozorov_search``, whose ``info["route"]`` is that of
-    the Tikhonov solve it returns ("newton" or "fista").
-    ``info["path"]`` holds the (mu, r) of every solve in order, and
-    residual monotonicity in mu is asserted on each.  The point returned
-    has r <= delta; status is 'optimal' when r is within 1e-6 of delta and
-    'maxiter' when ``MOZOROV_MAXITER`` steps (or a collapsed bracket) end
-    the search first.
+    One loop serves every kind.  Each step is one ``_tikhonov`` solve, on
+    the route ``solve_tikhonov`` would take, and a polyhedral kind's steps
+    read and add to the gauge's record of (A, b), as there.  The bracket's
+    lower end is mu = 0: the least-squares point of a non-conic kind, or
+    the solve at mu = 0 of a conic one (the least residual over dom J, the
+    first entry of the path); a least residual above delta + 1e-6 makes the
+    ball infeasible.  Its upper end starts at the zero point
+    (J°(A^T b), ||b||), which needs no solve.  The next mu is the root of
+    the last step's model when it lies inside the bracket: on the exact-qp
+    route, of ||r(mu)|| = target on the step's affine piece (the homotopy
+    path; ``_RFormQp.root``), on the others of the secant through the last
+    two steps on (log mu, log r), the first secant starting at the zero
+    point.  Otherwise it is the safe step mu_hi target / r_hi from the
+    lowest step above the band, which never lands below the band's middle
+    (see the module docstring).  Each step is warm started from the last.
+
+    The loop stops once the highest step at or below delta lies within
+    1e-6 of it (status 'optimal'), or after ``MOZOROV_MAXITER`` steps
+    ('maxiter'), and returns that step's point.  ``info["path"]`` holds the
+    (mu, r) of every step in order, and residual monotonicity in mu is
+    asserted on each; ``info`` also holds mu and the residual, the summed
+    ``qp_solves``, ``fista_iterations`` and ``newton_iterations`` of the
+    steps, and the route (and any fallback reason) of the returned step.
     """
     A, b = _shape(A, b)
     if not math.isfinite(delta):
@@ -726,132 +708,17 @@ def solve_mozorov(gauge, A, b, delta):
         return SolveResult(point=x, value=0.0, status="optimal",
                            residuals={"feasibility": 0.0},
                            note="zero is feasible", info={"mu": math.inf})
-    xls, *_ = np.linalg.lstsq(A, b, rcond=None)
-    if (not gauge.is_conic
-            and float(np.linalg.norm(A @ xls - b)) > delta + 1e-12):
-        # the unconstrained least-squares point already misses the ball
-        return SolveResult(point=None, value=math.nan, status="infeasible",
-                           residuals={},
-                           note="delta below the distance from b to Im A")
-
-    mu_hi = gauge.polar(A.T @ b)
-    if not np.isfinite(mu_hi) or mu_hi <= 0:
-        mu_hi = float(np.linalg.norm(A.T @ b)) + 1.0
-    fallback = {}
-    if gauge.is_polyhedral:
-        qp = _rform_qp(gauge, A, b)
-        try:
-            return _mozorov_exact(qp, delta, mu_hi)
-        except (_NotCertified, LpFailure) as exc:
-            fallback = qp.fallback("mozorov", exc)
-    res = _mozorov_search(gauge, A, b, delta, xls, mu_hi)
-    res.info.update(fallback)
-    return res
-
-
-def _mozorov_exact(qp, delta, mu_hi):
-    """The exact Mozorov route on the r-form QP ``qp``.
-
-    A conic gauge first solves the QP at mu = 0: its residual, the
-    distance from b to A dom J, decides feasibility (in place of the search
-    route's probe at mu = 1e-12).  The search starts at the search route's
-    first step mu_hi target / ||b||, r(mu_hi) being ||b||.  At each mu
-    ``qp.certified`` gives the piece w0 + mu w1 of an active set there, a
-    recorded one or the QP's; ||r(mu)|| = target is a quadratic in mu on
-    it, and its larger root is returned once its point passes the KKT test
-    and its residual lies in [delta - 1e-6, delta].  Otherwise the next
-    step goes to that root, or, when the piece has no root inside the
-    bracket of the solves so far, to the search route's safe step mu_hi
-    target / r_hi from the lowest solve above the band.  After
-    ``MOZOROV_MAXITER`` steps ``_NotCertified`` hands the solve to the
-    search route."""
-    target = delta - 0.5 * MOZOROV_BAND
-    mu_lo, r_hi = 0.0, float(np.linalg.norm(qp.b))
-
-    def done(mu, x, r):
-        logger.debug("mozorov on %s: exact-qp route, %d QP solves",
-                     qp.gauge.kind, qp.qp_solves)
-        return SolveResult(point=x, value=float(qp.gauge.value(x)),
-                           status="optimal",
-                           residuals={"feasibility": 0.0,
-                                      "discrepancy": abs(r - delta)},
-                           iterations=qp.qp_solves, note="exact QP route",
-                           info=qp.info(mu=mu, residual=r))
-
-    if qp.gauge.is_conic:
-        _, _, r0, _ = qp.certified(0.0)
-        if r0 > delta + MOZOROV_BAND:
-            logger.debug("mozorov on %s: exact-qp route, infeasible",
-                         qp.gauge.kind)
-            return SolveResult(point=None, value=math.nan,
-                               status="infeasible",
-                               residuals={"feasibility": r0 - delta},
-                               iterations=qp.qp_solves,
-                               note="delta below the attainable residual",
-                               info=qp.info())
-        if r0 >= target:
-            raise _NotCertified("the least residual is inside the band")
-
-    mu = mu_hi * target / r_hi
-    while len(qp.path) < MOZOROV_MAXITER:
-        piece, x, r, _ = qp.certified(mu)
-        if delta - MOZOROV_BAND <= r <= delta:
-            return done(mu, x, r)
-        if r > delta:
-            mu_hi, r_hi = mu, r
-        else:
-            mu_lo = mu
-        m = qp.nv
-        r0, r1 = piece[0][m:], piece[1][m:]
-        aa, bb, cc = r1 @ r1, r0 @ r1, r0 @ r0 - target * target
-        disc = bb * bb - aa * cc
-        root = math.nan
-        if aa > 0 and disc >= 0:
-            # the larger root, without cancellation
-            root = float((-bb + math.sqrt(disc)) / aa if bb <= 0 else
-                         -cc / (bb + math.sqrt(disc)))
-        if not mu_lo < root < mu_hi:
-            mu = mu_hi * target / r_hi
-            continue
-        x, r, kkt = qp.point(piece, root)
-        if kkt <= EXACT_KKT_TOL and delta - MOZOROV_BAND <= r <= delta:
-            _record(qp.path, root, r)
-            return done(root, x, r)
-        mu = root
-    raise _NotCertified(f"no certified root in {MOZOROV_MAXITER} steps")
-
-
-def _mozorov_search(gauge, A, b, delta, xls, mu_hi):
-    """The search route of ``solve_mozorov``: a bracketed search on mu
-    through ``solve_tikhonov``.
-
-    The bracket starts at [1e-12, J°(A^T b)]; the solve at 1e-12 only
-    probes feasibility (on FISTA: ``_newton`` cannot certify there), and
-    the one at J°(A^T b) is the zero point.  While the probe is still the
-    lower end, the step goes to mu_hi * target / r_hi, from the lowest
-    solve (mu_hi, r_hi) above the band: r(mu) / mu never rises with mu (see
-    the module docstring), so r >= target there and the step never lands
-    below the band's middle.  From the third solve on, the secant through
-    the last two solves on (log mu, log r) replaces that step when it lies
-    in [mu_hi / 10, step).  These steps are warm started from the point at
-    mu_hi.  Once both ends are real solves, each step is that secant, or
-    the bracket's geometric midpoint when the secant leaves the bracket,
-    warm started from the point at the lower end.  ``info`` holds mu, the
-    residual, the number of Tikhonov solves, their (mu, r) path in solve
-    order, their summed FISTA and Newton iterations, and the route (and
-    any fallback reason) of the solve whose point is returned.
-    """
-    mu_lo = MOZOROV_PROBE_MU
+    qp = _rform_qp(gauge, A, b)
     path = []
-    spent = {"fista_iterations": 0, "newton_iterations": 0}
+    spent = dict.fromkeys(("qp_solves", "fista_iterations",
+                           "newton_iterations"), 0)
 
-    def residual_at(mu, warm):
-        sol = solve_tikhonov(gauge, A, b, mu, x_start=warm)
+    def step(mu, warm):
+        sol, piece = _tikhonov(gauge, A, b, mu, warm, qp)
         for key in spent:
-            spent[key] += sol.info[key]
-        r = sol.residuals["data_misfit"]
-        _record(path, mu, r)
-        return sol, r
+            spent[key] += sol.info.get(key, 0)
+        _record(path, mu, sol.residuals["data_misfit"])
+        return sol, piece
 
     def info(sol, **extra):
         route = {k: sol.info[k] for k in ("route", "fallback")
@@ -859,47 +726,49 @@ def _mozorov_search(gauge, A, b, delta, xls, mu_hi):
         return dict(extra, **route, tikhonov_solves=len(path), path=path,
                     **spent)
 
-    sol_lo, r_lo = residual_at(mu_lo, xls)
+    if gauge.is_conic:
+        lo = step(0.0, None)[0]
+    else:
+        x = np.linalg.lstsq(A, b, rcond=None)[0]
+        lo = SolveResult(point=x, value=math.nan, status="optimal",
+                         residuals={"data_misfit":
+                                    float(np.linalg.norm(A @ x - b))},
+                         info={"mu": 0.0})
+    r_lo = lo.residuals["data_misfit"]
     if r_lo > delta + MOZOROV_BAND:
         return SolveResult(point=None, value=math.nan, status="infeasible",
                            residuals={"feasibility": r_lo - delta},
-                           note="delta below the attainable residual",
-                           info=info(sol_lo))
-    sol_hi, r_hi = residual_at(mu_hi, sol_lo.point)
+                           iterations=len(path),
+                           note="delta below the distance from b to A dom J",
+                           info=info(lo))
     target = delta - 0.5 * MOZOROV_BAND
-    it = 0
-    for it in range(1, MOZOROV_MAXITER + 1):
-        if abs(r_lo - delta) <= MOZOROV_BAND:
-            break
-        warm = sol_lo.point
-        if mu_lo == MOZOROV_PROBE_MU and r_hi > target:
-            # r(mu) >= mu r_hi / mu_hi below mu_hi: r >= target at this mu
-            mu, warm = mu_hi * target / r_hi, sol_hi.point
-            if len(path) >= 3:
-                secant = _log_secant(path[-2], path[-1], target)
-                if mu_hi / 10 <= secant < mu:
-                    mu = secant
-        else:
-            mu = _log_secant(path[-2], path[-1], target)
-        if not mu_lo < mu < mu_hi:
-            mu = math.sqrt(mu_lo * mu_hi)
-        sol, r = residual_at(mu, warm)
+    mu_lo, mu_hi, r_hi = 0.0, gauge.polar(A.T @ b), float(np.linalg.norm(b))
+    if not (math.isfinite(mu_hi) and mu_hi > 0):
+        mu_hi = float(np.linalg.norm(A.T @ b)) + 1.0
+    last, warm = (mu_hi, r_hi), None
+    mu = mu_hi * target / r_hi
+    while abs(r_lo - delta) > MOZOROV_BAND and len(path) < MOZOROV_MAXITER:
+        sol, piece = step(mu, warm)
+        r = sol.residuals["data_misfit"]
         if r <= delta:
-            mu_lo, sol_lo, r_lo = mu, sol, r
+            mu_lo, lo, r_lo = mu, sol, r
         else:
-            mu_hi, sol_hi, r_hi = mu, sol, r
-        if mu_hi - mu_lo < 1e-15 * max(1.0, mu_hi):
-            break
+            mu_hi, r_hi = mu, r
+        root = (_log_secant(last, (mu, r), target) if piece is None
+                else qp.root(piece, target))
+        last, warm = (mu, r), sol.point
+        # r(mu) >= mu r_hi / mu_hi below mu_hi: r >= target at the safe step
+        mu = root if mu_lo < root < mu_hi else mu_hi * target / r_hi
     discrepancy = abs(r_lo - delta)
-    return SolveResult(point=sol_lo.point,
-                       value=float(gauge.value(sol_lo.point)),
+    logger.debug("mozorov on %s: %d Tikhonov solves, %d QP solves",
+                 gauge.kind, len(path), spent["qp_solves"])
+    return SolveResult(point=lo.point, value=float(gauge.value(lo.point)),
                        status="optimal" if discrepancy <= MOZOROV_BAND
                        else "maxiter",
                        residuals={"feasibility": max(0.0, r_lo - delta),
                                   "discrepancy": discrepancy},
-                       iterations=it,
-                       info=info(sol_lo, mu=sol_lo.info.get("mu", mu_lo),
-                                 residual=r_lo))
+                       iterations=len(path), note=lo.note,
+                       info=info(lo, mu=lo.info["mu"], residual=r_lo))
 
 
 def _log_secant(p, q, target):

@@ -4,6 +4,8 @@ plus frozen oracles for the closed-form special cases."""
 import ast
 import itertools
 import math
+import pickle
+from copy import deepcopy
 from pathlib import Path
 
 import numpy as np
@@ -637,6 +639,27 @@ def test_probe_steps_take_one_decomposition(monkeypatch):
         cone.violation_batch(H)
         g.dir_deriv_batch(x0, H)
         assert counts == ({"eigvalsh": 2} if per_step else {}), nm
+
+
+def test_a_copied_gauge_keeps_no_memo(monkeypatch):
+    # the SVD of x0 is kept for the last x0; a pickled or deep-copied gauge
+    # drops it and decomposes x0 anew, to the same bits
+    svds = []
+
+    def svd(*args, real=np.linalg.svd, **kwargs):
+        svds.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    g = NuclearGauge((2, 3))
+    x0 = g.draw_x0(np.random.default_rng(20))
+    H = np.random.default_rng(21).standard_normal((5, g.n))
+    first = g.dir_deriv_batch(x0, H)
+    assert len(svds) == 1
+    for copy in (g, pickle.loads(pickle.dumps(g)), deepcopy(g)):
+        svds.clear()
+        assert np.array_equal(copy.dir_deriv_batch(x0, H), first)
+        assert len(svds) == (copy is not g)
 
 
 #: entries of a block before its scale: signed, and far from underflow

@@ -475,8 +475,8 @@ def test_mozorov_early_stop_is_maxiter(monkeypatch):
     # path the soft-threshold path of (1, 0.5): it gains its second
     # coordinate at mu = 0.5, between J°(b) = 1 and the root (~0.007), so
     # r(mu)/mu is not constant there and one root-finding step cannot reach
-    # the band: the best point so far (the 1e-12 probe) misses delta by
-    # nearly all of delta
+    # the band: the best point so far (the least-squares point, the lower
+    # end of a non-conic search) misses delta by nearly all of delta
     for gauge, b in ((GroupL12Gauge(2, [[0], [1]]), np.array([1.0, 0.5])),
                      (NuclearGauge((2, 2)), np.array([1.0, 0.0, 0.0, 0.5]))):
         A = np.eye(b.size)
@@ -531,11 +531,14 @@ def test_mozorov_search_is_short_and_stays_near_the_root():
         assert res.info["route"] == "fista", label
         path = res.info["path"]
         assert res.info["tikhonov_solves"] == len(path) <= 12, (label, path)
-        # the feasibility probe, then J°(A^T b), then the search
-        assert path[0][0] == 1e-12, label
+        # nuclear is not conic: the first solve is the safe step from the
+        # zero point (J°(A^T b), ||b||)
+        target = delta - 0.5 * solvers.MOZOROV_BAND
+        assert path[0][0] == pytest.approx(
+            gauge.polar(A.T @ b) * target / np.linalg.norm(b), rel=1e-12)
         mu = res.info["mu"]
         assert (mu, res.info["residual"]) in path, label
-        assert all(m >= mu / 10 for m, _ in path[1:]), (label, path)
+        assert all(m >= mu / 10 for m, _ in path), (label, path)
 
 
 def test_mozorov_line_takes_one_qp():
@@ -572,13 +575,14 @@ def test_tikhonov_residual_is_monotone_in_both_senses(kind, seed, delta):
         assert r1 <= r2 + 1e-6, (mus, rs)
         # r(mu1) / mu1 >= r(mu2) / mu2, in units of r
         assert r1 >= r2 * mu1 / mu2 - 1e-6, (mus, rs)
-    # so the first step of the search route (on Newton or FISTA solves),
-    # taken while the probe is the lower end, never lands below the middle
-    # of the band
+    # so the first step of the search, the safe step from the zero point,
+    # never lands below the middle of the band; it follows the solve at
+    # mu = 0 of a conic kind
     info = solve_mozorov(gauge, A, b, delta).info
     path = info.get("path", [])
-    if info.get("route") in ("newton", "fista") and len(path) > 2:
-        assert path[2][1] >= delta - 0.5e-6 - 1e-6, path
+    first = int(gauge.is_conic)
+    if len(path) > first:
+        assert path[first][1] >= delta - 0.5e-6 - 1e-6, path
 
 
 def test_mozorov_point_is_a_tikhonov_point_on_the_band():
@@ -777,6 +781,31 @@ def test_failed_certificate_falls_back_to_fista(monkeypatch):
         assert np.max(np.abs(new.point - old.point)) <= 1e-5
 
 
+def test_a_failed_step_runs_fista_for_that_step_only(monkeypatch):
+    g, A, b, delta = _polyhedral_draw("l1", 3)
+    qp_solve = solvers.qp_solve
+    calls = []
+
+    def first_perturbed(*args, **kwargs):
+        # the first QP loses its active set, as above; the later ones are
+        # exact
+        res = qp_solve(*args, **kwargs)
+        calls.append(res)
+        if len(calls) == 1:
+            res.x = res.x + 1e-3
+        return res
+
+    monkeypatch.setattr(solvers, "qp_solve", first_perturbed)
+    res = solve_mozorov(g, A, b, delta)
+    assert res.status == "optimal"
+    # the first step ran FISTA; the later steps read pieces again
+    assert res.info["route"] == "exact-qp"
+    assert res.info["fista_iterations"] > 0
+    assert res.info["qp_solves"] == len(calls) >= 2
+    assert solvers._kkt(g, A, b, res.point, res.info["mu"])[1] <= \
+        solvers.EXACT_KKT_TOL
+
+
 # -------------------------------------------------- group_l12 Newton route
 
 
@@ -898,12 +927,10 @@ def test_feasibility_probe_stays_on_fista():
     inst = gen_instance(dict(SEARCH_CFGS["group_l12"], kind="group_l12",
                              delta=1e-2), 2)
     g, A, b = inst.gauge, inst.A, inst.b0 + inst.omega
-    res = solve_tikhonov(g, A, b, solvers.MOZOROV_PROBE_MU)
+    res = solve_tikhonov(g, A, b, 1e-12)
     assert res.info["route"] == "fista"
     assert res.info["newton_iterations"] == 0
     assert "cannot certify" in res.info["fallback"]
     moz = solve_mozorov(g, A, b, 1e-2)
     assert moz.info["route"] == "newton"
-    assert moz.info["path"][0][0] == solvers.MOZOROV_PROBE_MU
-    assert moz.info["fista_iterations"] > 0
     assert moz.info["newton_iterations"] > 0
