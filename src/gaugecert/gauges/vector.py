@@ -675,6 +675,11 @@ class GroupL12Gauge(Gauge):
         # the coordinates in group order, and where each group starts there
         self._order = np.concatenate(self.groups)
         self._starts = np.cumsum([0] + [idx.size for idx in self.groups[:-1]])
+        # the group of each coordinate, and which coordinates share one
+        self._group_of = np.empty(n, dtype=int)
+        for gi, idx in enumerate(self.groups):
+            self._group_of[idx] = gi
+        self._same = self._group_of[:, None] == self._group_of[None, :]
 
     @classmethod
     def from_spec(cls, spec):
@@ -694,27 +699,30 @@ class GroupL12Gauge(Gauge):
     def value_batch(self, X):
         return self._block_norms(X).sum(axis=-1)
 
+    def _shrink(self, v, tau):
+        """The block soft threshold's factor 1 - tau / ||v_g|| at each
+        coordinate (0 where ||v_g|| <= tau) and the group norm there."""
+        norms = self._block_norms(v)[self._group_of]
+        return 1.0 - np.divide(tau, norms, out=np.ones(self.n),
+                               where=norms > tau), norms
+
     def prox(self, x, tau):
-        x = self.flat(x).copy()
-        for idx in self.groups:
-            nb = np.linalg.norm(x[idx])
-            x[idx] *= max(1.0 - tau / nb, 0.0) if nb > 0 else 0.0
-        return x
+        x = self.flat(x)
+        return self._shrink(x, tau)[0] * x
 
     def prox_jacobian(self, v, tau):
         """The block soft threshold and, on each group with ||v_g|| > tau,
         its derivative (1 - tau / ||v_g||) I + tau v_g v_g^T / ||v_g||^3
         (0 on the other groups)."""
         v = self.flat(v)
-        p, D = np.zeros(self.n), np.zeros((self.n, self.n))
-        for idx in self.groups:
-            nb = np.linalg.norm(v[idx])
-            if nb > tau:
-                p[idx] = (1.0 - tau / nb) * v[idx]
-                D[np.ix_(idx, idx)] = (
-                    (1.0 - tau / nb) * np.eye(idx.size)
-                    + np.outer(v[idx], v[idx]) * tau / nb ** 3)
-        return p, D
+        factor, norms = self._shrink(v, tau)
+        # s s^T on the same-group mask is the rank-one part of each block
+        s = np.zeros(self.n)
+        np.divide(math.sqrt(tau) * v, norms ** 1.5, out=s, where=norms > tau)
+        D = s[:, None] * s
+        D *= self._same
+        D.flat[::self.n + 1] += factor
+        return factor * v, D
 
     def polar(self, z):
         return float(np.max(self._block_norms(self.flat(z)), initial=0.0))

@@ -13,10 +13,12 @@ either way the solve keeps the multiplier of A x = b0, and the dual point is
 read from it.  Each gauge keeps a record of its last primal solve, keyed by
 the shape and bytes of A and b0, so ``solve_dual`` after ``solve_primal_eq``
 on the same problem reads the record and solves nothing: primal and dual
-come from one solve.  A polyhedral gauge keeps a second record, of its last
-Tikhonov or Mozorov problem (A, b): the QP lift and the certified affine
-pieces of x(mu) found so far, so a Tikhonov solve after a Mozorov solve of
-the same data reads its point off a piece where the KKT test passes.
+come from one solve.  A gauge keeps a second record, of its last Tikhonov
+or Mozorov problem (A, b): for a polyhedral kind, the QP lift and the
+certified affine pieces of x(mu) found so far, so a Tikhonov solve after a
+Mozorov solve of the same data reads its point off a piece where the KKT
+test passes; for a kind with ``Gauge.prox_jacobian``, the certified points
+of x(mu) with their tangents x'(mu), from which each Newton solve starts.
 
 Tikhonov has four routes, tried in order; each but the last returns a point
 only once the gauge's own KKT test holds, z = A^T (b - A x) / mu in ∂J(x):
@@ -28,8 +30,11 @@ only once the gauge's own KKT test holds, z = A^T (b - A x) / mu in ∂J(x):
   homotopy / LARS path: Osborne, Presnell & Turlach 2000; Efron et al.
   2004);
 * ``newton``, for a kind with ``Gauge.prox_jacobian`` (group_l12):
-  semismooth Newton on the proximal-gradient fixed-point map, globalized on
-  the forward-backward envelope;
+  path following (Allgower & Georg 1990).  The predictor is the tangent
+  x'(mu) of the recorded point nearest in log mu, or of the zero point;
+  the corrector is semismooth Newton on the proximal-gradient fixed-point
+  map, globalized on the forward-backward envelope, and each certified
+  point is recorded with its tangent;
 * ``fista``: accelerated proximal gradient, for nuclear and sdp_trace and
   for a solve whose certified route failed.
 
@@ -42,8 +47,10 @@ never falls and r(mu) / mu never rises as mu grows.  Below a solve
 (mu_hi, r_hi), r(mu) >= mu r_hi / mu_hi: the step to mu_hi target / r_hi
 never undershoots the root.  That step is taken when the root of the last
 step's model leaves the bracket: on an exact-qp step, ||r(mu)|| = target
-on the step's piece, a scalar quadratic; on the others, the secant on
-(log mu, log r) through the last two steps.
+on the step's piece, a scalar quadratic; on a newton step, the Newton root
+of r(mu) = target with r'(mu) = <A x - b, A x'(mu)> / r from the step's
+tangent; on a FISTA step, the secant on (log mu, log r) through the last
+two steps.
 """
 
 import logging
@@ -53,7 +60,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .cones import LpFailure, lp_solve, qp_solve
-from .gauges.base import Memo
+from .gauges.base import Gauge, Memo
 
 logger = logging.getLogger(__name__)
 
@@ -150,8 +157,9 @@ def _problem_key(A, b):
 
 #: a read-only copy of the gauge's last ``solve_primal_eq`` result
 _PRIMAL_RECORD = Memo("_last_primal_eq")
-#: the ``_RFormQp`` of the gauge's last Tikhonov or Mozorov problem
-_QP_RECORD = Memo("_last_rform_qp")
+#: the gauge's record of its last Tikhonov or Mozorov problem: an
+#: ``_RFormQp`` (polyhedral kinds) or a ``_NewtonPath`` (``prox_jacobian``)
+_TIKHONOV_RECORD = Memo("_last_tikhonov")
 
 
 def _frozen(v):
@@ -290,7 +298,7 @@ class _RFormQp:
     its active set, which it records in ``pieces``; ``point`` reads x and
     its KKT residual off a piece, and ``root`` the mu where its residual
     meets a target.  The lift, A, b and ``pieces`` belong to the problem and
-    are kept by ``_QP_RECORD``."""
+    are kept by ``_TIKHONOV_RECORD``."""
 
     def __init__(self, gauge, A, b):
         # read-only copies: the caller may write into A and b later
@@ -388,15 +396,67 @@ class _RFormQp:
         raise _NotCertified(f"KKT residual {kkt:.1e} at mu={mu:.3e}")
 
 
-def _rform_qp(gauge, A, b):
-    """The r-form QP of (A, b) for a polyhedral gauge, None for the other
-    kinds: the gauge's record when it holds this problem, else a new QP,
+class _NewtonPath:
+    """The Tikhonov problem of a kind with ``Gauge.prox_jacobian`` as the
+    Newton route reads it: the step t = 0.95 / ||A||^2, M = I - t A^T A,
+    the zero point's mu0 = J°(A^T b), and ``points``, the certified
+    (mu, x, x'(mu)) of the Newton solves so far, read-only, led by the zero
+    point (mu0, 0, x'(mu0-)).  ``start`` predicts a point at mu from them.
+    All of it belongs to the problem and is kept by ``_TIKHONOV_RECORD``."""
+
+    def __init__(self, gauge, A, b):
+        n = A.shape[1]
+        self.t = t = 0.95 / max(float(np.linalg.norm(A, 2)) ** 2, 1e-300)
+        self.M = _frozen(np.eye(n) - t * (A.T @ A))
+        self.mu0 = gauge.polar(A.T @ b)
+        self.points = []
+        if self.mu0 > 0:
+            # the one-sided tangent just below the zero point, where the
+            # groups of largest polar term join x = 0 (the first homotopy
+            # segment); its D is read at tau a hair below t mu0
+            mu = self.mu0 * (1.0 - 1e-9)
+            v = t * (A.T @ b)
+            p, D = gauge.prox_jacobian(v, t * mu)
+            self.add(self.mu0, np.zeros(n),
+                     self.solve(D, 0.0, self.M @ (p - D @ v) / mu))
+
+    def solve(self, D, eps, rhs):
+        """(M - M D M + eps I)^-1 rhs, by ``lstsq``: the regularized
+        Newton matrix of ``_newton``."""
+        MD = self.M @ D
+        # lstsq, not solve: the LAPACK code of solve would add 0.3 MB to
+        # the peak RSS of a process that has no other use for it
+        return np.linalg.lstsq(self.M - MD @ self.M + eps * np.eye(len(D)),
+                               rhs, rcond=None)[0]
+
+    def start(self, mu):
+        """The predicted point at mu, x_k + (mu - mu_k) x'_k on the tangent
+        of the recorded point nearest mu in log mu, and where it comes from:
+        "zero-point" when that is the zero point, else "predicted"."""
+        k = min(range(len(self.points)),
+                key=lambda k: abs(math.log(self.points[k][0] / mu)))
+        mu_k, x_k, dx_k = self.points[k]
+        return x_k + (mu - mu_k) * dx_k, "predicted" if k else "zero-point"
+
+    def add(self, mu, x, dx):
+        """Record the certified point x at mu and its tangent dx."""
+        self.points.append((mu, _frozen(x), _frozen(dx)))
+
+
+def _problem_record(gauge, A, b):
+    """The record of (A, b) on the gauge: an r-form QP for a polyhedral
+    kind, a ``_NewtonPath`` for a kind with ``prox_jacobian``, else None.
+    It is the gauge's record when that holds this problem, else a new one,
     recorded in its place."""
-    if not gauge.is_polyhedral:
+    if gauge.is_polyhedral:
+        kind = _RFormQp
+    elif type(gauge).prox_jacobian is not Gauge.prox_jacobian:
+        kind = _NewtonPath
+    else:
         return None
     key = _problem_key(A, b)
-    return _QP_RECORD.get(gauge, key) or \
-        _QP_RECORD.put(gauge, key, _RFormQp(gauge, A, b))
+    return _TIKHONOV_RECORD.get(gauge, key) or \
+        _TIKHONOV_RECORD.put(gauge, key, kind(gauge, A, b))
 
 
 def _record(path, mu, r):
@@ -420,7 +480,9 @@ def _kkt(gauge, A, b, x, mu, scale=1.0):
     ``EXACT_KKT_TOL``.  At mu = 0 z is not divided, and the terms are J°(z)
     and |<z, x>|, in units of ``scale``: x then minimizes ||A x - b|| over
     dom J.  Off dom J (J(x) = inf) the residual is inf: there the second
-    term would be inf / inf = nan, which ``max`` drops."""
+    term would be inf / inf = nan, which ``max`` drops.  The complementarity
+    term is tested first: where it fails ``EXACT_KKT_TOL`` it is the
+    residual returned, and J°(z), an LP for analysis_l1, is not read."""
     resid = A @ x - b
     z = -(A.T @ resid)
     J = float(gauge.value(x))
@@ -428,16 +490,29 @@ def _kkt(gauge, A, b, x, mu, scale=1.0):
         kkt = math.inf
     elif mu > 0:
         z = z / mu
-        kkt = max(gauge.polar(z) - 1.0, abs(float(z @ x) - J) / max(1.0, J))
+        kkt = abs(float(z @ x) - J) / max(1.0, J)
+        if not kkt > EXACT_KKT_TOL:
+            kkt = max(gauge.polar(z) - 1.0, kkt)
     else:
-        kkt = max(gauge.polar(z), abs(float(z @ x))) / scale
-    return float(np.linalg.norm(resid)), kkt
+        kkt = abs(float(z @ x))
+        if not kkt / scale > EXACT_KKT_TOL:
+            kkt = max(gauge.polar(z), kkt)
+        kkt /= scale
+    return _norm(resid), kkt
+
+
+def _norm(v):
+    """||v|| for a vector, as ``np.linalg.norm`` computes it (to the bit),
+    without its dispatch."""
+    return math.sqrt(float(v @ v))
 
 
 def _certified_result(gauge, x, r, kkt, mu, iterations, note, info):
     """The SolveResult of a Tikhonov point that passed ``_kkt``."""
-    logger.debug("tikhonov on %s: %s route, KKT residual %.1e", gauge.kind,
-                 info["route"], kkt)
+    logger.debug("tikhonov on %s: %s route%s, KKT residual %.1e",
+                 gauge.kind, info["route"],
+                 f" from the {info['start']} start" if "start" in info else "",
+                 kkt)
     return SolveResult(point=x, value=0.5 * r * r + mu * float(gauge.value(x)),
                        status="optimal",
                        residuals={"optimality": max(kkt, 0.0),
@@ -481,15 +556,16 @@ def solve_tikhonov(gauge, A, b, mu, x_start=None):
     if not (math.isfinite(mu) and mu > 0):
         raise ValueError("mu must be finite and positive")
     A, b = _shape(A, b)
-    return _tikhonov(gauge, A, b, mu, x_start, _rform_qp(gauge, A, b))[0]
+    return _tikhonov(gauge, A, b, mu, x_start, _problem_record(gauge, A, b))[0]
 
 
-def _tikhonov(gauge, A, b, mu, x_start, qp):
-    """``solve_tikhonov`` on shaped A and b at mu >= 0, with ``qp`` the
-    ``_rform_qp`` of (A, b).  Returns the result and, on the exact-qp
-    route, the piece of its point (else None).  At mu = 0 the point
-    minimizes ||A x - b|| over dom J: the QP's, or FISTA's, whose
-    prox(., 0) is the projection onto dom J."""
+def _tikhonov(gauge, A, b, mu, x_start, record):
+    """``solve_tikhonov`` on shaped A and b at mu >= 0, with ``record`` the
+    ``_problem_record`` of (A, b).  Returns the result and, on the exact-qp
+    and newton routes, the step's model of the residual: a function that
+    maps a target to the mu where the model's ||A x(mu) - b|| meets it
+    (else None).  At mu = 0 the point minimizes ||A x - b|| over dom J: the
+    QP's, or FISTA's, whose prox(., 0) is the projection onto dom J."""
     z = A.T @ b
     # <z, z> <= J(z) J°(z), so J°(z) is not read (an LP for analysis_l1)
     # where mu is below ||z||^2 / J(z)
@@ -501,26 +577,38 @@ def _tikhonov(gauge, A, b, mu, x_start, qp):
                                      "zero point: mu >= J°(A^T b)",
                                      {"route": "zero"}), None
     fallback = {}
-    if qp is not None:
+    if isinstance(record, _RFormQp):
         try:
-            piece, x, r, kkt, qps = qp.certified(mu)
+            piece, x, r, kkt, qps = record.certified(mu)
         except (_NotCertified, LpFailure) as exc:
             fallback = {"fallback": str(exc), "qp_solves": 1}
         else:
             return _certified_result(
                 gauge, x, r, kkt, mu, qps, "exact QP route",
                 {"route": "exact-qp", "qp_solves": qps,
-                 "path": [(mu, r)]}), piece
-    elif (newton := _newton(gauge, A, b, mu, x_start)) is not None:
-        x, steps, why = newton
+                 "path": [(mu, r)]}), \
+                lambda target: record.root(piece, target)
+    elif record is not None:
+        if x_start is None:
+            x, start = record.start(mu)
+        else:
+            x, start = np.asarray(x_start, dtype=float).copy(), "given"
+        x, steps, why, dx = _newton(gauge, A, b, mu, x, record)
         if why is None:
             r, kkt = _kkt(gauge, A, b, x, mu)
             if kkt <= EXACT_KKT_TOL:
+                record.add(mu, x, dx)
+                # r r'(mu) = <A x - b, A x'(mu)> on the tangent
+                rr1 = float((A @ x - b) @ (A @ dx))
                 return _certified_result(
                     gauge, x, r, kkt, mu, steps, "semismooth Newton route",
-                    {"route": "newton", "newton_iterations": steps}), None
+                    {"route": "newton", "newton_iterations": steps,
+                     "start": start}), \
+                    lambda target: (mu + (target - r) * r / rr1 if rr1 > 0
+                                    else math.nan)
             why = f"KKT residual {kkt:.1e} at mu={mu:.3e}"
-        fallback = {"fallback": why, "newton_iterations": steps}
+        fallback = {"fallback": why, "newton_iterations": steps,
+                    "start": start}
     if fallback:
         logger.debug("tikhonov on %s: FISTA route: %s", gauge.kind,
                      fallback["fallback"])
@@ -529,10 +617,11 @@ def _tikhonov(gauge, A, b, mu, x_start, qp):
     return res, None
 
 
-def _newton(gauge, A, b, mu, x_start):
+def _newton(gauge, A, b, mu, x, path):
     """Semismooth Newton on F(x) = x - prox_{t mu J}(x - t A^T (A x - b)),
     t = 0.95 / ||A||^2, whose zeros are the Tikhonov minimizers (Milzarek &
-    Ulbrich 2014; Li, Sun & Toh 2018).
+    Ulbrich 2014; Li, Sun & Toh 2018), from the start x; ``path`` is the
+    ``_NewtonPath`` of (A, b), which holds t, M and J°(A^T b).
 
     With M = I - t A^T A and D from ``gauge.prox_jacobian``, each step
     solves (M - M D M + eps I) d = -M F, eps = 0.01 ||F|| / max(||x||,
@@ -543,51 +632,60 @@ def _newton(gauge, A, b, mu, x_start):
     ||A||^2 (Patrinos & Bemporad 2013; Stella, Themelis & Patrinos 2017),
     and d descends on it.  The full step is taken when it halves the least
     ||F|| so far; otherwise the step length s is halved until the envelope
-    falls by 1e-4 s times its slope along d.  The solve stops once
-    ||F(x)|| <= 1e-10 max(1, ||x||), the fixed-point test of ``_fista``,
-    and x passes ``_kkt``.
+    falls by 1e-4 s times its slope along d.  Once ||F(x)|| <= 1e-10
+    max(1, ||x||), the fixed-point test of ``_fista``, one more full step
+    is taken, which brings ||F|| to its rounding floor where the path is
+    ill-conditioned, and the solve stops at the first of x + d and x that
+    passes ``_kkt`` (at neither, the steps go on).
 
-    Returns ``(x, steps, None)``, or ``(x, steps, reason)`` when the line
-    search stalls, the steps run out or the KKT test cannot certify: below
-    mu = 1e-6 J°(A^T b) the rounding of z = A^T (b - A x) / mu alone
-    exceeds its 1e-9, so no step is tried there.  None when the kind gives
-    no ``prox_jacobian``."""
-    n = A.shape[1]
-    t = 0.95 / max(float(np.linalg.norm(A, 2)) ** 2, 1e-300)
-    x = np.zeros(n) if x_start is None else \
-        np.asarray(x_start, dtype=float).copy()
-    if gauge.prox_jacobian(x, t * mu) is None:
-        return None
-    if mu < NEWTON_MU_FLOOR * gauge.polar(A.T @ b):
+    That last system has a second right-hand side, for the tangent x'(mu)
+    of the solution path.  A gauge is positively homogeneous, so
+    p(v, tau) = prox_{tau J}(v) = D v + tau dp/dtau (Euler), and
+    differentiating x = p(x - t A^T (A x - b), t mu) in mu gives
+    (I - D M) x' = (p - D v) / mu at v = x - t A^T (A x - b), p = x - F,
+    solved as M times it, like d (the predictor of path following: Allgower
+    & Georg 1990).
+
+    Returns ``(x, steps, None, x')``, or ``(x, steps, reason, None)`` when
+    the line search stalls, the steps run out or the KKT test cannot
+    certify: below mu = 1e-6 J°(A^T b) the rounding of
+    z = A^T (b - A x) / mu alone exceeds its 1e-9, so no step is tried
+    there."""
+    if mu < NEWTON_MU_FLOOR * path.mu0:
         return x, 0, (f"mu={mu:.3e} below {NEWTON_MU_FLOOR:g} J°(A^T b): "
-                      f"the KKT test cannot certify")
-    M = np.eye(n) - t * (A.T @ A)
+                      f"the KKT test cannot certify"), None
+    t, M = path.t, path.M
 
     def evaluate(x):
-        """(F(x), ||F(x)||, D, forward-backward envelope) at x."""
+        """(F(x), ||F(x)||, D, forward-backward envelope, v) at x."""
         r = A @ x - b
         grad = A.T @ r
-        p, D = gauge.prox_jacobian(x - t * grad, t * mu)
+        v = x - t * grad
+        p, D = gauge.prox_jacobian(v, t * mu)
         F = x - p
         envelope = (0.5 * float(r @ r) - float(grad @ F)
                     + float(F @ F) / (2.0 * t) + mu * gauge.value(p))
-        return F, float(np.linalg.norm(F)), D, envelope
+        return F, _norm(F), D, envelope, v
 
-    F, nF, D, envelope = evaluate(x)
+    def solve(rhs):
+        """The Newton matrix at the current x, solved for rhs."""
+        return path.solve(D, 0.01 * nF / max(_norm(x), _norm(x - F), 1e-300),
+                          rhs)
+
+    F, nF, D, envelope, v = evaluate(x)
     least = nF
     for step in range(NEWTON_MAXITER + 1):
-        if (nF <= 1e-10 * max(1.0, float(np.linalg.norm(x)))
-                and _kkt(gauge, A, b, x, mu)[1] <= EXACT_KKT_TOL):
-            return x, step, None
+        if nF <= 1e-10 * max(1.0, _norm(x)):
+            # the last full step and the tangent, on one matrix
+            d, dx = solve(np.column_stack([-(M @ F),
+                                           M @ (x - F - D @ v) / mu])).T
+            for y, stepped in ((x + d, 1), (x, 0)):
+                if _kkt(gauge, A, b, y, mu)[1] <= EXACT_KKT_TOL:
+                    return y, step + stepped, None, dx
         if step == NEWTON_MAXITER:
             break
         MF = M @ F
-        eps = 0.01 * nF / max(float(np.linalg.norm(x)),
-                              float(np.linalg.norm(x - F)), 1e-300)
-        # lstsq, not solve: the LAPACK code of solve would add 0.3 MB to
-        # the peak RSS of a process that has no other use for it
-        d = np.linalg.lstsq(M - M @ D @ M + eps * np.eye(n), -MF,
-                            rcond=None)[0]
+        d = solve(-MF)
         slope = float(MF @ d) / t
         s = 1.0
         for k in range(NEWTON_BACKTRACKS):
@@ -597,12 +695,13 @@ def _newton(gauge, A, b, mu, x_start):
                 break
             s *= 0.5
         else:
-            return x, step, f"Newton line search stalled at ||F|| = {nF:.1e}"
+            return x, step, (f"Newton line search stalled at "
+                             f"||F|| = {nF:.1e}"), None
         x = x + s * d
-        F, nF, D, envelope = trial
+        F, nF, D, envelope, v = trial
         least = min(least, nF)
     return x, NEWTON_MAXITER, (f"no certified point in {NEWTON_MAXITER} "
-                               f"Newton steps (||F|| = {nF:.1e})")
+                               f"Newton steps (||F|| = {nF:.1e})"), None
 
 
 def _fista(gauge, A, b, mu, x_start=None):
@@ -680,11 +779,15 @@ def solve_mozorov(gauge, A, b, delta):
     (J°(A^T b), ||b||), which needs no solve.  The next mu is the root of
     the last step's model when it lies inside the bracket: on the exact-qp
     route, of ||r(mu)|| = target on the step's affine piece (the homotopy
-    path; ``_RFormQp.root``), on the others of the secant through the last
-    two steps on (log mu, log r), the first secant starting at the zero
-    point.  Otherwise it is the safe step mu_hi target / r_hi from the
-    lowest step above the band, which never lands below the band's middle
-    (see the module docstring).  Each step is warm started from the last.
+    path; ``_RFormQp.root``); on the newton route, the Newton root
+    mu + (target - r) / r'(mu), r'(mu) = <A x - b, A x'(mu)> / r, from the
+    step's tangent; on FISTA steps, of the secant through the last two
+    steps on (log mu, log r), the first secant starting at the zero point.
+    Otherwise it is the safe step mu_hi target / r_hi from the lowest step
+    above the band, which never lands below the band's middle (see the
+    module docstring).  A newton step starts on the tangent of the nearest
+    recorded point, as in ``solve_tikhonov``; the others are warm started
+    from the last step's point.
 
     The loop stops once the highest step at or below delta lies within
     1e-6 of it (status 'optimal'), or after ``MOZOROV_MAXITER`` steps
@@ -692,7 +795,8 @@ def solve_mozorov(gauge, A, b, delta):
     (mu, r) of every step in order, and residual monotonicity in mu is
     asserted on each; ``info`` also holds mu and the residual, the summed
     ``qp_solves``, ``fista_iterations`` and ``newton_iterations`` of the
-    steps, and the route (and any fallback reason) of the returned step.
+    steps, and the route (and any fallback reason and Newton start) of the
+    returned step.
     """
     A, b = _shape(A, b)
     if not math.isfinite(delta):
@@ -708,20 +812,20 @@ def solve_mozorov(gauge, A, b, delta):
         return SolveResult(point=x, value=0.0, status="optimal",
                            residuals={"feasibility": 0.0},
                            note="zero is feasible", info={"mu": math.inf})
-    qp = _rform_qp(gauge, A, b)
+    record = _problem_record(gauge, A, b)
     path = []
     spent = dict.fromkeys(("qp_solves", "fista_iterations",
                            "newton_iterations"), 0)
 
     def step(mu, warm):
-        sol, piece = _tikhonov(gauge, A, b, mu, warm, qp)
+        sol, model = _tikhonov(gauge, A, b, mu, warm, record)
         for key in spent:
             spent[key] += sol.info.get(key, 0)
         _record(path, mu, sol.residuals["data_misfit"])
-        return sol, piece
+        return sol, model
 
     def info(sol, **extra):
-        route = {k: sol.info[k] for k in ("route", "fallback")
+        route = {k: sol.info[k] for k in ("route", "fallback", "start")
                  if k in sol.info}
         return dict(extra, **route, tikhonov_solves=len(path), path=path,
                     **spent)
@@ -748,15 +852,18 @@ def solve_mozorov(gauge, A, b, delta):
     last, warm = (mu_hi, r_hi), None
     mu = mu_hi * target / r_hi
     while abs(r_lo - delta) > MOZOROV_BAND and len(path) < MOZOROV_MAXITER:
-        sol, piece = step(mu, warm)
+        sol, model = step(mu, warm)
         r = sol.residuals["data_misfit"]
         if r <= delta:
             mu_lo, lo, r_lo = mu, sol, r
         else:
             mu_hi, r_hi = mu, r
-        root = (_log_secant(last, (mu, r), target) if piece is None
-                else qp.root(piece, target))
-        last, warm = (mu, r), sol.point
+        root = (_log_secant(last, (mu, r), target) if model is None
+                else model(target))
+        # a newton step's point is on the path record, which predicts the
+        # next start better than the point itself
+        last = (mu, r)
+        warm = None if sol.info["route"] == "newton" else sol.point
         # r(mu) >= mu r_hi / mu_hi below mu_hi: r >= target at the safe step
         mu = root if mu_lo < root < mu_hi else mu_hi * target / r_hi
     discrepancy = abs(r_lo - delta)

@@ -232,6 +232,9 @@ def test_solve_reports_the_newton_and_zero_routes(tmp_path, capsys):
     info = strict_loads(capsys.readouterr().out)["info"]
     assert info["route"] == "newton" and info["newton_iterations"] > 0
     assert [info["mu"], info["residual"]] in info["path"]
+    # where the returned step's Newton solve began: r(mu) = mu / 2 here,
+    # so the first step, started on the zero point's tangent, meets delta
+    assert info["start"] == "zero-point" and len(info["path"]) == 1
     for problem in ("mozorov", "tikhonov"):
         assert main(["solve", path, "--problem", problem]) == 0
         assert re.search(r"^route +newton$", capsys.readouterr().out,

@@ -1,5 +1,7 @@
 """Tests for the four solvers and the duality-gap helper."""
 
+import copy
+import logging
 import math
 import pickle
 from pathlib import Path
@@ -7,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gaugecert.gauges import (
@@ -813,18 +815,21 @@ def test_cold_and_warm_group_solves_agree():
     # FISTA's stop left the cold solve and the warm-started solve of the
     # Mozorov search at the same mu 7.6e-6 apart on this draw, where the
     # objective is nearly flat along Ker A; two certified Newton points
-    # agree to rounding
+    # agree to rounding.  The cold solves run on copies of the gauge, which
+    # keep no path record, so they start from the zero point
     inst = gen_instance({"m": 3, "n": 6, "sparsity": 1, "kind": "group_l12",
                          "partition": [[0, 1], [2, 3], [4, 5]],
                          "delta": 1e-3}, 4)
     g, A, b = inst.gauge, inst.A, inst.b0 + inst.omega
     moz = solve_mozorov(g, A, b, 1e-3)
-    cold = solve_tikhonov(g, A, b, moz.info["mu"])
+    cold = solve_tikhonov(copy.deepcopy(g), A, b, moz.info["mu"])
     assert moz.info["route"] == cold.info["route"] == "newton"
+    assert cold.info["start"] == "zero-point"
     assert np.max(np.abs(cold.point - moz.point)) <= 1e-9
-    cold = solve_tikhonov(g, A, b, 1e-3)
+    cold = solve_tikhonov(copy.deepcopy(g), A, b, 1e-3)
     warm = solve_tikhonov(g, A, b, 1e-3, x_start=moz.point)
     assert cold.info["route"] == warm.info["route"] == "newton"
+    assert (cold.info["start"], warm.info["start"]) == ("zero-point", "given")
     assert warm.iterations < cold.iterations
     assert np.max(np.abs(cold.point - warm.point)) <= 1e-9
 
@@ -912,6 +917,9 @@ def test_failed_newton_certificate_falls_back_to_fista(monkeypatch):
         return None if out is None else (out[0] + 1e-3, *out[1:])
 
     monkeypatch.setattr(solvers, "_newton", perturbed)
+    # a fresh gauge: from the path record of g the forced solves would
+    # start at a certified point and take no step
+    g = copy.deepcopy(g)
     forced = solve_tikhonov(g, A, b, mu), solve_mozorov(g, A, b, 1e-2)
     for old, new in zip(exact, forced):
         assert new.info["route"] == "fista"
@@ -934,3 +942,112 @@ def test_feasibility_probe_stays_on_fista():
     moz = solve_mozorov(g, A, b, 1e-2)
     assert moz.info["route"] == "newton"
     assert moz.info["newton_iterations"] > 0
+
+
+# ------------------------------------------------ group_l12 path following
+
+
+def _path(g, A, b):
+    """The Newton path record of (A, b) on g."""
+    return solvers._TIKHONOV_RECORD.get(g, solvers._problem_key(
+        *solvers._shape(A, b)))
+
+
+@pytest.mark.parametrize("seed, shape", [(103, "wide"),
+                                         (24, "rank-deficient")])
+def test_cold_start_at_small_mu_stays_on_newton(seed, shape):
+    # from x = 0 the Newton steps at this mu ran out after 50 steps with
+    # ||F|| ~ 2e-3 and FISTA took over; the zero point's tangent, the first
+    # homotopy segment, starts them where they certify
+    g, A, b = _group_draw(seed, "singletons", shape)
+    mu = 0.00178 * g.polar(A.T @ b)
+    res = solve_tikhonov(g, A, b, mu)
+    assert res.info["route"] == "newton" and "fallback" not in res.info
+    assert res.info["start"] == "zero-point"
+    assert res.info["fista_iterations"] == 0
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       groups=st.sampled_from(["singletons", "partition"]),
+       shape=st.sampled_from(["wide", "tall", "rank-deficient"]),
+       log_scale=st.floats(-3.0, -0.3))
+def test_recorded_tangent_is_the_path_derivative(seed, groups, shape,
+                                                 log_scale):
+    # x'(mu) from the Euler identity against the central difference of two
+    # certified solves at mu (1 +- 1e-4), each on a fresh gauge; the
+    # difference's rounding is 1e-15 / 1e-4 of x / mu
+    g, A, b = _group_draw(seed, groups, shape)
+    mu = 10.0 ** log_scale * g.polar(A.T @ b)
+    fresh = copy.deepcopy(g)
+    res = solve_tikhonov(g, A, b, mu)
+    assert res.info["route"] == "newton"
+    path = _path(g, A, b)
+    mu_k, x, dx = path.points[-1]
+    assert mu_k == mu and np.array_equal(x, res.point)
+    # off the kinks ||v_g|| = t mu only, where x(mu) is smooth
+    v = x - path.t * (A.T @ (A @ x - b))
+    tau = path.t * mu
+    assume(np.min(np.abs(g._block_norms(v) - tau)) >= 1e-3 * tau)
+    h = 1e-4
+    ends = [solve_tikhonov(copy.deepcopy(fresh), A, b, mu * (1.0 + s * h))
+            for s in (1.0, -1.0)]
+    assert [end.info["route"] for end in ends] == ["newton"] * 2
+    fd = (ends[0].point - ends[1].point) / (2.0 * h * mu)
+    assert np.max(np.abs(fd - dx)) <= 1e-5 * max(1.0, np.max(np.abs(dx)))
+
+
+def test_predicted_and_cold_solves_agree():
+    # the Tikhonov solve of a recovery trial starts on the tangent of the
+    # nearest Mozorov step; the same solve on a fresh gauge starts at the
+    # zero point: both certify, and their points agree
+    for seed in range(6):
+        inst = gen_instance(dict(SEARCH_CFGS["group_l12"], kind="group_l12",
+                                 delta=1e-2), seed)
+        g, A, b = inst.gauge, inst.A, inst.b0 + inst.omega
+        fresh = copy.deepcopy(g)
+        moz = solve_mozorov(g, A, b, 1e-2)
+        assert moz.info["route"] == "newton", seed
+        for mu in (moz.info["mu"], 0.1 * 1e-2, 1e-2):
+            warm = solve_tikhonov(g, A, b, mu)
+            cold = solve_tikhonov(copy.deepcopy(fresh), A, b, mu)
+            assert warm.info["start"] == "predicted", (seed, mu)
+            assert cold.info["start"] == "zero-point", (seed, mu)
+            assert np.max(np.abs(warm.point - cold.point)) <= 1e-9, (seed, mu)
+
+
+def test_the_path_record_holds_one_problem_and_is_not_shared(caplog):
+    inst = gen_instance(dict(SEARCH_CFGS["group_l12"], kind="group_l12",
+                             delta=1e-2), 3)
+    g, A, b = inst.gauge, inst.A, inst.b0 + inst.omega
+    mu = 0.1 * g.polar(A.T @ b)
+    with caplog.at_level(logging.DEBUG, logger="gaugecert.solvers"):
+        res = solve_tikhonov(g, A, b, mu)
+    assert "newton route from the zero-point start" in caplog.text
+    path = _path(g, A, b)
+    # the zero point, then this solve; read-only copies of its arrays
+    assert [pt[0] for pt in path.points] == [g.polar(A.T @ b), mu]
+    for mu_k, x, dx in path.points:
+        assert not x.flags.writeable and not dx.flags.writeable
+        assert not np.shares_memory(x, res.point)
+    # the returned point is the caller's to write into
+    bits = res.point.tobytes()
+    res.point[:] = 7.0
+    assert path.points[1][1].tobytes() == bits
+    again = solve_tikhonov(g, A, b, mu)
+    assert again.info["start"] == "predicted"
+    assert np.max(np.abs(again.point - path.points[1][1])) <= 1e-12
+    assert not np.shares_memory(again.point, path.points[2][1])
+    # a pickled or deep-copied gauge keeps no record and starts at the
+    # zero point
+    for copied in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
+        assert _path(copied, A, b) is None
+        assert solve_tikhonov(copied, A, b, mu).info["start"] == "zero-point"
+    # a new (A, b) replaces the record; the old problem starts anew
+    solve_tikhonov(g, A, 2.0 * b, mu)
+    assert _path(g, A, b) is None
+    assert len(_path(g, A, 2.0 * b).points) == 2
+    assert solve_tikhonov(g, A, b, mu).info["start"] == "zero-point"
+    # an explicit start wins over the record
+    assert solve_tikhonov(g, A, b, mu, x_start=np.zeros(g.n)).info[
+        "start"] == "given"
