@@ -35,6 +35,7 @@ numbers appear as the strings "inf"/"-inf"/"nan".
 """
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -241,6 +242,46 @@ def _drop_stdout():
     devnull = os.open(os.devnull, os.O_WRONLY)
     os.dup2(devnull, sys.stdout.fileno())
     os.close(devnull)
+
+
+@contextlib.contextmanager
+def _fd1_on_stderr():
+    """Point fd 1 at stderr while a command runs, so that text a C library
+    prints there cannot mix with the report (HiGHS's QP code prints
+    "dimension mismatch" from C++); ``sys.stdout``, when it wrote to fd 1,
+    writes to the original stdout meanwhile.  Under a Python-level
+    redirect of ``sys.stdout`` only fd 1 moves.  On exit ``sys.stdout`` is
+    flushed (a reader that went away early only loses the rest of the
+    report), and both are restored."""
+    stream, saved = sys.stdout, None
+    try:
+        try:
+            real = stream.fileno() == 1
+        except (AttributeError, OSError, ValueError):
+            real = False
+        if real:
+            stream.flush()
+        saved = os.dup(1)
+        if real:
+            sys.stdout = open(saved, "w", closefd=False,
+                              buffering=1 if stream.line_buffering else -1,
+                              encoding=stream.encoding, errors=stream.errors)
+        os.dup2(2, 1)
+    except OSError:
+        pass
+    try:
+        yield
+    finally:
+        try:
+            sys.stdout.flush()
+        except BrokenPipeError:
+            _drop_stdout()
+        if sys.stdout is not stream:
+            sys.stdout.close()
+            sys.stdout = stream
+        if saved is not None:
+            os.dup2(saved, 1)
+            os.close(saved)
 
 
 def _emit_json(payload):
@@ -660,15 +701,12 @@ def main(argv=None):
         return exc.code if isinstance(exc.code, int) else EXIT_VALIDATION
 
     try:
-        with config.overrides(cert_tol=args.cert_tol, lp_maxiter=args.lp_maxiter,
-                              probe_restarts=args.probe_restarts):
+        with _fd1_on_stderr(), config.overrides(
+                cert_tol=args.cert_tol, lp_maxiter=args.lp_maxiter,
+                probe_restarts=args.probe_restarts):
             config.validate()
             # looked up at call time, so a replaced cmd_* is the one run
             code = globals()[f"cmd_{args.command}"](args)
-        try:
-            sys.stdout.flush()
-        except BrokenPipeError:
-            _drop_stdout()
         return code
     except (ProblemValidationError, config.SettingError) as exc:
         print(f"error: {exc}", file=sys.stderr)

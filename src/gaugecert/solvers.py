@@ -14,29 +14,19 @@ read from it.  Each gauge keeps a record of its last primal solve, keyed by
 the shape and bytes of A and b0, so ``solve_dual`` after ``solve_primal_eq``
 on the same problem reads the record and solves nothing: primal and dual
 come from one solve.  A gauge keeps a second record, of its last Tikhonov
-or Mozorov problem (A, b): for a polyhedral kind, the QP lift and the
-certified affine pieces of x(mu) found so far, so a Tikhonov solve after a
-Mozorov solve of the same data reads its point off a piece where the KKT
-test passes; for a kind with ``Gauge.prox_jacobian``, the certified points
-of x(mu) with their tangents x'(mu), from which each Newton solve starts.
+or Mozorov problem (A, b): the certified points of the solution path
+x(mu), each with its tangent x'(mu), from which each solve starts or reads
+its answer.
 
-Tikhonov has four routes, tried in order; each but the last returns a point
-only once the gauge's own KKT test holds, z = A^T (b - A x) / mu in ∂J(x):
-
-* ``zero``: at mu >= J°(A^T b) the minimizer is 0, with no solve;
-* ``exact-qp``, for the polyhedral gauges: one HiGHS QP on the lift of
-  ``primal_lp`` with the residual r = A x - b as variables, polished on its
-  active set into the piece of x(mu) that is affine in mu there (the
-  homotopy / LARS path: Osborne, Presnell & Turlach 2000; Efron et al.
-  2004);
-* ``newton``, for a kind with ``Gauge.prox_jacobian`` (group_l12):
-  path following (Allgower & Georg 1990).  The predictor is the tangent
-  x'(mu) of the recorded point nearest in log mu, or of the zero point;
-  the corrector is semismooth Newton on the proximal-gradient fixed-point
-  map, globalized on the forward-backward envelope, and each certified
-  point is recorded with its tangent;
-* ``fista``: accelerated proximal gradient, for nuclear and sdp_trace and
-  for a solve whose certified route failed.
+Tikhonov runs on four routes (``solve_tikhonov``); each but the last
+returns a point only once the gauge's own KKT test holds,
+z = A^T (b - A x) / mu in ∂J(x): ``zero`` at mu >= J°(A^T b); ``exact-qp``
+for the polyhedral gauges, a HiGHS QP polished into the piece of x(mu)
+that is affine in mu (the homotopy / LARS path: Osborne, Presnell &
+Turlach 2000; Efron et al. 2004); ``newton`` for a kind with
+``Gauge.prox_jacobian`` (group_l12), path following with a tangent
+predictor and a semismooth Newton corrector (Allgower & Georg 1990); and
+``fista`` for the other kinds and for a solve no certified route answered.
 
 Mozorov is one root search on mu for every kind, each step a Tikhonov solve
 on these routes, asserting the residual's monotonicity in mu at runtime.
@@ -46,11 +36,9 @@ y(mu) = (b - A x(mu)) / mu is the projection of b / mu onto the convex set
 never falls and r(mu) / mu never rises as mu grows.  Below a solve
 (mu_hi, r_hi), r(mu) >= mu r_hi / mu_hi: the step to mu_hi target / r_hi
 never undershoots the root.  That step is taken when the root of the last
-step's model leaves the bracket: on an exact-qp step, ||r(mu)|| = target
-on the step's piece, a scalar quadratic; on a newton step, the Newton root
-of r(mu) = target with r'(mu) = <A x - b, A x'(mu)> / r from the step's
-tangent; on a FISTA step, the secant on (log mu, log r) through the last
-two steps.
+step's model leaves the bracket: on a certified step, the residual along
+its tangent, exact on a QP's piece; on a FISTA step, the secant on
+(log mu, log r) through the last two steps.
 """
 
 import logging
@@ -88,6 +76,9 @@ NEWTON_MAXITER = 50
 NEWTON_BACKTRACKS = 30
 #: the Newton route runs at mu >= NEWTON_MU_FLOOR J°(A^T b) only
 NEWTON_MU_FLOOR = 1e-6
+#: a failed Newton solve is continued from the path in steps of at most
+#: this factor in mu
+NEWTON_CONTINUATION = 10.0
 
 
 class ResidualMonotonicityError(RuntimeError):
@@ -283,27 +274,60 @@ def _dual_from_primal(gauge, A, b0, primal):
 # ---------------------------------------------------------------------------
 
 class _NotCertified(Exception):
-    """The exact route found no certified point; the message says why."""
+    """A certified route found no certified point: the message says why,
+    and ``spent`` holds what the attempt cost, as ``info`` counters."""
+
+    def __init__(self, why, **spent):
+        super().__init__(why)
+        self.spent = spent
 
 
-class _RFormQp:
-    """The Tikhonov problem of a polyhedral gauge as the QP
+class _Path:
+    """The record of the Tikhonov path x(mu) of one problem (A, b), kept by
+    ``_TIKHONOV_RECORD``: ``points``, the certified (mu, x, x'(mu)) found
+    so far, read-only.  A subclass is a route (``route``, ``note``, and
+    ``counter``, its ``info`` key of ``iterations``) whose
+    ``certified(mu, x_start)`` returns a certified point at mu, its
+    tangent, ||A x - b||, its KKT residual and its ``info`` counters, or
+    raises ``_NotCertified``, and records each point it solves for."""
+
+    def __init__(self, gauge, A, b):
+        # read-only copies: the caller may write into A and b later
+        self.gauge, self.A, self.b = gauge, _frozen(A), _frozen(b)
+        self.scale = max(1.0, float(np.linalg.norm(A) * np.linalg.norm(b)))
+        self.points = []
+
+    def predictions(self, mu):
+        """(x_k + (mu - mu_k) x'_k, x'_k, mu_k) for each recorded point,
+        nearest mu in log mu first (a point at mu = 0 is nearest 0 only)."""
+        for mu_k, x_k, dx_k in sorted(self.points, key=lambda p: (
+                abs(math.log(p[0] / mu)) if min(p[0], mu) > 0
+                else 0.0 if p[0] == mu else math.inf)):
+            yield x_k + (mu - mu_k) * dx_k, dx_k, mu_k
+
+    def add(self, mu, x, dx):
+        """Record the certified point x at mu and its tangent dx."""
+        self.points.append((mu, _frozen(x), _frozen(dx)))
+
+
+class _QpPath(_Path):
+    """The path of a polyhedral gauge, solved as the QP
 
         min 0.5 ||r||^2 + mu c @ v  s.t.  r = A P v - b  and the lift rows,
 
     built from ``gauge.primal_lp(A, b)``: its last m equality rows (A P v =
-    b) get -I on m free columns r, and the Hessian is I on r.
-    ``certified`` answers mu from a recorded piece, or runs the QP at mu
-    and polishes its optimum into the affine piece w(mu) = w0 + mu w1 of
-    its active set, which it records in ``pieces``; ``point`` reads x and
-    its KKT residual off a piece, and ``root`` the mu where its residual
-    meets a target.  The lift, A, b and ``pieces`` belong to the problem and
-    are kept by ``_TIKHONOV_RECORD``."""
+    b) get -I on m free columns r, and the Hessian is I on r.  The QP's
+    optimum at mu, polished on its active set, is the affine piece
+    w(mu) = w0 + mu w1 of x(mu) (the homotopy path: Osborne, Presnell &
+    Turlach 2000), and every kind's ``to_x`` is linear, so the point
+    x = to_x(w0 + mu w1) and its tangent x' = to_x(w1) predict x(mu)
+    exactly along the piece."""
+
+    route, note, counter = "exact-qp", "exact QP route", "qp_solves"
 
     def __init__(self, gauge, A, b):
-        # read-only copies: the caller may write into A and b later
-        A, b = _frozen(A), _frozen(b)
-        lp, self.to_x = gauge.primal_lp(A, b)
+        super().__init__(gauge, A, b)
+        lp, self.to_x = gauge.primal_lp(self.A, self.b)
         m = A.shape[0]
         self.nv = nv = np.size(lp["c"])
         A_eq = np.atleast_2d(np.asarray(lp["A_eq"], dtype=float))
@@ -322,15 +346,13 @@ class _RFormQp:
         self.c = np.concatenate([lp["c"], np.zeros(m)])
         self.h = np.concatenate([np.zeros(nv), np.ones(m)])
         self.hess = np.diag(self.h)
-        self.gauge, self.A, self.b = gauge, A, b
-        self.scale = max(1.0, float(np.linalg.norm(A) * np.linalg.norm(b)))
-        self.pieces = []
 
     def piece(self, w, tol):
-        """The affine piece (w0, w1) of the active set of w: each variable
-        within ``tol`` max(1, |w|) of a bound is fixed at it, each
-        inequality row as tight is kept as an equality, and one ``lstsq``
-        on that set's equality KKT system gives the rest for every mu."""
+        """The affine piece (w0, w1) of the active set of w, in the lift's
+        variables v: each variable within ``tol`` max(1, |w|) of a bound is
+        fixed at it, each inequality row as tight is kept as an equality,
+        and one ``lstsq`` on that set's equality KKT system gives the rest
+        for every mu."""
         tol *= max(1.0, float(np.max(np.abs(w))))
         at_lo, at_hi = np.abs(w - self.lo) <= tol, np.abs(w - self.hi) <= tol
         w0 = np.where(at_lo, self.lo, np.where(at_hi, self.hi, 0.0))
@@ -347,69 +369,53 @@ class _RFormQp:
         sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
         w1 = np.zeros_like(w0)
         w0[free], w1[free] = sol[:nf, 0], sol[:nf, 1]
-        w0.setflags(write=False)
-        w1.setflags(write=False)
-        return w0, w1
+        return w0[:self.nv], w1[:self.nv]
 
-    def point(self, piece, mu):
-        """x on ``piece`` at mu, its residual ||A x - b|| and its KKT
-        residual (``_kkt``)."""
-        w0, w1 = piece
-        x = self.to_x((w0 + mu * w1)[:self.nv])
-        return (x, *_kkt(self.gauge, self.A, self.b, x, mu, self.scale))
-
-    def root(self, piece, target):
-        """The larger mu where ||r(mu)|| = target on ``piece``, a root of a
-        scalar quadratic in mu; nan when it has none."""
-        r0, r1 = piece[0][self.nv:], piece[1][self.nv:]
-        aa, bb, cc = r1 @ r1, r0 @ r1, r0 @ r0 - target * target
-        disc = bb * bb - aa * cc
-        if not (aa > 0 and disc >= 0):
-            return math.nan
-        # the larger root, without cancellation
-        return float((-bb + math.sqrt(disc)) / aa if bb <= 0 else
-                     -cc / (bb + math.sqrt(disc)))
-
-    def certified(self, mu):
-        """The certified point ``(piece, x, r, kkt, qps)`` at mu: on the
-        first recorded piece whose point passes the KKT test to
-        ``EXACT_KKT_TOL`` there (qps = 0), else on the piece of the QP at mu
-        (qps = 1), which is then recorded.  The QP optimum's active set is
+    def certified(self, mu, x_start=None):
+        """The first recorded point's prediction at mu, nearest mu first,
+        that passes the KKT test (0 QPs), else the point of the QP at mu
+        (1 QP), which is then recorded.  The QP optimum's active set is
         read at a bound distance of 1e-6 (HiGHS regularizes the QP by 1e-7,
         which can lift a variable off its bound), then of 1e-9 (a variable
-        that close to its bound may be free); ``_NotCertified`` unless a
-        point passes the KKT test."""
-        for piece in self.pieces:
-            x, r, kkt = self.point(piece, mu)
+        that close to its bound may be free).  ``x_start`` is not read."""
+        for x, dx, _ in self.predictions(mu):
+            r, kkt = _kkt(self.gauge, self.A, self.b, x, mu, self.scale)
             if kkt <= EXACT_KKT_TOL:
-                return piece, x, r, kkt, 0
-        res = qp_solve(mu * self.c, self.hess, self.A_ub, self.b_ub,
-                       self.A_eq, self.b_eq, self.bounds)
+                return x, dx, r, kkt, {"qp_solves": 0}
+        try:
+            res = qp_solve(mu * self.c, self.hess, self.A_ub, self.b_ub,
+                           self.A_eq, self.b_eq, self.bounds)
+        except LpFailure as exc:
+            raise _NotCertified(str(exc), qp_solves=1) from exc
         if res.status != "optimal":
-            raise _NotCertified(f"QP at mu={mu:.3e} is {res.status}")
+            raise _NotCertified(f"QP at mu={mu:.3e} is {res.status}",
+                                qp_solves=1)
         for tol in (1e-6, 1e-9):
-            piece = self.piece(res.x, tol)
-            x, r, kkt = self.point(piece, mu)
+            w0, w1 = self.piece(res.x, tol)
+            x, dx = self.to_x(w0 + mu * w1), self.to_x(w1)
+            r, kkt = _kkt(self.gauge, self.A, self.b, x, mu, self.scale)
             if kkt <= EXACT_KKT_TOL:
-                self.pieces.append(piece)
-                return piece, x, r, kkt, 1
-        raise _NotCertified(f"KKT residual {kkt:.1e} at mu={mu:.3e}")
+                self.add(mu, x, dx)
+                return x, dx, r, kkt, {"qp_solves": 1}
+        raise _NotCertified(f"KKT residual {kkt:.1e} at mu={mu:.3e}",
+                            qp_solves=1)
 
 
-class _NewtonPath:
-    """The Tikhonov problem of a kind with ``Gauge.prox_jacobian`` as the
-    Newton route reads it: the step t = 0.95 / ||A||^2, M = I - t A^T A,
-    the zero point's mu0 = J°(A^T b), and ``points``, the certified
-    (mu, x, x'(mu)) of the Newton solves so far, read-only, led by the zero
-    point (mu0, 0, x'(mu0-)).  ``start`` predicts a point at mu from them.
-    All of it belongs to the problem and is kept by ``_TIKHONOV_RECORD``."""
+class _NewtonPath(_Path):
+    """The path of a kind with ``Gauge.prox_jacobian``, solved by
+    ``_newton``: the step t = 0.95 / ||A||^2, M = I - t A^T A and the zero
+    point's mu0 = J°(A^T b), with ``points`` led by the zero point
+    (mu0, 0, x'(mu0-))."""
+
+    route, note, counter = "newton", "semismooth Newton route", \
+        "newton_iterations"
 
     def __init__(self, gauge, A, b):
+        super().__init__(gauge, A, b)
         n = A.shape[1]
         self.t = t = 0.95 / max(float(np.linalg.norm(A, 2)) ** 2, 1e-300)
         self.M = _frozen(np.eye(n) - t * (A.T @ A))
         self.mu0 = gauge.polar(A.T @ b)
-        self.points = []
         if self.mu0 > 0:
             # the one-sided tangent just below the zero point, where the
             # groups of largest polar term join x = 0 (the first homotopy
@@ -429,27 +435,55 @@ class _NewtonPath:
         return np.linalg.lstsq(self.M - MD @ self.M + eps * np.eye(len(D)),
                                rhs, rcond=None)[0]
 
-    def start(self, mu):
-        """The predicted point at mu, x_k + (mu - mu_k) x'_k on the tangent
-        of the recorded point nearest mu in log mu, and where it comes from:
-        "zero-point" when that is the zero point, else "predicted"."""
-        k = min(range(len(self.points)),
-                key=lambda k: abs(math.log(self.points[k][0] / mu)))
-        mu_k, x_k, dx_k = self.points[k]
-        return x_k + (mu - mu_k) * dx_k, "predicted" if k else "zero-point"
+    def corrected(self, mu, x, spent):
+        """``_newton`` at mu from x, KKT-tested and recorded: the certified
+        point, its tangent, r, the KKT residual and ``spent`` plus the
+        steps taken; else ``_NotCertified``."""
+        x, steps, why, dx = _newton(self.gauge, self.A, self.b, mu, x, self)
+        if why is None:
+            r, kkt = _kkt(self.gauge, self.A, self.b, x, mu, self.scale)
+            if kkt <= EXACT_KKT_TOL:
+                self.add(mu, x, dx)
+                return x, dx, r, kkt, spent + steps
+            why = f"KKT residual {kkt:.1e} at mu={mu:.3e}"
+        raise _NotCertified(why, newton_iterations=spent + steps)
 
-    def add(self, mu, x, dx):
-        """Record the certified point x at mu and its tangent dx."""
-        self.points.append((mu, _frozen(x), _frozen(dx)))
+    def certified(self, mu, x_start=None):
+        """The point at mu of Newton steps from ``x_start`` ("given"), else
+        on the tangent of the recorded point nearest mu ("zero-point" or
+        "predicted").  When they fail, the path is continued to mu from that
+        point in at least two geometric steps in mu, each at most
+        ``NEWTON_CONTINUATION`` times the last and started on the tangent
+        of the point before ("continued")."""
+        if mu < NEWTON_MU_FLOOR * self.mu0:
+            # the rounding of z = A^T (b - A x) / mu alone exceeds 1e-9
+            raise _NotCertified(f"mu={mu:.3e} below {NEWTON_MU_FLOOR:g} "
+                                f"J°(A^T b): the KKT test cannot certify",
+                                newton_iterations=0)
+        x, _, mu_k = next(self.predictions(mu))
+        start = "zero-point" if mu_k == self.mu0 else "predicted"
+        if x_start is not None:
+            x, start = np.array(x_start, dtype=float), "given"
+        try:
+            *point, spent = self.corrected(mu, x, 0)
+        except _NotCertified as exc:
+            spent, start = exc.spent["newton_iterations"], "continued"
+            legs = max(2, math.ceil(abs(math.log(mu / mu_k))
+                                    / math.log(NEWTON_CONTINUATION)))
+            for j in range(1, legs + 1):
+                mu_j = mu if j == legs else mu_k * (mu / mu_k) ** (j / legs)
+                *point, spent = self.corrected(
+                    mu_j, next(self.predictions(mu_j))[0], spent)
+        return (*point, {"newton_iterations": spent, "start": start})
 
 
 def _problem_record(gauge, A, b):
-    """The record of (A, b) on the gauge: an r-form QP for a polyhedral
+    """The ``_Path`` of (A, b) on the gauge: a ``_QpPath`` for a polyhedral
     kind, a ``_NewtonPath`` for a kind with ``prox_jacobian``, else None.
     It is the gauge's record when that holds this problem, else a new one,
     recorded in its place."""
     if gauge.is_polyhedral:
-        kind = _RFormQp
+        kind = _QpPath
     elif type(gauge).prox_jacobian is not Gauge.prox_jacobian:
         kind = _NewtonPath
     else:
@@ -533,13 +567,14 @@ def solve_tikhonov(gauge, A, b, mu, x_start=None):
 
     * "zero": at mu >= J°(A^T b), x = 0, with no solve (∂J(0) is the
       polar unit ball, which then holds z = A^T b / mu);
-    * "exact-qp", for a polyhedral gauge: a piece w0 + mu w1 of the
-      gauge's record of this (A, b), or one QP on the lift of
-      ``Gauge.primal_lp`` (``_RFormQp``), polished on its active set;
-      ``iterations`` counts QP solves, 0 when a recorded piece answered;
+    * "exact-qp", for a polyhedral gauge: a recorded point moved along its
+      tangent, else one QP on the lift of ``Gauge.primal_lp``, polished on
+      its active set (``_QpPath``); ``iterations`` counts QP solves, 0
+      when a recorded point answered;
     * "newton", for a kind with ``Gauge.prox_jacobian``: semismooth Newton
-      on the proximal-gradient fixed-point map (``_newton``), started at
-      ``x_start`` or 0; ``iterations`` counts Newton steps;
+      steps (``_newton``) from ``x_start`` or from the path
+      (``_NewtonPath``); ``iterations`` counts them, and ``info["start"]``
+      says where they began;
     * "fista": ``_fista``, for the other kinds and for a solve whose
       certified route failed or cannot certify (``info["fallback"]`` says
       why).
@@ -547,11 +582,10 @@ def solve_tikhonov(gauge, A, b, mu, x_start=None):
     ``info`` counts ``fista_iterations`` and ``newton_iterations`` on every
     route.
 
-    The record holds one problem per gauge: the lift and the certified
-    pieces of the last (A, b) that ``solve_tikhonov`` or ``solve_mozorov``
-    solved on it, replaced when another (A, b) comes.  A recorded piece
-    answers any mu where its point passes the KKT test; the point returned
-    is computed anew, and no returned array or list is the record's.
+    The record holds one problem per gauge, the last (A, b) that
+    ``solve_tikhonov`` or ``solve_mozorov`` solved on it; each certified
+    solve adds its point and tangent.  The point returned is computed anew,
+    and no returned array or list is the record's.
     """
     if not (math.isfinite(mu) and mu > 0):
         raise ValueError("mu must be finite and positive")
@@ -562,10 +596,9 @@ def solve_tikhonov(gauge, A, b, mu, x_start=None):
 def _tikhonov(gauge, A, b, mu, x_start, record):
     """``solve_tikhonov`` on shaped A and b at mu >= 0, with ``record`` the
     ``_problem_record`` of (A, b).  Returns the result and, on the exact-qp
-    and newton routes, the step's model of the residual: a function that
-    maps a target to the mu where the model's ||A x(mu) - b|| meets it
-    (else None).  At mu = 0 the point minimizes ||A x - b|| over dom J: the
-    QP's, or FISTA's, whose prox(., 0) is the projection onto dom J."""
+    and newton routes, the tangent x'(mu) of its point (else None).  At
+    mu = 0 the point minimizes ||A x - b|| over dom J: the QP's, or
+    FISTA's, whose prox(., 0) is the projection onto dom J."""
     z = A.T @ b
     # <z, z> <= J(z) J°(z), so J°(z) is not read (an LP for analysis_l1)
     # where mu is below ||z||^2 / J(z)
@@ -577,41 +610,15 @@ def _tikhonov(gauge, A, b, mu, x_start, record):
                                      "zero point: mu >= J°(A^T b)",
                                      {"route": "zero"}), None
     fallback = {}
-    if isinstance(record, _RFormQp):
+    if record is not None:
         try:
-            piece, x, r, kkt, qps = record.certified(mu)
-        except (_NotCertified, LpFailure) as exc:
-            fallback = {"fallback": str(exc), "qp_solves": 1}
-        else:
+            x, dx, r, kkt, spent = record.certified(mu, x_start)
             return _certified_result(
-                gauge, x, r, kkt, mu, qps, "exact QP route",
-                {"route": "exact-qp", "qp_solves": qps,
-                 "path": [(mu, r)]}), \
-                lambda target: record.root(piece, target)
-    elif record is not None:
-        if x_start is None:
-            x, start = record.start(mu)
-        else:
-            x, start = np.asarray(x_start, dtype=float).copy(), "given"
-        x, steps, why, dx = _newton(gauge, A, b, mu, x, record)
-        if why is None:
-            r, kkt = _kkt(gauge, A, b, x, mu)
-            if kkt <= EXACT_KKT_TOL:
-                record.add(mu, x, dx)
-                # r r'(mu) = <A x - b, A x'(mu)> on the tangent
-                rr1 = float((A @ x - b) @ (A @ dx))
-                return _certified_result(
-                    gauge, x, r, kkt, mu, steps, "semismooth Newton route",
-                    {"route": "newton", "newton_iterations": steps,
-                     "start": start}), \
-                    lambda target: (mu + (target - r) * r / rr1 if rr1 > 0
-                                    else math.nan)
-            why = f"KKT residual {kkt:.1e} at mu={mu:.3e}"
-        fallback = {"fallback": why, "newton_iterations": steps,
-                    "start": start}
-    if fallback:
-        logger.debug("tikhonov on %s: FISTA route: %s", gauge.kind,
-                     fallback["fallback"])
+                gauge, x, r, kkt, mu, spent[record.counter], record.note,
+                dict(spent, route=record.route, path=[(mu, r)])), dx
+        except _NotCertified as exc:
+            fallback = dict(exc.spent, fallback=str(exc))
+            logger.debug("tikhonov on %s: FISTA route: %s", gauge.kind, exc)
     res = _fista(gauge, A, b, mu, x_start)
     res.info.update(fallback)
     return res, None
@@ -647,13 +654,7 @@ def _newton(gauge, A, b, mu, x, path):
     & Georg 1990).
 
     Returns ``(x, steps, None, x')``, or ``(x, steps, reason, None)`` when
-    the line search stalls, the steps run out or the KKT test cannot
-    certify: below mu = 1e-6 J°(A^T b) the rounding of
-    z = A^T (b - A x) / mu alone exceeds its 1e-9, so no step is tried
-    there."""
-    if mu < NEWTON_MU_FLOOR * path.mu0:
-        return x, 0, (f"mu={mu:.3e} below {NEWTON_MU_FLOOR:g} J°(A^T b): "
-                      f"the KKT test cannot certify"), None
+    the line search stalls or the steps run out."""
     t, M = path.t, path.M
 
     def evaluate(x):
@@ -770,33 +771,30 @@ def solve_mozorov(gauge, A, b, delta):
     ||b|| <= delta.
 
     One loop serves every kind.  Each step is one ``_tikhonov`` solve, on
-    the route ``solve_tikhonov`` would take, and a polyhedral kind's steps
-    read and add to the gauge's record of (A, b), as there.  The bracket's
+    the route ``solve_tikhonov`` would take, and its certified steps read
+    and add to the gauge's record of (A, b), as there.  The bracket's
     lower end is mu = 0: the least-squares point of a non-conic kind, or
     the solve at mu = 0 of a conic one (the least residual over dom J, the
     first entry of the path); a least residual above delta + 1e-6 makes the
     ball infeasible.  Its upper end starts at the zero point
     (J°(A^T b), ||b||), which needs no solve.  The next mu is the root of
-    the last step's model when it lies inside the bracket: on the exact-qp
-    route, of ||r(mu)|| = target on the step's affine piece (the homotopy
-    path; ``_RFormQp.root``); on the newton route, the Newton root
-    mu + (target - r) / r'(mu), r'(mu) = <A x - b, A x'(mu)> / r, from the
-    step's tangent; on FISTA steps, of the secant through the last two
-    steps on (log mu, log r), the first secant starting at the zero point.
-    Otherwise it is the safe step mu_hi target / r_hi from the lowest step
-    above the band, which never lands below the band's middle (see the
-    module docstring).  A newton step starts on the tangent of the nearest
-    recorded point, as in ``solve_tikhonov``; the others are warm started
-    from the last step's point.
+    the last step's model when it lies inside the bracket, else the safe
+    step mu_hi target / r_hi from the lowest step above the band, which
+    never lands below the band's middle (see the module docstring).  After
+    a certified step the model is the residual along its tangent,
+    ||A (x + (mu' - mu) x') - b|| = target (``_tangent_root``); after a
+    FISTA step, the secant through the last two steps on (log mu, log r),
+    the first from the zero point.  A certified step starts from the path;
+    only a step after a FISTA step is warm started, from its point.
 
     The loop stops once the highest step at or below delta lies within
-    1e-6 of it (status 'optimal'), or after ``MOZOROV_MAXITER`` steps
-    ('maxiter'), and returns that step's point.  ``info["path"]`` holds the
-    (mu, r) of every step in order, and residual monotonicity in mu is
-    asserted on each; ``info`` also holds mu and the residual, the summed
-    ``qp_solves``, ``fista_iterations`` and ``newton_iterations`` of the
-    steps, and the route (and any fallback reason and Newton start) of the
-    returned step.
+    1e-6 of it (status 'optimal'), or after ``MOZOROV_MAXITER`` steps or
+    when the next mu is one it solved at already ('maxiter'), and returns
+    that step's point.  ``info["path"]`` holds the (mu, r) of every step in
+    order, and residual monotonicity in mu is asserted on each; ``info``
+    also holds mu and the residual, the summed ``qp_solves``,
+    ``fista_iterations`` and ``newton_iterations`` of the steps, and the
+    route (and any fallback reason and Newton start) of the returned step.
     """
     A, b = _shape(A, b)
     if not math.isfinite(delta):
@@ -818,11 +816,11 @@ def solve_mozorov(gauge, A, b, delta):
                            "newton_iterations"), 0)
 
     def step(mu, warm):
-        sol, model = _tikhonov(gauge, A, b, mu, warm, record)
+        sol, dx = _tikhonov(gauge, A, b, mu, warm, record)
         for key in spent:
             spent[key] += sol.info.get(key, 0)
         _record(path, mu, sol.residuals["data_misfit"])
-        return sol, model
+        return sol, dx
 
     def info(sol, **extra):
         route = {k: sol.info[k] for k in ("route", "fallback", "start")
@@ -851,19 +849,19 @@ def solve_mozorov(gauge, A, b, delta):
         mu_hi = float(np.linalg.norm(A.T @ b)) + 1.0
     last, warm = (mu_hi, r_hi), None
     mu = mu_hi * target / r_hi
-    while abs(r_lo - delta) > MOZOROV_BAND and len(path) < MOZOROV_MAXITER:
-        sol, model = step(mu, warm)
+    while abs(r_lo - delta) > MOZOROV_BAND and len(path) < MOZOROV_MAXITER \
+            and all(mu != mu_k for mu_k, _ in path):
+        sol, dx = step(mu, warm)
         r = sol.residuals["data_misfit"]
         if r <= delta:
             mu_lo, lo, r_lo = mu, sol, r
         else:
             mu_hi, r_hi = mu, r
-        root = (_log_secant(last, (mu, r), target) if model is None
-                else model(target))
-        # a newton step's point is on the path record, which predicts the
-        # next start better than the point itself
+        root = (_log_secant(last, (mu, r), target) if dx is None
+                else _tangent_root(A @ sol.point - b, A @ dx, mu, target))
         last = (mu, r)
-        warm = None if sol.info["route"] == "newton" else sol.point
+        # a certified step starts from the path record instead
+        warm = sol.point if sol.info["route"] == "fista" else None
         # r(mu) >= mu r_hi / mu_hi below mu_hi: r >= target at the safe step
         mu = root if mu_lo < root < mu_hi else mu_hi * target / r_hi
     discrepancy = abs(r_lo - delta)
@@ -878,12 +876,26 @@ def solve_mozorov(gauge, A, b, delta):
                        info=info(lo, mu=lo.info["mu"], residual=r_lo))
 
 
+def _tangent_root(r0, r1, mu, target):
+    """The larger mu' where ||r0 + (mu' - mu) r1|| = target, a root of a
+    scalar quadratic: the residual along the tangent at mu, with
+    r0 = A x - b and r1 = A x'(mu); nan when it has none."""
+    aa, bb, cc = r1 @ r1, r0 @ r1, r0 @ r0 - target * target
+    disc = bb * bb - aa * cc
+    if not (aa > 0 and disc >= 0):
+        return math.nan
+    # the larger root, without cancellation
+    return mu + float((-bb + math.sqrt(disc)) / aa if bb <= 0 else
+                      -cc / (bb + math.sqrt(disc)))
+
+
 def _log_secant(p, q, target):
     """The mu where the line through the solves p = (mu, r) and q, drawn in
     (log mu, log r), reaches r = target; nan when that line is undefined or
     flat."""
     (mu1, r1), (mu2, r2) = p, q
-    if min(r1, r2) <= 0.0 or r1 == r2:
+    # residuals that differ only in their last bits can have equal logs
+    if min(r1, r2) <= 0.0 or math.log(r1) == math.log(r2):
         return math.nan
     log_mu = math.log(mu1) + (math.log(target) - math.log(r1)) \
         * (math.log(mu2) - math.log(mu1)) / (math.log(r2) - math.log(r1))

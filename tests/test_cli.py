@@ -261,6 +261,52 @@ def test_solve_mozorov_json_reports_the_exact_route(tmp_path, capsys):
                          re.M), problem
 
 
+def test_solve_mozorov_at_a_band_below_rounding_ends_in_maxiter(tmp_path,
+                                                                capsys):
+    # the band is 1e-6, and so is the rounding of a residual near
+    # delta = 1e10: two steps at one mu once divided the secant by 0
+    A0 = np.random.default_rng(0).standard_normal((2, 4))
+    x0 = np.array([1.0, 0.0, 0.0, 0.0])
+    path = write(tmp_path, {"version": 1,
+                            "gauge": {"kind": "nonneg_l1", "n": 4},
+                            "A": (1e12 * A0).tolist(),
+                            "b": (1e12 * (A0 @ x0 + 0.005)).tolist(),
+                            "delta": 1e10})
+    assert main(["solve", path, "--problem", "mozorov", "--json"]) == 5
+    out = strict_loads(capsys.readouterr().out)
+    assert out["status"] == "maxiter"
+    mus = [mu for mu, _ in out["info"]["path"]]
+    assert len(set(mus)) == len(mus)
+
+
+def test_main_restores_stdout_and_fd_1(tmp_path, capsys):
+    # while a command runs fd 1 points at stderr; it and sys.stdout come
+    # back on every exit, a validation error's too
+    stream, fd1 = sys.stdout, os.fstat(1)
+    for data, code in ((NOISY, 0), (dict(NOISY, mu=-1.0), 3)):
+        assert main(["solve", write(tmp_path, data), "--problem",
+                     "tikhonov"]) == code
+        assert sys.stdout is stream
+        assert os.path.samestat(os.fstat(1), fd1)
+    assert "route" in capsys.readouterr().out
+
+
+def test_text_printed_on_fd_1_by_the_solver_stays_off_stdout(tmp_path):
+    # HiGHS's QP code prints "dimension mismatch" from C++ on fd 1 on this
+    # draw; --json stdout must still parse
+    A = 1e12 * np.random.default_rng(1).standard_normal((2, 4))
+    path = write(tmp_path, {"version": 1,
+                            "gauge": {"kind": "nonneg_l1", "n": 4},
+                            "A": A.tolist(), "x0": [1.0, 0.0, 0.0, 0.0],
+                            "delta": 0.01})
+    proc = subprocess.run([sys.executable, "-m", "gaugecert.cli", "recover",
+                           path, "--seeds", "0:1", "--json"],
+                          capture_output=True, text=True)
+    assert proc.returncode in (0, 1, 2, 5), proc.stderr
+    assert "Traceback" not in proc.stderr, proc.stderr
+    assert strict_loads(proc.stdout)["rows"]
+
+
 def test_solve_tikhonov_needs_data(tmp_path, capsys):
     code = main(["solve", write(tmp_path, E1), "--problem", "tikhonov"])
     assert code == 3

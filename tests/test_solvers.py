@@ -492,6 +492,23 @@ def test_mozorov_early_stop_is_maxiter(monkeypatch):
         assert res.residuals["discrepancy"] <= 1e-6, gauge.kind
 
 
+def test_mozorov_stops_when_the_next_mu_is_on_the_path():
+    # the band, 1e-6, is the rounding of a residual near delta = 1e10: the
+    # steps come back to one mu, where two FISTA residuals differ in their
+    # last bits but not in their logs
+    A0 = np.random.default_rng(0).standard_normal((2, 4))
+    x0 = np.array([1.0, 0.0, 0.0, 0.0])
+    res = solve_mozorov(NonnegL1Gauge(4), 1e12 * A0,
+                        1e12 * (A0 @ x0 + 0.005), 1e10)
+    assert res.status == "maxiter"
+    mus = [mu for mu, _ in res.info["path"]]
+    assert len(set(mus)) == len(mus) < solvers.MOZOROV_MAXITER
+    mu, r = 4.3975832966577673e+21, 9999999829.34327
+    assert math.log(r) == math.log(np.nextafter(r, np.inf))
+    assert math.isnan(solvers._log_secant((mu, r),
+                                          (mu, np.nextafter(r, np.inf)), 1e10))
+
+
 NOISY_LINE = Path(__file__).resolve().parent.parent / "demos" / "problems" \
     / "noisy_line.json"
 #: seeded Mozorov inputs: polyhedral and group kinds ...
@@ -953,46 +970,70 @@ def _path(g, A, b):
         *solvers._shape(A, b)))
 
 
-@pytest.mark.parametrize("seed, shape", [(103, "wide"),
-                                         (24, "rank-deficient")])
-def test_cold_start_at_small_mu_stays_on_newton(seed, shape):
-    # from x = 0 the Newton steps at this mu ran out after 50 steps with
-    # ||F|| ~ 2e-3 and FISTA took over; the zero point's tangent, the first
-    # homotopy segment, starts them where they certify
+@pytest.mark.parametrize("seed, shape, scale, start", [
+    pytest.param(103, "wide", 0.00178, "zero-point", id="103-wide"),
+    pytest.param(24, "rank-deficient", 0.00178, "zero-point",
+                 id="24-rank-deficient"),
+    pytest.param(48, "wide", 3.3e-4, "continued", id="48-wide"),
+    pytest.param(102, "rank-deficient", 2.1e-4, "continued",
+                 id="102-rank-deficient")])
+def test_cold_start_at_small_mu_stays_on_newton(seed, shape, scale, start):
+    # from x = 0 the Newton steps at the first two ran out after 50 steps
+    # with ||F|| ~ 2e-3 and FISTA took over; the zero point's tangent, the
+    # first homotopy segment, starts them where they certify.  At the last
+    # two that start ran out too (FISTA then took 666 and 1,761
+    # iterations); geometric steps down from the zero point, each certified
+    # and recorded, reach mu
     g, A, b = _group_draw(seed, "singletons", shape)
-    mu = 0.00178 * g.polar(A.T @ b)
+    mu = scale * g.polar(A.T @ b)
     res = solve_tikhonov(g, A, b, mu)
     assert res.info["route"] == "newton" and "fallback" not in res.info
-    assert res.info["start"] == "zero-point"
+    assert res.info["start"] == start
     assert res.info["fista_iterations"] == 0
+    mus = [pt[0] for pt in _path(g, A, b).points]
+    assert mus[-1] == mu and all(a > b for a, b in zip(mus, mus[1:]))
+    assert len(mus) == (2 if start == "zero-point" else 5)
 
 
-@settings(derandomize=True, max_examples=30, deadline=None)
+@settings(derandomize=True, max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1),
+       kind=st.sampled_from(["group_l12", "l1", "nonneg_l1", "analysis_l1",
+                             "wsl1"]),
        groups=st.sampled_from(["singletons", "partition"]),
        shape=st.sampled_from(["wide", "tall", "rank-deficient"]),
        log_scale=st.floats(-3.0, -0.3))
-def test_recorded_tangent_is_the_path_derivative(seed, groups, shape,
+def test_recorded_tangent_is_the_path_derivative(seed, kind, groups, shape,
                                                  log_scale):
-    # x'(mu) from the Euler identity against the central difference of two
-    # certified solves at mu (1 +- 1e-4), each on a fresh gauge; the
-    # difference's rounding is 1e-15 / 1e-4 of x / mu
-    g, A, b = _group_draw(seed, groups, shape)
+    # the recorded x'(mu) against the central difference of two certified
+    # solves at mu (1 +- 1e-4), each on a fresh gauge; the difference's
+    # rounding is 1e-15 / 1e-4 of x / mu.  group_l12's x' comes from the
+    # Euler identity, a polyhedral kind's from the QP's affine piece
+    if kind == "group_l12":
+        g, A, b = _group_draw(seed, groups, shape)
+    else:
+        g, A, b, _ = _polyhedral_draw(kind, seed)
     mu = 10.0 ** log_scale * g.polar(A.T @ b)
     fresh = copy.deepcopy(g)
     res = solve_tikhonov(g, A, b, mu)
-    assert res.info["route"] == "newton"
+    route = "newton" if kind == "group_l12" else "exact-qp"
+    assert res.info["route"] == route
     path = _path(g, A, b)
     mu_k, x, dx = path.points[-1]
     assert mu_k == mu and np.array_equal(x, res.point)
-    # off the kinks ||v_g|| = t mu only, where x(mu) is smooth
-    v = x - path.t * (A.T @ (A @ x - b))
-    tau = path.t * mu
-    assume(np.min(np.abs(g._block_norms(v) - tau)) >= 1e-3 * tau)
     h = 1e-4
+    if kind == "group_l12":
+        # off the kinks ||v_g|| = t mu only, where x(mu) is smooth
+        v = x - path.t * (A.T @ (A @ x - b))
+        tau = path.t * mu
+        assume(np.min(np.abs(g._block_norms(v) - tau)) >= 1e-3 * tau)
+    else:
+        # off the kinks, where the piece holds at both ends
+        assume(all(solvers._kkt(g, A, b, x + s * h * mu * dx,
+                                mu * (1.0 + s * h))[1]
+                   <= solvers.EXACT_KKT_TOL for s in (1.0, -1.0)))
     ends = [solve_tikhonov(copy.deepcopy(fresh), A, b, mu * (1.0 + s * h))
             for s in (1.0, -1.0)]
-    assert [end.info["route"] for end in ends] == ["newton"] * 2
+    assert [end.info["route"] for end in ends] == [route] * 2
     fd = (ends[0].point - ends[1].point) / (2.0 * h * mu)
     assert np.max(np.abs(fd - dx)) <= 1e-5 * max(1.0, np.max(np.abs(dx)))
 

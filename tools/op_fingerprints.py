@@ -11,11 +11,14 @@ With ``--show`` as well, each differing operation is followed by the output
 fields that differ, one per line: dotted path, old value, new value (a
 string that holds JSON, such as the CLI's ``--json`` output, is compared
 field by field) and by its solve routes when they changed, and the output
-ends with two summary lines per workload: how many of its operations
+ends with three summary lines per workload: how many of its operations
 differ, with the largest absolute difference over the numeric fields that
-differ, and how many solves took each route (``SolveResult.info["route"]``)
-in the other checkout and in this one.  ``--show`` alone prints each
-operation's fingerprinted text and its routes after its md5.
+differ; how many solves took each route (``SolveResult.info["route"]``) in
+the other checkout and in this one; and the summed ``qp_solves``,
+``newton_iterations`` and ``fista_iterations`` of its solve results
+(``SolveResult.info``), "other -> this".  ``--show`` alone prints each
+operation's fingerprinted text, its routes and its step sums after its
+md5.
 
 The md5 is taken over ``gcbench.workloads.fingerprint`` of the operation's
 outputs (floats written in full, or the error text of a failed operation),
@@ -52,6 +55,8 @@ import tempfile
 from pathlib import Path
 
 WORKLOADS = ("verdicts-lp", "certify-cli", "recovery-sweep")
+#: the step counters of a solve result's ``info``, summed per workload
+STEPS = ("qp_solves", "newton_iterations", "fista_iterations")
 #: the ``--recovery`` grid: (m, n), noise levels, seeds and values of c1
 RECOVERY_SIZES = ((3, 6), (4, 8), (5, 10))
 RECOVERY_DELTAS = (0.1, 0.01, 0.001)
@@ -89,12 +94,12 @@ def main(argv=None):
         return compare(args.against, args.root, args.seeds, args.workloads,
                        args.show)
 
-    for workload, seed, i, text, routes in rounds(args.root.resolve(),
-                                                  args.workloads, args.seeds):
+    for workload, seed, i, text, routes, steps in rounds(
+            args.root.resolve(), args.workloads, args.seeds):
         digest = hashlib.md5(text.encode("utf-8")).hexdigest()
         line = f"{workload} {seed} {i} {digest}"
         if args.show:
-            line += "\t" + json.dumps(text) + "\t" + json.dumps(routes)
+            line += "".join("\t" + json.dumps(v) for v in (text, routes, steps))
         print(line, flush=True)
     return 0
 
@@ -102,9 +107,10 @@ def main(argv=None):
 def rounds(root, names, seeds):
     """Run one round of each workload in ``names`` at each seed, from the
     ``src/`` and ``gcbench/`` of the checkout ``root``; yield
-    ``(workload, seed, index, text, routes)`` per operation, ``text`` being
-    ``gcbench.workloads.fingerprint`` of its outputs and ``routes`` the
-    ``info["route"]`` of each of its solve results, by output name.
+    ``(workload, seed, index, text, routes, steps)`` per operation,
+    ``text`` being ``gcbench.workloads.fingerprint`` of its outputs,
+    ``routes`` the ``info["route"]`` of each of its solve results, by
+    output name, and ``steps`` the sums of their ``STEPS`` counters.
 
     Each operation runs once, untimed and unchecked.  ``gcbench`` is
     imported read-only: no bytecode is written, and the certify-cli problem
@@ -124,10 +130,15 @@ def rounds(root, names, seeds):
                 for i, op in enumerate(run.make_round(workload, seed,
                                                       workdir)):
                     out = workloads.run_op(op)
-                    routes = {key: val.info["route"]
-                              for key, val in out.outputs.items()
-                              if "route" in getattr(val, "info", {})}
-                    yield workload, seed, i, workloads.fingerprint(out), routes
+                    infos = {key: val.info for key, val in out.outputs.items()
+                             if isinstance(getattr(val, "info", None), dict)}
+                    routes = {key: info["route"] for key, info in infos.items()
+                              if "route" in info}
+                    steps = {name: sum(info.get(name, 0)
+                                       for info in infos.values())
+                             for name in STEPS}
+                    yield (workload, seed, i, workloads.fingerprint(out),
+                           routes, steps)
 
 
 def _run_both(other, root, args):
@@ -272,21 +283,26 @@ def compare(other, root, seeds, workloads, show=False):
         return 1
     differ = 0
     # workload -> [operations, operations that differ, largest |difference|,
-    #              route counts of the other checkout, of this one]
+    #              route counts of the other checkout, of this one,
+    #              step sums of the other checkout, of this one]
     summary = {}
     lines = itertools.zip_longest(*(out.splitlines() for out in outs))
     for old, new in lines:
-        (old, old_text, old_routes), (new, new_text, new_routes) = (
-            line.split("\t", 2) if line and show else (line, None, None)
-            for line in (old, new))
+        (old, old_text, old_routes, old_steps), \
+            (new, new_text, new_routes, new_steps) = (
+                line.split("\t", 3) if line and show else (line, None, None,
+                                                            None)
+                for line in (old, new))
         counts = summary.setdefault(
             (old or new).split()[0],
-            [0, 0, 0.0, collections.Counter(), collections.Counter()])
+            [0, 0, 0.0] + [collections.Counter() for _ in range(4)])
         counts[0] += 1
         routes = [json.loads(r) if r is not None else {}
                   for r in (old_routes, new_routes)]
-        for side, got in zip(counts[3:], routes):
+        for side, got in zip(counts[3:5], routes):
             side.update(got.values())
+        for side, got in zip(counts[5:], (old_steps, new_steps)):
+            side.update(json.loads(got) if got is not None else {})
         if old != new:
             differ += 1
             counts[1] += 1
@@ -304,10 +320,13 @@ def compare(other, root, seeds, workloads, show=False):
         for workload, (total, changed, largest, *sides) in summary.items():
             print(f"{workload}: {changed} of {total} operations differ, "
                   f"largest numeric difference {largest:.3g}")
-            names = sorted(set().union(*sides))
+            names = sorted(set().union(*sides[:2]))
             print(f"{workload} routes: " + (", ".join(
                 f"{name} {sides[0][name]} -> {sides[1][name]}"
                 for name in names) or "none"))
+            print(f"{workload} steps: " + ", ".join(
+                f"{name} {sides[2][name]} -> {sides[3][name]}"
+                for name in STEPS))
     print(f"{differ} of the operations differ" if differ
           else "all operations identical", file=sys.stderr)
     return 1 if differ else 0
